@@ -50,7 +50,6 @@ from .api import (
     hetero_gemm,
     GemmShape,
     MultiClusterResult,
-    TuningCache,
     autotune,
     multi_cluster_gemm,
     KernelSpec,
@@ -93,7 +92,6 @@ __all__ = [
     "grouped_gemm",
     "hetero_gemm",
     "MultiClusterResult",
-    "TuningCache",
     "autotune",
     "multi_cluster_gemm",
     "CapacityError",

@@ -26,7 +26,6 @@ from .core.plan_search import (
 )
 from .core.multi_cluster import MultiClusterResult, multi_cluster_gemm
 from .core.shapes import GemmShape
-from .core.tuning_cache import TuningCache
 from .faults import (
     ChaosSummary,
     CoreFault,
@@ -136,7 +135,6 @@ __all__ = [
     "SweepResult",
     "TraceSpan",
     "Tracer",
-    "TuningCache",
     "WorkerPool",
     "autotune",
     "default_plan_db",

@@ -39,6 +39,7 @@ from .core.shapes import GemmShape
 from .errors import ReproError
 from .hw.config import default_machine
 from .kernels.registry import registry_for
+from .serve.scheduler import DEFAULT_COLD_TUNE_S
 from .workloads.generators import random_operands, reference_result
 
 
@@ -384,15 +385,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         loads = sorted(float(x) for x in args.loads.split(","))
     except ValueError as exc:
         raise ReproError(f"bad --loads: {exc}") from None
-    if args.cold_tune == "auto":
-        cold_tune_s: float | None = None
-    else:
-        try:
-            cold_tune_s = float(args.cold_tune)
-        except ValueError:
-            raise ReproError(
-                f"bad --cold-tune {args.cold_tune!r} (float or 'auto')"
-            ) from None
     stack_hints: bool | str = not args.no_stack_hints
     if args.observed_hints:
         stack_hints = "observed"
@@ -401,11 +393,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         max_wait_s=args.max_wait,
         queue_cap=args.queue_cap,
-        by_digest=not args.no_digest,
         warmup=not args.no_warmup,
         warmup_tune=args.warm_tune,
         stack_hints=stack_hints,
-        cold_tune_s=cold_tune_s,
+        cold_tune_s=args.cold_tune,
         degrade=(DegradePolicy()
                  if (args.degrade or args.chaos) else None),
         trace_sample=args.trace_sample,
@@ -839,8 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="max bucket wait in seconds (default 5e-4)")
     p_serve.add_argument("--queue-cap", type=int, default=64,
                          help="admission queue bound (default 64)")
-    p_serve.add_argument("--no-digest", action="store_true",
-                         help="bucket B by object identity, not content")
     p_serve.add_argument("--no-warmup", action="store_true",
                          help="skip plan/kernel warmup (pay cold tunes)")
     p_serve.add_argument("--warm-tune", choices=["rule", "search"],
@@ -861,11 +850,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "and audit bit-identity against the "
                               "pre-drawn replay (non-zero exit on "
                               "violation)")
-    p_serve.add_argument("--cold-tune", default="5e-4", metavar="S",
-                         help="un-warmed bucket penalty in seconds, or "
-                              "'auto' to re-cost from measured warmup "
-                              "tune walls (default 5e-4; 'auto' is "
-                              "machine-dependent)")
+    p_serve.add_argument("--cold-tune", type=float,
+                         default=DEFAULT_COLD_TUNE_S, metavar="S",
+                         help="un-warmed bucket penalty in seconds "
+                              f"(default {DEFAULT_COLD_TUNE_S:g})")
     p_serve.add_argument("--compare-naive", action="store_true",
                          help="also sweep the one-call-per-request baseline")
     p_serve.add_argument("--degrade", action="store_true",
@@ -879,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "end-to-end contract audited (implies "
                               "--degrade; non-zero exit on violation)")
     p_serve.add_argument("--replicate-b",
-                         choices=["off", "static", "adaptive"],
+                         choices=["off", "adaptive"],
                          default="off",
                          help="replicated-B placement: promote hot "
                               "shared-B buckets to multi-cluster replica "
@@ -897,7 +885,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--promote-after", type=int, default=2,
                          metavar="N",
                          help="batches a bucket must attract before "
-                              "adaptive promotion fires (default 2)")
+                              "adaptive promotion fires (default 2; 1 "
+                              "promotes on first traffic)")
     p_serve.add_argument("--trace-sample", type=float, default=1.0,
                          metavar="RATE",
                          help="deterministic per-request trace sampling "

@@ -15,12 +15,9 @@ fills, barriers, strategy setup) per call.  Two batching tools:
   and reports the aggregate alongside the modeled time of the naive
   one-call-per-item loop so the grouping win is visible.
 
-Sharing is decided by **content digest** by default (:func:`b_digest`):
-two B arrays that are equal but distinct objects — the normal case for
-requests deserialized from a stream — still coalesce.  Pass
-``group_by="identity"`` to opt back into the old ``id(b)`` behaviour
-(e.g. when the caller guarantees object sharing and B is huge enough
-that hashing it matters).
+Sharing is decided by **content digest** (:func:`b_digest`): two B
+arrays that are equal but distinct objects — the normal case for
+requests deserialized from a stream — still coalesce.
 """
 
 from __future__ import annotations
@@ -157,22 +154,14 @@ def batched_gemm(
     *,
     machine: MachineConfig | None = None,
     timing: str = "auto",
-    group_by: str = "digest",
 ) -> BatchedGemmResult:
-    """Run a heterogeneous batch, grouping items that share a B operand.
-
-    ``group_by="digest"`` (default) treats equal-but-distinct B arrays as
-    shared; ``group_by="identity"`` requires the same object.
-    """
+    """Run a heterogeneous batch, grouping items whose B content is equal."""
     machine = machine or default_machine()
     if not items:
         raise ShapeError("empty batch")
-    if group_by not in ("digest", "identity"):
-        raise PlanError(f"unknown group_by {group_by!r}")
-    groups: dict[tuple[object, tuple[int, int]], list[int]] = {}
-    for idx, (a, b, c) in enumerate(items):
-        key = b_digest(b) if group_by == "digest" else id(b)
-        groups.setdefault((key, b.shape), []).append(idx)
+    groups: dict[tuple[str, tuple[int, int]], list[int]] = {}
+    for idx, (_a, b, _c) in enumerate(items):
+        groups.setdefault((b_digest(b), b.shape), []).append(idx)
     out = BatchedGemmResult()
     for (_bkey, _bshape), indices in groups.items():
         a_blocks = [items[i][0] for i in indices]

@@ -24,8 +24,8 @@ from ..errors import PlanError
 from ..obs.trace import current_tracer
 from .request import GemmRequest
 
-#: bucket key: (N, K, dtype-str, B-content-digest-or-id)
-BucketKey = tuple[int, int, str, object]
+#: bucket key: (N, K, dtype-str, B-content-digest)
+BucketKey = tuple[int, int, str, str]
 
 #: numpy dtype name -> the repo's dtype tags (core.blocking.DTYPE_SIZES)
 _DTYPE_TAGS = {"float32": "f32", "float64": "f64"}
@@ -39,16 +39,15 @@ def dtype_tag(dtype) -> str:
         raise PlanError(f"unsupported operand dtype {name!r}") from None
 
 
-def bucket_key(req: GemmRequest, *, by_digest: bool = True) -> BucketKey:
+def bucket_key(req: GemmRequest) -> BucketKey:
     """The coalescibility class of a request."""
-    b_id = b_digest(req.b) if by_digest else id(req.b)
-    return (req.shape.n, req.shape.k, dtype_tag(req.b.dtype), b_id)
+    n, k = req.shape.n, req.shape.k
+    return (n, k, dtype_tag(req.b.dtype), b_digest(req.b))
 
 
 def bucket_label(key: BucketKey) -> str:
-    n, k, dtype, b_id = key
-    tag = b_id[:8] if isinstance(b_id, str) else f"id{b_id:x}"[:10]
-    return f"*x{n}x{k}/{dtype}/{tag}"
+    n, k, dtype, digest = key
+    return f"*x{n}x{k}/{dtype}/{digest[:8]}"
 
 
 def bucket_b_bytes(key: BucketKey) -> int:
@@ -58,7 +57,7 @@ def bucket_b_bytes(key: BucketKey) -> int:
     the placement layer can budget replica memory without touching
     request operands.
     """
-    n, k, dtype, _b_id = key
+    n, k, dtype, _digest = key
     return n * k * DTYPE_SIZES[dtype]
 
 
@@ -77,13 +76,9 @@ class Batch:
         return len(self.requests)
 
     @property
-    def b_digest(self) -> object:
-        """The shared-B content token the bucket coalesced on.
-
-        A blake2b content digest with ``by_digest=True`` (the default),
-        an object id otherwise — either way the token the placement
-        layer keys replica sets on.
-        """
+    def b_digest(self) -> str:
+        """The shared-B content digest the bucket coalesced on (the token
+        the placement layer keys replica sets on)."""
         return self.key[3]
 
     @property
@@ -112,7 +107,6 @@ class ShapeBucketBatcher:
         *,
         max_batch: int = 16,
         max_wait_s: float = 5e-4,
-        by_digest: bool = True,
     ) -> None:
         if max_batch < 1:
             raise PlanError("max_batch must be >= 1")
@@ -120,7 +114,6 @@ class ShapeBucketBatcher:
             raise PlanError("max_wait_s must be >= 0")
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
-        self.by_digest = by_digest
         self._buckets: dict[BucketKey, list[GemmRequest]] = {}
         self._next_id = 0
 
@@ -129,14 +122,22 @@ class ShapeBucketBatcher:
         """Requests admitted but not yet closed into a batch."""
         return sum(len(reqs) for reqs in self._buckets.values())
 
-    def add(self, req: GemmRequest, now: float) -> Batch | None:
-        """Admit one request; returns a batch if its bucket just filled."""
-        key = bucket_key(req, by_digest=self.by_digest)
+    def add(
+        self, req: GemmRequest, now: float
+    ) -> tuple[Batch | None, BucketKey | None]:
+        """Admit one request; returns ``(batch, opened)``.
+
+        ``batch`` is the closed batch if the request filled its bucket.
+        ``opened`` is the bucket key if the request opened a bucket that
+        is still waiting, so the caller can arm its :meth:`due_at` timer
+        without computing the key (and hashing B) a second time.
+        """
+        key = bucket_key(req)
         bucket = self._buckets.setdefault(key, [])
         bucket.append(req)
         if len(bucket) >= self.max_batch:
-            return self._close(key, now, reason="full")
-        return None
+            return self._close(key, now, reason="full"), None
+        return None, key if len(bucket) == 1 else None
 
     def due_at(self, key: BucketKey) -> float | None:
         """When this bucket's oldest member hits max_wait (None if empty)."""

@@ -38,27 +38,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.blocking import DTYPE_SIZES
 from ..errors import PlanError
 from ..obs import current
 from ..obs.trace import current_tracer
-from .batcher import BucketKey, bucket_label
+from .batcher import BucketKey, bucket_b_bytes, bucket_label
 
-#: the three replication modes ``ServeConfig.replicate_b`` accepts.
-REPLICATE_MODES = ("off", "static", "adaptive")
-
-
-def bucket_b_bytes(key: BucketKey) -> int:
-    """Size of the bucket's shared B matrix in bytes."""
-    n, k, dtype, _digest = key
-    return n * k * DTYPE_SIZES[dtype]
+#: the replication modes ``ServeConfig.replicate_b`` accepts.
+REPLICATE_MODES = ("off", "adaptive")
 
 
 @dataclass
 class ReplicaSet:
     """One B content's replica state: where it lives and how hot it is."""
 
-    digest: object                 # B content digest (or id with by_digest=False)
+    digest: str                    # B content digest
     label: str                     # human-readable bucket label
     bytes: int                     # size of one replica
     seq: int                       # creation order (deterministic LRU ties)
@@ -149,9 +142,9 @@ class PlacementManager:
         promote_after: int,
         cpu_bw: float,
     ) -> None:
-        if mode not in ("static", "adaptive"):
+        if mode != "adaptive":
             raise PlanError(
-                f"placement mode must be 'static' or 'adaptive', got {mode!r}"
+                f"placement mode must be 'adaptive', got {mode!r}"
             )
         self.mode = mode
         self.n_clusters = n_clusters
@@ -159,11 +152,11 @@ class PlacementManager:
         self.max_replicas = max_replicas
         self.promote_after = promote_after
         self.cpu_bw = cpu_bw
-        self.sets: dict[object, ReplicaSet] = {}
+        self.sets: dict[str, ReplicaSet] = {}
         self.bytes_used = [0] * n_clusters
         self.peak_bytes = [0] * n_clusters
         self.events: list[PlacementEvent] = []
-        self._ever_promoted: set[object] = set()
+        self._ever_promoted: set[str] = set()
         self.promotions = 0
         self.demotions = 0
         self.hits = 0
@@ -220,9 +213,7 @@ class PlacementManager:
                 label=bucket_label(key),
                 bytes=bucket_b_bytes(key),
                 seq=len(self.sets),
-                promotable_at=(
-                    1 if self.mode == "static" else self.promote_after
-                ),
+                promotable_at=self.promote_after,
             )
             self.sets[digest] = st
         st.batches += 1

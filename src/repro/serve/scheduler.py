@@ -32,10 +32,8 @@ per-bucket wall times the report keeps.
 
 A batch whose bucket was *not* warmed is charged a ``cold_tune_s``
 penalty once per bucket — visible in the latency histograms, which is
-the point.  ``cold_tune_s=None`` re-costs that penalty from the measured
-warmup tune walls (their mean) instead of the fixed modeled constant;
-note measured walls are machine-dependent, so the deterministic-replay
-contract holds only for explicit (constant) values.
+the point.  The penalty is a modeled constant, never a measured wall, so
+replays stay bit-identical across runs and machines.
 """
 
 from __future__ import annotations
@@ -56,8 +54,7 @@ POLICIES = ("fifo", "least_loaded", "edf")
 #: warmup granularity: one tuning decision + kernel set per (N, K, dtype).
 WarmKey = tuple[int, int, str]
 
-#: the modeled un-warmed plan-search penalty, used when ``cold_tune_s``
-#: is None and no warmup has measured real tune walls yet.
+#: the modeled un-warmed plan-search penalty (``ServeConfig.cold_tune_s``).
 DEFAULT_COLD_TUNE_S = 5e-4
 
 #: stack hints: expected stacked M per bucket class.
@@ -127,24 +124,6 @@ class WarmupReport:
     transfer_hits: int = 0
     short_circuits: int = 0
 
-    @property
-    def measured_tune_s(self) -> float | None:
-        """Mean per-bucket tune wall, when any bucket was warmed.
-
-        **Machine-dependent, not replayable.**  The walls in
-        ``tune_wall_s`` are ``time.perf_counter`` measurements of real
-        plan-search work, so they vary run to run and host to host.
-        They feed :meth:`Scheduler.tune_penalty` only when
-        ``cold_tune_s=None`` — which therefore trades the deterministic
-        replay contract for a realistic cold-tune cost.  Any explicit
-        (constant) ``cold_tune_s`` keeps replays bit-identical across
-        runs and machines; the regression test in
-        ``tests/test_serve_invariants.py`` holds that contract.
-        """
-        if not self.tune_wall_s:
-            return None
-        return sum(self.tune_wall_s) / len(self.tune_wall_s)
-
 
 class Scheduler:
     """Backend pool + policy state shared by the serve event loop."""
@@ -154,7 +133,7 @@ class Scheduler:
         *,
         n_clusters: int,
         policy: str,
-        cold_tune_s: float | None,
+        cold_tune_s: float,
         machine: MachineConfig,
         health: HealthPolicy | None = None,
         placement=None,
@@ -171,7 +150,6 @@ class Scheduler:
         self.backends = [ClusterBackend(i) for i in range(n_clusters)]
         self._rr = 0
         self._warmed: set[WarmKey] = set()
-        self._measured_tune_s: float | None = None
         self.health_policy = health
         self.health = (
             [ClusterHealth() for _ in range(n_clusters)]
@@ -395,8 +373,7 @@ class Scheduler:
         timing-only ftIMM call.  ``tune="search"`` runs the real pruned
         plan search with cross-shape transfer (``transfer_tol`` lets
         later buckets short-circuit from earlier ones); per-bucket walls
-        land in ``report.tune_wall_s`` and feed :meth:`tune_penalty` when
-        ``cold_tune_s`` is None.  Warming inside a
+        land in ``report.tune_wall_s``.  Warming inside a
         :func:`~repro.parallel.worker_pool` lets every search share one
         warm pool.
         """
@@ -428,8 +405,6 @@ class Scheduler:
                 scope.args["n_buckets"] = report.n_buckets
                 scope.args["mode"] = tune
         report.wall_s = time.perf_counter() - t0
-        if report.tune_wall_s:
-            self._measured_tune_s = report.measured_tune_s
         m = current()
         if m is not None:
             m.counter("serve/warmup/buckets").inc(report.n_buckets)
@@ -470,23 +445,12 @@ class Scheduler:
         )
 
     def tune_penalty(self, key: WarmKey) -> float:
-        """Cold-tuning cost; zero once the bucket class is warm.
-
-        An explicit ``cold_tune_s`` is charged as-is (the deterministic
-        default); ``cold_tune_s=None`` charges the mean measured warmup
-        tune wall (machine-dependent), or :data:`DEFAULT_COLD_TUNE_S`
-        when nothing has been measured.
-        """
+        """Cold-tuning cost: ``cold_tune_s`` the first time a bucket
+        class runs un-warmed, zero once it is warm."""
         if key in self._warmed:
             return 0.0
         self._warmed.add(key)
         penalty = self.cold_tune_s
-        if penalty is None:
-            penalty = (
-                self._measured_tune_s
-                if self._measured_tune_s is not None
-                else DEFAULT_COLD_TUNE_S
-            )
         m = current()
         if m is not None:
             m.counter("serve/tune/cold").inc()

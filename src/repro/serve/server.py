@@ -51,7 +51,7 @@ from ..faults.plan import FaultPlan
 from ..hw.config import MachineConfig, default_machine
 from ..obs import current
 from ..obs.trace import current_tracer, head_sample, maybe_scope
-from .batcher import Batch, ShapeBucketBatcher, bucket_key, bucket_label, dtype_tag
+from .batcher import Batch, ShapeBucketBatcher, bucket_label, dtype_tag
 from .degrade import DegradePolicy, DegradeReport, OnlineBurn
 from .placement import REPLICATE_MODES, PlacementManager, PlacementReport
 from .request import (
@@ -63,7 +63,13 @@ from .request import (
     GemmRequest,
     RequestRecord,
 )
-from .scheduler import Scheduler, StackHints, WarmKey, WarmupReport
+from .scheduler import (
+    DEFAULT_COLD_TUNE_S,
+    Scheduler,
+    StackHints,
+    WarmKey,
+    WarmupReport,
+)
 
 FP32 = 4
 
@@ -100,7 +106,6 @@ class ServeConfig:
     max_batch: int = 4
     max_wait_s: float = 5e-4
     queue_cap: int = 64            # admitted requests not yet started
-    by_digest: bool = True         # shared-B detection via content digest
     warmup: bool = True
     #: warmup tuner: "rule" (rule-based, the deterministic default) or
     #: "search" (real pruned plan search with cross-shape transfer)
@@ -113,10 +118,10 @@ class ServeConfig:
     #: next one.  Affects only which plans/kernels are pre-cached,
     #: never results.
     stack_hints: bool | str = True
-    #: modeled un-warmed plan-search penalty; None = charge the measured
-    #: warmup tune wall instead (machine-dependent — replay determinism
-    #: holds only for explicit constants)
-    cold_tune_s: float | None = 5e-4
+    #: modeled un-warmed plan-search penalty, charged once per bucket
+    #: class that warmup did not cover (a constant, so replays stay
+    #: bit-identical across runs and machines)
+    cold_tune_s: float = DEFAULT_COLD_TUNE_S
     verify: bool = True
     timing: str = "analytic"
     faults: FaultPlan | None = None
@@ -137,10 +142,9 @@ class ServeConfig:
     #: requests are always retained; only clean completions are sampled.
     trace_sample: float = 1.0
     #: replicated-B placement: "off" (bit-identical to the pre-placement
-    #: engine), "static" (promote every digest on first traffic) or
-    #: "adaptive" (promote after ``promote_after`` batches).  Replication
-    #: changes where batches run and what staging they pay, never the
-    #: served bits.
+    #: engine) or "adaptive" (promote a digest after ``promote_after``
+    #: batches; 1 promotes on first traffic).  Replication changes where
+    #: batches run and what staging they pay, never the served bits.
     replicate_b: str = "off"
     #: per-cluster replica memory budget; cold replicas are LRU-demoted
     #: to stay under it
@@ -155,6 +159,13 @@ class ServeConfig:
             raise PlanError("queue_cap must be >= 1")
         if self.max_redispatch < 0:
             raise PlanError("max_redispatch must be >= 0")
+        if not isinstance(self.cold_tune_s, (int, float)) or (
+            self.cold_tune_s < 0
+        ):
+            raise PlanError(
+                f"cold_tune_s must be a number of seconds >= 0, "
+                f"got {self.cold_tune_s!r}"
+            )
         if self.warmup_tune not in ("rule", "search"):
             raise PlanError(
                 f"warmup_tune must be 'rule' or 'search', "
@@ -391,7 +402,6 @@ class ServeEngine:
         self.batcher = ShapeBucketBatcher(
             max_batch=config.max_batch,
             max_wait_s=config.max_wait_s,
-            by_digest=config.by_digest,
         )
         n_clusters = config.n_clusters or machine.n_clusters
         if (
@@ -588,16 +598,13 @@ class ServeEngine:
         self._gauge_queue()
         if m is not None:
             m.counter("serve/requests/admitted").inc()
-        batch = self.batcher.add(req, now)
+        batch, opened = self.batcher.add(req, now)
         if batch is not None:
             self._on_close(batch, now)
-        else:
-            key = bucket_key(req, by_digest=self.config.by_digest)
-            due = self.batcher.due_at(key)
+        elif opened is not None:
             # only the request that *opened* the bucket arms its timer;
             # a bucket re-opened after a close gets a fresh event
-            if due is not None and due == req.arrival_s + self.batcher.max_wait_s:
-                self._push(due, "timeout", key)
+            self._push(self.batcher.due_at(opened), "timeout", opened)
 
     def _shed(
         self,

@@ -97,19 +97,6 @@ class TestBatchedGemm:
         for c, ref in zip(c_blocks, refs):
             np.testing.assert_allclose(c, ref, rtol=1e-3, atol=1e-3)
 
-    def test_identity_grouping_opt_out(self):
-        """group_by="identity" restores object-identity behaviour."""
-        a_blocks, b, c_blocks, _ = make_group(3, seed=8)
-        items = [(a, b.copy(), c) for a, c in zip(a_blocks, c_blocks)]
-        result = batched_gemm(items, timing="none", group_by="identity")
-        assert len(result.groups) == 3
-
-    def test_unknown_group_by_rejected(self):
-        a_blocks, b, c_blocks, _ = make_group(2)
-        items = [(a, b, c) for a, c in zip(a_blocks, c_blocks)]
-        with pytest.raises(PlanError):
-            batched_gemm(items, group_by="telepathy")
-
     def test_b_digest_distinguishes_content(self):
         b1 = np.arange(12, dtype=np.float32).reshape(3, 4)
         assert b_digest(b1) == b_digest(b1.copy())

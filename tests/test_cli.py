@@ -289,6 +289,20 @@ class TestServeCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--policy", "magic"])
 
+    def test_removed_serve_modes_rejected(self):
+        """Static replication and measured cold tunes are gone for good:
+        the config refuses them and the CLI no longer parses them."""
+        from repro.errors import PlanError
+        from repro.serve import ServeConfig
+
+        with pytest.raises(PlanError, match="replicate_b"):
+            ServeConfig(replicate_b="static")
+        with pytest.raises(PlanError, match="cold_tune_s"):
+            ServeConfig(cold_tune_s=None)
+        for flags in (["--replicate-b", "static"], ["--cold-tune", "auto"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", *flags])
+
     def test_serve_bad_loads_reported_cleanly(self, capsys, tmp_path):
         assert main([
             "serve", "--loads", "two,hundred",

@@ -17,8 +17,8 @@ import pytest
 
 from repro.errors import PlanError
 from repro.serve import PlacementManager, Scheduler, ServeConfig, serve
+from repro.serve.batcher import bucket_b_bytes
 from repro.serve.degrade import HealthPolicy
-from repro.serve.placement import bucket_b_bytes
 from repro.serve.request import COMPLETED
 
 from test_serve import fast_requests
@@ -28,8 +28,8 @@ KEY_A = (64, 32, "f32", "digest-a")    # B = 8 KiB
 KEY_B = (64, 64, "f32", "digest-b")    # B = 16 KiB
 
 
-def manager(mode="static", n_clusters=4, budget=1 << 20, max_replicas=2,
-            promote_after=2, cpu_bw=4e10):
+def manager(mode="adaptive", n_clusters=4, budget=1 << 20, max_replicas=2,
+            promote_after=1, cpu_bw=4e10):
     return PlacementManager(
         mode=mode, n_clusters=n_clusters, budget_bytes=budget,
         max_replicas=max_replicas, promote_after=promote_after,
@@ -46,15 +46,15 @@ def scheduler(machine, n_clusters=4, health=None, placement=None):
 
 class TestManagerSemantics:
     def test_rejects_off_mode(self):
-        with pytest.raises(PlanError, match="static"):
+        with pytest.raises(PlanError, match="adaptive"):
             manager(mode="off")
 
     def test_bucket_b_bytes(self):
         assert bucket_b_bytes(KEY_A) == 64 * 32 * 4
         assert bucket_b_bytes((8, 8, "f64", "x")) == 8 * 8 * 8
 
-    def test_static_promotes_on_first_batch(self, machine):
-        pm = manager(mode="static")
+    def test_promote_after_one_promotes_on_first_batch(self, machine):
+        pm = manager(promote_after=1)
         sched = scheduler(machine, placement=pm)
         staged = pm.on_close(KEY_A, sched, now=0.0)
         assert len(staged) == 2              # max_replicas
@@ -74,7 +74,7 @@ class TestManagerSemantics:
             assert sched.backends[cluster].busy_until_s == end
 
     def test_promotion_targets_least_loaded(self, machine):
-        pm = manager(mode="static", max_replicas=2)
+        pm = manager(max_replicas=2)
         sched = scheduler(machine, placement=pm)
         sched.backends[0].charge(0.0, 5.0)   # busiest
         sched.backends[1].charge(0.0, 3.0)
@@ -82,7 +82,7 @@ class TestManagerSemantics:
         assert sorted(c for c, _s, _e in staged) == [2, 3]
 
     def test_staging_never_counts_as_a_batch(self, machine):
-        pm = manager(mode="static")
+        pm = manager()
         sched = scheduler(machine, placement=pm)
         pm.on_close(KEY_A, sched, now=0.0)
         assert all(b.batches == 0 for b in sched.backends)
@@ -90,7 +90,7 @@ class TestManagerSemantics:
 
     def test_lru_demotion_under_budget(self, machine):
         # budget fits one 16 KiB replica per cluster, not A + B together
-        pm = manager(mode="static", budget=16 << 10, max_replicas=4)
+        pm = manager(budget=16 << 10, max_replicas=4)
         sched = scheduler(machine, placement=pm)
         pm.on_close(KEY_A, sched, now=0.0)
         pm.use_replica(KEY_A, 0, now=0.5)    # refresh A's LRU stamp
@@ -101,11 +101,13 @@ class TestManagerSemantics:
         assert max(pm.peak_bytes) <= 16 << 10
 
     def test_thrash_guard_after_full_eviction(self, machine):
-        pm = manager(mode="static", budget=16 << 10, max_replicas=4,
-                     promote_after=2)
+        pm = manager(budget=16 << 10, max_replicas=4, promote_after=2)
         sched = scheduler(machine, placement=pm)
-        pm.on_close(KEY_A, sched, now=0.0)
-        pm.on_close(KEY_B, sched, now=1.0)   # evicts A everywhere
+        for now in (0.0, 0.1):
+            pm.on_close(KEY_A, sched, now=now)
+        assert pm.sets["digest-a"].replicated
+        for now in (1.0, 1.1):
+            pm.on_close(KEY_B, sched, now=now)   # evicts A everywhere
         st = pm.sets["digest-a"]
         assert not st.replicated
         # one fresh batch is not enough to re-promote (promote_after=2)
@@ -113,13 +115,13 @@ class TestManagerSemantics:
         assert pm.on_close(KEY_A, sched, now=3.0) != []
 
     def test_oversized_b_never_promoted(self, machine):
-        pm = manager(mode="static", budget=4 << 10)
+        pm = manager(budget=4 << 10)
         sched = scheduler(machine, placement=pm)
         assert pm.on_close(KEY_B, sched, now=0.0) == []   # 16 KiB > 4 KiB
         assert pm.promotions == 0
 
     def test_use_replica_hit_miss_and_restage(self, machine):
-        pm = manager(mode="static", max_replicas=2)
+        pm = manager(max_replicas=2)
         sched = scheduler(machine, placement=pm)
         assert not pm.use_replica(KEY_A, 0, now=0.0)      # unknown digest
         staged = pm.on_close(KEY_A, sched, now=0.0)
@@ -132,11 +134,11 @@ class TestManagerSemantics:
         assert pm.hits == 1
 
     def test_report_roundtrip(self, machine):
-        pm = manager(mode="static")
+        pm = manager()
         sched = scheduler(machine, placement=pm)
         pm.on_close(KEY_A, sched, now=0.0)
         rep = pm.report()
-        assert rep.mode == "static"
+        assert rep.mode == "adaptive"
         assert rep.replica_sets == 1
         assert rep.promotions == 1
         assert [e.kind for e in rep.events].count("promote") == 1
@@ -149,7 +151,7 @@ class TestQuarantineInteraction:
         assert sched.health[idx].state == "quarantined"
 
     def test_all_quarantined_fail_open_honors_replicas(self, machine):
-        pm = manager(mode="static", max_replicas=1)
+        pm = manager(max_replicas=1)
         sched = scheduler(
             machine, health=HealthPolicy(fault_threshold=1, cooldown_s=1.0,
                                          max_cooldown_s=4.0),
@@ -164,7 +166,7 @@ class TestQuarantineInteraction:
         assert backend.idx == holder
 
     def test_quarantined_holder_routes_to_healthy_holder(self, machine):
-        pm = manager(mode="static", max_replicas=2)
+        pm = manager(max_replicas=2)
         sched = scheduler(
             machine, health=HealthPolicy(fault_threshold=1, cooldown_s=1.0,
                                          max_cooldown_s=4.0),
@@ -177,7 +179,7 @@ class TestQuarantineInteraction:
         assert backend.idx == holders[1]
 
     def test_all_holders_quarantined_falls_back_and_restages(self, machine):
-        pm = manager(mode="static", max_replicas=2)
+        pm = manager(max_replicas=2)
         sched = scheduler(
             machine, health=HealthPolicy(fault_threshold=1, cooldown_s=1.0,
                                          max_cooldown_s=4.0),
@@ -194,7 +196,7 @@ class TestQuarantineInteraction:
         assert pm.restages == 1
 
     def test_edf_pull_prefers_idle_holder(self, machine):
-        pm = manager(mode="static", max_replicas=2)
+        pm = manager(max_replicas=2)
         sched = Scheduler(
             n_clusters=4, policy="edf", cold_tune_s=0.0,
             machine=machine, placement=pm,

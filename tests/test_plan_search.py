@@ -177,6 +177,61 @@ class TestPlanDB:
         nsig, nrec, distance = found
         assert nsig == sig and distance == 0.0
 
+    def test_missing_file_loads_empty(self, tmp_path):
+        db = PlanDB(tmp_path)
+        assert len(db) == 0
+        assert not db.path.exists()
+
+    def test_class_distinct_per_core_count(self, cluster):
+        shape = GemmShape(64, 32, 64)
+        k8 = ShapeClass.of(shape, cluster)
+        k4 = ShapeClass.of(shape, cluster.with_cores(4))
+        assert k8 != k4 and k8.key() != k4.key()
+
+    def test_reloaded_plan_drives_lowering(self, cluster, registry, tmp_path):
+        from repro.core.parallel_k import build_parallel_k
+        from repro.core.parallel_m import build_parallel_m
+        from repro.executor.timed import run_timed
+
+        shape = GemmShape(2048, 32, 2048)
+        sig, rec = self._record(cluster, shape)
+        PlanDB(tmp_path).put(sig, rec)
+        reloaded = PlanDB(tmp_path).get(sig)
+        build = {"m": build_parallel_m, "k": build_parallel_k}[
+            reloaded.strategy
+        ]
+        ex = build(
+            shape, cluster, plan=reloaded.adapted(shape, cluster),
+            adjust=False, registry=registry,
+        )
+        assert run_timed(ex).seconds > 0
+
+    def test_plan_rebuild_validates(self, cluster):
+        shape = GemmShape(8192, 32, 256)
+        sig, rec = self._record(cluster, shape)
+        rec.plan.validate(cluster)  # capacity-legal after rebuild
+        rec.adapted(shape, cluster).validate(cluster)
+
+    def test_json_roundtrip(self, cluster):
+        sig, rec = self._record(cluster, GemmShape(8192, 32, 256))
+        restored = PlanRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
+        assert restored.strategy == rec.strategy
+        assert restored.plan == rec.plan
+        assert restored.shape == rec.shape
+        assert restored.seconds == pytest.approx(rec.seconds)
+
+    def test_corrupt_strategy_rejected(self):
+        # "tgemm" is a known plan format but not a searchable strategy
+        from repro.core.blocking import TgemmPlan
+        from repro.kernels.serialize import plan_to_dict
+
+        blob = {
+            "plan": plan_to_dict("tgemm", TgemmPlan()),
+            "shape": [1, 2, 3], "seconds": 1.0, "validated": True,
+        }
+        with pytest.raises(PlanError, match="no search domain"):
+            PlanRecord.from_dict(blob)
+
     def test_corrupt_file_quarantined(self, cluster, tmp_path):
         db = PlanDB(tmp_path)
         db.path.parent.mkdir(parents=True, exist_ok=True)
@@ -364,11 +419,11 @@ class TestServeBatchAware:
         assert h1 == h2
         assert all(m >= 1 for m in h1.values())
 
-    def test_warm_search_mode_and_measured_penalty(self, machine):
-        from repro.serve.scheduler import DEFAULT_COLD_TUNE_S, Scheduler
+    def test_warm_search_mode_and_cold_penalty(self, machine):
+        from repro.serve.scheduler import Scheduler
 
         sched = Scheduler(
-            n_clusters=2, policy="fifo", cold_tune_s=None, machine=machine
+            n_clusters=2, policy="fifo", cold_tune_s=3e-4, machine=machine
         )
         report = sched.warm(
             [(GemmShape(128, 64, 256), "f32")],
@@ -378,17 +433,11 @@ class TestServeBatchAware:
         assert report.mode == "search"
         assert report.hinted == 1
         assert report.n_buckets == 1
-        assert report.measured_tune_s is not None
-        # warmed bucket is free; an unknown one charges the measured mean
+        assert len(report.tune_wall_s) == 1
+        # warmed bucket is free; an unknown one charges the constant, once
         assert sched.tune_penalty((64, 256, "f32")) == 0.0
-        assert sched.tune_penalty((8, 8, "f32")) == pytest.approx(
-            report.measured_tune_s
-        )
-        # a fresh scheduler with nothing measured charges the default
-        cold = Scheduler(
-            n_clusters=2, policy="fifo", cold_tune_s=None, machine=machine
-        )
-        assert cold.tune_penalty((8, 8, "f32")) == DEFAULT_COLD_TUNE_S
+        assert sched.tune_penalty((8, 8, "f32")) == 3e-4
+        assert sched.tune_penalty((8, 8, "f32")) == 0.0
 
     def test_warm_rejects_unknown_mode(self, machine):
         from repro.serve.scheduler import Scheduler

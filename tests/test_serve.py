@@ -100,23 +100,25 @@ class TestBatcher:
         reqs = [r for r in fast_requests(n=30) if r.klass == "tiny"][:4]
         batcher = ShapeBucketBatcher(max_batch=4)
         out = [batcher.add(r, r.arrival_s) for r in reqs]
-        assert out[:3] == [None, None, None]
-        batch = out[3]
+        assert [batch for batch, _opened in out[:3]] == [None, None, None]
+        # only the first request opens the bucket (and arms its timer)
+        assert [opened for _batch, opened in out] == [
+            bucket_key(reqs[0]), None, None, None,
+        ]
+        batch = out[3][0]
         assert batch is not None and batch.n_items == 4
         assert batch.stacked_m == sum(r.shape.m for r in reqs)
 
-    def test_identity_bucketing_keeps_copies_apart(self):
+    def test_copies_of_b_share_a_bucket(self):
         reqs = [r for r in fast_requests(n=30) if r.klass == "tiny"][:2]
-        k_dig = [bucket_key(r, by_digest=True) for r in reqs]
-        k_id = [bucket_key(r, by_digest=False) for r in reqs]
-        assert k_dig[0] == k_dig[1]
-        assert k_id[0] != k_id[1]
+        assert reqs[0].b is not reqs[1].b
+        assert bucket_key(reqs[0]) == bucket_key(reqs[1])
 
     def test_max_wait_closes_stale_bucket(self):
         req = fast_requests(n=1)[0]
         batcher = ShapeBucketBatcher(max_batch=16, max_wait_s=1e-4)
-        assert batcher.add(req, req.arrival_s) is None
-        key = bucket_key(req)
+        batch, key = batcher.add(req, req.arrival_s)
+        assert batch is None and key == bucket_key(req)
         assert batcher.close_due(key, req.arrival_s + 5e-5) is None
         batch = batcher.close_due(key, req.arrival_s + 2e-4)
         assert batch is not None and batch.n_items == 1
@@ -125,7 +127,7 @@ class TestBatcher:
     def test_batch_deadline_is_earliest_member(self):
         reqs = [r for r in fast_requests(n=30) if r.klass == "tiny"][:3]
         batcher = ShapeBucketBatcher(max_batch=3)
-        batch = [batcher.add(r, r.arrival_s) for r in reqs][-1]
+        batch, _opened = [batcher.add(r, r.arrival_s) for r in reqs][-1]
         assert batch.deadline_s == min(r.deadline_s for r in reqs)
 
 

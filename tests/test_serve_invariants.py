@@ -1,8 +1,8 @@
 """Property-style serve invariants across seeds × policies × modes.
 
 Hypothesis-style coverage without the dependency: a seeded parametrized
-matrix (3 seeds × all 3 policies × replication off/static/adaptive ×
-fault plan on/off) drives randomized request streams through the serve
+matrix (3 seeds × all 3 policies × replication off / on first traffic /
+adaptive × fault plan on/off) drives randomized request streams through the serve
 engine and asserts the invariants every run must satisfy, whatever the
 draw:
 
@@ -17,10 +17,8 @@ draw:
 * **replica budget** — per-cluster replica residency never exceeds the
   configured budget, and placement accounting matches the batch records.
 
-Plus the ``cold_tune_s`` regression: explicit (constant) values keep
-replays bit-identical across runs — the contract
-``WarmupReport.measured_tune_s`` documents as the thing ``None`` trades
-away.
+Plus the ``cold_tune_s`` regression: the (constant) cold-tune penalty
+keeps replays bit-identical across runs.
 """
 
 import math
@@ -36,18 +34,25 @@ from test_serve import fast_requests
 
 SEEDS = [0, 1, 2]
 POLICIES = ["fifo", "least_loaded", "edf"]
-REPLICATE = ["off", "static", "adaptive"]
+#: matrix id -> (replicate_b, promote_after).  "static" keeps its old id
+#: for promotion on first traffic, which is adaptive with promote_after=1.
+REPLICATE = {
+    "off": ("off", 2),
+    "static": ("adaptive", 1),
+    "adaptive": ("adaptive", 2),
+}
 
 #: typed shed reasons the admission path may emit
 SHED_REASONS = {"queue_full", "class_shed", "burn_shed", "shutdown"}
 
 
 def _config(policy, replicate, faulty, seed):
+    replicate_b, promote_after = REPLICATE[replicate]
     kw = dict(
         policy=policy,
         queue_cap=8,
-        replicate_b=replicate,
-        promote_after=2,
+        replicate_b=replicate_b,
+        promote_after=promote_after,
     )
     if faulty:
         kw.update(
@@ -180,7 +185,7 @@ def test_budget_pressure_demotes_lru_and_stays_under_budget():
     requests = fast_requests(n=48, rate=150_000, seed=1)
     report = serve(requests, ServeConfig(
         policy="least_loaded", queue_cap=64,
-        replicate_b="static", replica_budget_bytes=13 << 10,
+        replicate_b="adaptive", replica_budget_bytes=13 << 10,
         max_replicas=4, promote_after=1,
     ))
     placement = report.placement
@@ -195,7 +200,8 @@ def test_oversized_b_is_never_promoted():
     requests = fast_requests(n=24, rate=150_000, seed=0)
     report = serve(requests, ServeConfig(
         policy="least_loaded",
-        replicate_b="static", replica_budget_bytes=2 << 10,
+        replicate_b="adaptive", replica_budget_bytes=2 << 10,
+        promote_after=1,
     ))
     placement = report.placement
     # only the 1 KiB tiny bucket fits the 2 KiB budget
@@ -206,14 +212,10 @@ def test_oversized_b_is_never_promoted():
 
 
 class TestColdTuneReplayContract:
-    """Explicit ``cold_tune_s`` keeps replays bit-identical.
+    """The constant ``cold_tune_s`` keeps replays bit-identical.
 
-    ``cold_tune_s=None`` charges the *measured* warmup tune wall — a
-    ``time.perf_counter`` quantity that varies run to run and machine to
-    machine, which ``WarmupReport.measured_tune_s`` documents as trading
-    away the deterministic-replay contract.  This is the regression
-    test for the other side of that trade: any explicit constant must
-    replay bit for bit, cold tunes included.
+    The penalty is modeled, never a measured tune wall, so a run must
+    replay bit for bit across runs and machines, cold tunes included.
     """
 
     def test_explicit_cold_tune_bit_identical_across_runs(self):
@@ -236,12 +238,3 @@ class TestColdTuneReplayContract:
         second = serve(fast_requests(n=24, seed=2), config)
         assert first.records == second.records
         assert first.batches == second.batches
-
-    def test_measured_tune_walls_are_flagged_machine_dependent(self):
-        # the docstring is the documentation fix; hold it to naming the
-        # machine-dependence so a rewrite cannot silently drop the caveat
-        from repro.serve import WarmupReport
-
-        doc = WarmupReport.measured_tune_s.fget.__doc__
-        assert "Machine-dependent" in doc
-        assert "cold_tune_s" in doc
