@@ -56,6 +56,16 @@ def _parse_shape(text: str) -> tuple[int, int, int]:
     return m, n, k
 
 
+def _unit_fraction(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not in [0, 1]")
+    return value
+
+
 def _trace_summary(recorder) -> str:
     """Row-utilization table of a captured trace."""
     rows = [
@@ -369,7 +379,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .analysis.critical_path import critical_path
     from .faults.plan import FaultPlan
-    from .obs import append_record, collecting, make_record, tracing
+    from .obs import Tracer, append_record, collecting, make_record
     from .serve import (
         DegradePolicy,
         ServeConfig,
@@ -378,6 +388,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         make_requests,
         monitor,
         serve,
+        serve_spans,
         sweep,
     )
 
@@ -399,7 +410,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cold_tune_s=args.cold_tune,
         degrade=(DegradePolicy()
                  if (args.degrade or args.chaos) else None),
-        trace_sample=args.trace_sample,
         replicate_b=args.replicate_b,
         replica_budget_bytes=args.replica_budget,
         max_replicas=args.max_replicas,
@@ -541,14 +551,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           + (f" (+{n_alerts} SLO alert record(s))" if n_alerts else ""))
 
     if args.trace:
-        # re-run the highest-load point under the tracer (exactly the
-        # harness's recipe, so the trace matches the numbers above)
-        requests = make_requests(
-            args.mix, rate_rps=last.offered_rps, n_requests=args.n,
-            seed=args.seed, arrivals=args.arrivals,
-        )
-        with tracing() as tracer:
-            serve(requests, config)
+        # the highest-load point's trace, derived from its report
+        tracer = Tracer()
+        serve_spans(last.report, tracer, sample=args.trace_rate)
         path = tracer.save(args.trace)
         print(f"trace: {len(tracer.spans)} spans -> {path} "
               "(load in https://ui.perfetto.dev)")
@@ -887,8 +892,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="batches a bucket must attract before "
                               "adaptive promotion fires (default 2; 1 "
                               "promotes on first traffic)")
-    p_serve.add_argument("--trace-sample", type=float, default=1.0,
-                         metavar="RATE",
+    p_serve.add_argument("--trace-sample", type=_unit_fraction, default=1.0,
+                         metavar="RATE", dest="trace_rate",
                          help="deterministic per-request trace sampling "
                               "rate in [0, 1]; sheds, failures and SLO "
                               "misses are always kept (default 1.0)")
@@ -898,8 +903,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--runlog", metavar="OUT.jsonl",
                          default="runs.jsonl")
     p_serve.add_argument("--trace", metavar="OUT.json", default=None,
-                         help="re-run the highest-load point under the "
-                              "request tracer and write a Chrome trace")
+                         help="write the highest-load point's request "
+                              "trace as a Chrome trace")
     p_serve.set_defaults(fn=_cmd_serve)
 
     p_trace = sub.add_parser(

@@ -30,7 +30,9 @@ latency numbers:
   promotion of hot shared-B matrices to multi-cluster replica sets,
   replica-aware routing, LRU demotion under a memory budget;
 * :mod:`repro.serve.hints`     — observed stack hints persisted beside
-  the plan DB (``ServeConfig(stack_hints="observed")``).
+  the plan DB (``ServeConfig(stack_hints="observed")``);
+* :mod:`repro.serve.spans`     — the simulated-time serve trace, derived
+  from a finished report.
 """
 
 from ..errors import FaultError, OverloadError
@@ -74,6 +76,7 @@ from .slo import (
     SloReport,
     monitor,
 )
+from .spans import serve_spans
 
 __all__ = [
     "BULK",
@@ -124,5 +127,6 @@ __all__ = [
     "monitor",
     "save_stack_hints",
     "serve",
+    "serve_spans",
     "sweep",
 ]

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from ..core.batched import b_digest
 from ..core.blocking import DTYPE_SIZES
 from ..errors import PlanError
-from ..obs.trace import current_tracer
 from .request import GemmRequest
 
 #: bucket key: (N, K, dtype-str, B-content-digest)
@@ -48,6 +47,13 @@ def bucket_key(req: GemmRequest) -> BucketKey:
 def bucket_label(key: BucketKey) -> str:
     n, k, dtype, digest = key
     return f"*x{n}x{k}/{dtype}/{digest[:8]}"
+
+
+def bucket_class(label: str) -> tuple[int, int, str]:
+    """The (N, K, dtype) class a :func:`bucket_label` names."""
+    head, dtype, _digest = label.split("/")
+    _star, n, k = head.split("x")
+    return int(n), int(k), dtype
 
 
 def bucket_b_bytes(key: BucketKey) -> int:
@@ -167,22 +173,6 @@ class ShapeBucketBatcher:
             close_s=now, reason=reason,
         )
         self._next_id += 1
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.instant(
-                f"coalesce b{batch.batch_id}",
-                at_s=now,
-                category="coalesce",
-                track="batcher",
-                pid=0,
-                args={
-                    "batch_id": batch.batch_id,
-                    "reason": reason,
-                    "n_items": batch.n_items,
-                    "stacked_m": batch.stacked_m,
-                    "bucket": bucket_label(key),
-                },
-            )
         return batch
 
 

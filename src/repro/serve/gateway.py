@@ -32,7 +32,8 @@ ambient one on :meth:`stats`/:meth:`close` via the delta-aware
 ``MetricsRegistry.merge(..., baseline=)``, so mid-flight snapshots never
 double-count.  With tracing active the gateway adds ``submit`` /
 ``resolve`` instants and one ``await`` span per request on its own
-track.
+track; :meth:`close` writes the engine's serve spans, derived from the
+final report.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .server import (
     persist_observed_hints,
     warm_engine,
 )
+from .spans import serve_spans
 
 
 class Gateway:
@@ -442,7 +444,9 @@ class Gateway:
             self._resolve(rid, fut, record)
         self._closed = True
         self._sync_metrics()
-        persist_observed_hints(self.report())
+        report = self.report()
+        serve_spans(report)
+        persist_observed_hints(report)
 
     async def __aenter__(self) -> "Gateway":
         return self

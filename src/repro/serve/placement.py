@@ -27,8 +27,9 @@ Contracts:
   never the served bits: results are computed functionally per batch and
   verified against standalone ``ftimm_gemm`` regardless of placement.
 * Every promotion, staging copy and demotion lands on the placement
-  event timeline (:class:`PlacementReport`), in the metrics
-  (``serve/placement/*``) and, under tracing, as ``placement`` instants.
+  event timeline (:class:`PlacementReport`) and in the metrics
+  (``serve/placement/*``); the serve trace derives its ``placement``
+  instants from that timeline.
 * All decisions are made inside engine event processing — batch close
   and backend binding — which the gateway drives in ``offer()`` order,
   so a live async run replays bit-identical to the pre-drawn stream.
@@ -40,7 +41,6 @@ from dataclasses import dataclass, field
 
 from ..errors import PlanError
 from ..obs import current
-from ..obs.trace import current_tracer
 from .batcher import BucketKey, bucket_b_bytes, bucket_label
 
 #: the replication modes ``ServeConfig.replicate_b`` accepts.
@@ -91,7 +91,6 @@ class PlacementEvent:
 class PlacementReport:
     """What the replication manager did during one serve run."""
 
-    mode: str
     budget_bytes: int
     promotions: int = 0
     demotions: int = 0
@@ -105,7 +104,7 @@ class PlacementReport:
 
     def describe(self) -> str:
         lines = [
-            f"placement [{self.mode}]: {self.replica_sets} replica set(s), "
+            f"placement: {self.replica_sets} replica set(s), "
             f"{self.promotions} promotion(s), {self.demotions} demotion(s)",
             f"  {self.hits} batch(es) skipped B staging, "
             f"{self.restages} re-stage(s) off-holder, "
@@ -135,18 +134,12 @@ class PlacementManager:
     def __init__(
         self,
         *,
-        mode: str,
         n_clusters: int,
         budget_bytes: int,
         max_replicas: int,
         promote_after: int,
         cpu_bw: float,
     ) -> None:
-        if mode != "adaptive":
-            raise PlanError(
-                f"placement mode must be 'adaptive', got {mode!r}"
-            )
-        self.mode = mode
         self.n_clusters = n_clusters
         self.budget_bytes = budget_bytes
         self.max_replicas = max_replicas
@@ -178,19 +171,6 @@ class PlacementManager:
             at_s=at_s, kind=kind, label=label, cluster=cluster,
             detail=detail,
         ))
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.instant(
-                f"{kind} {label}" + (
-                    f" -> cluster {cluster}" if cluster is not None else ""
-                ),
-                at_s=at_s,
-                category="placement",
-                track="placement",
-                pid=0,
-                args={"kind": kind, "bucket": label, "cluster": cluster,
-                      "detail": detail},
-            )
 
     # -- promotion / demotion ----------------------------------------------
 
@@ -344,7 +324,6 @@ class PlacementManager:
 
     def report(self) -> PlacementReport:
         return PlacementReport(
-            mode=self.mode,
             budget_bytes=self.budget_bytes,
             promotions=self.promotions,
             demotions=self.demotions,

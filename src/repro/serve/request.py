@@ -137,3 +137,7 @@ class BatchRecord:
     request_ids: list[int] = field(default_factory=list)
     #: ran on a cluster already holding a B replica (skipped B staging)
     b_resident: bool = False
+    #: why the bucket closed: full | timeout | drain
+    close_reason: str = "full"
+    #: the typed error of each failed dispatch attempt, in order
+    attempt_errors: list[str] = field(default_factory=list)

@@ -46,7 +46,7 @@ from ..core.shapes import GemmShape
 from ..errors import PlanError
 from ..hw.config import MachineConfig
 from ..obs import current
-from ..obs.trace import current_tracer, maybe_scope
+from ..obs.trace import maybe_scope
 from .degrade import DegradeEvent, HealthPolicy
 
 POLICIES = ("fifo", "least_loaded", "edf")
@@ -289,16 +289,6 @@ class Scheduler:
             DegradeEvent(at_s=at_s, cluster=cluster, kind=kind,
                          detail=detail)
         )
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.instant(
-                f"{kind} cluster {cluster}",
-                at_s=at_s,
-                category="degrade",
-                track="scheduler",
-                pid=0,
-                args={"cluster": cluster, "kind": kind, "detail": detail},
-            )
 
     def note_fault(
         self, idx: int, now: float, error: str = ""
@@ -450,21 +440,10 @@ class Scheduler:
         if key in self._warmed:
             return 0.0
         self._warmed.add(key)
-        penalty = self.cold_tune_s
         m = current()
         if m is not None:
             m.counter("serve/tune/cold").inc()
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.instant(
-                f"cold-tune {key[0]}x{key[1]}/{key[2]}",
-                category="tune",
-                track="scheduler",
-                pid=0,
-                args={"n": key[0], "k": key[1], "dtype": key[2],
-                      "penalty_s": penalty},
-            )
-        return penalty
+        return self.cold_tune_s
 
     # -- accounting --------------------------------------------------------
 

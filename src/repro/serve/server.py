@@ -50,8 +50,14 @@ from ..errors import FaultError, OverloadError, PlanError
 from ..faults.plan import FaultPlan
 from ..hw.config import MachineConfig, default_machine
 from ..obs import current
-from ..obs.trace import current_tracer, head_sample, maybe_scope
-from .batcher import Batch, ShapeBucketBatcher, bucket_label, dtype_tag
+from ..obs.trace import maybe_scope
+from .batcher import (
+    Batch,
+    ShapeBucketBatcher,
+    bucket_class,
+    bucket_label,
+    dtype_tag,
+)
 from .degrade import DegradePolicy, DegradeReport, OnlineBurn
 from .placement import REPLICATE_MODES, PlacementManager, PlacementReport
 from .request import (
@@ -70,6 +76,7 @@ from .scheduler import (
     WarmKey,
     WarmupReport,
 )
+from .spans import serve_spans
 
 FP32 = 4
 
@@ -98,7 +105,12 @@ def expected_stack_hints(
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Everything that shapes a serve run (hashable, replayable)."""
+    """Everything that shapes a serve run (hashable, replayable).
+
+    Nothing here shapes the trace: the serve spans are derived from the
+    finished report (:func:`~repro.serve.spans.serve_spans`), and trace
+    sampling is that builder's ``sample=`` argument.
+    """
 
     policy: str = "least_loaded"
     #: four clusters make coarse batches pack badly; stacking gains
@@ -137,10 +149,6 @@ class ServeConfig:
     #: a sick cluster actually changes its fate); length must equal the
     #: number of clusters.
     cluster_fault_scale: tuple[float, ...] | None = None
-    #: deterministic head-based trace sampling rate for per-request
-    #: spans (1.0 = keep everything).  Shed, failed and SLO-violating
-    #: requests are always retained; only clean completions are sampled.
-    trace_sample: float = 1.0
     #: replicated-B placement: "off" (bit-identical to the pre-placement
     #: engine) or "adaptive" (promote a digest after ``promote_after``
     #: batches; 1 promotes on first traffic).  Replication changes where
@@ -178,8 +186,6 @@ class ServeConfig:
                 f"stack_hints must be True, False or 'observed', "
                 f"got {self.stack_hints!r}"
             )
-        if not 0.0 <= self.trace_sample <= 1.0:
-            raise PlanError("trace_sample must be in [0, 1]")
         if self.cluster_fault_scale is not None:
             if any(s < 0 for s in self.cluster_fault_scale):
                 raise PlanError("cluster_fault_scale entries must be >= 0")
@@ -288,9 +294,7 @@ class ServeReport:
         """
         per: dict[WarmKey, list[int]] = {}
         for b in self.batches:
-            head, dtype, _tag = b.bucket.split("/")
-            _star, n, k = head.split("x")
-            per.setdefault((int(n), int(k), dtype), []).append(b.stacked_m)
+            per.setdefault(bucket_class(b.bucket), []).append(b.stacked_m)
         return {
             key: max(1, round(sum(ms) / len(ms))) for key, ms in per.items()
         }
@@ -417,7 +421,6 @@ class ServeEngine:
         self.placement: PlacementManager | None = None
         if config.replicate_b != "off":
             self.placement = PlacementManager(
-                mode=config.replicate_b,
                 n_clusters=n_clusters,
                 budget_bytes=config.replica_budget_bytes,
                 max_replicas=config.max_replicas,
@@ -459,8 +462,6 @@ class ServeEngine:
         self._finished = False
         #: EDF central queue: (deadline, close_s, batch_id, batch, execution)
         self._ready: list[tuple[float, float, int, Batch, _Execution]] = []
-        #: trace display lanes for request spans: lane index -> last end
-        self._lanes: list[float] = []
 
     # -- event plumbing ----------------------------------------------------
 
@@ -642,20 +643,6 @@ class ServeEngine:
                 m.counter("serve/degrade/shed_class").inc()
             elif reason == "burn_shed":
                 m.counter("serve/degrade/shed_burn").inc()
-        tracer = current_tracer()
-        if tracer is not None:
-            args = {"req_id": req.req_id, "klass": req.klass,
-                    "queue_cap": self.config.queue_cap, "reason": reason}
-            if pcls is not None:
-                args["priority"] = pcls.name
-            tracer.instant(
-                f"shed req {req.req_id}",
-                at_s=now,
-                category="admission",
-                track="admission",
-                pid=0,
-                args=args,
-            )
 
     def _on_close(self, batch: Batch, now: float) -> None:
         if self.placement is not None:
@@ -905,6 +892,8 @@ class ServeEngine:
             redispatches=execution.redispatches,
             request_ids=[r.req_id for r in batch.requests],
             b_resident=execution.b_resident,
+            close_reason=batch.reason,
+            attempt_errors=execution.attempt_errors,
         ))
         if m is not None:
             m.counter("serve/batches").inc()
@@ -958,146 +947,6 @@ class ServeEngine:
                     m.histogram("serve/latency/compute_s").add(
                         execution.span_s
                     )
-        if current_tracer() is not None:
-            self._trace_finalize(batch, execution, backend, start_s, finish)
-
-    def _trace_finalize(
-        self,
-        batch: Batch,
-        execution: _Execution,
-        backend,
-        start_s: float,
-        finish_s: float,
-    ) -> None:
-        """Emit the request/batch span tree, retroactively.
-
-        All simulated times are known only once the batch is placed, so
-        spans are recorded here in one go: the batch span (pid = cluster
-        + 1) with its sequential tune → stage → retry → gemm children,
-        a dispatch instant on the scheduler track, and one root span per
-        member request (pid 0, non-overlapping display lanes) with
-        queue / batch-wait / compute children — the exact decomposition
-        the critical-path analyzer reconstructs.
-        """
-        tracer = current_tracer()
-        pid = backend.idx + 1
-        tracer.instant(
-            f"dispatch b{batch.batch_id}",
-            at_s=start_s,
-            category="dispatch",
-            track="scheduler",
-            pid=0,
-            args={"batch_id": batch.batch_id, "policy": self.config.policy,
-                  "cluster": backend.idx, "n_items": batch.n_items},
-        )
-        batch_sid = tracer.record(
-            f"batch {batch.batch_id} {bucket_label(batch.key)}",
-            category="batch",
-            start_s=start_s,
-            end_s=finish_s,
-            track="batch",
-            pid=pid,
-            parent=None,
-            args={
-                "batch_id": batch.batch_id,
-                "cluster": backend.idx,
-                "n_items": batch.n_items,
-                "stacked_m": batch.stacked_m,
-                "close_reason": batch.reason,
-                "redispatches": execution.redispatches,
-                "ok": execution.ok,
-            },
-        )
-        # segment layout convention: phases are charged sequentially in
-        # the order the execution model charges them
-        t = start_s
-        for seg, dur in (
-            ("tune", execution.tune_s),
-            ("stage", execution.stage_s),
-            ("retry", execution.lost_s),
-            ("gemm", execution.gemm_s),
-        ):
-            if dur <= 0.0:
-                continue
-            sid = tracer.record(
-                seg,
-                category=seg,
-                start_s=t,
-                end_s=t + dur,
-                track="batch",
-                pid=pid,
-                parent=batch_sid,
-                args={"batch_id": batch.batch_id},
-            )
-            if seg == "retry":
-                # one mark per failed dispatch attempt, spread evenly
-                n = max(1, execution.redispatches)
-                for i, err in enumerate(execution.attempt_errors):
-                    tracer.instant(
-                        f"re-dispatch #{i + 1}",
-                        at_s=t + dur * (i + 1) / n,
-                        category="redispatch",
-                        track="batch",
-                        pid=pid,
-                        parent=sid,
-                        args={"batch_id": batch.batch_id, "error": err},
-                    )
-            t += dur
-        for req in batch.requests:
-            met = None
-            if req.deadline_s is not None:
-                met = execution.ok and finish_s <= req.deadline_s
-            # head-based sampling: failures and SLO misses are always
-            # traced; only clean completions are down-sampled (and the
-            # keep/drop decision is a pure hash of req_id, so a sampled
-            # trace replays identically)
-            if (
-                execution.ok
-                and met is not False
-                and not head_sample(req.req_id, self.config.trace_sample)
-            ):
-                continue
-            lane = None
-            for i, end in enumerate(self._lanes):
-                if end <= req.arrival_s:
-                    lane = i
-                    break
-            if lane is None:
-                lane = len(self._lanes)
-                self._lanes.append(0.0)
-            self._lanes[lane] = finish_s
-            req_sid = tracer.record(
-                f"req {req.req_id} {req.klass}",
-                category="request",
-                start_s=req.arrival_s,
-                end_s=finish_s,
-                track=f"req-lane{lane}",
-                pid=0,
-                parent=None,
-                args={
-                    "req_id": req.req_id,
-                    "klass": req.klass,
-                    "shape": str(req.shape),
-                    "batch_id": batch.batch_id,
-                    "cluster": backend.idx,
-                    "status": COMPLETED if execution.ok else FAILED,
-                },
-            )
-            for seg, s0, s1 in (
-                ("queue", req.arrival_s, batch.close_s),
-                ("batch-wait", batch.close_s, start_s),
-                ("compute", start_s, finish_s),
-            ):
-                tracer.record(
-                    seg,
-                    category=seg,
-                    start_s=s0,
-                    end_s=s1,
-                    track=f"req-lane{lane}",
-                    pid=0,
-                    parent=req_sid,
-                    args={"req_id": req.req_id, "batch_id": batch.batch_id},
-                )
 
     def _gauge_queue(self) -> None:
         m = current()
@@ -1236,5 +1085,6 @@ def serve(
     if len(engine.records) != len(ordered):  # pragma: no cover - guard
         raise PlanError("a request was dropped silently")
     report = assemble_report(engine, warmup)
+    serve_spans(report)
     persist_observed_hints(report)
     return report

@@ -323,6 +323,27 @@ class TestServeCommand:
         assert "resolved=12" in out
 
 
+    def test_serve_trace_export_reconstructs(self, capsys, tmp_path):
+        from repro.obs import validate_chrome_trace
+
+        out_json = tmp_path / "serve.json"
+        assert main([
+            "serve", "--mix", "fem", "--loads", "20000,40000", "--n", "16",
+            "--seed", "2", "--trace", str(out_json),
+            "--runlog", str(tmp_path / "r.jsonl"),
+        ]) == 0
+        assert "trace:" in capsys.readouterr().out
+        validate_chrome_trace(json.loads(out_json.read_text()))
+        assert main(["trace", str(out_json)]) == 0
+        out = capsys.readouterr().out
+        assert "valid Chrome trace" in out
+        assert "critical path over 16 completed requests" in out
+
+    def test_serve_trace_sample_range_enforced(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--trace-sample", "1.5"])
+
+
 class TestTraceCommand:
     def _runlog(self, tmp_path, name, max_wait):
         runlog = tmp_path / name

@@ -23,7 +23,7 @@ import pytest
 from repro.errors import OverloadError, PlanError
 from repro.faults import FaultPlan
 from repro.hw.config import default_machine
-from repro.obs import tracing
+from repro.obs import Tracer
 from repro.obs.trace import head_sample
 from repro.serve import (
     BULK,
@@ -38,6 +38,7 @@ from repro.serve import (
     chaos_serve,
     make_requests,
     serve,
+    serve_spans,
 )
 from repro.core.shapes import GemmShape
 from repro.serve.request import COMPLETED, FAILED, SHED
@@ -401,34 +402,37 @@ class TestTraceSampling:
             != verdicts
 
     def test_clean_requests_sampled_failures_kept(self):
-        def spans_at(rate):
-            reqs = make_requests("overload", rate_rps=120_000,
-                                 n_requests=60, seed=42)
-            cfg = ServeConfig(
-                policy="least_loaded", queue_cap=32, trace_sample=rate,
-                faults=FaultPlan(seed=3, bitflip_rate=1.0,
-                                 max_kernel_retries=0),
-                max_redispatch=0,
-            )
-            with tracing() as tracer:
-                rep = serve(reqs, cfg)
-            return rep, [s for s in tracer.spans
-                         if s.category == "request"]
+        reqs = make_requests("overload", rate_rps=120_000,
+                             n_requests=60, seed=42)
+        rep = serve(reqs, ServeConfig(
+            policy="least_loaded", queue_cap=32,
+            faults=FaultPlan(seed=3, bitflip_rate=1.0,
+                             max_kernel_retries=0),
+            max_redispatch=0,
+            # one sick cluster: its batches fail, the others complete
+            cluster_fault_scale=(1.0, 0.0, 0.0, 0.0),
+        ))
 
-        full_rep, full_spans = spans_at(1.0)
-        zero_rep, zero_spans = spans_at(0.0)
-        assert zero_rep.latency_table() == full_rep.latency_table()
+        def request_spans(rate):
+            tracer = Tracer()
+            serve_spans(rep, tracer, sample=rate)
+            return [s for s in tracer.spans if s.category == "request"]
+
         # rate 0 drops exactly the clean completions; failures and SLO
         # misses always keep their spans
         must_keep = [
-            r for r in zero_rep.records
+            r for r in rep.records
             if r.status == FAILED
             or (r.status == COMPLETED and r.deadline_met is False)
         ]
-        assert len(zero_spans) == len(must_keep)
-        placed = [r for r in full_rep.records if r.status != SHED]
-        assert len(full_spans) == len(placed)
+        assert must_keep
+        kept = request_spans(0.0)
+        assert sorted(s.args["req_id"] for s in kept) == \
+            [r.req_id for r in must_keep]
+        placed = [r for r in rep.records if r.status != SHED]
+        assert len(request_spans(1.0)) == len(placed) > len(must_keep)
 
     def test_trace_sample_validated(self):
-        with pytest.raises(PlanError):
-            ServeConfig(trace_sample=1.5)
+        rep = serve([_req(0)], ServeConfig())
+        with pytest.raises(PlanError, match="sample"):
+            serve_spans(rep, Tracer(), sample=1.5)

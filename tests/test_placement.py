@@ -13,9 +13,6 @@ The ISSUE's edge-case checklist, plus the manager's own contracts:
   B matrices are never promoted.
 """
 
-import pytest
-
-from repro.errors import PlanError
 from repro.serve import PlacementManager, Scheduler, ServeConfig, serve
 from repro.serve.batcher import bucket_b_bytes
 from repro.serve.degrade import HealthPolicy
@@ -28,10 +25,10 @@ KEY_A = (64, 32, "f32", "digest-a")    # B = 8 KiB
 KEY_B = (64, 64, "f32", "digest-b")    # B = 16 KiB
 
 
-def manager(mode="adaptive", n_clusters=4, budget=1 << 20, max_replicas=2,
+def manager(n_clusters=4, budget=1 << 20, max_replicas=2,
             promote_after=1, cpu_bw=4e10):
     return PlacementManager(
-        mode=mode, n_clusters=n_clusters, budget_bytes=budget,
+        n_clusters=n_clusters, budget_bytes=budget,
         max_replicas=max_replicas, promote_after=promote_after,
         cpu_bw=cpu_bw,
     )
@@ -45,10 +42,6 @@ def scheduler(machine, n_clusters=4, health=None, placement=None):
 
 
 class TestManagerSemantics:
-    def test_rejects_off_mode(self):
-        with pytest.raises(PlanError, match="adaptive"):
-            manager(mode="off")
-
     def test_bucket_b_bytes(self):
         assert bucket_b_bytes(KEY_A) == 64 * 32 * 4
         assert bucket_b_bytes((8, 8, "f64", "x")) == 8 * 8 * 8
@@ -62,7 +55,7 @@ class TestManagerSemantics:
         assert pm.promotions == 1
 
     def test_adaptive_waits_for_traffic(self, machine):
-        pm = manager(mode="adaptive", promote_after=3)
+        pm = manager(promote_after=3)
         sched = scheduler(machine, placement=pm)
         assert pm.on_close(KEY_A, sched, now=0.0) == []
         assert pm.on_close(KEY_A, sched, now=0.1) == []
@@ -138,7 +131,6 @@ class TestManagerSemantics:
         sched = scheduler(machine, placement=pm)
         pm.on_close(KEY_A, sched, now=0.0)
         rep = pm.report()
-        assert rep.mode == "adaptive"
         assert rep.replica_sets == 1
         assert rep.promotions == 1
         assert [e.kind for e in rep.events].count("promote") == 1

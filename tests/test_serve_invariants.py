@@ -128,7 +128,6 @@ def _check_replica_budget(report):
         assert not any(b.b_resident for b in report.batches)
         return
     assert placement is not None
-    assert placement.mode == report.config.replicate_b
     for peak in placement.peak_bytes:
         assert peak <= placement.budget_bytes
     # placement accounting matches the batch records bit for bit

@@ -21,6 +21,7 @@ The guarantees under test:
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from repro.core.shapes import GemmShape
 from repro.core.tuner import tune
 from repro.errors import InputError, PlanError, ReproError
 from repro.executor.timed import run_timed
+from repro.faults import FaultPlan
 from repro.hw.config import default_machine
 from repro.kernels.registry import registry_for
 from repro.obs import (
@@ -49,13 +51,18 @@ from repro.parallel import parallel_map
 from repro.serve import (
     SLO_SCHEMA,
     BurnWindow,
+    DegradePolicy,
     ServeConfig,
     SloPolicy,
+    gateway_replay,
     make_requests,
     monitor,
     serve,
 )
+from repro.serve.batcher import bucket_class
 from repro.workloads.generators import random_operands
+
+from test_serve import fast_requests
 
 OVERLOAD_RPS = 480_000.0
 LIGHT_RPS = 30_000.0
@@ -300,6 +307,99 @@ class TestCriticalPath:
         _tr, report = traced_serve
         with pytest.raises(InputError):
             critical_path(report.records, report.batches, quantile=1.5)
+
+
+# ------------------------------------------------ trace derived from records
+
+
+def _trace_config(policy, faulty, degrade, placement):
+    kw = dict(policy=policy, queue_cap=8, promote_after=1,
+              replicate_b="adaptive" if placement else "off")
+    if faulty:
+        # one sick cluster: faults, re-dispatches and (with a degrade
+        # policy) quarantines all land on cluster 0
+        kw.update(
+            faults=FaultPlan(seed=0, bitflip_rate=1.0, max_kernel_retries=0),
+            cluster_fault_scale=(1.0, 0.0, 0.0, 0.0),
+            max_redispatch=1,
+        )
+    if degrade:
+        kw["degrade"] = DegradePolicy()
+    return ServeConfig(**kw)
+
+
+def _check_trace_agrees(report, spans):
+    """The derived trace holds exactly the report's facts."""
+    count = Counter(s.category for s in spans)
+    assert count["admission"] == report.shed
+    assert count["batch"] == len(report.batches)
+    assert count["request"] == report.n_requests - report.shed
+    assert count["degrade"] == (
+        len(report.degrade.events) if report.degrade is not None else 0
+    )
+    assert count["placement"] == (
+        len(report.placement.events) if report.placement is not None else 0
+    )
+    assert count["redispatch"] == sum(
+        len(b.attempt_errors) for b in report.batches
+    )
+    records = critical_path(report.records, report.batches)
+    if not records.n_requests:
+        return
+    traced = from_spans(spans)
+    assert [p.req_id for p in traced.paths] == \
+        [p.req_id for p in records.paths]
+    for a, b in zip(records.paths, traced.paths):
+        assert (b.latency_s, b.batch_id, b.cluster) == \
+            (a.latency_s, a.batch_id, a.cluster)
+        for seg, val in a.segments.items():
+            assert b.segments[seg] == pytest.approx(val, abs=1e-12)
+
+
+class TestDerivedTrace:
+    @pytest.mark.parametrize("placement", [False, True],
+                             ids=["pinned", "placement"])
+    @pytest.mark.parametrize("degrade", [False, True],
+                             ids=["plain", "degrade"])
+    @pytest.mark.parametrize("faulty", [False, True],
+                             ids=["clean", "faults"])
+    @pytest.mark.parametrize("policy", ["edf", "least_loaded"])
+    def test_trace_agrees_with_records(self, policy, faulty, degrade,
+                                       placement):
+        config = _trace_config(policy, faulty, degrade, placement)
+        plain = serve(fast_requests(n=24, rate=300_000), config)
+        with tracing() as tr:
+            report = serve(fast_requests(n=24, rate=300_000), config)
+        assert report.records == plain.records
+        assert report.batches == plain.batches
+        _check_trace_agrees(report, tr.spans)
+
+    def test_gateway_trace_agrees_with_records(self):
+        config = _trace_config("least_loaded", True, True, True)
+        plain = gateway_replay(fast_requests(n=24, rate=300_000), config)
+        with tracing() as tr:
+            report = gateway_replay(fast_requests(n=24, rate=300_000),
+                                    config)
+        assert report.records == plain.records
+        assert report.batches == plain.batches
+        assert report.shed and report.degrade.events \
+            and report.placement.events
+        _check_trace_agrees(report, tr.spans)
+
+    def test_cold_tune_marks_start_of_tune_segment(self):
+        with tracing() as tr:
+            report = serve(fast_requests(n=24), ServeConfig(warmup=False))
+        bucket = {b.batch_id: b.bucket for b in report.batches}
+        tunes = {
+            (s.start_s, bucket_class(bucket[s.args["batch_id"]]))
+            for s in tr.spans if s.category == "tune" and s.name == "tune"
+        }
+        colds = [s for s in tr.spans if s.name.startswith("cold-tune")]
+        assert colds and len(colds) == len(tunes)
+        for c in colds:
+            key = (c.args["n"], c.args["k"], c.args["dtype"])
+            assert (c.start_s, key) in tunes
+        assert any(c.start_s > 0 for c in colds)
 
 
 # -------------------------------------------------------------------- slo
