@@ -1,4 +1,5 @@
-"""CI perf smoke: the trace-compiled kernel path must beat the interpreter.
+"""CI perf smoke: the trace-compiled kernel path must beat the interpreter,
+and repeated calls must reuse one lowered program.
 
 Runs the reference functional workload (512x32x512, the shape the CI
 perf-report smoke already uses) once with ``kernel_exec="interp"`` and
@@ -6,6 +7,12 @@ once with ``kernel_exec="compiled"``, checks the two produce bit-identical
 results, and **fails (exit 1) if the compiled path is not faster** — the
 guard that keeps a regression in :mod:`repro.isa.compile` (e.g. a new
 generator idiom silently falling back to the interpreter) from landing.
+Both runs start from an empty program cache, so each pays its lowering.
+
+The program-cache gate counts rather than times, so it holds on any
+machine: five repeated ``ftimm_gemm`` calls on the shape must lower once
+(``core/lowering/misses`` 1, ``hits`` 4) and give C bit-identical to a
+cache-cold call, clean and under a seeded fault plan alike.
 
 Usage::
 
@@ -19,20 +26,61 @@ import time
 
 import numpy as np
 
-from repro.core.ftimm import ftimm_gemm
+from repro.core.ftimm import clear_programs, ftimm_gemm
 from repro.core.shapes import GemmShape
+from repro.faults.plan import FaultPlan
+from repro.obs import collecting
 from repro.workloads.generators import random_operands
+
+#: calls of the program-cache gate: the first lowers, the rest must hit
+CACHE_CALLS = 5
+#: the gate's faulted variant: bit flips and DMA failures, no core loss
+#: (a re-dispatch would lower the reduced cluster's program too)
+GATE_FAULTS = FaultPlan(seed=11, bitflip_rate=0.02, dma_fail_rate=0.1)
 
 
 def timed_run(shape: GemmShape, kernel_exec: str) -> tuple[float, np.ndarray]:
     a, b, c0 = random_operands(shape, seed=0)
     c = c0.copy()
+    clear_programs()
     t0 = time.perf_counter()
     ftimm_gemm(
         shape.m, shape.n, shape.k, a=a, b=b, c=c,
         timing="none", kernel_exec=kernel_exec,
     )
     return time.perf_counter() - t0, c
+
+
+def cache_gate(shape: GemmShape, faults: FaultPlan | None) -> bool:
+    """Repeated calls lower once and match a cache-cold call to the bit."""
+    a, b, c0 = random_operands(shape, seed=0)
+
+    def call() -> np.ndarray:
+        c = c0.copy()
+        ftimm_gemm(shape.m, shape.n, shape.k, a=a, b=b, c=c,
+                   timing="none", faults=faults)
+        return c
+
+    clear_programs()
+    c_cold = call()
+    clear_programs()
+    with collecting() as reg:
+        results = [call() for _ in range(CACHE_CALLS)]
+    counts = {
+        name: reg.counter(f"core/lowering/{name}").value
+        for name in ("misses", "hits")
+    }
+    label = "faulted" if faults is not None else "clean"
+    print(f"  program cache ({label}): {CACHE_CALLS} calls, "
+          f"misses={counts['misses']:g} hits={counts['hits']:g}")
+    ok = True
+    if counts != {"misses": 1, "hits": CACHE_CALLS - 1}:
+        print(f"FAIL: expected 1 miss and {CACHE_CALLS - 1} hits")
+        ok = False
+    if not all(np.array_equal(c, c_cold) for c in results):
+        print("FAIL: a cached call differs from the cache-cold call")
+        ok = False
+    return ok
 
 
 def main(argv: list[str]) -> int:
@@ -57,6 +105,10 @@ def main(argv: list[str]) -> int:
         print("FAIL: compiled path is not faster than the interpreter")
         return 1
     print("OK: compiled path is bit-identical and faster")
+
+    if not (cache_gate(shape, None) and cache_gate(shape, GATE_FAULTS)):
+        return 1
+    print("OK: repeated calls reuse one program, bit-identical to cold")
     return 0
 
 

@@ -121,7 +121,7 @@ def _cmd_gemm(args: argparse.Namespace) -> int:
             err = float(np.abs(kwargs["c"] - reference).max())
             print(f"verify [{impl}]: max |C - reference| = {err:.3e}")
         if (args.trace or args.plan or args.perf) and impl == "ftimm":
-            from .core.ftimm import _lower  # noqa: SLF001 - CLI convenience
+            from .core.ftimm import lowered_program
             from .core.tuner import tune
 
             cluster = machine.cluster
@@ -131,9 +131,7 @@ def _cmd_gemm(args: argparse.Namespace) -> int:
                 shape, cluster, dtype=args.dtype,
                 force_strategy=args.force_strategy,
             )
-            lowered = _lower(
-                shape, cluster, decision, None, registry_for(cluster.core)
-            )
+            lowered = lowered_program(shape, cluster, decision)
             if args.plan:
                 print(lowered.describe())
             if args.trace or args.perf:
@@ -214,7 +212,7 @@ def _histogram_lines(reg) -> list[str]:
 def _cmd_perf(args: argparse.Namespace) -> int:
     from .analysis.bottleneck import attribute, diff_records
     from .core.blocking import TgemmPlan
-    from .core.ftimm import _lower  # noqa: SLF001 - CLI convenience
+    from .core.ftimm import lowered_program
     from .core.tuner import TuningDecision, tune
     from .executor.timed import run_timed
     from .obs import (
@@ -242,9 +240,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             force_strategy=args.force_strategy,
         )
     with collecting() as reg:
-        lowered = _lower(
-            shape, cluster, decision, None, registry_for(cluster.core)
-        )
+        lowered = lowered_program(shape, cluster, decision)
         result = run_timed(lowered, profile=True)
     report = attribute(result, shape, cluster, impl=args.impl)
     record = make_record(
@@ -265,6 +261,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     print(report.render())
 
     for prefix, label in (
+        ("core/lowering/", "program cache"),
         ("kernels/cache/", "kernel cache"),
         ("faults/", "faults"),
         ("parallel/", "pool"),

@@ -15,11 +15,18 @@ Timing modes:
 * ``"analytic"`` — closed-form composition (for huge shapes);
 * ``"auto"``     — DES when the lowered plan is small enough, else
   analytic (the two agree within tolerance on their overlap domain).
+
+Lowering is compile-once: :func:`lowered_program` keeps each
+``(shape, cluster, strategy, plan)`` program in a process-wide LRU, and a
+call binds its operands, fault injector and kernel mode to the cached
+program for the duration of its functional run (see
+:mod:`repro.core.lowering`).  The DES reads the same program unbound.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Literal
 
@@ -37,8 +44,9 @@ from ..faults.inject import FaultInjector, FaultReport
 from ..faults.plan import FaultPlan
 from ..hw.config import ClusterConfig, MachineConfig, default_machine
 from ..kernels.registry import KernelRegistry, registry_for
+from ..obs.registry import current as _obs_current
 from ..obs.trace import current_tracer, maybe_scope
-from .blocking import KPlan, MPlan, TgemmPlan
+from .blocking import TgemmPlan
 from .lowering import GemmOperands
 from .parallel_k import build_parallel_k
 from .parallel_m import build_parallel_m
@@ -51,6 +59,16 @@ TimingMode = Literal["auto", "des", "analytic", "none"]
 
 #: above roughly this many ops, "auto" switches from DES to analytic.
 _DES_OP_LIMIT = 60_000
+
+#: bound on the ops all cached programs hold together.  An op costs about
+#: 0.23 KB timing-only and 0.7 KB with its functional closures, so a full
+#: cache holds at most ~45 MB; the paper's irregular grid keeps all 18 of
+#: its programs (~37k ops) resident, with room to spare.
+_PROGRAM_CACHE_OPS = 64_000
+
+#: (shape, cluster, strategy, plan) -> lowered program, oldest first
+_programs: OrderedDict[tuple, GemmExecution] = OrderedDict()
+_cached_ops = 0
 
 
 @dataclass
@@ -105,31 +123,69 @@ def _estimate_ops(shape: GemmShape, decision: TuningDecision) -> int:
     return 2 * kernels + 16
 
 
-def _lower(
+def lowered_program(
     shape: GemmShape,
     cluster: ClusterConfig,
     decision: TuningDecision,
-    data: GemmOperands | None,
-    registry: KernelRegistry,
-    kernel_exec: str = "numpy",
-    faults: FaultInjector | None = None,
+    *,
+    functional: bool = False,
 ) -> GemmExecution:
+    """The lowered program of ``decision`` for ``shape`` on ``cluster``.
+
+    The one lowering entry point.  Programs come from a process-wide LRU
+    bounded by :data:`_PROGRAM_CACHE_OPS` total ops (a program larger
+    than the bound is lowered and not kept).  ``functional=True`` asks
+    for the late-bound closures a functional run needs: a program cached
+    for timing only is then lowered again with them and replaces it (a
+    miss); a program with closures serves timing as well.  Programs are
+    shared: treat them as read-only, and bind operands with
+    :meth:`~repro.core.lowering.LoweringContext.binding` on ``.ctx``.
+    """
+    global _cached_ops
+    key = (shape, cluster, decision.strategy, decision.plan)
+    metrics = _obs_current()
+    program = _programs.get(key)
+    if program is not None and (program.ctx.backed or not functional):
+        _programs.move_to_end(key)
+        if metrics is not None:
+            metrics.counter("core/lowering/hits").inc()
+        return program
+    if metrics is not None:
+        metrics.counter("core/lowering/misses").inc()
+    if program is not None:
+        del _programs[key]
+        _cached_ops -= program.n_ops
     if decision.strategy == "m":
-        return build_parallel_m(
-            shape, cluster, plan=decision.m_plan, data=data,
-            registry=registry, adjust=False, kernel_exec=kernel_exec,
-            faults=faults,
+        program = build_parallel_m(
+            shape, cluster, plan=decision.m_plan, adjust=False,
+            bindable=functional,
         )
-    if decision.strategy == "k":
-        return build_parallel_k(
-            shape, cluster, plan=decision.k_plan, data=data,
-            registry=registry, adjust=False, kernel_exec=kernel_exec,
-            faults=faults,
+    elif decision.strategy == "k":
+        program = build_parallel_k(
+            shape, cluster, plan=decision.k_plan, adjust=False,
+            bindable=functional,
         )
-    return build_tgemm(
-        shape, cluster, plan=decision.tgemm_plan, data=data,
-        registry=registry, kernel_exec=kernel_exec, faults=faults,
-    )
+    else:
+        program = build_tgemm(
+            shape, cluster, plan=decision.tgemm_plan, bindable=functional
+        )
+    if program.n_ops > _PROGRAM_CACHE_OPS:
+        return program
+    _programs[key] = program
+    _cached_ops += program.n_ops
+    while _cached_ops > _PROGRAM_CACHE_OPS:
+        _key, evicted = _programs.popitem(last=False)
+        _cached_ops -= evicted.n_ops
+        if metrics is not None:
+            metrics.counter("core/lowering/evictions").inc()
+    return program
+
+
+def clear_programs() -> None:
+    """Drop every cached program (tests and cold-start measurements)."""
+    global _cached_ops
+    _programs.clear()
+    _cached_ops = 0
 
 
 def _retune(
@@ -193,10 +249,11 @@ def _run(
         func_report = None
         if data is not None:
             with maybe_scope("functional", category="phase", track="gemm"):
-                func_report = run_functional(
-                    _lower(shape, cluster, decision, data, registry,
-                           kernel_exec)
+                program = lowered_program(
+                    shape, cluster, decision, functional=True
                 )
+                with program.ctx.binding(data, kernel_exec=kernel_exec):
+                    func_report = run_functional(program)
 
         mode = timing
         if mode == "auto":
@@ -205,9 +262,7 @@ def _run(
         timed: TimedResult | None = None
         if mode == "des":
             with maybe_scope("timed/des", category="phase", track="gemm"):
-                timed = run_timed(
-                    _lower(shape, cluster, decision, None, registry)
-                )
+                timed = run_timed(lowered_program(shape, cluster, decision))
         elif mode == "analytic":
             with maybe_scope("timed/analytic", category="phase",
                              track="gemm"):
@@ -270,12 +325,14 @@ def _run_resilient(
         attempt = 0
         while True:
             inj = FaultInjector(plan, attempt)
+            program = lowered_program(
+                shape, cluster_f, decision_f, functional=True
+            )
             try:
-                ex = _lower(
-                    shape, cluster_f, decision_f, data, registry,
-                    kernel_exec, faults=inj,
-                )
-                func_report = run_functional(ex, faults=inj)
+                with program.ctx.binding(
+                    data, faults=inj, kernel_exec=kernel_exec
+                ):
+                    func_report = run_functional(program, faults=inj)
                 report.absorb(inj.counters)
                 break
             except CoreFailureError as exc:
@@ -309,8 +366,7 @@ def _run_resilient(
             inj = FaultInjector(plan, attempt)
             try:
                 timed = run_timed(
-                    _lower(shape, cluster_t, decision_t, None, registry),
-                    faults=inj,
+                    lowered_program(shape, cluster_t, decision_t), faults=inj
                 )
                 report.absorb(inj.counters)
                 break

@@ -9,17 +9,28 @@ loads of shared GSM tiles, and round-robin chunk assignment.
 In *timing-only* mode (``data=None``) buffers are unbacked and closures are
 omitted — the emitted plan carries only geometry and cycle counts, so
 multi-gigabyte problems lower cheaply.
+
+Otherwise the closures are *late-bound*: they capture tile views and slice
+bounds only, and look up the operands, the fault injector and the kernel
+mode on the context when they run.  One lowered plan is therefore a
+reusable program — :meth:`LoweringContext.binding` swaps in a call's
+operands — and its tiles are views into the shared on-chip scratch arena
+(:func:`~repro.hw.cluster.scratch_arena`), so the program holds no
+operand or tile memory of its own.  ``data=`` at build time is the
+one-shot case: the context starts bound to it.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
 
 from ..errors import InputError, PlanError
-from ..hw.cluster import ClusterSpaces
+from ..hw.cluster import ClusterSpaces, scratch_arena
 from ..hw.config import ClusterConfig
 from ..hw.dma import DmaDescriptor
 from ..hw.memory import Buffer, MemKind
@@ -93,13 +104,25 @@ class GemmOperands:
         return cls(a, b, c)
 
 
+def _check_kernel_exec(kernel_exec: str) -> None:
+    if kernel_exec not in ("numpy", "compiled", "interp"):
+        raise PlanError(
+            f"unknown kernel execution mode {kernel_exec!r}; "
+            "expected 'numpy', 'compiled' or 'interp'"
+        )
+
+
 class LoweringContext:
-    """Per-lowering state: spaces, kernel registry, functional operands.
+    """Per-lowering state: spaces, kernel registry, functional binding.
 
     ``kernel_exec`` selects how emitted KERNEL closures compute:
     ``"numpy"`` (default, ``c += a @ b``), or ``"compiled"``/``"interp"``
     to run the generated instruction stream on the ISA machine model —
     ISA-fidelity functional runs at trace-compiled or interpreter speed.
+
+    The context is *backed* — it emits closures and arena-backed tiles —
+    when built with ``data`` or with ``bindable=True``; the latter lowers
+    a program with nothing bound yet, for :meth:`binding` to fill per call.
     """
 
     def __init__(
@@ -111,19 +134,21 @@ class LoweringContext:
         dtype: str = "f32",
         kernel_exec: str = "numpy",
         faults=None,
+        *,
+        bindable: bool = False,
     ) -> None:
         self.cluster = cluster
         self.shape = shape
-        self.data = data
         self.dtype = dtype
         self.esize = DTYPE_SIZES[dtype]
-        self.spaces = ClusterSpaces(cluster)
+        self.backed = data is not None or bindable
+        self.spaces = ClusterSpaces(
+            cluster, arena=scratch_arena(cluster) if self.backed else None
+        )
         self.registry = registry or registry_for(cluster.core)
-        if kernel_exec not in ("numpy", "compiled", "interp"):
-            raise PlanError(
-                f"unknown kernel execution mode {kernel_exec!r}; "
-                "expected 'numpy', 'compiled' or 'interp'"
-            )
+        _check_kernel_exec(kernel_exec)
+        # the binding: read by the closures when they run
+        self.data = data
         self.kernel_exec = kernel_exec
         #: optional :class:`~repro.faults.inject.FaultInjector`; when set,
         #: tile stores and kernel applications route through its guards
@@ -131,6 +156,50 @@ class LoweringContext:
         #: the fast paths below are plain assignment / ``apply_exec`` —
         #: guaranteeing bit-identical results to a build without faults.
         self.faults = faults
+        self._views: dict[tuple, np.ndarray] = {}
+        self._descs: dict[tuple, DmaDescriptor] = {}
+
+    @contextmanager
+    def binding(
+        self, data: GemmOperands, *, faults=None, kernel_exec: str = "numpy"
+    ) -> Iterator["LoweringContext"]:
+        """Bind one call's operands, injector and kernel mode; the previous
+        binding is restored on exit, so no operand outlives its call."""
+        if not self.backed:
+            raise PlanError(
+                f"{self.shape} program was lowered without functional closures"
+            )
+        _check_kernel_exec(kernel_exec)
+        if data.c.shape != (self.shape.m, self.shape.n):
+            raise PlanError(
+                f"operands for {data.c.shape[0]}x{data.c.shape[1]} C bound "
+                f"to a {self.shape} program"
+            )
+        saved = self.data, self.faults, self.kernel_exec
+        self.data, self.faults, self.kernel_exec = data, faults, kernel_exec
+        try:
+            yield self
+        finally:
+            self.data, self.faults, self.kernel_exec = saved
+
+    def finish(self, builder, strategy: str, **meta):
+        """Seal the lowering into a :class:`~repro.core.plans.GemmExecution`
+        bound to this context, with the on-chip peaks in its ``meta``.
+
+        The build-time memos are dropped: the closures hold what they use.
+        """
+        self._views.clear()
+        self._descs.clear()
+        return builder.finish(
+            self.shape,
+            strategy,
+            self.cluster,
+            ctx=self,
+            **meta,
+            peak_am=max(s.peak_used for s in self.spaces.am),
+            peak_sm=max(s.peak_used for s in self.spaces.sm),
+            peak_gsm=self.spaces.gsm.peak_used,
+        )
 
     # -- fault-guarded primitives ------------------------------------------
 
@@ -147,10 +216,6 @@ class LoweringContext:
             kern.apply_exec(a, b, c, self.kernel_exec)
         else:
             self.faults.guarded_gemm(kern, a, b, c, self.kernel_exec, core)
-
-    @property
-    def backed(self) -> bool:
-        return self.data is not None
 
     # -- buffers -----------------------------------------------------------
 
@@ -176,40 +241,99 @@ class LoweringContext:
             for s in range(slots)
         ]
 
+    def tile(
+        self, buf: Buffer, rows: int, cols: int, row0: int = 0, col0: int = 0
+    ) -> np.ndarray:
+        """The ``[row0:+rows, col0:+cols]`` window of a backed tile; one
+        view object per distinct window, shared by the ops that use it."""
+        key = (id(buf), row0, col0, rows, cols)
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = buf.array()[
+                row0 : row0 + rows, col0 : col0 + cols
+            ]
+        return view
+
     # -- functional closures -------------------------------------------------
+    #
+    # Each returns ``None`` for an unbacked context.  Operands are named
+    # ("a", "b" or "c") and sliced from the binding when the op runs.
 
-    def copy_in(
-        self, buf: Buffer, src: np.ndarray, rows: int, cols: int, core: int = 0
+    def load(
+        self, buf: Buffer, operand: str, row0: int, col0: int, rows: int,
+        cols: int, core: int, *, tile_row0: int = 0,
     ) -> Callable[[], None] | None:
+        """DDR -> tile: ``tile[tile_row0:+rows, :cols] =
+        <operand>[row0:+rows, col0:+cols]`` of the bound call."""
         if not self.backed:
             return None
-        dst = buf.array()
+        return partial(
+            self._load, self.tile(buf, rows, cols, tile_row0), operand,
+            slice(row0, row0 + rows), slice(col0, col0 + cols), core,
+        )
 
-        def run() -> None:
-            self.store(dst[:rows, :cols], src, core)
-
-        return run
-
-    def copy_out(
-        self, dst: np.ndarray, buf: Buffer, rows: int, cols: int, core: int = 0
+    def unload(
+        self, buf: Buffer, row0: int, col0: int, rows: int, cols: int, core: int
     ) -> Callable[[], None] | None:
+        """Tile -> DDR: ``c[row0:+rows, col0:+cols] = tile[:rows, :cols]``."""
         if not self.backed:
             return None
-        src = buf.array()
+        return partial(
+            self._unload, self.tile(buf, rows, cols),
+            slice(row0, row0 + rows), slice(col0, col0 + cols), core,
+        )
 
-        def run() -> None:
-            self.store(dst, src[:rows, :cols], core)
+    def move(
+        self, dst: Buffer, src: Buffer, rows: int, cols: int, core: int,
+        *, dst_row0: int = 0, src_row0: int = 0, src_col0: int = 0,
+    ) -> Callable[[], None] | None:
+        """On-chip tile -> tile copy (e.g. GSM panel into an AM tile)."""
+        if not self.backed:
+            return None
+        return partial(
+            self.store, self.tile(dst, rows, cols, dst_row0),
+            self.tile(src, rows, cols, src_row0, src_col0), core,
+        )
 
-        return run
+    def kernel_run(
+        self, kern, a: Buffer, b: Buffer, c: Buffer, m: int, n: int, k: int,
+        core: int, *, c_row0: int = 0,
+    ) -> Callable[[], None] | None:
+        """``c[c_row0:+m, :n] += a[:m, :k] @ b[:k, :n]`` on tiles."""
+        if not self.backed:
+            return None
+        return partial(
+            self.apply_kernel, kern, self.tile(a, m, k), self.tile(b, k, n),
+            self.tile(c, m, n, c_row0), core,
+        )
+
+    def _load(self, dst, operand: str, rows: slice, cols: slice, core: int) -> None:
+        src = getattr(self.data, operand)[rows, cols]
+        if self.faults is None:
+            dst[...] = src
+        else:
+            self.faults.guarded_copy(dst, src, core)
+
+    def _unload(self, src, rows: slice, cols: slice, core: int) -> None:
+        dst = self.data.c[rows, cols]
+        if self.faults is None:
+            dst[...] = src
+        else:
+            self.faults.guarded_copy(dst, src, core)
 
     # -- descriptors ---------------------------------------------------------
 
     def desc(
         self, src: MemKind, dst: MemKind, rows: int, cols: int, tag: str
     ) -> DmaDescriptor:
-        return DmaDescriptor(
-            src, dst, rows=rows, row_bytes=cols * self.esize, tag=tag
-        )
+        """A (frozen, hence shared) descriptor per distinct transfer."""
+        key = (src, dst, rows, cols, tag)
+        desc = self._descs.get(key)
+        if desc is None:
+            desc = self._descs[key] = DmaDescriptor(
+                src, dst, rows=rows, row_bytes=cols * self.esize, tag=tag
+            )
+        return desc
 
     # -- cooperative GSM fills -------------------------------------------------
 

@@ -17,6 +17,8 @@ per-core partial buffers and accumulates into C).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..hw.cluster import reduction_seconds
@@ -40,6 +42,7 @@ def build_parallel_k(
     pingpong: bool = True,
     kernel_exec: str = "numpy",
     faults=None,
+    bindable: bool = False,
 ) -> GemmExecution:
     """Lower a GEMM to the K-parallel strategy's op streams.
 
@@ -47,6 +50,7 @@ def build_parallel_k(
     ablation).  ``kernel_exec`` selects how KERNEL closures compute (see
     :class:`~repro.core.lowering.LoweringContext`).  ``faults`` routes
     tile stores and kernel applications through the injector's guards.
+    Binding arguments as in :func:`~repro.core.parallel_m.build_parallel_m`.
     """
     if plan is None:
         plan = KPlan()
@@ -56,7 +60,7 @@ def build_parallel_k(
         plan = plan.validate(cluster)
     ctx = LoweringContext(
         cluster, shape, data, registry, dtype=plan.dtype,
-        kernel_exec=kernel_exec, faults=faults,
+        kernel_exec=kernel_exec, faults=faults, bindable=bindable,
     )
     n_cores = cluster.n_cores
     builder = OpStreamBuilder(n_cores)
@@ -95,19 +99,15 @@ def build_parallel_k(
                         1, mar * nar * plan.esize // core_cfg.am_bytes_per_cycle
                     )
                     for core in range(n_cores):
-                        zrun = None
-                        if ctx.backed:
-                            ca_arr = c_a[core][0].array()
-
-                            def zrun(ca_arr=ca_arr) -> None:
-                                ca_arr[:] = 0.0
-
                         idx = builder.kernel(
                             core,
                             init_cycles,
                             0,
                             extra_deps=(),
-                            run=zrun,
+                            run=(
+                                partial(c_a[core][0].array().fill, 0)
+                                if ctx.backed else None
+                            ),
                             tag="C_a=0",
                         )
                         builder.consume(core, "C_a", 0, idx)  # placeholder
@@ -123,17 +123,9 @@ def build_parallel_k(
                             ctx.desc(MemKind.DDR, MemKind.AM, kc, nar, "B->B_a"),
                             buffer="B_a",
                             slot=bslot,
-                            run=ctx.copy_in(
-                                ba_buf,
-                                ctx.data.b[
-                                    t0 : t0 + kc, j0 + jj0 : j0 + jj0 + nar
-                                ],
-                                kc,
-                                nar,
-                                core,
-                            )
-                            if ctx.backed
-                            else None,
+                            run=ctx.load(
+                                ba_buf, "b", t0, j0 + jj0, kc, nar, core
+                            ),
                             tag="B->B_a",
                         )
                         for u_idx, u0, ms_r in block_ranges(mar, plan.m_s):
@@ -146,52 +138,22 @@ def build_parallel_k(
                                 ),
                                 buffer="A_s",
                                 slot=aslot,
-                                run=ctx.copy_in(
-                                    as_buf,
-                                    ctx.data.a[
-                                        i0 + ii0 + u0 : i0 + ii0 + u0 + ms_r,
-                                        t0 : t0 + kc,
-                                    ],
-                                    ms_r,
-                                    kc,
+                                run=ctx.load(
+                                    as_buf, "a", i0 + ii0 + u0, t0, ms_r, kc,
                                     core,
-                                )
-                                if ctx.backed
-                                else None,
+                                ),
                                 tag="A->A_s",
                             )
                             kern = ctx.registry.ftimm(ms_r, nar, kc, plan.dtype)
-                            krun = None
-                            if ctx.backed:
-                                as_arr = as_buf.array()
-                                ba_arr = ba_buf.array()
-                                ca_arr = c_a[core][0].array()
-
-                                def krun(
-                                    kern=kern,
-                                    as_arr=as_arr,
-                                    ba_arr=ba_arr,
-                                    ca_arr=ca_arr,
-                                    u0=u0,
-                                    ms_r=ms_r,
-                                    kc=kc,
-                                    nar=nar,
-                                    core=core,
-                                ) -> None:
-                                    ctx.apply_kernel(
-                                        kern,
-                                        as_arr[:ms_r, :kc],
-                                        ba_arr[:kc, :nar],
-                                        ca_arr[u0 : u0 + ms_r, :nar],
-                                        core,
-                                    )
-
                             kidx = builder.kernel(
                                 core,
                                 kern.cycles,
                                 kern.flops,
                                 reads=(("A_s", aslot), ("B_a", bslot)),
-                                run=krun,
+                                run=ctx.kernel_run(
+                                    kern, as_buf, ba_buf, c_a[core][0], ms_r,
+                                    nar, kc, core, c_row0=u0,
+                                ),
                                 tag=f"mk{ms_r}x{nar}x{kc}",
                             )
                             builder.consume(core, "B_a", bslot, kidx)
@@ -202,18 +164,20 @@ def build_parallel_k(
                     )
                     runs = None
                     if ctx.backed:
-                        c_view = ctx.data.c[
-                            i0 + ii0 : i0 + ii0 + mar,
-                            j0 + jj0 : j0 + jj0 + nar,
+                        rows = slice(i0 + ii0, i0 + ii0 + mar)
+                        cols = slice(j0 + jj0, j0 + jj0 + nar)
+                        partials = [
+                            ctx.tile(c_a[core][0], mar, nar)
+                            for core in range(n_cores)
                         ]
-                        partials = [c_a[core][0].array() for core in range(n_cores)]
 
                         def reduce_run(
-                            c_view=c_view, partials=partials, mar=mar, nar=nar
+                            rows=rows, cols=cols, partials=partials
                         ) -> None:
-                            total = np.zeros((mar, nar), dtype=c_view.dtype)
+                            c_view = ctx.data.c[rows, cols]
+                            total = np.zeros(c_view.shape, dtype=c_view.dtype)
                             for p in partials:
-                                total += p[:mar, :nar]
+                                total += p
                             c_view += total
 
                         runs = {0: reduce_run}
@@ -221,14 +185,4 @@ def build_parallel_k(
                         seconds=red_s, runs=runs, tag=f"reduce[{ii0},{jj0}]"
                     )
 
-    return builder.finish(
-        shape,
-        "ftimm-k",
-        cluster,
-        plan=plan,
-        kernel_exec=ctx.kernel_exec,
-        n_active=n_active,
-        peak_am=max(s.peak_used for s in ctx.spaces.am),
-        peak_sm=max(s.peak_used for s in ctx.spaces.sm),
-        peak_gsm=ctx.spaces.gsm.peak_used,
-    )
+    return ctx.finish(builder, "ftimm-k", plan=plan, n_active=n_active)

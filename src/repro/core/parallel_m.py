@@ -33,6 +33,7 @@ def build_parallel_m(
     pingpong: bool = True,
     kernel_exec: str = "numpy",
     faults=None,
+    bindable: bool = False,
 ) -> GemmExecution:
     """Lower a GEMM to the M-parallel strategy's op streams.
 
@@ -41,7 +42,9 @@ def build_parallel_m(
     compute consuming its buffer.  ``kernel_exec`` selects how KERNEL
     closures compute (see :class:`~repro.core.lowering.LoweringContext`).
     ``faults`` routes tile stores and kernel applications through the
-    injector's recovery guards.
+    injector's recovery guards.  ``data``/``faults``/``kernel_exec`` are
+    the plan's initial binding; ``bindable=True`` emits the functional
+    closures without ``data``, for :meth:`GemmExecution.bound` to bind.
     """
     if plan is None:
         plan = MPlan()
@@ -51,7 +54,7 @@ def build_parallel_m(
         plan = plan.validate(cluster)
     ctx = LoweringContext(
         cluster, shape, data, registry, dtype=plan.dtype,
-        kernel_exec=kernel_exec, faults=faults,
+        kernel_exec=kernel_exec, faults=faults, bindable=bindable,
     )
     n_cores = cluster.n_cores
     builder = OpStreamBuilder(n_cores)
@@ -75,22 +78,15 @@ def build_parallel_m(
     for _i_idx, i0, ncg in block_ranges(n, plan.n_g):
         for j_idx, j0, kcg in block_ranges(k, plan.k_g):
             jslot = j_idx % n_slots
+            bg_buf = b_g[jslot]
             # cooperative fill of the shared B_g panel (DDR -> GSM)
             for core, rs, re in ctx.split_rows(kcg):
-                run = None
-                if ctx.backed:
-                    bg_arr = b_g[jslot].array()
-                    src = ctx.data.b[j0 + rs : j0 + rs + re, i0 : i0 + ncg]
-
-                    def run(
-                        bg_arr=bg_arr, rs=rs, re=re, ncg=ncg, src=src, core=core
-                    ) -> None:
-                        ctx.store(bg_arr[rs : rs + re, :ncg], src, core)
-
                 builder.dma(
                     core,
                     ctx.desc(MemKind.DDR, MemKind.GSM, re, ncg, "B->B_g"),
-                    run=run,
+                    run=ctx.load(
+                        bg_buf, "b", j0 + rs, i0, re, ncg, core, tile_row0=rs
+                    ),
                     tag="B->B_g",
                 )
             builder.sync(tag=f"B_g[{j0},{i0}] ready")
@@ -105,42 +101,22 @@ def build_parallel_m(
                         ctx.desc(MemKind.DDR, MemKind.AM, mr, nc, "C->C_a"),
                         buffer="C_a",
                         slot=0,
-                        run=ctx.copy_in(
-                            ca_buf,
-                            ctx.data.c[t0 : t0 + mr, i0 + ii0 : i0 + ii0 + nc],
-                            mr,
-                            nc,
-                            core,
-                        )
-                        if ctx.backed
-                        else None,
+                        run=ctx.load(ca_buf, "c", t0, i0 + ii0, mr, nc, core),
                         tag="C->C_a",
                     )
                     last_kernel = -1
                     for jj_idx, jj0, kc in block_ranges(kcg, plan.k_a):
                         bslot = jj_idx % n_slots
                         ba_buf = b_a[core][bslot]
-                        run = None
-                        if ctx.backed:
-                            bg_arr = b_g[jslot].array()
-                            ba_arr = ba_buf.array()
-
-                            def run(
-                                ba_arr=ba_arr, bg_arr=bg_arr, jj0=jj0, ii0=ii0,
-                                kc=kc, nc=nc, core=core
-                            ) -> None:
-                                ctx.store(
-                                    ba_arr[:kc, :nc],
-                                    bg_arr[jj0 : jj0 + kc, ii0 : ii0 + nc],
-                                    core,
-                                )
-
                         builder.dma(
                             core,
                             ctx.desc(MemKind.GSM, MemKind.AM, kc, nc, "B_g->B_a"),
                             buffer="B_a",
                             slot=bslot,
-                            run=run,
+                            run=ctx.move(
+                                ba_buf, bg_buf, kc, nc, core,
+                                src_row0=jj0, src_col0=ii0,
+                            ),
                             tag="B_g->B_a",
                         )
                         for tt_idx, tt0, ms_r in block_ranges(mr, plan.m_s):
@@ -151,78 +127,31 @@ def build_parallel_m(
                                 ctx.desc(MemKind.DDR, MemKind.SM, ms_r, kc, "A->A_s"),
                                 buffer="A_s",
                                 slot=aslot,
-                                run=ctx.copy_in(
-                                    as_buf,
-                                    ctx.data.a[
-                                        t0 + tt0 : t0 + tt0 + ms_r,
-                                        j0 + jj0 : j0 + jj0 + kc,
-                                    ],
-                                    ms_r,
-                                    kc,
+                                run=ctx.load(
+                                    as_buf, "a", t0 + tt0, j0 + jj0, ms_r, kc,
                                     core,
-                                )
-                                if ctx.backed
-                                else None,
+                                ),
                                 tag="A->A_s",
                             )
                             kern = ctx.registry.ftimm(ms_r, nc, kc, plan.dtype)
-                            krun = None
-                            if ctx.backed:
-                                as_arr = as_buf.array()
-                                ba_arr = ba_buf.array()
-                                ca_arr = ca_buf.array()
-
-                                def krun(
-                                    kern=kern,
-                                    as_arr=as_arr,
-                                    ba_arr=ba_arr,
-                                    ca_arr=ca_arr,
-                                    tt0=tt0,
-                                    ms_r=ms_r,
-                                    kc=kc,
-                                    nc=nc,
-                                    core=core,
-                                ) -> None:
-                                    ctx.apply_kernel(
-                                        kern,
-                                        as_arr[:ms_r, :kc],
-                                        ba_arr[:kc, :nc],
-                                        ca_arr[tt0 : tt0 + ms_r, :nc],
-                                        core,
-                                    )
-
                             last_kernel = builder.kernel(
                                 core,
                                 kern.cycles,
                                 kern.flops,
                                 reads=(("A_s", aslot), ("B_a", bslot), ("C_a", 0)),
-                                run=krun,
+                                run=ctx.kernel_run(
+                                    kern, as_buf, ba_buf, ca_buf, ms_r, nc, kc,
+                                    core, c_row0=tt0,
+                                ),
                                 tag=f"mk{ms_r}x{nc}x{kc}",
                             )
                     out_idx = builder.dma(
                         core,
                         ctx.desc(MemKind.AM, MemKind.DDR, mr, nc, "C_a->C"),
                         extra_deps=(last_kernel,) if last_kernel >= 0 else (),
-                        run=ctx.copy_out(
-                            ctx.data.c[t0 : t0 + mr, i0 + ii0 : i0 + ii0 + nc],
-                            ca_buf,
-                            mr,
-                            nc,
-                            core,
-                        )
-                        if ctx.backed
-                        else None,
+                        run=ctx.unload(ca_buf, t0, i0 + ii0, mr, nc, core),
                         tag="C_a->C",
                     )
                     builder.consume(core, "C_a", 0, out_idx)
 
-    return builder.finish(
-        shape,
-        "ftimm-m",
-        cluster,
-        plan=plan,
-        kernel_exec=ctx.kernel_exec,
-        peak_am=max(s.peak_used for s in ctx.spaces.am),
-        peak_sm=max(s.peak_used for s in ctx.spaces.sm),
-        peak_gsm=ctx.spaces.gsm.peak_used,
-    )
+    return ctx.finish(builder, "ftimm-m", plan=plan)

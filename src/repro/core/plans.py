@@ -26,13 +26,19 @@ Functional execution simply runs ``op.run`` callbacks in emission order
 (per-core lists interleaved in a deterministic round-robin that respects
 SYNCs) — sequential semantics are valid because the deps only ever relax
 ordering, never create it.
+
+A lowered plan is a reusable *program*: its closures resolve the operands,
+the fault injector and the kernel mode from the lowering context's binding
+(``execution.ctx``) when they run, so one plan serves any number of calls.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 from ..errors import PlanError
 from ..hw.config import ClusterConfig
@@ -46,7 +52,7 @@ class OpKind(enum.Enum):
     SYNC = "sync"
 
 
-@dataclass
+@dataclass(slots=True)
 class Op:
     kind: OpKind
     core: int
@@ -84,6 +90,11 @@ class GemmExecution:
     core_ops: list[list[Op]]
     n_syncs: int = 0
     meta: dict = field(default_factory=dict)
+    #: the :class:`~repro.core.lowering.LoweringContext` the ``run``
+    #: closures resolve operands, faults and kernel mode from
+    ctx: Any = field(default=None, repr=False, compare=False)
+    #: (ops sorted by ``seq``, op census), computed on first use
+    _replay: tuple | None = field(default=None, repr=False, compare=False)
 
     def validate(self) -> "GemmExecution":
         if len(self.core_ops) != self.cluster.n_cores:
@@ -91,18 +102,50 @@ class GemmExecution:
                 f"plan has {len(self.core_ops)} op streams for "
                 f"{self.cluster.n_cores} cores"
             )
+        # one pass: per-op checks, and each core's sync-id occurrences
+        counts = []
         for ops in self.core_ops:
+            seen: Counter = Counter()
             for i, op in enumerate(ops):
                 op.validate(i)
+                if op.kind is OpKind.SYNC:
+                    seen[op.sync_id] += 1
+            counts.append(seen)
         # every sync id must appear exactly once in every core stream
         for sid in range(self.n_syncs):
-            for core, ops in enumerate(self.core_ops):
-                hits = [o for o in ops if o.kind is OpKind.SYNC and o.sync_id == sid]
-                if len(hits) != 1:
+            for core, seen in enumerate(counts):
+                if seen[sid] != 1:
                     raise PlanError(
-                        f"sync {sid} appears {len(hits)} times on core {core}"
+                        f"sync {sid} appears {seen[sid]} times on core {core}"
                     )
         return self
+
+    def ordered_ops(self) -> list[Op]:
+        """All ops in global emission order (``seq``), sorted once."""
+        return self._replay_plan()[0]
+
+    def census(self) -> dict[str, int]:
+        """Op counts, DMA bytes and flops, as a functional replay reports
+        them (``ops_executed``, ``dma_ops``, ``kernel_ops``, ``sync_ops``,
+        ``bytes_moved``, ``flops``); counted once."""
+        return self._replay_plan()[1]
+
+    def _replay_plan(self) -> tuple[list[Op], dict[str, int]]:
+        if self._replay is None:
+            ops = sorted(
+                (op for core_ops in self.core_ops for op in core_ops),
+                key=lambda op: op.seq,
+            )
+            kinds = Counter(op.kind for op in ops)
+            self._replay = ops, {
+                "ops_executed": len(ops),
+                "dma_ops": kinds[OpKind.DMA],
+                "kernel_ops": kinds[OpKind.KERNEL],
+                "sync_ops": kinds[OpKind.SYNC],
+                "bytes_moved": self.total_dma_bytes,
+                "flops": self.total_flops,
+            }
+        return self._replay
 
     # -- aggregate statistics (used by reports and tests) -----------------
 
@@ -254,7 +297,7 @@ class OpStreamBuilder:
                 flops=flops,
                 deps=tuple(sorted(set(deps))),
                 run=run,
-                tag=tag,
+                tag=sys.intern(tag),
                 seq=self._next_seq(),
             )
         )
@@ -299,7 +342,13 @@ class OpStreamBuilder:
         return self._seq
 
     def finish(
-        self, shape: GemmShape, strategy: str, cluster: ClusterConfig, **meta
+        self,
+        shape: GemmShape,
+        strategy: str,
+        cluster: ClusterConfig,
+        *,
+        ctx=None,
+        **meta,
     ) -> GemmExecution:
         return GemmExecution(
             shape=shape,
@@ -308,4 +357,5 @@ class OpStreamBuilder:
             core_ops=self.core_ops,
             n_syncs=self._sync_counter,
             meta=meta,
+            ctx=ctx,
         ).validate()

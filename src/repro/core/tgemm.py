@@ -38,11 +38,14 @@ def build_tgemm(
     *,
     kernel_exec: str = "numpy",
     faults=None,
+    bindable: bool = False,
 ) -> GemmExecution:
-    """Lower a GEMM to TGEMM's op streams."""
+    """Lower a GEMM to TGEMM's op streams (binding arguments as in
+    :func:`~repro.core.parallel_m.build_parallel_m`)."""
     plan = (plan or TgemmPlan()).validate(cluster)
     ctx = LoweringContext(
-        cluster, shape, data, registry, kernel_exec=kernel_exec, faults=faults
+        cluster, shape, data, registry, kernel_exec=kernel_exec, faults=faults,
+        bindable=bindable,
     )
     n_cores = cluster.n_cores
     builder = OpStreamBuilder(n_cores)
@@ -68,22 +71,15 @@ def build_tgemm(
     for _i_idx, i0, mr in block_ranges(m, plan.m_g):
         for j_idx, j0, kc in block_ranges(k, plan.k_g):
             jslot = j_idx % 2
+            ag_buf = a_g[jslot]
             # cooperative fill of the shared A_g panel
             for core, rs, re in ctx.split_rows(mr):
-                run = None
-                if ctx.backed:
-                    ag_arr = a_g[jslot].array()
-                    src = ctx.data.a[i0 + rs : i0 + rs + re, j0 : j0 + kc]
-
-                    def run(
-                        ag_arr=ag_arr, rs=rs, re=re, kc=kc, src=src, core=core
-                    ) -> None:
-                        ctx.store(ag_arr[rs : rs + re, :kc], src, core)
-
                 builder.dma(
                     core,
                     ctx.desc(MemKind.DDR, MemKind.GSM, re, kc, "A->A_g"),
-                    run=run,
+                    run=ctx.load(
+                        ag_buf, "a", i0 + rs, j0, re, kc, core, tile_row0=rs
+                    ),
                     tag="A->A_g",
                 )
             builder.sync(tag=f"A_g[{i0},{j0}] ready")
@@ -99,12 +95,7 @@ def build_tgemm(
                     ctx.desc(MemKind.DDR, MemKind.AM, kc, nc, "B->B_a"),
                     buffer="B_a",
                     slot=tslot,
-                    run=ctx.copy_in(
-                        ba_buf, ctx.data.b[j0 : j0 + kc, t0 : t0 + nc], kc, nc,
-                        core,
-                    )
-                    if ctx.backed
-                    else None,
+                    run=ctx.load(ba_buf, "b", j0, t0, kc, nc, core),
                     tag="B->B_a",
                 )
                 builder.dma(
@@ -112,85 +103,38 @@ def build_tgemm(
                     ctx.desc(MemKind.DDR, MemKind.AM, mr, nc, "C->C_a"),
                     buffer="C_a",
                     slot=tslot,
-                    run=ctx.copy_in(
-                        ca_buf, ctx.data.c[i0 : i0 + mr, t0 : t0 + nc], mr, nc,
-                        core,
-                    )
-                    if ctx.backed
-                    else None,
+                    run=ctx.load(ca_buf, "c", i0, t0, mr, nc, core),
                     tag="C->C_a",
                 )
                 last_kernel = -1
                 for ii_idx, ii0, ms_r in block_ranges(mr, plan.m_s):
                     aslot = ii_idx % 2
                     as_buf = a_s[core][aslot]
-                    run = None
-                    if ctx.backed:
-                        ag_arr = a_g[jslot].array()
-                        as_arr = as_buf.array()
-
-                        def run(
-                            as_arr=as_arr, ag_arr=ag_arr, ii0=ii0, ms_r=ms_r,
-                            kc=kc, core=core
-                        ) -> None:
-                            ctx.store(
-                                as_arr[:ms_r, :kc],
-                                ag_arr[ii0 : ii0 + ms_r, :kc],
-                                core,
-                            )
-
                     builder.dma(
                         core,
                         ctx.desc(MemKind.GSM, MemKind.SM, ms_r, kc, "A_g->A_s"),
                         buffer="A_s",
                         slot=aslot,
-                        run=run,
+                        run=ctx.move(as_buf, ag_buf, ms_r, kc, core, src_row0=ii0),
                         tag="A_g->A_s",
                     )
                     kern = ctx.registry.tgemm(ms_r, nc, kc)
-                    krun = None
-                    if ctx.backed:
-                        as_arr = as_buf.array()
-                        ba_arr = ba_buf.array()
-                        ca_arr = ca_buf.array()
-
-                        def krun(
-                            kern=kern,
-                            as_arr=as_arr,
-                            ba_arr=ba_arr,
-                            ca_arr=ca_arr,
-                            ii0=ii0,
-                            ms_r=ms_r,
-                            kc=kc,
-                            nc=nc,
-                            core=core,
-                        ) -> None:
-                            ctx.apply_kernel(
-                                kern,
-                                as_arr[:ms_r, :kc],
-                                ba_arr[:kc, :nc],
-                                ca_arr[ii0 : ii0 + ms_r, :nc],
-                                core,
-                            )
-
                     last_kernel = builder.kernel(
                         core,
                         kern.cycles,
                         kern.flops,
                         reads=(("A_s", aslot), ("B_a", tslot), ("C_a", tslot)),
-                        run=krun,
+                        run=ctx.kernel_run(
+                            kern, as_buf, ba_buf, ca_buf, ms_r, nc, kc, core,
+                            c_row0=ii0,
+                        ),
                         tag=f"mk{ms_r}x{nc}x{kc}",
                     )
                 out_idx = builder.dma(
                     core,
                     ctx.desc(MemKind.AM, MemKind.DDR, mr, nc, "C_a->C"),
                     extra_deps=(last_kernel,) if last_kernel >= 0 else (),
-                    run=ctx.copy_out(
-                        ctx.data.c[i0 : i0 + mr, t0 : t0 + nc], ca_buf, mr, nc,
-                        core,
-                    )
-                    if ctx.backed
-                    else None,
+                    run=ctx.unload(ca_buf, i0, t0, mr, nc, core),
                     tag="C_a->C",
                 )
                 builder.consume(core, "C_a", tslot, out_idx)
@@ -198,13 +142,4 @@ def build_tgemm(
 
     if shape.n == 0:
         raise PlanError("empty GEMM")
-    return builder.finish(
-        shape,
-        "tgemm",
-        cluster,
-        plan=plan,
-        kernel_exec=ctx.kernel_exec,
-        peak_am=max(s.peak_used for s in ctx.spaces.am),
-        peak_sm=max(s.peak_used for s in ctx.spaces.sm),
-        peak_gsm=ctx.spaces.gsm.peak_used,
-    )
+    return ctx.finish(builder, "tgemm", plan=plan)

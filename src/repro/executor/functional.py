@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.plans import GemmExecution, OpKind
+from ..core.plans import GemmExecution
 
 
 @dataclass
@@ -32,7 +32,7 @@ class FunctionalReport:
 
 
 def run_functional(execution: GemmExecution, faults=None) -> FunctionalReport:
-    """Run all op closures; the C operand passed at lowering is updated.
+    """Run all op closures; the C operand bound to the plan is updated.
 
     ``faults`` (a :class:`~repro.faults.inject.FaultInjector`) arms the
     core-failure model for this mode: before each op runs, the owning
@@ -42,36 +42,18 @@ def run_functional(execution: GemmExecution, faults=None) -> FunctionalReport:
     context routes copies and kernel applications through the injector's
     guards), so a replay either computes the exact blocked result or
     raises — never returns silently wrong data.
+
+    The report's ``kernel_exec`` is the mode bound for this run.
     """
-    ops = sorted(
-        (op for core_ops in execution.core_ops for op in core_ops),
-        key=lambda op: op.seq,
-    )
-    dma = kern = sync = 0
-    bytes_moved = 0
-    flops = 0
-    ops_done: dict[int, int] = {}
-    for op in ops:
+    ops_done = [0] * execution.cluster.n_cores
+    for op in execution.ordered_ops():
         if faults is not None:
-            done = ops_done.get(op.core, 0)
-            faults.check_core_alive_functional(op.core, done)
-            ops_done[op.core] = done + 1
+            faults.check_core_alive_functional(op.core, ops_done[op.core])
+            ops_done[op.core] += 1
         if op.run is not None:
             op.run()
-        if op.kind is OpKind.DMA:
-            dma += 1
-            bytes_moved += op.desc.nbytes if op.desc else 0
-        elif op.kind is OpKind.KERNEL:
-            kern += 1
-            flops += op.flops
-        else:
-            sync += 1
+    ctx = execution.ctx
     return FunctionalReport(
-        ops_executed=len(ops),
-        dma_ops=dma,
-        kernel_ops=kern,
-        sync_ops=sync,
-        bytes_moved=bytes_moved,
-        flops=flops,
-        kernel_exec=execution.meta.get("kernel_exec", "numpy"),
+        **execution.census(),
+        kernel_exec=ctx.kernel_exec if ctx is not None else "numpy",
     )

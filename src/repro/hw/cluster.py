@@ -12,6 +12,8 @@ Two views of a cluster exist, matching the two execution modes:
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import ConfigError
 from .bandwidth import LocalChannel, SharedChannel
 from .config import ClusterConfig
@@ -23,22 +25,51 @@ from .memory import MemKind, MemorySpace
 #: operands of the largest experiment (M = 2^22) would occupy ~4 GB.
 _DDR_CAPACITY = 1 << 40
 
+#: on-chip scratch per memory geometry (GSM, AM, SM bytes), see
+#: :func:`scratch_arena`
+_ARENAS: dict[tuple[int, int, int], np.ndarray] = {}
+
+
+def scratch_arena(cfg: ClusterConfig) -> np.ndarray:
+    """The process-wide byte arena backing a cluster's on-chip tiles.
+
+    Laid out as GSM, then AM and SM of core 0, core 1, ...; clusters that
+    differ only in core count share one arena, a smaller cluster using a
+    prefix of it.  Every backed lowering views its tiles into it, so
+    lowered programs hold no tile memory of their own — and functional
+    runs, which never overlap, may reuse each other's bytes.
+    """
+    key = (cfg.gsm_bytes, cfg.core.am_bytes, cfg.core.sm_bytes)
+    size = cfg.gsm_bytes + cfg.n_cores * (cfg.core.am_bytes + cfg.core.sm_bytes)
+    arena = _ARENAS.get(key)
+    if arena is None or arena.size < size:
+        # untouched pages cost no memory until a tile first writes them
+        arena = _ARENAS[key] = np.zeros(size, np.uint8)
+    return arena
+
 
 class ClusterSpaces:
-    """Memory spaces of one cluster, for capacity-checked functional runs."""
+    """Memory spaces of one cluster, for capacity-checked functional runs.
 
-    def __init__(self, cfg: ClusterConfig) -> None:
+    With ``arena`` (see :func:`scratch_arena`) the on-chip spaces back
+    their buffers with views into it.
+    """
+
+    def __init__(self, cfg: ClusterConfig, arena: np.ndarray | None = None) -> None:
         self.cfg = cfg
         self.ddr = MemorySpace("ddr", MemKind.DDR, _DDR_CAPACITY)
-        self.gsm = MemorySpace("gsm", MemKind.GSM, cfg.gsm_bytes)
-        self.am = [
-            MemorySpace(f"am{i}", MemKind.AM, cfg.core.am_bytes)
-            for i in range(cfg.n_cores)
-        ]
-        self.sm = [
-            MemorySpace(f"sm{i}", MemKind.SM, cfg.core.sm_bytes)
-            for i in range(cfg.n_cores)
-        ]
+        regions = _arena_regions(cfg, arena)
+        self.gsm = MemorySpace(
+            "gsm", MemKind.GSM, cfg.gsm_bytes, arena=next(regions)
+        )
+        self.am, self.sm = [], []
+        for i in range(cfg.n_cores):
+            self.am.append(MemorySpace(
+                f"am{i}", MemKind.AM, cfg.core.am_bytes, arena=next(regions)
+            ))
+            self.sm.append(MemorySpace(
+                f"sm{i}", MemKind.SM, cfg.core.sm_bytes, arena=next(regions)
+            ))
 
     def space(self, kind: MemKind, core_id: int = 0) -> MemorySpace:
         if kind is MemKind.DDR:
@@ -60,6 +91,18 @@ class ClusterSpaces:
             report[f"am{i}"] = a.peak_used
             report[f"sm{i}"] = s.peak_used
         return report
+
+
+def _arena_regions(cfg: ClusterConfig, arena: np.ndarray | None):
+    """Yield the arena slices of GSM, then AM and SM per core (all
+    ``None`` without an arena)."""
+    sizes = [cfg.gsm_bytes]
+    for _ in range(cfg.n_cores):
+        sizes += [cfg.core.am_bytes, cfg.core.sm_bytes]
+    start = 0
+    for size in sizes:
+        yield None if arena is None else arena[start : start + size]
+        start += size
 
 
 class CoreSim:

@@ -10,6 +10,10 @@ fail loudly.
 :class:`MemorySpace` is a first-fit allocator with coalescing free list.
 Buffers optionally carry a NumPy array (functional execution); timing-only
 runs allocate unbacked buffers so multi-gigabyte DDR operands cost nothing.
+A space given a byte ``arena`` backs its buffers with views into it at
+their allocated offsets instead of fresh zeroed arrays: the contents are
+then whatever the last user left, so a program must write a tile before
+it reads it.
 """
 
 from __future__ import annotations
@@ -95,6 +99,8 @@ class MemorySpace:
     _used: int = 0
     _live: int = 0
     peak_used: int = 0
+    #: optional ``capacity``-byte scratch that backed buffers view into
+    arena: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.capacity <= 0:
@@ -151,7 +157,13 @@ class MemorySpace:
         self._used += rounded
         self._live += 1
         self.peak_used = max(self.peak_used, self._used)
-        data = np.zeros(shape, dtype=dt) if backed else None
+        data = None
+        if backed and self.arena is not None:
+            data = (
+                self.arena[offset : offset + nbytes].view(dt).reshape(shape)
+            )
+        elif backed:
+            data = np.zeros(shape, dtype=dt)
         return Buffer(
             space=self,
             offset=offset,

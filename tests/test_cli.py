@@ -142,21 +142,17 @@ class TestNewFlags:
 
 class TestTraceInvariants:
     def run_traced(self):
-        from repro.core.ftimm import _lower
+        from repro.core.ftimm import lowered_program
         from repro.core.shapes import GemmShape
         from repro.core.tuner import tune
         from repro.executor.timed import run_timed
         from repro.executor.trace import TraceRecorder
         from repro.hw.config import default_machine
-        from repro.kernels.registry import registry_for
 
         machine = default_machine()
         shape = GemmShape(1024, 32, 64)
         decision = tune(shape, machine.cluster)
-        lowered = _lower(
-            shape, machine.cluster, decision, None,
-            registry_for(machine.cluster.core),
-        )
+        lowered = lowered_program(shape, machine.cluster, decision)
         recorder = TraceRecorder()
         run_timed(lowered, trace=recorder)
         return recorder

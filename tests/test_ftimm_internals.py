@@ -10,15 +10,15 @@ from repro.hw.config import default_machine
 
 
 class TestOpEstimation:
-    def test_estimate_tracks_real_op_count(self, cluster, registry):
+    def test_estimate_tracks_real_op_count(self, cluster):
         """The auto-mode heuristic must be the right order of magnitude."""
-        from repro.core.ftimm import _lower
+        from repro.core.ftimm import lowered_program
 
         for m, n, k in [(2000, 32, 512), (32, 32, 16384), (1024, 96, 1024)]:
             shape = GemmShape(m, n, k)
             decision = tune(shape, cluster)
             estimate = _estimate_ops(shape, decision)
-            actual = _lower(shape, cluster, decision, None, registry).n_ops
+            actual = lowered_program(shape, cluster, decision).n_ops
             assert actual / 4 <= estimate <= actual * 4, (m, n, k)
 
     def test_auto_boundary_consistency(self):

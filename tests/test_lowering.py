@@ -122,21 +122,20 @@ class TestLoweringContext:
     def test_copy_closures_none_when_unbacked(self, cluster):
         ctx = self.make(cluster)
         buf = ctx.alloc(MemKind.AM, 0, 4, 4, "t")[0]
-        assert ctx.copy_in(buf, np.zeros((2, 2), np.float32), 2, 2) is None
-        assert ctx.copy_out(np.zeros((2, 2), np.float32), buf, 2, 2) is None
+        assert ctx.load(buf, "a", 0, 0, 2, 2, 0) is None
+        assert ctx.unload(buf, 0, 0, 2, 2, 0) is None
 
     def test_copy_closures_move_data(self, cluster):
         shape = GemmShape(4, 4, 4)
+        a = np.arange(16, dtype=np.float32).reshape(4, 4)
         z = np.zeros((4, 4), np.float32)
-        data = GemmOperands.check(shape, z, z.copy(), z.copy())
+        data = GemmOperands.check(shape, a, z.copy(), z.copy())
         ctx = LoweringContext(cluster, shape, data)
         buf = ctx.alloc(MemKind.AM, 0, 4, 4, "t")[0]
-        src = np.arange(4, dtype=np.float32).reshape(2, 2)
-        ctx.copy_in(buf, src, 2, 2)()
-        np.testing.assert_array_equal(buf.array()[:2, :2], src)
-        dst = np.zeros((2, 2), np.float32)
-        ctx.copy_out(dst, buf, 2, 2)()
-        np.testing.assert_array_equal(dst, src)
+        ctx.load(buf, "a", 1, 2, 2, 2, 0)()
+        np.testing.assert_array_equal(buf.array()[:2, :2], a[1:3, 2:4])
+        ctx.unload(buf, 2, 0, 2, 2, 0)()
+        np.testing.assert_array_equal(data.c[2:4, 0:2], a[1:3, 2:4])
 
     def test_split_rows_even(self, cluster):
         ctx = self.make(cluster)

@@ -19,13 +19,12 @@ from repro.analysis.bottleneck import (
     attribute,
     diff_records,
 )
-from repro.core.ftimm import _lower
+from repro.core.ftimm import lowered_program
 from repro.core.shapes import GemmShape
 from repro.core.tuner import tune
 from repro.errors import ReproError
 from repro.executor.timed import run_timed
 from repro.hw.config import default_machine
-from repro.kernels.registry import registry_for
 from repro.obs import (
     MetricsRegistry,
     ProfileScope,
@@ -43,10 +42,7 @@ from repro.obs.profile import merge_intervals
 def timed_run(shape=GemmShape(512, 32, 256), **kw):
     machine = default_machine()
     decision = tune(shape, machine.cluster)
-    lowered = _lower(
-        shape, machine.cluster, decision, None,
-        registry_for(machine.cluster.core),
-    )
+    lowered = lowered_program(shape, machine.cluster, decision)
     return run_timed(lowered, **kw), shape, machine.cluster
 
 

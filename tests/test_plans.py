@@ -101,6 +101,30 @@ class TestValidation:
         with pytest.raises(PlanError):
             ex.validate()
 
+    def test_missing_sync_message(self, cluster):
+        ops = [[Op(OpKind.SYNC, c, sync_id=0)] for c in range(cluster.n_cores)]
+        ops[1].clear()
+        ex = GemmExecution(GemmShape(1, 1, 1), "t", cluster, ops, n_syncs=1)
+        with pytest.raises(PlanError, match="sync 0 appears 0 times on core 1"):
+            ex.validate()
+
+    def test_duplicated_sync_message(self, cluster):
+        ops = [[Op(OpKind.SYNC, c, sync_id=0)] for c in range(cluster.n_cores)]
+        ops[2].append(Op(OpKind.SYNC, 2, sync_id=0))
+        ex = GemmExecution(GemmShape(1, 1, 1), "t", cluster, ops, n_syncs=1)
+        with pytest.raises(PlanError, match="sync 0 appears 2 times on core 2"):
+            ex.validate()
+
+    def test_forward_dep_message(self, cluster):
+        ops = [[] for _ in range(cluster.n_cores)]
+        ops[0] += [
+            Op(OpKind.KERNEL, 0, cycles=1, deps=(1,)),
+            Op(OpKind.KERNEL, 0, cycles=1),
+        ]
+        ex = GemmExecution(GemmShape(1, 1, 1), "t", cluster, ops, n_syncs=0)
+        with pytest.raises(PlanError, match="op 0 depends on later op 1"):
+            ex.validate()
+
     def test_wrong_stream_count_rejected(self, cluster):
         ex = GemmExecution(GemmShape(1, 1, 1), "t", cluster, [[]], n_syncs=0)
         with pytest.raises(PlanError):

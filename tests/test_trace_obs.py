@@ -27,14 +27,13 @@ import numpy as np
 import pytest
 
 from repro.analysis import critical_path, from_spans
-from repro.core.ftimm import _lower, ftimm_gemm
+from repro.core.ftimm import ftimm_gemm, lowered_program
 from repro.core.shapes import GemmShape
 from repro.core.tuner import tune
 from repro.errors import InputError, PlanError, ReproError
 from repro.executor.timed import run_timed
 from repro.faults import FaultPlan
 from repro.hw.config import default_machine
-from repro.kernels.registry import registry_for
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -77,10 +76,7 @@ def serve_run(mix="overload", rate=OVERLOAD_RPS, n=N_REQUESTS, seed=0):
 def timed_lowered(shape=GemmShape(512, 32, 256)):
     machine = default_machine()
     decision = tune(shape, machine.cluster)
-    return _lower(
-        shape, machine.cluster, decision, None,
-        registry_for(machine.cluster.core),
-    )
+    return lowered_program(shape, machine.cluster, decision)
 
 
 # ---------------------------------------------------------------- tracer
