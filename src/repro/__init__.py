@@ -33,38 +33,8 @@ Package map:
 * :mod:`repro.experiments` — one driver per table/figure of the paper
 """
 
-from .api import (
-    AutotuneResult,
-    BatchedGemmResult,
-    ChaosSummary,
-    CoreFault,
-    DegradationWindow,
-    FaultPlan,
-    FaultReport,
-    GemmResult,
-    GroupedGemmResult,
-    HeteroResult,
-    batched_gemm,
-    chaos_sweep,
-    grouped_gemm,
-    hetero_gemm,
-    GemmShape,
-    MultiClusterResult,
-    autotune,
-    multi_cluster_gemm,
-    KernelSpec,
-    MachineConfig,
-    MetricsRegistry,
-    MicroKernel,
-    ProfileScope,
-    classify,
-    collecting,
-    default_machine,
-    ftimm_gemm,
-    gemm,
-    generate_kernel,
-    tgemm_gemm,
-)
+from . import api
+from .api import *  # noqa: F401,F403 -- the public surface, listed once
 from .errors import (
     AllocationError,
     CapacityError,
@@ -84,40 +54,17 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AllocationError",
-    "AutotuneResult",
-    "BatchedGemmResult",
-    "GroupedGemmResult",
-    "HeteroResult",
-    "batched_gemm",
-    "grouped_gemm",
-    "hetero_gemm",
-    "MultiClusterResult",
-    "autotune",
-    "multi_cluster_gemm",
     "CapacityError",
     "ConfigError",
     "FaultError",
-    "GemmResult",
-    "GemmShape",
     "IsaError",
     "KernelError",
-    "KernelSpec",
-    "MachineConfig",
-    "MetricsRegistry",
-    "MicroKernel",
     "OverloadError",
     "PlanError",
-    "ProfileScope",
-    "collecting",
     "ReproError",
     "ScheduleError",
     "ShapeError",
     "SimulationError",
     "__version__",
-    "classify",
-    "default_machine",
-    "ftimm_gemm",
-    "gemm",
-    "generate_kernel",
-    "tgemm_gemm",
+    *api.__all__,
 ]

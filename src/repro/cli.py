@@ -393,17 +393,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         loads = sorted(float(x) for x in args.loads.split(","))
     except ValueError as exc:
         raise ReproError(f"bad --loads: {exc}") from None
-    stack_hints: bool | str = not args.no_stack_hints
-    if args.observed_hints:
-        stack_hints = "observed"
     config = ServeConfig(
         policy=args.policy,
         max_batch=args.max_batch,
         max_wait_s=args.max_wait,
         queue_cap=args.queue_cap,
         warmup=not args.no_warmup,
-        warmup_tune=args.warm_tune,
-        stack_hints=stack_hints,
         cold_tune_s=args.cold_tune,
         degrade=(DegradePolicy()
                  if (args.degrade or args.chaos) else None),
@@ -484,13 +479,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     warmup = result.points[-1].report.warmup
     if warmup.n_buckets:
-        line = (f"warmup [{warmup.mode}]: {warmup.n_buckets} bucket(s) "
+        line = (f"warmup: {warmup.n_buckets} bucket(s) "
                 f"in {warmup.wall_s * 1e3:.1f} ms")
         if warmup.hinted:
             line += f", {warmup.hinted} at hinted stacked M"
-        if warmup.mode == "search":
-            line += (f", transfer hits {warmup.transfer_hits} "
-                     f"(short-circuits {warmup.short_circuits})")
         print()
         print(line)
 
@@ -834,18 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="admission queue bound (default 64)")
     p_serve.add_argument("--no-warmup", action="store_true",
                          help="skip plan/kernel warmup (pay cold tunes)")
-    p_serve.add_argument("--warm-tune", choices=["rule", "search"],
-                         default="rule",
-                         help="warmup tuner: rule-based (default) or the "
-                              "pruned plan search with cross-shape "
-                              "transfer")
-    p_serve.add_argument("--no-stack-hints", action="store_true",
-                         help="warm each bucket at its first request's M "
-                              "instead of the expected stacked M")
-    p_serve.add_argument("--observed-hints", action="store_true",
-                         help="seed warmup from the stack heights a "
-                              "previous run persisted beside the plan DB "
-                              "(and persist this run's for the next)")
     p_serve.add_argument("--gateway", action="store_true",
                          help="drive the highest offered load through the "
                               "live asyncio gateway instead of the sweep "

@@ -29,8 +29,6 @@ latency numbers:
 * :mod:`repro.serve.placement` — replicated-B placement: traffic-driven
   promotion of hot shared-B matrices to multi-cluster replica sets,
   replica-aware routing, LRU demotion under a memory budget;
-* :mod:`repro.serve.hints`     — observed stack hints persisted beside
-  the plan DB (``ServeConfig(stack_hints="observed")``);
 * :mod:`repro.serve.spans`     — the simulated-time serve trace, derived
   from a finished report.
 """
@@ -51,7 +49,6 @@ from .degrade import (
 )
 from .gateway import Gateway, gateway_replay
 from .harness import SweepPoint, SweepResult, sweep
-from .hints import load_stack_hints, save_stack_hints
 from .loadgen import (
     MIXES,
     ShapeClass,
@@ -122,10 +119,8 @@ __all__ = [
     "chaos_serve",
     "gateway_replay",
     "get_mix",
-    "load_stack_hints",
     "make_requests",
     "monitor",
-    "save_stack_hints",
     "serve",
     "serve_spans",
     "sweep",

@@ -50,13 +50,12 @@ from ..obs import MetricsRegistry, current
 from ..obs.registry import set_registry
 from ..obs.trace import current_tracer
 from .request import COMPLETED, FAILED, SHED, GemmRequest, RequestRecord
-from .scheduler import StackHints, WarmupReport
+from .scheduler import WarmupReport
 from .server import (
     ServeConfig,
     ServeEngine,
     ServeReport,
     assemble_report,
-    persist_observed_hints,
     warm_engine,
 )
 from .spans import serve_spans
@@ -85,7 +84,7 @@ class Gateway:
         self.config = config or ServeConfig()
         self.machine = machine or default_machine()
         self.engine = ServeEngine(self.config, self.machine)
-        self.warmup = WarmupReport(mode=self.config.warmup_tune)
+        self.warmup = WarmupReport()
         self._warmed = False
         #: submit order of awaits still outstanding: req_id -> future
         self._waiters: dict[int, asyncio.Future] = {}
@@ -131,13 +130,7 @@ class Gateway:
 
     # -- warmup ------------------------------------------------------------
 
-    def warm(
-        self,
-        requests: list[GemmRequest],
-        *,
-        stack_hints: StackHints | None = None,
-        warm_jobs: int | None = None,
-    ) -> WarmupReport:
+    def warm(self, requests: list[GemmRequest]) -> WarmupReport:
         """Pre-tune the bucket classes an expected stream will hit.
 
         Identical to the replay path's warmup (same helper), which is
@@ -148,10 +141,7 @@ class Gateway:
             raise PlanError("gateway is closed")
         prev = self._swap_in()
         try:
-            self.warmup = warm_engine(
-                self.engine, requests,
-                stack_hints=stack_hints, warm_jobs=warm_jobs,
-            )
+            self.warmup = warm_engine(self.engine, requests)
         finally:
             self._swap_out(prev)
         self._warmed = True
@@ -446,7 +436,6 @@ class Gateway:
         self._sync_metrics()
         report = self.report()
         serve_spans(report)
-        persist_observed_hints(report)
 
     async def __aenter__(self) -> "Gateway":
         return self
@@ -460,8 +449,6 @@ def gateway_replay(
     config: ServeConfig | None = None,
     *,
     machine: MachineConfig | None = None,
-    stack_hints: StackHints | None = None,
-    warm_jobs: int | None = None,
 ) -> ServeReport:
     """Drive a pre-drawn stream through the live gateway; return its report.
 
@@ -479,7 +466,7 @@ def gateway_replay(
 
     async def drive() -> ServeReport:
         gw = Gateway(config, machine=machine)
-        gw.warm(ordered, stack_hints=stack_hints, warm_jobs=warm_jobs)
+        gw.warm(ordered)
         tasks = [
             asyncio.ensure_future(gw.submit(req)) for req in ordered
         ]

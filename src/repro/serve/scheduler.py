@@ -25,10 +25,7 @@ before the stream starts.  Warmup is *batch-aware*: given stack hints
 (the expected stacked M per bucket, derived from the request stream),
 each bucket is tuned at its expected batch shape instead of the first
 request's M, so the kernels cached up front are the ones the stacked
-steady state actually runs.  ``tune="search"`` upgrades warmup from the
-rule-based tuner to the real pruned plan search
-(:func:`~repro.core.autotune.autotune` with cross-shape transfer), whose
-per-bucket wall times the report keeps.
+steady state actually runs.
 
 A batch whose bucket was *not* warmed is charged a ``cold_tune_s``
 penalty once per bucket — visible in the latency histograms, which is
@@ -118,11 +115,7 @@ class WarmupReport:
     n_buckets: int = 0
     wall_s: float = 0.0
     keys: list[WarmKey] = field(default_factory=list)
-    mode: str = "rule"                  # "rule" | "search"
     hinted: int = 0                     # buckets warmed at a hinted M
-    tune_wall_s: list[float] = field(default_factory=list)
-    transfer_hits: int = 0
-    short_circuits: int = 0
 
 
 class Scheduler:
@@ -347,29 +340,16 @@ class Scheduler:
         shapes: list[tuple[GemmShape, str]],
         *,
         stack_hints: StackHints | None = None,
-        tune: str = "rule",
-        jobs: int | None = None,
-        transfer_tol: float = 0.25,
     ) -> WarmupReport:
         """Pre-tune every distinct bucket class, off the critical path.
 
-        One tuning pass per distinct (N, K, dtype) at its expected
-        *stacked* M (``stack_hints``, falling back to the representative
-        request's M) — populating the tuner decision cache and
-        generating/caching the micro-kernels the stacked steady state
-        will reuse.
-
-        ``tune="rule"`` (default) runs the rule-based tuner via a
-        timing-only ftIMM call.  ``tune="search"`` runs the real pruned
-        plan search with cross-shape transfer (``transfer_tol`` lets
-        later buckets short-circuit from earlier ones); per-bucket walls
-        land in ``report.tune_wall_s``.  Warming inside a
-        :func:`~repro.parallel.worker_pool` lets every search share one
-        warm pool.
+        One rule-tuner pass (a timing-only ftIMM call) per distinct
+        (N, K, dtype) at its expected *stacked* M (``stack_hints``,
+        falling back to the representative request's M) — populating
+        the tuner decision cache and generating/caching the
+        micro-kernels the stacked steady state will reuse.
         """
-        if tune not in ("rule", "search"):
-            raise PlanError(f"unknown warmup tune mode {tune!r}")
-        report = WarmupReport(mode=tune)
+        report = WarmupReport()
         hints = stack_hints or {}
         t0 = time.perf_counter()
         with maybe_scope(
@@ -382,18 +362,15 @@ class Scheduler:
                 m_eff = hints.get(key, shape.m)
                 if m_eff != shape.m:
                     report.hinted += 1
-                t1 = time.perf_counter()
-                self._warm_one(
-                    GemmShape(max(1, int(m_eff)), shape.n, shape.k),
-                    dtype, tune, jobs, transfer_tol, report,
+                ftimm_gemm(
+                    max(1, int(m_eff)), shape.n, shape.k,
+                    machine=self.machine, timing="analytic", dtype=dtype,
                 )
-                report.tune_wall_s.append(time.perf_counter() - t1)
                 self._warmed.add(key)
                 report.keys.append(key)
                 report.n_buckets += 1
             if scope is not None:
                 scope.args["n_buckets"] = report.n_buckets
-                scope.args["mode"] = tune
         report.wall_s = time.perf_counter() - t0
         m = current()
         if m is not None:
@@ -401,38 +378,6 @@ class Scheduler:
             if report.hinted:
                 m.counter("serve/warmup/hinted").inc(report.hinted)
         return report
-
-    def _warm_one(
-        self,
-        shape: GemmShape,
-        dtype: str,
-        tune: str,
-        jobs: int | None,
-        transfer_tol: float,
-        report: WarmupReport,
-    ) -> None:
-        if tune == "search" and dtype == "f32":
-            from ..core.autotune import autotune
-
-            try:
-                result = autotune(
-                    shape, self.machine.cluster,
-                    validate_top=1, jobs=jobs, transfer_tol=transfer_tol,
-                )
-                if result.stats is not None:
-                    if result.stats.transfer in (
-                        "warm", "short_circuit", "replay"
-                    ):
-                        report.transfer_hits += 1
-                    if result.stats.transfer in ("short_circuit", "replay"):
-                        report.short_circuits += 1
-                return
-            except PlanError:
-                pass  # outside the search domain: rule-tune below
-        ftimm_gemm(
-            shape.m, shape.n, shape.k,
-            machine=self.machine, timing="analytic", dtype=dtype,
-        )
 
     def tune_penalty(self, key: WarmKey) -> float:
         """Cold-tuning cost: ``cold_tune_s`` the first time a bucket

@@ -54,7 +54,6 @@ from ..obs.trace import maybe_scope
 from .batcher import (
     Batch,
     ShapeBucketBatcher,
-    bucket_class,
     bucket_label,
     dtype_tag,
 )
@@ -118,18 +117,9 @@ class ServeConfig:
     max_batch: int = 4
     max_wait_s: float = 5e-4
     queue_cap: int = 64            # admitted requests not yet started
+    #: rule-tune every bucket class at its expected stacked M before
+    #: the stream starts (:func:`warm_engine`)
     warmup: bool = True
-    #: warmup tuner: "rule" (rule-based, the deterministic default) or
-    #: "search" (real pruned plan search with cross-shape transfer)
-    warmup_tune: str = "rule"
-    #: warm each bucket at its expected *stacked* M from the request
-    #: stream instead of the first request's M (batch-aware tuning);
-    #: ``"observed"`` additionally seeds warmup from the stack heights a
-    #: *previous* session actually observed (persisted alongside the
-    #: plan database) and persists this run's observed stacks for the
-    #: next one.  Affects only which plans/kernels are pre-cached,
-    #: never results.
-    stack_hints: bool | str = True
     #: modeled un-warmed plan-search penalty, charged once per bucket
     #: class that warmup did not cover (a constant, so replays stay
     #: bit-identical across runs and machines)
@@ -173,18 +163,6 @@ class ServeConfig:
             raise PlanError(
                 f"cold_tune_s must be a number of seconds >= 0, "
                 f"got {self.cold_tune_s!r}"
-            )
-        if self.warmup_tune not in ("rule", "search"):
-            raise PlanError(
-                f"warmup_tune must be 'rule' or 'search', "
-                f"got {self.warmup_tune!r}"
-            )
-        if not isinstance(self.stack_hints, bool) and (
-            self.stack_hints != "observed"
-        ):
-            raise PlanError(
-                f"stack_hints must be True, False or 'observed', "
-                f"got {self.stack_hints!r}"
             )
         if self.cluster_fault_scale is not None:
             if any(s < 0 for s in self.cluster_fault_scale):
@@ -283,21 +261,6 @@ class ServeReport:
         if not self.batches:
             return 0.0
         return sum(b.n_items for b in self.batches) / len(self.batches)
-
-    def stack_hints(self) -> StackHints:
-        """Observed mean stacked M per bucket class.
-
-        Deterministic (a pure function of the batch records), so a later
-        run — e.g. the next point of a load sweep — can warm with the
-        stack heights this run actually saw instead of the a-priori
-        estimate of :func:`expected_stack_hints`.
-        """
-        per: dict[WarmKey, list[int]] = {}
-        for b in self.batches:
-            per.setdefault(bucket_class(b.bucket), []).append(b.stacked_m)
-        return {
-            key: max(1, round(sum(ms) / len(ms))) for key, ms in per.items()
-        }
 
     def latency_quantile(self, q: float) -> float:
         """Exact q-quantile of completed-request latency (seconds)."""
@@ -955,42 +918,27 @@ class ServeEngine:
 
 
 def warm_engine(
-    engine: ServeEngine,
-    requests: list[GemmRequest],
-    *,
-    stack_hints: StackHints | None = None,
-    warm_jobs: int | None = None,
+    engine: ServeEngine, requests: list[GemmRequest]
 ) -> WarmupReport:
     """Pre-tune every distinct bucket class the request stream will hit.
 
     Shared by the replay client (:func:`serve`) and the asyncio
     :class:`~repro.serve.gateway.Gateway`, so both paths pre-populate the
     same plan/kernel caches and charge identical cold-tune penalties —
-    part of the gateway-vs-replay bit-identity contract.  Explicit
-    ``stack_hints`` win; otherwise the expected-stacked-M estimate is
-    used, overlaid (``stack_hints="observed"``) with the stacks a
-    previous session persisted alongside the plan database.  Hints only
-    steer which shapes get pre-cached, never results.
+    part of the gateway-vs-replay bit-identity contract.  Each class is
+    rule-tuned at its :func:`expected_stack_hints` stacked M; warmup
+    only steers which shapes get pre-cached, never results.
     """
     config = engine.config
     if not config.warmup:
-        return WarmupReport(mode=config.warmup_tune)
+        return WarmupReport()
     seen: dict[WarmKey, GemmShape] = {}
     for req in requests:
         key = (req.shape.n, req.shape.k, dtype_tag(req.b.dtype))
         seen.setdefault(key, req.shape)
-    hints: StackHints | None = stack_hints
-    if hints is None and config.stack_hints:
-        hints = expected_stack_hints(requests, config.max_batch)
-        if config.stack_hints == "observed":
-            from .hints import load_stack_hints
-
-            hints = {**hints, **load_stack_hints()}
     return engine.sched.warm(
         [(s, key[2]) for key, s in seen.items()],
-        stack_hints=hints,
-        tune=config.warmup_tune,
-        jobs=warm_jobs,
+        stack_hints=expected_stack_hints(requests, config.max_batch),
     )
 
 
@@ -1041,32 +989,16 @@ def assemble_report(
     )
 
 
-def persist_observed_hints(report: ServeReport) -> None:
-    """Fold this run's observed stacks into the persistent hint store."""
-    if report.config.stack_hints != "observed":
-        return
-    from .hints import save_stack_hints
-
-    save_stack_hints(report.stack_hints())
-
-
 def serve(
     requests: list[GemmRequest],
     config: ServeConfig | None = None,
     *,
     machine: MachineConfig | None = None,
-    stack_hints: StackHints | None = None,
-    warm_jobs: int | None = None,
 ) -> ServeReport:
     """Serve an open-loop request stream; returns one record per request.
 
     A thin replay client of :class:`ServeEngine`: every request is
     offered in arrival order and the engine runs to completion.
-    ``stack_hints`` overrides the expected-stacked-M estimate the warmup
-    tunes at (e.g. an earlier run's :meth:`ServeReport.stack_hints`);
-    ``warm_jobs`` fans a ``warmup_tune="search"`` warmup across worker
-    processes.  Neither affects the simulated results — warmup only
-    pre-populates plan/kernel caches.
     """
     config = config or ServeConfig()
     machine = machine or default_machine()
@@ -1075,9 +1007,7 @@ def serve(
     ordered = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
 
     engine = ServeEngine(config, machine)
-    warmup = warm_engine(
-        engine, ordered, stack_hints=stack_hints, warm_jobs=warm_jobs
-    )
+    warmup = warm_engine(engine, ordered)
     for req in ordered:
         engine.offer(req)
     engine.finish()
@@ -1086,5 +1016,4 @@ def serve(
         raise PlanError("a request was dropped silently")
     report = assemble_report(engine, warmup)
     serve_spans(report)
-    persist_observed_hints(report)
     return report

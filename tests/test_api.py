@@ -39,8 +39,18 @@ class TestErrorHierarchy:
 
 class TestFacade:
     def test_all_exports_resolve(self):
+        import importlib
+
         for name in repro.__all__:
             assert getattr(repro, name) is not None, name
+        # one export list: repro re-exports repro.api's, object for object
+        for name in repro.api.__all__:
+            assert getattr(repro, name) is getattr(repro.api, name), name
+        assert len(set(repro.__all__)) == len(repro.__all__)
+        # ``repro.serve`` is the replay client; the package by module path
+        serve_pkg = importlib.import_module("repro.serve")
+        for name in serve_pkg.__all__:
+            assert hasattr(serve_pkg, name), name
 
     def test_version(self):
         assert repro.__version__

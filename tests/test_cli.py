@@ -286,8 +286,9 @@ class TestServeCommand:
             build_parser().parse_args(["serve", "--policy", "magic"])
 
     def test_removed_serve_modes_rejected(self):
-        """Static replication and measured cold tunes are gone for good:
-        the config refuses them and the CLI no longer parses them."""
+        """Static replication, measured cold tunes and the extra warmup
+        modes are gone for good: the config refuses the first two and
+        the CLI parses none of them."""
         from repro.errors import PlanError
         from repro.serve import ServeConfig
 
@@ -295,7 +296,11 @@ class TestServeCommand:
             ServeConfig(replicate_b="static")
         with pytest.raises(PlanError, match="cold_tune_s"):
             ServeConfig(cold_tune_s=None)
-        for flags in (["--replicate-b", "static"], ["--cold-tune", "auto"]):
+        for flags in (
+            ["--replicate-b", "static"], ["--cold-tune", "auto"],
+            ["--warm-tune", "search"], ["--observed-hints"],
+            ["--no-stack-hints"],
+        ):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["serve", *flags])
 

@@ -9,12 +9,10 @@ The contracts under test are the ISSUE's acceptance bar:
   silent — including futures outstanding at shutdown;
 * the gateway's private metrics fold into the ambient registry without
   double-counting, no matter how many in-flight snapshots happen;
-* observed stack hints persist beside the plan DB and seed the next
-  session's warmup without ever changing results.
+* warmup tunes every bucket class at its expected stacked M.
 """
 
 import asyncio
-import json
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -30,9 +28,7 @@ from repro.serve import (
     GemmRequest,
     ServeConfig,
     gateway_replay,
-    load_stack_hints,
     make_requests,
-    save_stack_hints,
     serve,
 )
 from repro.serve.request import COMPLETED, SHED
@@ -333,54 +329,20 @@ class TestGatewayTrace:
 
 
 class TestStackHints:
-    def test_roundtrip_and_merge(self, tmp_path):
-        p = tmp_path / "stack-hints-v1.json"
-        save_stack_hints({(64, 16, "f32"): 32}, p)
-        save_stack_hints({(64, 256, "f32"): 53}, p)
-        assert load_stack_hints(p) == {
-            (64, 16, "f32"): 32, (64, 256, "f32"): 53,
-        }
-        # fresh observation overwrites the class, keeps the others
-        save_stack_hints({(64, 16, "f32"): 48}, p)
-        assert load_stack_hints(p)[(64, 16, "f32")] == 48
-
-    def test_corrupt_store_quarantined(self, tmp_path):
-        p = tmp_path / "stack-hints-v1.json"
-        p.write_text("{not json")
-        assert load_stack_hints(p) == {}
-        assert p.with_name(p.name + ".bad").exists()
-        assert not p.exists()
-
-    def test_wrong_version_ignored(self, tmp_path):
-        p = tmp_path / "stack-hints-v1.json"
-        p.write_text(json.dumps({"version": 999, "hints": {}}))
-        assert load_stack_hints(p) == {}
-
-    def test_observed_hints_close_the_loop(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
-        config = ServeConfig(stack_hints="observed")
-        first = serve(fast_requests(seed=0), config)
-        persisted = load_stack_hints(
-            tmp_path / "plans" / "stack-hints-v1.json"
-        )
-        assert persisted == first.stack_hints()
-        second = serve(fast_requests(seed=1), config)
-        assert second.warmup.hinted == second.warmup.n_buckets
-        # hints steer warmup only — results match the un-hinted run
-        plain = serve(fast_requests(seed=1), ServeConfig())
-        assert second.records == plain.records
-
-    def test_gateway_persists_observed_hints(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
-        config = ServeConfig(stack_hints="observed")
-        report = gateway_replay(fast_requests(seed=0), config)
-        assert load_stack_hints(
-            tmp_path / "plans" / "stack-hints-v1.json"
-        ) == report.stack_hints()
+    def test_default_warmup_is_hinted(self):
+        # every bucket class warms at its expected stacked M, on both
+        # the replay and the gateway path
+        for drive in (serve, gateway_replay):
+            report = drive(fast_requests(seed=1), ServeConfig())
+            assert report.warmup.n_buckets > 0
+            assert report.warmup.hinted == report.warmup.n_buckets
 
     def test_config_rejects_bogus_hints_mode(self):
-        with pytest.raises(PlanError, match="stack_hints"):
+        # warmup has one mode: the old hint and tuner knobs are gone
+        with pytest.raises(TypeError, match="stack_hints"):
             ServeConfig(stack_hints="bogus")
+        with pytest.raises(TypeError, match="warmup_tune"):
+            ServeConfig(warmup_tune="search")
 
 
 class TestTraceDiff:

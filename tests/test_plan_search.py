@@ -419,7 +419,7 @@ class TestServeBatchAware:
         assert h1 == h2
         assert all(m >= 1 for m in h1.values())
 
-    def test_warm_search_mode_and_cold_penalty(self, machine):
+    def test_warm_hinted_and_cold_penalty(self, machine):
         from repro.serve.scheduler import Scheduler
 
         sched = Scheduler(
@@ -428,36 +428,11 @@ class TestServeBatchAware:
         report = sched.warm(
             [(GemmShape(128, 64, 256), "f32")],
             stack_hints={(64, 256, "f32"): 512},
-            tune="search",
         )
-        assert report.mode == "search"
         assert report.hinted == 1
         assert report.n_buckets == 1
-        assert len(report.tune_wall_s) == 1
+        assert report.keys == [(64, 256, "f32")]
         # warmed bucket is free; an unknown one charges the constant, once
         assert sched.tune_penalty((64, 256, "f32")) == 0.0
         assert sched.tune_penalty((8, 8, "f32")) == 3e-4
         assert sched.tune_penalty((8, 8, "f32")) == 0.0
-
-    def test_warm_rejects_unknown_mode(self, machine):
-        from repro.serve.scheduler import Scheduler
-
-        sched = Scheduler(
-            n_clusters=1, policy="fifo", cold_tune_s=1e-4, machine=machine
-        )
-        with pytest.raises(PlanError):
-            sched.warm([(GemmShape(64, 32, 64), "f32")], tune="genetic")
-
-    def test_serve_latency_identical_across_warmup_modes(self):
-        from repro.serve.loadgen import make_requests
-        from repro.serve.server import ServeConfig, serve
-
-        reqs = make_requests(
-            "transformer", rate_rps=4000, n_requests=30, seed=3
-        )
-        r_rule = serve(reqs, ServeConfig(warmup_tune="rule"))
-        r_search = serve(reqs, ServeConfig(warmup_tune="search"))
-        assert (
-            [(r.req_id, r.latency_s) for r in r_rule.records]
-            == [(r.req_id, r.latency_s) for r in r_search.records]
-        )
