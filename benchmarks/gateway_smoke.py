@@ -17,9 +17,9 @@ Drives the fixed-seed reference mix through the asyncio gateway
 
 3. **Zero corruption under chaos.**  With one sick cluster under
    aggressive bit-flips and degrade enabled, every loss must be typed
-   (shed or failed, never silent), no corrupted result may complete
-   unrepaired, and the conservation law offered = completed + shed +
-   failed must hold.
+   (shed or failed, never silent), every completed C must equal a fresh
+   fault-free standalone ``ftimm_gemm`` of its pre-run operands, and
+   the conservation law offered = completed + shed + failed must hold.
 
 All runs are deterministic (simulated time, fixed seed), so a failure
 here is a regression, not noise.
@@ -31,6 +31,7 @@ Usage::
 
 from __future__ import annotations
 
+import copy
 import sys
 
 from repro.faults import FaultPlan
@@ -42,6 +43,7 @@ from repro.serve import (
     make_requests,
     serve,
 )
+from repro.serve.degrade import silent_corruptions
 
 SEED = 42
 OFFERED_RPS = 120_000.0
@@ -97,13 +99,14 @@ def main(argv: list[str]) -> int:
         faults=FaultPlan(seed=seed, bitflip_rate=1.0, max_kernel_retries=0),
         cluster_fault_scale=(1.0,) + (0.0,) * (n_clusters - 1),
     )
-    chaotic = gateway_replay(_requests(seed), chaos_config)
+    # A, B and C0 snapshotted before the run: every completed C is
+    # audited against a fresh fault-free standalone ftimm_gemm
+    served = _requests(seed)
+    pristine = copy.deepcopy(served)
+    chaotic = gateway_replay(served, chaos_config)
     counts = {r.status for r in chaotic.records}
     accounted = chaotic.completed + chaotic.shed + chaotic.failed
-    corrupted = [
-        r for r in chaotic.records
-        if r.status == "completed" and not r.bit_exact
-    ]
+    corrupted = silent_corruptions(chaotic, served, pristine)
     print(
         f"gateway under chaos: completed={chaotic.completed} "
         f"shed={chaotic.shed} failed={chaotic.failed} "
@@ -122,8 +125,8 @@ def main(argv: list[str]) -> int:
         )
     if corrupted:
         failures.append(
-            f"{len(corrupted)} corrupted result(s) completed unrepaired "
-            "under chaos"
+            f"{len(corrupted)} completed result(s) differ from the "
+            "standalone answer under chaos"
         )
     if chaotic.redispatches == 0 and chaotic.failed == 0:
         failures.append(

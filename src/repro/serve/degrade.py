@@ -338,6 +338,36 @@ class ServeChaosReport:
         return "\n".join(lines)
 
 
+def silent_corruptions(
+    report, served: list[GemmRequest], pristine: list[GemmRequest],
+    *, machine=None,
+) -> list[int]:
+    """Completed requests whose served C is not the standalone answer.
+
+    ``served`` are the request objects the run wrote its results into,
+    ``pristine`` the same requests' A, B and C0 as snapshotted before
+    the run.  Each completed response is compared, bit for bit, against
+    a fresh fault-free standalone :func:`~repro.core.ftimm.ftimm_gemm`
+    of its pristine operands; a mismatch is a **silent corruption**, the
+    one outcome the whole fault lineage forbids.
+    """
+    from ..core.ftimm import ftimm_gemm
+
+    out = {r.req_id: r for r in served}
+    ref_of = {r.req_id: r for r in pristine}
+    silent = []
+    for rec in report.records:
+        if rec.status != COMPLETED:
+            continue
+        p = ref_of[rec.req_id]
+        ref = p.c.copy()
+        ftimm_gemm(p.shape.m, p.shape.n, p.shape.k, a=p.a, b=p.b, c=ref,
+                   machine=machine, timing="none")
+        if not np.array_equal(ref, out[rec.req_id].c):
+            silent.append(rec.req_id)
+    return silent
+
+
 def _clone_requests(requests: list[GemmRequest]) -> list[GemmRequest]:
     """Fresh request objects with copied operands (serve mutates C)."""
     return [
@@ -365,50 +395,30 @@ def chaos_serve(
 ) -> ServeChaosReport:
     """Run a request stream under faults and audit the contract itself.
 
-    The server already verifies-and-repairs; this harness does not trust
-    it.  It keeps pristine copies of every operand, serves clones, then
-    independently recomputes each completed response with a standalone
-    :func:`~repro.core.ftimm.ftimm_gemm` — a mismatch is a **silent
-    corruption** (the one outcome the whole fault lineage forbids).
-    Every non-completed request must carry a typed error reason, and
-    with ``replay=True`` the run is repeated from scratch and the two
-    latency tables compared bit-for-bit.
+    The harness does not trust the server.  It serves clones of
+    ``requests`` (which stay pristine) and audits every completed
+    response with :func:`silent_corruptions`.  Every non-completed
+    request must carry a typed error reason, and with ``replay=True``
+    the run is repeated from scratch and the two latency tables
+    compared bit-for-bit.
 
     Compose any :class:`~repro.faults.plan.FaultPlan` via
     ``config.faults`` (bit-flip / DMA rates under any timing mode; DDR
     degradation windows and timed core faults need ``timing="des"``),
     and any load mix via ``requests`` — the harness is policy-agnostic.
     """
-    from ..core.ftimm import ftimm_gemm
     from .server import ServeConfig, serve
 
     config = config or ServeConfig()
     if not requests:
         raise PlanError("empty request stream")
-    originals = {
-        r.req_id: (r.a.copy(), r.b.copy(), r.c.copy()) for r in requests
-    }
-
     served = _clone_requests(requests)
     report = serve(served, config, machine=machine)
-    by_id = {r.req_id: r for r in served}
-
-    silent: list[int] = []
-    untyped: list[int] = []
-    for rec in report.records:
-        if rec.status == COMPLETED:
-            a, b, c0 = originals[rec.req_id]
-            ref = c0.copy()
-            ftimm_gemm(
-                by_id[rec.req_id].shape.m,
-                by_id[rec.req_id].shape.n,
-                by_id[rec.req_id].shape.k,
-                a=a, b=b, c=ref, machine=machine, timing="none",
-            )
-            if not np.array_equal(ref, by_id[rec.req_id].c):
-                silent.append(rec.req_id)
-        elif not rec.error:
-            untyped.append(rec.req_id)
+    silent = silent_corruptions(report, served, requests, machine=machine)
+    untyped = [
+        rec.req_id for rec in report.records
+        if rec.status != COMPLETED and not rec.error
+    ]
 
     deterministic: bool | None = None
     if replay:

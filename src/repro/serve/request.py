@@ -78,7 +78,6 @@ class RequestRecord:
     batch_id: int | None = None
     batch_size: int | None = None
     cluster: int | None = None
-    bit_exact: bool | None = None  # verified against standalone ftimm_gemm
     error: str | None = None
     #: priority class the degradation policy assigned (None = no policy)
     priority: str | None = None
@@ -141,3 +140,5 @@ class BatchRecord:
     close_reason: str = "full"
     #: the typed error of each failed dispatch attempt, in order
     attempt_errors: list[str] = field(default_factory=list)
+    #: the cluster each failed attempt ran on (and was attributed to)
+    fault_clusters: list[int] = field(default_factory=list)

@@ -24,12 +24,11 @@ Contracts, enforced rather than hoped for:
 * **No silent drops.** Every request ends ``completed``, ``shed`` (typed
   :class:`~repro.errors.OverloadError`, counted) or ``failed`` (typed
   ``FaultError`` after the re-dispatch budget, counted).
-* **Bit-exact responses.** With ``verify=True`` (default) every
-  completed response is compared against a standalone
-  :func:`~repro.core.ftimm.ftimm_gemm` of the request's own shape.  A
-  coalesced member whose stacked execution picked a different blocked
-  summation order is *repaired* to the standalone bits and counted in
-  ``verify_repaired`` — served bits are standalone bits, always.
+* **Bit-exact responses.** Each batch member runs on its own standalone
+  :func:`~repro.core.ftimm.ftimm_gemm` program, so served bits are
+  standalone bits by construction.  A member the fault plan struck is
+  recomputed fault-free, and bits that differ (a core-failure re-plan,
+  a fault past ABFT) are replaced and counted in ``verify_repaired``.
 * **Honest accounting.** Failed fault-injection attempts charge their
   modeled time to the cluster (``lost_s``), cold tunes are charged to
   the batch that hit them, and shed requests stay in the tables.
@@ -43,14 +42,13 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from ..analysis.tables import format_table
-from ..core.batched import GroupedGemmResult, grouped_gemm
+from ..core.batched import grouped_gemm
 from ..core.ftimm import ftimm_gemm
 from ..core.shapes import GemmShape
 from ..errors import FaultError, OverloadError, PlanError
 from ..faults.plan import FaultPlan
 from ..hw.config import MachineConfig, default_machine
 from ..obs import current
-from ..obs.trace import maybe_scope
 from .batcher import (
     Batch,
     ShapeBucketBatcher,
@@ -124,7 +122,6 @@ class ServeConfig:
     #: class that warmup did not cover (a constant, so replays stay
     #: bit-identical across runs and machines)
     cold_tune_s: float = DEFAULT_COLD_TUNE_S
-    verify: bool = True
     timing: str = "analytic"
     faults: FaultPlan | None = None
     max_redispatch: int = 2
@@ -191,7 +188,7 @@ class ServeReport:
     warmup: WarmupReport
     makespan_s: float
     offered_rps: float
-    #: verification bookkeeping (None counts when verify was off)
+    #: fault-struck members whose bits a fault-free recompute replaced
     verify_repaired: int = 0
     redispatches: int = 0
     #: degradation outcome (None when no degrade policy was configured)
@@ -325,13 +322,12 @@ class _Execution:
     redispatches: int = 0
     repaired: int = 0
     error: str | None = None
-    result: GroupedGemmResult | None = None
     attempt_errors: list[str] = field(default_factory=list)
     #: the backend the final attempt ran on (health-aware re-routing may
-    #: move a batch off the cluster it was first bound to); None for EDF
+    #: move a batch off the cluster it was first bound to)
     backend: object | None = None
-    #: clusters whose attempt faulted (feeds quarantine + re-routing)
-    failed_on: list[int] = field(default_factory=list)
+    #: the cluster each failed attempt ran on
+    fault_clusters: list[int] = field(default_factory=list)
 
     @property
     def span_s(self) -> float:
@@ -423,8 +419,8 @@ class ServeEngine:
         self._events: list[tuple[float, int, int, str, object]] = []
         self._seq = 0
         self._finished = False
-        #: EDF central queue: (deadline, close_s, batch_id, batch, execution)
-        self._ready: list[tuple[float, float, int, Batch, _Execution]] = []
+        #: EDF central queue: (deadline, close_s, batch_id, batch)
+        self._ready: list[tuple[float, float, int, Batch]] = []
 
     # -- event plumbing ----------------------------------------------------
 
@@ -617,22 +613,28 @@ class ServeEngine:
                 for _cluster, _start, end in staged:
                     self._push(end, "free", None)
         if self.config.policy == "edf":
-            execution = self._execute(batch, now, None)
             deadline = batch.deadline_s
             heapq.heappush(self._ready, (
                 deadline if deadline is not None else float("inf"),
-                batch.close_s, batch.batch_id, batch, execution,
+                batch.close_s, batch.batch_id, batch,
             ))
             self._edf_pull(now)
             return
-        # eager policies bind the backend first so fault attempts can be
-        # attributed to (and re-routed off) a concrete cluster
-        backend = self.sched.pick_backend(
+        self._bind(batch, self.sched.pick_backend(
             now, key=batch.key if self.placement is not None else None
-        )
+        ), now)
+
+    def _bind(self, batch: Batch, backend, now: float) -> None:
+        """Execute ``batch`` on ``backend`` at ``now`` and place it on the
+        timeline — the one bind path of every policy.
+
+        Fault attempts run on (and are attributed to) the cluster the
+        batch is bound to; with a health policy a faulted attempt
+        re-routes, and the batch lands on the cluster its final attempt
+        ran on.
+        """
         execution = self._execute(batch, now, backend)
-        if execution.backend is not None:
-            backend = execution.backend
+        backend = execution.backend
         self._apply_residency(batch, execution, backend, now)
         start = max(now, backend.busy_until_s)
         if start > now:
@@ -665,11 +667,7 @@ class ServeEngine:
             backend = self.sched.idle_backend(now, key=key)
             if backend is None:
                 return
-            _dl, _cs, _bid, batch, execution = heapq.heappop(self._ready)
-            self._apply_residency(batch, execution, backend, now)
-            self.pending -= batch.n_items
-            self._gauge_queue()
-            self._finalize(batch, execution, backend, now)
+            self._bind(heapq.heappop(self._ready)[-1], backend, now)
 
     # -- execution ---------------------------------------------------------
 
@@ -679,33 +677,22 @@ class ServeEngine:
         now: float,
         backend,
     ) -> _Execution:
-        """Run the batch functionally + under the cost model.
+        """Run the batch on ``backend`` functionally + under the cost model.
 
-        Results do not depend on *when* the batch runs, so execution
-        happens at close time; only the accounting is placed on the
-        simulated timeline by :meth:`_finalize`.  ``backend`` is the
-        cluster the batch is bound to (None for EDF, which binds at pull
-        time): fault attempts are attributed to it, and with a health
-        policy a faulted attempt re-routes to another eligible cluster.
-        For EDF an attribution-only route is chosen here when faults
-        need a cluster identity (scaling/health); the time accounting
-        still lands on whichever backend pulls the batch — a documented
-        simplification.
+        Each member runs on its own standalone program, so its bits are
+        the standalone bits by construction; the batch is charged the
+        stacked program the grouped call models (stacking changes only
+        the M blocking, never a member's strategy or K blocking).  Fault
+        attempts are attributed to the cluster they run on, and with a
+        health policy a faulted attempt re-routes to another eligible
+        cluster.  A failed attempt leaves every ``C_i`` untouched.
         """
         cfg = self.config
         m = current()
         route = backend
-        if route is None and (
-            cfg.cluster_fault_scale is not None
-            or self.sched.health is not None
-        ):
-            route = self.sched.route_retry(now, set())
         n, k, dtype, _b = batch.key
         tune_s = self.sched.tune_penalty((n, k, dtype))
-        a_blocks = [r.a for r in batch.requests]
-        c_blocks = [r.c for r in batch.requests]
-        b = batch.requests[0].b
-        c_before = [r.c.copy() for r in batch.requests] if cfg.verify else None
+        m_blocks = [r.shape.m for r in batch.requests]
 
         # staging through the host into the cluster's memory partition:
         # A blocks + one shared B in, C in and out
@@ -717,18 +704,17 @@ class ServeEngine:
         stage_nob_s = (a_bytes + 2 * c_bytes) / cpu_bw
 
         lost_s = 0.0
-        redispatches = 0
-        attempt = 0
         attempt_errors: list[str] = []
         failed_on: list[int] = []
         while True:
+            attempt = len(attempt_errors)
             faults = None
             if cfg.faults is not None:
                 seed = (
                     cfg.faults.seed + 1_000 * attempt + 7 * batch.batch_id
                 )
                 overrides: dict[str, object] = {}
-                if cfg.cluster_fault_scale is not None and route is not None:
+                if cfg.cluster_fault_scale is not None:
                     # per-cluster fault attribution: rates scale with the
                     # cluster's sickness and the seed depends on *which*
                     # cluster runs the attempt, so re-routing a batch off
@@ -743,83 +729,76 @@ class ServeEngine:
                     )
                 faults = dc_replace(cfg.faults, seed=seed, **overrides)
             try:
+                served = []
+                for i, req in enumerate(batch.requests):
+                    c = req.c.copy()
+                    run = ftimm_gemm(
+                        req.shape.m, req.shape.n, req.shape.k,
+                        a=req.a, b=req.b, c=c, machine=self.machine,
+                        timing="none",
+                        # each member draws its own fault sites, so
+                        # members of one shape do not share them
+                        faults=None if faults is None else dc_replace(
+                            faults, seed=faults.seed + 101 * i
+                        ),
+                    )
+                    served.append((req, c, run.faults))
                 result = grouped_gemm(
-                    a_blocks, b, c_blocks,
+                    None, None, None, m_blocks=m_blocks, n=n, k=k,
                     machine=self.machine, timing=cfg.timing, faults=faults,
                 )
                 break
             except FaultError as exc:
                 # the failed attempt's modeled time is honestly lost
                 lost_s += grouped_gemm(
-                    None, None, None,
-                    m_blocks=[r.shape.m for r in batch.requests],
-                    n=n, k=k,
+                    None, None, None, m_blocks=m_blocks, n=n, k=k,
                     machine=self.machine, timing="analytic",
                 ).seconds
-                attempt += 1
-                redispatches += 1
                 attempt_errors.append(f"{type(exc).__name__}: {exc}")
                 if m is not None:
                     m.counter("serve/redispatches").inc()
-                if route is not None:
-                    failed_on.append(route.idx)
-                    self.sched.note_fault(
-                        route.idx, now, f"{type(exc).__name__}: {exc}"
-                    )
-                    if self.sched.health is not None:
-                        route = self.sched.route_retry(now, set(failed_on))
-                if attempt > cfg.max_redispatch:
-                    return _Execution(
-                        ok=False,
-                        tune_s=tune_s,
-                        stage_s=stage_s,
-                        stage_nob_s=stage_nob_s,
-                        lost_s=lost_s,
-                        redispatches=redispatches,
-                        error=f"{type(exc).__name__}: {exc}",
-                        attempt_errors=attempt_errors,
-                        backend=route if backend is not None else None,
-                        failed_on=failed_on,
-                    )
+                failed_on.append(route.idx)
+                self.sched.note_fault(route.idx, now, attempt_errors[-1])
+                if self.sched.health is not None:
+                    route = self.sched.route_retry(now, set(failed_on))
+                if len(attempt_errors) > cfg.max_redispatch:
+                    served, result = [], None
+                    break
 
         repaired = 0
-        if cfg.verify:
-            # verification is host work off the simulated timeline, so its
-            # span carries wall time only
-            with maybe_scope(
-                "verify", category="verify", track="verifier", pid=0,
-                args={"batch_id": batch.batch_id, "n_items": batch.n_items},
-            ) as vscope:
-                for req, c0 in zip(batch.requests, c_before):
-                    standalone = c0.copy()
-                    ftimm_gemm(
-                        req.shape.m, req.shape.n, req.shape.k,
-                        a=req.a, b=req.b, c=standalone,
-                        machine=self.machine, timing="none",
-                    )
-                    if not np.array_equal(standalone, req.c):
-                        # stacked blocking summed in a different order; the
-                        # served bits must be the standalone bits — repair
-                        req.c[...] = standalone
-                        repaired += 1
-                if vscope is not None:
-                    vscope.args["repaired"] = repaired
-            if repaired and m is not None:
-                m.counter("serve/verify/repaired").inc(repaired)
+        for req, c, report in served:
+            if report is not None and (
+                report.injected_bitflips or report.core_failures
+            ):
+                # the plan struck this member: a core-failure re-plan or
+                # a fault past ABFT may have moved its bits, so the
+                # served bits are a fault-free standalone recompute's
+                clean = req.c.copy()
+                ftimm_gemm(
+                    req.shape.m, req.shape.n, req.shape.k,
+                    a=req.a, b=req.b, c=clean,
+                    machine=self.machine, timing="none",
+                )
+                if not np.array_equal(clean, c):
+                    c = clean
+                    repaired += 1
+            req.c[...] = c
+        if repaired and m is not None:
+            m.counter("serve/verify/repaired").inc(repaired)
 
         return _Execution(
-            ok=True,
-            gemm_s=result.seconds,
+            ok=result is not None,
+            gemm_s=result.seconds if result is not None else 0.0,
             tune_s=tune_s,
             stage_s=stage_s,
             stage_nob_s=stage_nob_s,
             lost_s=lost_s,
-            redispatches=redispatches,
+            redispatches=len(attempt_errors),
             repaired=repaired,
-            result=result,
+            error=None if result is not None else attempt_errors[-1],
             attempt_errors=attempt_errors,
-            backend=route if backend is not None else None,
-            failed_on=failed_on,
+            backend=route,
+            fault_clusters=failed_on,
         )
 
     def _finalize(
@@ -857,6 +836,7 @@ class ServeEngine:
             b_resident=execution.b_resident,
             close_reason=batch.reason,
             attempt_errors=execution.attempt_errors,
+            fault_clusters=execution.fault_clusters,
         ))
         if m is not None:
             m.counter("serve/batches").inc()
@@ -891,8 +871,6 @@ class ServeEngine:
                 batch_id=batch.batch_id,
                 batch_size=batch.n_items,
                 cluster=backend.idx,
-                bit_exact=(True if (execution.ok and self.config.verify)
-                           else None),
                 error=execution.error,
                 priority=pcls.name if pcls is not None else None,
             )
@@ -965,7 +943,7 @@ def assemble_report(
             probes=sum(1 for e in events if e.kind == "probe"),
             recoveries=sum(1 for e in events if e.kind == "recover"),
             shed_by_class=dict(engine.shed_by_class),
-            # faults are noted at batch close, successes at finish, so
+            # faults are noted at bind time, successes at finish, so
             # the raw append order is not the timeline order
             events=sorted(events, key=lambda e: e.at_s),
         )

@@ -13,9 +13,8 @@ per request a ``request`` span with queue / batch-wait / compute
 children on non-overlapping ``req-laneN`` tracks; ``degrade`` and
 ``placement`` instants from the report's event timelines.
 
-Wall-clock scopes (``warmup``, ``verify``, GEMM scopes, DES spans) and
-the gateway's own spans are recorded live, where their host time is
-spent.
+Wall-clock scopes (``warmup``, GEMM scopes, DES spans) and the
+gateway's own spans are recorded live, where their host time is spent.
 """
 
 from __future__ import annotations

@@ -312,7 +312,9 @@ class TestQuarantine:
             policy="least_loaded", queue_cap=256,
             degrade=DegradePolicy(health=HealthPolicy(
                 fault_threshold=1, cooldown_s=2e-4)),
-            faults=FaultPlan(seed=7, bitflip_rate=1e-3,
+            # members draw faults from their own seeds; seed 4 is one
+            # whose stream shows the full life cycle on this mix
+            faults=FaultPlan(seed=4, bitflip_rate=1e-3,
                              max_kernel_retries=0),
             cluster_fault_scale=SICK_FIRST,
             max_redispatch=3,

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import critical_path, diff_critical_paths
+from repro.core.ftimm import ftimm_gemm
 from repro.errors import FaultError, OverloadError, PlanError
 from repro.faults import FaultPlan
 from repro.obs import MetricsRegistry, collecting, tracing
@@ -230,18 +231,23 @@ class TestLiveSubmission:
     def test_submit_gemm_stamps_arrivals_and_computes(self):
         rng = np.random.default_rng(0)
 
+        a = rng.standard_normal((32, 16)).astype(np.float32)
+        b = rng.standard_normal((16, 24)).astype(np.float32)
+        c = np.zeros((32, 24), dtype=np.float32)
+
         async def drive():
-            async with Gateway(ServeConfig(verify=True)) as gw:
-                a = rng.standard_normal((32, 16)).astype(np.float32)
-                b = rng.standard_normal((16, 24)).astype(np.float32)
-                rec = await gw.submit_gemm(a, b, deadline_budget_s=1.0)
+            async with Gateway(ServeConfig()) as gw:
+                rec = await gw.submit_gemm(a, b, c=c, deadline_budget_s=1.0)
                 # live clock: the next auto-stamped arrival never
                 # precedes the resolved response
                 rec2 = await gw.submit_gemm(a, b)
                 return rec, rec2
 
         rec, rec2 = asyncio.run(drive())
-        assert rec.status == COMPLETED and rec.bit_exact
+        assert rec.status == COMPLETED
+        ref = np.zeros_like(c)
+        ftimm_gemm(32, 24, 16, a=a, b=b, c=ref, timing="none")
+        assert np.array_equal(c, ref)
         assert rec2.arrival_s >= rec.finish_s
         assert rec.deadline_met is True
 

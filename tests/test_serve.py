@@ -209,8 +209,7 @@ class TestFaultsUnderServe:
     def test_fault_storm_fails_batches_honestly(self):
         plan = FaultPlan(seed=3, bitflip_rate=1.0, max_kernel_retries=0)
         rep = serve(fast_requests(n=12),
-                    ServeConfig(faults=plan, max_redispatch=1,
-                                verify=False))
+                    ServeConfig(faults=plan, max_redispatch=1))
         assert rep.failed == 12
         assert rep.completed == 0
         failed = [r for r in rep.records if r.status == FAILED]

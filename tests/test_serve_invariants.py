@@ -15,7 +15,11 @@ draw:
 * **cluster monotonicity** — per-cluster batch intervals never overlap
   and never run backwards (the ``busy_until_s`` monotone contract);
 * **replica budget** — per-cluster replica residency never exceeds the
-  configured budget, and placement accounting matches the batch records.
+  configured budget, and placement accounting matches the batch records;
+* **fault attribution** — every fault, quarantine, probe and recovery
+  names the cluster that ran the work: a batch executes when it binds,
+  so its failed attempts run (and are charged) on clusters it was bound
+  or re-routed to, never on a cluster picked for attribution alone.
 
 Plus the ``cold_tune_s`` regression: the (constant) cold-tune penalty
 keeps replays bit-identical across runs.
@@ -27,7 +31,8 @@ from dataclasses import replace as dc_replace
 import pytest
 
 from repro.faults import FaultPlan
-from repro.serve import ServeConfig, make_requests, serve
+from repro.serve import DegradePolicy, ServeConfig, make_requests, serve
+from repro.serve.degrade import HealthPolicy
 from repro.serve.request import COMPLETED, FAILED, SHED
 
 from test_serve import fast_requests
@@ -135,6 +140,44 @@ def _check_replica_budget(report):
     assert placement.promotions >= placement.replica_sets
 
 
+def _check_fault_attribution(report):
+    """Every fault, quarantine, probe and retry names the executing cluster.
+
+    Each failed attempt records the cluster it ran on.  Without a health
+    policy a batch never re-routes, so its failed attempts ran on, and
+    their lost time sits in, the batch's own busy interval.  A batch
+    binds (and executes) between its close and its start, so every
+    quarantine and probe is stamped inside that window on a cluster the
+    batch ran an attempt on, and every recovery is the finish of a batch
+    that completed on the recovering cluster.
+    """
+    for b in report.batches:
+        assert len(b.fault_clusters) == b.redispatches \
+            == len(b.attempt_errors)
+        if report.config.degrade is None:
+            assert set(b.fault_clusters) <= {b.cluster}, b.batch_id
+    if report.degrade is None:
+        return
+    status = {r.req_id: r.status for r in report.records}
+    for e in report.degrade.events:
+        if e.kind == "recover":
+            assert any(
+                b.cluster == e.cluster and b.finish_s == e.at_s
+                and all(status[r] == COMPLETED for r in b.request_ids)
+                for b in report.batches
+            ), e.describe()
+            continue
+        ran = (
+            (lambda b: e.cluster in b.fault_clusters) if e.kind == "quarantine"
+            else (lambda b: e.cluster in b.fault_clusters
+                  or e.cluster == b.cluster)
+        )
+        assert any(
+            ran(b) and b.close_s <= e.at_s <= b.start_s
+            for b in report.batches
+        ), e.describe()
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("replicate", REPLICATE)
@@ -147,6 +190,41 @@ def test_serve_invariants(seed, policy, replicate, faulty):
     _check_batch_decomposition(report)
     _check_cluster_monotone(report)
     _check_replica_budget(report)
+    _check_fault_attribution(report)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_faults_name_the_executing_cluster(policy):
+    """One sick cluster faults every attempt; health re-routes off it.
+
+    Every fault and quarantine must name the sick cluster, and no batch
+    may complete there: a completed batch's interval is on the cluster
+    whose attempt succeeded.
+    """
+    requests = fast_requests(n=48, rate=100_000, seed=0)
+    report = serve(requests, ServeConfig(
+        policy=policy, queue_cap=64,
+        degrade=DegradePolicy(health=HealthPolicy(fault_threshold=1,
+                                                  cooldown_s=2e-4)),
+        faults=FaultPlan(seed=1, bitflip_rate=1.0, max_kernel_retries=0),
+        cluster_fault_scale=(1.0, 0.0, 0.0, 0.0), max_redispatch=1,
+    ))
+    _check_conservation(report, len(requests))
+    _check_batch_decomposition(report)
+    _check_cluster_monotone(report)
+    _check_fault_attribution(report)
+    faulted = {c for b in report.batches for c in b.fault_clusters}
+    assert faulted == {0}
+    # the sick cluster is quarantined, probed, and never recovers: every
+    # probe it is bound to faults
+    assert report.degrade.quarantines > 0 and report.degrade.probes > 0
+    assert report.degrade.recoveries == 0
+    assert {e.cluster for e in report.degrade.events
+            if e.kind == "quarantine"} == {0}
+    status = {r.req_id: r.status for r in report.records}
+    for b in report.batches:
+        if all(status[r] == COMPLETED for r in b.request_ids):
+            assert b.cluster != 0, b.batch_id
 
 
 @pytest.mark.parametrize("policy", POLICIES)
