@@ -1,5 +1,6 @@
 """CI perf smoke: the trace-compiled kernel path must beat the interpreter,
-and repeated calls must reuse one lowered program.
+repeated calls must reuse one lowered program, and repeated copies of one
+B must reuse one interned digest.
 
 Runs the reference functional workload (512x32x512, the shape the CI
 perf-report smoke already uses) once with ``kernel_exec="interp"`` and
@@ -12,7 +13,11 @@ Both runs start from an empty program cache, so each pays its lowering.
 The program-cache gate counts rather than times, so it holds on any
 machine: five repeated ``ftimm_gemm`` calls on the shape must lower once
 (``core/lowering/misses`` 1, ``hits`` 4) and give C bit-identical to a
-cache-cold call, clean and under a seeded fault plan alike.
+cache-cold call, clean and under a seeded fault plan alike.  The B-intern
+gate counts too: five fresh copies of one B must digest once
+(``core/batched/b_intern/misses`` 1, ``hits`` 4) to the same blake2b an
+inline hash gives, and a copy with one bit flipped must miss and digest
+differently.
 
 Usage::
 
@@ -21,11 +26,13 @@ Usage::
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import time
 
 import numpy as np
 
+from repro.core.batched import b_digest, clear_interned
 from repro.core.ftimm import clear_programs, ftimm_gemm
 from repro.core.shapes import GemmShape
 from repro.faults.plan import FaultPlan
@@ -83,6 +90,46 @@ def cache_gate(shape: GemmShape, faults: FaultPlan | None) -> bool:
     return ok
 
 
+def inline_digest(b: np.ndarray) -> str:
+    h = hashlib.blake2b(digest_size=16)
+    h.update(str(b.dtype).encode())
+    h.update(str(b.shape).encode())
+    h.update(np.ascontiguousarray(b).tobytes())
+    return h.hexdigest()
+
+
+def intern_gate(shape: GemmShape) -> bool:
+    """Fresh copies of one B hash once; a one-bit change never hits."""
+    _a, b, _c = random_operands(shape, seed=0)
+    flipped = b.copy()
+    flipped.view(np.uint32)[1, 1] ^= 1
+    clear_interned()
+    with collecting() as reg:
+        digests = [b_digest(b.copy()) for _ in range(CACHE_CALLS)]
+        counts = {
+            name: reg.counter(f"core/batched/b_intern/{name}").value
+            for name in ("misses", "hits")
+        }
+        flipped_digest = b_digest(flipped)
+        flipped_misses = reg.counter("core/batched/b_intern/misses").value
+    print(f"  B intern: {CACHE_CALLS} copies, "
+          f"misses={counts['misses']:g} hits={counts['hits']:g}")
+    ok = True
+    if counts != {"misses": 1, "hits": CACHE_CALLS - 1}:
+        print(f"FAIL: expected 1 miss and {CACHE_CALLS - 1} hits")
+        ok = False
+    if digests != [inline_digest(b)] * CACHE_CALLS:
+        print("FAIL: an interned digest differs from the inline blake2b")
+        ok = False
+    if flipped_misses != counts["misses"] + 1:
+        print("FAIL: a B with one bit flipped did not miss")
+        ok = False
+    if flipped_digest == digests[0] or flipped_digest != inline_digest(flipped):
+        print("FAIL: a B with one bit flipped did not get its own digest")
+        ok = False
+    return ok
+
+
 def main(argv: list[str]) -> int:
     if len(argv) > 1:
         m, n, k = (int(x) for x in argv[1].lower().split("x"))
@@ -109,6 +156,10 @@ def main(argv: list[str]) -> int:
     if not (cache_gate(shape, None) and cache_gate(shape, GATE_FAULTS)):
         return 1
     print("OK: repeated calls reuse one program, bit-identical to cold")
+
+    if not intern_gate(shape):
+        return 1
+    print("OK: copies of one B hash once; one flipped bit gets its own digest")
     return 0
 
 

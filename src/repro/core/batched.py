@@ -17,12 +17,17 @@ fills, barriers, strategy setup) per call.  Two batching tools:
 
 Sharing is decided by **content digest** (:func:`b_digest`): two B
 arrays that are equal but distinct objects — the normal case for
-requests deserialized from a stream — still coalesce.
+requests deserialized from a stream — still coalesce.  The digest is
+interned: blake2b runs once per distinct B content, and every later B
+with bitwise-equal content gets the stored digest back after one
+element-wise compare, from a process-wide table bounded by
+:data:`_INTERN_BYTES`.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +35,50 @@ import numpy as np
 from ..errors import PlanError, ShapeError
 from ..faults.plan import FaultPlan
 from ..hw.config import MachineConfig, default_machine
+from ..obs.registry import current as _obs_current
 from .ftimm import GemmResult, ftimm_gemm
 from .shapes import GemmShape
+
+
+#: bound on the bytes all interned B copies hold together.  The serve
+#: benchmark mixes hold a few MB of distinct B; a B larger than the bound
+#: is digested and not kept.
+_INTERN_BYTES = 16 << 20
+
+#: samples per axis in an intern fingerprint
+_FINGERPRINT_STEPS = 8
+
+#: (dtype, shape, fingerprint) -> [(private copy, digest), ...], oldest first
+_interned: OrderedDict[tuple, list[tuple[np.ndarray, str]]] = OrderedDict()
+_interned_bytes = 0
+
+
+def _blake2b(b: np.ndarray) -> str:
+    h = hashlib.blake2b(digest_size=16)
+    h.update(str(b.dtype).encode())
+    h.update(str(b.shape).encode())
+    h.update(np.ascontiguousarray(b).tobytes())
+    return h.hexdigest()
+
+
+def _fingerprint(b: np.ndarray) -> bytes:
+    """Bytes of a strided sample along every axis (copies only the sample)."""
+    step = tuple(
+        slice(None, None, max(1, n // _FINGERPRINT_STEPS)) for n in b.shape
+    )
+    return np.asarray(b[step]).tobytes()
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    """``x`` as unsigned integers of its item size.
+
+    Equal bit patterns compare equal, unlike float ``==``, which merges
+    ``-0.0`` with ``0.0`` and never matches a NaN.
+    """
+    size = x.dtype.itemsize
+    if size in (1, 2, 4, 8):
+        return x.view(f"u{size}")
+    return np.ascontiguousarray(x).view(np.uint8)
 
 
 def b_digest(b: np.ndarray) -> str:
@@ -39,12 +86,52 @@ def b_digest(b: np.ndarray) -> str:
 
     Equal arrays (same dtype, shape and element bytes) digest equally even
     when they are distinct objects or non-contiguous views.
+
+    Interned: the blake2b runs once per distinct content.  The table is
+    keyed on dtype, shape and a strided sample of the elements, and a B
+    reuses a stored digest only if its bit patterns equal the stored
+    private copy's, so unequal bits never share a digest even when their
+    samples collide, and mutating a B after digesting it cannot poison
+    the table.  The table is an LRU bounded by :data:`_INTERN_BYTES`
+    total bytes; a B larger than the bound is digested and not kept.
+    Counts ``core/batched/b_intern/{hits,misses,evictions}`` in the
+    ambient :mod:`repro.obs` registry.
     """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(str(b.dtype).encode())
-    h.update(str(b.shape).encode())
-    h.update(np.ascontiguousarray(b).tobytes())
-    return h.hexdigest()
+    global _interned_bytes
+    key = (b.dtype, b.shape, _fingerprint(b))
+    metrics = _obs_current()
+    entries = _interned.get(key)
+    if entries is not None:
+        bits = _bits(b)
+        for copy, digest in entries:
+            if np.array_equal(bits, _bits(copy)):
+                _interned.move_to_end(key)
+                if metrics is not None:
+                    metrics.counter("core/batched/b_intern/hits").inc()
+                return digest
+    if metrics is not None:
+        metrics.counter("core/batched/b_intern/misses").inc()
+    copy = b.copy(order="C")
+    digest = _blake2b(copy)
+    if copy.nbytes > _INTERN_BYTES:
+        return digest
+    copy.flags.writeable = False
+    _interned.setdefault(key, []).append((copy, digest))
+    _interned.move_to_end(key)
+    _interned_bytes += copy.nbytes
+    while _interned_bytes > _INTERN_BYTES:
+        _key, evicted = _interned.popitem(last=False)
+        _interned_bytes -= sum(c.nbytes for c, _d in evicted)
+        if metrics is not None:
+            metrics.counter("core/batched/b_intern/evictions").inc(len(evicted))
+    return digest
+
+
+def clear_interned() -> None:
+    """Drop every interned B (tests and cold-start measurements)."""
+    global _interned_bytes
+    _interned.clear()
+    _interned_bytes = 0
 
 
 @dataclass

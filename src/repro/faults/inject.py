@@ -217,8 +217,10 @@ def _abft_expect(a, b, c_before):
 
 
 def _abft_ok(c, exp_rows, exp_cols, tol_rows, tol_cols) -> bool:
-    rows = c.sum(axis=1, dtype=np.float64)
-    cols = c.sum(axis=0, dtype=np.float64)
+    # a flip can make a tile non-finite; the isfinite check rejects it
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows = c.sum(axis=1, dtype=np.float64)
+        cols = c.sum(axis=0, dtype=np.float64)
     if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
         return False
     return bool(

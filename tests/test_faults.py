@@ -9,6 +9,8 @@ each recovery mechanism (DMA read-back, ABFT recompute, core-failure
 re-dispatch) and each loud-failure path (retry budgets, last core).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from repro.faults import (
     FaultPlan,
     chaos_sweep,
 )
+from repro.faults.inject import _abft_expect, _abft_ok
 
 M, N, K = 96, 32, 128
 
@@ -128,6 +131,28 @@ class TestNoFaultBitIdentity:
             faults=FaultPlan(seed=1),
         )
         assert result.timing_mode == "des"
+
+
+class TestAbftNonFinite:
+    @pytest.mark.parametrize("bad", [
+        [(1, 2, np.inf)],
+        [(1, 2, np.inf), (1, 3, -np.inf)],
+        [(0, 0, np.nan)],
+        [(2, 1, np.finfo(np.float64).max), (2, 2, np.finfo(np.float64).max)],
+    ])
+    def test_rejected_without_a_warning(self, bad):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((4, 8))
+        b = rng.standard_normal((8, 4))
+        c = np.zeros((4, 4))
+        expect = _abft_expect(a, b, c)
+        c += a @ b
+        assert _abft_ok(c, *expect)
+        for row, col, value in bad:
+            c[row, col] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not _abft_ok(c, *expect)
 
 
 class TestBitflipRecovery:
