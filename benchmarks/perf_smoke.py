@@ -1,6 +1,6 @@
 """CI perf smoke: the trace-compiled kernel path must beat the interpreter,
-repeated calls must reuse one lowered program, and repeated copies of one
-B must reuse one interned digest.
+repeated calls must reuse one lowered program, a clean call must run the
+flat program, and repeated copies of one B must reuse one interned digest.
 
 Runs the reference functional workload (512x32x512, the shape the CI
 perf-report smoke already uses) once with ``kernel_exec="interp"`` and
@@ -17,7 +17,10 @@ cache-cold call, clean and under a seeded fault plan alike.  The B-intern
 gate counts too: five fresh copies of one B must digest once
 (``core/batched/b_intern/misses`` 1, ``hits`` 4) to the same blake2b an
 inline hash gives, and a copy with one bit flipped must miss and digest
-differently.
+differently.  The flat-program gate counts as well: one clean call must
+run the flat program (``executor/functional/flat`` 1) with C bit-identical
+to the op list replayed closure by closure, and one call under the gate's
+fault plan must run the op list (``executor/functional/oplist`` 1).
 
 Usage::
 
@@ -33,8 +36,11 @@ import time
 import numpy as np
 
 from repro.core.batched import b_digest, clear_interned
-from repro.core.ftimm import clear_programs, ftimm_gemm
+from repro.core.ftimm import clear_programs, ftimm_gemm, lowered_program
+from repro.core.lowering import GemmOperands
 from repro.core.shapes import GemmShape
+from repro.core.tuner import tune
+from repro.hw.config import default_machine
 from repro.faults.plan import FaultPlan
 from repro.obs import collecting
 from repro.workloads.generators import random_operands
@@ -86,6 +92,49 @@ def cache_gate(shape: GemmShape, faults: FaultPlan | None) -> bool:
         ok = False
     if not all(np.array_equal(c, c_cold) for c in results):
         print("FAIL: a cached call differs from the cache-cold call")
+        ok = False
+    return ok
+
+
+def flat_gate(shape: GemmShape) -> bool:
+    """A clean call runs flat with the op list's bits; a faulted one does
+    not run flat."""
+    a, b, c0 = random_operands(shape, seed=0)
+
+    def paths(faults: FaultPlan | None) -> tuple[np.ndarray, dict]:
+        c = c0.copy()
+        with collecting() as reg:
+            ftimm_gemm(shape.m, shape.n, shape.k, a=a, b=b, c=c,
+                       timing="none", faults=faults)
+        return c, {
+            name: reg.counter(f"executor/functional/{name}").value
+            for name in ("flat", "oplist")
+        }
+
+    clear_programs()
+    c_flat, clean = paths(None)
+    cluster = default_machine().cluster
+    program = lowered_program(
+        shape, cluster, tune(shape, cluster), functional=True
+    )
+    c_oplist = c0.copy()
+    with program.ctx.binding(GemmOperands(a, b, c_oplist)):
+        for op in program.ordered_ops():
+            if op.run is not None:
+                op.run()
+    _c, faulted = paths(GATE_FAULTS)
+    print(f"  functional path: clean flat={clean['flat']:g} "
+          f"oplist={clean['oplist']:g}; faulted flat={faulted['flat']:g} "
+          f"oplist={faulted['oplist']:g}")
+    ok = True
+    if clean != {"flat": 1, "oplist": 0}:
+        print("FAIL: a clean call did not run the flat program")
+        ok = False
+    if faulted != {"flat": 0, "oplist": 1}:
+        print("FAIL: a faulted call did not run the op list")
+        ok = False
+    if not np.array_equal(c_flat, c_oplist):
+        print("FAIL: the flat program differs from the op-list replay")
         ok = False
     return ok
 
@@ -156,6 +205,11 @@ def main(argv: list[str]) -> int:
     if not (cache_gate(shape, None) and cache_gate(shape, GATE_FAULTS)):
         return 1
     print("OK: repeated calls reuse one program, bit-identical to cold")
+
+    if not flat_gate(shape):
+        return 1
+    print("OK: a clean call runs flat, bit-identical to the op list; "
+          "a faulted call runs the op list")
 
     if not intern_gate(shape):
         return 1

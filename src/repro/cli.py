@@ -262,6 +262,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
     for prefix, label in (
         ("core/lowering/", "program cache"),
+        ("executor/functional/", "functional path"),
         ("core/batched/b_intern/", "B intern"),
         ("kernels/cache/", "kernel cache"),
         ("faults/", "faults"),

@@ -171,6 +171,7 @@ def lowered_program(
         )
     if program.n_ops > _PROGRAM_CACHE_OPS:
         return program
+    program.cached = True
     _programs[key] = program
     _cached_ops += program.n_ops
     while _cached_ops > _PROGRAM_CACHE_OPS:

@@ -158,6 +158,10 @@ class LoweringContext:
         self.faults = faults
         self._views: dict[tuple, np.ndarray] = {}
         self._descs: dict[tuple, DmaDescriptor] = {}
+        #: ``id(view) -> (buffer id, row0, row1, col0, col1)`` of every tile
+        #: view the closures hold, kept from ``_views`` for
+        #: :meth:`compile_flat`
+        self._tiles: dict[int, tuple[int, int, int, int, int]] = {}
 
     @contextmanager
     def binding(
@@ -187,7 +191,12 @@ class LoweringContext:
         bound to this context, with the on-chip peaks in its ``meta``.
 
         The build-time memos are dropped: the closures hold what they use.
+        Only the window of each tile view is kept, for :meth:`compile_flat`.
         """
+        self._tiles = {
+            id(view): (buf, row0, row0 + rows, col0, col0 + cols)
+            for (buf, row0, col0, rows, cols), view in self._views.items()
+        }
         self._views.clear()
         self._descs.clear()
         return builder.finish(
@@ -320,6 +329,203 @@ class LoweringContext:
             dst[...] = src
         else:
             self.faults.guarded_copy(dst, src, core)
+
+    # -- the flat program ------------------------------------------------------
+    #
+    # On a clean NumPy call a DMA is an exact copy, so a tile only mirrors
+    # an operand window.  ``compile_flat`` follows those mirrors through
+    # the op list once and keeps just the kernels, reading A and B in place
+    # and accumulating straight into C; ``run_flat`` replays them.
+
+    def can_run_flat(self) -> bool:
+        """Whether the bound call may run the flat program.
+
+        It needs no fault injector and NumPy kernels; C-contiguous operands
+        (another layout of A or B changes the host BLAS bits, and C's
+        stacked tiles must reshape as views); and a C sharing no memory
+        with A or B: the op list reads A and B from tile snapshots, which
+        an aliased C would make a different computation.
+        """
+        d = self.data
+        return (
+            self.faults is None
+            and self.kernel_exec == "numpy"
+            and d is not None
+            and d.a.flags.c_contiguous
+            and d.b.flags.c_contiguous
+            and d.c.flags.c_contiguous
+            and not np.may_share_memory(d.c, d.a)
+            and not np.may_share_memory(d.c, d.b)
+        )
+
+    def compile_flat(self, ops: list) -> tuple:
+        """The kernel groups of ``ops`` (in ``seq`` order), or ``()`` when
+        the op list cannot be shown equal to them.
+
+        Each tile buffer holds at most one *mirror* ``[row0, row1, col0,
+        col1, operand, row offset, col offset, dirty]``: its window
+        ``[row0:row1, col0:col1]`` equals the operand's, shifted by the
+        offsets.  A load records a mirror, a move forwards one, and a load
+        of the next rows of a mirror extends it (cooperative fills).  A
+        kernel must read mirrors of A and B and accumulate into a mirror of
+        C, which it marks dirty; unloading that whole mirror to its own
+        window makes the load/unload pair an in-place accumulation.  One C
+        window has at most one mirror at a time, and a dirty mirror must be
+        unloaded before it is overwritten or the program ends.  Any other
+        closure (K-parallel's fill and reduction) rejects the program.
+
+        Each kernel keeps its tile shape and its place in the order;
+        consecutive kernels on one shape and one B window, whose A and C
+        rows follow on, form one group run as a single stacked matmul.
+        Tile shapes are validated here, once, instead of per call.  The
+        kernel path is written out inline because compiling must cost no
+        more than one replay of the op list.
+        """
+        tiles = self._tiles
+        held: dict[int, list] = {}  # buffer id -> its mirror
+        c_held: dict[int, list] = {}  # the same, for mirrors of C only
+        steps: list[list] = []
+        step = None
+
+        def find(view, operand):
+            buf, r0, r1, c0, c1 = tiles[id(view)]
+            seg = held.get(buf)
+            if (seg is None or seg[4] != operand or r0 < seg[0]
+                    or seg[1] < r1 or c0 < seg[2] or seg[3] < c1):
+                return None
+            return seg, r0 + seg[5], c0 + seg[6]
+
+        def put(view, operand: str, row: int, col: int) -> bool:
+            buf, r0, r1, c0, c1 = tiles[id(view)]
+            dr, dc = row - r0, col - c0
+            seg = held.get(buf)
+            if seg is not None and seg[7]:
+                return False  # an accumulation the op list discards
+            if operand == "c" and any(
+                s is not seg
+                and s[0] + s[5] < r1 + dr and r0 + dr < s[1] + s[5]
+                and s[2] + s[6] < c1 + dc and c0 + dc < s[3] + s[6]
+                for s in c_held.values()
+            ):
+                return False  # a second mirror of one C window
+            if (seg is not None and seg[1] == r0 and seg[2] == c0
+                    and seg[3] == c1 and seg[4] == operand and seg[5] == dr
+                    and seg[6] == dc):
+                seg[1] = r1  # the next rows of a cooperative fill
+                return True
+            held[buf] = new = [r0, r1, c0, c1, operand, dr, dc, False]
+            if operand == "c":
+                c_held[buf] = new
+            elif seg is not None and seg[4] == "c":
+                del c_held[buf]
+            return True
+
+        kernel, load = LoweringContext.apply_kernel, LoweringContext._load
+        move, unload = LoweringContext.store, LoweringContext._unload
+        for op in ops:
+            run = op.run
+            if run is None:
+                continue
+            fn = getattr(getattr(run, "func", None), "__func__", None)
+            if fn is kernel:
+                kern, a, b, c, _core = run.args
+                spec = kern.spec
+                m, n, k = spec.m_s, spec.n_a, spec.k_a
+                buf, r0, r1, c0, c1 = tiles[id(a)]
+                sa = held.get(buf)
+                if r1 - r0 != m or c1 - c0 != k:
+                    kern.check_tiles(a.shape, b.shape, c.shape)
+                if (sa is None or sa[4] != "a" or r0 < sa[0] or sa[1] < r1
+                        or c0 < sa[2] or sa[3] < c1):
+                    return ()
+                ar, ac = r0 + sa[5], c0 + sa[6]
+                buf, r0, r1, c0, c1 = tiles[id(b)]
+                sb = held.get(buf)
+                if r1 - r0 != k or c1 - c0 != n:
+                    kern.check_tiles(a.shape, b.shape, c.shape)
+                if (sb is None or sb[4] != "b" or r0 < sb[0] or sb[1] < r1
+                        or c0 < sb[2] or sb[3] < c1):
+                    return ()
+                br, bc = r0 + sb[5], c0 + sb[6]
+                buf, r0, r1, c0, c1 = tiles[id(c)]
+                sc = held.get(buf)
+                if r1 - r0 != m or c1 - c0 != n:
+                    kern.check_tiles(a.shape, b.shape, c.shape)
+                if (sc is None or sc[4] != "c" or r0 < sc[0] or sc[1] < r1
+                        or c0 < sc[2] or sc[3] < c1):
+                    return ()
+                cr, cc = r0 + sc[5], c0 + sc[6]
+                sc[7] = True
+                if m == 1 or n == 1:
+                    # NumPy runs a one-row or one-column product as a BLAS
+                    # matrix-vector call, whose bits depend on the operand
+                    # strides: stage it through the op list's own tiles
+                    step = [kern, 1, ar, ac, br, bc, cr, cc, (a, b)]
+                    steps.append(step)
+                elif (step is not None and step[0] is kern and step[8] is None
+                        and step[2] + step[1] * m == ar and step[3] == ac
+                        and step[4] == br and step[5] == bc
+                        and step[6] + step[1] * m == cr and step[7] == cc):
+                    step[1] += 1
+                else:
+                    step = [kern, 1, ar, ac, br, bc, cr, cc, None]
+                    steps.append(step)
+            elif fn is load:
+                dst, operand, rows, cols, _core = run.args
+                if not put(dst, operand, rows.start, cols.start):
+                    return ()
+            elif fn is move:
+                dst, src, _core = run.args
+                found = find(src, "a") or find(src, "b")
+                if found is None or not put(dst, found[0][4], *found[1:]):
+                    return ()
+            elif fn is unload:
+                src, rows, cols, _core = run.args
+                found = find(src, "c")
+                if (found is None or found[1:] != (rows.start, cols.start)
+                        or found[0][:4] != list(tiles[id(src)][1:])):
+                    return ()
+                found[0][7] = False
+            else:
+                return ()
+        if any(seg[7] for seg in c_held.values()):
+            return ()
+
+        groups = []
+        for kern, count, ar, ac, br, bc, cr, cc, staged in steps:
+            m, n, k = kern.spec.m_s, kern.spec.n_a, kern.spec.k_a
+            rows = count * m
+            groups.append((
+                (slice(ar, ar + rows), slice(ac, ac + k)),
+                (slice(br, br + k), slice(bc, bc + n)),
+                (slice(cr, cr + rows), slice(cc, cc + n)),
+                ((count, m, k), (count, m, n)) if count > 1 else None,
+                staged,
+            ))
+        return tuple(groups)
+
+    def run_flat(self, groups: tuple) -> None:
+        """Run :meth:`compile_flat`'s groups on the bound operands.
+
+        A group of one is the kernel's ``c += a @ b`` on operand views; a
+        longer group stacks its tiles as strided 3-D views, and NumPy's
+        matmul still calls the host BLAS once per tile on the same shape.
+        A staged group copies its A and B windows into the op list's tiles
+        first.
+        """
+        a, b, c = self.data.a, self.data.b, self.data.c
+        for a_win, b_win, c_win, stack, staged in groups:
+            c_tile = c[c_win]
+            if stack is not None:
+                c_tile = c_tile.reshape(stack[1])
+                c_tile += a[a_win].reshape(stack[0]) @ b[b_win]
+            elif staged is not None:
+                a_tile, b_tile = staged
+                a_tile[...] = a[a_win]
+                b_tile[...] = b[b_win]
+                c_tile += a_tile @ b_tile
+            else:
+                c_tile += a[a_win] @ b[b_win]
 
     # -- descriptors ---------------------------------------------------------
 

@@ -22,10 +22,14 @@ Ordering semantics:
 * a SYNC with a given ``sync_id`` must appear in *every* core's stream;
   no core proceeds past it until all cores reach it.
 
-Functional execution simply runs ``op.run`` callbacks in emission order
-(per-core lists interleaved in a deterministic round-robin that respects
-SYNCs) — sequential semantics are valid because the deps only ever relax
-ordering, never create it.
+Functional execution is defined by running the ``op.run`` callbacks in
+emission order (per-core lists interleaved in a deterministic round-robin
+that respects SYNCs) — sequential semantics are valid because the deps
+only ever relax ordering, never create it.  A clean call of a cached
+program runs the equivalent *flat program* instead (``GemmExecution.flat``,
+compiled once from this op list by
+:meth:`~repro.core.lowering.LoweringContext.compile_flat`): the kernels
+alone, on operand views, in the same order and tile shapes.
 
 A lowered plan is a reusable *program*: its closures resolve the operands,
 the fault injector and the kernel mode from the lowering context's binding
@@ -95,6 +99,12 @@ class GemmExecution:
     ctx: Any = field(default=None, repr=False, compare=False)
     #: (ops sorted by ``seq``, op census), computed on first use
     _replay: tuple | None = field(default=None, repr=False, compare=False)
+    #: kept by the lowering program cache, so a flat program pays off
+    cached: bool = field(default=False, repr=False, compare=False)
+    #: the kernel groups of :meth:`~repro.core.lowering.LoweringContext.
+    #: compile_flat`: ``None`` until a cached program's first clean call,
+    #: ``()`` when it must run on the op list
+    flat: tuple | None = field(default=None, repr=False, compare=False)
 
     def validate(self) -> "GemmExecution":
         if len(self.core_ops) != self.cluster.n_cores:

@@ -167,13 +167,17 @@ class MicroKernel:
 
     # -- functional execution ----------------------------------------------
 
+    def check_tiles(self, a_shape, b_shape, c_shape) -> None:
+        """Raise :class:`KernelError` unless the tiles fit this kernel."""
+        m, n, k = self.spec.m_s, self.spec.n_a, self.spec.k_a
+        if a_shape != (m, k) or b_shape != (k, n) or c_shape != (m, n):
+            raise KernelError(
+                f"kernel {self.spec}: got A{a_shape} B{b_shape} C{c_shape}"
+            )
+
     def apply(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
         """NumPy fast path: ``c += a @ b`` (in place)."""
-        m, n, k = self.spec.m_s, self.spec.n_a, self.spec.k_a
-        if a.shape != (m, k) or b.shape != (k, n) or c.shape != (m, n):
-            raise KernelError(
-                f"kernel {self.spec}: got A{a.shape} B{b.shape} C{c.shape}"
-            )
+        self.check_tiles(a.shape, b.shape, c.shape)
         c += a @ b
 
     def apply_isa(

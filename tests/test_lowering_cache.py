@@ -130,20 +130,38 @@ class TestCachedEqualsFresh:
 
 
 class TestArena:
+    POINTS = [(2048, 32, 512, "m"), (64, 16, 4096, "k"), (700, 64, 600, "tgemm")]
+
+    def check_poisoned(self, points, **kw):
+        cluster = default_machine().cluster
+        arena = scratch_arena(cluster)
+        for m, n, k, s in points:
+            a, b, c0 = operands(m, n, k)
+            c_clean, _ = cached_run(m, n, k, s, a, b, c0, **kw)
+            arena.view(np.float32)[:] = np.nan
+            c_poisoned, _ = cached_run(m, n, k, s, a, b, c0, **kw)
+            assert np.array_equal(c_clean, c_poisoned), s
+            assert np.isfinite(c_poisoned).all()
+
     def test_poisoned_arena_changes_no_bit(self):
         """Every tile a program reads was written earlier in the same call:
         NaN left in the arena between calls never reaches C."""
-        cluster = default_machine().cluster
-        arena = scratch_arena(cluster)
-        for m, n, k, s in [
-            (2048, 32, 512, "m"), (64, 16, 4096, "k"), (700, 64, 600, "tgemm"),
-        ]:
-            a, b, c0 = operands(m, n, k)
-            c_clean, _ = cached_run(m, n, k, s, a, b, c0)
-            arena.view(np.float32)[:] = np.nan
-            c_poisoned, _ = cached_run(m, n, k, s, a, b, c0)
-            assert np.array_equal(c_clean, c_poisoned), s
-            assert np.isfinite(c_poisoned).all()
+        self.check_poisoned(self.POINTS)
+
+    def test_poisoned_arena_changes_no_bit_faulted(self):
+        """The same under faults, which keep the op list and its arena
+        tiles (a clean M-parallel or TGEMM call runs flat and stages only
+        one-row or one-column tiles through the arena)."""
+        self.check_poisoned(
+            self.POINTS, faults=FaultPlan(seed=5, bitflip_rate=0.02)
+        )
+
+    def test_poisoned_arena_changes_no_bit_compiled(self):
+        """The same for ISA kernels, which keep the op list too."""
+        self.check_poisoned(
+            [(256, 32, 128, "m"), (64, 16, 1024, "k"), (128, 64, 128, "tgemm")],
+            kernel_exec="compiled",
+        )
 
     def test_programs_hold_no_operands(self):
         """After the call the binding is gone: no operand outlives it."""
