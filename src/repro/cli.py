@@ -66,11 +66,13 @@ def _unit_fraction(text: str) -> float:
     return value
 
 
-def _trace_summary(recorder) -> str:
+def _trace_summary(spans) -> str:
     """Row-utilization table of a captured trace."""
+    from .obs import track_busy
+
     rows = [
-        [s.row, s.spans, f"{s.busy * 1e6:.1f}", f"{100 * s.utilization:.1f}%"]
-        for s in recorder.summarize()
+        [track, n, f"{busy * 1e6:.1f}", f"{100 * util:.1f}%"]
+        for track, (n, busy, util) in track_busy(spans).items()
     ]
     return format_table(["row", "spans", "busy (us)", "util"], rows)
 
@@ -135,16 +137,20 @@ def _cmd_gemm(args: argparse.Namespace) -> int:
             if args.plan:
                 print(lowered.describe())
             if args.trace or args.perf:
-                from .executor.timed import run_timed
-                from .executor.trace import TraceRecorder
+                from contextlib import nullcontext
 
-                recorder = TraceRecorder() if args.trace else None
-                timed = run_timed(lowered, trace=recorder, profile=args.perf)
-                if recorder is not None:
-                    path = recorder.save(args.trace)
-                    print(f"trace: {recorder.n_spans} spans -> {path}")
-                    print(recorder.ascii_timeline())
-                    print(_trace_summary(recorder))
+                from .executor.timed import run_timed
+                from .obs import ascii_timeline, tracing
+
+                with tracing() if args.trace else nullcontext() as tracer:
+                    timed = run_timed(lowered, profile=args.perf)
+                if tracer is not None:
+                    path = tracer.save(args.trace)
+                    print(f"trace: {tracer.n_spans} spans -> {path}")
+                    des_spans = [s for s in tracer.spans
+                                 if s.category in ("kernel", "dma", "sync")]
+                    print(ascii_timeline(des_spans))
+                    print(_trace_summary(des_spans))
                 if args.perf:
                     from .analysis.bottleneck import attribute
 

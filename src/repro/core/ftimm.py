@@ -32,7 +32,7 @@ from typing import Literal
 
 import numpy as np
 
-from ..errors import CoreFailureError, PlanError
+from ..errors import CoreFailureError, FaultError, PlanError
 from ..executor.analytic import (
     analytic_parallel_k,
     analytic_parallel_m,
@@ -43,7 +43,7 @@ from ..executor.timed import TimedResult, run_timed
 from ..faults.inject import FaultInjector, FaultReport
 from ..faults.plan import FaultPlan
 from ..hw.config import ClusterConfig, MachineConfig, default_machine
-from ..kernels.registry import KernelRegistry, registry_for
+from ..kernels.registry import registry_for
 from ..obs.registry import current as _obs_current
 from ..obs.trace import current_tracer, maybe_scope
 from .blocking import TgemmPlan
@@ -189,30 +189,73 @@ def clear_programs() -> None:
     _cached_ops = 0
 
 
-def _retune(
-    shape: GemmShape,
-    cluster: ClusterConfig,
-    decision: TuningDecision,
-    dtype: str,
-) -> TuningDecision:
-    """Re-plan the same strategy for a reduced (post-failure) cluster."""
-    return tune(
-        shape, cluster, force_strategy=decision.strategy, adjust=True,
-        dtype=dtype,
-    )
-
-
 def _analytic(
     shape: GemmShape,
     cluster: ClusterConfig,
     decision: TuningDecision,
-    registry: KernelRegistry,
 ) -> TimedResult:
+    registry = registry_for(cluster.core)
     if decision.strategy == "m":
         return analytic_parallel_m(shape, cluster, decision.m_plan, registry)
     if decision.strategy == "k":
         return analytic_parallel_k(shape, cluster, decision.k_plan, registry)
     return analytic_tgemm(shape, cluster, decision.tgemm_plan, registry)
+
+
+def _redispatch(
+    run,
+    phase: str,
+    shape: GemmShape,
+    cluster: ClusterConfig,
+    decision: TuningDecision,
+    *,
+    plan: FaultPlan | None,
+    report: FaultReport | None,
+    dtype: str,
+):
+    """Call ``run(cluster, decision, injector)`` until no core fails.
+
+    ``plan=None`` is one attempt with no injector.  Under a plan, a
+    :class:`~repro.errors.CoreFailureError` shrinks the cluster by the
+    failed core, re-tunes the *same* strategy for the survivors and
+    retries with the next attempt's injector.  A plan's ``core_faults``
+    arm one failure per attempt, so the loop always terminates; the last
+    core's failure, like every other :class:`~repro.errors.FaultError`,
+    propagates.  Returns the last attempt's result, the cluster it ran
+    on and the simulated seconds the failed attempts ran before failing.
+    """
+    if plan is None:
+        return run(cluster, decision, None), cluster, 0.0
+    attempt, lost_s = 0, 0.0
+    while True:
+        inj = FaultInjector(plan, attempt)
+        try:
+            out = run(cluster, decision, inj)
+        except CoreFailureError as exc:
+            report.absorb(inj.counters)
+            if cluster.n_cores <= 1:
+                raise
+            report.redispatches += 1
+            tracer = current_tracer()
+            if tracer is not None:
+                tracer.instant(
+                    f"re-dispatch ({phase})",
+                    at_s=lost_s + exc.at_s,
+                    category="redispatch",
+                    track="gemm",
+                    args={"attempt": attempt, "lost_s": exc.at_s,
+                          "error": str(exc)},
+                )
+            lost_s += exc.at_s
+            cluster = cluster.with_cores(cluster.n_cores - 1)
+            decision = tune(
+                shape, cluster, force_strategy=decision.strategy,
+                adjust=True, dtype=dtype,
+            )
+            attempt += 1
+        else:
+            report.absorb(inj.counters)
+            return out, cluster, lost_s
 
 
 def _run(
@@ -228,48 +271,81 @@ def _run(
     kernel_exec: str = "numpy",
     faults: FaultPlan | None = None,
 ) -> GemmResult:
-    registry = registry_for(cluster.core)
+    """Run a tuned GEMM: the functional phase, then the timing phase.
+
+    ``faults=None`` is the clean path: one attempt per phase, no C
+    snapshot, no :class:`~repro.faults.inject.FaultReport`.  A fault plan
+    arms injection, and both phases re-dispatch on core failure
+    (:func:`_redispatch`): the functional phase restores C before each
+    retry, the DES phase adds the failed attempts' simulated time to the
+    result.  Timing ``"auto"`` resolves to DES under a plan, since
+    injection acts on simulated transfers and cores, which the analytic
+    closed forms cannot see.  A faulted call that raises a
+    :class:`~repro.errors.FaultError` leaves C as it was passed in.
+    """
     data = None
     if a is not None or b is not None or c is not None:
         if a is None or b is None or c is None:
             raise PlanError("provide all of a, b, c or none of them")
         data = GemmOperands.check(shape, a, b, c, dtype=dtype)
 
-    if faults is not None:
-        return _run_resilient(
-            shape, cluster, decision, data=data, timing=timing, dtype=dtype,
-            kernel_exec=kernel_exec, plan=faults, registry=registry,
-        )
+    mode = timing
+    if mode == "auto":
+        mode = ("des" if faults is not None
+                or _estimate_ops(shape, decision) <= _DES_OP_LIMIT
+                else "analytic")
+    if mode not in ("des", "analytic", "none"):
+        raise PlanError(f"unknown timing mode {timing!r}")
+    report = None if faults is None else FaultReport(seed=faults.seed)
+    snapshot = None if faults is None or data is None else data.c.copy()
 
+    def functional(cl, dec, inj):
+        if inj is not None and inj.attempt:
+            data.c[...] = snapshot  # undo the failed attempt's writes
+        program = lowered_program(shape, cl, dec, functional=True)
+        with program.ctx.binding(data, faults=inj, kernel_exec=kernel_exec):
+            return run_functional(program, faults=inj)
+
+    def des(cl, dec, inj):
+        return run_timed(lowered_program(shape, cl, dec), faults=inj)
+
+    n_cores = cluster.n_cores
+    func_report = timed = None
     with maybe_scope(
         f"gemm {shape.m}x{shape.n}x{shape.k}",
         category="gemm",
         track="gemm",
         args={"strategy": decision.strategy},
     ) as gscope:
-        func_report = None
-        if data is not None:
-            with maybe_scope("functional", category="phase", track="gemm"):
-                program = lowered_program(
-                    shape, cluster, decision, functional=True
-                )
-                with program.ctx.binding(data, kernel_exec=kernel_exec):
-                    func_report = run_functional(program)
-
-        mode = timing
-        if mode == "auto":
-            mode = ("des" if _estimate_ops(shape, decision) <= _DES_OP_LIMIT
-                    else "analytic")
-        timed: TimedResult | None = None
-        if mode == "des":
-            with maybe_scope("timed/des", category="phase", track="gemm"):
-                timed = run_timed(lowered_program(shape, cluster, decision))
-        elif mode == "analytic":
-            with maybe_scope("timed/analytic", category="phase",
-                             track="gemm"):
-                timed = _analytic(shape, cluster, decision, registry)
-        elif mode != "none":
-            raise PlanError(f"unknown timing mode {timing!r}")
+        try:
+            if data is not None:
+                with maybe_scope("functional", category="phase",
+                                 track="gemm"):
+                    func_report, cl, _ = _redispatch(
+                        functional, "functional", shape, cluster, decision,
+                        plan=faults, report=report, dtype=dtype,
+                    )
+                n_cores = cl.n_cores
+            if mode == "des":
+                with maybe_scope("timed/des", category="phase", track="gemm"):
+                    timed, cl, lost_s = _redispatch(
+                        des, "timed", shape, cluster, decision,
+                        plan=faults, report=report, dtype=dtype,
+                    )
+                n_cores = min(n_cores, cl.n_cores)
+                if lost_s:
+                    # the honest wall clock: work thrown away before each
+                    # failure plus the completed run on the survivors
+                    timed = replace(timed, seconds=timed.seconds + lost_s)
+                    report.lost_s = lost_s
+            elif mode == "analytic":
+                with maybe_scope("timed/analytic", category="phase",
+                                 track="gemm"):
+                    timed = _analytic(shape, cluster, decision)
+        except FaultError:
+            if snapshot is not None:
+                data.c[...] = snapshot
+            raise
 
         if gscope is not None:
             gscope.args["timing_mode"] = mode
@@ -279,6 +355,8 @@ def _run(
                 gscope.sim_end_s = timed.seconds
                 gscope.args["modeled_s"] = timed.seconds
 
+    if report is not None:
+        report.final_cores = n_cores
     return GemmResult(
         shape=shape,
         strategy=decision.strategy,
@@ -286,130 +364,7 @@ def _run(
         timing=timed,
         functional=func_report,
         timing_mode=mode,
-        n_cores=cluster.n_cores,
-    )
-
-
-def _run_resilient(
-    shape: GemmShape,
-    cluster: ClusterConfig,
-    decision: TuningDecision,
-    *,
-    data: GemmOperands | None,
-    timing: TimingMode,
-    dtype: str,
-    kernel_exec: str,
-    plan: FaultPlan,
-    registry: KernelRegistry,
-) -> GemmResult:
-    """The fault-plan execution path: inject, recover, account honestly.
-
-    Functional and timed execution each run a re-dispatch loop: a
-    :class:`~repro.errors.CoreFailureError` restores the C snapshot
-    (functional) or accounts the lost simulated time (timed), shrinks the
-    cluster by the failed core, re-tunes the *same* strategy for the
-    survivors and retries with the next attempt's injector.  A plan's
-    ``core_faults`` arm one failure per attempt, so the loop always
-    terminates.  Unrecoverable faults (retry budgets exhausted, last core
-    lost) propagate as typed :class:`~repro.errors.FaultError`\\ s.
-
-    Timing ``"auto"`` forces DES: injection acts on simulated transfers
-    and cores, which the analytic closed forms cannot see.
-    """
-    report = FaultReport(seed=plan.seed)
-    final_cores = cluster.n_cores
-
-    func_report = None
-    if data is not None:
-        c_snapshot = data.c.copy()
-        cluster_f, decision_f = cluster, decision
-        attempt = 0
-        while True:
-            inj = FaultInjector(plan, attempt)
-            program = lowered_program(
-                shape, cluster_f, decision_f, functional=True
-            )
-            try:
-                with program.ctx.binding(
-                    data, faults=inj, kernel_exec=kernel_exec
-                ):
-                    func_report = run_functional(program, faults=inj)
-                report.absorb(inj.counters)
-                break
-            except CoreFailureError as exc:
-                report.absorb(inj.counters)
-                if cluster_f.n_cores <= 1:
-                    raise
-                report.redispatches += 1
-                tracer = current_tracer()
-                if tracer is not None:
-                    tracer.instant(
-                        "re-dispatch (functional)",
-                        category="redispatch",
-                        track="gemm",
-                        args={"attempt": attempt, "error": str(exc)},
-                    )
-                data.c[...] = c_snapshot
-                cluster_f = cluster_f.with_cores(cluster_f.n_cores - 1)
-                decision_f = _retune(shape, cluster_f, decision, dtype)
-                attempt += 1
-        final_cores = min(final_cores, cluster_f.n_cores)
-
-    mode = timing
-    if mode == "auto":
-        mode = "des"  # injection needs the discrete-event timeline
-    timed: TimedResult | None = None
-    if mode == "des":
-        cluster_t, decision_t = cluster, decision
-        attempt = 0
-        lost_s = 0.0
-        while True:
-            inj = FaultInjector(plan, attempt)
-            try:
-                timed = run_timed(
-                    lowered_program(shape, cluster_t, decision_t), faults=inj
-                )
-                report.absorb(inj.counters)
-                break
-            except CoreFailureError as exc:
-                report.absorb(inj.counters)
-                if cluster_t.n_cores <= 1:
-                    raise
-                report.redispatches += 1
-                tracer = current_tracer()
-                if tracer is not None:
-                    tracer.instant(
-                        "re-dispatch (timed)",
-                        at_s=lost_s + exc.at_s,
-                        category="redispatch",
-                        track="gemm",
-                        args={"attempt": attempt, "lost_s": exc.at_s,
-                              "error": str(exc)},
-                    )
-                lost_s += exc.at_s
-                cluster_t = cluster_t.with_cores(cluster_t.n_cores - 1)
-                decision_t = _retune(shape, cluster_t, decision, dtype)
-                attempt += 1
-        if lost_s:
-            # the honest wall clock: work thrown away before each failure
-            # plus the completed run on the survivors
-            timed = replace(timed, seconds=timed.seconds + lost_s)
-        report.lost_s = lost_s
-        final_cores = min(final_cores, cluster_t.n_cores)
-    elif mode == "analytic":
-        timed = _analytic(shape, cluster, decision, registry)
-    elif mode != "none":
-        raise PlanError(f"unknown timing mode {timing!r}")
-
-    report.final_cores = final_cores
-    return GemmResult(
-        shape=shape,
-        strategy=decision.strategy,
-        decision=decision,
-        timing=timed,
-        functional=func_report,
-        timing_mode=mode,
-        n_cores=final_cores,
+        n_cores=n_cores,
         faults=report,
     )
 

@@ -5,6 +5,9 @@
 * :func:`~repro.executor.timed.run_timed` — discrete-event timing with
   DMA/compute overlap and bandwidth contention.
 * :mod:`~repro.executor.analytic` — closed-form timing for huge shapes.
+
+A DES run under :func:`repro.obs.tracing` records its kernel, DMA and
+sync spans into the ambient :class:`~repro.obs.trace.Tracer`.
 """
 
 from .analytic import (
@@ -17,14 +20,10 @@ from .analytic import (
 )
 from .functional import FunctionalReport, run_functional
 from .timed import TimedResult, run_timed
-from .trace import RowSummary, Span, TraceRecorder
 
 __all__ = [
     "FunctionalReport",
-    "RowSummary",
-    "Span",
     "TimedResult",
-    "TraceRecorder",
     "analytic_parallel_k",
     "analytic_parallel_m",
     "analytic_tgemm",

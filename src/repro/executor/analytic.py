@@ -69,10 +69,6 @@ def _blocks(total: int, block: int) -> list[tuple[int, int]]:
     return out
 
 
-def _busiest(count: int, n_cores: int) -> int:
-    return math.ceil(count / n_cores) if count else 0
-
-
 def busiest_core_chunks(total: int, block: int, n_cores: int) -> list[int]:
     """Chunk extents of the most-loaded core under round-robin assignment.
 

@@ -37,7 +37,6 @@ from ..hw.event_sim import Event, Simulator
 from ..obs import MetricsRegistry, RunProfile
 from ..obs.registry import current as _obs_current
 from ..obs.trace import current_tracer
-from .trace import TraceRecorder
 
 #: max op processes spawned ahead of the oldest incomplete one, per core.
 _WINDOW = 128
@@ -76,7 +75,6 @@ class TimedResult:
 
 def run_timed(
     execution: GemmExecution,
-    trace: TraceRecorder | None = None,
     *,
     record_bandwidth: bool = False,
     metrics: MetricsRegistry | None = None,
@@ -85,8 +83,9 @@ def run_timed(
 ) -> TimedResult:
     """Simulate the plan and return elapsed time + utilization stats.
 
-    Pass a :class:`~repro.executor.trace.TraceRecorder` to capture a span
-    per op (kernel spans are exact; DMA spans cover queueing + transfer);
+    Under an ambient tracer (:func:`repro.obs.tracing`) the run records
+    a span per kernel, DMA transfer and sync (kernel spans are exact; DMA
+    spans cover queueing + transfer) and one per epoch.
     ``record_bandwidth=True`` additionally samples the DDR channel's
     aggregate draw and reports its time-average against the theoretical
     port.
@@ -112,9 +111,10 @@ def run_timed(
     )
     sim = cluster.sim
     n_cores = execution.cluster.n_cores
+    tracer = current_tracer()
     # an ambient tracer needs the epoch boundaries too (epoch spans)
     prof = (RunProfile(n_cores=n_cores)
-            if (profile or metrics is not None or current_tracer() is not None)
+            if (profile or metrics is not None or tracer is not None)
             else None)
 
     # barrier plumbing: per sync id, one arrival event per core and a done
@@ -167,8 +167,6 @@ def run_timed(
                 epoch, core, start, sim.now,
                 op.desc.medium.value, op.desc.nbytes,
             )
-        if trace is not None:
-            trace.add(f"core{core}/dma", op.tag or "dma", start, sim.now, "dma")
 
     def kernel_proc(core: int, op, dep_events: list[Event], epoch: int):
         if dep_events:
@@ -179,12 +177,6 @@ def run_timed(
         duration = op.cycles / clock
         if prof is not None:
             prof.add_compute(epoch, core, duration)
-        if trace is not None:
-            trace.add(
-                f"core{core}/compute", op.tag or "kernel",
-                sim.now - duration, sim.now, "kernel",
-            )
-        tracer = current_tracer()
         if tracer is not None:
             tracer.record(
                 op.tag or "kernel",
@@ -217,12 +209,6 @@ def run_timed(
                 yield done[op.sync_id]
                 if prof is not None:
                     prof.add_sync_wait(epoch, core, sim.now - arrival_t)
-                if trace is not None and core == 0:
-                    trace.add(
-                        "cluster/sync", op.tag or f"sync{op.sync_id}",
-                        arrival_t, sim.now, "sync",
-                    )
-                tracer = current_tracer()
                 if tracer is not None and core == 0:
                     tracer.record(
                         op.tag or f"sync{op.sync_id}",
@@ -264,8 +250,7 @@ def run_timed(
 
     if prof is not None:
         prof.finish(sim.now)
-    tracer = current_tracer()
-    if tracer is not None and prof is not None:
+    if tracer is not None:
         for ep in prof.epochs:
             tracer.record(
                 ep.sync_tag or f"epoch{ep.index}",

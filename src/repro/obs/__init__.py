@@ -8,7 +8,8 @@ Four pieces, deliberately dependency-free (only :mod:`repro.errors`):
   :class:`ProfileScope` wall-clock scopes.
 * :mod:`repro.obs.trace` — structured :class:`Tracer` spans (ids, parent
   links, simulated + wall clocks) behind the ambient :func:`tracing`
-  context, with a Chrome-trace-event exporter.
+  context, with a Chrome-trace-event exporter, per-track busy time and
+  a terminal Gantt.
 * :mod:`repro.obs.profile` — :class:`RunProfile`, the per-epoch busy-time
   accounting the timed executor fills in, consumed by
   :mod:`repro.analysis.bottleneck`.
@@ -42,11 +43,13 @@ from .runlog import (
 from .trace import (
     TraceSpan,
     Tracer,
+    ascii_timeline,
     current_tracer,
     load_spans,
     maybe_scope,
     set_tracer,
     spans_to_chrome,
+    track_busy,
     tracing,
     validate_chrome_trace,
 )
@@ -65,6 +68,7 @@ __all__ = [
     "Tracer",
     "Timer",
     "append_record",
+    "ascii_timeline",
     "collecting",
     "current",
     "current_tracer",
@@ -76,6 +80,7 @@ __all__ = [
     "set_registry",
     "set_tracer",
     "spans_to_chrome",
+    "track_busy",
     "tracing",
     "validate_chrome_trace",
 ]

@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from ..errors import ReproError
+from .profile import merge_intervals
 
 #: sentinel: "parent is whatever scope is ambient on the tracer stack".
 AMBIENT = -1
@@ -349,6 +350,46 @@ def spans_to_chrome(
         "displayTimeUnit": "ms",
         "spans": [s.to_dict() for s in spans],
     }
+
+
+def track_busy(spans: list[TraceSpan]) -> dict[str, tuple[int, float, float]]:
+    """Per display track, in track order: ``(spans, busy_s, utilization)``.
+
+    Busy time merges overlapping spans (several DMA transfers can be in
+    flight on one engine); utilization is busy time over the track's own
+    first-start to last-end window.
+    """
+    by_track: dict[str, list[tuple[float, float]]] = {}
+    for s in spans:
+        by_track.setdefault(s.track, []).append((s.start_s, s.end_s))
+    out = {}
+    for track, intervals in sorted(by_track.items()):
+        busy = merge_intervals(intervals)
+        window = max(e for _, e in intervals) - min(s for s, _ in intervals)
+        out[track] = (len(intervals), busy,
+                      busy / window if window > 0 else 0.0)
+    return out
+
+
+def ascii_timeline(spans: list[TraceSpan], width: int = 72) -> str:
+    """Coarse terminal Gantt: one line per track, '#' where busy."""
+    if not spans:
+        return "(empty trace)"
+    t0 = min(s.start_s for s in spans)
+    scale = (max(s.end_s for s in spans) - t0) or 1.0
+    cells: dict[str, list[str]] = {}
+    for s in spans:
+        row = cells.setdefault(s.track, [" "] * width)
+        lo = int((s.start_s - t0) / scale * (width - 1))
+        hi = max(lo, int((s.end_s - t0) / scale * (width - 1)))
+        row[lo:hi + 1] = "#" * (hi + 1 - lo)
+    name_w = max(map(len, cells))
+    lines = [
+        f"{track.ljust(name_w)} |{''.join(cells[track])}| {100 * util:5.1f}%"
+        for track, (_n, _busy, util) in track_busy(spans).items()
+    ]
+    lines.append(f"{'':{name_w}}  span: {scale * 1e6:.1f} us")
+    return "\n".join(lines)
 
 
 def validate_chrome_trace(trace: dict[str, Any]) -> None:

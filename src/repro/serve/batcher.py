@@ -16,7 +16,7 @@ experiment measures both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.batched import b_digest
 from ..core.blocking import DTYPE_SIZES
@@ -174,33 +174,3 @@ class ShapeBucketBatcher:
         )
         self._next_id += 1
         return batch
-
-
-@dataclass
-class BucketStats:
-    """Per-bucket aggregate for the report."""
-
-    label: str
-    batches: int = 0
-    items: int = 0
-    stacked_m: int = 0
-    coalesced: int = 0  # items that shared a batch with at least one other
-
-    def absorb(self, batch: Batch) -> None:
-        self.batches += 1
-        self.items += batch.n_items
-        self.stacked_m += batch.stacked_m
-        if batch.n_items > 1:
-            self.coalesced += batch.n_items
-
-    @property
-    def mean_batch(self) -> float:
-        return self.items / self.batches if self.batches else 0.0
-
-
-def collect_bucket_stats(batches: list[Batch]) -> dict[str, BucketStats]:
-    stats: dict[str, BucketStats] = {}
-    for batch in batches:
-        label = bucket_label(batch.key)
-        stats.setdefault(label, BucketStats(label)).absorb(batch)
-    return stats

@@ -96,6 +96,8 @@ class TestGemm:
         assert " k " in capsys.readouterr().out
 
     def test_gemm_trace_export(self, capsys, tmp_path):
+        from repro.obs import load_spans, validate_chrome_trace
+
         out_file = tmp_path / "t.json"
         assert main([
             "gemm", "1024x32x64", "--impl", "ftimm", "--timing", "des",
@@ -104,6 +106,10 @@ class TestGemm:
         doc = json.loads(out_file.read_text())
         assert doc["traceEvents"]
         assert "core0/compute" in capsys.readouterr().out
+        validate_chrome_trace(doc)
+        assert {"kernel", "dma", "sync"} <= {
+            s.category for s in load_spans(out_file)
+        }
 
 
 class TestExperimentCommand:
@@ -141,48 +147,41 @@ class TestNewFlags:
 
 
 class TestTraceInvariants:
-    def run_traced(self):
-        from repro.core.ftimm import lowered_program
-        from repro.core.shapes import GemmShape
-        from repro.core.tuner import tune
-        from repro.executor.timed import run_timed
-        from repro.executor.trace import TraceRecorder
-        from repro.hw.config import default_machine
+    def run_traced(self, tmp_path):
+        from repro.obs import load_spans
 
-        machine = default_machine()
-        shape = GemmShape(1024, 32, 64)
-        decision = tune(shape, machine.cluster)
-        lowered = lowered_program(shape, machine.cluster, decision)
-        recorder = TraceRecorder()
-        run_timed(lowered, trace=recorder)
-        return recorder
+        path = tmp_path / "t.json"
+        assert main(["gemm", "1024x32x64", "--impl", "ftimm",
+                     "--timing", "des", "--trace", str(path)]) == 0
+        return [s for s in load_spans(path)
+                if s.category in ("kernel", "dma", "sync")]
 
-    def test_span_times_non_negative(self):
-        recorder = self.run_traced()
-        assert recorder.spans
-        for span in recorder.spans:
-            assert span.start >= 0.0
-            assert span.duration >= 0.0
+    def test_span_times_non_negative(self, tmp_path):
+        spans = self.run_traced(tmp_path)
+        assert spans
+        for span in spans:
+            assert span.start_s >= 0.0
+            assert span.duration_s >= 0.0
 
-    def test_compute_rows_have_no_overlap(self):
+    def test_compute_rows_have_no_overlap(self, tmp_path):
         # a core's compute pipeline runs one kernel at a time: consecutive
         # spans on any */compute row must not overlap
-        recorder = self.run_traced()
         by_row = {}
-        for span in recorder.spans:
-            if span.row.endswith("/compute"):
-                by_row.setdefault(span.row, []).append(span)
+        for span in self.run_traced(tmp_path):
+            if span.track.endswith("/compute"):
+                by_row.setdefault(span.track, []).append(span)
         assert by_row
         for row, spans in by_row.items():
-            spans.sort(key=lambda s: s.start)
+            spans.sort(key=lambda s: s.start_s)
             for prev, cur in zip(spans, spans[1:]):
-                assert cur.start >= prev.end - 1e-12, row
+                assert cur.start_s >= prev.end_s - 1e-12, row
 
-    def test_summary_utilization_bounded(self):
-        recorder = self.run_traced()
-        for summary in recorder.summarize():
-            assert summary.busy >= 0.0
-            assert summary.utilization <= 1.0 + 1e-9
+    def test_summary_utilization_bounded(self, tmp_path):
+        from repro.obs import track_busy
+
+        for _n, busy, util in track_busy(self.run_traced(tmp_path)).values():
+            assert busy >= 0.0
+            assert util <= 1.0 + 1e-9
 
 
 class TestPerfCommand:

@@ -19,6 +19,7 @@ from repro.errors import (
     ConfigError,
     CoreFailureError,
     DmaTransferError,
+    FaultError,
     InputError,
 )
 from repro.faults import (
@@ -30,6 +31,7 @@ from repro.faults import (
     chaos_sweep,
 )
 from repro.faults.inject import _abft_expect, _abft_ok
+from repro.obs import tracing
 
 M, N, K = 96, 32, 128
 
@@ -251,6 +253,71 @@ class TestCoreFailure:
                 timing="none", cores=1,
                 faults=FaultPlan(core_faults=(CoreFault(0, after_ops=1),)),
             )
+
+
+class TestFailedCallLeavesC:
+    """A faulted call that raises leaves C exactly as it was passed in."""
+
+    def test_functional_failure_restores_c(self):
+        m, n, k = 2048, 32, 512
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((m, k)).astype(np.float32)
+        b = rng.standard_normal((k, n)).astype(np.float32)
+        c = np.zeros((m, n), np.float32)
+        with pytest.raises(FaultError):
+            ftimm_gemm(
+                m, n, k, a=a, b=b, c=c, timing="none",
+                faults=FaultPlan(seed=1, bitflip_rate=0.01,
+                                 max_kernel_retries=0),
+            )
+        assert not c.any()
+
+    def test_timed_failure_restores_c(self, operands):
+        a, b = operands
+        c0 = np.random.default_rng(1).standard_normal((M, N)).astype(
+            np.float32
+        )
+        c = c0.copy()
+        with pytest.raises(DmaTransferError):
+            ftimm_gemm(
+                M, N, K, a=a, b=b, c=c, timing="des",
+                faults=FaultPlan(dma_fail_rate=1.0),
+            )
+        assert np.array_equal(c, c0)
+
+
+class TestTracedFaultedCall:
+    PLAN = FaultPlan(core_faults=(CoreFault(core=2, after_s=1e-6,
+                                            after_ops=3),))
+
+    def run(self, operands):
+        a, b = operands
+        c = np.zeros((M, N), np.float32)
+        result = ftimm_gemm(M, N, K, a=a, b=b, c=c, timing="des",
+                            faults=self.PLAN)
+        return c, result
+
+    def test_one_gemm_scope_holds_phases_and_redispatches(self, operands):
+        with tracing() as tr:
+            c, result = self.run(operands)
+        assert result.faults.redispatches == 2  # functional and DES
+        (gemm,) = tr.by_category("gemm")
+        subtree, frontier = set(), [gemm.span_id]
+        while frontier:
+            kids = [s.span_id for s in tr.children(frontier.pop())]
+            subtree.update(kids)
+            frontier.extend(kids)
+        phases = {s.name for s in tr.by_category("phase")
+                  if s.span_id in subtree}
+        assert phases == {"functional", "timed/des"}
+        marks = tr.by_category("redispatch")
+        assert len(marks) == 2
+        assert all(s.span_id in subtree for s in marks)
+
+        c_plain, plain = self.run(operands)
+        assert np.array_equal(c, c_plain)
+        assert result.seconds == plain.seconds
+        assert result.faults == plain.faults
 
 
 class TestTimedFaults:
