@@ -19,8 +19,10 @@ gate counts too: five fresh copies of one B must digest once
 inline hash gives, and a copy with one bit flipped must miss and digest
 differently.  The flat-program gate counts as well: one clean call must
 run the flat program (``executor/functional/flat`` 1) with C bit-identical
-to the op list replayed closure by closure, and one call under the gate's
-fault plan must run the op list (``executor/functional/oplist`` 1).
+to the op list replayed closure by closure, one call under a plan that
+cannot strike the functional run (DMA failures only) must run it too with
+the clean call's C, and one call under the gate's fault plan must run the
+op list (``executor/functional/oplist`` 1).
 
 Usage::
 
@@ -50,6 +52,8 @@ CACHE_CALLS = 5
 #: the gate's faulted variant: bit flips and DMA failures, no core loss
 #: (a re-dispatch would lower the reduced cluster's program too)
 GATE_FAULTS = FaultPlan(seed=11, bitflip_rate=0.02, dma_fail_rate=0.1)
+#: the gate's plan that cannot strike a functional run: DMA failures only
+QUIET_FAULTS = FaultPlan(seed=11, dma_fail_rate=0.1)
 
 
 def timed_run(shape: GemmShape, kernel_exec: str) -> tuple[float, np.ndarray]:
@@ -97,8 +101,8 @@ def cache_gate(shape: GemmShape, faults: FaultPlan | None) -> bool:
 
 
 def flat_gate(shape: GemmShape) -> bool:
-    """A clean call runs flat with the op list's bits; a faulted one does
-    not run flat."""
+    """A clean call runs flat with the op list's bits, and so does a call
+    under a plan that cannot strike it; a faulted one does not run flat."""
     a, b, c0 = random_operands(shape, seed=0)
 
     def paths(faults: FaultPlan | None) -> tuple[np.ndarray, dict]:
@@ -123,12 +127,20 @@ def flat_gate(shape: GemmShape) -> bool:
             if op.run is not None:
                 op.run()
     _c, faulted = paths(GATE_FAULTS)
+    c_quiet, quiet = paths(QUIET_FAULTS)
     print(f"  functional path: clean flat={clean['flat']:g} "
-          f"oplist={clean['oplist']:g}; faulted flat={faulted['flat']:g} "
+          f"oplist={clean['oplist']:g}; quiet flat={quiet['flat']:g} "
+          f"oplist={quiet['oplist']:g}; faulted flat={faulted['flat']:g} "
           f"oplist={faulted['oplist']:g}")
     ok = True
     if clean != {"flat": 1, "oplist": 0}:
         print("FAIL: a clean call did not run the flat program")
+        ok = False
+    if quiet != {"flat": 1, "oplist": 0}:
+        print("FAIL: a call under a quiet plan did not run the flat program")
+        ok = False
+    if not np.array_equal(c_quiet, c_flat):
+        print("FAIL: a call under a quiet plan differs from the clean call")
         ok = False
     if faulted != {"flat": 0, "oplist": 1}:
         print("FAIL: a faulted call did not run the op list")
@@ -208,8 +220,8 @@ def main(argv: list[str]) -> int:
 
     if not flat_gate(shape):
         return 1
-    print("OK: a clean call runs flat, bit-identical to the op list; "
-          "a faulted call runs the op list")
+    print("OK: a clean or quiet-plan call runs flat, bit-identical to the "
+          "op list; a faulted call runs the op list")
 
     if not intern_gate(shape):
         return 1

@@ -282,6 +282,17 @@ def _run(
     injection acts on simulated transfers and cores, which the analytic
     closed forms cannot see.  A faulted call that raises a
     :class:`~repro.errors.FaultError` leaves C as it was passed in.
+
+    A functional attempt nothing can strike
+    (:attr:`~repro.faults.inject.FaultInjector.functional_quiet`) on
+    float32 operands runs the clean path instead of the guarded op list.
+    With A and B finite, every guard fires only on a non-finite tile
+    value, and such a value survives into the final C.  So a finite C
+    holds the guarded run's bits and an all-zero report; a non-finite C
+    is restored and the attempt replayed under guard, which raises the
+    guarded run's error (counted in ``faults/quiet_replays``).  Float64
+    attempts stay guarded: the float64 checksums of a finite float64 tile
+    can overflow.
     """
     data = None
     if a is not None or b is not None or c is not None:
@@ -303,6 +314,18 @@ def _run(
         if inj is not None and inj.attempt:
             data.c[...] = snapshot  # undo the failed attempt's writes
         program = lowered_program(shape, cl, dec, functional=True)
+        if inj is not None and inj.functional_quiet and dtype == "f32":
+            # a quiet attempt runs the clean path; a finite C is the
+            # guarded op list's, anything else is replayed under guard
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    program.ctx.binding(data, kernel_exec=kernel_exec):
+                out = run_functional(program)
+            if np.isfinite(data.c).all():
+                return out
+            data.c[...] = snapshot
+            metrics = _obs_current()
+            if metrics is not None:
+                metrics.counter("faults/quiet_replays").inc()
         with program.ctx.binding(data, faults=inj, kernel_exec=kernel_exec):
             return run_functional(program, faults=inj)
 

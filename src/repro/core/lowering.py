@@ -340,7 +340,8 @@ class LoweringContext:
     def can_run_flat(self) -> bool:
         """Whether the bound call may run the flat program.
 
-        It needs no fault injector and NumPy kernels; C-contiguous operands
+        It needs no fault injector (a fault plan that cannot strike the
+        functional run binds none) and NumPy kernels; C-contiguous operands
         (another layout of A or B changes the host BLAS bits, and C's
         stacked tiles must reshape as views); and a C sharing no memory
         with A or B: the op list reads A and B from tile snapshots, which

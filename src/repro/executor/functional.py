@@ -13,8 +13,11 @@ list by :meth:`~repro.core.lowering.LoweringContext.compile_flat`, reading
 A and B in place and accumulating straight into C, with consecutive
 tiles stacked into one matmul.  Tile shapes and each C element's
 accumulation order are the op list's, so C is bit-identical to the
-replay.  Faulted calls, ISA kernel modes, K-parallel programs and any
-program the compiler cannot prove equal keep the op list.
+replay.  A float32 attempt under a fault plan that cannot strike it is
+clean here too: :func:`~repro.core.ftimm._run` binds no injector for it.
+Attempts that bit flips or an op-counted core fault can strike, ISA
+kernel modes, K-parallel programs and any program the compiler cannot
+prove equal keep the op list.
 
 This is the path the correctness tests drive: for random shapes,
 ``run_functional`` must reproduce ``C + A @ B`` to float32 accuracy.

@@ -69,6 +69,19 @@ class FaultInjector:
     def _hit(self, rate: float, *key) -> bool:
         return rate > 0.0 and self.unit(*key) < rate
 
+    @property
+    def functional_quiet(self) -> bool:
+        """Whether nothing can strike this attempt's functional phase.
+
+        Bit flips and ``after_ops`` core faults are the only functional
+        injections; DMA failures, DDR windows and ``after_s`` core faults
+        act on the DES alone.
+        """
+        cf = self.core_fault
+        return self.plan.bitflip_rate == 0 and (
+            cf is None or cf.after_ops is None
+        )
+
     # -- counters ----------------------------------------------------------
 
     def count(self, name: str, value: float = 1) -> None:

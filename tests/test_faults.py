@@ -14,24 +14,33 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.ftimm import ftimm_gemm, tgemm_gemm
+from repro.core.blocking import TgemmPlan
+from repro.core.ftimm import ftimm_gemm, lowered_program, tgemm_gemm
+from repro.core.lowering import GemmOperands
+from repro.core.shapes import GemmShape
+from repro.core.tuner import TuningDecision, tune
 from repro.errors import (
     ConfigError,
     CoreFailureError,
+    CorruptionError,
     DmaTransferError,
     FaultError,
     InputError,
 )
+from repro.executor.functional import run_functional
 from repro.faults import (
     NO_FAULTS,
     CoreFault,
     DegradationWindow,
     FaultInjector,
     FaultPlan,
+    FaultReport,
     chaos_sweep,
 )
 from repro.faults.inject import _abft_expect, _abft_ok
-from repro.obs import tracing
+from repro.hw.config import default_machine
+from repro.obs import collecting, tracing
+from repro.serve.loadgen import MIXES
 
 M, N, K = 96, 32, 128
 
@@ -283,6 +292,166 @@ class TestFailedCallLeavesC:
                 M, N, K, a=a, b=b, c=c, timing="des",
                 faults=FaultPlan(dma_fail_rate=1.0),
             )
+        assert np.array_equal(c, c0)
+
+
+#: every shape class of the five serve mixes, once each
+MIX_SHAPES = sorted({
+    (c.shape.m, c.shape.n, c.shape.k)
+    for make in MIXES.values() for c in make()
+})
+#: plans that cannot strike the functional phase
+QUIET_PLANS = {
+    "seed": FaultPlan(seed=5),
+    "dma": FaultPlan(seed=6, dma_fail_rate=0.1),
+    "ddr_window": FaultPlan(
+        seed=7, ddr_degradation=(DegradationWindow(0.0, 1e-4, 0.5),)
+    ),
+    "after_s": FaultPlan(
+        seed=8, core_faults=(CoreFault(core=1, after_s=1e-6),)
+    ),
+}
+
+
+def quiet_call(m, n, k, strategy, a, b, c, plan):
+    if strategy == "tgemm":
+        result = tgemm_gemm(m, n, k, a=a, b=b, c=c, timing="none",
+                            faults=plan)
+    else:
+        result = ftimm_gemm(m, n, k, a=a, b=b, c=c, timing="none",
+                            force_strategy=strategy, faults=plan)
+    return result.faults, result.n_cores, result.strategy
+
+
+def guarded_call(m, n, k, strategy, a, b, c, plan):
+    """The guarded op list by hand: ``quiet_call``'s program, every closure
+    run with the plan's first injector bound.  Returns what ``quiet_call``
+    must return, or raises its error with C as passed in."""
+    shape = GemmShape(m, n, k)
+    cluster = default_machine().cluster
+    if strategy == "tgemm":
+        decision = TuningDecision(
+            strategy="tgemm", tgemm_plan=TgemmPlan().validate(cluster),
+            reason="baseline",
+        )
+    else:
+        decision = tune(shape, cluster, force_strategy=strategy)
+    program = lowered_program(shape, cluster, decision, functional=True)
+    inj = FaultInjector(plan, 0)
+    c_entry = c.copy()
+    try:
+        with program.ctx.binding(GemmOperands(a, b, c), faults=inj):
+            run_functional(program, faults=inj)
+    except FaultError:
+        c[...] = c_entry
+        raise
+    report = FaultReport(seed=plan.seed, final_cores=cluster.n_cores)
+    report.absorb(inj.counters)
+    return report, cluster.n_cores, decision.strategy
+
+
+def bits(c):
+    return c.view(np.uint32)
+
+
+def fault_counters(reg):
+    return {name: entry["value"] for name, entry in reg.snapshot().items()
+            if name.startswith("faults/") and name != "faults/quiet_replays"}
+
+
+class TestQuietAttempts:
+    """A quiet attempt runs the clean path and gives exactly what the
+    guarded op list gives: C bits and report, or the error and C0."""
+
+    @staticmethod
+    def operands(m, n, k):
+        rng = np.random.default_rng([m, n, k])
+        return tuple(
+            rng.standard_normal(dims).astype(np.float32)
+            for dims in ((m, k), (k, n), (m, n))
+        )
+
+    @pytest.mark.parametrize("plan", QUIET_PLANS.values(), ids=QUIET_PLANS)
+    @pytest.mark.parametrize("strategy", ["m", "k", "tgemm"])
+    @pytest.mark.parametrize("shape", MIX_SHAPES, ids=str)
+    def test_matches_guarded_op_list(self, shape, strategy, plan):
+        a, b, c0 = self.operands(*shape)
+        c = c0.copy()
+        with collecting() as reg:
+            got = quiet_call(*shape, strategy, a, b, c, plan)
+        assert not [name for name in reg.snapshot()
+                    if name.startswith("faults/")]
+        c_ref = c0.copy()
+        assert got == guarded_call(*shape, strategy, a, b, c_ref, plan)
+        assert np.array_equal(bits(c), bits(c_ref))
+
+    def outcome(self, run, case, strategy):
+        """``run`` on an edge case, warnings recorded: its error message
+        (C must be C0 again), or C's bits and its return value."""
+        m, n, k = 196, 32, 576
+        a, b, c0 = self.operands(m, n, k)
+        if case == "overflow":
+            a[5, :] = 3e19  # finite, but row 5 of A @ B is not
+            b[:, 3] = 3e19
+        else:
+            c0[37, 11] = {"nan": np.nan, "+inf": np.inf,
+                          "-inf": -np.inf}[case]
+        c = c0.copy()
+        with warnings.catch_warnings(record=True) as caught, \
+                collecting() as reg:
+            warnings.simplefilter("always")
+            try:
+                returned = run(m, n, k, strategy, a, b, c, QUIET_PLANS["dma"])
+            except CorruptionError as exc:
+                assert np.array_equal(bits(c), bits(c0))
+                got = str(exc)
+            else:
+                got = bits(c).tobytes(), returned
+        return got, [(w.category, str(w.message)) for w in caught], reg
+
+    @pytest.mark.parametrize("strategy", ["m", "k", "tgemm"])
+    @pytest.mark.parametrize("case", ["nan", "+inf", "-inf", "overflow"])
+    def test_non_finite_c_as_guarded(self, case, strategy):
+        got, _warned, reg = self.outcome(quiet_call, case, strategy)
+        want, _warned_ref, reg_ref = self.outcome(guarded_call, case,
+                                                  strategy)
+        assert got == want
+        assert fault_counters(reg) == fault_counters(reg_ref)
+        assert reg.counter("faults/quiet_replays").value == 1
+        if strategy != "k" or case == "overflow":
+            # K-parallel adds its reduced partials into C unguarded, so
+            # there only an overflowing tile trips a guard
+            assert isinstance(got, str)
+
+    @pytest.mark.parametrize("strategy", ["m", "k", "tgemm"])
+    def test_no_extra_warnings(self, strategy):
+        """An overflowing quiet attempt warns only as its guarded replay
+        does: the clean run before it is silenced."""
+        _got, warned, _reg = self.outcome(quiet_call, "overflow", strategy)
+        _want, warned_ref, _reg_ref = self.outcome(guarded_call, "overflow",
+                                                   strategy)
+        assert warned_ref  # the guarded op list does warn here
+        assert warned == warned_ref
+
+    def test_f64_stays_guarded(self):
+        """The float64 checksums of a finite float64 tile can overflow, so
+        the guarded op list raises where the clean path gives a finite C:
+        a float64 attempt is never run quiet."""
+        m, n, k = 300, 24, 200
+        rng = np.random.default_rng(3)
+        a, b, c0 = (rng.standard_normal(d) for d in ((m, k), (k, n), (m, n)))
+        c0[7, :2] = 1.5e308  # finite, but row 7 does not sum finite
+        c = c0.copy()
+        ftimm_gemm(m, n, k, a=a, b=b, c=c, timing="none", dtype="f64")
+        assert np.isfinite(c).all()
+        c = c0.copy()
+        with warnings.catch_warnings(), collecting() as reg:
+            warnings.simplefilter("ignore")
+            with pytest.raises(CorruptionError):
+                ftimm_gemm(m, n, k, a=a, b=b, c=c, timing="none",
+                           dtype="f64", faults=FaultPlan(seed=1))
+        assert reg.counter("executor/functional/flat").value == 0
+        assert reg.counter("faults/quiet_replays").value == 0
         assert np.array_equal(c, c0)
 
 

@@ -17,7 +17,7 @@ import pytest
 from repro.core import ftimm
 from repro.core.ftimm import clear_programs, ftimm_gemm, tgemm_gemm
 from repro.core.lowering import GemmOperands
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import CoreFault, DegradationWindow, FaultPlan
 from repro.obs import collecting
 from repro.serve.loadgen import MIXES
 
@@ -163,17 +163,6 @@ class TestStaysOnTheOpList:
                           kernel_exec="compiled")
         assert program().flat is None
 
-    def test_zero_rate_fault_plan(self):
-        m, n, k = 512, 32, 512
-        a, b, c0 = operands(m, n, k)
-        c = c0.copy()
-        with collecting() as reg:
-            call(m, n, k, "m", a, b, c, faults=FaultPlan(seed=1))
-        assert paths(reg) == {"flat": 0, "oplist": 1, "flat_fallbacks": 0}
-        c_ref = c0.copy()
-        replay(program(), a, b, c_ref)
-        assert np.array_equal(c, c_ref)
-
     @pytest.mark.parametrize("layout", ["fortran_a", "fortran_b",
                                         "strided_a", "strided_b",
                                         "fortran_c"])
@@ -217,6 +206,46 @@ class TestStaysOnTheOpList:
             call(m, n, k, "m", a, b, c)
         assert paths(reg) == {"flat": 0, "oplist": 1, "flat_fallbacks": 0}
         assert not ftimm._programs
+
+
+class TestQuietFaultPlans:
+    """A fault plan that cannot strike the functional phase runs flat; one
+    that can (bit flips, an ``after_ops`` core fault) keeps the op list."""
+
+    SHAPE = (512, 32, 512)
+
+    def check(self, plan, expect):
+        m, n, k = self.SHAPE
+        a, b, c0 = operands(m, n, k)
+        c = c0.copy()
+        with collecting() as reg:
+            call(m, n, k, "m", a, b, c, faults=plan)
+        assert paths(reg) == {**expect, "flat_fallbacks": 0}
+        c_ref = c0.copy()
+        replay(program(), a, b, c_ref)
+        assert np.array_equal(c, c_ref)
+
+    def test_zero_rate_fault_plan(self):
+        self.check(FaultPlan(seed=1), {"flat": 1, "oplist": 0})
+
+    @pytest.mark.parametrize("plan", [
+        FaultPlan(seed=2, dma_fail_rate=0.1),
+        FaultPlan(seed=3, ddr_degradation=(
+            DegradationWindow(0.0, 1e-3, 0.5),)),
+        FaultPlan(seed=4, core_faults=(CoreFault(core=1, after_s=1e-6),)),
+    ], ids=["dma", "ddr_window", "after_s"])
+    def test_des_only_faults(self, plan):
+        self.check(plan, {"flat": 1, "oplist": 0})
+
+    def test_bitflip_rate(self):
+        self.check(FaultPlan(seed=1, bitflip_rate=1e-3),
+                   {"flat": 0, "oplist": 1})
+
+    def test_after_ops_core_fault(self):
+        # armed but never reached: the attempt could be struck, so it is
+        # guarded all the same
+        plan = FaultPlan(core_faults=(CoreFault(core=1, after_ops=10**6),))
+        self.check(plan, {"flat": 0, "oplist": 1})
 
 
 class TestCompileProvesOrRejects:
