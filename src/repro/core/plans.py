@@ -320,9 +320,6 @@ class OpStreamBuilder:
         DMA that stores a C tile out consumes that C buffer)."""
         self._consumers[(core, buffer, slot)] = op_idx
 
-    def producer_of(self, core: int, buffer: str, slot: int) -> int | None:
-        return self._producers.get((core, buffer, slot))
-
     def sync(
         self,
         *,

@@ -47,10 +47,6 @@ class ChannelStats:
     def mean_concurrency(self) -> float:
         return self.weighted_concurrency / self.busy_time if self.busy_time else 0.0
 
-    def contended_fraction(self, until: float) -> float:
-        """Share of the whole run during which the port was contended."""
-        return self.contended_time / until if until > 0 else 0.0
-
 
 class SharedChannel:
     """A fluid-flow processor-sharing bandwidth server.

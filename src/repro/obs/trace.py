@@ -267,16 +267,6 @@ class Tracer:
         finally:
             self.sim_offset = prev
 
-    @contextmanager
-    def at_pid(self, pid: int) -> Iterator[None]:
-        """Default nested recordings to Chrome process ``pid``."""
-        prev = self.pid
-        self.pid = pid
-        try:
-            yield
-        finally:
-            self.pid = prev
-
     # -- queries -----------------------------------------------------------
 
     def children(self, span_id: int) -> list[TraceSpan]:

@@ -30,7 +30,8 @@ harness that proves the answer is still correct:
   asserts the end-to-end contract independently of the server's own
   verification: every completed response bit-identical to a standalone
   ``ftimm_gemm``, every loss carrying a typed reason, and the whole run
-  reproducible from the seed.
+  (records, batches, makespan and served C bits) reproducible from the
+  seed.
 
 Everything here is deterministic in simulated time: the burn estimator
 and the breaker are pure functions of the (seeded) event stream, so a
@@ -265,10 +266,6 @@ class DegradeReport:
     shed_by_class: dict[str, int] = field(default_factory=dict)
     events: list[DegradeEvent] = field(default_factory=list)
 
-    @property
-    def proactive_sheds(self) -> int:
-        return self.shed_class + self.shed_burn
-
     def describe(self) -> str:
         lines = [
             "degradation: "
@@ -308,6 +305,8 @@ class ServeChaosReport:
     silent: list[int] = field(default_factory=list)   # corrupted req ids
     untyped: list[int] = field(default_factory=list)  # losses w/o reason
     deterministic: bool | None = None                 # None = not checked
+    #: the first run's requests, with the served C written into them
+    served: list[GemmRequest] = field(default_factory=list, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -399,8 +398,8 @@ def chaos_serve(
     ``requests`` (which stay pristine) and audits every completed
     response with :func:`silent_corruptions`.  Every non-completed
     request must carry a typed error reason, and with ``replay=True``
-    the run is repeated from scratch and the two latency tables
-    compared bit-for-bit.
+    the run is repeated from scratch and the two runs' records, batch
+    rows, makespan and served C bit patterns compared exactly.
 
     Compose any :class:`~repro.faults.plan.FaultPlan` via
     ``config.faults`` (bit-flip / DMA rates under any timing mode; DDR
@@ -422,9 +421,16 @@ def chaos_serve(
 
     deterministic: bool | None = None
     if replay:
-        second = serve(_clone_requests(requests), config, machine=machine)
+        again = _clone_requests(requests)
+        second = serve(again, config, machine=machine)
         deterministic = (
-            report.latency_table() == second.latency_table()
+            report.records == second.records
+            and report.batches == second.batches
+            and report.makespan_s == second.makespan_s
+            and all(
+                x.c.tobytes() == y.c.tobytes()
+                for x, y in zip(served, again)
+            )
         )
 
     return ServeChaosReport(
@@ -432,4 +438,5 @@ def chaos_serve(
         silent=sorted(silent),
         untyped=sorted(untyped),
         deterministic=deterministic,
+        served=served,
     )

@@ -457,7 +457,7 @@ def gateway_replay(
     up to the first await, so admission order equals replay order), all
     gathered concurrently while the pump advances the bridge clock.  The
     resulting records are bit-identical to ``serve(requests, config)``
-    — asserted by the test suite and the CI smoke gate, not just here.
+    — asserted by the test suite and the CI claims gate, not just here.
     """
     config = config or ServeConfig()
     if not requests:

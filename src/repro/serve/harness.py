@@ -10,8 +10,8 @@ Run with ``compare_naive=True`` it repeats the sweep with batching
 disabled (``max_batch=1`` — one ``ftimm_gemm`` call per request, B
 staged per call), which is the honest baseline the batcher must beat:
 at saturation the batched server sustains strictly higher goodput or the
-subsystem is not paying for itself.  ``benchmarks/serve_smoke.py`` gates
-CI on exactly that claim.
+subsystem is not paying for itself.  The serve group of
+``benchmarks/serve_claims.py`` gates CI on exactly that claim.
 """
 
 from __future__ import annotations

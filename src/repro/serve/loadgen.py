@@ -17,7 +17,7 @@ Shape mixes are drawn from the paper's motivating workload generators in
 * ``convnet``     — im2col :class:`~repro.workloads.convnets.ConvLayer`
   shapes at small image sizes (looser SLOs);
 * ``mixed``       — all three, weighted;
-* ``overload``    — the reference overload mix used by the CI smoke
+* ``overload``    — the reference overload mix used by the CI claims
   gate: heterogeneous SLOs so deadline-aware scheduling has something
   to exploit.
 
@@ -111,7 +111,7 @@ def overload_mix() -> list[ShapeClass]:
 
     The bulky classes are batched im2col layers (``batch=4``) — heavy
     enough that a moderate offered load saturates the four clusters,
-    which is the regime the smoke gate probes.
+    which is the regime the claims gate probes.
     """
     tight_op = FemOperator("q2_face_chunk", 256, 16, 16)
     decode = AttentionConfig(

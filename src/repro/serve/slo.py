@@ -17,7 +17,7 @@ fast window catches a cliff within milliseconds of simulated time, the
 slow window catches a smolder the fast one would flap on.
 
 Everything is a pure function of the records, so alerts are exactly as
-deterministic as the serve run itself — the smoke gate asserts the
+deterministic as the serve run itself — the claims gate asserts the
 overload mix fires and the light mix never does.  Alerts append to the
 JSONL run-log under their own schema (``repro-slo/1``); ``repro-perf/1``
 readers skip them by design.

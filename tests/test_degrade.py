@@ -368,6 +368,40 @@ class TestChaosServe:
         assert chaos.deterministic is True
         assert "contract: OK" in chaos.describe()
 
+    @pytest.mark.parametrize("drift", ["finish_s", "c_bit"])
+    def test_replay_check_is_bit_exact(self, monkeypatch, drift):
+        """A replay off by 1e-10 s in one finish time, or by one bit of
+        one served C, is not deterministic: a latency table rounded to
+        1 us would hide both."""
+        import dataclasses
+        import importlib
+
+        server = importlib.import_module("repro.serve.server")
+        real_serve = server.serve
+        runs = []
+
+        def drifting_serve(requests, config, **kwargs):
+            report = real_serve(requests, config, **kwargs)
+            runs.append(report)
+            if len(runs) == 2:
+                i = next(i for i, r in enumerate(report.records)
+                         if r.status == COMPLETED)
+                rec = report.records[i]
+                if drift == "finish_s":
+                    report.records[i] = dataclasses.replace(
+                        rec, finish_s=rec.finish_s + 1e-10)
+                else:
+                    c = next(r.c for r in requests if r.req_id == rec.req_id)
+                    c.view(np.uint8).reshape(-1)[0] ^= 1
+            return report
+
+        monkeypatch.setattr(server, "serve", drifting_serve)
+        reqs = make_requests("overload", rate_rps=120_000, n_requests=24,
+                             seed=5)
+        chaos = chaos_serve(reqs, ServeConfig(queue_cap=64))
+        assert len(runs) == 2
+        assert chaos.deterministic is False
+
     def test_inputs_left_pristine(self):
         reqs = make_requests("overload", rate_rps=120_000, n_requests=24,
                              seed=5)

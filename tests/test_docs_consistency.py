@@ -99,3 +99,32 @@ class TestDesign:
                     f"{doc.name} cites `{pkg}/{mod}`"
                 )
         assert cited > 50
+
+    def test_cited_benchmark_scripts_resolve(self):
+        """Every `benchmarks/<name>.py` cited in the docs, the src
+        docstrings or the CI workflow exists (a deleted gate's citation
+        must go with it)."""
+        sources = [ROOT / "DESIGN.md", ROOT / "README.md",
+                   *sorted((ROOT / "docs").glob("*.md")),
+                   *sorted((ROOT / "src").rglob("*.py")),
+                   ROOT / ".github" / "workflows" / "ci.yml"]
+        cited = 0
+        for source in sources:
+            for name in re.findall(r"benchmarks/(\w+)\.py",
+                                   source.read_text()):
+                cited += 1
+                assert (ROOT / "benchmarks" / f"{name}.py").exists(), (
+                    f"{source.relative_to(ROOT)} cites benchmarks/{name}.py"
+                )
+        assert cited > 20
+
+    def test_every_benchmark_script_runs_in_ci(self):
+        """Every non-pytest script in benchmarks/ is run by a CI step: a
+        gate nothing runs is no gate."""
+        ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        run = set(re.findall(r"run: python benchmarks/(\w+)\.py", ci))
+        scripts = {p.stem for p in (ROOT / "benchmarks").glob("*.py")
+                   if not p.name.startswith("test_")
+                   and p.name != "conftest.py"}
+        assert "serve_claims" in scripts
+        assert scripts <= run, f"not run by CI: {sorted(scripts - run)}"
