@@ -43,6 +43,7 @@ from repro.serve import (
     sweep,
 )
 from repro.serve.degrade import silent_corruptions
+from repro.serve.placement import REPLICA_BUDGET_BYTES
 
 #: cluster 0 is sick: full fault rates there, healthy elsewhere
 SICK_FIRST = (1.0,) + (0.0,) * (default_machine().n_clusters - 1)
@@ -246,7 +247,7 @@ def placement_group() -> None:
        and at least one batch runs on a replica holder.
     2. **Off is bit-identical:** ``replicate_b="off"`` gives the default
        config's records, batch rows and makespan, and no placement
-       report, whatever the placement knobs say.
+       report.
     3. **Gateway parity with replication on:** placement decisions
        happen at batch close, inside engine event processing, which
        both paths drive in the same ``offer()`` order.
@@ -273,13 +274,12 @@ def placement_group() -> None:
 
     off = serve(stream("overload", 300_000.0, 200), ServeConfig(
         policy="least_loaded", queue_cap=256, replicate_b="off",
-        replica_budget_bytes=1, max_replicas=9, promote_after=7,
     ))
     off_identical = same_run(off, baseline) and off.placement is None
     print(f"  replicate_b=off vs default config: "
           f"bit-identical={off_identical}")
     check(off_identical, "replicate_b='off' must be record-bit-identical "
-          "to the pre-placement serve, placement knobs inert")
+          "to the pre-placement serve")
 
     live = gateway_replay(stream("overload", 300_000.0, 200),
                           adaptive_config)
@@ -299,7 +299,7 @@ def placement_group() -> None:
     ))
     audit_chaos("placement chaos", chaotic, served, pristine, 200)
     over_budget = [peak for peak in chaotic.placement.peak_bytes
-                   if peak > chaotic.config.replica_budget_bytes]
+                   if peak > REPLICA_BUDGET_BYTES]
     check(not over_budget, "replica residency exceeded the per-cluster "
           f"budget under chaos: {over_budget}")
 

@@ -39,7 +39,6 @@ from .core.shapes import GemmShape
 from .errors import ReproError
 from .hw.config import default_machine
 from .kernels.registry import registry_for
-from .serve.scheduler import DEFAULT_COLD_TUNE_S
 from .workloads.generators import random_operands, reference_result
 
 
@@ -407,13 +406,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_wait_s=args.max_wait,
         queue_cap=args.queue_cap,
         warmup=not args.no_warmup,
-        cold_tune_s=args.cold_tune,
         degrade=(DegradePolicy()
                  if (args.degrade or args.chaos) else None),
         replicate_b=args.replicate_b,
-        replica_budget_bytes=args.replica_budget,
-        max_replicas=args.max_replicas,
-        promote_after=args.promote_after,
     )
 
     if args.gateway:
@@ -840,10 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "and audit bit-identity against the "
                               "pre-drawn replay (non-zero exit on "
                               "violation)")
-    p_serve.add_argument("--cold-tune", type=float,
-                         default=DEFAULT_COLD_TUNE_S, metavar="S",
-                         help="un-warmed bucket penalty in seconds "
-                              f"(default {DEFAULT_COLD_TUNE_S:g})")
     p_serve.add_argument("--compare-naive", action="store_true",
                          help="also sweep the one-call-per-request baseline")
     p_serve.add_argument("--degrade", action="store_true",
@@ -864,19 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "sets and route batches to replica holders "
                               "(default off; off is bit-identical to the "
                               "pre-placement engine)")
-    p_serve.add_argument("--replica-budget", type=int, default=8 << 20,
-                         metavar="BYTES",
-                         help="per-cluster replica memory budget in bytes "
-                              "(default 8 MiB; cold replicas are "
-                              "LRU-demoted to stay under it)")
-    p_serve.add_argument("--max-replicas", type=int, default=4,
-                         help="clusters each hot B is replicated across "
-                              "(default 4, capped at the pool size)")
-    p_serve.add_argument("--promote-after", type=int, default=2,
-                         metavar="N",
-                         help="batches a bucket must attract before "
-                              "adaptive promotion fires (default 2; 1 "
-                              "promotes on first traffic)")
     p_serve.add_argument("--trace-sample", type=_unit_fraction, default=1.0,
                          metavar="RATE", dest="trace_rate",
                          help="deterministic per-request trace sampling "

@@ -16,6 +16,7 @@ experiment measures both sides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..core.batched import b_digest
@@ -116,8 +117,10 @@ class ShapeBucketBatcher:
     ) -> None:
         if max_batch < 1:
             raise PlanError("max_batch must be >= 1")
-        if max_wait_s < 0:
-            raise PlanError("max_wait_s must be >= 0")
+        if not (math.isfinite(max_wait_s) and max_wait_s >= 0):
+            raise PlanError(
+                f"max_wait_s must be finite and >= 0, got {max_wait_s!r}"
+            )
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
         self._buckets: dict[BucketKey, list[GemmRequest]] = {}

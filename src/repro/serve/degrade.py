@@ -47,6 +47,7 @@ import numpy as np
 
 from ..errors import PlanError
 from .request import COMPLETED, GemmRequest
+from .slo import SloPolicy
 
 # ---------------------------------------------------------------------------
 # priority classes
@@ -128,11 +129,6 @@ class DegradePolicy:
     """
 
     classes: tuple[PriorityClass, ...] = (INTERACTIVE, BULK)
-    #: online burn estimation (mirrors SloPolicy's fast window)
-    burn_objective: float = 0.99
-    burn_window_s: float = 5e-3
-    burn_threshold: float = 8.0
-    burn_min_events: int = 8
     health: HealthPolicy | None = HealthPolicy()
 
     def __post_init__(self) -> None:
@@ -141,14 +137,6 @@ class DegradePolicy:
         names = [c.name for c in self.classes]
         if len(set(names)) != len(names):
             raise PlanError(f"duplicate class names: {names}")
-        if not 0.0 < self.burn_objective < 1.0:
-            raise PlanError("burn_objective must be in (0, 1)")
-        if self.burn_window_s <= 0:
-            raise PlanError("burn_window_s must be > 0")
-        if self.burn_threshold <= 0:
-            raise PlanError("burn_threshold must be > 0")
-        if self.burn_min_events < 1:
-            raise PlanError("burn_min_events must be >= 1")
 
     def classify(self, req: GemmRequest) -> PriorityClass:
         """The class a request belongs to.
@@ -185,6 +173,10 @@ class DegradePolicy:
 # online burn estimation
 # ---------------------------------------------------------------------------
 
+#: live fast-window burn at which ``burn_shed`` classes stop being admitted
+#: (below the post-hoc fast alert's 10x, so shedding starts before paging)
+BURN_THRESHOLD = 8.0
+
 
 class OnlineBurn:
     """Causal sliding-window burn-rate estimator.
@@ -207,6 +199,17 @@ class OnlineBurn:
         self._times: list[float] = []      # all outcome events, sorted
         self._bad: list[float] = []        # bad outcome events, sorted
         self.peak = 0.0
+
+    @classmethod
+    def fast_window(cls) -> OnlineBurn:
+        """The estimator the serve engine runs: :class:`SloPolicy`'s
+        default objective, ``fast`` window and ``min_events``."""
+        slo = SloPolicy()
+        fast = next(w for w in slo.windows if w.name == "fast")
+        return cls(
+            objective=slo.objective, window_s=fast.window_s,
+            min_events=slo.min_events,
+        )
 
     @property
     def n_events(self) -> int:
@@ -258,13 +261,16 @@ class DegradeReport:
     shed_class: int = 0
     shed_burn: int = 0
     peak_burn: float = 0.0
-    burn_threshold: float = 0.0
     faults: int = 0                # faulted dispatch attempts observed
     quarantines: int = 0
     probes: int = 0
     recoveries: int = 0
     shed_by_class: dict[str, int] = field(default_factory=dict)
     events: list[DegradeEvent] = field(default_factory=list)
+
+    @property
+    def burn_threshold(self) -> float:
+        return BURN_THRESHOLD
 
     def describe(self) -> str:
         lines = [
@@ -401,10 +407,9 @@ def chaos_serve(
     the run is repeated from scratch and the two runs' records, batch
     rows, makespan and served C bit patterns compared exactly.
 
-    Compose any :class:`~repro.faults.plan.FaultPlan` via
-    ``config.faults`` (bit-flip / DMA rates under any timing mode; DDR
-    degradation windows and timed core faults need ``timing="des"``),
-    and any load mix via ``requests`` — the harness is policy-agnostic.
+    Compose any :class:`~repro.faults.plan.FaultPlan`'s bit-flip and
+    DMA rates via ``config.faults``, and any load mix via ``requests``
+    — the harness is policy-agnostic.
     """
     from .server import ServeConfig, serve
 

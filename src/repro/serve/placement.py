@@ -22,7 +22,11 @@ exceeded.
 Contracts:
 
 * ``replicate_b="off"`` constructs no manager at all — the serve loop is
-  bit-identical to the pre-placement engine, knobs and all.
+  bit-identical to the pre-placement engine.
+* ``replicate_b="adaptive"`` builds the manager from this module's
+  constants: a digest is promoted once it has drawn
+  :data:`PROMOTE_AFTER` batches, onto at most :data:`MAX_REPLICAS`
+  clusters, under a per-cluster :data:`REPLICA_BUDGET_BYTES`.
 * Replication changes *where* batches run and what staging they pay,
   never the served bits: results are computed functionally per batch and
   verified against standalone ``ftimm_gemm`` regardless of placement.
@@ -45,6 +49,14 @@ from .batcher import BucketKey, bucket_b_bytes, bucket_label
 
 #: the replication modes ``ServeConfig.replicate_b`` accepts.
 REPLICATE_MODES = ("off", "adaptive")
+
+#: per-cluster replica memory budget; cold replicas are LRU-demoted to
+#: stay under it, and a B larger than it is never promoted
+REPLICA_BUDGET_BYTES = 8 << 20
+#: clusters each hot B is replicated across (capped at the pool size)
+MAX_REPLICAS = 4
+#: batches a digest must attract before promotion fires
+PROMOTE_AFTER = 2
 
 
 @dataclass

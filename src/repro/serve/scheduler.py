@@ -27,10 +27,10 @@ each bucket is tuned at its expected batch shape instead of the first
 request's M, so the kernels cached up front are the ones the stacked
 steady state actually runs.
 
-A batch whose bucket was *not* warmed is charged a ``cold_tune_s``
-penalty once per bucket — visible in the latency histograms, which is
-the point.  The penalty is a modeled constant, never a measured wall, so
-replays stay bit-identical across runs and machines.
+A batch whose bucket was *not* warmed is charged :data:`COLD_TUNE_S`
+once per bucket — visible in the latency histograms, which is the point.
+The penalty is a modeled constant, never a measured wall, so replays
+stay bit-identical across runs and machines.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ POLICIES = ("fifo", "least_loaded", "edf")
 #: warmup granularity: one tuning decision + kernel set per (N, K, dtype).
 WarmKey = tuple[int, int, str]
 
-#: the modeled un-warmed plan-search penalty (``ServeConfig.cold_tune_s``).
-DEFAULT_COLD_TUNE_S = 5e-4
+#: the modeled un-warmed plan-search penalty, in seconds.
+COLD_TUNE_S = 5e-4
 
 #: stack hints: expected stacked M per bucket class.
 StackHints = dict[WarmKey, int]
@@ -126,7 +126,6 @@ class Scheduler:
         *,
         n_clusters: int,
         policy: str,
-        cold_tune_s: float,
         machine: MachineConfig,
         health: HealthPolicy | None = None,
         placement=None,
@@ -138,7 +137,6 @@ class Scheduler:
         if n_clusters < 1:
             raise PlanError("n_clusters must be >= 1")
         self.policy = policy
-        self.cold_tune_s = cold_tune_s
         self.machine = machine
         self.backends = [ClusterBackend(i) for i in range(n_clusters)]
         self._rr = 0
@@ -380,7 +378,7 @@ class Scheduler:
         return report
 
     def tune_penalty(self, key: WarmKey) -> float:
-        """Cold-tuning cost: ``cold_tune_s`` the first time a bucket
+        """Cold-tuning cost: :data:`COLD_TUNE_S` the first time a bucket
         class runs un-warmed, zero once it is warm."""
         if key in self._warmed:
             return 0.0
@@ -388,7 +386,7 @@ class Scheduler:
         m = current()
         if m is not None:
             m.counter("serve/tune/cold").inc()
-        return self.cold_tune_s
+        return COLD_TUNE_S
 
     # -- accounting --------------------------------------------------------
 

@@ -32,11 +32,19 @@ Contracts, enforced rather than hoped for:
 * **Honest accounting.** Failed fault-injection attempts charge their
   modeled time to the cluster (``lost_s``), cold tunes are charged to
   the batch that hit them, and shed requests stay in the tables.
+
+:class:`ServeConfig` holds only the choices a caller makes.  The rest
+is derived or fixed: the backend pool is every cluster the machine has,
+batches are timed with the analytic model, and the cold-tune penalty and
+replica knobs are module constants
+(:data:`~repro.serve.scheduler.COLD_TUNE_S`,
+:data:`~repro.serve.placement.PROMOTE_AFTER` and its neighbours).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
@@ -49,13 +57,14 @@ from ..errors import FaultError, OverloadError, PlanError
 from ..faults.plan import FaultPlan
 from ..hw.config import MachineConfig, default_machine
 from ..obs import current
+from . import placement
 from .batcher import (
     Batch,
     ShapeBucketBatcher,
     bucket_label,
     dtype_tag,
 )
-from .degrade import DegradePolicy, DegradeReport, OnlineBurn
+from .degrade import BURN_THRESHOLD, DegradePolicy, DegradeReport, OnlineBurn
 from .placement import REPLICATE_MODES, PlacementManager, PlacementReport
 from .request import (
     COMPLETED,
@@ -67,7 +76,6 @@ from .request import (
     RequestRecord,
 )
 from .scheduler import (
-    DEFAULT_COLD_TUNE_S,
     Scheduler,
     StackHints,
     WarmKey,
@@ -116,16 +124,12 @@ class ServeConfig:
     max_wait_s: float = 5e-4
     queue_cap: int = 64            # admitted requests not yet started
     #: rule-tune every bucket class at its expected stacked M before
-    #: the stream starts (:func:`warm_engine`)
+    #: the stream starts (:func:`warm_engine`); a class warmup did not
+    #: cover pays the modeled :data:`~repro.serve.scheduler.COLD_TUNE_S`
+    #: once
     warmup: bool = True
-    #: modeled un-warmed plan-search penalty, charged once per bucket
-    #: class that warmup did not cover (a constant, so replays stay
-    #: bit-identical across runs and machines)
-    cold_tune_s: float = DEFAULT_COLD_TUNE_S
-    timing: str = "analytic"
     faults: FaultPlan | None = None
     max_redispatch: int = 2
-    n_clusters: int | None = None  # default: all the machine has
     #: graceful degradation: priority classes, burn-driven shedding,
     #: cluster quarantine.  None (default) keeps the loop bit-identical
     #: to the policy-free baseline.
@@ -134,47 +138,31 @@ class ServeConfig:
     #: models one sick cluster in an otherwise healthy pool.  When set,
     #: fault attempts are seeded per cluster too (so moving a batch off
     #: a sick cluster actually changes its fate); length must equal the
-    #: number of clusters.
+    #: machine's cluster count.
     cluster_fault_scale: tuple[float, ...] | None = None
     #: replicated-B placement: "off" (bit-identical to the pre-placement
-    #: engine) or "adaptive" (promote a digest after ``promote_after``
-    #: batches; 1 promotes on first traffic).  Replication changes where
-    #: batches run and what staging they pay, never the served bits.
+    #: engine) or "adaptive" (promote a digest once it draws
+    #: :data:`~repro.serve.placement.PROMOTE_AFTER` batches).  Replication
+    #: changes where batches run and what staging they pay, never the
+    #: served bits.
     replicate_b: str = "off"
-    #: per-cluster replica memory budget; cold replicas are LRU-demoted
-    #: to stay under it
-    replica_budget_bytes: int = 8 << 20
-    #: clusters each hot B is replicated across (capped at the pool size)
-    max_replicas: int = 4
-    #: batches a digest must attract before adaptive promotion fires
-    promote_after: int = 2
 
     def __post_init__(self) -> None:
         if self.queue_cap < 1:
             raise PlanError("queue_cap must be >= 1")
         if self.max_redispatch < 0:
             raise PlanError("max_redispatch must be >= 0")
-        if not isinstance(self.cold_tune_s, (int, float)) or (
-            self.cold_tune_s < 0
+        if self.cluster_fault_scale is not None and not all(
+            math.isfinite(s) and s >= 0 for s in self.cluster_fault_scale
         ):
             raise PlanError(
-                f"cold_tune_s must be a number of seconds >= 0, "
-                f"got {self.cold_tune_s!r}"
+                "cluster_fault_scale entries must be finite and >= 0"
             )
-        if self.cluster_fault_scale is not None:
-            if any(s < 0 for s in self.cluster_fault_scale):
-                raise PlanError("cluster_fault_scale entries must be >= 0")
         if self.replicate_b not in REPLICATE_MODES:
             raise PlanError(
                 f"replicate_b must be one of {REPLICATE_MODES}, "
                 f"got {self.replicate_b!r}"
             )
-        if self.replica_budget_bytes < 1:
-            raise PlanError("replica_budget_bytes must be >= 1")
-        if self.max_replicas < 1:
-            raise PlanError("max_replicas must be >= 1")
-        if self.promote_after < 1:
-            raise PlanError("promote_after must be >= 1")
 
 
 @dataclass
@@ -366,7 +354,7 @@ class ServeEngine:
             max_batch=config.max_batch,
             max_wait_s=config.max_wait_s,
         )
-        n_clusters = config.n_clusters or machine.n_clusters
+        n_clusters = machine.n_clusters
         if (
             config.cluster_fault_scale is not None
             and len(config.cluster_fault_scale) != n_clusters
@@ -381,15 +369,14 @@ class ServeEngine:
         if config.replicate_b != "off":
             self.placement = PlacementManager(
                 n_clusters=n_clusters,
-                budget_bytes=config.replica_budget_bytes,
-                max_replicas=config.max_replicas,
-                promote_after=config.promote_after,
+                budget_bytes=placement.REPLICA_BUDGET_BYTES,
+                max_replicas=placement.MAX_REPLICAS,
+                promote_after=placement.PROMOTE_AFTER,
                 cpu_bw=machine.cpu.ddr_bandwidth,
             )
         self.sched = Scheduler(
             n_clusters=n_clusters,
             policy=config.policy,
-            cold_tune_s=config.cold_tune_s,
             machine=machine,
             health=(config.degrade.health
                     if config.degrade is not None else None),
@@ -398,11 +385,7 @@ class ServeEngine:
         #: online burn estimator feeding proactive shedding (degrade only)
         self.burn: OnlineBurn | None = None
         if config.degrade is not None:
-            self.burn = OnlineBurn(
-                objective=config.degrade.burn_objective,
-                window_s=config.degrade.burn_window_s,
-                min_events=config.degrade.burn_min_events,
-            )
+            self.burn = OnlineBurn.fast_window()
         self.shed_reasons: dict[str, int] = {}
         self.shed_by_class: dict[str, int] = {}
         self.records: dict[int, RequestRecord] = {}
@@ -548,7 +531,7 @@ class ServeEngine:
             elif (
                 pcls.burn_shed
                 and self.burn is not None
-                and self.burn.burn_at(now) >= pol.burn_threshold
+                and self.burn.burn_at(now) >= BURN_THRESHOLD
             ):
                 reason = "burn_shed"
         if reason is not None:
@@ -745,7 +728,7 @@ class ServeEngine:
                     served.append((req, c, run.faults))
                 result = grouped_gemm(
                     None, None, None, m_blocks=m_blocks, n=n, k=k,
-                    machine=self.machine, timing=cfg.timing, faults=faults,
+                    machine=self.machine, timing="analytic", faults=faults,
                 )
                 break
             except FaultError as exc:
@@ -937,7 +920,6 @@ def assemble_report(
             shed_class=engine.shed_reasons.get("class_shed", 0),
             shed_burn=engine.shed_reasons.get("burn_shed", 0),
             peak_burn=engine.burn.peak if engine.burn is not None else 0.0,
-            burn_threshold=config.degrade.burn_threshold,
             faults=sum(h.faults for h in health),
             quarantines=sum(h.quarantines for h in health),
             probes=sum(1 for e in events if e.kind == "probe"),

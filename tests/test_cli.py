@@ -285,20 +285,21 @@ class TestServeCommand:
             build_parser().parse_args(["serve", "--policy", "magic"])
 
     def test_removed_serve_modes_rejected(self):
-        """Static replication, measured cold tunes and the extra warmup
-        modes are gone for good: the config refuses the first two and
+        """Static replication, measured cold tunes, the extra warmup
+        modes and the cold-tune and replica knobs (now module constants)
+        are gone for good: the config refuses static replication and
         the CLI parses none of them."""
         from repro.errors import PlanError
         from repro.serve import ServeConfig
 
         with pytest.raises(PlanError, match="replicate_b"):
             ServeConfig(replicate_b="static")
-        with pytest.raises(PlanError, match="cold_tune_s"):
-            ServeConfig(cold_tune_s=None)
         for flags in (
             ["--replicate-b", "static"], ["--cold-tune", "auto"],
             ["--warm-tune", "search"], ["--observed-hints"],
-            ["--no-stack-hints"],
+            ["--no-stack-hints"], ["--cold-tune", "5e-4"],
+            ["--replica-budget", "8388608"], ["--max-replicas", "4"],
+            ["--promote-after", "2"],
         ):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["serve", *flags])

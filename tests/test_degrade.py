@@ -84,8 +84,16 @@ class TestPolicy:
             DegradePolicy(classes=())
         with pytest.raises(PlanError):
             DegradePolicy(classes=(INTERACTIVE, INTERACTIVE))
-        with pytest.raises(PlanError):
-            DegradePolicy(burn_threshold=0.0)
+
+    @pytest.mark.parametrize("field", [
+        "burn_objective", "burn_window_s", "burn_threshold",
+        "burn_min_events",
+    ])
+    def test_removed_burn_fields_rejected(self, field):
+        # the burn window comes from SloPolicy, the threshold is
+        # BURN_THRESHOLD: DegradePolicy holds only classes and health
+        with pytest.raises(TypeError, match=field):
+            DegradePolicy(**{field: 1.0})
 
     def test_default_classes_shape(self):
         assert INTERACTIVE.admit_above == 1.0 and not INTERACTIVE.burn_shed
@@ -231,8 +239,7 @@ SICK_FIRST = (1.0, 0.0, 0.0, 0.0)
 class TestQuarantine:
     def test_breaker_state_machine(self, machine):
         sched = Scheduler(
-            n_clusters=2, policy="least_loaded", cold_tune_s=0.0,
-            machine=machine,
+            n_clusters=2, policy="least_loaded", machine=machine,
             health=HealthPolicy(fault_threshold=2, cooldown_s=1e-3,
                                 backoff=2.0, max_cooldown_s=4e-3),
         )
@@ -266,8 +273,7 @@ class TestQuarantine:
 
     def test_all_quarantined_never_deadlocks(self, machine):
         sched = Scheduler(
-            n_clusters=2, policy="least_loaded", cold_tune_s=0.0,
-            machine=machine,
+            n_clusters=2, policy="least_loaded", machine=machine,
             health=HealthPolicy(fault_threshold=1, cooldown_s=1.0,
                                 max_cooldown_s=4.0),
         )
@@ -348,6 +354,13 @@ class TestQuarantine:
         cfg = ServeConfig(cluster_fault_scale=(1.0, 0.0))
         with pytest.raises(PlanError, match="cluster_fault_scale"):
             serve(reqs, cfg)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_scale_rejected(self, bad):
+        # min(1.0, rate * nan) is 1.0 and 0 * inf is nan: either entry
+        # would silently run that cluster at full fault rates
+        with pytest.raises(PlanError, match="cluster_fault_scale"):
+            ServeConfig(cluster_fault_scale=(1.0, bad, 0.0, 0.0))
 
 
 class TestChaosServe:

@@ -128,3 +128,74 @@ class TestDesign:
                    and p.name != "conftest.py"}
         assert "serve_claims" in scripts
         assert scripts <= run, f"not run by CI: {sorted(scripts - run)}"
+
+
+def _serve_flags():
+    """Every option string of the ``repro serve`` parser."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {opt for action in sub.choices["serve"]._actions
+            for opt in action.option_strings}
+
+
+def _cited_serve_flags(text, default_cmd):
+    """``--flags`` a doc cites for ``repro serve``.
+
+    A flag belongs to the last ``repro <command>`` named before it on
+    its line, or to ``default_cmd`` when the line names none.  The
+    lookbehind skips link anchors such as ``#chaos--graceful``.
+    """
+    token = re.compile(r"repro (\w+)|(?<![\w#-])--([a-z][a-z0-9-]*)")
+    for line in text.splitlines():
+        cmd = default_cmd
+        for m in token.finditer(line):
+            if m.group(1):
+                cmd = m.group(1)
+            elif cmd == "serve":
+                yield f"--{m.group(2)}"
+
+
+class TestServing:
+    @staticmethod
+    def _config_rows():
+        serving = (ROOT / "docs" / "SERVING.md").read_text()
+        section = serving.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        return [
+            [cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines()
+            if line.startswith("| `")
+        ]
+
+    def test_config_table_matches_serve_config(self):
+        """One row per ServeConfig field, in order, with its default."""
+        import ast
+        import dataclasses
+
+        from repro.serve import ServeConfig
+
+        rows = self._config_rows()
+        fields = dataclasses.fields(ServeConfig)
+        assert [r[0].strip("`") for r in rows] == [f.name for f in fields]
+        for row, f in zip(rows, fields):
+            assert ast.literal_eval(row[1].strip("`")) == f.default, f.name
+
+    def test_cited_serve_flags_exist(self):
+        flags = _serve_flags()
+        serving = (ROOT / "docs" / "SERVING.md").read_text()
+        readme = (ROOT / "README.md").read_text()
+        cited = [
+            *_cited_serve_flags(serving, "serve"),
+            *_cited_serve_flags(readme, None),
+            # README's serving section cites flags without the command
+            *_cited_serve_flags(
+                readme.split("## Online serving", 1)[1].split("\n## ", 1)[0],
+                "serve",
+            ),
+        ]
+        assert len(cited) > 15
+        missing = sorted(set(cited) - flags)
+        assert not missing, f"docs cite removed repro serve flags: {missing}"

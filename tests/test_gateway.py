@@ -350,6 +350,17 @@ class TestStackHints:
         with pytest.raises(TypeError, match="warmup_tune"):
             ServeConfig(warmup_tune="search")
 
+    @pytest.mark.parametrize("field, value", [
+        ("timing", "des"), ("n_clusters", 99), ("cold_tune_s", 1e-3),
+        ("replica_budget_bytes", 1 << 20), ("max_replicas", 2),
+        ("promote_after", 1),
+    ])
+    def test_removed_knobs_rejected(self, field, value):
+        # derived from the machine or fixed as module constants
+        # (scheduler.COLD_TUNE_S, placement.REPLICA_BUDGET_BYTES, ...)
+        with pytest.raises(TypeError, match=field):
+            ServeConfig(**{field: value})
+
 
 class TestTraceDiff:
     def _reports(self):
@@ -419,8 +430,7 @@ class TestClosedLoop:
             # synchronously and the high-water stat is exactly the
             # driver's window
             gw = Gateway(ServeConfig(
-                policy="least_loaded", warmup=False, cold_tune_s=5e-4,
-                max_batch=24,
+                policy="least_loaded", warmup=False, max_batch=24,
             ))
             records = []
             for lo in range(0, self.N_REQUESTS, window):

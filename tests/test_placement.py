@@ -16,6 +16,7 @@ The ISSUE's edge-case checklist, plus the manager's own contracts:
 from repro.serve import PlacementManager, Scheduler, ServeConfig, serve
 from repro.serve.batcher import bucket_b_bytes
 from repro.serve.degrade import HealthPolicy
+from repro.serve.placement import REPLICA_BUDGET_BYTES
 from repro.serve.request import COMPLETED
 
 from test_serve import fast_requests
@@ -36,7 +37,7 @@ def manager(n_clusters=4, budget=1 << 20, max_replicas=2,
 
 def scheduler(machine, n_clusters=4, health=None, placement=None):
     return Scheduler(
-        n_clusters=n_clusters, policy="least_loaded", cold_tune_s=0.0,
+        n_clusters=n_clusters, policy="least_loaded",
         machine=machine, health=health, placement=placement,
     )
 
@@ -190,8 +191,7 @@ class TestQuarantineInteraction:
     def test_edf_pull_prefers_idle_holder(self, machine):
         pm = manager(max_replicas=2)
         sched = Scheduler(
-            n_clusters=4, policy="edf", cold_tune_s=0.0,
-            machine=machine, placement=pm,
+            n_clusters=4, policy="edf", machine=machine, placement=pm,
         )
         staged = pm.on_close(KEY_A, sched, now=0.0)
         holders = sorted(c for c, _s, _e in staged)
@@ -212,8 +212,7 @@ class TestSingleBucketStreams:
             if r.klass == "tiny"
         ][:3]
         report = serve(requests, ServeConfig(
-            policy="least_loaded", max_batch=1,
-            replicate_b="adaptive", promote_after=2,
+            policy="least_loaded", max_batch=1, replicate_b="adaptive",
         ))
         assert report.completed == len(report.records) == 3
         assert all(r.status == COMPLETED for r in report.records)
@@ -221,12 +220,12 @@ class TestSingleBucketStreams:
         # the digest got hot mid-stream; replicas never exceed the pool
         assert placement.replica_sets <= 1
         for st_peak in placement.peak_bytes:
-            assert st_peak <= report.config.replica_budget_bytes
+            assert st_peak <= REPLICA_BUDGET_BYTES
 
     def test_single_batch_stream_never_promotes_adaptively(self):
         requests = [fast_requests(n=4, rate=30_000, seed=6)[0]]
         report = serve(requests, ServeConfig(
-            policy="fifo", replicate_b="adaptive", promote_after=2,
+            policy="fifo", replicate_b="adaptive",
         ))
         assert report.completed == 1
         assert report.placement.promotions == 0

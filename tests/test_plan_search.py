@@ -420,11 +420,9 @@ class TestServeBatchAware:
         assert all(m >= 1 for m in h1.values())
 
     def test_warm_hinted_and_cold_penalty(self, machine):
-        from repro.serve.scheduler import Scheduler
+        from repro.serve.scheduler import COLD_TUNE_S, Scheduler
 
-        sched = Scheduler(
-            n_clusters=2, policy="fifo", cold_tune_s=3e-4, machine=machine
-        )
+        sched = Scheduler(n_clusters=2, policy="fifo", machine=machine)
         report = sched.warm(
             [(GemmShape(128, 64, 256), "f32")],
             stack_hints={(64, 256, "f32"): 512},
@@ -434,5 +432,5 @@ class TestServeBatchAware:
         assert report.keys == [(64, 256, "f32")]
         # warmed bucket is free; an unknown one charges the constant, once
         assert sched.tune_penalty((64, 256, "f32")) == 0.0
-        assert sched.tune_penalty((8, 8, "f32")) == 3e-4
+        assert sched.tune_penalty((8, 8, "f32")) == COLD_TUNE_S
         assert sched.tune_penalty((8, 8, "f32")) == 0.0

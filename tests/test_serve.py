@@ -124,6 +124,12 @@ class TestBatcher:
         assert batch is not None and batch.n_items == 1
         assert batcher.waiting == 0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_max_wait_rejected(self, bad):
+        # NaN never fires a bucket timeout; inf makes latency inf
+        with pytest.raises(PlanError, match="max_wait_s"):
+            serve(fast_requests(n=4), ServeConfig(max_wait_s=bad))
+
     def test_batch_deadline_is_earliest_member(self):
         reqs = [r for r in fast_requests(n=30) if r.klass == "tiny"][:3]
         batcher = ShapeBucketBatcher(max_batch=3)

@@ -21,7 +21,7 @@ draw:
   so its failed attempts run (and are charged) on clusters it was bound
   or re-routed to, never on a cluster picked for attribution alone.
 
-Plus the ``cold_tune_s`` regression: the (constant) cold-tune penalty
+Plus the cold-tune regression: the constant ``COLD_TUNE_S`` penalty
 keeps replays bit-identical across runs.
 """
 
@@ -32,32 +32,30 @@ import pytest
 
 from repro.faults import FaultPlan
 from repro.serve import DegradePolicy, ServeConfig, make_requests, serve
+from repro.serve import placement as placement_mod
 from repro.serve.degrade import HealthPolicy
 from repro.serve.request import COMPLETED, FAILED, SHED
+from repro.serve.scheduler import COLD_TUNE_S
 
 from test_serve import fast_requests
 
 SEEDS = [0, 1, 2]
 POLICIES = ["fifo", "least_loaded", "edf"]
-#: matrix id -> (replicate_b, promote_after).  "static" keeps its old id
-#: for promotion on first traffic, which is adaptive with promote_after=1.
-REPLICATE = {
-    "off": ("off", 2),
-    "static": ("adaptive", 1),
-    "adaptive": ("adaptive", 2),
-}
+#: matrix id -> replicate_b.  "static" keeps its old id for promotion on
+#: first traffic: adaptive with ``placement.PROMOTE_AFTER`` patched to 1.
+REPLICATE = {"off": "off", "static": "adaptive", "adaptive": "adaptive"}
 
 #: typed shed reasons the admission path may emit
 SHED_REASONS = {"queue_full", "class_shed", "burn_shed", "shutdown"}
 
 
-def _config(policy, replicate, faulty, seed):
-    replicate_b, promote_after = REPLICATE[replicate]
+def _config(monkeypatch, policy, replicate, faulty, seed):
+    if replicate == "static":
+        monkeypatch.setattr(placement_mod, "PROMOTE_AFTER", 1)
     kw = dict(
         policy=policy,
         queue_cap=8,
-        replicate_b=replicate_b,
-        promote_after=promote_after,
+        replicate_b=REPLICATE[replicate],
     )
     if faulty:
         kw.update(
@@ -182,9 +180,11 @@ def _check_fault_attribution(report):
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("replicate", REPLICATE)
 @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faults"])
-def test_serve_invariants(seed, policy, replicate, faulty):
+def test_serve_invariants(seed, policy, replicate, faulty, monkeypatch):
     requests = fast_requests(n=24, rate=150_000, seed=seed)
-    report = serve(requests, _config(policy, replicate, faulty, seed))
+    report = serve(
+        requests, _config(monkeypatch, policy, replicate, faulty, seed)
+    )
     _check_conservation(report, len(requests))
     _check_latency_decomposition(report)
     _check_batch_decomposition(report)
@@ -256,14 +256,15 @@ def test_sheds_happen_and_are_typed():
             assert rec.error is not None
 
 
-def test_budget_pressure_demotes_lru_and_stays_under_budget():
+def test_budget_pressure_demotes_lru_and_stays_under_budget(monkeypatch):
     """A budget below two replicas forces LRU demotion, never overflow."""
     # FAST_MIX B sizes: tiny 16x16 f32 = 1 KiB, wide 64x48 f32 = 12 KiB
+    monkeypatch.setattr(placement_mod, "REPLICA_BUDGET_BYTES", 13 << 10)
+    monkeypatch.setattr(placement_mod, "MAX_REPLICAS", 4)
+    monkeypatch.setattr(placement_mod, "PROMOTE_AFTER", 1)
     requests = fast_requests(n=48, rate=150_000, seed=1)
     report = serve(requests, ServeConfig(
-        policy="least_loaded", queue_cap=64,
-        replicate_b="adaptive", replica_budget_bytes=13 << 10,
-        max_replicas=4, promote_after=1,
+        policy="least_loaded", queue_cap=64, replicate_b="adaptive",
     ))
     placement = report.placement
     assert placement.demotions > 0
@@ -272,13 +273,13 @@ def test_budget_pressure_demotes_lru_and_stays_under_budget():
     _check_cluster_monotone(report)
 
 
-def test_oversized_b_is_never_promoted():
+def test_oversized_b_is_never_promoted(monkeypatch):
     """A digest whose B exceeds the per-cluster budget stays pinned."""
+    monkeypatch.setattr(placement_mod, "REPLICA_BUDGET_BYTES", 2 << 10)
+    monkeypatch.setattr(placement_mod, "PROMOTE_AFTER", 1)
     requests = fast_requests(n=24, rate=150_000, seed=0)
     report = serve(requests, ServeConfig(
-        policy="least_loaded",
-        replicate_b="adaptive", replica_budget_bytes=2 << 10,
-        promote_after=1,
+        policy="least_loaded", replicate_b="adaptive",
     ))
     placement = report.placement
     # only the 1 KiB tiny bucket fits the 2 KiB budget
@@ -289,27 +290,24 @@ def test_oversized_b_is_never_promoted():
 
 
 class TestColdTuneReplayContract:
-    """The constant ``cold_tune_s`` keeps replays bit-identical.
+    """The constant ``COLD_TUNE_S`` keeps replays bit-identical.
 
     The penalty is modeled, never a measured tune wall, so a run must
     replay bit for bit across runs and machines, cold tunes included.
     """
 
     def test_explicit_cold_tune_bit_identical_across_runs(self):
-        config = ServeConfig(
-            policy="least_loaded", warmup=False, cold_tune_s=5e-4,
-        )
+        config = ServeConfig(policy="least_loaded", warmup=False)
         first = serve(fast_requests(n=24, seed=2), config)
         second = serve(fast_requests(n=24, seed=2), config)
         assert first.records == second.records
         assert first.batches == second.batches
         # the cold penalty actually landed (warmup was off)
-        assert any(b.tune_s == 5e-4 for b in first.batches)
+        assert any(b.tune_s == COLD_TUNE_S for b in first.batches)
 
     def test_explicit_cold_tune_bit_identical_with_replication(self):
         config = ServeConfig(
-            policy="edf", warmup=False, cold_tune_s=5e-4,
-            replicate_b="adaptive",
+            policy="edf", warmup=False, replicate_b="adaptive",
         )
         first = serve(fast_requests(n=24, seed=2), config)
         second = serve(fast_requests(n=24, seed=2), config)

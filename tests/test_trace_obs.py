@@ -58,6 +58,7 @@ from repro.serve import (
     monitor,
     serve,
 )
+from repro.serve import placement as placement_mod
 from repro.serve.batcher import bucket_class
 from repro.workloads.generators import random_operands
 
@@ -308,8 +309,10 @@ class TestCriticalPath:
 # ------------------------------------------------ trace derived from records
 
 
-def _trace_config(policy, faulty, degrade, placement):
-    kw = dict(policy=policy, queue_cap=8, promote_after=1,
+def _trace_config(monkeypatch, policy, faulty, degrade, placement):
+    # promote on first traffic, so short streams produce placement events
+    monkeypatch.setattr(placement_mod, "PROMOTE_AFTER", 1)
+    kw = dict(policy=policy, queue_cap=8,
               replicate_b="adaptive" if placement else "off")
     if faulty:
         # one sick cluster: faults, re-dispatches and (with a degrade
@@ -361,8 +364,9 @@ class TestDerivedTrace:
                              ids=["clean", "faults"])
     @pytest.mark.parametrize("policy", ["edf", "least_loaded"])
     def test_trace_agrees_with_records(self, policy, faulty, degrade,
-                                       placement):
-        config = _trace_config(policy, faulty, degrade, placement)
+                                       placement, monkeypatch):
+        config = _trace_config(monkeypatch, policy, faulty, degrade,
+                               placement)
         plain = serve(fast_requests(n=24, rate=300_000), config)
         with tracing() as tr:
             report = serve(fast_requests(n=24, rate=300_000), config)
@@ -370,8 +374,8 @@ class TestDerivedTrace:
         assert report.batches == plain.batches
         _check_trace_agrees(report, tr.spans)
 
-    def test_gateway_trace_agrees_with_records(self):
-        config = _trace_config("least_loaded", True, True, True)
+    def test_gateway_trace_agrees_with_records(self, monkeypatch):
+        config = _trace_config(monkeypatch, "least_loaded", True, True, True)
         plain = gateway_replay(fast_requests(n=24, rate=300_000), config)
         with tracing() as tr:
             report = gateway_replay(fast_requests(n=24, rate=300_000),
