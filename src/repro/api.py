@@ -18,12 +18,7 @@ from .core.batched import (
 )
 from .core.ftimm import GemmResult, ftimm_gemm, gemm, tgemm_gemm
 from .core.hetero import HeteroResult, hetero_gemm
-from .core.plan_search import (
-    PlanDB,
-    SearchStats,
-    default_plan_db,
-    plan_bound,
-)
+from .core.plan_search import SearchStats, plan_bound
 from .core.multi_cluster import MultiClusterResult, multi_cluster_gemm
 from .core.shapes import GemmShape
 from .faults import (
@@ -125,7 +120,6 @@ __all__ = [
     "MultiClusterResult",
     "PlacementManager",
     "PlacementReport",
-    "PlanDB",
     "SearchStats",
     "ServeConfig",
     "ServeEngine",
@@ -137,7 +131,6 @@ __all__ = [
     "Tracer",
     "WorkerPool",
     "autotune",
-    "default_plan_db",
     "multi_cluster_gemm",
     "plan_bound",
     "worker_pool",

@@ -9,8 +9,7 @@
     python -m repro perf --shape MxNxK [--runlog runs.jsonl] [--compare]
                          [--json]
     python -m repro autotune MxNxK [--jobs N] [--no-validate]
-                                   [--exhaustive] [--no-transfer]
-                                   [--transfer-tol T] [--stack-hint M]
+                                   [--validate-top N] [--exhaustive]
     python -m repro kernel M N K [--table] [--asm] [--tgemm]
     python -m repro classify MxNxK
     python -m repro chaos [--seeds N] [--impl ftimm|tgemm|both]
@@ -126,7 +125,7 @@ def _cmd_gemm(args: argparse.Namespace) -> int:
             from .core.tuner import tune
 
             cluster = machine.cluster
-            if args.cores:
+            if args.cores is not None:
                 cluster = cluster.with_cores(args.cores)
             decision = tune(
                 shape, cluster, dtype=args.dtype,
@@ -157,8 +156,9 @@ def _cmd_gemm(args: argparse.Namespace) -> int:
 
     print(f"shape {shape} ({shape.classify().value}), "
           f"AI {shape.arithmetic_intensity:.1f} flops/byte")
-    ceiling = roofline(shape, machine.cluster, n_cores=args.cores)
-    print(f"roofline max ({args.cores or 8} cores): {ceiling.max_gflops:.0f} GFLOPS")
+    n_cores = args.cores if args.cores is not None else machine.cluster.n_cores
+    ceiling = roofline(shape, machine.cluster, n_cores=n_cores)
+    print(f"roofline max ({n_cores} cores): {ceiling.max_gflops:.0f} GFLOPS")
     cpu = openblas_sgemm(shape, machine.cpu)
     print(f"OpenBLAS on the 16-core CPU (modeled): {cpu.gflops:.1f} GFLOPS "
           f"({100 * cpu.efficiency:.1f}%)")
@@ -231,7 +231,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     m, n, k = args.shape
     shape = GemmShape(m, n, k)
     cluster = default_machine().cluster
-    if args.cores:
+    if args.cores is not None:
         cluster = cluster.with_cores(args.cores)
     if args.impl == "tgemm":
         decision = TuningDecision(
@@ -312,25 +312,18 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
     m, n, k = args.shape
     shape = GemmShape(m, n, k)
     cluster = default_machine().cluster
-    if args.cores:
+    if args.cores is not None:
         cluster = cluster.with_cores(args.cores)
     validate_top = 0 if args.no_validate else args.validate_top
     with collecting() as reg:
         result = autotune(
             shape, cluster, validate_top=validate_top, jobs=args.jobs,
             mode="exhaustive" if args.exhaustive else "pruned",
-            transfer=not args.no_transfer,
-            transfer_tol=args.transfer_tol,
-            stack_hint=args.stack_hint,
         )
     print(f"shape {shape}: searched {result.n_candidates} candidates")
-    if args.stack_hint is not None:
-        print(f"  stack hint: tuned at M={args.stack_hint} "
-              f"(expected stacked batch)")
     print(f"  best: {result.best.label}  "
           f"{result.best.seconds * 1e6:.1f} us"
-          f"{' (DES-validated)' if result.best.validated else ''}"
-          f"{' (transferred)' if result.best.transferred else ''}")
+          f"{' (DES-validated)' if result.best.validated else ''}")
     print(f"  rule: {result.rule.label}  "
           f"{result.rule.seconds * 1e6:.1f} us")
     print(f"  rule/best: {result.improvement:.3f}x")
@@ -772,17 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="score every candidate (no bound pruning; "
                              "the escape hatch the pruned search is "
                              "tested against)")
-    p_tune.add_argument("--no-transfer", action="store_true",
-                        help="skip the cross-shape plan database")
-    p_tune.add_argument("--transfer-tol", type=float, default=None,
-                        metavar="T",
-                        help="adopt a transferred neighbor plan outright "
-                             "when it is within (1+T) of the grid's lower "
-                             "bound (default: warm-start only, no "
-                             "short-circuit)")
-    p_tune.add_argument("--stack-hint", type=int, default=None, metavar="M",
-                        help="tune at this expected stacked/batched M "
-                             "instead of the shape's M")
     p_tune.set_defaults(fn=_cmd_autotune)
 
     p_classify = sub.add_parser("classify", help="shape taxonomy")

@@ -30,7 +30,6 @@ once DES validation is on.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import math
 from dataclasses import dataclass, replace
 
@@ -42,14 +41,7 @@ from ..obs.registry import ProfileScope, current as _obs_current
 from ..kernels.registry import KernelRegistry, registry_for
 from ..parallel import POOL_MIN_UNITS, active_pool, parallel_map, resolve_jobs
 from .blocking import FP32, KPlan, MPlan, MIN_GOOD_M_S, N_MAX
-from .plan_search import (
-    PlanDB,
-    PlanRecord,
-    SearchStats,
-    ShapeClass,
-    default_plan_db,
-    plan_bound,
-)
+from .plan_search import SearchStats, plan_bound
 from .shapes import GemmShape
 from .tuner import tune
 
@@ -57,6 +49,9 @@ from .tuner import tune
 M_S_GRID = (6, 8, 10, 12, 14)
 #: k_a seeds; each is clamped to K, SM capacity and AM capacity.
 K_A_GRID = (32, 64, 128, 256, 512, 864, 1024, 2048)
+#: DES validation runs only when every finalist (and the rule plan) lowers
+#: to at most this many ops (:func:`_estimate_ops`).
+VALIDATE_OP_LIMIT = 60_000
 
 
 @dataclass(frozen=True)
@@ -65,7 +60,6 @@ class Candidate:
     plan: MPlan | KPlan
     seconds: float
     validated: bool = False       # True when the score came from the DES
-    transferred: bool = False     # True when adopted from the plan DB
 
     @property
     def label(self) -> str:
@@ -211,24 +205,6 @@ def _des_unit(args: tuple) -> Candidate:
     return _des_score(shape, cluster, cand, registry_for(cluster.core))
 
 
-def _nearest_grid_index(
-    work: list[tuple[str, MPlan | KPlan]], strategy: str, plan
-) -> int | None:
-    """The grid candidate most like a transferred plan (log-block distance)."""
-    best: tuple[float, int] | None = None
-    for i, (s, p) in enumerate(work):
-        if s != strategy:
-            continue
-        d = (
-            abs(math.log2(p.k_a / plan.k_a))
-            + abs(math.log2(p.m_s / plan.m_s))
-            + abs(math.log2(p.m_a / plan.m_a))
-        )
-        if best is None or d < best[0]:
-            best = (d, i)
-    return best[1] if best is not None else None
-
-
 def _exhaustive_scores(
     shape: GemmShape,
     cluster: ClusterConfig,
@@ -266,24 +242,19 @@ def _pruned_scores(
     registry: KernelRegistry,
     effective_jobs: int,
     k_keep: int,
-    first: int | None,
     stats: SearchStats,
 ) -> list[Candidate]:
     """Best-first scoring with bound pruning.
 
-    Candidates are visited in ascending bound order (``first``, when
-    given, is promoted to the front — the transfer warm start).  Scoring
-    stops once the next candidate's *lower bound* exceeds the ``k_keep``-th
-    best scored time: every skipped candidate is then provably slower than
-    all ``k_keep`` finalists, so the finalist set — and therefore the
+    Candidates are visited in ascending bound order.  Scoring stops once
+    the next candidate's *lower bound* exceeds the ``k_keep``-th best
+    scored time: every skipped candidate is then provably slower than all
+    ``k_keep`` finalists, so the finalist set — and therefore the
     selected plan — is bit-identical to scoring the whole grid.  Returned
     in generation order (the scored subset), preserving the exhaustive
     path's stable tie-breaking.
     """
     order = sorted(range(len(work)), key=lambda i: (bounds[i], i))
-    if first is not None:
-        order.remove(first)
-        order.insert(0, first)
     scored: dict[int, Candidate] = {}
     times: list[float] = []  # sorted scored seconds
     best_t = math.inf
@@ -322,42 +293,26 @@ def autotune(
     registry: KernelRegistry | None = None,
     *,
     validate_top: int = 3,
-    validate_op_limit: int = 60_000,
     jobs: int | None = None,
     mode: str = "pruned",
-    transfer: bool = True,
-    transfer_tol: float | None = None,
-    plan_db: PlanDB | bool | None = None,
-    stack_hint: int | None = None,
 ) -> AutotuneResult:
     """Search both strategies' candidate grids.
 
     Candidates are screened with the analytic model; the best
     ``validate_top`` of them (plus the rule-based plan) are re-scored with
-    the event-driven simulator when the lowered plan is small enough, and
-    the final ranking uses the validated scores.  ``validate_top=0``
-    disables validation (pure analytic search — the ablation showing why
-    validation matters).
+    the event-driven simulator when the lowered plan is small enough
+    (:data:`VALIDATE_OP_LIMIT`), and the final ranking uses the validated
+    scores.  ``validate_top=0`` disables validation (pure analytic search
+    — the ablation showing why validation matters); a negative value is
+    rejected.
 
     ``mode="pruned"`` (default) orders candidates by a kernel-free
     analytic lower bound (:func:`~repro.core.plan_search.plan_bound`) and
     stops scoring once the next bound exceeds the running finalist set —
     typically well under half the grid is ever scored, and the selected
     plan is **bit-identical** to ``mode="exhaustive"`` (tested; see the
-    docstring of ``_pruned_scores`` for why).  Search outcomes are stored
-    in a persistent plan database keyed by shape class; ``transfer=True``
-    warm-starts the next search from the nearest tuned neighbor.  Passing
-    an explicit ``transfer_tol`` additionally allows the search to
-    *short-circuit* — adopt the neighbor's adapted plan without searching
-    when its analytic time is within ``tol`` of the whole grid's lower
-    bound; and a record stored for this *exact* shape replays outright
-    (``transfer == "replay"`` — the deterministic search's own prior
-    answer, no bounds computed).  These are the only modes that may
-    return a non-exhaustive-optimal plan, and both are flagged
-    (``Candidate.transferred``, ``SearchStats.transfer``).  ``plan_db=False``
-    disables the database entirely; ``stack_hint`` tunes for an expected
-    *stacked* M (the serve batcher's expected stack height) instead of
-    ``shape.m``.
+    docstring of ``_pruned_scores`` for why).  The result depends only on
+    the arguments: no search outcome is stored or read back.
 
     ``jobs`` fans scoring and validation across worker processes
     (default: ``$REPRO_JOBS``, then the CPU count) — but only when a
@@ -372,10 +327,8 @@ def autotune(
     """
     if mode not in ("pruned", "exhaustive"):
         raise PlanError(f"unknown autotune mode {mode!r}")
-    if stack_hint is not None:
-        if stack_hint < 1:
-            raise PlanError(f"stack_hint must be >= 1, got {stack_hint}")
-        shape = GemmShape(int(stack_hint), shape.n, shape.k)
+    if validate_top < 0:
+        raise PlanError(f"validate_top must be >= 0, got {validate_top}")
     if shape.n > N_MAX:
         raise PlanError(
             f"autotune targets the irregular domain (N <= {N_MAX}), "
@@ -384,7 +337,7 @@ def autotune(
     registry = registry or registry_for(cluster.core)
     m = _obs_current()
     jobs = resolve_jobs(jobs)
-    stats = SearchStats(mode=mode, transfer_tol=transfer_tol)
+    stats = SearchStats(mode=mode)
     with ProfileScope("tuner/search_wall_s"):
         work = [
             ("m", plan) for plan in m_plan_candidates(shape, cluster)
@@ -412,91 +365,14 @@ def autotune(
             raise PlanError("rule-based tuner fell back to TGEMM")
         rule = _score(shape, cluster, decision.strategy, decision.plan, registry)
 
-        # cross-shape transfer: look up the nearest tuned neighbor
-        db: PlanDB | None = None
-        sig: ShapeClass | None = None
-        neighbor: Candidate | None = None
-        if mode == "pruned" and transfer and plan_db is not False:
-            db = default_plan_db() if plan_db in (None, True) else plan_db
-            sig = ShapeClass.of(shape, cluster)
-            # exact-shape replay: under an explicit tolerance, a stored
-            # record for this very shape is this deterministic search's
-            # own prior answer — adopt it without touching the grid (a
-            # restarted serve warmup pays rule-tune prices)
-            if transfer_tol is not None:
-                exact = db.get(sig)
-                if (
-                    exact is not None
-                    and tuple(exact.shape) == (shape.m, shape.n, shape.k)
-                    and exact.strategy in ("m", "k")
-                ):
-                    stats.transfer = "replay"
-                    stats.neighbor = sig.key()
-                    stats.neighbor_distance = 0.0
-                    if m is not None:
-                        m.counter("tuner/transfer_hits").inc()
-                        m.counter("tuner/transfer_short_circuits").inc()
-                        m.counter("tuner/searches").inc()
-                        m.counter("tuner/candidates_evaluated").inc(1)
-                    best = Candidate(
-                        exact.strategy, exact.plan, exact.seconds,
-                        validated=exact.validated, transferred=True,
-                    )
-                    return AutotuneResult(
-                        shape=shape, best=best, rule=rule,
-                        n_candidates=len(work), stats=stats,
-                    )
-            found = db.nearest(sig)
-            if found is not None:
-                nsig, record, distance = found
-                try:
-                    nplan = record.adapted(shape, cluster)
-                    neighbor = _score(
-                        shape, cluster, record.strategy, nplan, registry
-                    )
-                    stats.transfer = "warm"
-                    stats.neighbor = nsig.key()
-                    stats.neighbor_distance = distance
-                    if m is not None:
-                        m.counter("tuner/transfer_hits").inc()
-                except PlanError:
-                    stats.transfer = "miss"
-            else:
-                stats.transfer = "miss"
-            if stats.transfer == "miss" and m is not None:
-                m.counter("tuner/transfer_misses").inc()
-
         if mode == "pruned":
             bounds = [plan_bound(shape, cluster, s, p) for s, p in work]
             stats.bound_evals = len(bounds)
             if m is not None:
                 m.counter("tuner/bound_evals").inc(len(bounds))
-
-            # explicit-tolerance short-circuit: adopt the transferred plan
-            # outright when it provably sits within tol of the best any
-            # grid candidate could possibly achieve
-            if neighbor is not None and transfer_tol is not None:
-                floor = min(bounds)
-                if neighbor.seconds <= (1.0 + transfer_tol) * floor:
-                    stats.transfer = "short_circuit"
-                    if m is not None:
-                        m.counter("tuner/transfer_short_circuits").inc()
-                        m.counter("tuner/searches").inc()
-                        m.counter("tuner/candidates_evaluated").inc(2)
-                    best = replace(neighbor, transferred=True)
-                    return AutotuneResult(
-                        shape=shape, best=best, rule=rule,
-                        n_candidates=len(work), stats=stats,
-                    )
-
-            first = None
-            if neighbor is not None:
-                first = _nearest_grid_index(
-                    work, neighbor.strategy, neighbor.plan
-                )
             candidates = _pruned_scores(
                 shape, cluster, work, bounds, registry, effective_jobs,
-                max(1, validate_top), first, stats,
+                max(1, validate_top), stats,
             )
             if m is not None and stats.pruned:
                 m.counter("tuner/pruned").inc(stats.pruned)
@@ -513,7 +389,10 @@ def autotune(
         best = candidates[0]
         if validate_top > 0:
             finalists = candidates[:validate_top]
-            if all(_estimate_ops(shape, c) <= validate_op_limit for c in finalists)                 and _estimate_ops(shape, rule) <= validate_op_limit:
+            if all(
+                _estimate_ops(shape, c) <= VALIDATE_OP_LIMIT
+                for c in [*finalists, rule]
+            ):
                 with ProfileScope("tuner/des_validate_wall_s"):
                     if effective_jobs > 1:
                         validated = parallel_map(
@@ -532,20 +411,7 @@ def autotune(
                 if m is not None:
                     m.counter("tuner/des_validated").inc(len(finalists) + 1)
                 best = min([*finalists, rule], key=lambda c: c.seconds)
-        result = AutotuneResult(
+        return AutotuneResult(
             shape=shape, best=best, rule=rule,
             n_candidates=len(work), stats=stats,
         )
-        if db is not None and sig is not None and best.strategy in ("m", "k"):
-            db.put(
-                sig,
-                PlanRecord(
-                    strategy=best.strategy,
-                    plan_fields=dataclasses.asdict(best.plan),
-                    shape=(shape.m, shape.n, shape.k),
-                    seconds=best.seconds,
-                    validated=best.validated,
-                    scored=stats.scored,
-                ),
-            )
-        return result

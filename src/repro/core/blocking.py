@@ -357,23 +357,3 @@ def adjust_k_plan(plan: KPlan, shape: GemmShape, cluster: ClusterConfig) -> KPla
         m_g=m_g, n_g=n_g, m_a=m_a, n_a=n_a, k_a=k_a, m_s=m_s,
         dtype=plan.dtype,
     ).validate(cluster)
-
-
-def adjust_plan(
-    strategy: str, plan, shape: GemmShape, cluster: ClusterConfig
-):
-    """Refit a plan of either search strategy to a new shape.
-
-    The strategy-dispatching form of :func:`adjust_m_plan` /
-    :func:`adjust_k_plan`, used wherever plans travel detached from
-    their :class:`~repro.core.tuner.TuningDecision` — notably the plan
-    database's cross-shape transfer
-    (:meth:`repro.core.plan_search.PlanRecord.adapted`).
-    """
-    from ..errors import PlanError
-
-    if strategy == "m":
-        return adjust_m_plan(plan, shape, cluster)
-    if strategy == "k":
-        return adjust_k_plan(plan, shape, cluster)
-    raise PlanError(f"strategy {strategy!r} has no adjustable plan")

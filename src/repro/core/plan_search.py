@@ -1,68 +1,36 @@
-"""Adaptive plan search: analytic lower bounds + cross-shape plan transfer.
+"""Analytic lower bounds for the autotuner's pruned plan search.
 
-The exhaustive autotuner (:mod:`repro.core.autotune`) scores every
-candidate plan with the closed-form timing model.  Each score is cheap in
-principle, but it pulls the candidate's micro-kernels through the
-registry — modulo scheduling on a cold cache — so a ~53-candidate grid
-costs real wall time, and the serving layer simply refused to pay it
-(PR 4 warms buckets with the rule-based tuner only).  This module makes
-the search cheap enough to run online, with two tools:
+The autotuner (:mod:`repro.core.autotune`) scores every candidate plan
+with the closed-form timing model.  Each score is cheap in principle, but
+it pulls the candidate's micro-kernels through the registry — modulo
+scheduling on a cold cache — so scoring a ~53-candidate grid costs real
+wall time.
 
-**Lower bounds** (:func:`plan_bound`) — for every candidate a *kernel-free*
-floor on the analytic time, built from the two resources no plan can
-cheat: the busiest core's DDR byte count over its bandwidth share, and
-its FMAC work at per-core peak (plus the per-kernel call overhead, which
-is what sinks small-``k_a`` plans).  The bound mirrors the byte accounting
-of :mod:`repro.executor.analytic` term by term, so ``bound <= analytic
+:func:`plan_bound` gives every candidate a *kernel-free* floor on the
+analytic time, built from the two resources no plan can cheat: the
+busiest core's DDR byte count over its bandwidth share, and its FMAC work
+at per-core peak (plus the per-kernel call overhead, which is what sinks
+small-``k_a`` plans).  The bound mirrors the byte accounting of
+:mod:`repro.executor.analytic` term by term, so ``bound <= analytic
 seconds`` holds by construction (and is asserted over a shape grid in
 ``tests/test_plan_search.py``).  Best-first search orders candidates by
 bound and stops expanding once the next bound exceeds the incumbent
 finalist set — a pure *search-order* optimization: the selected plan is
-bit-identical to exhaustive search (tested).
-
-**Plan database** (:class:`PlanDB`) — a persistent store of search
-outcomes keyed by a coarse :class:`ShapeClass` signature (strategy
-domain, dtype, exact N, log2 bands of K and M, core count).  A new search
-warm-starts from the nearest tuned neighbor's plan (again only a search
-*order* hint), and may *short-circuit* entirely when the caller passes an
-explicit tolerance and the transferred plan's analytic time is within it
-of the whole grid's lower bound — the only mode in which the result may
-differ from exhaustive search, and it is reported as such.  The database
-lives alongside the kernel disk cache (``$REPRO_KERNEL_CACHE``), with the
-same atomic writes and ``*.bad`` corrupt-entry quarantine.
+bit-identical to exhaustive search (tested).  :class:`SearchStats`
+records what a search did.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import math
-import os
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ..errors import PlanError
 from ..hw.config import ClusterConfig
-from ..obs.registry import current as _obs_current
-from .blocking import KPlan, MPlan, adjust_plan
 from .shapes import GemmShape
-from .tuner import choose_strategy
-
-#: bump when the on-disk plan-database layout changes incompatibly.
-PLAN_DB_FORMAT = 1
 
 #: guard against float-association drift between the bound and the model:
 #: the bound is scaled down by this factor before any pruning comparison.
 _BOUND_SAFETY = 1.0 - 1e-9
-
-_PLAN_TYPES = {"m": MPlan, "k": KPlan}
-
-
-def _count(event: str, value: float = 1) -> None:
-    m = _obs_current()
-    if m is not None:
-        m.counter(f"tuner/{event}").inc(value)
 
 
 # ---------------------------------------------------------------------------
@@ -129,315 +97,6 @@ def plan_bound(
         raise PlanError(f"no bound for strategy {strategy!r}")
     return t.seconds * _BOUND_SAFETY
 
-# ---------------------------------------------------------------------------
-# shape-class signatures
-# ---------------------------------------------------------------------------
-
-
-def _band(x: int) -> int:
-    """Coarse log2 band of a dimension (0 for 1, 10 for 1024..2047, ...)."""
-    return max(0, int(x).bit_length() - 1)
-
-
-@dataclass(frozen=True)
-class ShapeClass:
-    """The transfer-granularity signature of a GEMM tuning problem.
-
-    Two shapes in the same class share the strategy domain the rules
-    would pick, the exact N (which fixes the kernel width ``n_a``), the
-    log2 bands of K and M (which fix the block-count regime), and the
-    core count.  Near misses are ranked by :meth:`distance`.
-    """
-
-    domain: str          # "m" | "k" — choose_strategy's verdict
-    dtype: str
-    n: int
-    k_band: int
-    m_band: int
-    n_cores: int
-
-    @classmethod
-    def of(
-        cls, shape: GemmShape, cluster: ClusterConfig, dtype: str = "f32"
-    ) -> "ShapeClass":
-        return cls(
-            domain=choose_strategy(shape, cluster),
-            dtype=dtype,
-            n=shape.n,
-            k_band=_band(shape.k),
-            m_band=_band(shape.m),
-            n_cores=cluster.n_cores,
-        )
-
-    def key(self) -> str:
-        return (
-            f"{self.domain}/{self.dtype}/n{self.n}"
-            f"/k{self.k_band}/m{self.m_band}@{self.n_cores}c"
-        )
-
-    def distance(self, other: "ShapeClass") -> float:
-        """Transfer distance; ``inf`` when transfer makes no sense at all."""
-        if (
-            self.domain != other.domain
-            or self.dtype != other.dtype
-            or self.n_cores != other.n_cores
-        ):
-            return math.inf
-        d = abs(self.k_band - other.k_band) + abs(self.m_band - other.m_band)
-        if self.n != other.n:
-            # a different N means different kernels: transferable only
-            # after re-adjustment, so it is heavily penalized
-            d += 2 + abs(_band(self.n) - _band(other.n))
-        return float(d)
-
-
-# ---------------------------------------------------------------------------
-# persistent plan database
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PlanRecord:
-    """One tuned outcome: the winning plan and its search provenance."""
-
-    strategy: str                   # "m" | "k"
-    plan_fields: dict
-    shape: tuple[int, int, int]     # the shape that was searched
-    seconds: float                  # the winner's (possibly DES) score
-    validated: bool
-    scored: int                     # candidates scored to find it
-
-    @property
-    def plan(self):
-        return _PLAN_TYPES[self.strategy](**self.plan_fields)
-
-    def adapted(self, shape: GemmShape, cluster: ClusterConfig):
-        """Refit the stored plan to ``shape``; raises PlanError if unfit."""
-        return adjust_plan(self.strategy, self.plan, shape, cluster)
-
-    def to_dict(self) -> dict:
-        from ..kernels.serialize import plan_to_dict
-
-        return {
-            "plan": plan_to_dict(self.strategy, self.plan),
-            "shape": list(self.shape),
-            "seconds": self.seconds,
-            "validated": self.validated,
-            "scored": self.scored,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PlanRecord":
-        from ..errors import IsaError
-        from ..kernels.serialize import plan_from_dict
-
-        try:
-            strategy, plan = plan_from_dict(d["plan"])
-        except IsaError as exc:
-            raise PlanError(str(exc)) from exc
-        if strategy not in _PLAN_TYPES:
-            raise PlanError(f"strategy {strategy!r} has no search domain")
-        return cls(
-            strategy=strategy,
-            plan_fields=dataclasses.asdict(plan),
-            shape=tuple(int(x) for x in d["shape"]),
-            seconds=float(d["seconds"]),
-            validated=bool(d["validated"]),
-            scored=int(d.get("scored", 0)),
-        )
-
-
-class PlanDB:
-    """Persistent cross-shape plan database, aged and size-bounded.
-
-    One JSON file of ``{signature key: {sig, record, gen, tick}}`` under
-    ``root`` (``None`` = memory-only), loaded lazily.  Saves are atomic
-    (temp file + rename); a corrupt or truncated file is quarantined to
-    ``*.bad`` and the database starts empty — surfaced as a
-    ``tuner/plandb/quarantined`` counter, never a crash.
-
-    Two staleness guards on top:
-
-    * every entry is stamped with the kernel ``GENERATOR_VERSION`` it
-      was tuned under; a generator bump invalidates the stale entries
-      individually on load (``tuner/plandb/invalidated``) instead of
-      transferring plans whose kernels no longer exist;
-    * the database holds at most ``max_entries`` records — inserts over
-      the cap evict the least-recently-used entry (``get``/``nearest``
-      hits refresh recency; ``tuner/plandb/evicted``), so a long-lived
-      serving cache cannot grow without bound.
-    """
-
-    FILENAME = f"plans-v{PLAN_DB_FORMAT}.json"
-
-    def __init__(
-        self,
-        root: Path | str | None = None,
-        *,
-        max_entries: int = 256,
-    ) -> None:
-        if max_entries < 1:
-            raise PlanError("max_entries must be >= 1")
-        self.root = Path(root) if root is not None else None
-        self.max_entries = max_entries
-        self._entries: dict[str, tuple[ShapeClass, PlanRecord]] | None = None
-        self._ticks: dict[str, int] = {}
-        self._tick = 0
-
-    @property
-    def path(self) -> Path | None:
-        return self.root / self.FILENAME if self.root is not None else None
-
-    @staticmethod
-    def _generator_version() -> int:
-        from ..kernels.generator import GENERATOR_VERSION
-
-        return GENERATOR_VERSION
-
-    def _touch(self, key: str) -> None:
-        self._tick += 1
-        self._ticks[key] = self._tick
-
-    # -- persistence -------------------------------------------------------
-
-    def _load(self) -> dict[str, tuple[ShapeClass, PlanRecord]]:
-        if self._entries is not None:
-            return self._entries
-        self._entries = {}
-        self._ticks = {}
-        self._tick = 0
-        path = self.path
-        if path is None or not path.exists():
-            return self._entries
-        gen = self._generator_version()
-        invalidated = 0
-        try:
-            raw = json.loads(path.read_text())
-            for key, payload in raw.items():
-                if int(payload.get("gen", -1)) != gen:
-                    # tuned under a different kernel generator: its
-                    # kernels (and maybe its plan grammar) are gone
-                    invalidated += 1
-                    continue
-                sig = ShapeClass(**payload["sig"])
-                self._entries[key] = (sig, PlanRecord.from_dict(payload["record"]))
-                self._ticks[key] = int(payload.get("tick", 0))
-            self._tick = max(self._ticks.values(), default=0)
-        except (OSError, json.JSONDecodeError, KeyError, TypeError,
-                ValueError, PlanError):
-            self._entries = {}
-            self._ticks = {}
-            self._tick = 0
-            _count("plandb/quarantined")
-            try:
-                os.replace(path, path.with_name(path.name + ".bad"))
-            except OSError:
-                pass
-            return self._entries
-        if invalidated:
-            _count("plandb/invalidated", invalidated)
-        return self._entries
-
-    def _save(self) -> None:
-        path = self.path
-        if path is None or self._entries is None:
-            return
-        gen = self._generator_version()
-        blob = json.dumps(
-            {
-                key: {
-                    "sig": dataclasses.asdict(sig),
-                    "record": rec.to_dict(),
-                    "gen": gen,
-                    "tick": self._ticks.get(key, 0),
-                }
-                for key, (sig, rec) in self._entries.items()
-            },
-            indent=1,
-            sort_keys=True,
-        )
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(blob)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return  # a read-only or full cache dir must never fail the run
-        _count("plandb/writes")
-
-    # -- queries -----------------------------------------------------------
-
-    def get(self, sig: ShapeClass) -> PlanRecord | None:
-        key = sig.key()
-        entry = self._load().get(key)
-        if entry is None:
-            return None
-        self._touch(key)
-        return entry[1]
-
-    def nearest(
-        self, sig: ShapeClass, *, max_distance: float = 4.0
-    ) -> tuple[ShapeClass, PlanRecord, float] | None:
-        """The closest stored class within ``max_distance`` (exact first)."""
-        best: tuple[float, str, ShapeClass, PlanRecord] | None = None
-        for key, (other, rec) in self._load().items():
-            d = sig.distance(other)
-            if d > max_distance:
-                continue
-            if best is None or (d, key) < (best[0], best[1]):
-                best = (d, key, other, rec)
-        if best is None:
-            return None
-        self._touch(best[1])
-        return best[2], best[3], best[0]
-
-    def put(self, sig: ShapeClass, record: PlanRecord) -> None:
-        entries = self._load()
-        key = sig.key()
-        entries[key] = (sig, record)
-        self._touch(key)
-        evicted = 0
-        while len(entries) > self.max_entries:
-            victim = min(
-                entries, key=lambda k: (self._ticks.get(k, 0), k)
-            )
-            del entries[victim]
-            self._ticks.pop(victim, None)
-            evicted += 1
-        if evicted:
-            _count("plandb/evicted", evicted)
-        self._save()
-
-    def __len__(self) -> int:
-        return len(self._load())
-
-
-_default_db: PlanDB | None = None
-
-
-def default_plan_db() -> PlanDB:
-    """Process-wide database rooted alongside the kernel disk cache.
-
-    Honors ``$REPRO_KERNEL_CACHE`` (including its disable values — then
-    the database is memory-only, which still enables in-process
-    transfer between searches).
-    """
-    global _default_db
-    if _default_db is None:
-        from ..kernels.registry import default_cache_dir
-
-        root = default_cache_dir()
-        _default_db = PlanDB(root / "plans" if root is not None else None)
-    return _default_db
-
 
 # ---------------------------------------------------------------------------
 # search statistics
@@ -454,27 +113,13 @@ class SearchStats:
     scored: int = 0                 # candidates fully scored (analytic)
     pruned: int = 0                 # generated - scored
     des_validated: int = 0          # finalists (+ rule) re-scored by DES
-    transfer: str = "off"       # off | miss | warm | short_circuit | replay
-    neighbor: str | None = None     # the donor class key, when any
-    neighbor_distance: float | None = None
-    transfer_tol: float | None = None
     pooled: bool = False            # True when scoring used worker processes
     #: (candidates scored so far, label, analytic seconds) at each
     #: incumbent improvement — the trajectory the CLI report prints
     trajectory: list[tuple[int, str, float]] = field(default_factory=list)
 
     def describe(self) -> str:
-        parts = [
-            f"generated {self.generated}",
-            f"bound-pruned {self.pruned}",
-            f"scored {self.scored}",
-            f"DES-validated {self.des_validated}",
-        ]
-        if self.transfer != "off":
-            t = f"transfer {self.transfer}"
-            if self.neighbor is not None:
-                t += f" (neighbor {self.neighbor}, d={self.neighbor_distance:g})"
-            if self.transfer_tol is not None:
-                t += f" tol={self.transfer_tol:g}"
-            parts.append(t)
-        return ", ".join(parts)
+        return (
+            f"generated {self.generated}, bound-pruned {self.pruned}, "
+            f"scored {self.scored}, DES-validated {self.des_validated}"
+        )

@@ -242,46 +242,3 @@ def kernel_from_dict(d: dict, core: DspCoreConfig) -> MicroKernel:
         compute_k=int(d["compute_k"]),
         name=str(d["name"]),
     )
-
-
-# ---------------------------------------------------------------------------
-# blocking plans (for the persistent plan database)
-# ---------------------------------------------------------------------------
-
-#: bump when the on-disk blocking-plan layout changes incompatibly.
-PLAN_FORMAT = 1
-
-_PLAN_KINDS = ("m", "k", "tgemm")
-
-
-def plan_to_dict(strategy: str, plan) -> dict:
-    """Serialize a blocking plan with its strategy tag and format stamp."""
-    if strategy not in _PLAN_KINDS:
-        raise IsaError(f"unknown plan strategy {strategy!r}")
-    import dataclasses
-
-    return {
-        "format": PLAN_FORMAT,
-        "strategy": strategy,
-        "fields": dataclasses.asdict(plan),
-    }
-
-
-def plan_from_dict(d: dict):
-    """Reconstruct ``(strategy, plan)``; raises :class:`IsaError` on junk."""
-    from ..core.blocking import KPlan, MPlan, TgemmPlan
-
-    if d.get("format") != PLAN_FORMAT:
-        raise IsaError(
-            f"unsupported plan format {d.get('format')!r}; "
-            f"expected {PLAN_FORMAT}"
-        )
-    strategy = d.get("strategy")
-    types = {"m": MPlan, "k": KPlan, "tgemm": TgemmPlan}
-    if strategy not in types:
-        raise IsaError(f"unknown plan strategy {strategy!r}")
-    try:
-        plan = types[strategy](**d["fields"])
-    except (KeyError, TypeError) as exc:
-        raise IsaError(f"malformed plan fields: {exc}") from exc
-    return strategy, plan

@@ -252,6 +252,37 @@ class TestPerfCommand:
         assert "verdict" in out
 
 
+class TestAutotuneCommand:
+    def test_negative_validate_top_reported(self, capsys):
+        assert main(["autotune", "2048x32x2048", "--jobs", "1",
+                     "--validate-top", "-2"]) == 1
+        assert "validate_top" in capsys.readouterr().err
+
+    def test_no_validate_still_runs(self, capsys):
+        assert main(["autotune", "512x32x512", "--jobs", "1",
+                     "--no-validate"]) == 0
+        assert "DES-validated 0" in capsys.readouterr().out
+
+    def test_removed_flags_rejected(self):
+        """The plan database, cross-shape transfer and the stack hint are
+        gone: the search depends only on the shape and the machine."""
+        for flags in (["--no-transfer"], ["--transfer-tol", "0.25"],
+                      ["--stack-hint", "512"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["autotune", "64x32x64", *flags])
+
+    @pytest.mark.parametrize("argv", [
+        ["gemm", "64x32x64", "--timing", "analytic"],
+        ["perf", "--shape", "64x32x64"],
+        ["autotune", "64x32x64", "--jobs", "1"],
+    ])
+    def test_zero_cores_rejected(self, capsys, tmp_path, argv):
+        if argv[0] == "perf":
+            argv = [*argv, "--runlog", str(tmp_path / "r.jsonl")]
+        assert main([*argv, "--cores", "0"]) == 1
+        assert "core count 0" in capsys.readouterr().err
+
+
 class TestServeCommand:
     def test_serve_sweep_runs_and_logs(self, capsys, tmp_path):
         runlog = tmp_path / "runs.jsonl"

@@ -130,24 +130,26 @@ class TestDesign:
         assert scripts <= run, f"not run by CI: {sorted(scripts - run)}"
 
 
-def _serve_flags():
-    """Every option string of the ``repro serve`` parser."""
+def _subcommand_flags():
+    """Every option string of each ``repro <sub>`` parser."""
     import argparse
 
     from repro.cli import build_parser
 
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    return {opt for action in sub.choices["serve"]._actions
-            for opt in action.option_strings}
+    return {name: {opt for action in parser._actions
+                   for opt in action.option_strings}
+            for name, parser in sub.choices.items()}
 
 
-def _cited_serve_flags(text, default_cmd):
-    """``--flags`` a doc cites for ``repro serve``.
+def _cited_flags(text, default_cmd, commands):
+    """``(command, --flag)`` pairs a doc cites for a ``repro`` subcommand.
 
     A flag belongs to the last ``repro <command>`` named before it on
-    its line, or to ``default_cmd`` when the line names none.  The
-    lookbehind skips link anchors such as ``#chaos--graceful``.
+    its line, or to ``default_cmd`` when the line names none; flags of
+    anything that is not a subcommand are skipped.  The lookbehind skips
+    link anchors such as ``#chaos--graceful``.
     """
     token = re.compile(r"repro (\w+)|(?<![\w#-])--([a-z][a-z0-9-]*)")
     for line in text.splitlines():
@@ -155,8 +157,8 @@ def _cited_serve_flags(text, default_cmd):
         for m in token.finditer(line):
             if m.group(1):
                 cmd = m.group(1)
-            elif cmd == "serve":
-                yield f"--{m.group(2)}"
+            elif cmd in commands:
+                yield cmd, f"--{m.group(2)}"
 
 
 class TestServing:
@@ -183,19 +185,25 @@ class TestServing:
         for row, f in zip(rows, fields):
             assert ast.literal_eval(row[1].strip("`")) == f.default, f.name
 
-    def test_cited_serve_flags_exist(self):
-        flags = _serve_flags()
-        serving = (ROOT / "docs" / "SERVING.md").read_text()
+    def test_cited_flags_exist(self):
+        """Every ``repro <sub> ... --flag`` in README.md or docs/*.md is an
+        option of that subcommand's parser."""
+        flags = _subcommand_flags()
         readme = (ROOT / "README.md").read_text()
         cited = [
-            *_cited_serve_flags(serving, "serve"),
-            *_cited_serve_flags(readme, None),
+            *_cited_flags(readme, None, flags),
             # README's serving section cites flags without the command
-            *_cited_serve_flags(
+            *_cited_flags(
                 readme.split("## Online serving", 1)[1].split("\n## ", 1)[0],
-                "serve",
+                "serve", flags,
             ),
         ]
-        assert len(cited) > 15
-        missing = sorted(set(cited) - flags)
-        assert not missing, f"docs cite removed repro serve flags: {missing}"
+        for doc in sorted((ROOT / "docs").glob("*.md")):
+            # SERVING.md cites serve flags without the command
+            default = "serve" if doc.name == "SERVING.md" else None
+            cited += _cited_flags(doc.read_text(), default, flags)
+        assert sum(cmd == "serve" for cmd, _ in cited) > 15
+        assert {cmd for cmd, _ in cited} >= {"serve", "autotune", "perf"}
+        missing = sorted({(cmd, flag) for cmd, flag in cited
+                          if flag not in flags[cmd]})
+        assert not missing, f"docs cite removed repro flags: {missing}"

@@ -142,10 +142,8 @@ class TestAutotuneIdentity:
 
     def test_parallel_equals_serial(self, cluster):
         shape = GemmShape(512, 32, 512)
-        serial = autotune(shape, cluster, validate_top=1, jobs=1,
-                          plan_db=False)
-        fanned = autotune(shape, cluster, validate_top=1, jobs=2,
-                          plan_db=False)
+        serial = autotune(shape, cluster, validate_top=1, jobs=1)
+        fanned = autotune(shape, cluster, validate_top=1, jobs=2)
         assert fanned.best == serial.best
         assert fanned.rule == serial.rule
         assert fanned.n_candidates == serial.n_candidates
@@ -153,11 +151,9 @@ class TestAutotuneIdentity:
     def test_parallel_identity_inside_warm_pool(self, cluster):
         """A warm ambient pool changes the wave schedule, not the result."""
         shape = GemmShape(512, 32, 512)
-        serial = autotune(shape, cluster, validate_top=1, jobs=1,
-                          plan_db=False)
+        serial = autotune(shape, cluster, validate_top=1, jobs=1)
         with worker_pool(2):
-            pooled = autotune(shape, cluster, validate_top=1, jobs=2,
-                              plan_db=False)
+            pooled = autotune(shape, cluster, validate_top=1, jobs=2)
         assert pooled.best == serial.best
         assert pooled.stats.pooled
 

@@ -8,17 +8,12 @@ quarantine files, counters) instead of crashing obscurely or silently
 reusing bad state.
 """
 
-import dataclasses
 import json
 import time
 
 import pytest
 
-from repro.core.plan_search import PlanDB, PlanRecord, ShapeClass
-from repro.core.shapes import GemmShape
-from repro.core.tuner import tune
-from repro.errors import PlanError, ReproError, WorkerError
-from repro.kernels.serialize import PLAN_FORMAT
+from repro.errors import ReproError, WorkerError
 from repro.obs import collecting
 from repro.obs.runlog import append_record, make_record, read_records
 
@@ -113,51 +108,6 @@ class TestKernelDiskCacheQuarantine:
         assert obs.counter("kernels/cache/quarantined").value == 1
         assert list(tmp_path.rglob("*.json.bad"))
         assert again.spec == kern.spec
-
-
-def _plan_entry(cluster):
-    """A rule-tuned plan as a plan-database entry (no search needed)."""
-    shape = GemmShape(8192, 32, 256)
-    decision = tune(shape, cluster)
-    return ShapeClass.of(shape, cluster), PlanRecord(
-        strategy=decision.strategy,
-        plan_fields=dataclasses.asdict(decision.plan),
-        shape=(shape.m, shape.n, shape.k),
-        seconds=1.0,
-        validated=False,
-        scored=0,
-    )
-
-
-class TestPlanDBPersistence:
-    def test_save_is_atomic_no_stray_tmp(self, cluster, tmp_path):
-        db = PlanDB(tmp_path)
-        db.put(*_plan_entry(cluster))
-        assert db.path.exists()
-        assert len(json.loads(db.path.read_text())) == 1
-        assert not list(tmp_path.glob("*.tmp"))
-
-    def test_corrupt_file_quarantined_on_load(self, cluster, tmp_path):
-        db = PlanDB(tmp_path)
-        db.path.write_text("{ torn write")
-        with collecting() as obs:
-            assert len(db) == 0
-        assert obs.counter("tuner/plandb/quarantined").value == 1
-        assert not db.path.exists()
-        assert (tmp_path / (db.path.name + ".bad")).exists()
-        # the quarantined database keeps working: the next save is clean
-        sig, rec = _plan_entry(cluster)
-        db.put(sig, rec)
-        assert PlanDB(tmp_path).get(sig) == rec
-
-    def test_unknown_strategy_still_loud(self):
-        blob = {
-            "plan": {"format": PLAN_FORMAT, "strategy": "zeta",
-                     "fields": {}},
-            "shape": [4, 4, 4], "seconds": 1.0, "validated": False,
-        }
-        with pytest.raises(PlanError, match="unknown plan strategy"):
-            PlanRecord.from_dict(blob)
 
 
 class TestRunlogTornWrites:
