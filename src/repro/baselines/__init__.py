@@ -10,7 +10,6 @@ __all__ = [
     "kernel_efficiency",
     "openblas_sgemm",
     "ridge_intensity",
-    "ridge_intensity",
     "roofline",
     "threads_used",
 ]

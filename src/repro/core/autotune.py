@@ -39,7 +39,7 @@ from ..executor.timed import run_timed
 from ..hw.config import ClusterConfig
 from ..obs.registry import ProfileScope, current as _obs_current
 from ..kernels.registry import KernelRegistry, registry_for
-from ..parallel import POOL_MIN_UNITS, active_pool, parallel_map, resolve_jobs
+from ..parallel import POOL_MIN_UNITS, parallel_map, resolve_jobs
 from .blocking import FP32, KPlan, MPlan, MIN_GOOD_M_S, N_MAX
 from .plan_search import SearchStats, plan_bound
 from .shapes import GemmShape
@@ -315,15 +315,14 @@ def autotune(
     the arguments: no search outcome is stored or read back.
 
     ``jobs`` fans scoring and validation across worker processes
-    (default: ``$REPRO_JOBS``, then the CPU count) — but only when a
-    persistent :func:`~repro.parallel.worker_pool` is already active or
-    the grid is large enough to amortize a pool spawn; single-shape
-    searches otherwise run serially (the BENCH_PR2 regression fix),
-    recorded as ``tuner/search_serial`` vs ``tuner/search_pooled``.  Work
-    units are mapped in candidate order and results collected in input
-    order, and any extra candidates a parallel wave scores are strictly
-    worse than the finalists, so the result is identical for every job
-    count (tested).
+    (default: ``$REPRO_JOBS``, then the CPU count) — but only when the
+    grid has at least :data:`~repro.parallel.POOL_MIN_UNITS` candidates,
+    enough to amortize a pool spawn; smaller searches run serially (the
+    BENCH_PR2 regression fix), recorded as ``tuner/search_serial`` vs
+    ``tuner/search_pooled``.  Work units are mapped in candidate order
+    and results collected in input order, and any extra candidates a
+    parallel wave scores are strictly worse than the finalists, so the
+    result is identical for every job count (tested).
     """
     if mode not in ("pruned", "exhaustive"):
         raise PlanError(f"unknown autotune mode {mode!r}")
@@ -348,11 +347,9 @@ def autotune(
         if not work:
             raise PlanError(f"no feasible candidate plans for {shape}")
 
-        # pool amortization: fan out only when the spawn is already paid
-        # for (ambient worker_pool) or the grid can earn it back
-        pooled = jobs > 1 and (
-            active_pool() is not None or len(work) >= POOL_MIN_UNITS
-        )
+        # pool amortization: fan out only when the grid can earn the
+        # spawn back
+        pooled = jobs > 1 and len(work) >= POOL_MIN_UNITS
         effective_jobs = jobs if pooled else 1
         stats.pooled = pooled
         if m is not None and jobs > 1:

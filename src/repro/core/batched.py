@@ -3,32 +3,27 @@
 The paper motivates irregular GEMM with workloads that issue *many* small
 multiplications — FEM operator application, per-layer CNN lowering.
 Issuing them one `ftimm_gemm` at a time repays the fixed costs (panel
-fills, barriers, strategy setup) per call.  Two batching tools:
+fills, barriers, strategy setup) per call.  :func:`grouped_gemm` runs many
+A/C pairs sharing one B (exactly FEM's per-element operator) as one GEMM:
+the A blocks are a *logical* vertical stack, so the whole group runs as
+one tall-and-skinny call, and the shared B is cached in GSM once instead
+of once per element block.  :func:`naive_batch_seconds` models the
+one-call-per-item loop it replaces.
 
-* :func:`grouped_gemm` — many A/C pairs sharing one B (exactly FEM's
-  per-element operator): the A blocks are a *logical* vertical stack, so
-  the whole group runs as one tall-and-skinny GEMM; the shared B is cached
-  in GSM once instead of once per element block.
-
-* :func:`batched_gemm` — arbitrary ``(a, b, c)`` triples: greedily groups
-  items that share the same B, runs each group with :func:`grouped_gemm`,
-  and reports the aggregate alongside the modeled time of the naive
-  one-call-per-item loop so the grouping win is visible.
-
-Sharing is decided by **content digest** (:func:`b_digest`): two B
-arrays that are equal but distinct objects — the normal case for
-requests deserialized from a stream — still coalesce.  The digest is
-interned: blake2b runs once per distinct B content, and every later B
-with bitwise-equal content gets the stored digest back after one
-element-wise compare, from a process-wide table bounded by
-:data:`_INTERN_BYTES`.
+The serve batcher (:func:`~repro.serve.batcher.bucket_key`) decides which
+requests share a B by **content digest** (:func:`b_digest`): two B arrays
+that are equal but distinct objects — the normal case for requests
+deserialized from a stream — still coalesce.  The digest is interned:
+blake2b runs once per distinct B content, and every later B with
+bitwise-equal content gets the stored digest back after one element-wise
+compare, from a process-wide table bounded by :data:`_INTERN_BYTES`.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,29 +146,6 @@ class GroupedGemmResult:
         return self.result.gflops
 
 
-@dataclass
-class BatchedGemmResult:
-    """Aggregate of a heterogeneous batch."""
-
-    groups: list[GroupedGemmResult] = field(default_factory=list)
-
-    @property
-    def n_items(self) -> int:
-        return sum(g.n_items for g in self.groups)
-
-    @property
-    def seconds(self) -> float:
-        return sum(g.seconds for g in self.groups)
-
-    @property
-    def total_flops(self) -> int:
-        return sum(g.shape.flops for g in self.groups)
-
-    @property
-    def gflops(self) -> float:
-        return self.total_flops / self.seconds / 1e9 if self.seconds else 0.0
-
-
 def grouped_gemm(
     a_blocks: list[np.ndarray] | None,
     b: np.ndarray | None,
@@ -234,32 +206,6 @@ def grouped_gemm(
     return GroupedGemmResult(
         shape=GemmShape(total_m, n, k), n_items=len(m_blocks), result=result
     )
-
-
-def batched_gemm(
-    items: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    *,
-    machine: MachineConfig | None = None,
-    timing: str = "auto",
-) -> BatchedGemmResult:
-    """Run a heterogeneous batch, grouping items whose B content is equal."""
-    machine = machine or default_machine()
-    if not items:
-        raise ShapeError("empty batch")
-    groups: dict[tuple[str, tuple[int, int]], list[int]] = {}
-    for idx, (_a, b, _c) in enumerate(items):
-        groups.setdefault((b_digest(b), b.shape), []).append(idx)
-    out = BatchedGemmResult()
-    for (_bkey, _bshape), indices in groups.items():
-        a_blocks = [items[i][0] for i in indices]
-        c_blocks = [items[i][2] for i in indices]
-        out.groups.append(
-            grouped_gemm(
-                a_blocks, items[indices[0]][1], c_blocks,
-                machine=machine, timing=timing,
-            )
-        )
-    return out
 
 
 def naive_batch_seconds(

@@ -146,38 +146,3 @@ def tune(
         reason=f"M={shape.m} large enough to split across cores",
     )
 
-
-def _tune_unit(args: tuple) -> TuningDecision:
-    """Picklable work unit for :func:`tune_many`."""
-    shape, cluster, dtype = args
-    return tune(shape, cluster, dtype=dtype)
-
-
-def tune_many(
-    shapes: list[GemmShape],
-    cluster: ClusterConfig,
-    *,
-    dtype: str = "f32",
-    jobs: int | None = None,
-) -> list[TuningDecision]:
-    """Tune a batch of shapes, fanned across worker processes.
-
-    Returns one decision per shape, in input order; identical to calling
-    :func:`tune` serially for every job count (each decision is a pure
-    function of its shape).  Used by experiment sweeps that classify and
-    plan hundreds of shapes.
-
-    Small batches stay serial (rule-based tuning is microseconds per
-    shape — a pool spawn would dominate; see
-    :data:`~repro.parallel.POOL_MIN_UNITS`) unless a persistent
-    :func:`~repro.parallel.worker_pool` is already active.
-    """
-    from ..parallel import POOL_MIN_UNITS, parallel_map
-
-    return parallel_map(
-        _tune_unit,
-        [(s, cluster, dtype) for s in shapes],
-        jobs,
-        chunksize=16,
-        min_units=POOL_MIN_UNITS,
-    )

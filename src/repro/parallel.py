@@ -23,12 +23,10 @@ project's conventions:
 Hardening (all surfaced as ``parallel/*`` counters in :mod:`repro.obs`,
 so ``repro perf`` shows what the pool survived):
 
-* a crashed worker (:class:`BrokenProcessPool`) fails only the
-  uncollected items; they are resubmitted to a fresh pool up to
-  ``retries`` times before :class:`~repro.errors.WorkerError` is raised;
-* ``timeout`` (seconds per task) turns hung workers into retries the
-  same way — exceptions raised by ``fn`` itself always propagate
-  unchanged;
+* a crashed worker (:class:`BrokenProcessPool`) costs one resubmit of
+  the whole map to a fresh pool; a second crash raises
+  :class:`~repro.errors.WorkerError`.  Exceptions raised by ``fn``
+  itself always propagate unchanged;
 * pools that cannot be created fall back to serial execution, and after
   :data:`_BREAKER_LIMIT` consecutive such failures a process-wide breaker
   stops attempting pools at all.
@@ -36,15 +34,9 @@ so ``repro perf`` shows what the pool survived):
 Amortization (the BENCH_PR2 lesson): spawning a process pool costs real
 wall time — hundreds of milliseconds on a cold interpreter — which a
 small work list can never earn back (the autotuner's ~53-candidate grid
-ran 0.66x *slower* with ``jobs=2``).  Two defenses:
-
-* ``parallel_map(..., min_units=N)`` runs serially below ``N`` work
-  units (counted as ``parallel/amortized_serial``), with
-  :data:`POOL_MIN_UNITS` as the calibrated spawn-amortization threshold;
-* :func:`worker_pool` keeps one :class:`WorkerPool` alive across many
-  ``parallel_map`` calls (counted as ``parallel/pool_reuses``) — a
-  ``tune_many`` batch or a serve warmup session spawns workers once, and
-  every subsequent search rides the warm pool.
+ran 0.66x *slower* with ``jobs=2``).  Callers with a small fixed fan-out
+compare their work list against :data:`POOL_MIN_UNITS` and stay serial
+below it.
 """
 
 from __future__ import annotations
@@ -52,9 +44,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from typing import TypeVar
 
 from .errors import WorkerError
@@ -67,9 +57,9 @@ R = TypeVar("R")
 #: consecutive pool-creation failures before giving up on pools entirely
 _BREAKER_LIMIT = 3
 
-#: work units below which a one-shot pool spawn cannot pay for itself;
-#: callers with a small fixed fan-out (the autotuner's candidate grid)
-#: should stay serial unless a persistent pool is already warm.
+#: work units below which a pool spawn cannot pay for itself; callers
+#: with a small fixed fan-out (the autotuner's candidate grid) stay
+#: serial below it.
 POOL_MIN_UNITS = 128
 
 _consecutive_pool_failures = 0
@@ -138,107 +128,25 @@ class _CollectingCall:
         return result, reg.snapshot()
 
 
-class WorkerPool:
-    """A process pool that persists across :func:`parallel_map` calls.
-
-    The executor is spawned lazily on first use and reused until
-    :meth:`close`; a worker crash discards the broken executor so the
-    next call respawns a fresh one.  Usable directly as a context
-    manager, but the usual entry point is :func:`worker_pool`, which also
-    installs the pool as the ambient default for ``parallel_map``.
-    """
-
-    def __init__(self, jobs: int | None = None) -> None:
-        self.jobs = resolve_jobs(jobs)
-        self._pool: ProcessPoolExecutor | None = None
-        self._spawned = False
-
-    def _executor(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-            if self._spawned:
-                _count("pool_respawns")
-            self._spawned = True
-        return self._pool
-
-    def map(self, fn: Callable[[T], R], seq: Sequence[T], chunksize: int = 1):
-        """``Executor.map`` on the persistent pool; raises
-        :class:`BrokenProcessPool` (after discarding the dead executor) so
-        the caller's retry path can take over."""
-        try:
-            return list(self._executor().map(fn, seq, chunksize=chunksize))
-        except BrokenProcessPool:
-            self._discard()
-            raise
-
-    def _discard(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-_active_pool: WorkerPool | None = None
-
-
-def active_pool() -> WorkerPool | None:
-    """The ambient persistent pool, when inside :func:`worker_pool`."""
-    return _active_pool
-
-
-@contextmanager
-def worker_pool(jobs: int | None = None):
-    """Install a persistent :class:`WorkerPool` for the enclosed block.
-
-    Every ``parallel_map`` call inside the block (without a per-task
-    ``timeout``) reuses the same worker processes instead of spawning a
-    pool per call, and skips the ``min_units`` serial cutoff — the spawn
-    cost is already paid.  Nests: the previous pool is restored on exit.
-    """
-    global _active_pool
-    pool = WorkerPool(jobs)
-    prev = _active_pool
-    _active_pool = pool
-    try:
-        yield pool
-    finally:
-        _active_pool = prev
-        pool.close()
-
-
 def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     jobs: int | None = None,
     *,
     chunksize: int = 1,
-    timeout: float | None = None,
-    retries: int = 1,
-    min_units: int = 2,
 ) -> list[R]:
     """``[fn(x) for x in items]``, fanned across processes.
 
     Results are returned in input order regardless of completion order.
     Serial fallback when the effective job count is 1, there are fewer
-    than ``min_units`` items (spawn amortization — unless a persistent
-    :func:`worker_pool` is already active), the host refuses to fork a
-    pool, or the pool breaker has tripped.
+    than two items, the host refuses to fork a pool, or the pool breaker
+    has tripped.
 
-    ``timeout`` bounds each task's wait in seconds; a task that times out
-    or dies with its worker is resubmitted to a fresh pool up to
-    ``retries`` times, then :class:`~repro.errors.WorkerError` is raised.
-    Exceptions raised by ``fn`` itself propagate unchanged on first
-    occurrence — they are the caller's bug, not pool weather.
+    A worker that dies mid-map breaks the pool; the map is resubmitted
+    once to a fresh pool, and a second crash raises
+    :class:`~repro.errors.WorkerError`.  Exceptions raised by ``fn``
+    itself propagate unchanged on first occurrence — they are the
+    caller's bug, not pool weather.
 
     When a metrics registry is ambient (:func:`repro.obs.collecting`),
     each work unit runs under a fresh worker-side registry whose snapshot
@@ -248,19 +156,14 @@ def parallel_map(
     """
     seq: Sequence[T] = items if isinstance(items, Sequence) else list(items)
     jobs = resolve_jobs(jobs, len(seq))
-    pool_ready = _active_pool is not None and timeout is None
-    too_small = len(seq) < 2 or (len(seq) < min_units and not pool_ready)
-    if jobs == 1 or too_small or _pool_disabled:
+    if jobs == 1 or len(seq) < 2 or _pool_disabled:
         # in-process: fn records straight into the ambient registry
         if jobs > 1 and len(seq) >= 2:
-            if _pool_disabled:
-                _count("serial_fallbacks")
-            elif too_small:
-                _count("amortized_serial")
+            _count("serial_fallbacks")
         return [fn(x) for x in seq]
     parent = _obs_current()
     call = fn if parent is None else _CollectingCall(fn)
-    out = _run_map(call, seq, jobs, chunksize, timeout, retries)
+    out = _run_map(call, seq, jobs, chunksize)
     if parent is None:
         return out
     results = []
@@ -271,80 +174,25 @@ def parallel_map(
 
 
 def _run_map(
-    fn: Callable[[T], R],
-    seq: Sequence[T],
-    jobs: int,
-    chunksize: int,
-    timeout: float | None,
-    retries: int,
+    fn: Callable[[T], R], seq: Sequence[T], jobs: int, chunksize: int
 ) -> list[R]:
-    if timeout is None:
-        # fast path: Executor.map gets chunking; a warm persistent pool is
-        # reused outright; crashes fall through to the submit-based retry
-        # path below
+    """``Executor.map`` on a fresh pool, resubmitted once after a crash."""
+    for attempt in range(2):
+        if attempt:
+            _count("retries", len(seq))
         try:
-            if _active_pool is not None:
-                _count("pool_reuses")
-                out = _active_pool.map(fn, seq, chunksize=chunksize)
-            else:
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    out = list(pool.map(fn, seq, chunksize=chunksize))
-            _note_pool_ok()
-            return out
-        except (OSError, PermissionError):
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                out = list(pool.map(fn, seq, chunksize=chunksize))
+        except OSError:
             _note_pool_failure()
             _count("serial_fallbacks")
             return [fn(x) for x in seq]
         except BrokenProcessPool:
             _count("worker_crashes")
-    return _submit_map(fn, seq, jobs, timeout, retries)
-
-
-def _submit_map(
-    fn: Callable[[T], R],
-    seq: Sequence[T],
-    jobs: int,
-    timeout: float | None,
-    retries: int,
-) -> list[R]:
-    """Submit-based map with per-task timeout and crash/hang retries."""
-    results: list = [None] * len(seq)
-    remaining = list(range(len(seq)))
-    for attempt in range(retries + 1):
-        if not remaining:
-            break
-        if attempt:
-            _count("retries", len(remaining))
-        try:
-            pool = ProcessPoolExecutor(max_workers=min(jobs, len(remaining)))
-        except (OSError, PermissionError):
-            _note_pool_failure()
-            _count("serial_fallbacks")
-            for i in remaining:
-                results[i] = fn(seq[i])
-            return results
-        failed: list[int] = []
-        try:
-            futures = {i: pool.submit(fn, seq[i]) for i in remaining}
-            for i in remaining:
-                try:
-                    results[i] = futures[i].result(timeout=timeout)
-                except _FutureTimeout:
-                    _count("timeouts")
-                    futures[i].cancel()
-                    failed.append(i)
-                except BrokenProcessPool:
-                    _count("worker_crashes")
-                    failed.append(i)
-        finally:
-            # never block on a hung worker during shutdown; abandoned
-            # processes are reaped by the OS when they finish or die
-            pool.shutdown(wait=False, cancel_futures=True)
-        remaining = failed
-    if remaining:
-        raise WorkerError(
-            f"{len(remaining)} of {len(seq)} pool tasks still "
-            f"crashed or hung after {retries} retries"
-        )
-    _note_pool_ok()
-    return results
+            continue
+        _note_pool_ok()
+        return out
+    raise WorkerError(
+        f"a pool worker crashed running {len(seq)} tasks, and again "
+        f"after one resubmit"
+    )

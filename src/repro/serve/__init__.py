@@ -33,7 +33,6 @@ latency numbers:
   from a finished report.
 """
 
-from ..errors import FaultError, OverloadError
 from .batcher import Batch, ShapeBucketBatcher, bucket_key, bucket_label
 from .degrade import (
     BULK,
@@ -84,14 +83,12 @@ __all__ = [
     "DegradeEvent",
     "DegradePolicy",
     "DegradeReport",
-    "FaultError",
     "Gateway",
     "GemmRequest",
     "HealthPolicy",
     "INTERACTIVE",
     "MIXES",
     "OnlineBurn",
-    "OverloadError",
     "POLICIES",
     "PlacementEvent",
     "PlacementManager",

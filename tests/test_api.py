@@ -1,5 +1,9 @@
 """Public API surface and error hierarchy."""
 
+import importlib
+import pkgutil
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,13 @@ from repro.errors import (
     ShapeError,
     SimulationError,
 )
+
+#: ``repro`` and every package below it
+SUBPACKAGES = ["repro"] + [
+    f"repro.{info.name}"
+    for info in pkgutil.iter_modules(repro.__path__)
+    if info.ispkg
+]
 
 
 class TestErrorHierarchy:
@@ -39,18 +50,40 @@ class TestErrorHierarchy:
 
 class TestFacade:
     def test_all_exports_resolve(self):
-        import importlib
+        # every package's export list: no name twice, every name resolves
+        for name in SUBPACKAGES:
+            module = importlib.import_module(name)
+            exports = module.__all__
+            assert len(set(exports)) == len(exports), name
+            for attr in exports:
+                assert getattr(module, attr) is not None, f"{name}.{attr}"
 
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None, name
-        # one export list: repro re-exports repro.api's, object for object
-        for name in repro.api.__all__:
-            assert getattr(repro, name) is getattr(repro.api, name), name
-        assert len(set(repro.__all__)) == len(repro.__all__)
-        # ``repro.serve`` is the replay client; the package by module path
-        serve_pkg = importlib.import_module("repro.serve")
-        for name in serve_pkg.__all__:
-            assert hasattr(serve_pkg, name), name
+    def test_top_level_lists_only_the_gemm_library(self):
+        # serving, observability and analysis are exported by their own
+        # packages, never a second time from ``repro``
+        for name in ("repro.serve", "repro.obs", "repro.analysis"):
+            overlap = set(repro.__all__) & set(
+                importlib.import_module(name).__all__
+            )
+            assert not overlap, (name, sorted(overlap))
+
+    def test_serve_is_the_package(self):
+        import repro.serve
+
+        assert repro.serve is sys.modules["repro.serve"]
+        assert repro.serve.ServeConfig is not None
+
+    @pytest.mark.parametrize("module, name", [
+        ("repro.parallel", "WorkerPool"),
+        ("repro.parallel", "worker_pool"),
+        ("repro.parallel", "active_pool"),
+        ("repro.core.tuner", "tune_many"),
+        ("repro.core.batched", "batched_gemm"),
+        ("repro.core.batched", "BatchedGemmResult"),
+    ])
+    def test_uncalled_exports_deleted(self, module, name):
+        assert not hasattr(importlib.import_module(module), name)
+        assert name not in repro.__all__
 
     def test_version(self):
         assert repro.__version__

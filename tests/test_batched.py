@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import batched
-from repro.core.batched import (
-    BatchedGemmResult,
-    b_digest,
-    batched_gemm,
-    grouped_gemm,
-    naive_batch_seconds,
-)
+from repro.core.batched import b_digest, grouped_gemm, naive_batch_seconds
 from repro.core.shapes import GemmShape
 from repro.errors import PlanError, ShapeError
 from repro.obs import collecting
@@ -69,38 +63,7 @@ class TestGroupedGemm:
             grouped_gemm(None, None, None)
 
 
-class TestBatchedGemm:
-    def test_groups_by_shared_b(self):
-        a1, b1, c1, refs1 = make_group(3, seed=2)
-        a2, b2, c2, refs2 = make_group(2, m=40, n=16, k=12, seed=3)
-        items = [(a, b1, c) for a, c in zip(a1, c1)]
-        items += [(a, b2, c) for a, c in zip(a2, c2)]
-        result = batched_gemm(items, timing="none")
-        assert len(result.groups) == 2
-        assert result.n_items == 5
-        for c, ref in zip(c1, refs1):
-            np.testing.assert_allclose(c, ref, rtol=1e-3, atol=1e-3)
-        for c, ref in zip(c2, refs2):
-            np.testing.assert_allclose(c, ref, rtol=1e-3, atol=1e-3)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ShapeError):
-            batched_gemm([])
-
-    def test_distinct_but_equal_bs_coalesce(self):
-        """Content-digest grouping: copies of B land in ONE group."""
-        a_blocks, b, c_blocks, refs = make_group(4, seed=7)
-        items = [(a, b.copy(), c) for a, c in zip(a_blocks, c_blocks)]
-        assert all(
-            items[i][1] is not items[j][1]
-            for i in range(4) for j in range(i + 1, 4)
-        )
-        result = batched_gemm(items, timing="none")
-        assert len(result.groups) == 1
-        assert result.groups[0].n_items == 4
-        for c, ref in zip(c_blocks, refs):
-            np.testing.assert_allclose(c, ref, rtol=1e-3, atol=1e-3)
-
+class TestBDigest:
     def test_b_digest_distinguishes_content(self):
         b1 = np.arange(12, dtype=np.float32).reshape(3, 4)
         assert b_digest(b1) == b_digest(b1.copy())
@@ -111,15 +74,6 @@ class TestBatchedGemm:
         assert b_digest(b1) != b_digest(b1.reshape(4, 3))
         # same values, different dtype -> different digest
         assert b_digest(b1) != b_digest(b1.astype(np.float64))
-
-    def test_aggregate_metrics(self):
-        a_blocks, b, c_blocks, _ = make_group(4, m=512, n=32, k=16)
-        items = [(a, b, c) for a, c in zip(a_blocks, c_blocks)]
-        result = batched_gemm(items, timing="analytic")
-        assert isinstance(result, BatchedGemmResult)
-        assert result.seconds > 0
-        assert result.gflops > 0
-        assert result.total_flops == 4 * GemmShape(512, 32, 16).flops
 
 
 class TestGroupingWins:

@@ -6,6 +6,7 @@ example table matches the examples directory, and the claims banner
 parses and holds.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -128,6 +129,58 @@ class TestDesign:
                    and p.name != "conftest.py"}
         assert "serve_claims" in scripts
         assert scripts <= run, f"not run by CI: {sorted(scripts - run)}"
+
+
+def _code_spans(text):
+    """Fenced code blocks and inline backtick spans of a markdown text."""
+    fenced = re.findall(r"```.*?```", text, flags=re.S)
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    # an inline span may wrap onto the next line, not into a new paragraph
+    return [*fenced, *re.findall(r"`((?:[^`\n]|\n(?!\n))+)`", prose)]
+
+
+def _resolve(path):
+    """The object a dotted ``repro.<name>...`` path names.
+
+    The longest importable prefix is imported first; the whole path is
+    then walked attribute by attribute from ``repro``, as a reader who
+    imported that module would.
+    """
+    parts = path.split(".")
+    for end in range(len(parts), 1, -1):
+        try:
+            importlib.import_module(".".join(parts[:end]))
+        except ModuleNotFoundError:
+            continue
+        break
+    obj = repro
+    for name in parts[1:]:
+        obj = getattr(obj, name)
+    return obj
+
+
+class TestCitedPaths:
+    def test_cited_repro_paths_resolve(self):
+        """Every dotted ``repro.<name>...`` cited in backticks or a code
+        block of README.md or docs/*.md resolves, and is callable where
+        the citation calls it."""
+        docs = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+        path = re.compile(r"(?<![\w/.])repro(?:\.[A-Za-z_]\w*)+(\()?")
+        cited, broken = 0, []
+        for doc in docs:
+            for span in _code_spans(doc.read_text()):
+                for m in path.finditer(span):
+                    cited += 1
+                    where = f"{doc.name}: {m.group(0)}"
+                    try:
+                        obj = _resolve(m.group(0).rstrip("("))
+                    except (AttributeError, ImportError):
+                        broken.append(where)
+                        continue
+                    if m.group(1) and not callable(obj):
+                        broken.append(where)
+        assert cited > 50
+        assert not broken, f"docs cite paths that do not resolve: {broken}"
 
 
 def _subcommand_flags():

@@ -1,26 +1,16 @@
 """Process-pool helpers and parallel-vs-serial result identity.
 
 The contract of :mod:`repro.parallel` is that parallelism is *invisible*
-in the results: ``parallel_map`` returns in input order, and the callers
-(autotune, tune_many, run_all) are result-identical for every job count.
+in the results: ``parallel_map`` returns in input order, and the
+autotuner is result-identical for every job count.
 """
 
 import pytest
 
 from repro.core.autotune import autotune
 from repro.core.shapes import GemmShape
-from repro.core.tuner import tune, tune_many
 from repro.hw.config import default_machine
-from repro.obs import collecting
-from repro.parallel import (
-    POOL_MIN_UNITS,
-    WorkerPool,
-    active_pool,
-    default_jobs,
-    parallel_map,
-    resolve_jobs,
-    worker_pool,
-)
+from repro.parallel import default_jobs, parallel_map, resolve_jobs
 
 
 def _square(x: int) -> int:
@@ -29,10 +19,6 @@ def _square(x: int) -> int:
 
 def _neg(x: int) -> int:
     return -x
-
-
-def _raise(x: int) -> int:
-    raise ValueError(x)
 
 
 class TestJobsResolution:
@@ -83,56 +69,10 @@ class TestParallelMap:
     def test_accepts_generators(self):
         assert parallel_map(_square, (x for x in (2, 3)), jobs=2) == [4, 9]
 
-    def test_min_units_stays_serial(self):
-        """Below the amortization floor, jobs>1 must not spawn a pool."""
-        items = list(range(8))
-        with collecting() as reg:
-            out = parallel_map(
-                _square, items, jobs=4, min_units=POOL_MIN_UNITS
-            )
-        assert out == [x * x for x in items]
-        snap = reg.snapshot()
-        assert snap["parallel/amortized_serial"]["value"] == 1
-        assert "parallel/pool_reuses" not in snap
-
-    def test_min_units_overridden_by_active_pool(self):
-        """A warm ambient pool is free: small batches may ride it."""
-        items = list(range(8))
-        with collecting() as reg, worker_pool(2):
-            out = parallel_map(
-                _square, items, jobs=2, min_units=POOL_MIN_UNITS
-            )
-        assert out == [x * x for x in items]
-        assert reg.snapshot()["parallel/pool_reuses"]["value"] == 1
-
-
-class TestWorkerPool:
-    def test_result_identity_for_every_job_count(self):
-        items = list(range(40, -1, -1))
-        expect = [x * x for x in items]
-        for jobs in (1, 2, 3):
-            with WorkerPool(jobs) as pool:
-                assert list(pool.map(_square, items)) == expect
-
-    def test_pool_reused_across_maps(self):
-        with collecting() as reg, worker_pool(2) as pool:
-            assert active_pool() is pool
-            for _ in range(3):
-                parallel_map(_square, [1, 2, 3], jobs=2)
-        assert active_pool() is None
-        assert reg.snapshot()["parallel/pool_reuses"]["value"] == 3
-
-    def test_nested_pools_restore_outer(self):
-        with worker_pool(2) as outer:
-            with worker_pool(2) as inner:
-                assert active_pool() is inner
-            assert active_pool() is outer
-        assert active_pool() is None
-
-    def test_exceptions_propagate(self):
-        with WorkerPool(1) as pool:
-            with pytest.raises(ValueError):
-                list(pool.map(_raise, [1]))
+    @pytest.mark.parametrize("knob", ["timeout", "retries", "min_units"])
+    def test_removed_knobs_rejected(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            parallel_map(_square, [1, 2], 2, **{knob: 1})
 
 
 class TestAutotuneIdentity:
@@ -147,23 +87,3 @@ class TestAutotuneIdentity:
         assert fanned.best == serial.best
         assert fanned.rule == serial.rule
         assert fanned.n_candidates == serial.n_candidates
-
-    def test_parallel_identity_inside_warm_pool(self, cluster):
-        """A warm ambient pool changes the wave schedule, not the result."""
-        shape = GemmShape(512, 32, 512)
-        serial = autotune(shape, cluster, validate_top=1, jobs=1)
-        with worker_pool(2):
-            pooled = autotune(shape, cluster, validate_top=1, jobs=2)
-        assert pooled.best == serial.best
-        assert pooled.stats.pooled
-
-    def test_tune_many_equals_tune(self, cluster):
-        shapes = [
-            GemmShape(512, 32, 512),
-            GemmShape(64, 8, 4096),
-            GemmShape(2048, 96, 256),
-        ]
-        fanned = tune_many(shapes, cluster, jobs=2)
-        serial = [tune(s, cluster) for s in shapes]
-        assert [d.strategy for d in fanned] == [d.strategy for d in serial]
-        assert [d.plan for d in fanned] == [d.plan for d in serial]

@@ -1,7 +1,7 @@
 """Hardening paths outside the fault injector.
 
 Covers the satellites of the robustness work: the process-pool's
-timeout/crash handling, quarantine of corrupt on-disk caches, and the
+crash handling, quarantine of corrupt on-disk caches, and the
 torn-write behaviour of the JSONL run-log.  The shared theme matches
 :mod:`tests.test_faults`: degrade loudly (typed errors, ``*.bad``
 quarantine files, counters) instead of crashing obscurely or silently
@@ -9,7 +9,7 @@ reusing bad state.
 """
 
 import json
-import time
+import os
 
 import pytest
 
@@ -26,9 +26,22 @@ def _boom(x: int) -> int:
     raise ValueError(f"boom on {x}")
 
 
-def _sleepy(x: int) -> int:
-    time.sleep(2.0)
-    return x
+def _die(x: int) -> int:
+    os._exit(1)
+
+
+def _die_once(item: tuple[str, int]) -> int:
+    """Kill the worker the first time any worker sees item 1."""
+    marker, x = item
+    if x == 1:
+        try:
+            fd = os.open(marker, os.O_CREAT | os.O_EXCL)
+        except FileExistsError:
+            pass
+        else:
+            os.close(fd)
+            os._exit(1)
+    return x * x
 
 
 class TestParallelMapHardening:
@@ -41,25 +54,33 @@ class TestParallelMapHardening:
     def test_fn_exception_propagates_pool(self):
         from repro.parallel import parallel_map
 
-        with pytest.raises(ValueError, match="boom"):
-            parallel_map(_boom, [1, 2, 3], jobs=2)
+        # unchanged, and not mistaken for a crashed worker
+        with collecting() as obs:
+            with pytest.raises(ValueError, match="^boom on 1$"):
+                parallel_map(_boom, [1, 2, 3], jobs=2)
+        snap = obs.snapshot()
+        assert "parallel/worker_crashes" not in snap
+        assert "parallel/retries" not in snap
 
-    def test_timeout_raises_worker_error(self):
+    def test_crash_is_resubmitted_once_then_raises(self):
         from repro.parallel import parallel_map
 
         with collecting() as obs:
-            with pytest.raises(WorkerError, match="crashed or hung"):
-                parallel_map(
-                    _sleepy, [1, 2], jobs=2, timeout=0.2, retries=0
-                )
-        assert obs.counter("parallel/timeouts").value >= 1
+            with pytest.raises(WorkerError, match="after one resubmit"):
+                parallel_map(_die, [1, 2], jobs=2)
+        assert obs.counter("parallel/worker_crashes").value == 2
+        assert obs.counter("parallel/retries").value == 2
 
-    def test_timeout_large_enough_succeeds(self):
+    def test_one_crash_is_survived_by_the_resubmit(self, tmp_path):
         from repro.parallel import parallel_map
 
-        assert parallel_map(
-            _square, [2, 3, 4], jobs=2, timeout=60.0
-        ) == [4, 9, 16]
+        marker = str(tmp_path / "crashed")
+        items = [(marker, x) for x in range(4)]
+        with collecting() as obs:
+            assert parallel_map(_die_once, items, jobs=2) == [0, 1, 4, 9]
+        assert os.path.exists(marker)
+        assert obs.counter("parallel/worker_crashes").value == 1
+        assert obs.counter("parallel/retries").value == 4
 
     def test_breaker_forces_serial(self):
         import repro.parallel as par
