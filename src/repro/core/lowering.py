@@ -219,6 +219,13 @@ class LoweringContext:
         else:
             self.faults.guarded_copy(dst, src, core)
 
+    def accumulate(self, dst: np.ndarray, src: np.ndarray, core: int = 0) -> None:
+        """``dst += src`` into C, guarded when faults are armed."""
+        if self.faults is None:
+            dst += src
+        else:
+            self.faults.guarded_accumulate(dst, src, core)
+
     def apply_kernel(self, kern, a, b, c, core: int = 0) -> None:
         """Tile GEMM ``c += a @ b``, ABFT-checked when faults are armed."""
         if self.faults is None:

@@ -12,7 +12,8 @@ Two ping-pong levels overlap DMA and compute within a core: B_a tiles
 across the core's K chunks and A_s row groups within a tile.  A cluster
 SYNC implements the reduction (modeled cost from
 :func:`repro.hw.cluster.reduction_seconds`; functional mode sums the
-per-core partial buffers and accumulates into C).
+per-core partial buffers and accumulates into C, guarded under a fault
+plan like the other strategies' updates of C).
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def build_parallel_k(
                             total = np.zeros(c_view.shape, dtype=c_view.dtype)
                             for p in partials:
                                 total += p
-                            c_view += total
+                            ctx.accumulate(c_view, total)
 
                         runs = {0: reduce_run}
                     builder.sync(

@@ -177,6 +177,24 @@ class FaultInjector:
             f"{self.plan.max_copy_retries} re-copies"
         )
 
+    def guarded_accumulate(
+        self, dst: np.ndarray, src: np.ndarray, core: int
+    ) -> None:
+        """``dst += src`` into C (a K-parallel reduction's write-back).
+
+        Held to the rule of the ABFT-guarded tile GEMMs that update C in
+        the other strategies: a non-finite result raises
+        :class:`~repro.errors.CorruptionError` and leaves ``dst`` as it
+        was; a finite one is stored read-back verified.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = dst + src
+        if not np.isfinite(total).all():
+            raise CorruptionError(
+                f"reduction into C on core {core} is not finite"
+            )
+        self.guarded_copy(dst, total, core)
+
     # -- ABFT-guarded tile GEMM -------------------------------------------
 
     def guarded_gemm(self, kern, a, b, c, mode: str, core: int) -> None:

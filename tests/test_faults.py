@@ -294,6 +294,28 @@ class TestFailedCallLeavesC:
             )
         assert np.array_equal(c, c0)
 
+    @pytest.mark.parametrize("impl, shape, strategy", [
+        (ftimm_gemm, (8192, 16, 512), "m"),
+        (ftimm_gemm, (64, 16, 16384), "k"),
+        (tgemm_gemm, (512, 16, 512), "tgemm"),
+    ], ids=["m", "k", "tgemm"])
+    def test_non_finite_c0_raises_on_every_strategy(self, impl, shape,
+                                                    strategy):
+        """One rule under a fault plan: a NaN in C0 raises, whichever
+        strategy runs, and C is left as it was passed in."""
+        m, n, k = shape
+        assert impl(m, n, k, timing="none").strategy == strategy
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((m, k)).astype(np.float32)
+        b = rng.standard_normal((k, n)).astype(np.float32)
+        c0 = rng.standard_normal((m, n)).astype(np.float32)
+        c0[1, 2] = np.nan
+        c = c0.copy()
+        with pytest.raises(CorruptionError):
+            impl(m, n, k, a=a, b=b, c=c, timing="none",
+                 faults=FaultPlan(seed=1))
+        assert np.array_equal(c, c0, equal_nan=True)
+
 
 #: every shape class of the five serve mixes, once each
 MIX_SHAPES = sorted({
@@ -418,10 +440,7 @@ class TestQuietAttempts:
         assert got == want
         assert fault_counters(reg) == fault_counters(reg_ref)
         assert reg.counter("faults/quiet_replays").value == 1
-        if strategy != "k" or case == "overflow":
-            # K-parallel adds its reduced partials into C unguarded, so
-            # there only an overflowing tile trips a guard
-            assert isinstance(got, str)
+        assert isinstance(got, str)
 
     @pytest.mark.parametrize("strategy", ["m", "k", "tgemm"])
     def test_no_extra_warnings(self, strategy):
