@@ -1,21 +1,24 @@
 """Discrete-event (fine-grained) timing of a lowered plan.
 
-Each core's op stream is walked by a simulation process:
+Each core's op stream is walked in order by a small state machine
+(:class:`_Walk`) on the callback-driven DES kernel
+(:mod:`repro.hw.event_sim`):
 
 * DMA ops spawn onto the core's DMA engine (FIFO channels), with the data
   movement charged to the contended DDR or GSM channel;
 * KERNEL ops spawn onto the core's single compute pipeline;
-* both wait first for their explicit ``deps`` (ping-pong buffer reuse);
+* both wait first for their explicit ``deps`` (ping-pong buffer reuse),
+  a counter of the dep completions still outstanding;
 * SYNC ops make the walk wait until every prior op of this core completed,
   then until all cores arrived, then a barrier delay plus any modeled
   reduction time elapses.
 
-Because processes spawn eagerly inside an epoch, DMA for iteration ``i+1``
+Because ops spawn eagerly inside an epoch, DMA for iteration ``i+1``
 naturally overlaps compute for iteration ``i`` exactly where the plan's
 dependencies allow — the ping-pong behaviour of Algorithms 1, 4 and 5
 emerges rather than being hard-coded.
 
-A sliding window caps in-flight processes per core so multi-hundred-
+A sliding window caps in-flight ops per core so multi-hundred-
 thousand-op plans simulate in bounded memory.
 
 Observability: when a metrics registry is active (``repro.obs.collecting``)
@@ -38,7 +41,7 @@ from ..obs import MetricsRegistry, RunProfile
 from ..obs.registry import current as _obs_current
 from ..obs.trace import current_tracer
 
-#: max op processes spawned ahead of the oldest incomplete one, per core.
+#: max ops spawned ahead of the oldest incomplete one, per core.
 _WINDOW = 128
 
 
@@ -117,136 +120,15 @@ def run_timed(
             if (profile or metrics is not None or tracer is not None)
             else None)
 
-    # barrier plumbing: per sync id, one arrival event per core and a done
-    # event that fires barrier_cycles + sync_seconds after the last arrival
-    arrivals: dict[int, list[Event]] = {}
-    done: dict[int, Event] = {}
-    for sid in range(execution.n_syncs):
-        arrivals[sid] = [sim.event(f"arrive{sid}c{c}") for c in range(n_cores)]
-        done[sid] = sim.event(f"sync{sid}done")
-
-    barrier_s = execution.cluster.barrier_cycles / execution.cluster.core.clock_hz
-    sync_seconds: dict[int, float] = {}
-    sync_tags: dict[int, str] = {}
-    for core_ops in execution.core_ops:
-        for op in core_ops:
-            if op.kind is OpKind.SYNC:
-                sync_seconds[op.sync_id] = op.sync_seconds
-                sync_tags.setdefault(op.sync_id, op.tag)
-
-    for sid in range(execution.n_syncs):
-        def _arm(sid: int = sid) -> None:
-            gathered = sim.all_of(arrivals[sid])
-
-            def _fire(_ev: Event, sid: int = sid) -> None:
-                delay = barrier_s + sync_seconds.get(sid, 0.0)
-                sim.timeout(delay).wait(lambda _e: done[sid].succeed())
-
-            gathered.wait(_fire)
-
-        _arm()
-        if prof is not None:
-            # each sync completion closes an epoch at the global timeline
-            done[sid].wait(
-                lambda _ev, sid=sid: prof.close_epoch(
-                    sid, sim.now, sync_tags.get(sid, "")
-                )
-            )
-
-    clock = execution.cluster.core.clock_hz
-
-    def dma_proc(core: int, op, dep_events: list[Event], epoch: int):
-        if dep_events:
-            yield sim.all_of(dep_events)
-        if faults is not None:
-            faults.check_core_alive_timed(core, sim.now)
-        start = sim.now
-        yield cluster.cores[core].dma.issue(op.desc)
-        if prof is not None:
-            prof.add_dma(
-                epoch, core, start, sim.now,
-                op.desc.medium.value, op.desc.nbytes,
-            )
-
-    def kernel_proc(core: int, op, dep_events: list[Event], epoch: int):
-        if dep_events:
-            yield sim.all_of(dep_events)
-        if faults is not None:
-            faults.check_core_alive_timed(core, sim.now)
-        yield cluster.cores[core].run_kernel(op.cycles, tag=op.tag)
-        duration = op.cycles / clock
-        if prof is not None:
-            prof.add_compute(epoch, core, duration)
-        if tracer is not None:
-            tracer.record(
-                op.tag or "kernel",
-                category="kernel",
-                start_s=sim.now - duration,
-                end_s=sim.now,
-                track=f"core{core}/compute",
-                args={"core": core, "cycles": op.cycles, "epoch": epoch},
-            )
-
-    def walk(core: int, ops):
-        events: list[Event | None] = [None] * len(ops)
-        epoch = 0
-        for idx, op in enumerate(ops):
-            if idx >= _WINDOW:
-                old = events[idx - _WINDOW]
-                if old is not None and not old.triggered:
-                    if prof is not None:
-                        stall_t0 = sim.now
-                        yield old
-                        prof.add_window_stall(epoch, core, sim.now - stall_t0)
-                    else:
-                        yield old
-            if op.kind is OpKind.SYNC:
-                prior = [e for e in events[:idx] if e is not None and not e.triggered]
-                if prior:
-                    yield sim.all_of(prior)
-                arrival_t = sim.now
-                arrivals[op.sync_id][core].succeed()
-                yield done[op.sync_id]
-                if prof is not None:
-                    prof.add_sync_wait(epoch, core, sim.now - arrival_t)
-                if tracer is not None and core == 0:
-                    tracer.record(
-                        op.tag or f"sync{op.sync_id}",
-                        category="sync",
-                        start_s=arrival_t,
-                        end_s=sim.now,
-                        track="cluster/sync",
-                        args={"sync_id": op.sync_id},
-                    )
-                events[idx] = done[op.sync_id]
-                epoch += 1
-                continue
-            deps = [events[d] for d in op.deps]
-            if any(e is None for e in deps):
-                raise SimulationError(f"op {idx} on core {core} has unresolved dep")
-            if op.kind is OpKind.DMA:
-                events[idx] = sim.process(
-                    dma_proc(core, op, deps, epoch), f"dma{core}.{idx}"
-                )
-            else:
-                events[idx] = sim.process(
-                    kernel_proc(core, op, deps, epoch), f"k{core}.{idx}"
-                )
-        remaining = [e for e in events if e is not None and not e.triggered]
-        if remaining:
-            yield sim.all_of(remaining)
-
-    walkers = [
-        sim.process(walk(core, ops), f"walk{core}")
-        for core, ops in enumerate(execution.core_ops)
-    ]
-    sim.all_of(walkers, "plan_done")
+    run = _Run(execution, cluster, faults, prof, tracer)
+    walks = [_Walk(run, core, ops) for core, ops in enumerate(execution.core_ops)]
+    for walk in walks:
+        sim.schedule(0.0, walk.start)
     sim.run()
-    for w in walkers:
-        if not w.triggered:
-            raise SimulationError(
-                "plan deadlocked: a core never finished its op stream"
-            )
+    if not all(walk.finished for walk in walks):
+        raise SimulationError(
+            "plan deadlocked: a core never finished its op stream"
+        )
 
     if prof is not None:
         prof.finish(sim.now)
@@ -298,6 +180,256 @@ def run_timed(
     )
 
 
+class _Run:
+    """What the walks and ops of one :func:`run_timed` call share, and the
+    cluster-wide SYNC barriers: sync ``sid`` is ``released``
+    ``barrier_cycles`` plus its modeled reduction time after the last
+    core arrives."""
+
+    __slots__ = ("sim", "cores", "faults", "prof", "tracer", "clock",
+                 "n_cores", "barrier_s", "sync_seconds", "arrived",
+                 "released")
+
+    def __init__(self, execution: GemmExecution, cluster: ClusterSim,
+                 faults, prof: RunProfile | None, tracer) -> None:
+        self.sim = sim = cluster.sim
+        self.cores = cluster.cores
+        self.faults = faults
+        self.prof = prof
+        self.tracer = tracer
+        self.clock = execution.cluster.core.clock_hz
+        self.n_cores = execution.cluster.n_cores
+        self.barrier_s = execution.cluster.barrier_cycles / self.clock
+        self.sync_seconds: dict[int, float] = {}
+        sync_tags: dict[int, str] = {}
+        for core_ops in execution.core_ops:
+            for op in core_ops:
+                if op.kind is OpKind.SYNC:
+                    self.sync_seconds[op.sync_id] = op.sync_seconds
+                    sync_tags.setdefault(op.sync_id, op.tag)
+        #: per sync id, the cores that arrived so far
+        self.arrived: list[set[int]] = [set() for _ in range(execution.n_syncs)]
+        self.released = [Event(f"sync{sid}done")
+                         for sid in range(execution.n_syncs)]
+        if prof is not None:
+            # each sync completion closes an epoch at the global timeline
+            for sid, released in enumerate(self.released):
+                released.wait(
+                    lambda _ev, sid=sid: prof.close_epoch(
+                        sid, sim.now, sync_tags.get(sid, "")
+                    )
+                )
+
+    def arrive(self, sid: int, core: int) -> None:
+        arrived = self.arrived[sid]
+        if core in arrived:
+            raise SimulationError(f"core {core} arrived at sync {sid} twice")
+        arrived.add(core)
+        if len(arrived) == self.n_cores:
+            delay = self.barrier_s + self.sync_seconds.get(sid, 0.0)
+            self.sim.schedule(delay, self.released[sid].succeed)
+
+
+class _Walk:
+    """One core's op stream, walked in order.
+
+    Each DMA or KERNEL op spawns an :class:`_OpRun`; the walk waits only
+    on the in-flight window and at SYNC ops, where it waits for every
+    op of this core before it, arrives, and waits for the release.
+    """
+
+    __slots__ = ("run", "core", "ops", "events", "idx", "epoch", "t_mark",
+                 "pending", "done", "finished")
+
+    def __init__(self, run: _Run, core: int, ops) -> None:
+        self.run = run
+        self.core = core
+        self.ops = ops
+        #: per op: its completion event (a SYNC's is the release)
+        self.events: list[Event | None] = [None] * len(ops)
+        self.idx = 0
+        self.epoch = 0
+        #: when the current window stall or barrier wait began
+        self.t_mark = 0.0
+        #: events still awaited by a SYNC or by the end of the stream
+        self.pending = 0
+        #: ops before this index have all completed
+        self.done = 0
+        self.finished = False
+
+    def start(self, _arg=None) -> None:
+        self._walk(check_window=True)
+
+    def _walk(self, check_window: bool) -> None:
+        """Spawn ops from ``idx`` on, until the walk must wait."""
+        ops, events = self.ops, self.events
+        while self.idx < len(ops):
+            idx = self.idx
+            if check_window and idx >= _WINDOW:
+                old = events[idx - _WINDOW]
+                if old is not None and not old.triggered:
+                    self.t_mark = self.run.sim.now
+                    old.callbacks.append(self._unstall)
+                    return
+            check_window = True
+            op = ops[idx]
+            if op.kind is OpKind.SYNC:
+                prior = self._pending_before(idx)
+                self.pending = len(prior)
+                for e in prior:
+                    e.callbacks.append(self._prior_done)
+                if not prior:
+                    self._arrive()
+                return
+            deps = [events[d] for d in op.deps]
+            if None in deps:
+                raise SimulationError(
+                    f"op {idx} on core {self.core} has unresolved dep"
+                )
+            events[idx] = _OpRun(self, op, deps)
+            self.idx = idx + 1
+        remaining = self._pending_before(len(ops))
+        self.pending = len(remaining)
+        for e in remaining:
+            e.callbacks.append(self._remaining_done)
+        if not remaining:
+            self.finished = True
+
+    def _pending_before(self, idx: int) -> list[Event]:
+        """The events of ops before ``idx`` that have not fired, in order."""
+        events = self.events
+        done = self.done
+        while done < idx and events[done].triggered:
+            done += 1
+        self.done = done
+        return [e for e in events[done:idx] if not e.triggered]
+
+    def _unstall(self, _ev: Event) -> None:
+        prof = self.run.prof
+        if prof is not None:
+            prof.add_window_stall(
+                self.epoch, self.core, self.run.sim.now - self.t_mark
+            )
+        self._walk(check_window=False)
+
+    def _prior_done(self, _ev: Event) -> None:
+        self.pending -= 1
+        if not self.pending:
+            self._arrive()
+
+    def _arrive(self) -> None:
+        run = self.run
+        sid = self.ops[self.idx].sync_id
+        self.t_mark = run.sim.now
+        run.arrive(sid, self.core)
+        run.released[sid].wait(self._synced)
+
+    def _synced(self, released: Event) -> None:
+        run = self.run
+        op = self.ops[self.idx]
+        now = run.sim.now
+        if run.prof is not None:
+            run.prof.add_sync_wait(self.epoch, self.core, now - self.t_mark)
+        if run.tracer is not None and self.core == 0:
+            run.tracer.record(
+                op.tag or f"sync{op.sync_id}",
+                category="sync",
+                start_s=self.t_mark,
+                end_s=now,
+                track="cluster/sync",
+                args={"sync_id": op.sync_id},
+            )
+        self.events[self.idx] = released
+        self.epoch += 1
+        self.idx += 1
+        self._walk(check_window=True)
+
+    def _remaining_done(self, _ev: Event) -> None:
+        self.pending -= 1
+        if not self.pending:
+            self.finished = True
+
+
+class _OpRun(Event):
+    """One DMA or KERNEL op in flight; fires when it completed.
+
+    Starts at the current time (so a walk spawns several ops "at once"),
+    waits for its ``deps`` to fire, then runs on its core's DMA engine or
+    compute pipeline.
+    """
+
+    __slots__ = ("walk", "op", "deps", "epoch", "pending", "t_start")
+
+    def __init__(self, walk: _Walk, op, deps: list[Event]) -> None:
+        self.callbacks = []
+        self.triggered = False
+        self.name = ""
+        self.walk = walk
+        self.op = op
+        self.deps = deps
+        self.epoch = walk.epoch
+        walk.run.sim.schedule(0.0, self._start)
+
+    def _start(self, _arg) -> None:
+        pending = 0
+        for ev in self.deps:
+            if not ev.triggered:
+                pending += 1
+                ev.callbacks.append(self._dep_done)
+        self.deps = None
+        self.pending = pending
+        if not pending:
+            self._go()
+
+    def _dep_done(self, _ev: Event) -> None:
+        self.pending -= 1
+        if not self.pending:
+            self._go()
+
+    def _go(self) -> None:
+        run = self.walk.run
+        core = self.walk.core
+        if run.faults is not None:
+            run.faults.check_core_alive_timed(core, run.sim.now)
+        op = self.op
+        if op.kind is OpKind.DMA:
+            self.t_start = run.sim.now
+            run.cores[core].dma.issue(op.desc, self._dma_done)
+        else:
+            run.cores[core].run_kernel(op.cycles, self._kernel_done)
+
+    def _dma_done(self, _arg) -> None:
+        run = self.walk.run
+        if run.prof is not None:
+            desc = self.op.desc
+            run.prof.add_dma(
+                self.epoch, self.walk.core, self.t_start, run.sim.now,
+                desc.medium.value, desc.nbytes,
+            )
+        self.succeed()
+
+    def _kernel_done(self, _arg) -> None:
+        run = self.walk.run
+        if run.prof is not None or run.tracer is not None:
+            op = self.op
+            core = self.walk.core
+            duration = op.cycles / run.clock
+            if run.prof is not None:
+                run.prof.add_compute(self.epoch, core, duration)
+            if run.tracer is not None:
+                now = run.sim.now
+                run.tracer.record(
+                    op.tag or "kernel",
+                    category="kernel",
+                    start_s=now - duration,
+                    end_s=now,
+                    track=f"core{core}/compute",
+                    args={"core": core, "cycles": op.cycles,
+                          "epoch": self.epoch},
+                )
+        self.succeed()
+
+
 def _publish_metrics(
     m: MetricsRegistry,
     sim: Simulator,
@@ -310,7 +442,6 @@ def _publish_metrics(
     validation passes of the autotuner); gauges keep their high-water mark.
     """
     m.counter("sim/events_processed").inc(sim.events_processed)
-    m.counter("sim/process_wakeups").inc(sim.process_wakeups)
     m.gauge("sim/heap_peak").set(sim.heap_peak)
 
     for name, channel in (("ddr", cluster.ddr_channel), ("gsm", cluster.gsm_channel)):

@@ -24,11 +24,10 @@ from .config import (
     default_machine,
 )
 from .dma import DmaDescriptor, DmaEngine, DmaTimingModel
-from .event_sim import AllOf, Event, Process, Resource, Simulator, Timeout
+from .event_sim import Event, Resource, Simulator
 from .memory import Buffer, MemKind, MemorySpace
 
 __all__ = [
-    "AllOf",
     "Buffer",
     "ClusterConfig",
     "ClusterSim",
@@ -47,10 +46,8 @@ __all__ = [
     "MachineConfig",
     "MemKind",
     "MemorySpace",
-    "Process",
     "Resource",
     "SharedChannel",
     "Simulator",
-    "Timeout",
     "default_machine",
 ]

@@ -15,19 +15,25 @@ reschedules the next completion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any
 
 from ..errors import SimulationError
-from .event_sim import Event, Simulator
+from .event_sim import Callback, Simulator
 
 _EPS_BYTES = 1e-6
 
 
-@dataclass
 class _Flow:
-    remaining: float
-    done: Event
-    tag: str = ""
+    """One transfer in progress: bytes left and the call to make when
+    they are served."""
+
+    __slots__ = ("remaining", "fn", "arg")
+
+    def __init__(self, remaining: float, fn: Callback, arg: Any) -> None:
+        self.remaining = remaining
+        self.fn = fn
+        self.arg = arg
 
 
 @dataclass
@@ -128,19 +134,17 @@ class SharedChannel:
 
     # -- public API --------------------------------------------------------
 
-    def transfer(self, nbytes: float, tag: str = "") -> Event:
-        """Start a transfer of ``nbytes``; returns its completion event."""
+    def transfer(self, nbytes: float, fn: Callback, arg: Any = None) -> None:
+        """Start a transfer of ``nbytes``; ``fn(arg)`` runs at completion."""
         if nbytes < 0:
             raise SimulationError(f"negative transfer size {nbytes}")
-        done = Event(self.sim, name=f"xfer:{self.name}:{tag}")
         if nbytes == 0:
-            self.sim._schedule_at(self.sim.now, done, None)
-            return done
+            self.sim.schedule(0.0, fn, arg)
+            return
         self._advance()
-        self._flows.append(_Flow(float(nbytes), done, tag))
+        self._flows.append(_Flow(float(nbytes), fn, arg))
         self._record()
         self._reschedule()
-        return done
 
     @property
     def active_flows(self) -> int:
@@ -184,7 +188,7 @@ class SharedChannel:
         for flow in finished:
             self._flows.remove(flow)
             self.stats.flows_completed += 1
-            flow.done.succeed(None)
+            flow.fn(flow.arg)
         if finished:
             self._record()
 
@@ -209,9 +213,7 @@ class SharedChannel:
         boundary = self._next_boundary(self.sim.now)
         if boundary is not None:
             delay = min(delay, boundary - self.sim.now)
-        wake = Event(self.sim, name=f"wake:{self.name}")
-        wake.wait(lambda _ev: self._on_wake(epoch))
-        self.sim._schedule_at(self.sim.now + delay, wake, None)
+        self.sim.schedule(delay, self._on_wake, epoch)
 
     def _on_wake(self, epoch: int) -> None:
         if epoch != self._epoch:
@@ -236,7 +238,8 @@ class LocalChannel:
         self.name = name
         self.stats = ChannelStats()
 
-    def transfer(self, nbytes: float, tag: str = "") -> Event:
+    def transfer(self, nbytes: float, fn: Callback, arg: Any = None) -> None:
+        """Start a transfer of ``nbytes``; ``fn(arg)`` runs at completion."""
         if nbytes < 0:
             raise SimulationError(f"negative transfer size {nbytes}")
         self.stats.bytes_served += nbytes
@@ -244,7 +247,7 @@ class LocalChannel:
         delay = nbytes / self.bandwidth
         self.stats.busy_time += delay
         self.stats.weighted_concurrency += delay
-        return self.sim.timeout(delay)
+        self.sim.schedule(delay, fn, arg)
 
     @property
     def active_flows(self) -> int:  # parity with SharedChannel

@@ -6,11 +6,13 @@ Two views of a cluster exist, matching the two execution modes:
   used by the functional executor to enforce capacities while computing real
   results with NumPy.
 * :class:`ClusterSim` — the discrete-event world: shared DDR/GSM bandwidth
-  channels, one DMA engine + one compute pipeline per core, and a barrier,
-  used by the timed executor.
+  channels and one DMA engine + one compute pipeline per core, used by the
+  timed executor (which also runs the cluster-wide SYNC barriers).
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from ..errors import ConfigError
 from .bandwidth import LocalChannel, SharedChannel
 from .config import ClusterConfig
 from .dma import Channel, DmaEngine
-from .event_sim import Event, Resource, Simulator
+from .event_sim import Callback, Resource, Simulator
 from .memory import MemKind, MemorySpace
 
 #: DDR is modeled as effectively unbounded for allocation purposes; the
@@ -128,19 +130,25 @@ class CoreSim:
         self.compute_cycles = 0
         self.busy_time = 0.0
 
-    def run_kernel(self, cycles: int, tag: str = "") -> Event:
-        """Occupy the compute pipeline for ``cycles`` cycles."""
-        return self.sim.process(self._compute(cycles), name=f"k{self.core_id}:{tag}")
+    def run_kernel(self, cycles: int, fn: Callback, arg: Any = None) -> None:
+        """Occupy the compute pipeline for ``cycles`` cycles, starting now
+        or when the pipeline frees; ``fn(arg)`` runs when they are done."""
+        self.sim.schedule(0.0, self._request, (cycles, fn, arg))
 
-    def _compute(self, cycles: int):
-        yield self.compute.request()
-        try:
-            duration = cycles / self.cfg.clock_hz
-            self.compute_cycles += cycles
-            self.busy_time += duration
-            yield self.sim.timeout(duration)
-        finally:
-            self.compute.release()
+    def _request(self, kernel: tuple[int, Callback, Any]) -> None:
+        self.compute.request(self._granted, kernel)
+
+    def _granted(self, kernel: tuple[int, Callback, Any]) -> None:
+        cycles = kernel[0]
+        duration = cycles / self.cfg.clock_hz
+        self.compute_cycles += cycles
+        self.busy_time += duration
+        self.sim.schedule(duration, self._done, kernel)
+
+    def _done(self, kernel: tuple[int, Callback, Any]) -> None:
+        self.compute.release()
+        _cycles, fn, arg = kernel
+        fn(arg)
 
 
 class ClusterSim:
@@ -181,20 +189,6 @@ class ClusterSim:
             CoreSim(self.sim, i, cfg, channels, faults=faults)
             for i in range(cfg.n_cores)
         ]
-
-    def barrier(self, arrivals: list[Event], tag: str = "") -> Event:
-        """All-cores synchronization: fires ``barrier_cycles`` after the last
-        arrival event."""
-        gathered = self.sim.all_of(arrivals, name=f"barrier:{tag}")
-        done = self.sim.event(name=f"barrier_done:{tag}")
-        delay = self.cfg.barrier_cycles / self.cfg.core.clock_hz
-
-        def _release(_ev: Event) -> None:
-            released = self.sim.timeout(delay)
-            released.wait(lambda _e: done.succeed(None))
-
-        gathered.wait(_release)
-        return done
 
     def reduction_seconds(self, nbytes: int, n_cores: int) -> float:
         return reduction_seconds(self.cfg, nbytes, n_cores)

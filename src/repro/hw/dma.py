@@ -24,14 +24,14 @@ explain ftIMM reaching only ~67% of its roofline (Section V-C1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Any, Union
 
 from ..errors import DmaTransferError, PlanError
 from ..obs.trace import current_tracer
 from .bandwidth import LocalChannel, SharedChannel
 from .config import DmaConfig, DspCoreConfig
-from .event_sim import Event, Resource, Simulator
+from .event_sim import Callback, Resource, Simulator
 from .memory import MemKind
 
 Channel = Union[SharedChannel, LocalChannel]
@@ -46,24 +46,23 @@ class DmaDescriptor:
     rows: int
     row_bytes: int
     tag: str = ""
+    #: the slowest memory level this transfer touches (derived)
+    medium: MemKind = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.row_bytes < 0:
             raise PlanError(f"negative DMA geometry in {self}")
+        if MemKind.DDR in (self.src, self.dst):
+            medium = MemKind.DDR
+        elif MemKind.GSM in (self.src, self.dst):
+            medium = MemKind.GSM
+        else:
+            medium = MemKind.AM
+        object.__setattr__(self, "medium", medium)
 
     @property
     def nbytes(self) -> int:
         return self.rows * self.row_bytes
-
-    @property
-    def medium(self) -> MemKind:
-        """The slowest memory level this transfer touches."""
-        kinds = {self.src, self.dst}
-        if MemKind.DDR in kinds:
-            return MemKind.DDR
-        if MemKind.GSM in kinds:
-            return MemKind.GSM
-        return MemKind.AM
 
     def effective_bytes(self, cfg: DmaConfig) -> int:
         if self.medium is MemKind.DDR:
@@ -136,81 +135,116 @@ class DmaEngine:
         #: payload bytes moved, keyed by medium value ("ddr", "gsm", "am")
         self.bytes_by_medium: dict[str, int] = {}
 
-    def issue(self, desc: DmaDescriptor) -> Event:
-        """Start a transfer; returns the event that fires at completion."""
-        return self.sim.process(self._run(desc), name=f"dma{self.core_id}:{desc.tag}")
+    def issue(self, desc: DmaDescriptor, fn: Callback, arg: Any = None) -> None:
+        """Start a transfer now; ``fn(arg)`` runs at its completion.
 
-    def _run(self, desc: DmaDescriptor):
+        A transfer is a small state machine: wait for an engine channel,
+        pay the startup, move the bytes over the medium's channel, and on
+        an injected failure back off and start again.
+        """
+        self.sim.schedule(0.0, self._start, _Transfer(desc, fn, arg))
+
+    def _start(self, x: "_Transfer") -> None:
         queued = self.slots.queued
         if queued + 1 > self.queue_depth_peak and self.slots.in_use >= self.slots.capacity:
             self.queue_depth_peak = queued + 1
-        t_request = self.sim.now
-        yield self.slots.request()
-        self.queue_wait_s += self.sim.now - t_request
-        try:
-            if desc.nbytes > 0:
-                issue_idx = self._issued
-                self._issued += 1
-                attempt = 0
-                while True:
-                    t0 = self.sim.now
-                    yield self.sim.timeout(self.startup_s)
-                    channel = self.channels[desc.medium]
-                    yield channel.transfer(
-                        desc.effective_bytes(self.cfg), tag=desc.tag
-                    )
-                    inj = self.faults
-                    if inj is None or not inj.dma_transfer_fails(
-                        self.core_id, issue_idx, attempt
-                    ):
-                        break
-                    # transfer failed: the time it took is already spent;
-                    # back off exponentially, then re-issue from scratch
-                    attempt += 1
-                    wasted = self.sim.now - t0
-                    if attempt > inj.plan.max_dma_retries:
-                        self.retries += 1
-                        self.retry_s += wasted
-                        inj.count("dma_retries")
-                        inj.count("dma_retry_s", wasted)
-                        raise DmaTransferError(
-                            f"DMA {desc.tag!r} on core {self.core_id} failed "
-                            f"{attempt} times (giving up at "
-                            f"t={self.sim.now:.3e}s)"
-                        )
-                    backoff = inj.backoff_s(attempt, self.core_cfg.clock_hz)
-                    tracer = current_tracer()
-                    if tracer is not None:
-                        tracer.instant(
-                            f"dma-retry {desc.tag or 'transfer'}",
-                            at_s=self.sim.now,
-                            category="dma-retry",
-                            track=f"core{self.core_id}/dma",
-                            args={"core": self.core_id, "attempt": attempt,
-                                  "wasted_s": wasted, "backoff_s": backoff},
-                        )
-                    yield self.sim.timeout(backoff)
-                    self.retries += 1
-                    self.retry_s += wasted + backoff
-                    inj.count("dma_retries")
-                    inj.count("dma_retry_s", wasted + backoff)
-                self.bytes_moved += desc.nbytes
-                medium = desc.medium.value
-                self.bytes_by_medium[medium] = (
-                    self.bytes_by_medium.get(medium, 0) + desc.nbytes
+        x.t_request = self.sim.now
+        self.slots.request(self._granted, x)
+
+    def _granted(self, x: "_Transfer") -> None:
+        self.queue_wait_s += self.sim.now - x.t_request
+        if x.desc.nbytes > 0:
+            x.issue_idx = self._issued
+            self._issued += 1
+            x.t0 = self.sim.now
+            self.sim.schedule(self.startup_s, self._started, x)
+        else:
+            self._finish(x)
+
+    def _started(self, x: "_Transfer") -> None:
+        desc = x.desc
+        self.channels[desc.medium].transfer(
+            desc.effective_bytes(self.cfg), self._transferred, x
+        )
+
+    def _transferred(self, x: "_Transfer") -> None:
+        desc = x.desc
+        inj = self.faults
+        if inj is not None and inj.dma_transfer_fails(
+            self.core_id, x.issue_idx, x.attempt
+        ):
+            # transfer failed: the time it took is already spent;
+            # back off exponentially, then re-issue from scratch
+            x.attempt += 1
+            wasted = self.sim.now - x.t0
+            if x.attempt > inj.plan.max_dma_retries:
+                self.retries += 1
+                self.retry_s += wasted
+                inj.count("dma_retries")
+                inj.count("dma_retry_s", wasted)
+                err = DmaTransferError(
+                    f"DMA {desc.tag!r} on core {self.core_id} failed "
+                    f"{x.attempt} times (giving up at "
+                    f"t={self.sim.now:.3e}s)"
                 )
-                tracer = current_tracer()
-                if tracer is not None:
-                    # queue wait + startup + transfer (+ retries), end to end
-                    tracer.record(
-                        desc.tag or "dma",
-                        category="dma",
-                        start_s=t_request,
-                        end_s=self.sim.now,
-                        track=f"core{self.core_id}/dma",
-                        args={"core": self.core_id, "bytes": desc.nbytes,
-                              "medium": medium, "rows": desc.rows},
-                    )
-            self.transfers += 1
-        finally:
-            self.slots.release()
+                self.slots.release()
+                raise err
+            backoff = inj.backoff_s(x.attempt, self.core_cfg.clock_hz)
+            tracer = current_tracer()
+            if tracer is not None:
+                tracer.instant(
+                    f"dma-retry {desc.tag or 'transfer'}",
+                    at_s=self.sim.now,
+                    category="dma-retry",
+                    track=f"core{self.core_id}/dma",
+                    args={"core": self.core_id, "attempt": x.attempt,
+                          "wasted_s": wasted, "backoff_s": backoff},
+                )
+            x.wasted, x.backoff = wasted, backoff
+            self.sim.schedule(backoff, self._backed_off, x)
+            return
+        self.bytes_moved += desc.nbytes
+        medium = desc.medium.value
+        self.bytes_by_medium[medium] = (
+            self.bytes_by_medium.get(medium, 0) + desc.nbytes
+        )
+        tracer = current_tracer()
+        if tracer is not None:
+            # queue wait + startup + transfer (+ retries), end to end
+            tracer.record(
+                desc.tag or "dma",
+                category="dma",
+                start_s=x.t_request,
+                end_s=self.sim.now,
+                track=f"core{self.core_id}/dma",
+                args={"core": self.core_id, "bytes": desc.nbytes,
+                      "medium": medium, "rows": desc.rows},
+            )
+        self._finish(x)
+
+    def _backed_off(self, x: "_Transfer") -> None:
+        self.retries += 1
+        self.retry_s += x.wasted + x.backoff
+        inj = self.faults
+        inj.count("dma_retries")
+        inj.count("dma_retry_s", x.wasted + x.backoff)
+        x.t0 = self.sim.now
+        self.sim.schedule(self.startup_s, self._started, x)
+
+    def _finish(self, x: "_Transfer") -> None:
+        self.transfers += 1
+        self.slots.release()
+        x.fn(x.arg)
+
+
+class _Transfer:
+    """One descriptor in flight on a :class:`DmaEngine`."""
+
+    __slots__ = ("desc", "fn", "arg", "t_request", "issue_idx", "attempt",
+                 "t0", "wasted", "backoff")
+
+    def __init__(self, desc: DmaDescriptor, fn: Callback, arg: Any) -> None:
+        self.desc = desc
+        self.fn = fn
+        self.arg = arg
+        self.attempt = 0

@@ -1,56 +1,58 @@
 """A small discrete-event simulation (DES) kernel.
 
-This is the substrate under the timed executor: DMA engines, compute units
-and shared-bandwidth channels are modeled as processes and resources on one
-simulated clock.  The design follows the classic generator-based pattern
-(processes are Python generators that ``yield`` events; the simulator resumes
-them when the event fires), kept deliberately small:
+This is the substrate under the timed executor: DMA engines, compute
+pipelines and shared-bandwidth channels are small state machines on one
+simulated clock.  The kernel is callback-driven, kept deliberately small:
 
-* :class:`Event` — one-shot occurrence carrying an optional value.
-* :class:`Timeout` — event that fires after a simulated delay.
-* :class:`Process` — wraps a generator; itself an event that fires when the
-  generator returns (value = the generator's return value).
-* :class:`AllOf` — barrier over a set of events.
+* the :class:`Simulator` heap holds ``(when, seq, fn, arg)`` entries;
+  popping one sets the clock to ``when`` and calls ``fn(arg)``.
+  :meth:`Simulator.schedule` pushes an entry ``delay`` seconds ahead.
+* :class:`Event` — one-shot occurrence with an ordered callback list, for
+  what several parties wait on (an op's completion, a barrier release).
 * :class:`Resource` — FIFO resource with integer capacity (DMA channels,
-  the single compute pipeline of a core).
+  the single compute pipeline of a core); a request names the callback
+  scheduled when a slot is granted.
 
-Time is in **seconds** (float).  Determinism: ties on the event heap break on
-a monotonically increasing sequence number, so runs are exactly repeatable.
+A model waits by registering the callback that continues it: on the heap
+for a delay, on an :class:`Event`'s list for an occurrence, at a
+:class:`Resource` for a slot.  Waiting for several events is a counter
+the continuation decrements.
+
+Time is in **seconds** (float).  Determinism: ties on the heap break on a
+monotonically increasing sequence number, and an event calls its
+callbacks in registration order, so runs are exactly repeatable.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 from collections import deque
-from typing import Any, Callable, Generator, Iterable
+from heapq import heappop, heappush
+from typing import Any, Callable
 
 from ..errors import SimulationError
 
-ProcessGen = Generator["Event", Any, Any]
+Callback = Callable[[Any], None]
 
 
 class Event:
-    """A one-shot event.  Processes wait on it by ``yield``-ing it."""
+    """A one-shot occurrence; ``wait`` registers a callback ``cb(event)``."""
 
-    __slots__ = ("sim", "callbacks", "_value", "triggered", "name")
+    __slots__ = ("callbacks", "triggered", "name")
 
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
-        self.sim = sim
+    def __init__(self, name: str = "") -> None:
         self.callbacks: list[Callable[[Event], None]] = []
-        self._value: Any = None
         self.triggered = False
         self.name = name
 
-    @property
-    def value(self) -> Any:
-        return self._value
+    def succeed(self, _arg: Any = None) -> "Event":
+        """Trigger the event now: run its callbacks in registration order.
 
-    def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event immediately (at the current simulated time)."""
+        Takes (and ignores) one argument so it can be scheduled directly.
+        """
         if self.triggered:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self.triggered = True
-        self._value = value
         callbacks, self.callbacks = self.callbacks, []
         for cb in callbacks:
             cb(self)
@@ -68,107 +70,39 @@ class Event:
         return f"Event({self.name or hex(id(self))}, {state})"
 
 
-class Timeout(Event):
-    """Event that fires ``delay`` seconds after creation."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        super().__init__(sim, name=f"timeout+{delay:g}")
-        if delay < 0:
-            raise SimulationError(f"negative timeout {delay}")
-        sim._schedule_at(sim.now + delay, self, value)
-
-
-class Process(Event):
-    """Drives a generator; fires (as an event) when the generator returns."""
-
-    __slots__ = ("_gen",)
-
-    def __init__(self, sim: "Simulator", gen: ProcessGen, name: str = "") -> None:
-        super().__init__(sim, name=name or getattr(gen, "__name__", "proc"))
-        self._gen = gen
-        # start the process at the current time, not synchronously, so a
-        # spawner can create several processes "at once"
-        start = Event(sim, name=f"start:{self.name}")
-        start.wait(self._resume)
-        sim._schedule_at(sim.now, start, None)
-
-    def _resume(self, event: Event) -> None:
-        self.sim._wakeups += 1
-        try:
-            target = self._gen.send(event.value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes must "
-                "yield Event instances"
-            )
-        target.wait(self._resume)
-
-
-class AllOf(Event):
-    """Fires when every event in ``events`` has fired (a barrier).
-
-    Value is the list of the constituent events' values, in input order.
-    """
-
-    __slots__ = ("_pending", "_events")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event], name: str = "") -> None:
-        super().__init__(sim, name=name or "all_of")
-        self._events = list(events)
-        self._pending = len(self._events)
-        if self._pending == 0:
-            sim._schedule_at(sim.now, self, [])
-            return
-        for ev in self._events:
-            ev.wait(self._one_done)
-
-    def _one_done(self, _event: Event) -> None:
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed([ev.value for ev in self._events])
-
-
 class Simulator:
-    """Event loop: a heap of (time, seq, event, value) to trigger."""
+    """Event loop: a heap of ``(when, seq, fn, arg)`` calls to make."""
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Event, Any]] = []
+        self._heap: list[tuple[float, int, Callback, Any]] = []
         self._seq = 0
         self._processed = 0
         self._heap_peak = 0
-        self._wakeups = 0
-
-    # -- factory helpers ---------------------------------------------------
-
-    def event(self, name: str = "") -> Event:
-        return Event(self, name)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
-
-    def process(self, gen: ProcessGen, name: str = "") -> Process:
-        return Process(self, gen, name)
-
-    def all_of(self, events: Iterable[Event], name: str = "") -> AllOf:
-        return AllOf(self, events, name)
 
     # -- scheduling --------------------------------------------------------
 
-    def _schedule_at(self, when: float, event: Event, value: Any) -> None:
+    def schedule(self, delay: float, fn: Callback, arg: Any = None) -> None:
+        """Call ``fn(arg)`` ``delay`` seconds from now."""
+        if delay < 0:
+            raise SimulationError(f"negative timeout {delay}")
+        self._seq = seq = self._seq + 1
+        heap = self._heap
+        heappush(heap, (self.now + delay, seq, fn, arg))
+        if len(heap) > self._heap_peak:
+            self._heap_peak = len(heap)
+
+    def schedule_at(self, when: float, fn: Callback, arg: Any = None) -> None:
+        """Call ``fn(arg)`` at simulated time ``when`` (not in the past)."""
         if when < self.now - 1e-18:
             raise SimulationError(
                 f"cannot schedule event at {when} before now={self.now}"
             )
-        self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, event, value))
-        if len(self._heap) > self._heap_peak:
-            self._heap_peak = len(self._heap)
+        self._seq = seq = self._seq + 1
+        heap = self._heap
+        heappush(heap, (when, seq, fn, arg))
+        if len(heap) > self._heap_peak:
+            self._heap_peak = len(heap)
 
     def run(self, until: float | None = None, max_events: int = 50_000_000) -> float:
         """Run until the heap drains (or simulated time passes ``until``).
@@ -176,20 +110,24 @@ class Simulator:
         Returns the final simulation time.  ``max_events`` is a runaway
         guard; real experiments stay far below it.
         """
-        while self._heap:
-            when, _seq, event, value = self._heap[0]
-            if until is not None and when > until:
-                self.now = until
-                return self.now
-            heapq.heappop(self._heap)
-            self.now = when
-            self._processed += 1
-            if self._processed > max_events:
-                raise SimulationError(
-                    f"exceeded {max_events} events; likely a runaway process"
-                )
-            if not event.triggered:
-                event.succeed(value)
+        heap = self._heap
+        limit = math.inf if until is None else until
+        processed = self._processed
+        try:
+            while heap:
+                if heap[0][0] > limit:
+                    self.now = until
+                    return until
+                when, _seq, fn, arg = heappop(heap)
+                self.now = when
+                processed += 1
+                if processed > max_events:
+                    raise SimulationError(
+                        f"exceeded {max_events} events; likely a runaway process"
+                    )
+                fn(arg)
+        finally:
+            self._processed = processed
         return self.now
 
     @property
@@ -201,18 +139,14 @@ class Simulator:
         """High-water mark of the pending-event heap."""
         return self._heap_peak
 
-    @property
-    def process_wakeups(self) -> int:
-        """Times any process generator was resumed."""
-        return self._wakeups
-
 
 class Resource:
     """FIFO resource with integer capacity.
 
-    ``request()`` returns an event that fires when a slot is granted;
-    ``release()`` frees a slot.  Used for DMA channels (capacity =
-    channels_per_core) and the compute pipeline (capacity = 1).
+    ``request(fn, arg)`` schedules ``fn(arg)`` at the current time once a
+    slot is free (at once, or at the ``release()`` that frees one for
+    it).  Used for DMA channels (capacity = channels_per_core) and the
+    compute pipeline (capacity = 1).
     """
 
     __slots__ = ("sim", "capacity", "name", "_in_use", "_queue")
@@ -224,33 +158,23 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._queue: deque[Event] = deque()
+        self._queue: deque[tuple[Callback, Any]] = deque()
 
-    def request(self) -> Event:
-        ev = Event(self.sim, name=f"req:{self.name}")
+    def request(self, fn: Callback, arg: Any = None) -> None:
         if self._in_use < self.capacity:
             self._in_use += 1
-            self.sim._schedule_at(self.sim.now, ev, None)
+            self.sim.schedule(0.0, fn, arg)
         else:
-            self._queue.append(ev)
-        return ev
+            self._queue.append((fn, arg))
 
     def release(self) -> None:
         if self._in_use <= 0:
             raise SimulationError(f"release of idle resource {self.name!r}")
         if self._queue:
-            nxt = self._queue.popleft()
-            self.sim._schedule_at(self.sim.now, nxt, None)
+            fn, arg = self._queue.popleft()
+            self.sim.schedule(0.0, fn, arg)
         else:
             self._in_use -= 1
-
-    def use(self, duration: float) -> ProcessGen:
-        """Convenience process: acquire, hold for ``duration``, release."""
-        yield self.request()
-        try:
-            yield self.sim.timeout(duration)
-        finally:
-            self.release()
 
     @property
     def in_use(self) -> int:

@@ -15,13 +15,11 @@ def run_flows(flows, bandwidth=100.0, cap=None):
     ch = SharedChannel(sim, bandwidth, "t", per_flow_cap=cap)
     done = {}
 
-    def proc(i, start, nbytes):
-        yield sim.timeout(start)
-        yield ch.transfer(nbytes, tag=str(i))
+    def finished(i):
         done[i] = sim.now
 
     for i, (start, nbytes) in enumerate(flows):
-        sim.process(proc(i, start, nbytes))
+        sim.schedule(start, lambda i: ch.transfer(flows[i][1], finished, i), i)
     sim.run()
     return done, ch
 
@@ -59,7 +57,7 @@ class TestSharedChannel:
         sim = Simulator()
         ch = SharedChannel(sim, 10.0)
         with pytest.raises(SimulationError):
-            ch.transfer(-1)
+            ch.transfer(-1, print)
 
     def test_zero_bandwidth_rejected(self):
         with pytest.raises(SimulationError):
@@ -104,13 +102,8 @@ class TestLocalChannel:
         sim = Simulator()
         ch = LocalChannel(sim, 50.0)
         done = []
-
-        def proc():
-            yield ch.transfer(100.0)
-            done.append(sim.now)
-
-        sim.process(proc())
-        sim.process(proc())
+        for _ in range(2):
+            ch.transfer(100.0, lambda _arg: done.append(sim.now))
         sim.run()
         assert done == [pytest.approx(2.0), pytest.approx(2.0)]
 
@@ -118,7 +111,7 @@ class TestLocalChannel:
         sim = Simulator()
         ch = LocalChannel(sim, 50.0)
         with pytest.raises(SimulationError):
-            ch.transfer(-5)
+            ch.transfer(-5, print)
 
 
 @settings(max_examples=40, deadline=None)

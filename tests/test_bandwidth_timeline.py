@@ -13,11 +13,7 @@ class TestTimeline:
     def test_step_samples_recorded(self):
         sim = Simulator()
         ch = SharedChannel(sim, 100.0, record_timeline=True)
-
-        def flow():
-            yield ch.transfer(100.0)
-
-        sim.process(flow())
+        ch.transfer(100.0, lambda _arg: None)
         sim.run()
         assert ch.timeline
         times = [t for t, _r in ch.timeline]
@@ -34,11 +30,7 @@ class TestTimeline:
         # 100 B at 100 B/s over a 2 s window: busy 1 s -> 50%
         sim = Simulator()
         ch = SharedChannel(sim, 100.0, record_timeline=True)
-
-        def flow():
-            yield ch.transfer(100.0)
-
-        sim.process(flow())
+        ch.transfer(100.0, lambda _arg: None)
         sim.run()
         assert mean_utilization(ch.timeline, 100.0, until=2.0) == pytest.approx(0.5)
 
@@ -48,11 +40,7 @@ class TestTimeline:
     def test_cap_reflected_in_rate(self):
         sim = Simulator()
         ch = SharedChannel(sim, 100.0, per_flow_cap=25.0, record_timeline=True)
-
-        def flow():
-            yield ch.transfer(50.0)
-
-        sim.process(flow())
+        ch.transfer(50.0, lambda _arg: None)
         sim.run()
         assert ch.timeline[0][1] == pytest.approx(25.0)
 

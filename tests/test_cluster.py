@@ -1,4 +1,4 @@
-"""Cluster assemblies: spaces, cores, barrier, reduction model."""
+"""Cluster assemblies: spaces, cores, reduction model."""
 
 import pytest
 
@@ -61,33 +61,28 @@ class TestClusterSim:
 
     def test_kernel_occupies_compute(self, cluster):
         cs = ClusterSim(cluster)
-        cs.cores[0].run_kernel(1800)  # 1 us at 1.8 GHz
+        done = []
+        cs.cores[0].run_kernel(1800, done.append, "k")  # 1 us at 1.8 GHz
         cs.sim.run()
+        assert done == ["k"]
         assert cs.sim.now == pytest.approx(1e-6)
         assert cs.cores[0].compute_cycles == 1800
 
     def test_kernels_serialize_on_one_core(self, cluster):
         cs = ClusterSim(cluster)
-        cs.cores[0].run_kernel(1800)
-        cs.cores[0].run_kernel(1800)
+        ends = []
+        for _ in range(2):
+            cs.cores[0].run_kernel(1800, lambda _arg: ends.append(cs.sim.now))
         cs.sim.run()
+        assert ends == [pytest.approx(1e-6), pytest.approx(2e-6)]
         assert cs.sim.now == pytest.approx(2e-6)
 
     def test_kernels_parallel_across_cores(self, cluster):
         cs = ClusterSim(cluster)
-        cs.cores[0].run_kernel(1800)
-        cs.cores[1].run_kernel(1800)
+        for core in cs.cores[:2]:
+            core.run_kernel(1800, lambda _arg: None)
         cs.sim.run()
         assert cs.sim.now == pytest.approx(1e-6)
-
-    def test_barrier_waits_for_last(self, cluster):
-        cs = ClusterSim(cluster)
-        arrivals = [cs.sim.timeout(t) for t in (1e-6, 3e-6)]
-        done = cs.barrier(arrivals, "t")
-        cs.sim.run()
-        extra = cluster.barrier_cycles / cluster.core.clock_hz
-        assert done.triggered
-        assert cs.sim.now == pytest.approx(3e-6 + extra)
 
 
 class TestReduction:

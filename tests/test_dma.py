@@ -10,6 +10,10 @@ from repro.hw.event_sim import Simulator
 from repro.hw.memory import MemKind
 
 
+def noop(_arg):
+    pass
+
+
 class TestDescriptor:
     def test_nbytes(self):
         d = DmaDescriptor(MemKind.DDR, MemKind.AM, rows=10, row_bytes=128)
@@ -26,6 +30,15 @@ class TestDescriptor:
     def test_medium_local(self):
         d = DmaDescriptor(MemKind.AM, MemKind.SM, 1, 64)
         assert d.medium is MemKind.AM
+
+    def test_medium_is_stored_and_not_compared(self):
+        a = DmaDescriptor(MemKind.DDR, MemKind.AM, 2, 64, "x")
+        b = DmaDescriptor(MemKind.AM, MemKind.DDR, 2, 64, "x")
+        assert vars(a)["medium"] is MemKind.DDR  # derived once, at init
+        assert a == DmaDescriptor(MemKind.DDR, MemKind.AM, 2, 64, "x")
+        assert hash(a) == hash(DmaDescriptor(MemKind.DDR, MemKind.AM, 2, 64, "x"))
+        assert a != b and a.medium is b.medium
+        assert "medium" not in repr(a)
 
     def test_effective_bytes_overhead_only_for_ddr(self):
         cfg = DmaConfig(row_overhead_bytes=64)
@@ -86,9 +99,10 @@ class TestEngine:
     def test_transfer_completes_and_counts(self):
         sim, eng = make_engine()
         desc = DmaDescriptor(MemKind.GSM, MemKind.AM, rows=10, row_bytes=100)
-        ev = eng.issue(desc)
+        done = []
+        eng.issue(desc, done.append, "d")
         sim.run()
-        assert ev.triggered
+        assert done == ["d"]
         assert eng.bytes_moved == 1000
         assert eng.transfers == 1
 
@@ -96,16 +110,16 @@ class TestEngine:
         sim, eng = make_engine(channels=1)
         # two GSM transfers of 1000 B at 1000 B/s each: serialized -> 2 s
         d = DmaDescriptor(MemKind.GSM, MemKind.AM, rows=10, row_bytes=100)
-        eng.issue(d)
-        eng.issue(d)
+        eng.issue(d, noop)
+        eng.issue(d, noop)
         sim.run()
         assert sim.now == pytest.approx(2.0)
 
     def test_two_channels_overlap(self):
         sim, eng = make_engine(channels=2)
         d = DmaDescriptor(MemKind.GSM, MemKind.AM, rows=10, row_bytes=100)
-        eng.issue(d)
-        eng.issue(d)
+        eng.issue(d, noop)
+        eng.issue(d, noop)
         sim.run()
         # GSM is a shared channel: two concurrent flows at 500 B/s each
         assert sim.now == pytest.approx(2.0)
@@ -113,7 +127,7 @@ class TestEngine:
     def test_startup_cost_applied(self):
         sim, eng = make_engine(startup=1800)  # 1 us at 1.8 GHz
         d = DmaDescriptor(MemKind.GSM, MemKind.AM, rows=1, row_bytes=1000)
-        eng.issue(d)
+        eng.issue(d, noop)
         sim.run()
         assert sim.now == pytest.approx(1e-6 + 1.0)
 
@@ -131,7 +145,7 @@ class TestEngine:
         engines = [DmaEngine(sim, i, core, dma, chans) for i in range(2)]
         d = DmaDescriptor(MemKind.DDR, MemKind.AM, rows=1, row_bytes=100)
         for eng in engines:
-            eng.issue(d)
+            eng.issue(d, noop)
         sim.run()
         # two engines share the port: 100+64 overhead each at 50 B/s
         assert sim.now == pytest.approx(2 * 164 / 100.0)

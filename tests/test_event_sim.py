@@ -3,121 +3,75 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.hw.event_sim import AllOf, Event, Resource, Simulator
+from repro.hw.event_sim import Event, Resource, Simulator
+
+
+def noop(_arg):
+    pass
 
 
 class TestEvents:
     def test_timeout_fires_at_time(self):
         sim = Simulator()
         fired = []
-        sim.timeout(2.5).wait(lambda ev: fired.append(sim.now))
+        sim.schedule(2.5, lambda _arg: fired.append(sim.now))
         sim.run()
         assert fired == [2.5]
 
     def test_timeout_carries_value(self):
         sim = Simulator()
         seen = []
-        sim.timeout(1.0, value="payload").wait(lambda ev: seen.append(ev.value))
+        sim.schedule(1.0, seen.append, "payload")
         sim.run()
         assert seen == ["payload"]
 
     def test_negative_timeout_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
-            sim.timeout(-1.0)
+            sim.schedule(-1.0, noop)
 
     def test_event_triggered_twice_raises(self):
-        sim = Simulator()
-        ev = sim.event("x")
+        ev = Event("x")
         ev.succeed()
         with pytest.raises(SimulationError):
             ev.succeed()
 
     def test_wait_on_triggered_event_fires_immediately(self):
-        sim = Simulator()
-        ev = sim.event().succeed(7)
+        ev = Event().succeed()
         seen = []
-        ev.wait(lambda e: seen.append(e.value))
-        assert seen == [7]
+        ev.wait(seen.append)
+        assert seen == [ev]
 
+    def test_callbacks_run_in_registration_order(self):
+        ev = Event()
+        order = []
+        for i in range(4):
+            ev.wait(lambda _ev, i=i: order.append(i))
+        ev.succeed()
+        assert order == [0, 1, 2, 3]
 
-class TestProcesses:
-    def test_process_sequences_timeouts(self):
+    def test_scheduled_succeed_fires_event(self):
+        sim = Simulator()
+        ev = Event()
+        times = []
+        ev.wait(lambda _ev: times.append(sim.now))
+        sim.schedule(3.0, ev.succeed)
+        sim.run()
+        assert ev.triggered and times == [3.0]
+
+    def test_callback_chain_sequences_delays(self):
+        """A state machine: each step schedules the next."""
         sim = Simulator()
         trace = []
 
-        def proc():
-            yield sim.timeout(1.0)
+        def step(n):
             trace.append(sim.now)
-            yield sim.timeout(2.0)
-            trace.append(sim.now)
-            return "done"
+            if n:
+                sim.schedule(1.0 + n, step, n - 1)
 
-        p = sim.process(proc())
+        sim.schedule(1.0, step, 1)
         sim.run()
         assert trace == [1.0, 3.0]
-        assert p.triggered and p.value == "done"
-
-    def test_process_waits_on_other_process(self):
-        sim = Simulator()
-
-        def inner():
-            yield sim.timeout(5.0)
-            return 42
-
-        def outer():
-            value = yield sim.process(inner())
-            return value + 1
-
-        p = sim.process(outer())
-        sim.run()
-        assert p.value == 43
-        assert sim.now == 5.0
-
-    def test_process_yielding_non_event_raises(self):
-        sim = Simulator()
-
-        def bad():
-            yield "not an event"
-
-        sim.process(bad())
-        with pytest.raises(SimulationError):
-            sim.run()
-
-    def test_two_processes_interleave(self):
-        sim = Simulator()
-        trace = []
-
-        def proc(name, delay):
-            yield sim.timeout(delay)
-            trace.append((name, sim.now))
-
-        sim.process(proc("a", 2.0))
-        sim.process(proc("b", 1.0))
-        sim.run()
-        assert trace == [("b", 1.0), ("a", 2.0)]
-
-
-class TestAllOf:
-    def test_all_of_waits_for_all(self):
-        sim = Simulator()
-        done = sim.all_of([sim.timeout(1.0), sim.timeout(3.0), sim.timeout(2.0)])
-        times = []
-        done.wait(lambda ev: times.append(sim.now))
-        sim.run()
-        assert times == [3.0]
-
-    def test_all_of_collects_values_in_order(self):
-        sim = Simulator()
-        done = sim.all_of([sim.timeout(2.0, "x"), sim.timeout(1.0, "y")])
-        sim.run()
-        assert done.value == ["x", "y"]
-
-    def test_all_of_empty_fires_immediately(self):
-        sim = Simulator()
-        done = sim.all_of([])
-        sim.run()
-        assert done.triggered and done.value == []
 
 
 class TestResource:
@@ -126,12 +80,16 @@ class TestResource:
         res = Resource(sim, 1, "r")
         finish = []
 
-        def user(name, hold):
-            yield sim.process(res.use(hold))
+        def hold(job):
+            name, duration = job
+            sim.schedule(duration, done, name)
+
+        def done(name):
+            res.release()
             finish.append((name, sim.now))
 
-        sim.process(user("a", 2.0))
-        sim.process(user("b", 1.0))
+        res.request(hold, ("a", 2.0))
+        res.request(hold, ("b", 1.0))
         sim.run()
         assert finish == [("a", 2.0), ("b", 3.0)]  # FIFO
 
@@ -139,9 +97,18 @@ class TestResource:
         sim = Simulator()
         res = Resource(sim, 2, "r")
         for _ in range(2):
-            sim.process(res.use(2.0))
+            res.request(lambda _arg: sim.schedule(2.0, lambda _a: res.release()))
         sim.run()
         assert sim.now == 2.0
+
+    def test_grant_is_scheduled_not_immediate(self):
+        sim = Simulator()
+        res = Resource(sim, 1)
+        granted = []
+        res.request(granted.append, "x")
+        assert granted == [] and res.in_use == 1
+        sim.run()
+        assert granted == ["x"]
 
     def test_release_idle_raises(self):
         sim = Simulator()
@@ -156,9 +123,8 @@ class TestResource:
     def test_queue_depth_visible(self):
         sim = Simulator()
         res = Resource(sim, 1)
-        res.request()
-        sim.run()
-        res.request()
+        res.request(noop)
+        res.request(noop)
         assert res.in_use == 1
         assert res.queued == 1
 
@@ -166,7 +132,7 @@ class TestResource:
 class TestSimulator:
     def test_run_until_stops_clock(self):
         sim = Simulator()
-        sim.timeout(10.0)
+        sim.schedule(10.0, noop)
         assert sim.run(until=4.0) == 4.0
         assert sim.now == 4.0
 
@@ -175,26 +141,40 @@ class TestSimulator:
         for order in (order1, order2):
             sim = Simulator()
             for i in range(5):
-                sim.timeout(1.0, value=i).wait(
-                    lambda ev, order=order: order.append(ev.value)
-                )
+                sim.schedule(1.0, order.append, i)
             sim.run()
         assert order1 == order2 == [0, 1, 2, 3, 4]
+
+    def test_ties_break_on_push_order_across_delays(self):
+        sim = Simulator()
+        order = []
+        sim.schedule(1.0, order.append, "late-push-first")
+        sim.schedule(0.5, lambda _arg: sim.schedule(0.5, order.append, "x"))
+        sim.schedule(1.0, order.append, "late-push-second")
+        sim.run()
+        assert order == ["late-push-first", "late-push-second", "x"]
+
+    def test_events_processed_counts_every_pop(self):
+        sim = Simulator()
+        for i in range(3):
+            sim.schedule(float(i), noop)
+        sim.run()
+        assert sim.events_processed == 3
+        assert sim.heap_peak == 3
 
     def test_runaway_guard(self):
         sim = Simulator()
 
-        def forever():
-            while True:
-                yield sim.timeout(1.0)
+        def forever(_arg):
+            sim.schedule(1.0, forever)
 
-        sim.process(forever())
+        sim.schedule(0.0, forever)
         with pytest.raises(SimulationError):
             sim.run(max_events=100)
 
     def test_cannot_schedule_in_past(self):
         sim = Simulator()
-        sim.timeout(5.0)
+        sim.schedule(5.0, noop)
         sim.run()
         with pytest.raises(SimulationError):
-            sim._schedule_at(1.0, sim.event(), None)
+            sim.schedule_at(1.0, noop)

@@ -6,51 +6,25 @@ import pytest
 
 from repro.errors import CapacityError
 from repro.hw.bandwidth import SharedChannel
-from repro.hw.event_sim import AllOf, Resource, Simulator
+from repro.hw.event_sim import Resource, Simulator
 from repro.hw.memory import MemKind, MemorySpace
 
 
 class TestNestedComposition:
-    def test_all_of_of_all_of(self):
-        sim = Simulator()
-        inner1 = sim.all_of([sim.timeout(1.0), sim.timeout(2.0)])
-        inner2 = sim.all_of([sim.timeout(3.0)])
-        outer = sim.all_of([inner1, inner2])
-        sim.run()
-        assert outer.triggered
-        assert sim.now == 3.0
-
-    def test_process_chain_of_three(self):
-        sim = Simulator()
-
-        def stage(n, prev=None):
-            if prev is not None:
-                yield prev
-            yield sim.timeout(1.0)
-            return n
-
-        p1 = sim.process(stage(1))
-        p2 = sim.process(stage(2, p1))
-        p3 = sim.process(stage(3, p2))
-        sim.run()
-        assert p3.value == 3
-        assert sim.now == 3.0
-
     def test_resource_fifo_order_strict(self):
         sim = Simulator()
         res = Resource(sim, 1)
         order = []
 
         def user(i):
-            yield res.request()
             order.append(i)
-            yield sim.timeout(0.5)
-            res.release()
+            sim.schedule(0.5, lambda _arg: res.release())
 
         for i in range(6):
-            sim.process(user(i))
+            res.request(user, i)
         sim.run()
         assert order == list(range(6))
+        assert sim.now == 3.0
 
 
 class TestChannelStats:
@@ -58,12 +32,11 @@ class TestChannelStats:
         sim = Simulator()
         ch = SharedChannel(sim, 100.0)
 
-        def flows():
-            yield ch.transfer(100.0)     # 1 s busy
-            yield sim.timeout(5.0)       # idle gap
-            yield ch.transfer(200.0)     # 2 s busy
+        def second(_arg):
+            ch.transfer(200.0, lambda _arg: None)  # 2 s busy
 
-        sim.process(flows())
+        # 1 s busy, a 5 s idle gap, then the second transfer
+        ch.transfer(100.0, lambda _arg: sim.schedule(5.0, second))
         sim.run()
         assert ch.stats.busy_time == pytest.approx(3.0)
         assert ch.stats.flows_completed == 2
@@ -71,12 +44,8 @@ class TestChannelStats:
     def test_weighted_concurrency_integral(self):
         sim = Simulator()
         ch = SharedChannel(sim, 100.0)
-
-        def flow(nbytes):
-            yield ch.transfer(nbytes)
-
-        sim.process(flow(100.0))
-        sim.process(flow(100.0))
+        ch.transfer(100.0, lambda _arg: None)
+        ch.transfer(100.0, lambda _arg: None)
         sim.run()
         # both active for 2 s at concurrency 2: integral = 4
         assert ch.stats.weighted_concurrency == pytest.approx(4.0)

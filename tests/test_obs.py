@@ -281,7 +281,6 @@ class TestPublishedMetrics:
         assert reg.counter("sim/events_processed").value == (
             result.events_processed
         )
-        assert reg.counter("sim/process_wakeups").value > 0
         assert reg.gauge("sim/heap_peak").value >= 1
         assert reg.counter("dma/transfers").value > 0
         ddr = reg.counter("bw/ddr/bytes_served").value
