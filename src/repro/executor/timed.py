@@ -32,6 +32,7 @@ bit-identical with observability on or off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..core.plans import GemmExecution, OpKind
 from ..errors import SimulationError
@@ -239,7 +240,7 @@ class _Walk:
     """
 
     __slots__ = ("run", "core", "ops", "events", "idx", "epoch", "t_mark",
-                 "pending", "done", "finished")
+                 "done", "pending", "then", "finished")
 
     def __init__(self, run: _Run, core: int, ops) -> None:
         self.run = run
@@ -251,10 +252,11 @@ class _Walk:
         self.epoch = 0
         #: when the current window stall or barrier wait began
         self.t_mark = 0.0
-        #: events still awaited by a SYNC or by the end of the stream
-        self.pending = 0
         #: ops before this index have all completed
         self.done = 0
+        #: completions still awaited by :meth:`_drain`, and what follows
+        self.pending = 0
+        self.then: Callable[[], None] | None = None
         self.finished = False
 
     def start(self, _arg=None) -> None:
@@ -274,12 +276,7 @@ class _Walk:
             check_window = True
             op = ops[idx]
             if op.kind is OpKind.SYNC:
-                prior = self._pending_before(idx)
-                self.pending = len(prior)
-                for e in prior:
-                    e.callbacks.append(self._prior_done)
-                if not prior:
-                    self._arrive()
+                self._drain(self._arrive)
                 return
             deps = [events[d] for d in op.deps]
             if None in deps:
@@ -288,21 +285,25 @@ class _Walk:
                 )
             events[idx] = _OpRun(self, op, deps)
             self.idx = idx + 1
-        remaining = self._pending_before(len(ops))
-        self.pending = len(remaining)
-        for e in remaining:
-            e.callbacks.append(self._remaining_done)
-        if not remaining:
-            self.finished = True
+        self._drain(self._finish)
 
-    def _pending_before(self, idx: int) -> list[Event]:
-        """The events of ops before ``idx`` that have not fired, in order."""
-        events = self.events
-        done = self.done
-        while done < idx and events[done].triggered:
+    def _drain(self, then: Callable[[], None]) -> None:
+        """Call ``then()`` once every op before ``idx`` has completed."""
+        events, done = self.events, self.done
+        while done < self.idx and events[done].triggered:
             done += 1
         self.done = done
-        return [e for e in events[done:idx] if not e.triggered]
+        pending = [e for e in events[done:self.idx] if not e.triggered]
+        self.pending, self.then = len(pending), then
+        for e in pending:
+            e.callbacks.append(self._drained)
+        if not pending:
+            then()
+
+    def _drained(self, _ev: Event) -> None:
+        self.pending -= 1
+        if not self.pending:
+            self.then()
 
     def _unstall(self, _ev: Event) -> None:
         prof = self.run.prof
@@ -311,11 +312,6 @@ class _Walk:
                 self.epoch, self.core, self.run.sim.now - self.t_mark
             )
         self._walk(check_window=False)
-
-    def _prior_done(self, _ev: Event) -> None:
-        self.pending -= 1
-        if not self.pending:
-            self._arrive()
 
     def _arrive(self) -> None:
         run = self.run
@@ -344,10 +340,8 @@ class _Walk:
         self.idx += 1
         self._walk(check_window=True)
 
-    def _remaining_done(self, _ev: Event) -> None:
-        self.pending -= 1
-        if not self.pending:
-            self.finished = True
+    def _finish(self) -> None:
+        self.finished = True
 
 
 class _OpRun(Event):
@@ -361,9 +355,7 @@ class _OpRun(Event):
     __slots__ = ("walk", "op", "deps", "epoch", "pending", "t_start")
 
     def __init__(self, walk: _Walk, op, deps: list[Event]) -> None:
-        self.callbacks = []
-        self.triggered = False
-        self.name = ""
+        super().__init__()
         self.walk = walk
         self.op = op
         self.deps = deps
