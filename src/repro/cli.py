@@ -8,8 +8,8 @@
                                         [--trace out.json] [--perf]
     python -m repro perf --shape MxNxK [--runlog runs.jsonl] [--compare]
                          [--json]
-    python -m repro autotune MxNxK [--jobs N] [--no-validate]
-                                   [--validate-top N] [--exhaustive]
+    python -m repro autotune MxNxK [--no-validate] [--validate-top N]
+                                   [--exhaustive]
     python -m repro kernel M N K [--table] [--asm] [--tgemm]
     python -m repro classify MxNxK
     python -m repro chaos [--seeds N] [--impl ftimm|tgemm|both]
@@ -317,7 +317,7 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
     validate_top = 0 if args.no_validate else args.validate_top
     with collecting() as reg:
         result = autotune(
-            shape, cluster, validate_top=validate_top, jobs=args.jobs,
+            shape, cluster, validate_top=validate_top,
             mode="exhaustive" if args.exhaustive else "pruned",
         )
     print(f"shape {shape}: searched {result.n_candidates} candidates")
@@ -329,9 +329,7 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
     print(f"  rule/best: {result.improvement:.3f}x")
     stats = result.stats
     if stats is not None:
-        print(f"  search [{stats.mode}"
-              + (", pooled" if stats.pooled else ", serial")
-              + f"]: {stats.describe()}")
+        print(f"  search [{stats.mode}]: {stats.describe()}")
         if stats.trajectory:
             print("  incumbent trajectory:")
             for scored, label, seconds in stats.trajectory:
@@ -754,9 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tune.add_argument("shape", type=_parse_shape, help="MxNxK")
     p_tune.add_argument("--cores", type=int, default=None)
-    p_tune.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default $REPRO_JOBS, then "
-                             "the CPU count; 1 = serial)")
     p_tune.add_argument("--validate-top", type=int, default=3,
                         help="DES-validate the best N candidates")
     p_tune.add_argument("--no-validate", action="store_true",

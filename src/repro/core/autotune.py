@@ -39,7 +39,6 @@ from ..executor.timed import run_timed
 from ..hw.config import ClusterConfig
 from ..obs.registry import ProfileScope, current as _obs_current
 from ..kernels.registry import KernelRegistry, registry_for
-from ..parallel import POOL_MIN_UNITS, parallel_map, resolve_jobs
 from .blocking import FP32, KPlan, MPlan, MIN_GOOD_M_S, N_MAX
 from .plan_search import SearchStats, plan_bound
 from .shapes import GemmShape
@@ -188,43 +187,15 @@ def _des_score(
     return replace(cand, seconds=timed.seconds, validated=True)
 
 
-def _score_unit(args: tuple) -> Candidate:
-    """Picklable analytic-scoring work unit for pool workers.
-
-    Workers resolve their own registry from the core config: kernels are
-    not shipped through the pipe, and the persistent disk cache keeps the
-    workers from repeating the parent's modulo scheduling.
-    """
-    shape, cluster, strategy, plan = args
-    return _score(shape, cluster, strategy, plan, registry_for(cluster.core))
-
-
-def _des_unit(args: tuple) -> Candidate:
-    """Picklable DES-validation work unit for pool workers."""
-    shape, cluster, cand = args
-    return _des_score(shape, cluster, cand, registry_for(cluster.core))
-
-
 def _exhaustive_scores(
     shape: GemmShape,
     cluster: ClusterConfig,
     work: list[tuple[str, MPlan | KPlan]],
     registry: KernelRegistry,
-    effective_jobs: int,
     stats: SearchStats,
 ) -> list[Candidate]:
     """Score the whole grid (the ablation baseline): no bounds, no pruning."""
-    if effective_jobs > 1:
-        candidates = parallel_map(
-            _score_unit,
-            [(shape, cluster, s, p) for s, p in work],
-            effective_jobs,
-            chunksize=8,
-        )
-    else:
-        candidates = [
-            _score(shape, cluster, s, p, registry) for s, p in work
-        ]
+    candidates = [_score(shape, cluster, s, p, registry) for s, p in work]
     stats.scored = len(candidates)
     best_t = math.inf
     for i, cand in enumerate(candidates):
@@ -240,7 +211,6 @@ def _pruned_scores(
     work: list[tuple[str, MPlan | KPlan]],
     bounds: list[float],
     registry: KernelRegistry,
-    effective_jobs: int,
     k_keep: int,
     stats: SearchStats,
 ) -> list[Candidate]:
@@ -258,30 +228,15 @@ def _pruned_scores(
     scored: dict[int, Candidate] = {}
     times: list[float] = []  # sorted scored seconds
     best_t = math.inf
-    wave = 1 if effective_jobs == 1 else effective_jobs * 4
-    pos = 0
-    while pos < len(order):
-        if len(times) >= k_keep and bounds[order[pos]] > times[k_keep - 1]:
-            break  # everything after pos has a bound at least this large
-        take = order[pos : pos + wave]
-        if effective_jobs > 1:
-            cands = parallel_map(
-                _score_unit,
-                [(shape, cluster, *work[i]) for i in take],
-                effective_jobs,
-            )
-        else:
-            cands = [
-                _score(shape, cluster, work[i][0], work[i][1], registry)
-                for i in take
-            ]
-        for i, cand in zip(take, cands):
-            scored[i] = cand
-            bisect.insort(times, cand.seconds)
-            if cand.seconds < best_t:
-                best_t = cand.seconds
-                stats.trajectory.append((len(scored), cand.label, cand.seconds))
-        pos += len(take)
+    for i in order:
+        if len(times) >= k_keep and bounds[i] > times[k_keep - 1]:
+            break  # every later candidate has a bound at least this large
+        cand = _score(shape, cluster, work[i][0], work[i][1], registry)
+        scored[i] = cand
+        bisect.insort(times, cand.seconds)
+        if cand.seconds < best_t:
+            best_t = cand.seconds
+            stats.trajectory.append((len(scored), cand.label, cand.seconds))
     stats.scored = len(scored)
     stats.pruned = len(work) - len(scored)
     return [scored[i] for i in sorted(scored)]
@@ -293,7 +248,6 @@ def autotune(
     registry: KernelRegistry | None = None,
     *,
     validate_top: int = 3,
-    jobs: int | None = None,
     mode: str = "pruned",
 ) -> AutotuneResult:
     """Search both strategies' candidate grids.
@@ -313,16 +267,6 @@ def autotune(
     plan is **bit-identical** to ``mode="exhaustive"`` (tested; see the
     docstring of ``_pruned_scores`` for why).  The result depends only on
     the arguments: no search outcome is stored or read back.
-
-    ``jobs`` fans scoring and validation across worker processes
-    (default: ``$REPRO_JOBS``, then the CPU count) — but only when the
-    grid has at least :data:`~repro.parallel.POOL_MIN_UNITS` candidates,
-    enough to amortize a pool spawn; smaller searches run serially (the
-    BENCH_PR2 regression fix), recorded as ``tuner/search_serial`` vs
-    ``tuner/search_pooled``.  Work units are mapped in candidate order
-    and results collected in input order, and any extra candidates a
-    parallel wave scores are strictly worse than the finalists, so the
-    result is identical for every job count (tested).
     """
     if mode not in ("pruned", "exhaustive"):
         raise PlanError(f"unknown autotune mode {mode!r}")
@@ -335,7 +279,6 @@ def autotune(
         )
     registry = registry or registry_for(cluster.core)
     m = _obs_current()
-    jobs = resolve_jobs(jobs)
     stats = SearchStats(mode=mode)
     with ProfileScope("tuner/search_wall_s"):
         work = [
@@ -346,16 +289,6 @@ def autotune(
         stats.generated = len(work)
         if not work:
             raise PlanError(f"no feasible candidate plans for {shape}")
-
-        # pool amortization: fan out only when the grid can earn the
-        # spawn back
-        pooled = jobs > 1 and len(work) >= POOL_MIN_UNITS
-        effective_jobs = jobs if pooled else 1
-        stats.pooled = pooled
-        if m is not None and jobs > 1:
-            m.counter(
-                "tuner/search_pooled" if pooled else "tuner/search_serial"
-            ).inc()
 
         decision = tune(shape, cluster)
         if decision.strategy == "tgemm":  # pragma: no cover - guarded above
@@ -368,14 +301,14 @@ def autotune(
             if m is not None:
                 m.counter("tuner/bound_evals").inc(len(bounds))
             candidates = _pruned_scores(
-                shape, cluster, work, bounds, registry, effective_jobs,
-                max(1, validate_top), stats,
+                shape, cluster, work, bounds, registry, max(1, validate_top),
+                stats,
             )
             if m is not None and stats.pruned:
                 m.counter("tuner/pruned").inc(stats.pruned)
         else:
             candidates = _exhaustive_scores(
-                shape, cluster, work, registry, effective_jobs, stats
+                shape, cluster, work, registry, stats
             )
 
         if m is not None:
@@ -391,19 +324,11 @@ def autotune(
                 for c in [*finalists, rule]
             ):
                 with ProfileScope("tuner/des_validate_wall_s"):
-                    if effective_jobs > 1:
-                        validated = parallel_map(
-                            _des_unit,
-                            [(shape, cluster, c) for c in [*finalists, rule]],
-                            effective_jobs,
-                        )
-                        finalists, rule = validated[:-1], validated[-1]
-                    else:
-                        finalists = [
-                            _des_score(shape, cluster, c, registry)
-                            for c in finalists
-                        ]
-                        rule = _des_score(shape, cluster, rule, registry)
+                    finalists = [
+                        _des_score(shape, cluster, c, registry)
+                        for c in finalists
+                    ]
+                    rule = _des_score(shape, cluster, rule, registry)
                 stats.des_validated = len(finalists) + 1
                 if m is not None:
                     m.counter("tuner/des_validated").inc(len(finalists) + 1)

@@ -113,7 +113,6 @@ class SearchStats:
     scored: int = 0                 # candidates fully scored (analytic)
     pruned: int = 0                 # generated - scored
     des_validated: int = 0          # finalists (+ rule) re-scored by DES
-    pooled: bool = False            # True when scoring used worker processes
     #: (candidates scored so far, label, analytic seconds) at each
     #: incumbent improvement — the trajectory the CLI report prints
     trajectory: list[tuple[int, str, float]] = field(default_factory=list)

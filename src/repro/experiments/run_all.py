@@ -14,8 +14,8 @@ the generated markdown is identical for every job count.
 
 from __future__ import annotations
 
+import argparse
 import json
-import sys
 import time
 from pathlib import Path
 
@@ -70,25 +70,16 @@ def _run_module(name: str) -> list[ExperimentResult]:
 def run_everything(jobs: int | None = None) -> list[ExperimentResult]:
     jobs = resolve_jobs(jobs, len(MODULES))
     results: list[ExperimentResult] = []
-    if jobs > 1:
-        t0 = time.perf_counter()
-        # module *names* are the work items: modules themselves pickle by
-        # reference anyway, and names keep the journal human-readable
-        per_module = parallel_map(
-            _run_module, [m.__name__ for m in MODULES], jobs
-        )
-        dt = time.perf_counter() - t0
-        for module, module_results in zip(MODULES, per_module):
-            print(f"[{module.__name__}] {len(module_results)} experiments")
-            results.extend(module_results)
-        print(f"ran {len(MODULES)} experiment modules on {jobs} workers in {dt:.1f}s")
-        return results
-    for module in MODULES:
-        t0 = time.perf_counter()
-        module_results = module.run()
-        dt = time.perf_counter() - t0
-        print(f"[{module.__name__}] {len(module_results)} experiments in {dt:.1f}s")
+    t0 = time.perf_counter()
+    # module *names* are the work items: modules themselves pickle by
+    # reference anyway, and names keep the journal human-readable;
+    # jobs=1 runs them in-process
+    per_module = parallel_map(_run_module, [m.__name__ for m in MODULES], jobs)
+    dt = time.perf_counter() - t0
+    for module, module_results in zip(MODULES, per_module):
+        print(f"[{module.__name__}] {len(module_results)} experiments")
         results.extend(module_results)
+    print(f"ran {len(MODULES)} experiment modules on {jobs} workers in {dt:.1f}s")
     return results
 
 
@@ -108,26 +99,34 @@ def write_json(results: list[ExperimentResult], path: Path) -> None:
     print(f"wrote {path}")
 
 
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse the command line; a bad one exits 2 with a usage message."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments.run_all",
+        description="Run every experiment and regenerate EXPERIMENTS.md.",
+    )
+    parser.add_argument(
+        "output", nargs="?", type=Path,
+        default=Path(__file__).resolve().parents[3] / "EXPERIMENTS.md",
+        help="markdown record to write (default: EXPERIMENTS.md)",
+    )
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="also dump every series and claim as JSON")
+    parser.add_argument("--jobs", type=int, metavar="N",
+                        help="worker processes (default $REPRO_JOBS, then "
+                             "the CPU count; 1 = in-process)")
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> None:
-    args = list(argv if argv is not None else sys.argv[1:])
-    json_path: Path | None = None
-    if "--json" in args:
-        i = args.index("--json")
-        json_path = Path(args[i + 1])
-        del args[i : i + 2]
-    jobs: int | None = None
-    if "--jobs" in args:
-        i = args.index("--jobs")
-        jobs = int(args[i + 1])
-        del args[i : i + 2]
-    out = Path(args[0]) if args else Path(__file__).resolve().parents[3] / "EXPERIMENTS.md"
-    results = run_everything(jobs)
+    args = parse_args(argv)
+    results = run_everything(args.jobs)
     for result in results:
         print()
         print(result.render(chart=True))
-    write_markdown(results, out)
-    if json_path is not None:
-        write_json(results, json_path)
+    write_markdown(results, args.output)
+    if args.json is not None:
+        write_json(results, args.json)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
-"""Process-pool helpers for plan search and experiment fan-out.
+"""Process-pool helper for experiment fan-out.
 
-The autotuner scores hundreds of candidate plans analytically and
-DES-validates the finalists; both are CPU-bound pure-Python work, so the
-only way to speed them up on a multi-core host is multiple processes.
-This module wraps :class:`concurrent.futures.ProcessPoolExecutor` with the
-project's conventions:
+``python -m repro.experiments.run_all --jobs N`` runs the experiment
+modules, CPU-bound pure-Python work, so the only way to speed it up on a
+multi-core host is multiple processes.  (Plan search stays serial: its
+grid holds at most 80 candidates, too few to pay for a pool spawn.)
+This module wraps :class:`concurrent.futures.ProcessPoolExecutor` with
+the project's conventions:
 
 * **deterministic ordering** — results come back in input order
   (``Executor.map`` semantics), so parallel and serial runs are
@@ -30,13 +31,6 @@ so ``repro perf`` shows what the pool survived):
 * pools that cannot be created fall back to serial execution, and after
   :data:`_BREAKER_LIMIT` consecutive such failures a process-wide breaker
   stops attempting pools at all.
-
-Amortization (the BENCH_PR2 lesson): spawning a process pool costs real
-wall time — hundreds of milliseconds on a cold interpreter — which a
-small work list can never earn back (the autotuner's ~53-candidate grid
-ran 0.66x *slower* with ``jobs=2``).  Callers with a small fixed fan-out
-compare their work list against :data:`POOL_MIN_UNITS` and stay serial
-below it.
 """
 
 from __future__ import annotations
@@ -56,11 +50,6 @@ R = TypeVar("R")
 
 #: consecutive pool-creation failures before giving up on pools entirely
 _BREAKER_LIMIT = 3
-
-#: work units below which a pool spawn cannot pay for itself; callers
-#: with a small fixed fan-out (the autotuner's candidate grid) stay
-#: serial below it.
-POOL_MIN_UNITS = 128
 
 _consecutive_pool_failures = 0
 _pool_disabled = False
@@ -132,8 +121,6 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     jobs: int | None = None,
-    *,
-    chunksize: int = 1,
 ) -> list[R]:
     """``[fn(x) for x in items]``, fanned across processes.
 
@@ -163,7 +150,7 @@ def parallel_map(
         return [fn(x) for x in seq]
     parent = _obs_current()
     call = fn if parent is None else _CollectingCall(fn)
-    out = _run_map(call, seq, jobs, chunksize)
+    out = _run_map(call, seq, jobs)
     if parent is None:
         return out
     results = []
@@ -173,16 +160,14 @@ def parallel_map(
     return results
 
 
-def _run_map(
-    fn: Callable[[T], R], seq: Sequence[T], jobs: int, chunksize: int
-) -> list[R]:
+def _run_map(fn: Callable[[T], R], seq: Sequence[T], jobs: int) -> list[R]:
     """``Executor.map`` on a fresh pool, resubmitted once after a crash."""
     for attempt in range(2):
         if attempt:
             _count("retries", len(seq))
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                out = list(pool.map(fn, seq, chunksize=chunksize))
+                out = list(pool.map(fn, seq))
         except OSError:
             _note_pool_failure()
             _count("serial_fallbacks")

@@ -80,6 +80,8 @@ class TestFacade:
         ("repro.core.tuner", "tune_many"),
         ("repro.core.batched", "batched_gemm"),
         ("repro.core.batched", "BatchedGemmResult"),
+        ("repro.parallel", "POOL_MIN_UNITS"),
+        ("repro.core.autotune", "_score_unit"),
     ])
     def test_uncalled_exports_deleted(self, module, name):
         assert not hasattr(importlib.import_module(module), name)

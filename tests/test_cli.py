@@ -254,27 +254,26 @@ class TestPerfCommand:
 
 class TestAutotuneCommand:
     def test_negative_validate_top_reported(self, capsys):
-        assert main(["autotune", "2048x32x2048", "--jobs", "1",
-                     "--validate-top", "-2"]) == 1
+        assert main(["autotune", "2048x32x2048", "--validate-top", "-2"]) == 1
         assert "validate_top" in capsys.readouterr().err
 
     def test_no_validate_still_runs(self, capsys):
-        assert main(["autotune", "512x32x512", "--jobs", "1",
-                     "--no-validate"]) == 0
+        assert main(["autotune", "512x32x512", "--no-validate"]) == 0
         assert "DES-validated 0" in capsys.readouterr().out
 
     def test_removed_flags_rejected(self):
-        """The plan database, cross-shape transfer and the stack hint are
-        gone: the search depends only on the shape and the machine."""
+        """The plan database, cross-shape transfer, the stack hint and the
+        worker pool are gone: the search depends only on the shape and the
+        machine, and runs in-process."""
         for flags in (["--no-transfer"], ["--transfer-tol", "0.25"],
-                      ["--stack-hint", "512"]):
+                      ["--stack-hint", "512"], ["--jobs", "2"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["autotune", "64x32x64", *flags])
 
     @pytest.mark.parametrize("argv", [
         ["gemm", "64x32x64", "--timing", "analytic"],
         ["perf", "--shape", "64x32x64"],
-        ["autotune", "64x32x64", "--jobs", "1"],
+        ["autotune", "64x32x64"],
     ])
     def test_zero_cores_rejected(self, capsys, tmp_path, argv):
         if argv[0] == "perf":

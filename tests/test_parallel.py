@@ -1,15 +1,12 @@
 """Process-pool helpers and parallel-vs-serial result identity.
 
 The contract of :mod:`repro.parallel` is that parallelism is *invisible*
-in the results: ``parallel_map`` returns in input order, and the
-autotuner is result-identical for every job count.
+in the results: ``parallel_map`` returns in input order for every job
+count.
 """
 
 import pytest
 
-from repro.core.autotune import autotune
-from repro.core.shapes import GemmShape
-from repro.hw.config import default_machine
 from repro.parallel import default_jobs, parallel_map, resolve_jobs
 
 
@@ -69,21 +66,9 @@ class TestParallelMap:
     def test_accepts_generators(self):
         assert parallel_map(_square, (x for x in (2, 3)), jobs=2) == [4, 9]
 
-    @pytest.mark.parametrize("knob", ["timeout", "retries", "min_units"])
+    @pytest.mark.parametrize(
+        "knob", ["timeout", "retries", "min_units", "chunksize"]
+    )
     def test_removed_knobs_rejected(self, knob):
         with pytest.raises(TypeError, match=knob):
             parallel_map(_square, [1, 2], 2, **{knob: 1})
-
-
-class TestAutotuneIdentity:
-    @pytest.fixture(scope="class")
-    def cluster(self):
-        return default_machine().cluster
-
-    def test_parallel_equals_serial(self, cluster):
-        shape = GemmShape(512, 32, 512)
-        serial = autotune(shape, cluster, validate_top=1, jobs=1)
-        fanned = autotune(shape, cluster, validate_top=1, jobs=2)
-        assert fanned.best == serial.best
-        assert fanned.rule == serial.rule
-        assert fanned.n_candidates == serial.n_candidates

@@ -51,14 +51,14 @@ class TestPrunedIdentity:
     @pytest.mark.parametrize("m,n,k", SHAPES)
     def test_best_plan_bit_identical(self, cluster, registry, m, n, k):
         shape = GemmShape(m, n, k)
-        pruned = autotune(shape, cluster, registry, jobs=1, mode="pruned")
-        full = autotune(shape, cluster, registry, jobs=1, mode="exhaustive")
+        pruned = autotune(shape, cluster, registry, mode="pruned")
+        full = autotune(shape, cluster, registry, mode="exhaustive")
         assert pruned.best == full.best
         assert pruned.rule == full.rule
         assert pruned.n_candidates == full.n_candidates
 
     def test_pruning_actually_prunes(self, cluster, registry):
-        result = autotune(GemmShape(2048, 32, 2048), cluster, registry, jobs=1)
+        result = autotune(GemmShape(2048, 32, 2048), cluster, registry)
         stats = result.stats
         assert stats.scored <= stats.generated // 2
         assert stats.pruned == stats.generated - stats.scored
@@ -66,7 +66,7 @@ class TestPrunedIdentity:
 
     def test_counters(self, cluster, registry):
         with collecting() as reg:
-            autotune(GemmShape(2048, 32, 2048), cluster, registry, jobs=1)
+            autotune(GemmShape(2048, 32, 2048), cluster, registry)
         snap = reg.snapshot()
         assert snap["tuner/bound_evals"]["value"] > 0
         assert snap["tuner/pruned"]["value"] > 0
@@ -88,8 +88,8 @@ class TestStateless:
         monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
         monkeypatch.setattr(kernel_registry, "_registries", {})
         shape = GemmShape(2048, 32, 2048)
-        first = autotune(shape, cluster, jobs=1)
-        again = autotune(shape, cluster, jobs=1)
+        first = autotune(shape, cluster)
+        again = autotune(shape, cluster)
         assert first.best == again.best
         assert first.rule == again.rule
         assert first.stats.scored == again.stats.scored
@@ -102,7 +102,7 @@ class TestStateless:
 
     @pytest.mark.parametrize("knob,value", [
         ("plan_db", False), ("transfer", False), ("transfer_tol", 0.25),
-        ("stack_hint", 512), ("validate_op_limit", 60_000),
+        ("stack_hint", 512), ("validate_op_limit", 60_000), ("jobs", 2),
     ])
     def test_removed_knobs_rejected(self, cluster, knob, value):
         with pytest.raises(TypeError, match=knob):

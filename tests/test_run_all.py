@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.analysis.tables import Claim, ExperimentResult, Series
 from repro.experiments import run_all
 
@@ -64,6 +66,34 @@ class TestMainPlumbing:
         out = capsys.readouterr().out
         assert "stub1" in out
         assert "1/2 claims hold" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--jobs"], ["--json"], ["--jobs", "two"], ["--jobz", "4"],
+    ])
+    def test_bad_arguments_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        """A missing value, a non-integer job count or a misspelt flag is a
+        usage error: no experiment runs and no file is written."""
+        def _must_not_run(jobs=None):
+            raise AssertionError("an experiment ran")
+
+        monkeypatch.setattr(run_all, "run_everything", _must_not_run)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_all.main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_arguments_parsed(self, tmp_path):
+        args = run_all.parse_args(
+            [str(tmp_path / "o.md"), "--jobs", "2", "--json", "d.json"]
+        )
+        assert (args.output, args.jobs, str(args.json)) == (
+            tmp_path / "o.md", 2, "d.json"
+        )
+        default = run_all.parse_args([])
+        assert default.output.name == "EXPERIMENTS.md"
+        assert default.jobs is None and default.json is None
 
     def test_module_list_covers_every_experiment(self):
         """Everything importable under repro.experiments with run() must be
