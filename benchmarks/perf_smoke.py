@@ -13,7 +13,8 @@ Both runs start from an empty program cache, so each pays its lowering.
 The program-cache gate counts rather than times, so it holds on any
 machine: five repeated ``ftimm_gemm`` calls on the shape must lower once
 (``core/lowering/misses`` 1, ``hits`` 4) and give C bit-identical to a
-cache-cold call, clean and under a seeded fault plan alike.  The B-intern
+cache-cold call, clean, under a seeded fault plan and under a core loss
+alike (a survivor re-runs the dead core's ops of the same program).  The B-intern
 gate counts too: five fresh copies of one B must digest once
 (``core/batched/b_intern/misses`` 1, ``hits`` 4) to the same blake2b an
 inline hash gives, and a copy with one bit flipped must miss and digest
@@ -43,15 +44,18 @@ from repro.core.lowering import GemmOperands
 from repro.core.shapes import GemmShape
 from repro.core.tuner import tune
 from repro.hw.config import default_machine
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import CoreFault, FaultPlan
 from repro.obs import collecting
 from repro.workloads.generators import random_operands
 
 #: calls of the program-cache gate: the first lowers, the rest must hit
 CACHE_CALLS = 5
-#: the gate's faulted variant: bit flips and DMA failures, no core loss
-#: (a re-dispatch would lower the reduced cluster's program too)
+#: the gate's faulted variant: bit flips and DMA failures
 GATE_FAULTS = FaultPlan(seed=11, bitflip_rate=0.02, dma_fail_rate=0.1)
+#: the gate's core-loss variant: core 1 fails in every call
+CORE_LOSS_FAULTS = FaultPlan(
+    seed=11, core_faults=(CoreFault(core=1, after_ops=5, after_s=1e-6),)
+)
 #: the gate's plan that cannot strike a functional run: DMA failures only
 QUIET_FAULTS = FaultPlan(seed=11, dma_fail_rate=0.1)
 
@@ -87,7 +91,8 @@ def cache_gate(shape: GemmShape, faults: FaultPlan | None) -> bool:
         name: reg.counter(f"core/lowering/{name}").value
         for name in ("misses", "hits")
     }
-    label = "faulted" if faults is not None else "clean"
+    label = ("clean" if faults is None
+             else "core loss" if faults.core_faults else "faulted")
     print(f"  program cache ({label}): {CACHE_CALLS} calls, "
           f"misses={counts['misses']:g} hits={counts['hits']:g}")
     ok = True
@@ -96,6 +101,10 @@ def cache_gate(shape: GemmShape, faults: FaultPlan | None) -> bool:
         ok = False
     if not all(np.array_equal(c, c_cold) for c in results):
         print("FAIL: a cached call differs from the cache-cold call")
+        ok = False
+    failures = reg.counter("faults/core_failures").value
+    if faults is not None and failures != CACHE_CALLS * len(faults.core_faults):
+        print(f"FAIL: {failures:g} core failures in {CACHE_CALLS} calls")
         ok = False
     return ok
 
@@ -214,7 +223,8 @@ def main(argv: list[str]) -> int:
         return 1
     print("OK: compiled path is bit-identical and faster")
 
-    if not (cache_gate(shape, None) and cache_gate(shape, GATE_FAULTS)):
+    if not all(cache_gate(shape, faults)
+               for faults in (None, GATE_FAULTS, CORE_LOSS_FAULTS)):
         return 1
     print("OK: repeated calls reuse one program, bit-identical to cold")
 

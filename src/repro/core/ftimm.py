@@ -205,35 +205,38 @@ def _analytic(
 def _redispatch(
     run,
     phase: str,
-    shape: GemmShape,
     cluster: ClusterConfig,
-    decision: TuningDecision,
     *,
     plan: FaultPlan | None,
     report: FaultReport | None,
-    dtype: str,
 ):
-    """Call ``run(cluster, decision, injector)`` until no core fails.
+    """Call ``run(injector)`` until no core fails.
 
     ``plan=None`` is one attempt with no injector.  Under a plan, a
-    :class:`~repro.errors.CoreFailureError` shrinks the cluster by the
-    failed core, re-tunes the *same* strategy for the survivors and
-    retries with the next attempt's injector.  A plan's ``core_faults``
-    arm one failure per attempt, so the loop always terminates; the last
-    core's failure, like every other :class:`~repro.errors.FaultError`,
-    propagates.  Returns the last attempt's result, the cluster it ran
-    on and the simulated seconds the failed attempts ran before failing.
+    :class:`~repro.errors.CoreFailureError` marks the failed core dead
+    and retries the *same* program with the next attempt's injector, in
+    which each dead core's op stream runs on a survivor (round-robin
+    over the survivors).  The partition, and so K-parallel's reduction
+    tree and C's bits, stay the fault-free run's.  A plan's
+    ``core_faults`` arm one failure per attempt, so the loop always
+    terminates; the last core's failure, like every other
+    :class:`~repro.errors.FaultError`, propagates.  Returns the last
+    attempt's result, the live-core count and the simulated seconds the
+    failed attempts ran before failing.
     """
     if plan is None:
-        return run(cluster, decision, None), cluster, 0.0
+        return run(None), cluster.n_cores, 0.0
+    dead: list[int] = []
     attempt, lost_s = 0, 0.0
     while True:
-        inj = FaultInjector(plan, attempt)
+        live = [c for c in range(cluster.n_cores) if c not in dead]
+        hosts = {d: live[i % len(live)] for i, d in enumerate(sorted(dead))}
+        inj = FaultInjector(plan, attempt, hosts)
         try:
-            out = run(cluster, decision, inj)
+            out = run(inj)
         except CoreFailureError as exc:
             report.absorb(inj.counters)
-            if cluster.n_cores <= 1:
+            if len(live) <= 1:
                 raise
             report.redispatches += 1
             tracer = current_tracer()
@@ -247,15 +250,11 @@ def _redispatch(
                           "error": str(exc)},
                 )
             lost_s += exc.at_s
-            cluster = cluster.with_cores(cluster.n_cores - 1)
-            decision = tune(
-                shape, cluster, force_strategy=decision.strategy,
-                adjust=True, dtype=dtype,
-            )
+            dead.append(exc.core)
             attempt += 1
         else:
             report.absorb(inj.counters)
-            return out, cluster, lost_s
+            return out, len(live), lost_s
 
 
 def _run(
@@ -275,7 +274,8 @@ def _run(
 
     ``faults=None`` is the clean path: one attempt per phase, no C
     snapshot, no :class:`~repro.faults.inject.FaultReport`.  A fault plan
-    arms injection, and both phases re-dispatch on core failure
+    arms injection, and both phases re-run the same program on core
+    failure, a survivor taking over each dead core's op stream
     (:func:`_redispatch`): the functional phase restores C before each
     retry, the DES phase adds the failed attempts' simulated time to the
     result.  Timing ``"auto"`` resolves to DES under a plan, since
@@ -310,10 +310,9 @@ def _run(
     report = None if faults is None else FaultReport(seed=faults.seed)
     snapshot = None if faults is None or data is None else data.c.copy()
 
-    def functional(cl, dec, inj):
+    def functional(program, inj):
         if inj is not None and inj.attempt:
             data.c[...] = snapshot  # undo the failed attempt's writes
-        program = lowered_program(shape, cl, dec, functional=True)
         if inj is not None and inj.functional_quiet and dtype == "f32":
             # a quiet attempt runs the clean path; a finite C is the
             # guarded op list's, anything else is replayed under guard
@@ -329,9 +328,6 @@ def _run(
         with program.ctx.binding(data, faults=inj, kernel_exec=kernel_exec):
             return run_functional(program, faults=inj)
 
-    def des(cl, dec, inj):
-        return run_timed(lowered_program(shape, cl, dec), faults=inj)
-
     n_cores = cluster.n_cores
     func_report = timed = None
     with maybe_scope(
@@ -344,18 +340,20 @@ def _run(
             if data is not None:
                 with maybe_scope("functional", category="phase",
                                  track="gemm"):
-                    func_report, cl, _ = _redispatch(
-                        functional, "functional", shape, cluster, decision,
-                        plan=faults, report=report, dtype=dtype,
+                    program = lowered_program(shape, cluster, decision,
+                                              functional=True)
+                    func_report, n_cores, _ = _redispatch(
+                        lambda inj: functional(program, inj), "functional",
+                        cluster, plan=faults, report=report,
                     )
-                n_cores = cl.n_cores
             if mode == "des":
                 with maybe_scope("timed/des", category="phase", track="gemm"):
-                    timed, cl, lost_s = _redispatch(
-                        des, "timed", shape, cluster, decision,
-                        plan=faults, report=report, dtype=dtype,
+                    program = lowered_program(shape, cluster, decision)
+                    timed, live, lost_s = _redispatch(
+                        lambda inj: run_timed(program, faults=inj), "timed",
+                        cluster, plan=faults, report=report,
                     )
-                n_cores = min(n_cores, cl.n_cores)
+                n_cores = min(n_cores, live)
                 if lost_s:
                     # the honest wall clock: work thrown away before each
                     # failure plus the completed run on the survivors

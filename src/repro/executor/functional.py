@@ -49,8 +49,10 @@ def run_functional(execution: GemmExecution, faults=None) -> FunctionalReport:
     """Run the plan; the C operand bound to it is updated.
 
     ``faults`` (a :class:`~repro.faults.inject.FaultInjector`) arms the
-    core-failure model for this mode: before each op runs, the owning
-    core's executed-op count is checked against the armed fault, raising
+    core-failure model for this mode: before each op runs, the executed-op
+    count of the core hosting it (:meth:`~repro.faults.inject
+    .FaultInjector.host`: its own, or a survivor for a dead core) is
+    checked against the armed fault, raising
     :class:`~repro.errors.CoreFailureError` once it trips.  Tile-level
     corruption is injected inside the closures themselves (the lowering
     context routes copies and kernel applications through the injector's
@@ -75,8 +77,9 @@ def run_functional(execution: GemmExecution, faults=None) -> FunctionalReport:
         ops_done = [0] * execution.cluster.n_cores
         for op in execution.ordered_ops():
             if faults is not None:
-                faults.check_core_alive_functional(op.core, ops_done[op.core])
-                ops_done[op.core] += 1
+                core = faults.host(op.core)
+                faults.check_core_alive_functional(core, ops_done[core])
+                ops_done[core] += 1
             if op.run is not None:
                 op.run()
     if metrics is not None:

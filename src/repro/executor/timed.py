@@ -106,7 +106,9 @@ def run_timed(
     and an armed core fault makes that core raise
     :class:`~repro.errors.CoreFailureError` out of :meth:`Simulator.run`
     the first time it issues work past the fault instant — the resilient
-    driver catches it and re-dispatches on the surviving cores.
+    driver catches it and re-runs the same program with the dead core's
+    op stream on a survivor's DMA engine and compute pipeline
+    (:meth:`~repro.faults.inject.FaultInjector.host`).
     """
     if metrics is None:
         metrics = _obs_current()
@@ -382,6 +384,8 @@ class _OpRun(Event):
         run = self.walk.run
         core = self.walk.core
         if run.faults is not None:
+            # a dead core's stream runs on the survivor hosting it
+            core = run.faults.host(core)
             run.faults.check_core_alive_timed(core, run.sim.now)
         op = self.op
         if op.kind is OpKind.DMA:

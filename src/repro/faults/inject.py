@@ -50,10 +50,18 @@ _EXP_MSB = {4: np.uint32(1 << 30), 8: np.uint64(1 << 62)}
 class FaultInjector:
     """Stateful companion of one execution attempt under a fault plan."""
 
-    def __init__(self, plan: FaultPlan, attempt: int = 0) -> None:
+    def __init__(
+        self,
+        plan: FaultPlan,
+        attempt: int = 0,
+        hosts: dict[int, int] | None = None,
+    ) -> None:
         self.plan = plan
         self.attempt = attempt
         self.core_fault: CoreFault | None = plan.core_fault_for_attempt(attempt)
+        #: dead core -> the surviving core that runs its op stream; a core
+        #: not in the map runs its own
+        self.hosts: dict[int, int] = hosts or {}
         self.counters: dict[str, float] = {}
         self._kernel_idx = 0
         self._copy_idx = 0
@@ -109,6 +117,10 @@ class FaultInjector:
         return self.plan.backoff_base_cycles * 2.0 ** (retry - 1) / clock_hz
 
     # -- core failures -----------------------------------------------------
+
+    def host(self, core: int) -> int:
+        """The core that runs ``core``'s op stream in this attempt."""
+        return self.hosts.get(core, core)
 
     def check_core_alive_timed(self, core: int, now: float) -> None:
         cf = self.core_fault

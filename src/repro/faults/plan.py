@@ -27,8 +27,12 @@ class CoreFault:
     ``after_s`` arms the fault for timed (DES) execution: the core dies
     the first time it tries to issue work at ``sim.now >= after_s``.
     ``after_ops`` arms it for functional execution: the core dies once it
-    has executed that many of its ops.  ``None`` leaves the respective
-    mode unaffected.
+    has executed that many ops (its own and those it hosts).  ``None``
+    leaves the respective mode unaffected.
+
+    ``core`` indexes the original cluster, whatever failed before: a
+    fault naming a core that is already dead never fires, since a dead
+    core's op stream runs on a survivor.
     """
 
     core: int
@@ -80,9 +84,12 @@ class FaultPlan:
     — caught by DMA read-back verification and ABFT checksums).
 
     ``core_faults`` fire one per re-dispatch attempt, in order: the first
-    entry strikes the initial run, the second strikes the first re-run on
-    the reduced cluster, and so on.  This keeps multi-failure scenarios
-    expressible while guaranteeing the resilient driver terminates.
+    entry strikes the initial run, the second strikes the first re-run
+    (the same program, a survivor hosting the dead core's op stream), and
+    so on.  This keeps multi-failure scenarios expressible while
+    guaranteeing the resilient driver terminates.  Core indices name
+    cores of the original cluster; an entry naming a core that is already
+    dead never fires.
     """
 
     seed: int = 0

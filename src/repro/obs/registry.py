@@ -311,12 +311,7 @@ class MetricsRegistry:
 
     # -- merging -----------------------------------------------------------
 
-    def merge(
-        self,
-        other: "MetricsRegistry",
-        *,
-        baseline: "MetricsRegistry | None" = None,
-    ) -> "MetricsRegistry":
+    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold ``other``'s instruments into this registry, in place.
 
         Kind-aware: counters add; gauges keep the *other* registry's
@@ -328,24 +323,9 @@ class MetricsRegistry:
         instrument kinds in the two registries raises
         :class:`~repro.errors.ReproError`.  Returns ``self`` so worker
         snapshots fold in a loop.
-
-        ``baseline`` makes the merge *delta-aware*: pass the snapshot of
-        ``other`` that was already folded in earlier (e.g. a live
-        gateway's in-flight stats snapshot) and only the additive growth
-        since then — counter increments, new histogram/distribution
-        samples and bin counts — is applied, so re-merging a registry
-        that kept accumulating never double-counts.  Gauge values and
-        min/max extremes are idempotent under re-merge and are taken
-        from ``other`` as usual.
         """
         for name in other.names():
             theirs = other._metrics[name]
-            base = baseline._metrics.get(name) if baseline is not None else None
-            if base is not None and type(base) is not type(theirs):
-                raise ReproError(
-                    f"cannot merge metric {name!r}: baseline is "
-                    f"{type(base).__name__}, other is {type(theirs).__name__}"
-                )
             mine = self._metrics.get(name)
             if mine is None:
                 if type(theirs) is Histogram:
@@ -363,7 +343,7 @@ class MetricsRegistry:
                     f"{type(mine).__name__} vs {type(theirs).__name__}"
                 )
             if type(mine) is Counter:
-                mine.value += theirs.value - (base.value if base else 0)
+                mine.value += theirs.value
             elif type(mine) is Gauge:
                 mine.high = max(mine.high, theirs.high)
                 mine.value = theirs.value
@@ -380,27 +360,16 @@ class MetricsRegistry:
                         f"[1e{theirs.lo_exp}, 1e{theirs.hi_exp}] x "
                         f"{theirs.per_decade}/decade"
                     )
-                if base is not None and (
-                    base.lo_exp != theirs.lo_exp
-                    or base.hi_exp != theirs.hi_exp
-                    or base.per_decade != theirs.per_decade
-                ):
-                    raise ReproError(
-                        f"cannot merge histogram {name!r}: baseline bin "
-                        f"spec differs from other's"
-                    )
-                base_counts = base.counts if base is not None else None
                 mine.counts = [
-                    a + b - (base_counts[i] if base_counts else 0)
-                    for i, (a, b) in enumerate(zip(mine.counts, theirs.counts))
+                    a + b for a, b in zip(mine.counts, theirs.counts)
                 ]
-                mine.count += theirs.count - (base.count if base else 0)
-                mine.total += theirs.total - (base.total if base else 0.0)
+                mine.count += theirs.count
+                mine.total += theirs.total
                 mine.min = min(mine.min, theirs.min)
                 mine.max = max(mine.max, theirs.max)
             else:  # Distribution / Timer
-                mine.count += theirs.count - (base.count if base else 0)
-                mine.total += theirs.total - (base.total if base else 0.0)
+                mine.count += theirs.count
+                mine.total += theirs.total
                 mine.min = min(mine.min, theirs.min)
                 mine.max = max(mine.max, theirs.max)
         return self

@@ -26,14 +26,11 @@ record table.  Closing the gateway without draining resolves still
 in-flight awaits with ``OverloadError(reason="shutdown")`` — typed and
 counted, never a bare ``CancelledError``.
 
-**Observability.** When metrics collection is ambient at construction,
-engine work runs under a private registry that is folded into the
-ambient one on :meth:`stats`/:meth:`close` via the delta-aware
-``MetricsRegistry.merge(..., baseline=)``, so mid-flight snapshots never
-double-count.  With tracing active the gateway adds ``submit`` /
-``resolve`` instants and one ``await`` span per request on its own
-track; :meth:`close` writes the engine's serve spans, derived from the
-final report.
+**Observability.** Gateway and engine count into the ambient metrics
+registry, as the replay path does.  With tracing active the gateway adds
+``submit`` / ``resolve`` instants and one ``await`` span per request on
+its own track; :meth:`close` writes the engine's serve spans, derived
+from the final report.
 """
 
 from __future__ import annotations
@@ -46,8 +43,7 @@ import numpy as np
 from ..core.shapes import GemmShape
 from ..errors import FaultError, OverloadError, PlanError
 from ..hw.config import MachineConfig, default_machine
-from ..obs import MetricsRegistry, current
-from ..obs.registry import set_registry
+from ..obs import current
 from ..obs.trace import current_tracer
 from .request import COMPLETED, FAILED, SHED, GemmRequest, RequestRecord
 from .scheduler import WarmupReport
@@ -98,35 +94,6 @@ class Gateway:
         #: live clock: auto-stamped arrivals never precede the last
         #: resolved response (a live caller reacts to what it has seen)
         self._live_now = 0.0
-        # private registry so in-flight stats() snapshots can be folded
-        # into the ambient registry without double-counting on close()
-        self._ambient = current()
-        self._metrics = MetricsRegistry() if self._ambient is not None else None
-        self._merged_baseline: MetricsRegistry | None = None
-
-    # -- metrics plumbing --------------------------------------------------
-
-    def _swap_in(self) -> MetricsRegistry | None:
-        if self._metrics is None:
-            return None
-        return set_registry(self._metrics)
-
-    def _swap_out(self, prev: MetricsRegistry | None) -> None:
-        if self._metrics is not None:
-            set_registry(prev)
-
-    def _count(self, name: str) -> None:
-        if self._metrics is not None:
-            self._metrics.counter(name).inc()
-
-    def _sync_metrics(self) -> None:
-        """Fold the private registry into the ambient one, delta-aware."""
-        if self._metrics is None or self._ambient is None:
-            return
-        self._ambient.merge(self._metrics, baseline=self._merged_baseline)
-        self._merged_baseline = MetricsRegistry.from_snapshot(
-            self._metrics.snapshot()
-        )
 
     # -- warmup ------------------------------------------------------------
 
@@ -139,11 +106,7 @@ class Gateway:
         """
         if self._closed:
             raise PlanError("gateway is closed")
-        prev = self._swap_in()
-        try:
-            self.warmup = warm_engine(self.engine, requests)
-        finally:
-            self._swap_out(prev)
+        self.warmup = warm_engine(self.engine, requests)
         self._warmed = True
         return self.warmup
 
@@ -243,12 +206,11 @@ class Gateway:
         # counted even when a full bucket resolves it synchronously, so
         # the stat reports the backpressure the driver exerted
         inflight = len(self._waiters) + 1
+        metrics = current()
         if inflight > self._outstanding_high:
             self._outstanding_high = inflight
-            if self._metrics is not None:
-                self._metrics.gauge("serve/gateway/outstanding").set(
-                    inflight
-                )
+            if metrics is not None:
+                metrics.gauge("serve/gateway/outstanding").set(inflight)
         tracer = current_tracer()
         if tracer is not None:
             tracer.instant(
@@ -260,12 +222,9 @@ class Gateway:
                 args={"req_id": req.req_id, "klass": req.klass,
                       "shape": str(req.shape)},
             )
-        prev = self._swap_in()
-        try:
-            self._count("serve/gateway/submitted")
-            self.engine.offer(req)
-        finally:
-            self._swap_out(prev)
+        if metrics is not None:
+            metrics.counter("serve/gateway/submitted").inc()
+        self.engine.offer(req)
         loop = asyncio.get_running_loop()
         fut: asyncio.Future[RequestRecord] = loop.create_future()
         record = self.engine.records.get(req.req_id)
@@ -290,12 +249,7 @@ class Gateway:
         self._pump_scheduled = False
         if self._closed or not self._waiters:
             return
-        oldest = next(iter(self._waiters))
-        prev = self._swap_in()
-        try:
-            self.engine.advance_until(oldest)
-        finally:
-            self._swap_out(prev)
+        self.engine.advance_until(next(iter(self._waiters)))
         for rid in [r for r in self._waiters if self.engine.resolved(r)]:
             fut = self._waiters.pop(rid)
             self._inflight.pop(rid, None)
@@ -311,8 +265,11 @@ class Gateway:
         if end is None:
             end = max(self.engine.now_s, record.arrival_s)
         self._live_now = max(self._live_now, end)
-        self._count("serve/gateway/resolved")
-        self._sync_live_metrics_hint(record)
+        metrics = current()
+        if metrics is not None:
+            metrics.counter("serve/gateway/resolved").inc()
+            if record.status != COMPLETED:
+                metrics.counter("serve/gateway/losses_typed").inc()
         tracer = current_tracer()
         if tracer is not None:
             tracer.record(
@@ -335,10 +292,6 @@ class Gateway:
             )
         if not fut.done():
             fut.set_result(record)
-
-    def _sync_live_metrics_hint(self, record: RequestRecord) -> None:
-        if self._metrics is not None and record.status != COMPLETED:
-            self._metrics.counter("serve/gateway/losses_typed").inc()
 
     def _raise_typed(self, record: RequestRecord) -> RequestRecord:
         if record.status == SHED:
@@ -377,17 +330,6 @@ class Gateway:
         """The bridge's virtual clock (simulated seconds)."""
         return max(self.engine.now_s, self._live_now)
 
-    def stats(self) -> dict:
-        """An in-flight metrics snapshot; folds into the ambient registry.
-
-        Safe to call repeatedly while requests are in flight: the fold
-        uses the delta-aware merge baseline, so the ambient registry sees
-        each increment exactly once no matter how many snapshots (and the
-        final :meth:`close`) happen.
-        """
-        self._sync_metrics()
-        return self._metrics.snapshot() if self._metrics is not None else {}
-
     def report(self) -> ServeReport:
         """The serve report over everything resolved so far."""
         return assemble_report(self.engine, self.warmup)
@@ -402,26 +344,21 @@ class Gateway:
         ``drain=False`` abandons in-flight work: each outstanding await
         resolves with a shed record — ``OverloadError(reason=
         "shutdown")`` for :meth:`submit` callers — typed and counted,
-        never silently cancelled.  Either way the private metrics are
-        folded into the ambient registry exactly once.
+        never silently cancelled.
         """
         if self._closed:
             return
-        prev = self._swap_in()
-        try:
-            if drain:
-                self.engine.finish()
-            else:
-                for rid, req in list(self._inflight.items()):
-                    if not self.engine.resolved(rid):
-                        self.engine._shed(
-                            req, self.engine.now_s, "shutdown",
-                            self.config.degrade.classify(req)
-                            if self.config.degrade is not None else None,
-                        )
-                self.engine._finished = True
-        finally:
-            self._swap_out(prev)
+        if drain:
+            self.engine.finish()
+        else:
+            for rid, req in list(self._inflight.items()):
+                if not self.engine.resolved(rid):
+                    self.engine._shed(
+                        req, self.engine.now_s, "shutdown",
+                        self.config.degrade.classify(req)
+                        if self.config.degrade is not None else None,
+                    )
+            self.engine._finished = True
         for rid in list(self._waiters):
             fut = self._waiters.pop(rid)
             self._inflight.pop(rid, None)
@@ -433,7 +370,6 @@ class Gateway:
                 continue
             self._resolve(rid, fut, record)
         self._closed = True
-        self._sync_metrics()
         report = self.report()
         serve_spans(report)
 

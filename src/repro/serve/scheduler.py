@@ -18,14 +18,16 @@ Three pluggable policies:
   queue and clusters *pull* from it as they free, so a late-closing but
   urgent batch overtakes patient bulk work.
 
-Warmup: steady-state serving must never pay plan search or kernel
-generation on the critical path, so the scheduler pre-tunes every
-distinct bucket shape class (populating the tuner and kernel caches)
-before the stream starts.  Warmup is *batch-aware*: given stack hints
-(the expected stacked M per bucket, derived from the request stream),
-each bucket is tuned at its expected batch shape instead of the first
-request's M, so the kernels cached up front are the ones the stacked
-steady state actually runs.
+Warmup: steady-state serving must never pay kernel generation on the
+critical path, so the scheduler runs one timing-only call per distinct
+bucket shape class before the stream starts, which generates (and
+caches) the micro-kernels that class's plan uses.  The tuner caches
+nothing, and a timing-only analytic call lowers no program, so the
+kernels are all that warmup leaves behind.  Warmup is *batch-aware*:
+given stack hints (the expected stacked M per bucket, derived from the
+request stream), each bucket is tuned at its expected batch shape
+instead of the first request's M, so the kernels cached up front are the
+ones the stacked steady state actually runs.
 
 A batch whose bucket was *not* warmed is charged :data:`COLD_TUNE_S`
 once per bucket — visible in the latency histograms, which is the point.
@@ -341,11 +343,12 @@ class Scheduler:
     ) -> WarmupReport:
         """Pre-tune every distinct bucket class, off the critical path.
 
-        One rule-tuner pass (a timing-only ftIMM call) per distinct
-        (N, K, dtype) at its expected *stacked* M (``stack_hints``,
-        falling back to the representative request's M) — populating
-        the tuner decision cache and generating/caching the
-        micro-kernels the stacked steady state will reuse.
+        One rule-tuner pass (a timing-only analytic ftIMM call) per
+        distinct (N, K, dtype) at its expected *stacked* M
+        (``stack_hints``, falling back to the representative request's
+        M), which generates and caches the micro-kernels the stacked
+        steady state will reuse.  It caches no tuning decision and
+        lowers no program: the kernels are all it leaves behind.
         """
         report = WarmupReport()
         hints = stack_hints or {}

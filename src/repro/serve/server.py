@@ -26,9 +26,10 @@ Contracts, enforced rather than hoped for:
   ``FaultError`` after the re-dispatch budget, counted).
 * **Bit-exact responses.** Each batch member runs on its own standalone
   :func:`~repro.core.ftimm.ftimm_gemm` program, so served bits are
-  standalone bits by construction.  A member the fault plan struck is
-  recomputed fault-free, and bits that differ (a core-failure re-plan,
-  a fault past ABFT) are replaced and counted in ``verify_repaired``.
+  standalone bits by construction, also under a fault plan: ABFT and
+  read-back copies give exact bits or a typed error, and a core failure
+  re-runs the same program with a survivor taking over the dead core's
+  op stream, so no served member is ever recomputed.
 * **Honest accounting.** Failed fault-injection attempts charge their
   modeled time to the cluster (``lost_s``), cold tunes are charged to
   the batch that hit them, and shed requests stay in the tables.
@@ -176,7 +177,9 @@ class ServeReport:
     warmup: WarmupReport
     makespan_s: float
     offered_rps: float
-    #: fault-struck members whose bits a fault-free recompute replaced
+    #: always 0: a core failure keeps the program's partition and ABFT
+    #: gives exact bits or an error, so no served member is recomputed
+    #: (kept while the benchmark harness reads it)
     verify_repaired: int = 0
     redispatches: int = 0
     #: degradation outcome (None when no degrade policy was configured)
@@ -280,7 +283,6 @@ class ServeReport:
             f"{self.latency_quantile(0.99) * 1e3:.3f} ms",
             f"  batches: {len(self.batches)} "
             f"(mean size {self.mean_batch_size:.2f}), "
-            f"verify repaired {self.verify_repaired}, "
             f"re-dispatches {self.redispatches}, "
             f"warmed buckets {self.warmup.n_buckets}",
         ]
@@ -308,7 +310,6 @@ class _Execution:
     b_resident: bool = False
     lost_s: float = 0.0
     redispatches: int = 0
-    repaired: int = 0
     error: str | None = None
     attempt_errors: list[str] = field(default_factory=list)
     #: the backend the final attempt ran on (health-aware re-routing may
@@ -391,7 +392,6 @@ class ServeEngine:
         self.records: dict[int, RequestRecord] = {}
         self.batch_records: list[BatchRecord] = []
         self.pending = 0               # admitted, not yet started
-        self.verify_repaired = 0
         self.redispatches = 0
         self.last_finish_s = 0.0
         self.last_arrival_s = 0.0
@@ -686,6 +686,12 @@ class ServeEngine:
         stage_s = (a_bytes + b_bytes + 2 * c_bytes) / cpu_bw
         stage_nob_s = (a_bytes + 2 * c_bytes) / cpu_bw
 
+        # the stacked program the batch is charged, once: the analytic
+        # model reads no fault plan, so a failed attempt costs the same
+        gemm_s = grouped_gemm(
+            None, None, None, m_blocks=m_blocks, n=n, k=k,
+            machine=self.machine, timing="analytic",
+        ).seconds
         lost_s = 0.0
         attempt_errors: list[str] = []
         failed_on: list[int] = []
@@ -715,7 +721,7 @@ class ServeEngine:
                 served = []
                 for i, req in enumerate(batch.requests):
                     c = req.c.copy()
-                    run = ftimm_gemm(
+                    ftimm_gemm(
                         req.shape.m, req.shape.n, req.shape.k,
                         a=req.a, b=req.b, c=c, machine=self.machine,
                         timing="none",
@@ -725,18 +731,11 @@ class ServeEngine:
                             faults, seed=faults.seed + 101 * i
                         ),
                     )
-                    served.append((req, c, run.faults))
-                result = grouped_gemm(
-                    None, None, None, m_blocks=m_blocks, n=n, k=k,
-                    machine=self.machine, timing="analytic", faults=faults,
-                )
+                    served.append((req, c))
                 break
             except FaultError as exc:
                 # the failed attempt's modeled time is honestly lost
-                lost_s += grouped_gemm(
-                    None, None, None, m_blocks=m_blocks, n=n, k=k,
-                    machine=self.machine, timing="analytic",
-                ).seconds
+                lost_s += gemm_s
                 attempt_errors.append(f"{type(exc).__name__}: {exc}")
                 if m is not None:
                     m.counter("serve/redispatches").inc()
@@ -745,40 +744,20 @@ class ServeEngine:
                 if self.sched.health is not None:
                     route = self.sched.route_retry(now, set(failed_on))
                 if len(attempt_errors) > cfg.max_redispatch:
-                    served, result = [], None
+                    served = None
                     break
 
-        repaired = 0
-        for req, c, report in served:
-            if report is not None and (
-                report.injected_bitflips or report.core_failures
-            ):
-                # the plan struck this member: a core-failure re-plan or
-                # a fault past ABFT may have moved its bits, so the
-                # served bits are a fault-free standalone recompute's
-                clean = req.c.copy()
-                ftimm_gemm(
-                    req.shape.m, req.shape.n, req.shape.k,
-                    a=req.a, b=req.b, c=clean,
-                    machine=self.machine, timing="none",
-                )
-                if not np.array_equal(clean, c):
-                    c = clean
-                    repaired += 1
+        for req, c in served or ():
             req.c[...] = c
-        if repaired and m is not None:
-            m.counter("serve/verify/repaired").inc(repaired)
-
         return _Execution(
-            ok=result is not None,
-            gemm_s=result.seconds if result is not None else 0.0,
+            ok=served is not None,
+            gemm_s=gemm_s if served is not None else 0.0,
             tune_s=tune_s,
             stage_s=stage_s,
             stage_nob_s=stage_nob_s,
             lost_s=lost_s,
             redispatches=len(attempt_errors),
-            repaired=repaired,
-            error=None if result is not None else attempt_errors[-1],
+            error=None if served is not None else attempt_errors[-1],
             attempt_errors=attempt_errors,
             backend=route,
             fault_clusters=failed_on,
@@ -799,7 +778,6 @@ class ServeEngine:
         if execution.ok:
             self.sched.note_success(backend.idx, finish)
         self.last_finish_s = max(self.last_finish_s, finish)
-        self.verify_repaired += execution.repaired
         self.redispatches += execution.redispatches
         self.batch_records.append(BatchRecord(
             batch_id=batch.batch_id,
@@ -884,9 +862,11 @@ def warm_engine(
     """Pre-tune every distinct bucket class the request stream will hit.
 
     Shared by the replay client (:func:`serve`) and the asyncio
-    :class:`~repro.serve.gateway.Gateway`, so both paths pre-populate the
-    same plan/kernel caches and charge identical cold-tune penalties —
-    part of the gateway-vs-replay bit-identity contract.  Each class is
+    :class:`~repro.serve.gateway.Gateway`, so both paths generate the
+    same micro-kernels up front (the only state warmup leaves: the tuner
+    caches nothing and an analytic call lowers nothing) and charge
+    identical cold-tune penalties — part of the gateway-vs-replay
+    bit-identity contract.  Each class is
     rule-tuned at its :func:`expected_stack_hints` stacked M; warmup
     only steers which shapes get pre-cached, never results.
     """
@@ -939,7 +919,6 @@ def assemble_report(
         offered_rps=(
             len(records) / last_arrival if last_arrival > 0 else 0.0
         ),
-        verify_repaired=engine.verify_repaired,
         redispatches=engine.redispatches,
         degrade=degrade_report,
         placement=(

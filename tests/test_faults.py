@@ -37,6 +37,7 @@ from repro.faults import (
     FaultReport,
     chaos_sweep,
 )
+from repro.faults.chaos import DEFAULT_SHAPES
 from repro.faults.inject import _abft_expect, _abft_ok
 from repro.hw.config import default_machine
 from repro.obs import collecting, tracing
@@ -222,7 +223,8 @@ class TestBitflipRecovery:
 
 
 class TestCoreFailure:
-    def test_functional_redispatch_matches_reduced_cluster(self, operands):
+    def test_functional_redispatch_matches_fault_free_run(self, operands,
+                                                          baseline):
         a, b = operands
         c = np.zeros((M, N), np.float32)
         result = ftimm_gemm(
@@ -232,15 +234,46 @@ class TestCoreFailure:
         report = result.faults
         assert report.core_failures == 1
         assert report.redispatches == 1
-        assert result.n_cores == report.final_cores
-        # re-dispatch must reproduce the fault-free run on the surviving
-        # cores bit-for-bit (same strategy, one fewer core)
-        ref = np.zeros((M, N), np.float32)
-        ftimm_gemm(
-            M, N, K, a=a, b=b, c=ref, timing="none",
-            cores=result.n_cores, force_strategy=result.strategy,
+        assert result.n_cores == report.final_cores == 7
+        # a survivor runs the dead core's op stream of the same program,
+        # so C is the fault-free full-cluster run's, bit for bit
+        assert np.array_equal(c, baseline)
+
+    def test_two_faults_round_robin_over_survivors(self, operands,
+                                                   baseline):
+        a, b = operands
+        c = np.zeros((M, N), np.float32)
+        result = ftimm_gemm(
+            M, N, K, a=a, b=b, c=c, timing="des",
+            faults=FaultPlan(core_faults=(
+                CoreFault(core=0, after_s=1e-6, after_ops=1),
+                CoreFault(core=1, after_s=1e-6, after_ops=1),
+            )),
         )
-        assert np.array_equal(c, ref)
+        report = result.faults
+        # each phase loses core 0, then core 1 (hosting core 0's stream)
+        assert report.core_failures == report.redispatches == 4
+        assert result.n_cores == report.final_cores == 6
+        assert np.array_equal(c, baseline)
+        # the first two survivors, cores 2 and 3, host one dead stream each
+        busy = result.timing.core_busy
+        assert busy[0] == busy[1] == 0.0
+        assert busy[2] == busy[3] == pytest.approx(2 * busy[4])
+
+    def test_fault_on_a_dead_core_never_fires(self, operands, baseline):
+        a, b = operands
+        c = np.zeros((M, N), np.float32)
+        result = ftimm_gemm(
+            M, N, K, a=a, b=b, c=c, timing="des",
+            faults=FaultPlan(core_faults=(
+                CoreFault(core=3, after_s=1e-6, after_ops=1),
+                CoreFault(core=3, after_s=0.0, after_ops=0),
+            )),
+        )
+        report = result.faults
+        assert report.core_failures == report.redispatches == 2
+        assert result.n_cores == report.final_cores == 7
+        assert np.array_equal(c, baseline)
 
     def test_timed_redispatch_reports_lost_time(self):
         clean = ftimm_gemm(M, N, K, timing="des")
@@ -251,7 +284,8 @@ class TestCoreFailure:
         report = result.faults
         assert report.redispatches == 1
         assert report.lost_s > 0.0
-        # the discarded work and the smaller cluster both cost time
+        # the discarded work and the survivor running two streams both
+        # cost time
         assert result.seconds > clean.seconds
 
     def test_last_core_failure_is_loud(self, operands):
@@ -379,6 +413,65 @@ def bits(c):
 def fault_counters(reg):
     return {name: entry["value"] for name, entry in reg.snapshot().items()
             if name.startswith("faults/") and name != "faults/quiet_replays"}
+
+
+class TestCoreLossKeepsBits:
+    """A core failure re-runs the same program, a survivor taking over the
+    dead core's op stream: C is the fault-free full-cluster run's on
+    every strategy, serve shape and failed core, and the DES finishes on
+    the survivors."""
+
+    @staticmethod
+    def operands(m, n, k):
+        rng = np.random.default_rng([m, n, k, 1])
+        return tuple(
+            rng.standard_normal(dims).astype(np.float32)
+            for dims in ((m, k), (k, n), (m, n))
+        )
+
+    @pytest.mark.parametrize("core", [0, 7])
+    @pytest.mark.parametrize("strategy", ["m", "k"])
+    @pytest.mark.parametrize("shape", MIX_SHAPES + [
+        (64, 16, 16384), (64, 64, 4096),
+    ], ids=str)
+    def test_after_ops_fault_keeps_bits(self, shape, strategy, core):
+        a, b, c0 = self.operands(*shape)
+        ref = c0.copy()
+        clean = ftimm_gemm(*shape, a=a, b=b, c=ref, timing="none",
+                           force_strategy=strategy)
+        c = c0.copy()
+        result = ftimm_gemm(
+            *shape, a=a, b=b, c=c, timing="none", force_strategy=strategy,
+            faults=FaultPlan(core_faults=(CoreFault(core, after_ops=1),)),
+        )
+        cluster = default_machine().cluster
+        program = lowered_program(GemmShape(*shape), cluster, clean.decision)
+        struck = len(program.core_ops[core]) > 1
+        assert result.faults.core_failures == result.faults.redispatches \
+            == int(struck)
+        assert result.n_cores == cluster.n_cores - struck
+        assert np.array_equal(bits(c), bits(ref))
+
+    @pytest.mark.parametrize("strategy", ["m", "k"])
+    @pytest.mark.parametrize("shape", MIX_SHAPES, ids=str)
+    def test_after_s_fault_keeps_bits(self, shape, strategy):
+        a, b, c0 = self.operands(*shape)
+        ref = c0.copy()
+        clean = ftimm_gemm(*shape, a=a, b=b, c=ref, timing="des",
+                           force_strategy=strategy)
+        c = c0.copy()
+        result = ftimm_gemm(
+            *shape, a=a, b=b, c=c, timing="des", force_strategy=strategy,
+            faults=FaultPlan(core_faults=(
+                CoreFault(0, after_s=clean.seconds / 8),
+            )),
+        )
+        report = result.faults
+        assert report.core_failures == report.redispatches == 1
+        assert result.n_cores == 7
+        assert 0.0 < report.lost_s < clean.seconds
+        assert result.seconds > clean.seconds
+        assert np.array_equal(bits(c), bits(ref))
 
 
 class TestQuietAttempts:
@@ -581,6 +674,16 @@ class TestInputValidation:
 
 
 class TestChaosSweep:
+    def test_default_shapes_tune_as_documented(self):
+        """The grid holds the strategies ``DEFAULT_SHAPES``' comment names,
+        K-parallel included, so the core-loss scenario covers its fixed
+        reduction order."""
+        want = {(96, 32, 128): "m", (24, 8, 256): "m", (24, 8, 2048): "k",
+                (64, 96, 64): "m"}
+        assert sorted(DEFAULT_SHAPES) == sorted(want)
+        for shape, strategy in want.items():
+            assert ftimm_gemm(*shape, timing="none").strategy == strategy
+
     def test_mini_sweep_no_silence(self):
         summary = chaos_sweep(
             shapes=((24, 8, 64),),

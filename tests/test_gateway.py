@@ -275,10 +275,8 @@ class TestMetricsMerge:
         async def drive(gw):
             tasks = [asyncio.ensure_future(gw.submit(r)) for r in reqs]
             await asyncio.sleep(0)
-            gw.stats()                      # mid-flight snapshot #1
             await asyncio.gather(*tasks)
-            gw.stats()                      # snapshot #2, post-resolution
-            await gw.close()                # final fold
+            await gw.close()
 
         with collecting() as got:
             gw = Gateway(config)

@@ -525,39 +525,6 @@ class TestRegistryMerge:
         a = MetricsRegistry()
         assert a.merge(MetricsRegistry()) is a
 
-    def test_baseline_merge_never_double_counts(self):
-        """Regression: re-merging a still-growing registry (the gateway
-        teardown pattern) must apply only the delta since the snapshot
-        already folded in."""
-        main, live = MetricsRegistry(), MetricsRegistry()
-        live.counter("c").inc(3)
-        live.histogram("h").add(1e-3)
-        live.histogram("h").add(2e-3)
-        live.distribution("d").add(1.0)
-        main.merge(live)                                # in-flight snapshot
-        base = MetricsRegistry.from_snapshot(live.snapshot())
-        live.counter("c").inc(2)
-        live.histogram("h").add(4e-3)
-        live.distribution("d").add(5.0)
-        main.merge(live, baseline=base)                 # teardown fold
-        snap = main.snapshot()
-        assert snap["c"]["value"] == 5
-        assert snap["h"]["count"] == 3
-        assert snap["h"]["total"] == pytest.approx(7e-3)
-        ref = MetricsRegistry().merge(live).snapshot()["h"]
-        assert snap["h"]["counts"] == ref["counts"]
-        assert snap["d"]["count"] == 2
-        assert snap["d"]["max"] == pytest.approx(5.0)
-
-    def test_baseline_merge_kind_mismatch_raises(self):
-        main, live, base = (
-            MetricsRegistry(), MetricsRegistry(), MetricsRegistry(),
-        )
-        live.counter("x").inc()
-        base.gauge("x").set(1.0)
-        with pytest.raises(ReproError):
-            main.merge(live, baseline=base)
-
     def test_parallel_map_merges_worker_metrics(self):
         with collecting() as reg:
             out = parallel_map(_worker_fn, list(range(6)), jobs=2)
