@@ -1,6 +1,6 @@
 """CI tune smoke: the adaptive plan search must pay for itself.
 
-One gate, on reference shapes with a hermetic (temp-dir) kernel cache:
+One gate, on reference shapes with a fresh kernel registry:
 **pruning identity** — the bound-pruned search must fully score at most
 half of the candidate grid while selecting a plan **bit-identical** to
 the exhaustive search (the correctness invariant: pruning is a search-
@@ -14,13 +14,11 @@ Usage::
 from __future__ import annotations
 
 import sys
-import tempfile
-from pathlib import Path
 
 from repro.core.autotune import autotune
 from repro.core.shapes import GemmShape
 from repro.hw.config import default_machine
-from repro.kernels.registry import KernelDiskCache, KernelRegistry
+from repro.kernels.registry import KernelRegistry
 
 #: shapes with full candidate grids (tiny grids are all-finalist anyway)
 REFERENCE_SHAPES = [
@@ -29,10 +27,6 @@ REFERENCE_SHAPES = [
     GemmShape(20480, 16, 20480),
 ]
 MAX_SCORED_FRACTION = 0.5
-
-
-def _registry(tmp: Path, cluster):
-    return KernelRegistry(cluster.core, disk=KernelDiskCache(tmp / "kernels"))
 
 
 def gate_pruning(cluster, registry) -> bool:
@@ -54,8 +48,7 @@ def gate_pruning(cluster, registry) -> bool:
 
 def main() -> int:
     cluster = default_machine().cluster
-    with tempfile.TemporaryDirectory(prefix="repro-tune-smoke-") as tmp:
-        ok = gate_pruning(cluster, _registry(Path(tmp), cluster))
+    ok = gate_pruning(cluster, KernelRegistry(cluster.core))
     if ok:
         print("OK: the pruning-identity gate holds")
         return 0

@@ -473,12 +473,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     warmup = result.points[-1].report.warmup
     if warmup.n_buckets:
-        line = (f"warmup: {warmup.n_buckets} bucket(s) "
-                f"in {warmup.wall_s * 1e3:.1f} ms")
-        if warmup.hinted:
-            line += f", {warmup.hinted} at hinted stacked M"
         print()
-        print(line)
+        print(f"warmup: {warmup.n_buckets} bucket(s) "
+              f"in {warmup.wall_s * 1e3:.1f} ms")
 
     hist_lines = _histogram_lines(reg)
     if hist_lines:

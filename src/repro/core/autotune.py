@@ -40,6 +40,7 @@ from ..hw.config import ClusterConfig
 from ..obs.registry import ProfileScope, current as _obs_current
 from ..kernels.registry import KernelRegistry, registry_for
 from .blocking import FP32, KPlan, MPlan, MIN_GOOD_M_S, N_MAX
+from .ftimm import DES_OP_LIMIT, estimate_ops
 from .plan_search import SearchStats, plan_bound
 from .shapes import GemmShape
 from .tuner import tune
@@ -48,9 +49,6 @@ from .tuner import tune
 M_S_GRID = (6, 8, 10, 12, 14)
 #: k_a seeds; each is clamped to K, SM capacity and AM capacity.
 K_A_GRID = (32, 64, 128, 256, 512, 864, 1024, 2048)
-#: DES validation runs only when every finalist (and the rule plan) lowers
-#: to at most this many ops (:func:`_estimate_ops`).
-VALIDATE_OP_LIMIT = 60_000
 
 
 @dataclass(frozen=True)
@@ -165,12 +163,6 @@ def _score(
     return Candidate(strategy, plan, t.seconds)
 
 
-def _estimate_ops(shape: GemmShape, cand: Candidate) -> int:
-    plan = cand.plan
-    kernels = math.ceil(shape.m / plan.m_s) * math.ceil(shape.k / plan.k_a)
-    return 2 * kernels + 16
-
-
 def _des_score(
     shape: GemmShape,
     cluster: ClusterConfig,
@@ -255,10 +247,10 @@ def autotune(
     Candidates are screened with the analytic model; the best
     ``validate_top`` of them (plus the rule-based plan) are re-scored with
     the event-driven simulator when the lowered plan is small enough
-    (:data:`VALIDATE_OP_LIMIT`), and the final ranking uses the validated
-    scores.  ``validate_top=0`` disables validation (pure analytic search
-    — the ablation showing why validation matters); a negative value is
-    rejected.
+    (:data:`~repro.core.ftimm.DES_OP_LIMIT`), and the final ranking uses
+    the validated scores.  ``validate_top=0`` disables validation (pure
+    analytic search — the ablation showing why validation matters); a
+    negative value is rejected.
 
     ``mode="pruned"`` (default) orders candidates by a kernel-free
     analytic lower bound (:func:`~repro.core.plan_search.plan_bound`) and
@@ -320,7 +312,7 @@ def autotune(
         if validate_top > 0:
             finalists = candidates[:validate_top]
             if all(
-                _estimate_ops(shape, c) <= VALIDATE_OP_LIMIT
+                estimate_ops(shape, c.strategy, c.plan) <= DES_OP_LIMIT
                 for c in [*finalists, rule]
             ):
                 with ProfileScope("tuner/des_validate_wall_s"):

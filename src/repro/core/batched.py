@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PlanError, ShapeError
-from ..faults.plan import FaultPlan
 from ..hw.config import MachineConfig, default_machine
 from ..obs.registry import current as _obs_current
 from .ftimm import GemmResult, ftimm_gemm
@@ -156,15 +155,11 @@ def grouped_gemm(
     k: int | None = None,
     machine: MachineConfig | None = None,
     timing: str = "auto",
-    faults: FaultPlan | None = None,
 ) -> GroupedGemmResult:
     """Run ``C_i += A_i @ B`` for all i as one stacked GEMM.
 
     Either pass real operands (``a_blocks``/``b``/``c_blocks``) or, for a
-    timing-only estimate, pass ``m_blocks``/``n``/``k``.  ``faults`` arms
-    seeded fault injection on the stacked run (see :mod:`repro.faults`):
-    the group either completes exactly or raises a typed ``FaultError``
-    before any ``c_blocks`` entry is written back.
+    timing-only estimate, pass ``m_blocks``/``n``/``k``.
     """
     machine = machine or default_machine()
     if a_blocks is not None:
@@ -184,7 +179,7 @@ def grouped_gemm(
         total_m = stacked_a.shape[0]
         result = ftimm_gemm(
             total_m, n_, k_, a=stacked_a, b=b, c=stacked_c,
-            machine=machine, timing=timing, faults=faults,
+            machine=machine, timing=timing,
         )
         row = 0
         for c_i in c_blocks:
@@ -200,9 +195,7 @@ def grouped_gemm(
     if not m_blocks:
         raise ShapeError("empty group")
     total_m = sum(m_blocks)
-    result = ftimm_gemm(
-        total_m, n, k, machine=machine, timing=timing, faults=faults
-    )
+    result = ftimm_gemm(total_m, n, k, machine=machine, timing=timing)
     return GroupedGemmResult(
         shape=GemmShape(total_m, n, k), n_items=len(m_blocks), result=result
     )

@@ -351,10 +351,12 @@ class _OpRun(Event):
 
     Starts at the current time (so a walk spawns several ops "at once"),
     waits for its ``deps`` to fire, then runs on its core's DMA engine or
-    compute pipeline.
+    compute pipeline.  ``core`` is the core that runs it: the walk's own,
+    or the survivor hosting a dead core's stream; its spans and profile
+    time go to that core.
     """
 
-    __slots__ = ("walk", "op", "deps", "epoch", "pending", "t_start")
+    __slots__ = ("walk", "op", "deps", "epoch", "pending", "t_start", "core")
 
     def __init__(self, walk: _Walk, op, deps: list[Event]) -> None:
         super().__init__()
@@ -387,6 +389,7 @@ class _OpRun(Event):
             # a dead core's stream runs on the survivor hosting it
             core = run.faults.host(core)
             run.faults.check_core_alive_timed(core, run.sim.now)
+        self.core = core
         op = self.op
         if op.kind is OpKind.DMA:
             self.t_start = run.sim.now
@@ -399,7 +402,7 @@ class _OpRun(Event):
         if run.prof is not None:
             desc = self.op.desc
             run.prof.add_dma(
-                self.epoch, self.walk.core, self.t_start, run.sim.now,
+                self.epoch, self.core, self.t_start, run.sim.now,
                 desc.medium.value, desc.nbytes,
             )
         self.succeed()
@@ -408,7 +411,7 @@ class _OpRun(Event):
         run = self.walk.run
         if run.prof is not None or run.tracer is not None:
             op = self.op
-            core = self.walk.core
+            core = self.core
             duration = op.cycles / run.clock
             if run.prof is not None:
                 run.prof.add_compute(self.epoch, core, duration)

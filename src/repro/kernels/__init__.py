@@ -9,38 +9,18 @@ traditional fixed 6x96 kernel with implicit padding;
 """
 
 from .generator import (
-    GENERATOR_VERSION,
     BlockInfo,
     MicroKernel,
     generate_kernel,
     max_m_u,
     select_tiling,
 )
-from .registry import (
-    KernelDiskCache,
-    KernelRegistry,
-    default_cache_dir,
-    registry_for,
-)
-from .serialize import (
-    KERNEL_FORMAT,
-    instr_from_dict,
-    instr_to_dict,
-    kernel_from_dict,
-    kernel_to_dict,
-    program_from_dict,
-    program_to_dict,
-    schedule_from_dict,
-    schedule_to_dict,
-)
+from .registry import KernelRegistry, registry_for
 from .spec import KernelSpec, MAX_M_S, MAX_N_A
 from .tgemm_kernel import TGEMM_M_S, TGEMM_N_A, generate_tgemm_kernel
 
 __all__ = [
     "BlockInfo",
-    "GENERATOR_VERSION",
-    "KERNEL_FORMAT",
-    "KernelDiskCache",
     "KernelRegistry",
     "KernelSpec",
     "MAX_M_S",
@@ -48,18 +28,9 @@ __all__ = [
     "MicroKernel",
     "TGEMM_M_S",
     "TGEMM_N_A",
-    "default_cache_dir",
     "generate_kernel",
     "generate_tgemm_kernel",
-    "instr_from_dict",
-    "instr_to_dict",
-    "kernel_from_dict",
-    "kernel_to_dict",
     "max_m_u",
-    "program_from_dict",
-    "program_to_dict",
     "registry_for",
-    "schedule_from_dict",
-    "schedule_to_dict",
     "select_tiling",
 ]

@@ -50,10 +50,6 @@ from ..isa.units import units_for
 from ..isa.validator import validate_program
 from .spec import KernelSpec
 
-#: bump when generated instruction streams or schedules change meaning;
-#: the on-disk kernel cache (:mod:`repro.kernels.registry`) keys on this.
-GENERATOR_VERSION = 1
-
 
 #: accumulator-independence target: enough FMAs in flight per iteration to
 #: cover the FMAC latency on all three pipes.

@@ -1,4 +1,4 @@
-"""Kernel cache: in-memory memoization plus a persistent disk cache.
+"""Kernel cache: in-memory memoization of generated kernels.
 
 Generating a kernel involves modulo scheduling, which is the expensive part
 of a GEMM *plan* (the paper generates assembly ahead of time and selects at
@@ -6,41 +6,17 @@ runtime).  Drivers request kernels through :class:`KernelRegistry`, which
 memoizes by specification, so sweeping M in an experiment reuses kernels
 instead of rescheduling per call.
 
-Two levels:
-
-* **memory** — per-registry dicts keyed by spec, as before;
-* **disk** (:class:`KernelDiskCache`) — serialized kernels + schedules
-  keyed by a digest of (kind, spec, core config, generator version,
-  serialization format).  Repeat runs and autotuner worker processes skip
-  modulo scheduling entirely.  Reloaded schedules are re-verified, and a
-  corrupt or truncated cache file is treated as a miss and overwritten.
-
-Cache location: ``$REPRO_KERNEL_CACHE`` if set (``0``/``off`` disables the
-disk level), else ``~/.cache/repro/kernels``.  Files live in a
-version-stamped subdirectory, so bumping ``GENERATOR_VERSION`` or
-``KERNEL_FORMAT`` invalidates old entries without deleting them.
-
 Hit/miss counters are published to :mod:`repro.obs` under
 ``kernels/cache/*`` whenever a metrics registry is active.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
-import os
-import tempfile
-from pathlib import Path
-
 from ..hw.config import DspCoreConfig
 from ..obs.registry import current as _obs_current
-from .generator import GENERATOR_VERSION, MicroKernel, generate_kernel
-from .serialize import KERNEL_FORMAT, kernel_from_dict, kernel_to_dict
+from .generator import MicroKernel, generate_kernel
 from .spec import KernelSpec
 from .tgemm_kernel import generate_tgemm_kernel
-
-_DISABLE_VALUES = ("", "0", "off", "none")
 
 
 def _count(event: str) -> None:
@@ -49,124 +25,13 @@ def _count(event: str) -> None:
         m.counter(f"kernels/cache/{event}").inc()
 
 
-def default_cache_dir() -> Path | None:
-    """Disk-cache root from ``$REPRO_KERNEL_CACHE`` (``0``/``off`` = no disk
-    cache), defaulting to ``~/.cache/repro/kernels``."""
-    env = os.environ.get("REPRO_KERNEL_CACHE")
-    if env is not None:
-        if env.strip().lower() in _DISABLE_VALUES:
-            return None
-        return Path(env).expanduser()
-    return Path.home() / ".cache" / "repro" / "kernels"
-
-
-class KernelDiskCache:
-    """Content-addressed store of serialized kernels.
-
-    Entries are JSON files named by a SHA-256 digest of the full request
-    key (kind + spec + core config + versions), under a subdirectory
-    stamped with the generator and format versions.  Writes are atomic
-    (temp file + rename) so concurrent worker processes never observe a
-    partial entry; unreadable entries are treated as misses.
-    """
-
-    __slots__ = ("root",)
-
-    def __init__(self, root: Path) -> None:
-        self.root = Path(root) / f"v{GENERATOR_VERSION}-f{KERNEL_FORMAT}"
-
-    @staticmethod
-    def key(kind: str, params: dict, core: DspCoreConfig) -> str:
-        payload = {
-            "kind": kind,
-            "params": params,
-            "core": dataclasses.asdict(core),
-            "generator_version": GENERATOR_VERSION,
-            "format": KERNEL_FORMAT,
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def load(self, key: str, core: DspCoreConfig) -> MicroKernel | None:
-        path = self._path(key)
-        try:
-            raw = path.read_text()
-        except OSError:
-            _count("disk_miss")
-            return None
-        try:
-            kern = kernel_from_dict(json.loads(raw), core)
-        except Exception:
-            # corrupt/stale entry: quarantine it (rename to *.bad, kept
-            # for post-mortem instead of destroyed) and regenerate
-            _count("disk_miss")
-            _count("quarantined")
-            try:
-                os.replace(path, path.with_suffix(".json.bad"))
-            except OSError:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            return None
-        _count("disk_hit")
-        return kern
-
-    def store(self, key: str, kern: MicroKernel) -> None:
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            blob = json.dumps(kernel_to_dict(kern), separators=(",", ":"))
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(blob)
-                os.replace(tmp, self._path(key))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return  # a read-only or full cache dir must never fail the run
-        _count("disk_write")
-
-
 class KernelRegistry:
-    """Memoized kernel generation for one core configuration.
+    """Memoized kernel generation for one core configuration."""
 
-    ``disk`` controls the persistent level: a :class:`KernelDiskCache`, or
-    ``None`` to resolve the default location (pass ``disk=False`` to run
-    memory-only, e.g. in tests that must exercise the generator).
-    """
-
-    def __init__(
-        self,
-        core: DspCoreConfig,
-        disk: KernelDiskCache | None | bool = None,
-    ) -> None:
+    def __init__(self, core: DspCoreConfig) -> None:
         self.core = core
-        if disk is None:
-            root = default_cache_dir()
-            disk = KernelDiskCache(root) if root is not None else False
-        self.disk: KernelDiskCache | None = disk or None
         self._ftimm: dict[KernelSpec, MicroKernel] = {}
         self._tgemm: dict[tuple[int, int, int], MicroKernel] = {}
-
-    def _lookup(self, kind: str, params: dict, generate) -> MicroKernel:
-        """Disk-or-generate for one memory miss."""
-        _count("mem_miss")
-        if self.disk is None:
-            return generate()
-        key = KernelDiskCache.key(kind, params, self.core)
-        kern = self.disk.load(key, self.core)
-        if kern is None:
-            kern = generate()
-            self.disk.store(key, kern)
-        return kern
 
     def ftimm(
         self, m_s: int, n_a: int, k_a: int, dtype: str = "f32"
@@ -174,11 +39,8 @@ class KernelRegistry:
         spec = KernelSpec(m_s, n_a, k_a, dtype)
         kernel = self._ftimm.get(spec)
         if kernel is None:
-            kernel = self._lookup(
-                "ftimm",
-                {"m_s": m_s, "n_a": n_a, "k_a": k_a, "dtype": dtype},
-                lambda: generate_kernel(spec, self.core),
-            )
+            _count("mem_miss")
+            kernel = generate_kernel(spec, self.core)
             self._ftimm[spec] = kernel
         else:
             _count("mem_hit")
@@ -188,11 +50,8 @@ class KernelRegistry:
         key = (m_rows, n, k)
         kernel = self._tgemm.get(key)
         if kernel is None:
-            kernel = self._lookup(
-                "tgemm",
-                {"m_rows": m_rows, "n": n, "k": k},
-                lambda: generate_tgemm_kernel(m_rows, n, k, self.core),
-            )
+            _count("mem_miss")
+            kernel = generate_tgemm_kernel(m_rows, n, k, self.core)
             self._tgemm[key] = kernel
         else:
             _count("mem_hit")

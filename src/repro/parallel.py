@@ -17,9 +17,8 @@ the project's conventions:
   also the fallback wherever a pool cannot be created (e.g. restricted
   sandboxes);
 * **worker warm-up** — workers inherit nothing mutable from the parent:
-  each re-derives kernels through the registry, where the persistent disk
-  cache (:mod:`repro.kernels.registry`) keeps them from repeating the
-  parent's modulo scheduling.
+  each generates its own kernels through its process's registry
+  (:mod:`repro.kernels.registry`).
 
 Hardening (all surfaced as ``parallel/*`` counters in :mod:`repro.obs`,
 so ``repro perf`` shows what the pool survived):

@@ -6,7 +6,7 @@ how much that request mattered.  This module adds the policy layer that
 decides *what to lose first* when the world goes wrong, plus the chaos
 harness that proves the answer is still correct:
 
-* :class:`PriorityClass` / :class:`DegradePolicy` — weighted admission
+* :class:`PriorityClass` / :class:`DegradePolicy` — ordered admission
   classes (``interactive`` / ``bulk`` by default).  Each class carries a
   per-class admission threshold (``admit_above``: the queue-fill
   fraction above which this class is shed while higher classes still
@@ -56,7 +56,7 @@ from .slo import SloPolicy
 
 @dataclass(frozen=True)
 class PriorityClass:
-    """One weighted admission class.
+    """One admission class.
 
     ``admit_above`` is the queue-fill fraction at which this class stops
     being admitted (1.0 = only shed at a genuinely full queue, i.e. the
@@ -67,14 +67,11 @@ class PriorityClass:
     """
 
     name: str
-    weight: float = 1.0
     admit_above: float = 1.0
     burn_shed: bool = False
     max_budget_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise PlanError(f"class {self.name}: weight must be > 0")
         if not 0.0 < self.admit_above <= 1.0:
             raise PlanError(
                 f"class {self.name}: admit_above must be in (0, 1]"
@@ -86,14 +83,14 @@ class PriorityClass:
 #: tight-SLO work: admitted while the queue has any room, never
 #: proactively shed — the class the degradation machinery protects.
 INTERACTIVE = PriorityClass(
-    "interactive", weight=2.0, admit_above=1.0, burn_shed=False,
+    "interactive", admit_above=1.0, burn_shed=False,
     max_budget_s=4e-3,
 )
 
 #: loose-SLO bulk work: shed first — above 75% queue fill and whenever
 #: the burn estimate says the error budget is on fire.
 BULK = PriorityClass(
-    "bulk", weight=1.0, admit_above=0.75, burn_shed=True,
+    "bulk", admit_above=0.75, burn_shed=True,
     max_budget_s=None,
 )
 

@@ -39,6 +39,11 @@ from ..workloads.fem import FemOperator
 from ..workloads.transformer import AttentionConfig
 from .request import GemmRequest
 
+#: bursty arrivals: a hot phase runs at this multiple of the mean rate
+BURST_FACTOR = 4.0
+#: bursty arrivals: requests per hot or cold phase
+BURST_LEN = 16
+
 
 @dataclass(frozen=True)
 class ShapeClass:
@@ -174,15 +179,13 @@ def make_requests(
     n_requests: int,
     seed: int = 0,
     arrivals: str = "poisson",
-    burst_factor: float = 4.0,
-    burst_len: int = 16,
 ) -> list[GemmRequest]:
     """Draw an open-loop request stream.
 
     ``arrivals="poisson"`` draws i.i.d. exponential gaps at ``rate_rps``;
-    ``"bursty"`` alternates hot phases (rate x ``burst_factor``) and cold
-    phases every ``burst_len`` requests, with the cold rate chosen so the
-    long-run offered load is still ``rate_rps``.
+    ``"bursty"`` alternates hot phases (rate x :data:`BURST_FACTOR`) and
+    cold phases every :data:`BURST_LEN` requests, with the cold rate chosen
+    so the long-run offered load is still ``rate_rps``.
     """
     classes = get_mix(mix) if isinstance(mix, str) else list(mix)
     if not classes:
@@ -191,8 +194,6 @@ def make_requests(
         raise PlanError("rate_rps and n_requests must be > 0")
     if arrivals not in ("poisson", "bursty"):
         raise PlanError(f"unknown arrival process {arrivals!r}")
-    if burst_factor <= 1.0:
-        raise PlanError("burst_factor must be > 1")
 
     rng = np.random.default_rng([seed, 0xA])
     weights = np.asarray([c.weight for c in classes], dtype=np.float64)
@@ -201,8 +202,8 @@ def make_requests(
 
     # mean gap of (hot, cold) must average to 1/rate:
     # cold_rate = bf * rate / (2 bf - 1)
-    hot_rate = burst_factor * rate_rps
-    cold_rate = burst_factor * rate_rps / (2.0 * burst_factor - 1.0)
+    hot_rate = BURST_FACTOR * rate_rps
+    cold_rate = BURST_FACTOR * rate_rps / (2.0 * BURST_FACTOR - 1.0)
 
     requests = []
     t = 0.0
@@ -210,7 +211,7 @@ def make_requests(
         if arrivals == "poisson":
             gap_rate = rate_rps
         else:
-            gap_rate = hot_rate if (i // burst_len) % 2 == 0 else cold_rate
+            gap_rate = hot_rate if (i // BURST_LEN) % 2 == 0 else cold_rate
         t += float(rng.exponential(1.0 / gap_rate))
         ci = int(rng.choice(len(classes), p=weights))
         cls = classes[ci]

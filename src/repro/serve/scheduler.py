@@ -21,13 +21,10 @@ Three pluggable policies:
 Warmup: steady-state serving must never pay kernel generation on the
 critical path, so the scheduler runs one timing-only call per distinct
 bucket shape class before the stream starts, which generates (and
-caches) the micro-kernels that class's plan uses.  The tuner caches
-nothing, and a timing-only analytic call lowers no program, so the
-kernels are all that warmup leaves behind.  Warmup is *batch-aware*:
-given stack hints (the expected stacked M per bucket, derived from the
-request stream), each bucket is tuned at its expected batch shape
-instead of the first request's M, so the kernels cached up front are the
-ones the stacked steady state actually runs.
+caches) the micro-kernels that class's plan uses, at the M of the
+class's first request.  The tuner caches nothing, and a timing-only
+analytic call lowers no program, so the kernels are all that warmup
+leaves behind.
 
 A batch whose bucket was *not* warmed is charged :data:`COLD_TUNE_S`
 once per bucket — visible in the latency histograms, which is the point.
@@ -55,9 +52,6 @@ WarmKey = tuple[int, int, str]
 
 #: the modeled un-warmed plan-search penalty, in seconds.
 COLD_TUNE_S = 5e-4
-
-#: stack hints: expected stacked M per bucket class.
-StackHints = dict[WarmKey, int]
 
 
 @dataclass
@@ -117,7 +111,6 @@ class WarmupReport:
     n_buckets: int = 0
     wall_s: float = 0.0
     keys: list[WarmKey] = field(default_factory=list)
-    hinted: int = 0                     # buckets warmed at a hinted M
 
 
 class Scheduler:
@@ -335,23 +328,16 @@ class Scheduler:
 
     # -- warmup ------------------------------------------------------------
 
-    def warm(
-        self,
-        shapes: list[tuple[GemmShape, str]],
-        *,
-        stack_hints: StackHints | None = None,
-    ) -> WarmupReport:
+    def warm(self, shapes: list[tuple[GemmShape, str]]) -> WarmupReport:
         """Pre-tune every distinct bucket class, off the critical path.
 
         One rule-tuner pass (a timing-only analytic ftIMM call) per
-        distinct (N, K, dtype) at its expected *stacked* M
-        (``stack_hints``, falling back to the representative request's
-        M), which generates and caches the micro-kernels the stacked
-        steady state will reuse.  It caches no tuning decision and
-        lowers no program: the kernels are all it leaves behind.
+        distinct (N, K, dtype) at the M of its first shape, which
+        generates and caches the micro-kernels that class's plan uses.
+        It caches no tuning decision and lowers no program: the kernels
+        are all it leaves behind.
         """
         report = WarmupReport()
-        hints = stack_hints or {}
         t0 = time.perf_counter()
         with maybe_scope(
             "warmup", category="warmup", track="scheduler", pid=0
@@ -360,11 +346,8 @@ class Scheduler:
                 key: WarmKey = (shape.n, shape.k, dtype)
                 if key in self._warmed:
                     continue
-                m_eff = hints.get(key, shape.m)
-                if m_eff != shape.m:
-                    report.hinted += 1
                 ftimm_gemm(
-                    max(1, int(m_eff)), shape.n, shape.k,
+                    shape.m, shape.n, shape.k,
                     machine=self.machine, timing="analytic", dtype=dtype,
                 )
                 self._warmed.add(key)
@@ -376,8 +359,6 @@ class Scheduler:
         m = current()
         if m is not None:
             m.counter("serve/warmup/buckets").inc(report.n_buckets)
-            if report.hinted:
-                m.counter("serve/warmup/hinted").inc(report.hinted)
         return report
 
     def tune_penalty(self, key: WarmKey) -> float:

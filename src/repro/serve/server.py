@@ -76,37 +76,10 @@ from .request import (
     GemmRequest,
     RequestRecord,
 )
-from .scheduler import (
-    Scheduler,
-    StackHints,
-    WarmKey,
-    WarmupReport,
-)
+from .scheduler import Scheduler, WarmKey, WarmupReport
 from .spans import serve_spans
 
 FP32 = 4
-
-
-def expected_stack_hints(
-    requests: list[GemmRequest], max_batch: int
-) -> StackHints:
-    """Expected stacked M per bucket class, from the request stream.
-
-    For each (N, K, dtype) class, the batcher will split the class's
-    requests into stacks of at most ``max_batch``; the expected stacked M
-    is total M over the expected batch count.  Purely a function of the
-    request list and ``max_batch`` — deterministic, so hinted warmup
-    keeps the replay contract.
-    """
-    per: dict[WarmKey, list[int]] = {}
-    for req in requests:
-        key: WarmKey = (req.shape.n, req.shape.k, dtype_tag(req.b.dtype))
-        per.setdefault(key, []).append(req.shape.m)
-    hints: StackHints = {}
-    for key, ms in per.items():
-        n_batches = max(1, -(-len(ms) // max(1, max_batch)))
-        hints[key] = max(1, round(sum(ms) / n_batches))
-    return hints
 
 
 @dataclass(frozen=True)
@@ -866,9 +839,9 @@ def warm_engine(
     same micro-kernels up front (the only state warmup leaves: the tuner
     caches nothing and an analytic call lowers nothing) and charge
     identical cold-tune penalties — part of the gateway-vs-replay
-    bit-identity contract.  Each class is
-    rule-tuned at its :func:`expected_stack_hints` stacked M; warmup
-    only steers which shapes get pre-cached, never results.
+    bit-identity contract.  Each class is rule-tuned at its first
+    request's M; warmup only steers which kernels get pre-generated,
+    never results.
     """
     config = engine.config
     if not config.warmup:
@@ -877,10 +850,7 @@ def warm_engine(
     for req in requests:
         key = (req.shape.n, req.shape.k, dtype_tag(req.b.dtype))
         seen.setdefault(key, req.shape)
-    return engine.sched.warm(
-        [(s, key[2]) for key, s in seen.items()],
-        stack_hints=expected_stack_hints(requests, config.max_batch),
-    )
+    return engine.sched.warm([(s, key[2]) for key, s in seen.items()])
 
 
 def assemble_report(

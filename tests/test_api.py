@@ -82,10 +82,31 @@ class TestFacade:
         ("repro.core.batched", "BatchedGemmResult"),
         ("repro.parallel", "POOL_MIN_UNITS"),
         ("repro.core.autotune", "_score_unit"),
+        ("repro.core.autotune", "VALIDATE_OP_LIMIT"),
+        ("repro.kernels", "KernelDiskCache"),
+        ("repro.kernels", "kernel_from_dict"),
+        ("repro.kernels", "GENERATOR_VERSION"),
+        ("repro.serve.server", "expected_stack_hints"),
+        ("repro.serve.scheduler", "StackHints"),
     ])
     def test_uncalled_exports_deleted(self, module, name):
         assert not hasattr(importlib.import_module(module), name)
         assert name not in repro.__all__
+
+    @pytest.mark.parametrize("module, name, kwargs, knob", [
+        ("repro.core.batched", "grouped_gemm",
+         dict(a_blocks=None, b=None, c_blocks=None), "faults"),
+        ("repro.kernels.registry", "KernelRegistry", dict(core=None), "disk"),
+        ("repro.serve.degrade", "PriorityClass", dict(name="x"), "weight"),
+        ("repro.serve.loadgen", "make_requests",
+         dict(mix="fem", rate_rps=1.0, n_requests=1), "burst_factor"),
+        ("repro.serve.loadgen", "make_requests",
+         dict(mix="fem", rate_rps=1.0, n_requests=1), "burst_len"),
+    ])
+    def test_uncalled_knobs_deleted(self, module, name, kwargs, knob):
+        target = getattr(importlib.import_module(module), name)
+        with pytest.raises(TypeError, match=knob):
+            target(**kwargs, **{knob: 1})
 
     def test_version(self):
         assert repro.__version__

@@ -28,6 +28,7 @@ from repro.errors import (
     InputError,
 )
 from repro.executor.functional import run_functional
+from repro.executor.timed import run_timed
 from repro.faults import (
     NO_FAULTS,
     CoreFault,
@@ -259,6 +260,28 @@ class TestCoreFailure:
         busy = result.timing.core_busy
         assert busy[0] == busy[1] == 0.0
         assert busy[2] == busy[3] == pytest.approx(2 * busy[4])
+
+    def test_hosted_stream_is_attributed_to_its_host(self):
+        # core 0 is dead and core 1 runs its op stream: the kernel spans,
+        # profile compute and DMA time of that stream belong to core 1
+        shape = GemmShape(2048, 32, 2048)
+        cluster = default_machine().cluster
+        program = lowered_program(shape, cluster, tune(shape, cluster))
+        with tracing() as tr:
+            timed = run_timed(
+                program, profile=True,
+                faults=FaultInjector(FaultPlan(seed=1), 1, {0: 1}),
+            )
+        epochs = timed.profile.epochs
+        compute = [sum(e.compute_busy[c] for e in epochs)
+                   for c in range(cluster.n_cores)]
+        assert compute == pytest.approx(timed.core_busy, rel=1e-9)
+        assert timed.core_busy[0] == 0.0
+        assert sum(e.dma_busy[0] for e in epochs) == 0.0
+        kernels = tr.by_category("kernel")
+        assert kernels
+        assert not [s for s in kernels if s.track == "core0/compute"]
+        assert not [s for s in kernels if s.args["core"] == 0]
 
     def test_fault_on_a_dead_core_never_fires(self, operands, baseline):
         a, b = operands

@@ -3,7 +3,7 @@ result plumbing."""
 
 import pytest
 
-from repro.core.ftimm import _DES_OP_LIMIT, _estimate_ops, ftimm_gemm, tgemm_gemm
+from repro.core.ftimm import DES_OP_LIMIT, estimate_ops, ftimm_gemm, tgemm_gemm
 from repro.core.shapes import GemmShape
 from repro.core.tuner import tune
 from repro.hw.config import default_machine
@@ -17,7 +17,7 @@ class TestOpEstimation:
         for m, n, k in [(2000, 32, 512), (32, 32, 16384), (1024, 96, 1024)]:
             shape = GemmShape(m, n, k)
             decision = tune(shape, cluster)
-            estimate = _estimate_ops(shape, decision)
+            estimate = estimate_ops(shape, decision.strategy, decision.plan)
             actual = lowered_program(shape, cluster, decision).n_ops
             assert actual / 4 <= estimate <= actual * 4, (m, n, k)
 
@@ -29,7 +29,7 @@ class TestOpEstimation:
         assert huge.timing_mode == "analytic"
 
     def test_limit_is_sane(self):
-        assert 10_000 <= _DES_OP_LIMIT <= 1_000_000
+        assert 10_000 <= DES_OP_LIMIT <= 1_000_000
 
 
 class TestResultPlumbing:

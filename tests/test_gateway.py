@@ -333,14 +333,6 @@ class TestGatewayTrace:
 
 
 class TestStackHints:
-    def test_default_warmup_is_hinted(self):
-        # every bucket class warms at its expected stacked M, on both
-        # the replay and the gateway path
-        for drive in (serve, gateway_replay):
-            report = drive(fast_requests(seed=1), ServeConfig())
-            assert report.warmup.n_buckets > 0
-            assert report.warmup.hinted == report.warmup.n_buckets
-
     def test_config_rejects_bogus_hints_mode(self):
         # warmup has one mode: the old hint and tuner knobs are gone
         with pytest.raises(TypeError, match="stack_hints"):

@@ -293,12 +293,9 @@ class TestPublishedMetrics:
     def test_scheduler_metrics(self):
         from repro.kernels.registry import KernelRegistry
 
-        # a memory-only registry guarantees the scheduler actually runs
-        # (disk=False bypasses the persistent kernel cache)
+        # a fresh registry guarantees the scheduler actually runs
         with collecting() as reg:
-            KernelRegistry(
-                default_machine().cluster.core, disk=False
-            ).ftimm(8, 96, 512)
+            KernelRegistry(default_machine().cluster.core).ftimm(8, 96, 512)
         assert reg.counter("isa/loops_scheduled").value >= 1
         ii = reg.distribution("isa/ii")
         slack = reg.distribution("isa/ii_slack")

@@ -82,10 +82,11 @@ class TestStateless:
         self, cluster, monkeypatch, tmp_path
     ):
         """The search depends only on its arguments: a repeat returns the
-        same answer, and the only files under the cache root are kernels."""
+        same answer, and neither search writes a file."""
         import repro.kernels.registry as kernel_registry
 
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(kernel_registry, "_registries", {})
         shape = GemmShape(2048, 32, 2048)
         first = autotune(shape, cluster)
@@ -94,11 +95,7 @@ class TestStateless:
         assert first.rule == again.rule
         assert first.stats.scored == again.stats.scored
         assert first.stats.trajectory == again.stats.trajectory
-        written = [p for p in tmp_path.rglob("*") if p.is_file()]
-        kernel_root = kernel_registry.KernelDiskCache(tmp_path).root
-        assert written, "the kernel disk cache should have been filled"
-        assert all(p.parent == kernel_root for p in written)
-        assert not (tmp_path / "plans").exists()
+        assert list(tmp_path.rglob("*")) == []
 
     @pytest.mark.parametrize("knob,value", [
         ("plan_db", False), ("transfer", False), ("transfer_tol", 0.25),
@@ -122,27 +119,11 @@ class TestStateless:
 
 
 class TestServeBatchAware:
-    def test_expected_stack_hints_deterministic(self):
-        from repro.serve.loadgen import make_requests
-        from repro.serve.server import expected_stack_hints
-
-        reqs = make_requests(
-            "transformer", rate_rps=4000, n_requests=60, seed=7
-        )
-        h1 = expected_stack_hints(reqs, 8)
-        h2 = expected_stack_hints(list(reqs), 8)
-        assert h1 == h2
-        assert all(m >= 1 for m in h1.values())
-
     def test_warm_hinted_and_cold_penalty(self, machine):
         from repro.serve.scheduler import COLD_TUNE_S, Scheduler
 
         sched = Scheduler(n_clusters=2, policy="fifo", machine=machine)
-        report = sched.warm(
-            [(GemmShape(128, 64, 256), "f32")],
-            stack_hints={(64, 256, "f32"): 512},
-        )
-        assert report.hinted == 1
+        report = sched.warm([(GemmShape(128, 64, 256), "f32")])
         assert report.n_buckets == 1
         assert report.keys == [(64, 256, "f32")]
         # warmed bucket is free; an unknown one charges the constant, once

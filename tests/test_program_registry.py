@@ -103,29 +103,15 @@ class TestRegistryCacheLevels:
     def test_memory_only_registry(self, core):
         from repro.kernels.registry import KernelRegistry
 
-        reg = KernelRegistry(core, disk=False)
-        assert reg.disk is None
+        reg = KernelRegistry(core)
         kern = reg.ftimm(6, 64, 64)
         assert kern.cycles > 0
 
-    def test_default_cache_dir_env(self, monkeypatch, tmp_path):
-        from pathlib import Path
-
-        from repro.kernels.registry import default_cache_dir
-
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
-        assert default_cache_dir() == tmp_path
-        for off in ("0", "off", "none", "", "  OFF "):
-            monkeypatch.setenv("REPRO_KERNEL_CACHE", off)
-            assert default_cache_dir() is None
-        monkeypatch.delenv("REPRO_KERNEL_CACHE")
-        assert default_cache_dir() == Path.home() / ".cache/repro/kernels"
-
-    def test_memory_hit_counters(self, core, tmp_path):
-        from repro.kernels.registry import KernelDiskCache, KernelRegistry
+    def test_memory_hit_counters(self, core):
+        from repro.kernels.registry import KernelRegistry
         from repro.obs import collecting
 
-        reg = KernelRegistry(core, disk=KernelDiskCache(tmp_path))
+        reg = KernelRegistry(core)
         with collecting() as obs:
             reg.ftimm(6, 64, 64)
             reg.ftimm(6, 64, 64)

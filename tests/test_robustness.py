@@ -1,11 +1,10 @@
 """Hardening paths outside the fault injector.
 
 Covers the satellites of the robustness work: the process-pool's
-crash handling, quarantine of corrupt on-disk caches, and the
-torn-write behaviour of the JSONL run-log.  The shared theme matches
-:mod:`tests.test_faults`: degrade loudly (typed errors, ``*.bad``
-quarantine files, counters) instead of crashing obscurely or silently
-reusing bad state.
+crash handling and the torn-write behaviour of the JSONL run-log.  The
+shared theme matches :mod:`tests.test_faults`: degrade loudly (typed
+errors, counters) instead of crashing obscurely or silently reusing bad
+state.
 """
 
 import json
@@ -109,26 +108,6 @@ class TestParallelMapHardening:
             assert par._consecutive_pool_failures == 0
         finally:
             par._pool_disabled, par._consecutive_pool_failures = saved
-
-
-class TestKernelDiskCacheQuarantine:
-    def test_corrupt_entry_quarantined_and_regenerated(self, tmp_path):
-        from repro.hw.config import default_machine
-        from repro.kernels.registry import KernelDiskCache, KernelRegistry
-
-        core = default_machine().cluster.core
-        reg = KernelRegistry(core, disk=KernelDiskCache(tmp_path))
-        kern = reg.ftimm(6, 64, 64)
-        entries = list(tmp_path.rglob("*.json"))
-        assert len(entries) == 1
-        entries[0].write_text("{ not json")
-
-        fresh = KernelRegistry(core, disk=KernelDiskCache(tmp_path))
-        with collecting() as obs:
-            again = fresh.ftimm(6, 64, 64)
-        assert obs.counter("kernels/cache/quarantined").value == 1
-        assert list(tmp_path.rglob("*.json.bad"))
-        assert again.spec == kern.spec
 
 
 class TestRunlogTornWrites:
