@@ -67,7 +67,14 @@ class FaultError(ReproError):
 
 
 class DmaTransferError(FaultError):
-    """A DMA transfer kept failing after every retry-with-backoff."""
+    """A DMA transfer kept failing after every retry-with-backoff.
+
+    ``at_s`` is the simulated time of the give-up.
+    """
+
+    def __init__(self, message: str, at_s: float) -> None:
+        super().__init__(message)
+        self.at_s = at_s
 
 
 class CorruptionError(FaultError):

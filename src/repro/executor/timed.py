@@ -126,7 +126,7 @@ def run_timed(
     run = _Run(execution, cluster, faults, prof, tracer)
     walks = [_Walk(run, core, ops) for core, ops in enumerate(execution.core_ops)]
     for walk in walks:
-        sim.schedule(0.0, walk.start)
+        sim.call_soon(walk.start)
     sim.run()
     if not all(walk.finished for walk in walks):
         raise SimulationError(
@@ -239,14 +239,18 @@ class _Walk:
     Each DMA or KERNEL op spawns an :class:`_OpRun`; the walk waits only
     on the in-flight window and at SYNC ops, where it waits for every
     op of this core before it, arrives, and waits for the release.
+    ``core`` is the stream's own core and ``host`` the core that runs
+    it: the same one, or the survivor hosting a dead core's stream.  Its
+    ops, window stalls and sync waits are charged to ``host``.
     """
 
-    __slots__ = ("run", "core", "ops", "events", "idx", "epoch", "t_mark",
-                 "done", "pending", "then", "finished")
+    __slots__ = ("run", "core", "host", "ops", "events", "idx", "epoch",
+                 "t_mark", "done", "pending", "then", "finished")
 
     def __init__(self, run: _Run, core: int, ops) -> None:
         self.run = run
         self.core = core
+        self.host = core if run.faults is None else run.faults.host(core)
         self.ops = ops
         #: per op: its completion event (a SYNC's is the release)
         self.events: list[Event | None] = [None] * len(ops)
@@ -311,7 +315,7 @@ class _Walk:
         prof = self.run.prof
         if prof is not None:
             prof.add_window_stall(
-                self.epoch, self.core, self.run.sim.now - self.t_mark
+                self.epoch, self.host, self.run.sim.now - self.t_mark
             )
         self._walk(check_window=False)
 
@@ -327,7 +331,7 @@ class _Walk:
         op = self.ops[self.idx]
         now = run.sim.now
         if run.prof is not None:
-            run.prof.add_sync_wait(self.epoch, self.core, now - self.t_mark)
+            run.prof.add_sync_wait(self.epoch, self.host, now - self.t_mark)
         if run.tracer is not None and self.core == 0:
             run.tracer.record(
                 op.tag or f"sync{op.sync_id}",
@@ -350,13 +354,12 @@ class _OpRun(Event):
     """One DMA or KERNEL op in flight; fires when it completed.
 
     Starts at the current time (so a walk spawns several ops "at once"),
-    waits for its ``deps`` to fire, then runs on its core's DMA engine or
-    compute pipeline.  ``core`` is the core that runs it: the walk's own,
-    or the survivor hosting a dead core's stream; its spans and profile
-    time go to that core.
+    waits for its ``deps`` to fire, then runs on the DMA engine or compute
+    pipeline of its walk's ``host``; its spans and profile time go to
+    that core.
     """
 
-    __slots__ = ("walk", "op", "deps", "epoch", "pending", "t_start", "core")
+    __slots__ = ("walk", "op", "deps", "epoch", "pending", "t_start")
 
     def __init__(self, walk: _Walk, op, deps: list[Event]) -> None:
         super().__init__()
@@ -364,7 +367,7 @@ class _OpRun(Event):
         self.op = op
         self.deps = deps
         self.epoch = walk.epoch
-        walk.run.sim.schedule(0.0, self._start)
+        walk.run.sim.call_soon(self._start)
 
     def _start(self, _arg) -> None:
         pending = 0
@@ -384,12 +387,9 @@ class _OpRun(Event):
 
     def _go(self) -> None:
         run = self.walk.run
-        core = self.walk.core
+        core = self.walk.host
         if run.faults is not None:
-            # a dead core's stream runs on the survivor hosting it
-            core = run.faults.host(core)
             run.faults.check_core_alive_timed(core, run.sim.now)
-        self.core = core
         op = self.op
         if op.kind is OpKind.DMA:
             self.t_start = run.sim.now
@@ -402,7 +402,7 @@ class _OpRun(Event):
         if run.prof is not None:
             desc = self.op.desc
             run.prof.add_dma(
-                self.epoch, self.core, self.t_start, run.sim.now,
+                self.epoch, self.walk.host, self.t_start, run.sim.now,
                 desc.medium.value, desc.nbytes,
             )
         self.succeed()
@@ -411,7 +411,7 @@ class _OpRun(Event):
         run = self.walk.run
         if run.prof is not None or run.tracer is not None:
             op = self.op
-            core = self.core
+            core = self.walk.host
             duration = op.cycles / run.clock
             if run.prof is not None:
                 run.prof.add_compute(self.epoch, core, duration)

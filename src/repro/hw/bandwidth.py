@@ -104,11 +104,21 @@ class SharedChannel:
             [] if record_timeline else None
         )
 
-    def _factor_at(self, t: float) -> float:
-        for start, end, factor in self._windows:
-            if start <= t < end:
-                return factor
-        return 1.0
+    def _flow_rate(self, t: float, n: int) -> float:
+        """Per-flow rate at time ``t`` with ``n`` flows sharing the port."""
+        if self._windows:
+            factor = 1.0
+            for start, end, window_factor in self._windows:
+                if start <= t < end:
+                    factor = window_factor
+                    break
+            rate = self.bandwidth * factor / n
+        else:
+            rate = self.bandwidth / n
+        cap = self.per_flow_cap
+        if cap is not None and cap < rate:
+            rate = cap
+        return rate
 
     def _next_boundary(self, t: float) -> float | None:
         """The earliest window edge strictly after ``t``, if any."""
@@ -119,18 +129,10 @@ class SharedChannel:
                 return end
         return None
 
-    def _aggregate_rate(self) -> float:
-        n = len(self._flows)
-        if n == 0:
-            return 0.0
-        per_flow = self.bandwidth * self._factor_at(self.sim.now) / n
-        if self.per_flow_cap is not None:
-            per_flow = min(per_flow, self.per_flow_cap)
-        return per_flow * n
-
     def _record(self) -> None:
-        if self.timeline is not None:
-            self.timeline.append((self.sim.now, self._aggregate_rate()))
+        n = len(self._flows)
+        rate = self._flow_rate(self.sim.now, n) * n if n else 0.0
+        self.timeline.append((self.sim.now, rate))
 
     # -- public API --------------------------------------------------------
 
@@ -139,11 +141,12 @@ class SharedChannel:
         if nbytes < 0:
             raise SimulationError(f"negative transfer size {nbytes}")
         if nbytes == 0:
-            self.sim.schedule(0.0, fn, arg)
+            self.sim.call_soon(fn, arg)
             return
         self._advance()
         self._flows.append(_Flow(float(nbytes), fn, arg))
-        self._record()
+        if self.timeline is not None:
+            self._record()
         self._reschedule()
 
     @property
@@ -152,11 +155,7 @@ class SharedChannel:
 
     def current_rate(self) -> float:
         """Per-flow bandwidth right now (full bandwidth when idle)."""
-        n = max(1, len(self._flows))
-        rate = self.bandwidth * self._factor_at(self.sim.now) / n
-        if self.per_flow_cap is not None:
-            rate = min(rate, self.per_flow_cap)
-        return rate
+        return self._flow_rate(self.sim.now, max(1, len(self._flows)))
 
     # -- internals ---------------------------------------------------------
 
@@ -170,10 +169,7 @@ class SharedChannel:
         n = len(self._flows)
         # rate is constant over [last_t, now]: wake-ups are capped at
         # window boundaries, so no interval straddles a factor change
-        rate = self.bandwidth * self._factor_at(now - dt) / n
-        if self.per_flow_cap is not None:
-            rate = min(rate, self.per_flow_cap)
-        served = dt * rate
+        served = dt * self._flow_rate(now - dt, n)
         self.stats.busy_time += dt
         self.stats.weighted_concurrency += n * dt
         if n > 1:
@@ -189,7 +185,7 @@ class SharedChannel:
             self._flows.remove(flow)
             self.stats.flows_completed += 1
             flow.fn(flow.arg)
-        if finished:
+        if finished and self.timeline is not None:
             self._record()
 
     def _reschedule(self) -> None:
@@ -204,15 +200,14 @@ class SharedChannel:
         if not self._flows:
             return
         epoch = self._epoch
-        n = len(self._flows)
-        rate = self.bandwidth * self._factor_at(self.sim.now) / n
-        if self.per_flow_cap is not None:
-            rate = min(rate, self.per_flow_cap)
+        now = self.sim.now
+        rate = self._flow_rate(now, len(self._flows))
         min_remaining = min(f.remaining for f in self._flows)
         delay = min_remaining / rate
-        boundary = self._next_boundary(self.sim.now)
-        if boundary is not None:
-            delay = min(delay, boundary - self.sim.now)
+        if self._windows:
+            boundary = self._next_boundary(now)
+            if boundary is not None:
+                delay = min(delay, boundary - now)
         self.sim.schedule(delay, self._on_wake, epoch)
 
     def _on_wake(self, epoch: int) -> None:

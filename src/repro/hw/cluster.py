@@ -133,7 +133,7 @@ class CoreSim:
     def run_kernel(self, cycles: int, fn: Callback, arg: Any = None) -> None:
         """Occupy the compute pipeline for ``cycles`` cycles, starting now
         or when the pipeline frees; ``fn(arg)`` runs when they are done."""
-        self.sim.schedule(0.0, self._request, (cycles, fn, arg))
+        self.sim.call_soon(self._request, (cycles, fn, arg))
 
     def _request(self, kernel: tuple[int, Callback, Any]) -> None:
         self.compute.request(self._granted, kernel)

@@ -48,6 +48,10 @@ class DmaDescriptor:
     tag: str = ""
     #: the slowest memory level this transfer touches (derived)
     medium: MemKind = field(init=False, repr=False, compare=False)
+    #: ``(cfg, effective_bytes(cfg))`` for the last config asked about
+    _effective: tuple[DmaConfig, int] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.row_bytes < 0:
@@ -65,9 +69,16 @@ class DmaDescriptor:
         return self.rows * self.row_bytes
 
     def effective_bytes(self, cfg: DmaConfig) -> int:
+        """Bytes the medium carries; computed once per config."""
+        memo = self._effective
+        if memo is not None and memo[0] is cfg:
+            return memo[1]
         if self.medium is MemKind.DDR:
-            return self.rows * (self.row_bytes + cfg.row_overhead_bytes)
-        return self.nbytes
+            nbytes = self.rows * (self.row_bytes + cfg.row_overhead_bytes)
+        else:
+            nbytes = self.nbytes
+        object.__setattr__(self, "_effective", (cfg, nbytes))
+        return nbytes
 
 
 class DmaTimingModel:
@@ -142,7 +153,7 @@ class DmaEngine:
         pay the startup, move the bytes over the medium's channel, and on
         an injected failure back off and start again.
         """
-        self.sim.schedule(0.0, self._start, _Transfer(desc, fn, arg))
+        self.sim.call_soon(self._start, _Transfer(desc, fn, arg))
 
     def _start(self, x: "_Transfer") -> None:
         queued = self.slots.queued
@@ -185,7 +196,8 @@ class DmaEngine:
                 err = DmaTransferError(
                     f"DMA {desc.tag!r} on core {self.core_id} failed "
                     f"{x.attempt} times (giving up at "
-                    f"t={self.sim.now:.3e}s)"
+                    f"t={self.sim.now:.3e}s)",
+                    at_s=self.sim.now,
                 )
                 self.slots.release()
                 raise err

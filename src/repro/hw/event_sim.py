@@ -4,23 +4,30 @@ This is the substrate under the timed executor: DMA engines, compute
 pipelines and shared-bandwidth channels are small state machines on one
 simulated clock.  The kernel is callback-driven, kept deliberately small:
 
-* the :class:`Simulator` heap holds ``(when, seq, fn, arg)`` entries;
-  popping one sets the clock to ``when`` and calls ``fn(arg)``.
-  :meth:`Simulator.schedule` pushes an entry ``delay`` seconds ahead.
+* the :class:`Simulator` holds pending ``fn(arg)`` calls: a heap of
+  ``(when, seq, fn, arg)`` entries for later instants and a FIFO ready
+  queue for the current one.  :meth:`Simulator.schedule` queues a call
+  ``delay`` seconds ahead; :meth:`Simulator.call_soon` queues one at the
+  current instant (``schedule`` hands it every call that lands there).
 * :class:`Event` — one-shot occurrence with an ordered callback list, for
   what several parties wait on (an op's completion, a barrier release).
 * :class:`Resource` — FIFO resource with integer capacity (DMA channels,
   the single compute pipeline of a core); a request names the callback
-  scheduled when a slot is granted.
+  queued when a slot is granted.
 
-A model waits by registering the callback that continues it: on the heap
-for a delay, on an :class:`Event`'s list for an occurrence, at a
-:class:`Resource` for a slot.  Waiting for several events is a counter
+A model waits by registering the callback that continues it: on the
+simulator for a delay, on an :class:`Event`'s list for an occurrence, at
+a :class:`Resource` for a slot.  Waiting for several events is a counter
 the continuation decrements.
 
-Time is in **seconds** (float).  Determinism: ties on the heap break on a
-monotonically increasing sequence number, and an event calls its
-callbacks in registration order, so runs are exactly repeatable.
+Time is in **seconds** (float).  Determinism: pending calls run in
+``(when, seq)`` order, ``seq`` counting pushes, and an event calls its
+callbacks in registration order, so runs are exactly repeatable.  The
+ready queue keeps that order without the heap: a heap entry due now was
+pushed before the clock reached now, so it runs first, and the queue's
+calls, all pushed at this instant, follow in push order.  Every call is
+one event either way (``events_processed``), and ``heap_peak`` counts
+the pending calls of both.
 """
 
 from __future__ import annotations
@@ -53,9 +60,11 @@ class Event:
         if self.triggered:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self.triggered = True
-        callbacks, self.callbacks = self.callbacks, []
-        for cb in callbacks:
-            cb(self)
+        callbacks = self.callbacks
+        if callbacks:
+            self.callbacks = []
+            for cb in callbacks:
+                cb(self)
         return self
 
     def wait(self, callback: Callable[["Event"], None]) -> None:
@@ -71,11 +80,14 @@ class Event:
 
 
 class Simulator:
-    """Event loop: a heap of ``(when, seq, fn, arg)`` calls to make."""
+    """Event loop over pending ``fn(arg)`` calls: a heap of
+    ``(when, seq, fn, arg)`` entries plus the ready queue of the current
+    instant."""
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Callback, Any]] = []
+        self._ready: deque[tuple[Callback, Any]] = deque()
         self._seq = 0
         self._processed = 0
         self._heap_peak = 0
@@ -83,43 +95,62 @@ class Simulator:
     # -- scheduling --------------------------------------------------------
 
     def schedule(self, delay: float, fn: Callback, arg: Any = None) -> None:
-        """Call ``fn(arg)`` ``delay`` seconds from now."""
+        """Call ``fn(arg)`` ``delay`` seconds from now; a call that lands
+        at the current instant goes to :meth:`call_soon`."""
         if delay < 0:
             raise SimulationError(f"negative timeout {delay}")
-        self._seq = seq = self._seq + 1
-        heap = self._heap
-        heappush(heap, (self.now + delay, seq, fn, arg))
-        if len(heap) > self._heap_peak:
-            self._heap_peak = len(heap)
-
-    def schedule_at(self, when: float, fn: Callback, arg: Any = None) -> None:
-        """Call ``fn(arg)`` at simulated time ``when`` (not in the past)."""
-        if when < self.now - 1e-18:
-            raise SimulationError(
-                f"cannot schedule event at {when} before now={self.now}"
-            )
+        when = self.now + delay
+        if when == self.now:
+            self.call_soon(fn, arg)
+            return
         self._seq = seq = self._seq + 1
         heap = self._heap
         heappush(heap, (when, seq, fn, arg))
-        if len(heap) > self._heap_peak:
-            self._heap_peak = len(heap)
+        pending = len(heap) + len(self._ready)
+        if pending > self._heap_peak:
+            self._heap_peak = pending
+
+    def call_soon(self, fn: Callback, arg: Any = None) -> None:
+        """Call ``fn(arg)`` at the current instant, after every call
+        already pending for it."""
+        ready = self._ready
+        ready.append((fn, arg))
+        pending = len(self._heap) + len(ready)
+        if pending > self._heap_peak:
+            self._heap_peak = pending
 
     def run(self, until: float | None = None, max_events: int = 50_000_000) -> float:
-        """Run until the heap drains (or simulated time passes ``until``).
+        """Run until nothing is pending (or simulated time passes ``until``).
 
         Returns the final simulation time.  ``max_events`` is a runaway
         guard; real experiments stay far below it.
         """
-        heap = self._heap
+        heap, ready = self._heap, self._ready
+        popleft = ready.popleft
         limit = math.inf if until is None else until
+        now = self.now
+        if now > limit and (heap or ready):  # every pending call is late
+            self.now = until
+            return until
         processed = self._processed
         try:
-            while heap:
-                if heap[0][0] > limit:
-                    self.now = until
-                    return until
-                when, _seq, fn, arg = heappop(heap)
-                self.now = when
+            while True:
+                if ready:
+                    # heap entries due now were pushed before the clock
+                    # got here, so ahead of every queued call
+                    if heap and heap[0][0] == now:
+                        _when, _seq, fn, arg = heappop(heap)
+                    else:
+                        fn, arg = popleft()
+                elif heap:
+                    when = heap[0][0]
+                    if when > limit:
+                        self.now = until
+                        return until
+                    _when, _seq, fn, arg = heappop(heap)
+                    self.now = now = when
+                else:
+                    break
                 processed += 1
                 if processed > max_events:
                     raise SimulationError(
@@ -136,14 +167,14 @@ class Simulator:
 
     @property
     def heap_peak(self) -> int:
-        """High-water mark of the pending-event heap."""
+        """High-water mark of pending calls (heap plus ready queue)."""
         return self._heap_peak
 
 
 class Resource:
     """FIFO resource with integer capacity.
 
-    ``request(fn, arg)`` schedules ``fn(arg)`` at the current time once a
+    ``request(fn, arg)`` queues ``fn(arg)`` at the current time once a
     slot is free (at once, or at the ``release()`` that frees one for
     it).  Used for DMA channels (capacity = channels_per_core) and the
     compute pipeline (capacity = 1).
@@ -163,7 +194,7 @@ class Resource:
     def request(self, fn: Callback, arg: Any = None) -> None:
         if self._in_use < self.capacity:
             self._in_use += 1
-            self.sim.schedule(0.0, fn, arg)
+            self.sim.call_soon(fn, arg)
         else:
             self._queue.append((fn, arg))
 
@@ -172,7 +203,7 @@ class Resource:
             raise SimulationError(f"release of idle resource {self.name!r}")
         if self._queue:
             fn, arg = self._queue.popleft()
-            self.sim.schedule(0.0, fn, arg)
+            self.sim.call_soon(fn, arg)
         else:
             self._in_use -= 1
 

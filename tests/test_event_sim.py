@@ -1,5 +1,9 @@
 """The discrete-event simulation kernel."""
 
+import heapq
+import math
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -172,9 +176,94 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.run(max_events=100)
 
-    def test_cannot_schedule_in_past(self):
-        sim = Simulator()
-        sim.schedule(5.0, noop)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.schedule_at(1.0, noop)
+
+class _HeapOnly:
+    """Reference scheduler: every pending call on one ``(when, seq)`` heap."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.heap = []
+        self.seq = 0
+        self.events_processed = 0
+        self.heap_peak = 0
+
+    def schedule(self, delay, fn, arg=None):
+        self.seq += 1
+        heapq.heappush(self.heap, (self.now + delay, self.seq, fn, arg))
+        self.heap_peak = max(self.heap_peak, len(self.heap))
+
+    def run(self, until=None):
+        limit = math.inf if until is None else until
+        while self.heap:
+            if self.heap[0][0] > limit:
+                self.now = until
+                return until
+            self.now, _seq, fn, arg = heapq.heappop(self.heap)
+            self.events_processed += 1
+            fn(arg)
+        return self.now
+
+
+#: zero delays, equal-time ties, and a delay too small to move the clock
+_DELAYS = (0.0, 0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 1e-300)
+
+
+def _drive(sim, seed):
+    """Run a seeded random tree of calls on ``sim`` in three ``run``
+    segments; return every call with its time, and what ``run`` returned.
+
+    What each call does depends only on its name, so both schedulers see
+    the same program.  On a :class:`Simulator` half of the zero-delay
+    calls go through ``call_soon``.
+    """
+    log, returns = [], []
+    soon = getattr(sim, "call_soon", None)
+
+    def call(name):
+        log.append((name, sim.now))
+        rng = random.Random(f"{seed}/{name}")
+        if name.count(".") >= 6:
+            return
+        for k in range(rng.choice((0, 1, 1, 2, 3))):
+            delay = rng.choice(_DELAYS)
+            via_soon = rng.random() < 0.5
+            if soon is not None and delay == 0.0 and via_soon:
+                soon(call, f"{name}.{k}")
+            else:
+                sim.schedule(delay, call, f"{name}.{k}")
+
+    rng = random.Random(seed)
+    for until in (0.5, 1.5, None):
+        for root in range(rng.randrange(1, 5)):
+            sim.schedule(rng.choice(_DELAYS), call, f"{until}-{root}")
+        returns.append(sim.run(until=until))
+    return log, returns
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_ready_queue_keeps_heap_order(seed):
+    """The ready queue runs every call in the heap's ``(when, seq)`` order
+    and counts events and pending calls as one heap would."""
+    ref, sim = _HeapOnly(), Simulator()
+    expected = _drive(ref, seed)
+    assert _drive(sim, seed) == expected
+    assert expected[0]
+    assert sim.events_processed == ref.events_processed
+    assert sim.heap_peak == ref.heap_peak
+
+
+def test_entry_due_now_runs_before_calls_queued_now():
+    sim = Simulator()
+    order = []
+
+    def at_one(_arg):
+        order.append("first due at 1")
+        sim.schedule(0.0, order.append, "zero delay at 1")
+        sim.call_soon(order.append, "call_soon at 1")
+
+    sim.schedule(1.0, at_one)
+    sim.schedule(1.0, order.append, "second due at 1")
+    sim.run()
+    assert order == ["first due at 1", "second due at 1",
+                     "zero delay at 1", "call_soon at 1"]
+    assert sim.events_processed == 4

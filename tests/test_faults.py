@@ -263,7 +263,8 @@ class TestCoreFailure:
 
     def test_hosted_stream_is_attributed_to_its_host(self):
         # core 0 is dead and core 1 runs its op stream: the kernel spans,
-        # profile compute and DMA time of that stream belong to core 1
+        # profile compute, DMA time, window stalls and sync waits of that
+        # stream belong to core 1
         shape = GemmShape(2048, 32, 2048)
         cluster = default_machine().cluster
         program = lowered_program(shape, cluster, tune(shape, cluster))
@@ -278,6 +279,14 @@ class TestCoreFailure:
         assert compute == pytest.approx(timed.core_busy, rel=1e-9)
         assert timed.core_busy[0] == 0.0
         assert sum(e.dma_busy[0] for e in epochs) == 0.0
+        assert sum(e.window_stall[0] for e in epochs) == 0.0
+        assert sum(e.sync_wait[0] for e in epochs) == 0.0
+        # moving the charge to the host keeps each epoch's total; these
+        # are the totals as charged to the streams' own cores
+        assert [sum(e.window_stall) for e in epochs] == pytest.approx(
+            [0.0, 0.00216587318243222], rel=1e-12)
+        assert [sum(e.sync_wait) for e in epochs] == pytest.approx(
+            [1.7777777777777773e-06, 0.0], rel=1e-12)
         kernels = tr.by_category("kernel")
         assert kernels
         assert not [s for s in kernels if s.track == "core0/compute"]
@@ -647,10 +656,14 @@ class TestTimedFaults:
         assert degraded.seconds > clean.seconds
 
     def test_exhausted_dma_retries_raise_typed(self):
-        with pytest.raises(DmaTransferError):
+        with pytest.raises(DmaTransferError) as info:
             ftimm_gemm(
                 M, N, K, timing="des", faults=FaultPlan(dma_fail_rate=1.0)
             )
+        # the simulated time of the give-up, as the message states it
+        exc = info.value
+        assert exc.at_s > 0.0
+        assert f"t={exc.at_s:.3e}s" in str(exc)
 
 
 class TestInputValidation:
