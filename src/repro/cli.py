@@ -336,9 +336,8 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
                 print(f"    after {scored:3d} scored: {label}  "
                       f"{seconds * 1e6:.1f} us")
     for name in reg.names("tuner/"):
-        snap = reg.snapshot()[name]
-        if snap["type"] == "timer":
-            print(f"  {name}: {snap['total']:.3f} s")
+        if name.endswith("_wall_s"):
+            print(f"  {name}: {reg.distribution(name).total:.3f} s")
     return 0
 
 

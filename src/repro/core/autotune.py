@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import bisect
 import math
+import time
 from dataclasses import dataclass, replace
 
 from ..errors import PlanError
 from ..executor.analytic import analytic_parallel_k, analytic_parallel_m
 from ..executor.timed import run_timed
 from ..hw.config import ClusterConfig
-from ..obs.registry import ProfileScope, current as _obs_current
+from ..obs.registry import current as _obs_current
 from ..kernels.registry import KernelRegistry, registry_for
 from .blocking import FP32, KPlan, MPlan, MIN_GOOD_M_S, N_MAX
 from .ftimm import DES_OP_LIMIT, estimate_ops
@@ -272,60 +273,65 @@ def autotune(
     registry = registry or registry_for(cluster.core)
     m = _obs_current()
     stats = SearchStats(mode=mode)
-    with ProfileScope("tuner/search_wall_s"):
-        work = [
-            ("m", plan) for plan in m_plan_candidates(shape, cluster)
-        ] + [
-            ("k", plan) for plan in k_plan_candidates(shape, cluster)
-        ]
-        stats.generated = len(work)
-        if not work:
-            raise PlanError(f"no feasible candidate plans for {shape}")
+    t0 = time.perf_counter()
+    work = [
+        ("m", plan) for plan in m_plan_candidates(shape, cluster)
+    ] + [
+        ("k", plan) for plan in k_plan_candidates(shape, cluster)
+    ]
+    stats.generated = len(work)
+    if not work:
+        raise PlanError(f"no feasible candidate plans for {shape}")
 
-        decision = tune(shape, cluster)
-        if decision.strategy == "tgemm":  # pragma: no cover - guarded above
-            raise PlanError("rule-based tuner fell back to TGEMM")
-        rule = _score(shape, cluster, decision.strategy, decision.plan, registry)
+    decision = tune(shape, cluster)
+    if decision.strategy == "tgemm":  # pragma: no cover - guarded above
+        raise PlanError("rule-based tuner fell back to TGEMM")
+    rule = _score(shape, cluster, decision.strategy, decision.plan, registry)
 
-        if mode == "pruned":
-            bounds = [plan_bound(shape, cluster, s, p) for s, p in work]
-            stats.bound_evals = len(bounds)
-            if m is not None:
-                m.counter("tuner/bound_evals").inc(len(bounds))
-            candidates = _pruned_scores(
-                shape, cluster, work, bounds, registry, max(1, validate_top),
-                stats,
-            )
-            if m is not None and stats.pruned:
-                m.counter("tuner/pruned").inc(stats.pruned)
-        else:
-            candidates = _exhaustive_scores(
-                shape, cluster, work, registry, stats
-            )
-
+    if mode == "pruned":
+        bounds = [plan_bound(shape, cluster, s, p) for s, p in work]
+        stats.bound_evals = len(bounds)
         if m is not None:
-            m.counter("tuner/searches").inc()
-            m.counter("tuner/candidates_evaluated").inc(stats.scored + 1)
-
-        candidates.sort(key=lambda c: c.seconds)
-        best = candidates[0]
-        if validate_top > 0:
-            finalists = candidates[:validate_top]
-            if all(
-                estimate_ops(shape, c.strategy, c.plan) <= DES_OP_LIMIT
-                for c in [*finalists, rule]
-            ):
-                with ProfileScope("tuner/des_validate_wall_s"):
-                    finalists = [
-                        _des_score(shape, cluster, c, registry)
-                        for c in finalists
-                    ]
-                    rule = _des_score(shape, cluster, rule, registry)
-                stats.des_validated = len(finalists) + 1
-                if m is not None:
-                    m.counter("tuner/des_validated").inc(len(finalists) + 1)
-                best = min([*finalists, rule], key=lambda c: c.seconds)
-        return AutotuneResult(
-            shape=shape, best=best, rule=rule,
-            n_candidates=len(work), stats=stats,
+            m.counter("tuner/bound_evals").inc(len(bounds))
+        candidates = _pruned_scores(
+            shape, cluster, work, bounds, registry, max(1, validate_top),
+            stats,
         )
+        if m is not None and stats.pruned:
+            m.counter("tuner/pruned").inc(stats.pruned)
+    else:
+        candidates = _exhaustive_scores(
+            shape, cluster, work, registry, stats
+        )
+
+    if m is not None:
+        m.counter("tuner/searches").inc()
+        m.counter("tuner/candidates_evaluated").inc(stats.scored + 1)
+
+    candidates.sort(key=lambda c: c.seconds)
+    best = candidates[0]
+    if validate_top > 0:
+        finalists = candidates[:validate_top]
+        if all(
+            estimate_ops(shape, c.strategy, c.plan) <= DES_OP_LIMIT
+            for c in [*finalists, rule]
+        ):
+            t_des = time.perf_counter()
+            finalists = [
+                _des_score(shape, cluster, c, registry)
+                for c in finalists
+            ]
+            rule = _des_score(shape, cluster, rule, registry)
+            stats.des_validated = len(finalists) + 1
+            if m is not None:
+                m.counter("tuner/des_validated").inc(len(finalists) + 1)
+                m.distribution("tuner/des_validate_wall_s").add(
+                    time.perf_counter() - t_des
+                )
+            best = min([*finalists, rule], key=lambda c: c.seconds)
+    if m is not None:
+        m.distribution("tuner/search_wall_s").add(time.perf_counter() - t0)
+    return AutotuneResult(
+        shape=shape, best=best, rule=rule,
+        n_candidates=len(work), stats=stats,
+    )

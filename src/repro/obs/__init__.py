@@ -3,9 +3,10 @@
 Four pieces, deliberately dependency-free (only :mod:`repro.errors`):
 
 * :mod:`repro.obs.registry` — hierarchical :class:`MetricsRegistry`
-  (counters, gauges, distributions, timers), the ambient
-  :func:`collecting` context that turns instrumentation on, and
-  :class:`ProfileScope` wall-clock scopes.
+  (counters, gauges, distributions, histograms) and the ambient
+  :func:`collecting` context that turns instrumentation on.  A
+  wall-clock duration is a distribution fed ``time.perf_counter()``
+  differences through the same ``m = current()`` hook.
 * :mod:`repro.obs.trace` — structured :class:`Tracer` spans (ids, parent
   links, simulated + wall clocks) behind the ambient :func:`tracing`
   context, with a Chrome-trace-event exporter, per-track busy time and
@@ -27,8 +28,6 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    ProfileScope,
-    Timer,
     collecting,
     current,
     set_registry,
@@ -61,12 +60,10 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ProfileScope",
     "RunProfile",
     "SCHEMA",
     "TraceSpan",
     "Tracer",
-    "Timer",
     "append_record",
     "ascii_timeline",
     "collecting",

@@ -6,9 +6,7 @@ Four instrument kinds, named by "/"-separated hierarchical paths
 * :class:`Counter` — monotonically accumulating value (events, bytes).
 * :class:`Gauge` — last-set value plus its high-water mark (heap depth).
 * :class:`Distribution` — count/total/min/max of observed samples
-  (DMA queue waits, achieved IIs).
-* :class:`Timer` — a Distribution of wall-clock durations with a
-  ``time()`` context manager.
+  (DMA queue waits, achieved IIs, wall-clock durations).
 * :class:`Histogram` — fixed log-spaced bins over a positive range with
   p50/p95/p99 summaries (request latencies, batch sizes).
 
@@ -31,7 +29,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from bisect import bisect_right
 from contextlib import contextmanager
 from typing import Any, Iterator
@@ -106,25 +103,6 @@ class Distribution:
             "min": self.min if self.count else None,
             "max": self.max if self.count else None,
         }
-
-
-class Timer(Distribution):
-    """Distribution of wall-clock durations, in seconds."""
-
-    __slots__ = ()
-
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(time.perf_counter() - t0)
-
-    def snapshot(self) -> dict[str, Any]:
-        snap = super().snapshot()
-        snap["type"] = "timer"
-        return snap
 
 
 class Histogram:
@@ -229,7 +207,6 @@ _KINDS = {
     "counter": Counter,
     "gauge": Gauge,
     "distribution": Distribution,
-    "timer": Timer,
     "histogram": Histogram,
 }
 
@@ -243,7 +220,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[
-            str, Counter | Gauge | Distribution | Timer | Histogram
+            str, Counter | Gauge | Distribution | Histogram
         ] = {}
 
     def _get(self, name: str, cls):
@@ -266,9 +243,6 @@ class MetricsRegistry:
 
     def distribution(self, name: str) -> Distribution:
         return self._get(name, Distribution)
-
-    def timer(self, name: str) -> Timer:
-        return self._get(name, Timer)
 
     def histogram(
         self,
@@ -317,7 +291,7 @@ class MetricsRegistry:
         Kind-aware: counters add; gauges keep the *other* registry's
         last-set value (last-write-wins, the merge being "other happened
         after/elsewhere") and the max of the high-water marks;
-        distributions and timers combine count/total and take the
+        distributions combine count/total and take the
         min/max extremes; histograms require identical bin parameters
         and add bin counts elementwise.  A name bound to different
         instrument kinds in the two registries raises
@@ -367,7 +341,7 @@ class MetricsRegistry:
                 mine.total += theirs.total
                 mine.min = min(mine.min, theirs.min)
                 mine.max = max(mine.max, theirs.max)
-            else:  # Distribution / Timer
+            else:  # Distribution
                 mine.count += theirs.count
                 mine.total += theirs.total
                 mine.min = min(mine.min, theirs.min)
@@ -453,34 +427,3 @@ def collecting(reg: MetricsRegistry | None = None) -> Iterator[MetricsRegistry]:
         yield reg
     finally:
         set_registry(prev)
-
-
-class ProfileScope:
-    """Wall-clock timer scope: records into ``<name>`` on the registry.
-
-    No-op (and allocation-free beyond the object) when no registry is
-    active and none is given::
-
-        with ProfileScope("tuner/search_wall_s"):
-            candidates = enumerate_and_score(...)
-    """
-
-    __slots__ = ("name", "_reg", "_t0", "elapsed")
-
-    def __init__(self, name: str, registry: MetricsRegistry | None = None) -> None:
-        self.name = name
-        self._reg = registry
-        self._t0 = 0.0
-        self.elapsed: float | None = None
-
-    def __enter__(self) -> "ProfileScope":
-        if self._reg is None:
-            self._reg = current()
-        if self._reg is not None:
-            self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        if self._reg is not None:
-            self.elapsed = time.perf_counter() - self._t0
-            self._reg.timer(self.name).add(self.elapsed)

@@ -41,7 +41,6 @@ from .degrade import (
     DegradePolicy,
     DegradeReport,
     HealthPolicy,
-    OnlineBurn,
     PriorityClass,
     ServeChaosReport,
     chaos_serve,
@@ -67,6 +66,7 @@ from .server import ServeConfig, ServeEngine, ServeReport, serve
 from .slo import (
     SLO_SCHEMA,
     BurnWindow,
+    OnlineBurn,
     SloAlert,
     SloPolicy,
     SloReport,

@@ -12,13 +12,13 @@ harness that proves the answer is still correct:
   fraction above which this class is shed while higher classes still
   get in) and a ``burn_shed`` flag marking it sheddable under SLO
   pressure.  Unlabeled requests are classified by their deadline budget.
-* **Online burn estimation** (:class:`OnlineBurn`) — the post-hoc
-  burn-rate monitor of :mod:`repro.serve.slo`, lifted online: outcome
-  events feed a causal sliding window, and the admission controller
-  reads the live fast-window burn to shed sheddable classes *before*
-  the error budget is gone.  Deliberate (class/burn) sheds are excluded
-  from the estimate — feeding them back would latch shedding on forever;
-  only genuine badness (late completions, failures, queue-full drops)
+* **Burn-driven shedding** — the serve engine feeds outcome events to
+  :class:`~repro.serve.slo.OnlineBurn`, the same estimator the post-hoc
+  SLO monitor replays, and sheds sheddable classes once the live
+  fast-window burn reaches :data:`BURN_THRESHOLD`, *before* the error
+  budget is gone.  Deliberate (class/burn) sheds are excluded from the
+  estimate — feeding them back would latch shedding on forever; only
+  genuine badness (late completions, failures, queue-full drops)
   counts.
 * :class:`HealthPolicy` — the per-cluster breaker the scheduler runs:
   ``fault_threshold`` consecutive faulted attempts quarantine a cluster
@@ -40,14 +40,12 @@ degraded run replays bit-for-bit like a healthy one.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import PlanError
 from .request import COMPLETED, GemmRequest
-from .slo import SloPolicy
 
 # ---------------------------------------------------------------------------
 # priority classes
@@ -167,65 +165,12 @@ class DegradePolicy:
 
 
 # ---------------------------------------------------------------------------
-# online burn estimation
+# burn-driven shedding
 # ---------------------------------------------------------------------------
 
 #: live fast-window burn at which ``burn_shed`` classes stop being admitted
 #: (below the post-hoc fast alert's 10x, so shedding starts before paging)
 BURN_THRESHOLD = 8.0
-
-
-class OnlineBurn:
-    """Causal sliding-window burn-rate estimator.
-
-    The post-hoc monitor (:func:`repro.serve.slo.monitor`) replays
-    finished records; this one is fed outcome events *as the simulated
-    run produces them* (finish times arrive out of order relative to
-    admissions) and answers "what is the burn right now" using only
-    events at or before ``now`` — admission decisions never see the
-    future.  ``burn = bad_fraction_in_window / (1 - objective)``, with
-    a ``min_events`` guard so one early failure cannot trip shedding.
-    """
-
-    def __init__(
-        self, *, objective: float, window_s: float, min_events: int
-    ) -> None:
-        self.budget = 1.0 - objective
-        self.window_s = window_s
-        self.min_events = min_events
-        self._times: list[float] = []      # all outcome events, sorted
-        self._bad: list[float] = []        # bad outcome events, sorted
-        self.peak = 0.0
-
-    @classmethod
-    def fast_window(cls) -> OnlineBurn:
-        """The estimator the serve engine runs: :class:`SloPolicy`'s
-        default objective, ``fast`` window and ``min_events``."""
-        slo = SloPolicy()
-        fast = next(w for w in slo.windows if w.name == "fast")
-        return cls(
-            objective=slo.objective, window_s=fast.window_s,
-            min_events=slo.min_events,
-        )
-
-    @property
-    def n_events(self) -> int:
-        return len(self._times)
-
-    def add(self, at_s: float, bad: bool) -> None:
-        insort(self._times, at_s)
-        if bad:
-            insort(self._bad, at_s)
-            self.peak = max(self.peak, self.burn_at(at_s))
-
-    def burn_at(self, now: float) -> float:
-        """The live burn estimate over ``(now - window, now]``."""
-        lo = now - self.window_s
-        total = bisect_right(self._times, now) - bisect_right(self._times, lo)
-        if total < self.min_events:
-            return 0.0
-        bad = bisect_right(self._bad, now) - bisect_right(self._bad, lo)
-        return (bad / total) / self.budget
 
 
 # ---------------------------------------------------------------------------

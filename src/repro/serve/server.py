@@ -65,7 +65,7 @@ from .batcher import (
     bucket_label,
     dtype_tag,
 )
-from .degrade import BURN_THRESHOLD, DegradePolicy, DegradeReport, OnlineBurn
+from .degrade import BURN_THRESHOLD, DegradePolicy, DegradeReport
 from .placement import REPLICATE_MODES, PlacementManager, PlacementReport
 from .request import (
     COMPLETED,
@@ -77,6 +77,7 @@ from .request import (
     RequestRecord,
 )
 from .scheduler import Scheduler, WarmKey, WarmupReport
+from .slo import OnlineBurn
 from .spans import serve_spans
 
 FP32 = 4

@@ -10,11 +10,16 @@ exactly at the objective::
 
     burn = bad_fraction_in_window / (1 - objective)
 
-A window whose burn rate crosses its threshold fires one typed
-:class:`SloAlert` (first crossing only — the alert marks the onset, the
-report carries the peak).  The classic fast/slow pairing applies: the
-fast window catches a cliff within milliseconds of simulated time, the
-slow window catches a smolder the fast one would flap on.
+Each window is one :class:`OnlineBurn`, the estimator the serve engine
+also runs live for burn-driven shedding.  It counts the events in
+``(t - window_s, t]``, so an event exactly ``window_s`` old has left the
+window.  The monitor adds the events in time order and reads the burn
+after each one.  A window whose burn rate crosses its threshold fires
+one typed :class:`SloAlert` (first crossing only — the alert marks the
+onset, the report carries the peak over all reads).  The classic
+fast/slow pairing applies: the fast window catches a cliff within
+milliseconds of simulated time, the slow window catches a smolder the
+fast one would flap on.
 
 Everything is a pure function of the records, so alerts are exactly as
 deterministic as the serve run itself — the claims gate asserts the
@@ -26,6 +31,7 @@ readers skip them by design.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -77,11 +83,72 @@ class SloPolicy:
             raise PlanError("policy needs at least one burn window")
         if self.min_events < 1:
             raise PlanError("min_events must be >= 1")
+        names = [w.name for w in self.windows]
+        if len(set(names)) != len(names):
+            raise PlanError(f"duplicate window names: {names}")
 
     @property
     def budget(self) -> float:
         """The error budget: tolerable bad fraction (1 - objective)."""
         return 1.0 - self.objective
+
+
+class OnlineBurn:
+    """Sliding-window burn-rate estimator over ``(now - window_s, now]``.
+
+    Outcome events may be added in any order: the serve engine feeds
+    finish times as the simulated run produces them, which is out of
+    order relative to admissions.  :meth:`burn_at` uses only the events
+    added so far at or before ``now``, so admission decisions never see
+    the future.  ``burn = bad_fraction_in_window / (1 - objective)``,
+    with a ``min_events`` guard so one early failure cannot trip
+    shedding.  ``peak`` is the highest burn read after any :meth:`add`.
+    """
+
+    def __init__(
+        self, *, objective: float, window_s: float, min_events: int
+    ) -> None:
+        self.budget = 1.0 - objective
+        self.window_s = window_s
+        self.min_events = min_events
+        self._times: list[float] = []      # all outcome events, sorted
+        self._bad: list[float] = []        # bad outcome events, sorted
+        self.peak = 0.0
+
+    @classmethod
+    def fast_window(cls) -> OnlineBurn:
+        """The estimator the serve engine runs: :class:`SloPolicy`'s
+        default objective, ``fast`` window and ``min_events``."""
+        slo = SloPolicy()
+        fast = next(w for w in slo.windows if w.name == "fast")
+        return cls(
+            objective=slo.objective, window_s=fast.window_s,
+            min_events=slo.min_events,
+        )
+
+    def add(self, at_s: float, bad: bool) -> float:
+        """Add one outcome event; returns the burn read at ``at_s``."""
+        insort(self._times, at_s)
+        if bad:
+            insort(self._bad, at_s)
+        burn = self.burn_at(at_s)
+        if burn > self.peak:
+            self.peak = burn
+        return burn
+
+    def counts(self, now: float) -> tuple[int, int]:
+        """``(bad, total)`` events in ``(now - window_s, now]``."""
+        lo = now - self.window_s
+        total = bisect_right(self._times, now) - bisect_right(self._times, lo)
+        bad = bisect_right(self._bad, now) - bisect_right(self._bad, lo)
+        return bad, total
+
+    def burn_at(self, now: float) -> float:
+        """The live burn estimate over ``(now - window_s, now]``."""
+        bad, total = self.counts(now)
+        if total < self.min_events:
+            return 0.0
+        return (bad / total) / self.budget
 
 
 @dataclass(frozen=True)
@@ -190,8 +257,9 @@ def monitor(
     """Run burn-rate monitoring over one serve run's request records.
 
     Events are placed at each request's outcome time (finish, or arrival
-    for shed requests) and replayed in order; each window slides over
-    that stream.  Pure and deterministic — same records, same alerts.
+    for shed requests) and replayed in time order through one
+    :class:`OnlineBurn` per window, reading the burn after every event.
+    Pure and deterministic — same records, same alerts.
     """
     policy = policy or SloPolicy()
     if not records:
@@ -206,25 +274,16 @@ def monitor(
         bad_events=sum(1 for _t, bad in events if bad),
     )
     for w in policy.windows:
+        est = OnlineBurn(
+            objective=policy.objective, window_s=w.window_s,
+            min_events=policy.min_events,
+        )
         fired = False
-        peak = 0.0
-        window: list[tuple[float, bool]] = []
-        bad_in = 0
         for t, bad in events:
-            window.append((t, bad))
-            if bad:
-                bad_in += 1
-            while window and window[0][0] < t - w.window_s:
-                if window[0][1]:
-                    bad_in -= 1
-                window.pop(0)
-            if len(window) < policy.min_events:
-                continue
-            burn = (bad_in / len(window)) / policy.budget
-            if burn > peak:
-                peak = burn
+            burn = est.add(t, bad)
             if not fired and burn >= w.threshold:
                 fired = True
+                bad_in, total = est.counts(t)
                 report.alerts.append(SloAlert(
                     window=w.name,
                     severity=w.severity,
@@ -232,9 +291,9 @@ def monitor(
                     burn=burn,
                     threshold=w.threshold,
                     bad=bad_in,
-                    total=len(window),
+                    total=total,
                     objective=policy.objective,
                 ))
-        report.peak_burn[w.name] = peak
+        report.peak_burn[w.name] = est.peak
     report.alerts.sort(key=lambda a: (a.at_s, a.window))
     return report

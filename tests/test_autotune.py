@@ -11,6 +11,7 @@ from repro.core.autotune import (
 )
 from repro.core.shapes import GemmShape
 from repro.errors import PlanError
+from repro.obs import collecting
 
 
 class TestCandidates:
@@ -96,6 +97,19 @@ class TestAutotune:
     def test_huge_plans_skip_validation_gracefully(self, cluster, registry):
         result = autotune(GemmShape(2**20, 8, 8), cluster, registry)
         assert result.n_candidates > 0  # analytic ranking still returned
+
+    def test_wall_times_recorded_as_distributions(self, cluster, registry):
+        """Search and DES-validation wall time land in the ambient
+        registry as plain distributions, one sample per search."""
+        with collecting() as reg:
+            autotune(GemmShape(512, 32, 256), cluster, registry)
+        snap = reg.snapshot()
+        for name in ("tuner/search_wall_s", "tuner/des_validate_wall_s"):
+            assert snap[name]["type"] == "distribution"
+            assert snap[name]["count"] == 1
+            assert snap[name]["total"] >= 0.0
+        assert (snap["tuner/des_validate_wall_s"]["total"]
+                <= snap["tuner/search_wall_s"]["total"])
 
 
 class TestExperiment:

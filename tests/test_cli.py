@@ -261,6 +261,12 @@ class TestAutotuneCommand:
         assert main(["autotune", "512x32x512", "--no-validate"]) == 0
         assert "DES-validated 0" in capsys.readouterr().out
 
+    def test_wall_time_lines_printed(self, capsys):
+        assert main(["autotune", "512x32x256"]) == 0
+        out = capsys.readouterr().out
+        assert "tuner/search_wall_s:" in out
+        assert "tuner/des_validate_wall_s:" in out
+
     def test_removed_flags_rejected(self):
         """The plan database, cross-shape transfer, the stack hint and the
         worker pool are gone: the search depends only on the shape and the

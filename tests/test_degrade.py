@@ -151,6 +151,16 @@ class TestOnlineBurn:
             b.add(t, bad)
         assert a.burn_at(0.4) == b.burn_at(0.4)
 
+    def test_peak_is_read_after_every_event(self):
+        # the good event at 0.3 lifts the window to min_events: the read
+        # after it is the peak, and add returns that read
+        burn = OnlineBurn(objective=0.9, window_s=1.0, min_events=3)
+        assert burn.add(0.1, True) == 0.0
+        assert burn.add(0.2, True) == 0.0
+        assert burn.add(0.3, False) == pytest.approx((2 / 3) / 0.1)
+        assert burn.peak == burn.burn_at(0.3)
+        assert burn.counts(0.3) == (2, 3)
+
 
 class TestAdmissionOrdering:
     def test_no_policy_keeps_legacy_behavior(self):

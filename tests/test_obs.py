@@ -27,7 +27,6 @@ from repro.executor.timed import run_timed
 from repro.hw.config import default_machine
 from repro.obs import (
     MetricsRegistry,
-    ProfileScope,
     RunProfile,
     collecting,
     current,
@@ -79,7 +78,6 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("c").inc(3)
         reg.gauge("g").set(1.5)
-        reg.timer("t").add(0.25)
         reg.distribution("d").add(9.0)
         restored = MetricsRegistry.from_json(reg.to_json())
         assert restored.snapshot() == reg.snapshot()
@@ -95,17 +93,6 @@ class TestRegistry:
             current().counter("k").inc()
         assert current() is None
         assert reg.counter("k").value == 1
-
-    def test_profile_scope_noop_without_registry(self):
-        with ProfileScope("nothing"):
-            pass  # must not raise, must not create state
-
-    def test_profile_scope_records_time(self):
-        with collecting() as reg:
-            with ProfileScope("work"):
-                pass
-        t = reg.timer("work")
-        assert t.count == 1 and t.total >= 0.0
 
 
 class TestHistogram:

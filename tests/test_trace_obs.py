@@ -16,12 +16,15 @@ The guarantees under test:
 * SLO burn-rate alerts are a pure function of the records: the overload
   mix at saturation fires, the light mix never does, and replaying the
   same records yields the same alerts;
+* ``monitor`` equals a plain :class:`OnlineBurn` replay, window edge
+  ``(t - window_s, t]`` included;
 * ``MetricsRegistry.merge`` folds worker snapshots in without losing
   counts, and ``parallel_map`` uses it so pool workers' metrics survive.
 """
 
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,6 +54,7 @@ from repro.serve import (
     SLO_SCHEMA,
     BurnWindow,
     DegradePolicy,
+    OnlineBurn,
     ServeConfig,
     SloPolicy,
     gateway_replay,
@@ -60,6 +64,7 @@ from repro.serve import (
 )
 from repro.serve import placement as placement_mod
 from repro.serve.batcher import bucket_class
+from repro.serve.request import COMPLETED, SHED
 from repro.workloads.generators import random_operands
 
 from test_serve import fast_requests
@@ -468,6 +473,98 @@ class TestSlo:
         with pytest.raises(PlanError):
             monitor([])
 
+    def test_duplicate_window_names_rejected(self):
+        # peak_burn is keyed by window name: a duplicate would drop one
+        with pytest.raises(PlanError, match="duplicate window names"):
+            SloPolicy(windows=(
+                BurnWindow("fast", window_s=5e-3, threshold=10.0),
+                BurnWindow("fast", window_s=5e-2, threshold=4.0),
+            ))
+
+
+def _outcome(t, bad, shed=False):
+    """A stand-in request record with its outcome at ``t``."""
+    if shed:
+        return SimpleNamespace(status=SHED, arrival_s=t, finish_s=None,
+                               deadline_met=None)
+    return SimpleNamespace(status=COMPLETED, arrival_s=0.0, finish_s=t,
+                           deadline_met=not bad)
+
+
+def _replay(events, policy):
+    """Reference monitor: add each time-sorted event to one OnlineBurn
+    per window and read the burn at its time; the window's counts are
+    recounted by brute force over ``(t - window_s, t]``."""
+    events = sorted(events, key=lambda e: e[0])
+    peaks, alerts = {}, []
+    for w in policy.windows:
+        est = OnlineBurn(objective=policy.objective, window_s=w.window_s,
+                         min_events=policy.min_events)
+        peak, fired = 0.0, False
+        for i, (t, bad) in enumerate(events):
+            est.add(t, bad)
+            burn = est.burn_at(t)
+            peak = max(peak, burn)
+            inside = [b for u, b in events[:i + 1] if t - w.window_s < u]
+            if len(inside) >= policy.min_events:
+                assert burn == (sum(inside) / len(inside)) / policy.budget
+            else:
+                assert burn == 0.0
+            if not fired and burn >= w.threshold:
+                fired = True
+                alerts.append((w.name, t, burn, sum(inside), len(inside)))
+        peaks[w.name] = peak
+    return peaks, sorted(alerts, key=lambda a: (a[1], a[0]))
+
+
+class TestSloWindowRule:
+    """``monitor`` is an OnlineBurn replay with its ``(t - w, t]`` edge."""
+
+    TICK = 2.0 ** -10      # exact in binary, so t - window_s lands on events
+    POLICY = SloPolicy(
+        objective=0.9,
+        windows=(BurnWindow("fast", window_s=8 * TICK, threshold=3.0),
+                 BurnWindow("slow", window_s=32 * TICK, threshold=2.0)),
+        min_events=4,
+    )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_monitor_matches_online_replay(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 200))
+        # few distinct instants: timestamp ties and exact window edges
+        ticks = rng.integers(0, n // 2, n)
+        bads = rng.random(n) < rng.uniform(0.05, 0.6)
+        sheds = rng.random(n) < 0.2
+        records = [
+            _outcome(float(k) * self.TICK, bool(b), shed=bool(b and s))
+            for k, b, s in zip(ticks, bads, sheds)
+        ]
+        events = [(float(k) * self.TICK, bool(b))
+                  for k, b in zip(ticks, bads)]
+        peaks, alerts = _replay(events, self.POLICY)
+        slo = monitor(records, self.POLICY)
+        assert slo.peak_burn == peaks
+        assert [(a.window, a.at_s, a.burn, a.bad, a.total)
+                for a in slo.alerts] == alerts
+
+    def test_event_exactly_one_window_old_is_out(self):
+        # a bad event at 0.5 and two good ones; at t = 1.5 the bad one
+        # sits exactly at t - window_s, so the window holds two events,
+        # below min_events: no burn, no alert
+        policy = SloPolicy(
+            objective=0.9,
+            windows=(BurnWindow("w", window_s=1.0, threshold=3.0),),
+            min_events=3,
+        )
+        records = [_outcome(0.5, True), _outcome(1.0, False),
+                   _outcome(1.5, False)]
+        slo = monitor(records, policy)
+        assert slo.alerts == []
+        assert slo.peak_burn == {"w": 0.0}
+        assert _replay([(0.5, True), (1.0, False), (1.5, False)],
+                       policy) == ({"w": 0.0}, [])
+
 
 # ---------------------------------------------------------- registry merge
 
@@ -504,15 +601,13 @@ class TestRegistryMerge:
         assert snap["max"] == pytest.approx(16e-3)
         assert snap["min"] == pytest.approx(1e-3)
 
-    def test_distribution_and_timer_merge(self):
+    def test_distribution_merge(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.distribution("d").add(1.0)
         b.distribution("d").add(3.0)
-        b.timer("t").add(0.5)
         a.merge(b)
         assert a.snapshot()["d"]["count"] == 2
         assert a.snapshot()["d"]["max"] == pytest.approx(3.0)
-        assert a.snapshot()["t"]["count"] == 1
 
     def test_kind_mismatch_raises(self):
         a, b = MetricsRegistry(), MetricsRegistry()
