@@ -271,7 +271,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         ("core/batched/b_intern/", "B intern"),
         ("kernels/cache/", "kernel cache"),
         ("faults/", "faults"),
-        ("parallel/", "pool"),
     ):
         counts = {
             name[len(prefix):]: snap["value"]
@@ -413,22 +412,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.mix, rate_rps=loads[-1], n_requests=args.n,
             seed=args.seed, arrivals=args.arrivals,
         )
-        with collecting() as reg:
-            live = gateway_replay(requests, config)
+        live = gateway_replay(requests, config)
         replay = serve(replayed, config)
         identical = live.records == replay.records
         print(f"gateway [{args.policy}] at {loads[-1]:.0f} rps offered:")
         print(live.describe())
         print()
-        gw_counts = {
-            name[len("serve/gateway/"):]: v["value"]
-            for name, v in reg.snapshot().items()
-            if name.startswith("serve/gateway/")
-        }
-        if gw_counts:
-            print("gateway counters: " + "  ".join(
-                f"{k}={v:g}" for k, v in sorted(gw_counts.items())
-            ))
         print("records bit-identical to pre-drawn replay: "
               f"{'yes' if identical else 'NO — contract violation'}")
         return 0 if identical else 1
@@ -448,18 +437,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.mix, rate_rps=loads[-1], n_requests=args.n,
             seed=args.seed, arrivals=args.arrivals,
         )
-        with collecting() as reg:
-            chaos = chaos_serve(requests, chaos_config)
+        chaos = chaos_serve(requests, chaos_config)
         print(chaos.describe())
-        degrade_counts = {
-            name[len("serve/degrade/"):]: v["value"]
-            for name, v in reg.snapshot().items()
-            if name.startswith("serve/degrade/")
-        }
-        if degrade_counts:
-            print("degrade counters: " + "  ".join(
-                f"{k}={v:g}" for k, v in sorted(degrade_counts.items())
-            ))
         return 0 if chaos.ok else 1
 
     with collecting() as reg:

@@ -44,7 +44,9 @@ def build_parallel_m(
     ``faults`` routes tile stores and kernel applications through the
     injector's recovery guards.  ``data``/``faults``/``kernel_exec`` are
     the plan's initial binding; ``bindable=True`` emits the functional
-    closures without ``data``, for :meth:`GemmExecution.bound` to bind.
+    closures without ``data``, for ``program.ctx.binding`` (the
+    :meth:`~repro.core.lowering.LoweringContext.binding` context manager)
+    to bind.
     """
     if plan is None:
         plan = MPlan()

@@ -5,7 +5,9 @@ The DES executor is exact but walks every op; the paper's largest sweeps
 composes the same quantities analytically:
 
 * micro-kernel times come from the same generated-kernel cycle models;
-* DMA times come from the same :class:`~repro.hw.dma.DmaTimingModel`;
+* DMA times use the DES engine's formula, startup plus the bytes the
+  slowest medium touched carries over its bandwidth
+  (:mod:`repro.hw.dma`), computed from the row geometry;
 * double-buffered loops use the exact two-slot recurrence
   ``finish = load + compute + (n-1) * max(load, compute)``;
 * DDR contention is approximated by an even split across the cores active
@@ -27,7 +29,6 @@ from ..core.blocking import DTYPE_SIZES, FP32, KPlan, MPlan, TgemmPlan
 from ..core.shapes import GemmShape
 from ..hw.cluster import reduction_seconds
 from ..hw.config import ClusterConfig
-from ..hw.dma import DmaDescriptor, DmaTimingModel
 from ..hw.memory import MemKind
 from ..kernels.registry import KernelRegistry, registry_for
 from .timed import TimedResult
@@ -101,9 +102,11 @@ class _Costs:
     def __init__(self, cluster: ClusterConfig, registry: KernelRegistry | None):
         self.cluster = cluster
         self.core = cluster.core
-        self.tm = DmaTimingModel(cluster.core, cluster.dma)
         self.registry = registry or registry_for(cluster.core)
         self.clock = cluster.core.clock_hz
+        self.dma_startup_s = cluster.dma.startup_cycles / self.clock
+        #: a core-local (AM/SM) transfer runs at the AM port's rate
+        self.local_bw = cluster.core.am_bytes_per_cycle * self.clock
         self.barrier_s = cluster.barrier_cycles / self.clock
         #: achieved DDR bandwidth (theoretical port * sustain efficiency)
         self.ddr_bw = cluster.ddr_bandwidth * cluster.dma.ddr_efficiency
@@ -122,9 +125,20 @@ class _Costs:
     esize: int = FP32  # element size of the active plan's precision
 
     def dma_s(self, src: MemKind, dst: MemKind, rows: int, cols: int, bw: float) -> float:
-        return self.tm.seconds(
-            DmaDescriptor(src, dst, rows=rows, row_bytes=cols * self.esize), bw
-        )
+        """Seconds of one ``rows`` x ``cols`` transfer at ``bw``.
+
+        The slowest memory touched sets the medium: DDR rows pay the
+        burst overhead, GSM moves the bare bytes at ``bw``, and a
+        core-local transfer ignores ``bw`` for the AM port's rate.
+        """
+        nbytes = rows * cols * self.esize
+        if nbytes == 0:
+            return 0.0
+        if MemKind.DDR in (src, dst):
+            nbytes = self.ddr_eff_bytes(rows, cols)
+        elif MemKind.GSM not in (src, dst):
+            bw = self.local_bw
+        return self.dma_startup_s + nbytes / bw
 
     def ddr_eff_bytes(self, rows: int, cols: int) -> int:
         """Effective DDR bytes of a 2-D transfer (burst overhead included)."""

@@ -7,7 +7,7 @@ Submodules:
   enforcement.
 * :mod:`repro.hw.event_sim` — the discrete-event simulation kernel.
 * :mod:`repro.hw.bandwidth` — shared (processor-sharing) bandwidth channels.
-* :mod:`repro.hw.dma` — DMA descriptors, timing model and engine.
+* :mod:`repro.hw.dma` — DMA descriptors and the engine that times them.
 * :mod:`repro.hw.cluster` — cluster assemblies for functional and timed runs.
 """
 
@@ -23,7 +23,7 @@ from .config import (
     MachineConfig,
     default_machine,
 )
-from .dma import DmaDescriptor, DmaEngine, DmaTimingModel
+from .dma import DmaDescriptor, DmaEngine
 from .event_sim import Event, Resource, Simulator
 from .memory import Buffer, MemKind, MemorySpace
 
@@ -37,7 +37,6 @@ __all__ = [
     "DmaConfig",
     "DmaDescriptor",
     "DmaEngine",
-    "DmaTimingModel",
     "DspCoreConfig",
     "Event",
     "FT_M7032",

@@ -81,28 +81,6 @@ class DmaDescriptor:
         return nbytes
 
 
-class DmaTimingModel:
-    """Pure (simulator-free) timing of a descriptor at a known bandwidth.
-
-    Used by the analytic executor, which composes closed-form loop times
-    instead of simulating each transfer.
-    """
-
-    def __init__(self, core: DspCoreConfig, dma: DmaConfig) -> None:
-        self.core = core
-        self.dma = dma
-        self.startup_s = dma.startup_cycles / core.clock_hz
-        self.local_bandwidth = core.am_bytes_per_cycle * core.clock_hz
-
-    def seconds(self, desc: DmaDescriptor, bandwidth: float) -> float:
-        """Duration at a fixed ``bandwidth`` for the shared medium."""
-        if desc.medium is MemKind.AM:
-            bandwidth = self.local_bandwidth
-        if desc.nbytes == 0:
-            return 0.0
-        return self.startup_s + desc.effective_bytes(self.dma) / bandwidth
-
-
 class DmaEngine:
     """The per-core DMA engine, for discrete-event execution.
 

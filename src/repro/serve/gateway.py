@@ -26,11 +26,11 @@ record table.  Closing the gateway without draining resolves still
 in-flight awaits with ``OverloadError(reason="shutdown")`` — typed and
 counted, never a bare ``CancelledError``.
 
-**Observability.** Gateway and engine count into the ambient metrics
-registry, as the replay path does.  With tracing active the gateway adds
-``submit`` / ``resolve`` instants and one ``await`` span per request on
-its own track; :meth:`close` writes the engine's serve spans, derived
-from the final report.
+**Observability.** :meth:`close` writes the serve spans and the
+``serve/*`` metrics, both derived from the final report, as the replay
+path does.  Only the ``serve/gateway/outstanding`` gauge is set live.
+With tracing active the gateway adds ``submit`` / ``resolve`` instants
+and one ``await`` span per request on its own track.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from ..errors import FaultError, OverloadError, PlanError
 from ..hw.config import MachineConfig, default_machine
 from ..obs import current
 from ..obs.trace import current_tracer
-from .request import COMPLETED, FAILED, SHED, GemmRequest, RequestRecord
+from .request import FAILED, SHED, GemmRequest, RequestRecord
 from .scheduler import WarmupReport
 from .server import (
     ServeConfig,
@@ -54,7 +54,7 @@ from .server import (
     assemble_report,
     warm_engine,
 )
-from .spans import serve_spans
+from .spans import serve_metrics, serve_spans
 
 
 class Gateway:
@@ -80,8 +80,8 @@ class Gateway:
         self.config = config or ServeConfig()
         self.machine = machine or default_machine()
         self.engine = ServeEngine(self.config, self.machine)
+        #: every warm() call so far, summed (what the report shows)
         self.warmup = WarmupReport()
-        self._warmed = False
         #: submit order of awaits still outstanding: req_id -> future
         self._waiters: dict[int, asyncio.Future] = {}
         self._inflight: dict[int, GemmRequest] = {}
@@ -106,9 +106,13 @@ class Gateway:
         """
         if self._closed:
             raise PlanError("gateway is closed")
-        self.warmup = warm_engine(self.engine, requests)
-        self._warmed = True
-        return self.warmup
+        report = warm_engine(self.engine, requests)
+        self.warmup = WarmupReport(
+            n_buckets=self.warmup.n_buckets + report.n_buckets,
+            wall_s=self.warmup.wall_s + report.wall_s,
+            keys=self.warmup.keys + report.keys,
+        )
+        return report
 
     # -- submission --------------------------------------------------------
 
@@ -222,8 +226,6 @@ class Gateway:
                 args={"req_id": req.req_id, "klass": req.klass,
                       "shape": str(req.shape)},
             )
-        if metrics is not None:
-            metrics.counter("serve/gateway/submitted").inc()
         self.engine.offer(req)
         loop = asyncio.get_running_loop()
         fut: asyncio.Future[RequestRecord] = loop.create_future()
@@ -265,11 +267,6 @@ class Gateway:
         if end is None:
             end = max(self.engine.now_s, record.arrival_s)
         self._live_now = max(self._live_now, end)
-        metrics = current()
-        if metrics is not None:
-            metrics.counter("serve/gateway/resolved").inc()
-            if record.status != COMPLETED:
-                metrics.counter("serve/gateway/losses_typed").inc()
         tracer = current_tracer()
         if tracer is not None:
             tracer.record(
@@ -372,6 +369,7 @@ class Gateway:
         self._closed = True
         report = self.report()
         serve_spans(report)
+        serve_metrics(report)
 
     async def __aenter__(self) -> "Gateway":
         return self

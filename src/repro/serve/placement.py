@@ -31,9 +31,9 @@ Contracts:
   never the served bits: results are computed functionally per batch and
   verified against standalone ``ftimm_gemm`` regardless of placement.
 * Every promotion, staging copy and demotion lands on the placement
-  event timeline (:class:`PlacementReport`) and in the metrics
-  (``serve/placement/*``); the serve trace derives its ``placement``
-  instants from that timeline.
+  event timeline (:class:`PlacementReport`); the serve trace's
+  ``placement`` instants and the ``serve/placement/*`` metrics are
+  derived from that report.
 * All decisions are made inside engine event processing — batch close
   and backend binding — which the gateway drives in ``offer()`` order,
   so a live async run replays bit-identical to the pre-drawn stream.
@@ -41,10 +41,10 @@ Contracts:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..errors import PlanError
-from ..obs import current
 from .batcher import BucketKey, bucket_b_bytes, bucket_label
 
 #: the replication modes ``ServeConfig.replicate_b`` accepts.
@@ -162,8 +162,6 @@ class PlacementManager:
         self.peak_bytes = [0] * n_clusters
         self.events: list[PlacementEvent] = []
         self._ever_promoted: set[str] = set()
-        self.promotions = 0
-        self.demotions = 0
         self.hits = 0
         self.restages = 0
         self.staged_bytes = 0
@@ -243,7 +241,6 @@ class PlacementManager:
             )
         st.last_used_s = now
         self._ever_promoted.add(st.digest)
-        self.promotions += 1
         self._event(
             now, "promote", st.label,
             detail=(
@@ -251,12 +248,6 @@ class PlacementManager:
                 f"{','.join(str(c) for c in st.clusters)}"
             ),
         )
-        m = current()
-        if m is not None:
-            m.counter("serve/placement/promotions").inc()
-            m.counter("serve/placement/staged_bytes").inc(
-                st.bytes * len(targets)
-            )
         return staged
 
     def _evict_for(
@@ -281,15 +272,11 @@ class PlacementManager:
     ) -> None:
         st.clusters.remove(cluster)
         self.bytes_used[cluster] -= st.bytes
-        self.demotions += 1
         if not st.clusters:
             # fully evicted: require fresh traffic before re-promotion,
             # so a borderline-hot digest cannot thrash promote/demote
             st.promotable_at = st.batches + self.promote_after
         self._event(now, "demote", st.label, cluster, why)
-        m = current()
-        if m is not None:
-            m.counter("serve/placement/demotions").inc()
 
     # -- routing -----------------------------------------------------------
 
@@ -319,26 +306,22 @@ class PlacementManager:
         st = self.sets.get(key[3])
         if st is None or not st.clusters:
             return False
-        m = current()
         if cluster in st.clusters:
             st.last_used_s = now
             st.hits += 1
             self.hits += 1
-            if m is not None:
-                m.counter("serve/placement/hits").inc()
             return True
         self.restages += 1
-        if m is not None:
-            m.counter("serve/placement/restages").inc()
         return False
 
     # -- reporting ---------------------------------------------------------
 
     def report(self) -> PlacementReport:
+        kinds = Counter(e.kind for e in self.events)
         return PlacementReport(
             budget_bytes=self.budget_bytes,
-            promotions=self.promotions,
-            demotions=self.demotions,
+            promotions=kinds["promote"],
+            demotions=kinds["demote"],
             hits=self.hits,
             restages=self.restages,
             staged_bytes=self.staged_bytes,

@@ -41,7 +41,6 @@ from ..core.ftimm import ftimm_gemm
 from ..core.shapes import GemmShape
 from ..errors import PlanError
 from ..hw.config import MachineConfig
-from ..obs import current
 from ..obs.trace import maybe_scope
 from .degrade import DegradeEvent, HealthPolicy
 
@@ -100,8 +99,6 @@ class ClusterHealth:
     consecutive_faults: int = 0
     until_s: float = 0.0           # quarantine expiry (when quarantined)
     cooldown_s: float = 0.0        # current (backed-off) cooldown
-    faults: int = 0
-    quarantines: int = 0
 
 
 @dataclass
@@ -175,9 +172,6 @@ class Scheduler:
             h.state = "probing"
             self._health_event(backend.idx, now, "probe",
                                f"cooldown {h.cooldown_s * 1e3:g} ms over")
-            m = current()
-            if m is not None:
-                m.counter("serve/degrade/probes").inc()
 
     def pick_backend(
         self, now: float | None = None, key=None
@@ -280,14 +274,10 @@ class Scheduler:
         self, idx: int, now: float, error: str = ""
     ) -> None:
         """One faulted dispatch attempt was attributed to backend ``idx``."""
-        m = current()
-        if m is not None:
-            m.counter("serve/degrade/faults").inc()
         if self.health is None:
             return
         pol = self.health_policy
         h = self.health[idx]
-        h.faults += 1
         h.consecutive_faults += 1
         if (
             h.state == "probing"
@@ -301,14 +291,11 @@ class Scheduler:
             h.state = "quarantined"
             h.until_s = now + h.cooldown_s
             h.consecutive_faults = 0
-            h.quarantines += 1
             detail = (
                 f"{'probe faulted' if probe_failed else error or 'faults'}"
                 f", cooldown {h.cooldown_s * 1e3:g} ms"
             )
             self._health_event(idx, now, "quarantine", detail)
-            if m is not None:
-                m.counter("serve/degrade/quarantines").inc()
 
     def note_success(self, idx: int, now: float) -> None:
         """A batch completed cleanly on backend ``idx``."""
@@ -320,9 +307,6 @@ class Scheduler:
             h.cooldown_s = 0.0
             h.consecutive_faults = 0
             self._health_event(idx, now, "recover", "probe succeeded")
-            m = current()
-            if m is not None:
-                m.counter("serve/degrade/recoveries").inc()
         else:
             h.consecutive_faults = 0
 
@@ -356,9 +340,6 @@ class Scheduler:
             if scope is not None:
                 scope.args["n_buckets"] = report.n_buckets
         report.wall_s = time.perf_counter() - t0
-        m = current()
-        if m is not None:
-            m.counter("serve/warmup/buckets").inc(report.n_buckets)
         return report
 
     def tune_penalty(self, key: WarmKey) -> float:
@@ -367,9 +348,6 @@ class Scheduler:
         if key in self._warmed:
             return 0.0
         self._warmed.add(key)
-        m = current()
-        if m is not None:
-            m.counter("serve/tune/cold").inc()
         return COLD_TUNE_S
 
     # -- accounting --------------------------------------------------------

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
@@ -78,7 +79,7 @@ from .request import (
 )
 from .scheduler import Scheduler, WarmKey, WarmupReport
 from .slo import OnlineBurn
-from .spans import serve_spans
+from .spans import serve_metrics, serve_spans
 
 FP32 = 4
 
@@ -155,7 +156,6 @@ class ServeReport:
     #: gives exact bits or an error, so no served member is recomputed
     #: (kept while the benchmark harness reads it)
     verify_repaired: int = 0
-    redispatches: int = 0
     #: degradation outcome (None when no degrade policy was configured)
     degrade: DegradeReport | None = None
     #: replicated-B placement outcome (None when ``replicate_b="off"``)
@@ -181,6 +181,11 @@ class ServeReport:
     @property
     def failed(self) -> int:
         return self._count(FAILED)
+
+    @property
+    def redispatches(self) -> int:
+        """Failed dispatch attempts, summed over the batch records."""
+        return sum(b.redispatches for b in self.batches)
 
     @property
     def deadline_met(self) -> int:
@@ -361,15 +366,11 @@ class ServeEngine:
         self.burn: OnlineBurn | None = None
         if config.degrade is not None:
             self.burn = OnlineBurn.fast_window()
-        self.shed_reasons: dict[str, int] = {}
-        self.shed_by_class: dict[str, int] = {}
         self.records: dict[int, RequestRecord] = {}
         self.batch_records: list[BatchRecord] = []
         self.pending = 0               # admitted, not yet started
-        self.redispatches = 0
         self.last_finish_s = 0.0
         self.last_arrival_s = 0.0
-        self.n_offered = 0
         #: the engine's virtual clock: the latest simulated instant any
         #: event or offer has been processed at (monotone)
         self.now_s = 0.0
@@ -432,7 +433,6 @@ class ServeEngine:
         self.last_arrival_s = at
         if at > self.now_s:
             self.now_s = at
-        self.n_offered += 1
         self._on_arrive(req, at)
 
     def advance_to(self, t_s: float) -> None:
@@ -486,9 +486,6 @@ class ServeEngine:
     # -- handlers ----------------------------------------------------------
 
     def _on_arrive(self, req: GemmRequest, now: float) -> None:
-        m = current()
-        if m is not None:
-            m.counter("serve/requests/offered").inc()
         pol = self.config.degrade
         pcls = pol.classify(req) if pol is not None else None
         reason = None
@@ -513,8 +510,6 @@ class ServeEngine:
             return
         self.pending += 1
         self._gauge_queue()
-        if m is not None:
-            m.counter("serve/requests/admitted").inc()
         batch, opened = self.batcher.add(req, now)
         if batch is not None:
             self._on_close(batch, now)
@@ -530,7 +525,6 @@ class ServeEngine:
         reason: str,
         pcls,
     ) -> None:
-        m = current()
         err = OverloadError(req.req_id, self.config.queue_cap, reason=reason)
         self.records[req.req_id] = RequestRecord(
             req_id=req.req_id,
@@ -544,21 +538,10 @@ class ServeEngine:
             priority=pcls.name if pcls is not None else None,
             shed_reason=reason,
         )
-        self.shed_reasons[reason] = self.shed_reasons.get(reason, 0) + 1
-        if pcls is not None:
-            self.shed_by_class[pcls.name] = (
-                self.shed_by_class.get(pcls.name, 0) + 1
-            )
         if self.burn is not None and reason == "queue_full":
             # a reactive drop is genuine badness; deliberate class/burn
             # sheds are excluded or the monitor would latch itself on
             self.burn.add(now, True)
-        if m is not None:
-            m.counter("serve/requests/shed").inc()
-            if reason == "class_shed":
-                m.counter("serve/degrade/shed_class").inc()
-            elif reason == "burn_shed":
-                m.counter("serve/degrade/shed_burn").inc()
 
     def _on_close(self, batch: Batch, now: float) -> None:
         if self.placement is not None:
@@ -645,7 +628,6 @@ class ServeEngine:
         cluster.  A failed attempt leaves every ``C_i`` untouched.
         """
         cfg = self.config
-        m = current()
         route = backend
         n, k, dtype, _b = batch.key
         tune_s = self.sched.tune_penalty((n, k, dtype))
@@ -711,8 +693,6 @@ class ServeEngine:
                 # the failed attempt's modeled time is honestly lost
                 lost_s += gemm_s
                 attempt_errors.append(f"{type(exc).__name__}: {exc}")
-                if m is not None:
-                    m.counter("serve/redispatches").inc()
                 failed_on.append(route.idx)
                 self.sched.note_fault(route.idx, now, attempt_errors[-1])
                 if self.sched.health is not None:
@@ -744,7 +724,6 @@ class ServeEngine:
         backend,
         start_s: float,
     ) -> None:
-        m = current()
         finish = backend.charge(start_s, execution.span_s)
         if self.config.policy == "edf":
             # a pull opportunity the moment this backend frees up
@@ -752,7 +731,6 @@ class ServeEngine:
         if execution.ok:
             self.sched.note_success(backend.idx, finish)
         self.last_finish_s = max(self.last_finish_s, finish)
-        self.redispatches += execution.redispatches
         self.batch_records.append(BatchRecord(
             batch_id=batch.batch_id,
             bucket=bucket_label(batch.key),
@@ -773,9 +751,6 @@ class ServeEngine:
             attempt_errors=execution.attempt_errors,
             fault_clusters=execution.fault_clusters,
         ))
-        if m is not None:
-            m.counter("serve/batches").inc()
-            m.distribution("serve/batch/size").add(batch.n_items)
         for req in batch.requests:
             queue_s = batch.close_s - req.arrival_s
             batch_s = start_s - batch.close_s
@@ -809,20 +784,6 @@ class ServeEngine:
                 error=execution.error,
                 priority=pcls.name if pcls is not None else None,
             )
-            if m is not None:
-                m.counter(f"serve/requests/{status}").inc()
-                if met is True:
-                    m.counter("serve/deadline/met").inc()
-                elif met is False:
-                    m.counter("serve/deadline/missed").inc()
-                if execution.ok:
-                    lat = finish - req.arrival_s
-                    m.histogram("serve/latency/total_s").add(lat)
-                    m.histogram("serve/latency/queue_s").add(queue_s)
-                    m.histogram("serve/latency/batch_s").add(batch_s)
-                    m.histogram("serve/latency/compute_s").add(
-                        execution.span_s
-                    )
 
     def _gauge_queue(self) -> None:
         m = current()
@@ -862,35 +823,36 @@ def assemble_report(
     records = [engine.records[rid] for rid in sorted(engine.records)]
     last_arrival = engine.last_arrival_s
     makespan = max(engine.last_finish_s, last_arrival)
+    batches = sorted(engine.batch_records, key=lambda b: b.batch_id)
     degrade_report = None
     if config.degrade is not None:
-        health = engine.sched.health or []
-        events = engine.sched.degrade_events
+        sheds = [r for r in records if r.status == SHED]
+        reasons = Counter(r.shed_reason for r in sheds)
+        kinds = Counter(e.kind for e in engine.sched.degrade_events)
         degrade_report = DegradeReport(
-            shed_queue_full=engine.shed_reasons.get("queue_full", 0),
-            shed_class=engine.shed_reasons.get("class_shed", 0),
-            shed_burn=engine.shed_reasons.get("burn_shed", 0),
-            peak_burn=engine.burn.peak if engine.burn is not None else 0.0,
-            faults=sum(h.faults for h in health),
-            quarantines=sum(h.quarantines for h in health),
-            probes=sum(1 for e in events if e.kind == "probe"),
-            recoveries=sum(1 for e in events if e.kind == "recover"),
-            shed_by_class=dict(engine.shed_by_class),
+            shed_queue_full=reasons["queue_full"],
+            shed_class=reasons["class_shed"],
+            shed_burn=reasons["burn_shed"],
+            peak_burn=engine.burn.peak,
+            faults=sum(len(b.fault_clusters) for b in batches),
+            quarantines=kinds["quarantine"],
+            probes=kinds["probe"],
+            recoveries=kinds["recover"],
+            shed_by_class=dict(Counter(r.priority for r in sheds)),
             # faults are noted at bind time, successes at finish, so
             # the raw append order is not the timeline order
-            events=sorted(events, key=lambda e: e.at_s),
+            events=sorted(engine.sched.degrade_events, key=lambda e: e.at_s),
         )
     return ServeReport(
         policy=config.policy,
         config=config,
         records=records,
-        batches=sorted(engine.batch_records, key=lambda b: b.batch_id),
+        batches=batches,
         warmup=warmup,
         makespan_s=makespan,
         offered_rps=(
             len(records) / last_arrival if last_arrival > 0 else 0.0
         ),
-        redispatches=engine.redispatches,
         degrade=degrade_report,
         placement=(
             engine.placement.report()
@@ -926,4 +888,5 @@ def serve(
         raise PlanError("a request was dropped silently")
     report = assemble_report(engine, warmup)
     serve_spans(report)
+    serve_metrics(report)
     return report

@@ -1,10 +1,11 @@
-"""The simulated-time serve trace, derived from a finished report.
+"""The simulated-time serve trace and metrics, derived from a finished report.
 
-Every simulated-time serve span is a view of a fact the
-:class:`~repro.serve.server.ServeReport` already holds, so the trace is
-built from the report once the run is over.  The trace and the records
-cannot disagree: ``from_spans`` and ``critical_path`` read the same
-request and batch identities.  Spans written (pid 0 is the host, pid
+Every simulated-time serve span and every ``serve/*`` count is a view of
+a fact the :class:`~repro.serve.server.ServeReport` already holds, so
+both are built from the report once the run is over
+(:func:`serve_spans`, :func:`serve_metrics`).  The trace, the metrics
+and the records cannot disagree: ``from_spans`` and ``critical_path``
+read the same request and batch identities.  Spans written (pid 0 is the host, pid
 ``c + 1`` cluster ``c``): an ``admission`` instant per shed request; per
 batch a ``coalesce`` and a ``dispatch`` instant and the ``batch`` span
 with its tune → stage → retry → gemm children, a ``cold-tune`` instant
@@ -14,15 +15,23 @@ children on non-overlapping ``req-laneN`` tracks; ``degrade`` and
 ``placement`` instants from the report's event timelines.
 
 Wall-clock scopes (``warmup``, GEMM scopes, DES spans) and the
-gateway's own spans are recorded live, where their host time is spent.
+gateway's own spans are recorded live, where their host time is spent,
+as are the two gauges the report does not hold (``serve/queue/depth``
+and ``serve/gateway/outstanding``).
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from ..errors import PlanError
+from ..obs import current
 from ..obs.trace import Tracer, current_tracer, head_sample
 from .batcher import bucket_class
 from .request import COMPLETED, SHED
+
+#: shed reasons decided at admission; a ``shutdown`` shed was admitted
+ADMISSION_SHEDS = ("queue_full", "class_shed", "burn_shed")
 
 #: a batch's simulated segments, in the order the engine charges them
 _SEGMENTS = (("tune", "tune_s"), ("stage", "stage_s"),
@@ -144,3 +153,59 @@ def _request_spans(tracer: Tracer, report, sample: float) -> None:
                 pid=0, parent=req_sid,
                 args={"req_id": rec.req_id, "batch_id": b.batch_id},
             )
+
+
+def serve_metrics(report) -> None:
+    """Count ``report`` into the ambient metrics registry (no-op when off).
+
+    A counter is written only when it counts something, so a run
+    without faults has no fault counters.  The ledger identities hold by
+    construction: ``offered = completed + failed + shed`` and
+    ``admitted = offered - (queue_full + class_shed + burn_shed sheds)``.
+    """
+    m = current()
+    if m is None:
+        return
+
+    def count(name: str, n: int) -> None:
+        if n:
+            m.counter(name).inc(n)
+
+    reasons = Counter(r.shed_reason for r in report.records
+                      if r.status == SHED)
+    count("serve/requests/offered", report.n_requests)
+    count("serve/requests/admitted", report.n_requests
+          - sum(reasons[r] for r in ADMISSION_SHEDS))
+    count("serve/requests/shed", report.shed)
+    count("serve/requests/completed", report.completed)
+    count("serve/requests/failed", report.failed)
+    count("serve/deadline/met", report.deadline_met)
+    count("serve/deadline/missed", report.deadline_missed)
+    count("serve/batches", len(report.batches))
+    count("serve/redispatches", report.redispatches)
+    count("serve/warmup/buckets", report.warmup.n_buckets)
+    count("serve/tune/cold", sum(1 for b in report.batches if b.tune_s > 0))
+    if report.degrade is not None:
+        d = report.degrade
+        count("serve/degrade/shed_class", d.shed_class)
+        count("serve/degrade/shed_burn", d.shed_burn)
+        count("serve/degrade/quarantines", d.quarantines)
+        count("serve/degrade/probes", d.probes)
+        count("serve/degrade/recoveries", d.recoveries)
+    if report.placement is not None:
+        p = report.placement
+        count("serve/placement/promotions", p.promotions)
+        count("serve/placement/demotions", p.demotions)
+        count("serve/placement/hits", p.hits)
+        count("serve/placement/restages", p.restages)
+        count("serve/placement/staged_bytes", p.staged_bytes)
+    by_id = {r.req_id: r for r in report.records}
+    for b in report.batches:
+        m.distribution("serve/batch/size").add(b.n_items)
+        for rec in map(by_id.get, b.request_ids):
+            if rec.status != COMPLETED:
+                continue
+            m.histogram("serve/latency/total_s").add(rec.latency_s)
+            m.histogram("serve/latency/queue_s").add(rec.queue_s)
+            m.histogram("serve/latency/batch_s").add(rec.batch_s)
+            m.histogram("serve/latency/compute_s").add(rec.compute_s)

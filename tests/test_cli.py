@@ -355,9 +355,8 @@ class TestServeCommand:
         ]) == 0
         out = capsys.readouterr().out
         assert "records bit-identical to pre-drawn replay: yes" in out
-        assert "gateway counters:" in out
-        assert "submitted=12" in out
-        assert "resolved=12" in out
+        assert "policy least_loaded: 12 requests" in out
+        assert "gateway counters:" not in out
 
 
     def test_serve_trace_export_reconstructs(self, capsys, tmp_path):

@@ -323,6 +323,23 @@ class TestQuarantine:
         for req in reqs:
             assert np.array_equal(req.c, by_id[req.req_id].c)
 
+    def test_faults_counted_without_a_health_policy(self):
+        """Failed attempts are counted from the batch records, so the
+        count does not depend on the breaker being on."""
+        rep = serve(
+            make_requests("overload", rate_rps=60_000, n_requests=60,
+                          seed=1),
+            ServeConfig(
+                faults=FaultPlan(seed=1, bitflip_rate=0.3,
+                                 max_kernel_retries=0),
+                degrade=DegradePolicy(health=None),
+            ),
+        )
+        attempts = sum(len(b.fault_clusters) for b in rep.batches)
+        assert attempts == rep.redispatches == 48
+        assert rep.degrade.faults == attempts
+        assert rep.degrade.quarantines == 0 and not rep.degrade.events
+
     def test_quarantine_recovery_round_trip_deterministic(self):
         cfg = ServeConfig(
             policy="least_loaded", queue_cap=256,

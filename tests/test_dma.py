@@ -1,11 +1,12 @@
-"""DMA descriptors, timing model and engine."""
+"""DMA descriptors, the analytic transfer time and the engine."""
 
 import pytest
 
 from repro.errors import PlanError
+from repro.executor.analytic import _Costs
 from repro.hw.bandwidth import LocalChannel, SharedChannel
-from repro.hw.config import DmaConfig, DspCoreConfig
-from repro.hw.dma import DmaDescriptor, DmaEngine, DmaTimingModel
+from repro.hw.config import ClusterConfig, DmaConfig, DspCoreConfig
+from repro.hw.dma import DmaDescriptor, DmaEngine
 from repro.hw.event_sim import Simulator
 from repro.hw.memory import MemKind
 
@@ -59,27 +60,32 @@ class TestDescriptor:
             DmaDescriptor(MemKind.DDR, MemKind.AM, rows=-1, row_bytes=4)
 
 
+def analytic_costs(**dma) -> _Costs:
+    """The analytic executor's per-call context over a custom DMA config."""
+    return _Costs(ClusterConfig(dma=DmaConfig(**dma)), None)
+
+
 class TestTimingModel:
+    """``_Costs.dma_s``: the analytic time of one 2-D transfer (FP32 rows)."""
+
     def test_seconds_formula(self):
         core = DspCoreConfig()
-        dma = DmaConfig(startup_cycles=180, row_overhead_bytes=64)
-        tm = DmaTimingModel(core, dma)
-        desc = DmaDescriptor(MemKind.DDR, MemKind.AM, rows=10, row_bytes=128)
+        cs = analytic_costs(startup_cycles=180, row_overhead_bytes=64)
         bw = 10e9
         expected = 180 / core.clock_hz + 10 * (128 + 64) / bw
-        assert tm.seconds(desc, bw) == pytest.approx(expected)
+        assert cs.dma_s(MemKind.DDR, MemKind.AM, 10, 32, bw) == \
+            pytest.approx(expected)
 
     def test_zero_bytes_is_free(self):
-        tm = DmaTimingModel(DspCoreConfig(), DmaConfig())
-        desc = DmaDescriptor(MemKind.DDR, MemKind.AM, rows=0, row_bytes=128)
-        assert tm.seconds(desc, 1e9) == 0.0
+        cs = analytic_costs()
+        assert cs.dma_s(MemKind.DDR, MemKind.AM, 0, 32, 1e9) == 0.0
 
     def test_local_transfers_use_am_bandwidth(self):
         core = DspCoreConfig()
-        tm = DmaTimingModel(core, DmaConfig(startup_cycles=0))
-        desc = DmaDescriptor(MemKind.AM, MemKind.SM, rows=1, row_bytes=5120)
+        cs = analytic_costs(startup_cycles=0)
         expected = 5120 / (core.am_bytes_per_cycle * core.clock_hz)
-        assert tm.seconds(desc, 1.0) == pytest.approx(expected)
+        assert cs.dma_s(MemKind.AM, MemKind.SM, 1, 1280, 1.0) == \
+            pytest.approx(expected)
 
 
 def make_engine(channels=2, startup=0):

@@ -260,3 +260,84 @@ class TestServing:
         missing = sorted({(cmd, flag) for cmd, flag in cited
                           if flag not in flags[cmd]})
         assert not missing, f"docs cite removed repro flags: {missing}"
+
+
+def _every_family_run(monkeypatch):
+    """One small gateway run that writes every ``serve/`` metric.
+
+    A sick cluster faults and fails requests, is quarantined, probed and
+    recovers; bulk requests are shed by class and by burn; a tight
+    replica budget promotes, hits, re-stages and demotes; warming one
+    class leaves the other cold.  Returns the run's registry and report.
+    """
+    import asyncio
+
+    from repro.faults import FaultPlan
+    from repro.obs import collecting
+    from repro.serve import DegradePolicy, Gateway, HealthPolicy, ServeConfig
+    from repro.serve import placement
+
+    from test_serve import fast_requests
+
+    monkeypatch.setattr(placement, "REPLICA_BUDGET_BYTES", 13 << 10)
+    monkeypatch.setattr(placement, "PROMOTE_AFTER", 1)
+    monkeypatch.setattr(placement, "MAX_REPLICAS", 2)
+    requests = fast_requests(n=96, rate=150_000, seed=0)
+    config = ServeConfig(
+        policy="least_loaded", queue_cap=8, max_redispatch=0,
+        degrade=DegradePolicy(health=HealthPolicy(fault_threshold=1,
+                                                  cooldown_s=2e-4)),
+        faults=FaultPlan(seed=0, bitflip_rate=0.02, max_kernel_retries=0),
+        cluster_fault_scale=(1.0, 0.0, 0.0, 0.0), replicate_b="adaptive",
+    )
+
+    async def drive():
+        gw = Gateway(config)
+        gw.warm(requests[:1])
+        await gw.submit_many(requests)
+        await gw.close()
+        return gw.report()
+
+    with collecting() as reg:
+        report = asyncio.run(drive())
+    return reg, report
+
+
+class TestObservability:
+    @staticmethod
+    def _documented_serve_metrics():
+        """Full names from OBSERVABILITY.md's ``serve/`` rows: the row's
+        prefix joined to each backticked name in its description (those
+        rows backtick metric names only)."""
+        text = (ROOT / "docs" / "OBSERVABILITY.md").read_text()
+        names = set()
+        for line in text.splitlines():
+            if not line.startswith("| `serve/"):
+                continue
+            prefix, _source, desc = line.strip("|").split("|")[:3]
+            prefix = re.search(r"`([^`]+)`", prefix).group(1)
+            names |= {prefix + n for n in re.findall(r"`([^`]+)`", desc)}
+        return names
+
+    def test_serve_metric_rows_match_serve_metrics(self, monkeypatch):
+        """The table documents exactly the ``serve/`` metrics that exist:
+        every one ``serve_metrics`` derives, plus the two live gauges."""
+        from repro.obs import collecting
+        from repro.serve.spans import serve_metrics
+
+        reg, report = _every_family_run(monkeypatch)
+        live = {"serve/queue/depth", "serve/gateway/outstanding"}
+        assert set(reg.names("serve/")) == self._documented_serve_metrics()
+        with collecting() as derived:
+            serve_metrics(report)
+        assert set(derived.names("serve/")) == set(reg.names("serve/")) - live
+
+    def test_serve_metrics_written_only_from_the_report(self):
+        """No ``serve/`` counter, histogram or distribution is kept live."""
+        call = re.compile(r'\.(counter|histogram|distribution)\(f?"serve/')
+        writers = {
+            path.relative_to(ROOT / "src" / "repro").as_posix()
+            for path in (ROOT / "src" / "repro").rglob("*.py")
+            if call.search(path.read_text())
+        }
+        assert writers <= {"serve/spans.py"}

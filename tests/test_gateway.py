@@ -181,6 +181,34 @@ class TestShutdown:
         assert len(report.records) == len(reqs)     # no silent loss
         assert all(r.shed_reason == "shutdown" for r in report.records)
 
+    def test_undrained_close_keeps_the_ledger(self):
+        """Shutdown sheds were admitted: the documented identities hold."""
+        reqs = make_requests("overload", rate_rps=120_000, n_requests=40,
+                             seed=3)
+
+        async def drive():
+            gw = Gateway(ServeConfig(max_wait_s=1.0, max_batch=64))
+            futures = [gw._offer(r) for r in reqs]
+            await gw.close(drain=False)
+            await asyncio.gather(*futures)
+            return gw.report()
+
+        with collecting() as reg:
+            report = asyncio.run(drive())
+        count = {name: reg.counter(name).value
+                 for name in reg.names("serve/requests/")}
+        assert count["serve/requests/shed"] == report.shed == 40
+        assert "serve/requests/completed" not in count
+        assert count["serve/requests/offered"] == (
+            report.completed + report.failed + report.shed
+        )
+        admission = sum(r.shed_reason in ("queue_full", "class_shed",
+                                          "burn_shed")
+                        for r in report.records)
+        assert count["serve/requests/admitted"] == (
+            count["serve/requests/offered"] - admission
+        ) == 40
+
     def test_drained_close_resolves_everything(self):
         config = ServeConfig(max_wait_s=10.0, max_batch=64)
         reqs = fast_requests(n=4)
@@ -295,12 +323,31 @@ class TestMetricsMerge:
                     assert g["counts"] == w["counts"], name
                     assert g["total"] == w["total"], name
 
+    def test_every_warm_call_is_reported(self):
+        """Two warm() calls: the report (and its metric) keeps both."""
+        reqs = fast_requests(n=12)
+
+        async def drive():
+            gw = Gateway(ServeConfig())
+            gw.warm([r for r in reqs if r.klass == "tiny"])
+            gw.warm(reqs)
+            await gw.submit_many(reqs)
+            await gw.close()
+            return gw.report()
+
+        with collecting() as reg:
+            report = asyncio.run(drive())
+        assert report.warmup.n_buckets == len(report.warmup.keys) == 2
+        assert reg.counter("serve/warmup/buckets").value == 2
+        assert "serve/tune/cold" not in reg
+
     def test_gateway_counters(self):
+        """The gateway's counts are the report's; only the gauge is its own."""
         with collecting() as reg:
             gateway_replay(fast_requests(n=6), ServeConfig())
         snap = reg.snapshot()
-        assert snap["serve/gateway/submitted"]["value"] == 6
-        assert snap["serve/gateway/resolved"]["value"] == 6
+        assert snap["serve/requests/offered"]["value"] == 6
+        assert reg.names("serve/gateway/") == ["serve/gateway/outstanding"]
 
 
 class TestGatewayTrace:

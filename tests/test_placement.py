@@ -53,7 +53,7 @@ class TestManagerSemantics:
         staged = pm.on_close(KEY_A, sched, now=0.0)
         assert len(staged) == 2              # max_replicas
         assert pm.sets["digest-a"].replicated
-        assert pm.promotions == 1
+        assert pm.report().promotions == 1
 
     def test_adaptive_waits_for_traffic(self, machine):
         pm = manager(promote_after=3)
@@ -91,7 +91,7 @@ class TestManagerSemantics:
         pm.on_close(KEY_B, sched, now=1.0)   # needs 16 KiB: evicts A
         assert not pm.sets["digest-a"].clusters
         assert len(pm.sets["digest-b"].clusters) == 4
-        assert pm.demotions == 4
+        assert pm.report().demotions == 4
         assert max(pm.peak_bytes) <= 16 << 10
 
     def test_thrash_guard_after_full_eviction(self, machine):
@@ -112,7 +112,7 @@ class TestManagerSemantics:
         pm = manager(budget=4 << 10)
         sched = scheduler(machine, placement=pm)
         assert pm.on_close(KEY_B, sched, now=0.0) == []   # 16 KiB > 4 KiB
-        assert pm.promotions == 0
+        assert pm.report().promotions == 0
 
     def test_use_replica_hit_miss_and_restage(self, machine):
         pm = manager(max_replicas=2)

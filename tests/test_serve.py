@@ -175,6 +175,18 @@ class TestServeContracts:
         snap = reg.snapshot()
         assert snap["serve/requests/shed"]["value"] == rep.shed
 
+    def test_deadline_missed_metric_is_the_reports(self):
+        """One definition: sheds and failures miss their deadline too."""
+        with collecting() as reg:
+            rep = serve(make_requests("overload", rate_rps=240_000,
+                                      n_requests=150, seed=2),
+                        ServeConfig(queue_cap=16))
+        assert rep.shed == 42 and rep.completed == 108
+        snap = reg.snapshot()
+        assert snap["serve/deadline/missed"]["value"] == \
+            rep.deadline_missed == 42
+        assert snap["serve/deadline/met"]["value"] == rep.deadline_met
+
     def test_warmup_avoids_cold_tunes(self):
         with collecting() as reg:
             serve(fast_requests(n=12), ServeConfig(warmup=True))

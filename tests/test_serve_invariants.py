@@ -19,7 +19,9 @@ draw:
 * **fault attribution** — every fault, quarantine, probe and recovery
   names the cluster that ran the work: a batch executes when it binds,
   so its failed attempts run (and are charged) on clusters it was bound
-  or re-routed to, never on a cluster picked for attribution alone.
+  or re-routed to, never on a cluster picked for attribution alone;
+* **one ledger** — the ``serve/*`` metrics equal the report's own
+  counts: request outcomes, re-dispatches and placement counters.
 
 Plus the cold-tune regression: the constant ``COLD_TUNE_S`` penalty
 keeps replays bit-identical across runs.
@@ -31,6 +33,7 @@ from dataclasses import replace as dc_replace
 import pytest
 
 from repro.faults import FaultPlan
+from repro.obs import collecting
 from repro.serve import DegradePolicy, ServeConfig, make_requests, serve
 from repro.serve import placement as placement_mod
 from repro.serve.degrade import HealthPolicy
@@ -176,21 +179,45 @@ def _check_fault_attribution(report):
         ), e.describe()
 
 
+def _check_ledger(report, reg):
+    """The registry's serve counts are the report's, by construction."""
+    def count(name):
+        return reg.counter(name).value if name in reg else 0
+
+    offered = count("serve/requests/offered")
+    assert offered == report.n_requests
+    assert count("serve/requests/completed") == report.completed
+    assert count("serve/requests/shed") == report.shed
+    assert count("serve/requests/failed") == report.failed
+    assert offered == report.completed + report.failed + report.shed
+    admission = sum(r.shed_reason in ("queue_full", "class_shed", "burn_shed")
+                    for r in report.records)
+    assert count("serve/requests/admitted") == offered - admission
+    assert count("serve/redispatches") == report.redispatches
+    placement = report.placement
+    for name in ("promotions", "demotions", "hits", "restages",
+                 "staged_bytes"):
+        want = getattr(placement, name) if placement is not None else 0
+        assert count(f"serve/placement/{name}") == want, name
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("replicate", REPLICATE)
 @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faults"])
 def test_serve_invariants(seed, policy, replicate, faulty, monkeypatch):
     requests = fast_requests(n=24, rate=150_000, seed=seed)
-    report = serve(
-        requests, _config(monkeypatch, policy, replicate, faulty, seed)
-    )
+    with collecting() as reg:
+        report = serve(
+            requests, _config(monkeypatch, policy, replicate, faulty, seed)
+        )
     _check_conservation(report, len(requests))
     _check_latency_decomposition(report)
     _check_batch_decomposition(report)
     _check_cluster_monotone(report)
     _check_replica_budget(report)
     _check_fault_attribution(report)
+    _check_ledger(report, reg)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
