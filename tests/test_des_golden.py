@@ -6,13 +6,19 @@ of each per-core busy time and the mean DDR concurrency, the event
 count and the DMA bytes; for faulted runs also the injector's counters
 or the raised error and the simulated time of the raise; one profiled
 run's per-epoch :class:`~repro.obs.profile.RunProfile` and metrics, and
-one traced run's span list.  Any change to the simulator that moves a
-tie, an event or a float fails here.
+traced runs' span lists (in full, or as a count and SHA-256 digest for
+the long ones).  Spans are recorded as work completes, so their ids pin
+the order of completions that land at one instant.  Any change to the
+simulator that moves a tie, an event or a float fails here.
 
 The plans are the irregular grid at seeds 0 and 1 (ftIMM and TGEMM, as
-the benchmark's gemm_grid workload draws it), a forced K-parallel shape,
-twenty seeded random op streams and faulted runs (DMA retries and their
-exhaustion, DDR degradation windows, timed core faults).
+the benchmark's gemm_grid workload draws it), traced ftIMM and TGEMM
+runs of one shape per grid type, a forced K-parallel shape, twenty
+seeded random op streams, a traced stream built of ties (equal-cycle
+kernels and equal-byte DMAs on every core, both DMA channels saturated)
+and faulted runs (DMA retries and their exhaustion, DDR degradation
+windows, timed core faults, and the traced re-dispatch attempts of core
+faults under DMA retries).
 
 Re-record only on purpose, when a change is meant to move simulated
 results::
@@ -22,6 +28,7 @@ results::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import sys
@@ -32,10 +39,14 @@ import pytest
 from repro.core.ftimm import ftimm_gemm, lowered_program, tgemm_gemm
 from repro.core.shapes import GemmShape
 from repro.errors import FaultError
+from repro.core.plans import OpStreamBuilder
+from repro.errors import CoreFailureError
 from repro.executor.timed import run_timed
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import CoreFault, DegradationWindow, FaultPlan
 from repro.hw.config import default_machine
+from repro.hw.dma import DmaDescriptor
+from repro.hw.memory import MemKind
 from repro.obs import MetricsRegistry
 from repro.obs.trace import Tracer, tracing
 from test_des_stress import build_random_plan
@@ -87,6 +98,42 @@ def _program(case: dict):
     return lowered_program(GemmShape(m, n, k), cluster, res.decision)
 
 
+def build_tie_plan(cluster, n_epochs: int = 2, iters: int = 40):
+    """An op stream made of ties: every core runs the same program of
+    equal-byte DMAs and equal-cycle kernels.
+
+    Each iteration loads three equal tiles from DDR and one from GSM, so
+    both DMA channels stay busy with more transfers queued behind them;
+    a kernel of ``startup_cycles`` cycles (its completion ties with a
+    DMA's startup) consumes two of them, a dependency-free kernel of the
+    same length runs beside it, and a store of the result back to DDR
+    waits for the first kernel.  Streams are longer than the in-flight
+    window, so window stalls release ops as others complete.
+    """
+    builder = OpStreamBuilder(cluster.n_cores)
+    cycles = cluster.dma.startup_cycles
+    load = DmaDescriptor(MemKind.DDR, MemKind.AM, 8, 512, tag="load")
+    near = DmaDescriptor(MemKind.GSM, MemKind.SM, 8, 512, tag="near")
+    store = DmaDescriptor(MemKind.AM, MemKind.DDR, 8, 512, tag="store")
+    for _epoch in range(n_epochs):
+        for i in range(iters):
+            slot = i % 2
+            for core in range(cluster.n_cores):
+                builder.dma(core, load, buffer="a", slot=slot)
+                builder.dma(core, load, buffer="b", slot=slot)
+                builder.dma(core, load, buffer="c", slot=slot)
+                builder.dma(core, near, buffer="d", slot=slot)
+                k = builder.kernel(core, cycles, cycles,
+                                   reads=(("a", slot), ("b", slot)),
+                                   tag="mac")
+                builder.kernel(core, cycles, cycles, tag="free")
+                builder.dma(core, store, extra_deps=(k,))
+                builder.consume(core, "c", slot, k)
+                builder.consume(core, "d", slot, k)
+        builder.sync(tag="epoch")
+    return builder.finish(GemmShape(1, 1, 1), "ties", cluster)
+
+
 def _fault_plan(spec: dict) -> FaultPlan:
     spec = dict(spec)
     spec["ddr_degradation"] = tuple(
@@ -98,9 +145,49 @@ def _fault_plan(spec: dict) -> FaultPlan:
     return FaultPlan(**spec)
 
 
+def _traced(program, inj, digest: bool) -> dict:
+    """Pins of one traced run: the span list, or its count and digest."""
+    with tracing(Tracer()) as tracer:
+        res = run_timed(program, faults=inj)
+    spans = _pin([
+        [s.span_id, s.parent_id, s.name, s.category, s.start_s,
+         s.end_s, s.track, s.args]
+        for s in tracer.spans
+    ])
+    if not digest:
+        return {**_timed_pins(res), "spans": spans}
+    blob = json.dumps(spans, sort_keys=True).encode()
+    return {**_timed_pins(res), "span_count": len(spans),
+            "spans_sha256": hashlib.sha256(blob).hexdigest()}
+
+
+def _recovery(program, plan: FaultPlan) -> list[dict]:
+    """Traced attempts of a plan whose core faults re-dispatch, as the
+    resilient drivers make them: each dead core's op stream moves to a
+    survivor, round-robin, until an attempt finishes."""
+    n_cores = default_machine().cluster.n_cores
+    dead, attempts = [], []
+    while True:
+        live = [c for c in range(n_cores) if c not in dead]
+        hosts = {d: live[i % len(live)] for i, d in enumerate(sorted(dead))}
+        inj = FaultInjector(plan, len(attempts), hosts)
+        try:
+            pins = _traced(program, inj, digest=True)
+        except CoreFailureError as exc:
+            attempts.append(_pin({"raised": exc.core, "at_s": exc.at_s,
+                                  "counters": inj.counters}))
+            dead.append(exc.core)
+            continue
+        attempts.append({**pins, "counters": _pin(inj.counters)})
+        return attempts
+
+
 def observe(case: dict) -> dict:
     """Run one case and return its pins."""
     kind = case["kind"]
+    if kind == "ties":
+        return _traced(build_tie_plan(default_machine().cluster), None,
+                       digest=True)
     if kind == "stress":
         cluster = default_machine().cluster
         plan, _cycles, _ddr = build_random_plan(
@@ -138,14 +225,9 @@ def observe(case: dict) -> dict:
         inj = None
         if "faults" in case:
             inj = FaultInjector(_fault_plan(case["faults"]), 0)
-        with tracing(Tracer()) as tracer:
-            res = run_timed(program, faults=inj)
-        spans = [
-            [s.span_id, s.parent_id, s.name, s.category, s.start_s,
-             s.end_s, s.track, s.args]
-            for s in tracer.spans
-        ]
-        return {**_timed_pins(res), "spans": _pin(spans)}
+        return _traced(program, inj, digest=case.get("digest", False))
+    if kind == "recovery":
+        return {"attempts": _recovery(program, _fault_plan(case["faults"]))}
     raise ValueError(f"unknown case kind {kind!r}")
 
 
@@ -200,6 +282,26 @@ def _cases() -> list[dict]:
     cases.append({"id": "trace-512x16x512-dma-retry", "kind": "trace",
                   "impl": "ftimm", "shape": [512, 16, 512],
                   "faults": {"seed": 4, "dma_fail_rate": 0.1}})
+    for impl in ("ftimm", "tgemm"):
+        for shape in GRID[0][::3]:
+            cases.append({
+                "id": f"trace-{impl}-{'x'.join(map(str, shape))}",
+                "kind": "trace", "impl": impl, "shape": list(shape),
+                "digest": True,
+            })
+    cases.append({"id": "ties-8core", "kind": "ties"})
+    recovery = [
+        ("m", "ftimm", [2048, 32, 2048],
+         {"seed": 7, "dma_fail_rate": 0.05,
+          "core_faults": [{"core": 3, "after_s": 3e-4},
+                          {"core": 4, "after_s": 2e-4}]}),
+        ("tgemm", "tgemm", [2048, 16, 2048],
+         {"seed": 5, "dma_fail_rate": 0.1,
+          "core_faults": [{"core": 0, "after_s": 1e-4}]}),
+    ]
+    for name, impl, shape, spec in recovery:
+        cases.append({"id": f"recovery-{name}", "kind": "recovery",
+                      "impl": impl, "shape": shape, "faults": spec})
     return cases
 
 
