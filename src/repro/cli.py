@@ -500,7 +500,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # re-run the analysis offline (make_record has a fixed signature)
     record["serve"] = {
         "requests": [dataclasses.asdict(r) for r in last.report.records],
-        "batches": [dataclasses.asdict(b) for b in last.report.batches],
+        "batches": [dict(dataclasses.asdict(b), redispatches=b.redispatches)
+                    for b in last.report.batches],
     }
     append_record(args.runlog, record)
     n_alerts = slo.append_to_runlog(args.runlog)
@@ -553,7 +554,10 @@ def _load_critical_path(path, quantile: float):
         )
     payload = serve_recs[-1]["serve"]
     reqs = [RequestRecord(**d) for d in payload["requests"]]
-    batches = [BatchRecord(**d) for d in payload["batches"]]
+    batches = [
+        BatchRecord(**{k: v for k, v in d.items() if k != "redispatches"})
+        for d in payload["batches"]
+    ]
     desc = (f"{path}: serve record {len(serve_recs)} of {len(records)} "
             f"run-log rows ({len(reqs)} requests, {len(batches)} batches)")
     return critical_path(reqs, batches, quantile=quantile), desc, reqs

@@ -21,6 +21,26 @@ emerges rather than being hard-coded.
 A sliding window caps in-flight ops per core so multi-hundred-
 thousand-op plans simulate in bounded memory.
 
+Same-instant order.  Ops reach their DMA engine or pipeline in one
+:meth:`_Run.dispatch` call per instant: first every op whose deps
+completed at this instant, in completion order, then every op spawned at
+it, in spawn order, each spawned op first registering on the deps still
+pending.  It is the order the ops would have if each hop (start,
+request, grant) were a queued call of its own: an op whose deps
+completed would queue its request behind every completion of the
+instant, and a spawned op a start call whose request comes one queued
+call later, behind all of those.  So every request sees each slot freed
+at the instant, every queued request keeps its place, a spawned op
+registers on its deps after the walks' own waits, and each grant's timed
+push (through :meth:`~repro.hw.event_sim.Simulator.schedule_soon`) gets
+the ``seq`` a queued grant call would: the grants of freed slots first,
+then those of ready ops, then those of spawned ops.  A core fault is
+checked as an op's last dep completes, or as a spawned op with no dep
+pending starts: where those calls would check it.  The argument needs
+every duration to be positive (kernel cycles, DMA payloads and startups,
+barriers), which the validated plans and the machine configs give; a
+zero duration would chain same-instant work deeper than one dispatch.
+
 Observability: when a metrics registry is active (``repro.obs.collecting``)
 or ``profile=True``, the run additionally fills a per-epoch
 :class:`~repro.obs.profile.RunProfile` (compute/DMA busy, barrier waits,
@@ -191,7 +211,7 @@ class _Run:
 
     __slots__ = ("sim", "cores", "faults", "prof", "tracer", "clock",
                  "n_cores", "barrier_s", "sync_seconds", "arrived",
-                 "released")
+                 "released", "ready", "spawned", "dispatch_queued")
 
     def __init__(self, execution: GemmExecution, cluster: ClusterSim,
                  faults, prof: RunProfile | None, tracer) -> None:
@@ -214,6 +234,11 @@ class _Run:
         self.arrived: list[set[int]] = [set() for _ in range(execution.n_syncs)]
         self.released = [Event(f"sync{sid}done")
                          for sid in range(execution.n_syncs)]
+        #: ops whose deps completed, and ops spawned, at this instant;
+        #: :meth:`dispatch` requests their DMA engines and pipelines
+        self.ready: list[_OpRun] = []
+        self.spawned: list[_OpRun] = []
+        self.dispatch_queued = False
         if prof is not None:
             # each sync completion closes an epoch at the global timeline
             for sid, released in enumerate(self.released):
@@ -222,6 +247,24 @@ class _Run:
                         sid, sim.now, sync_tags.get(sid, "")
                     )
                 )
+
+    def queue_dispatch(self) -> None:
+        self.dispatch_queued = True
+        self.sim.call_soon(self.dispatch)
+
+    def dispatch(self, _arg=None) -> None:
+        """Request resources for this instant's ready ops, then start its
+        spawned ops, each group in the order it was queued (the module
+        docstring says why this keeps the order of a queued call per
+        hop)."""
+        self.dispatch_queued = False
+        ready, spawned = self.ready, self.spawned
+        for op_run in ready:
+            op_run.request()
+        ready.clear()
+        for op_run in spawned:
+            op_run.start()
+        spawned.clear()
 
     def arrive(self, sid: int, core: int) -> None:
         arrived = self.arrived[sid]
@@ -244,13 +287,16 @@ class _Walk:
     ops, window stalls and sync waits are charged to ``host``.
     """
 
-    __slots__ = ("run", "core", "host", "ops", "events", "idx", "epoch",
-                 "t_mark", "done", "pending", "then", "finished")
+    __slots__ = ("run", "core", "host", "dma", "cpu", "ops", "events", "idx",
+                 "epoch", "t_mark", "done", "pending", "then", "finished")
 
     def __init__(self, run: _Run, core: int, ops) -> None:
         self.run = run
         self.core = core
         self.host = core if run.faults is None else run.faults.host(core)
+        #: the host's DMA engine and compute pipeline (its CoreSim)
+        self.cpu = run.cores[self.host]
+        self.dma = self.cpu.dma
         self.ops = ops
         #: per op: its completion event (a SYNC's is the release)
         self.events: list[Event | None] = [None] * len(ops)
@@ -270,27 +316,29 @@ class _Walk:
 
     def _walk(self, check_window: bool) -> None:
         """Spawn ops from ``idx`` on, until the walk must wait."""
-        ops, events = self.ops, self.events
-        while self.idx < len(ops):
-            idx = self.idx
+        ops, events, run = self.ops, self.events, self.run
+        spawned = run.spawned
+        idx, n_ops = self.idx, len(ops)
+        while idx < n_ops:
             if check_window and idx >= _WINDOW:
                 old = events[idx - _WINDOW]
                 if old is not None and not old.triggered:
-                    self.t_mark = self.run.sim.now
+                    self.idx = idx
+                    self.t_mark = run.sim.now
                     old.callbacks.append(self._unstall)
                     return
             check_window = True
             op = ops[idx]
             if op.kind is OpKind.SYNC:
+                self.idx = idx
                 self._drain(self._arrive)
                 return
-            deps = [events[d] for d in op.deps]
-            if None in deps:
-                raise SimulationError(
-                    f"op {idx} on core {self.core} has unresolved dep"
-                )
-            events[idx] = _OpRun(self, op, deps)
-            self.idx = idx + 1
+            events[idx] = op_run = _OpRun(self, op)
+            spawned.append(op_run)
+            if not run.dispatch_queued:
+                run.queue_dispatch()
+            idx += 1
+        self.idx = idx
         self._drain(self._finish)
 
     def _drain(self, then: Callable[[], None]) -> None:
@@ -353,49 +401,58 @@ class _Walk:
 class _OpRun(Event):
     """One DMA or KERNEL op in flight; fires when it completed.
 
-    Starts at the current time (so a walk spawns several ops "at once"),
-    waits for its ``deps`` to fire, then runs on the DMA engine or compute
-    pipeline of its walk's ``host``; its spans and profile time go to
-    that core.
+    Spawned at the current time (so a walk spawns several ops "at once"),
+    it starts at the instant's :meth:`_Run.dispatch`: it waits for its
+    deps to fire, then requests the DMA engine or compute pipeline of its
+    walk's ``host`` (at the dispatch of the instant the last dep fired);
+    its spans and profile time go to that core.
     """
 
-    __slots__ = ("walk", "op", "deps", "epoch", "pending", "t_start")
+    __slots__ = ("walk", "op", "epoch", "pending", "t_start")
 
-    def __init__(self, walk: _Walk, op, deps: list[Event]) -> None:
-        super().__init__()
+    def __init__(self, walk: _Walk, op) -> None:
+        # Event.__init__, inline: one of these per op
+        self.callbacks = []
+        self.triggered = False
+        self.name = ""
         self.walk = walk
         self.op = op
-        self.deps = deps
         self.epoch = walk.epoch
-        walk.run.sim.call_soon(self._start)
 
-    def _start(self, _arg) -> None:
+    def start(self) -> None:
+        """Wait for the deps that have not completed, or request now."""
+        events = self.walk.events
         pending = 0
-        for ev in self.deps:
+        for d in self.op.deps:
+            ev = events[d]
             if not ev.triggered:
                 pending += 1
                 ev.callbacks.append(self._dep_done)
-        self.deps = None
         self.pending = pending
         if not pending:
-            self._go()
+            run = self.walk.run
+            if run.faults is not None:
+                run.faults.check_core_alive_timed(self.walk.host, run.sim.now)
+            self.request()
 
     def _dep_done(self, _ev: Event) -> None:
         self.pending -= 1
         if not self.pending:
-            self._go()
+            run = self.walk.run
+            if run.faults is not None:
+                run.faults.check_core_alive_timed(self.walk.host, run.sim.now)
+            run.ready.append(self)
+            if not run.dispatch_queued:
+                run.queue_dispatch()
 
-    def _go(self) -> None:
-        run = self.walk.run
-        core = self.walk.host
-        if run.faults is not None:
-            run.faults.check_core_alive_timed(core, run.sim.now)
+    def request(self) -> None:
+        walk = self.walk
         op = self.op
         if op.kind is OpKind.DMA:
-            self.t_start = run.sim.now
-            run.cores[core].dma.issue(op.desc, self._dma_done)
+            self.t_start = walk.run.sim.now
+            walk.dma.issue(op.desc, self._dma_done)
         else:
-            run.cores[core].run_kernel(op.cycles, self._kernel_done)
+            walk.cpu.run_kernel(op.cycles, self._kernel_done)
 
     def _dma_done(self, _arg) -> None:
         run = self.walk.run

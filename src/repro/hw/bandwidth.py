@@ -15,6 +15,7 @@ reschedules the next completion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -166,27 +167,36 @@ class SharedChannel:
         self._last_t = now
         if dt <= 0 or not self._flows:
             return
-        n = len(self._flows)
+        flows = self._flows
+        n = len(flows)
         # rate is constant over [last_t, now]: wake-ups are capped at
         # window boundaries, so no interval straddles a factor change
         served = dt * self._flow_rate(now - dt, n)
-        self.stats.busy_time += dt
-        self.stats.weighted_concurrency += n * dt
+        stats = self.stats
+        stats.busy_time += dt
+        stats.weighted_concurrency += n * dt
         if n > 1:
-            self.stats.contended_time += dt
-            self.stats.stall_flow_seconds += (n - 1) * dt
-        finished: list[_Flow] = []
-        for flow in self._flows:
-            flow.remaining -= served
-            self.stats.bytes_served += min(served, served + flow.remaining)
-            if flow.remaining <= _EPS_BYTES:
-                finished.append(flow)
-        for flow in finished:
-            self._flows.remove(flow)
-            self.stats.flows_completed += 1
-            flow.fn(flow.arg)
-        if finished and self.timeline is not None:
-            self._record()
+            stats.contended_time += dt
+            stats.stall_flow_seconds += (n - 1) * dt
+        # one pass: served flows are called as they are found, survivors
+        # move up in order.  A call never re-enters the channel (a
+        # transfer starts only from its own DmaEngine._started event), so
+        # this equals serving every flow first and calling after.
+        kept = 0
+        for flow in flows:
+            remaining = flow.remaining - served
+            flow.remaining = remaining
+            stats.bytes_served += min(served, served + remaining)
+            if remaining <= _EPS_BYTES:
+                stats.flows_completed += 1
+                flow.fn(flow.arg)
+            else:
+                flows[kept] = flow
+                kept += 1
+        if kept < n:
+            del flows[kept:]
+            if self.timeline is not None:
+                self._record()
 
     def _reschedule(self) -> None:
         """Schedule a wake-up at the earliest projected completion.
@@ -202,7 +212,10 @@ class SharedChannel:
         epoch = self._epoch
         now = self.sim.now
         rate = self._flow_rate(now, len(self._flows))
-        min_remaining = min(f.remaining for f in self._flows)
+        min_remaining = math.inf
+        for flow in self._flows:
+            if flow.remaining < min_remaining:
+                min_remaining = flow.remaining
         delay = min_remaining / rate
         if self._windows:
             boundary = self._next_boundary(now)

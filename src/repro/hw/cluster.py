@@ -133,17 +133,14 @@ class CoreSim:
     def run_kernel(self, cycles: int, fn: Callback, arg: Any = None) -> None:
         """Occupy the compute pipeline for ``cycles`` cycles, starting now
         or when the pipeline frees; ``fn(arg)`` runs when they are done."""
-        self.sim.call_soon(self._request, (cycles, fn, arg))
-
-    def _request(self, kernel: tuple[int, Callback, Any]) -> None:
-        self.compute.request(self._granted, kernel)
+        self.compute.request(self._granted, (cycles, fn, arg))
 
     def _granted(self, kernel: tuple[int, Callback, Any]) -> None:
         cycles = kernel[0]
         duration = cycles / self.cfg.clock_hz
         self.compute_cycles += cycles
         self.busy_time += duration
-        self.sim.schedule(duration, self._done, kernel)
+        self.sim.schedule_soon(duration, self._done, kernel)
 
     def _done(self, kernel: tuple[int, Callback, Any]) -> None:
         self.compute.release()

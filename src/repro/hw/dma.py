@@ -123,6 +123,8 @@ class DmaEngine:
         self.queue_depth_peak = 0
         #: payload bytes moved, keyed by medium value ("ddr", "gsm", "am")
         self.bytes_by_medium: dict[str, int] = {}
+        #: the ambient tracer of the run this engine serves, looked up once
+        self.tracer = current_tracer()
 
     def issue(self, desc: DmaDescriptor, fn: Callback, arg: Any = None) -> None:
         """Start a transfer now; ``fn(arg)`` runs at its completion.
@@ -131,24 +133,23 @@ class DmaEngine:
         pay the startup, move the bytes over the medium's channel, and on
         an injected failure back off and start again.
         """
-        self.sim.call_soon(self._start, _Transfer(desc, fn, arg))
-
-    def _start(self, x: "_Transfer") -> None:
-        queued = self.slots.queued
-        if queued + 1 > self.queue_depth_peak and self.slots.in_use >= self.slots.capacity:
-            self.queue_depth_peak = queued + 1
-        x.t_request = self.sim.now
-        self.slots.request(self._granted, x)
+        slots = self.slots
+        if slots.in_use >= slots.capacity:
+            queued = slots.queued
+            if queued + 1 > self.queue_depth_peak:
+                self.queue_depth_peak = queued + 1
+        slots.request(self._granted, _Transfer(desc, fn, arg, self.sim.now))
 
     def _granted(self, x: "_Transfer") -> None:
-        self.queue_wait_s += self.sim.now - x.t_request
-        if x.desc.nbytes > 0:
+        now = self.sim.now
+        self.queue_wait_s += now - x.t_request
+        if x.nbytes > 0:
             x.issue_idx = self._issued
             self._issued += 1
-            x.t0 = self.sim.now
-            self.sim.schedule(self.startup_s, self._started, x)
+            x.t0 = now
+            self.sim.schedule_soon(self.startup_s, self._started, x)
         else:
-            self._finish(x)
+            self.sim.call_soon(self._finish, x)
 
     def _started(self, x: "_Transfer") -> None:
         desc = x.desc
@@ -180,7 +181,7 @@ class DmaEngine:
                 self.slots.release()
                 raise err
             backoff = inj.backoff_s(x.attempt, self.core_cfg.clock_hz)
-            tracer = current_tracer()
+            tracer = self.tracer
             if tracer is not None:
                 tracer.instant(
                     f"dma-retry {desc.tag or 'transfer'}",
@@ -193,12 +194,13 @@ class DmaEngine:
             x.wasted, x.backoff = wasted, backoff
             self.sim.schedule(backoff, self._backed_off, x)
             return
-        self.bytes_moved += desc.nbytes
+        nbytes = x.nbytes
+        self.bytes_moved += nbytes
         medium = desc.medium.value
         self.bytes_by_medium[medium] = (
-            self.bytes_by_medium.get(medium, 0) + desc.nbytes
+            self.bytes_by_medium.get(medium, 0) + nbytes
         )
-        tracer = current_tracer()
+        tracer = self.tracer
         if tracer is not None:
             # queue wait + startup + transfer (+ retries), end to end
             tracer.record(
@@ -207,7 +209,7 @@ class DmaEngine:
                 start_s=x.t_request,
                 end_s=self.sim.now,
                 track=f"core{self.core_id}/dma",
-                args={"core": self.core_id, "bytes": desc.nbytes,
+                args={"core": self.core_id, "bytes": nbytes,
                       "medium": medium, "rows": desc.rows},
             )
         self._finish(x)
@@ -230,11 +232,15 @@ class DmaEngine:
 class _Transfer:
     """One descriptor in flight on a :class:`DmaEngine`."""
 
-    __slots__ = ("desc", "fn", "arg", "t_request", "issue_idx", "attempt",
-                 "t0", "wasted", "backoff")
+    __slots__ = ("desc", "nbytes", "fn", "arg", "t_request", "issue_idx",
+                 "attempt", "t0", "wasted", "backoff")
 
-    def __init__(self, desc: DmaDescriptor, fn: Callback, arg: Any) -> None:
+    def __init__(self, desc: DmaDescriptor, fn: Callback, arg: Any,
+                 t_request: float) -> None:
         self.desc = desc
+        #: payload bytes, computed once
+        self.nbytes = desc.nbytes
         self.fn = fn
         self.arg = arg
+        self.t_request = t_request
         self.attempt = 0

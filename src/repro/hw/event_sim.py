@@ -8,12 +8,14 @@ simulated clock.  The kernel is callback-driven, kept deliberately small:
   ``(when, seq, fn, arg)`` entries for later instants and a FIFO ready
   queue for the current one.  :meth:`Simulator.schedule` queues a call
   ``delay`` seconds ahead; :meth:`Simulator.call_soon` queues one at the
-  current instant (``schedule`` hands it every call that lands there).
+  current instant (``schedule`` hands it every call that lands there);
+  :meth:`Simulator.schedule_soon` queues a ``schedule`` behind the calls
+  already queued for the current instant.
 * :class:`Event` — one-shot occurrence with an ordered callback list, for
   what several parties wait on (an op's completion, a barrier release).
 * :class:`Resource` — FIFO resource with integer capacity (DMA channels,
   the single compute pipeline of a core); a request names the callback
-  queued when a slot is granted.
+  called when a slot is granted.
 
 A model waits by registering the callback that continues it: on the
 simulator for a delay, on an :class:`Event`'s list for an occurrence, at
@@ -25,11 +27,21 @@ Time is in **seconds** (float).  Determinism: pending calls run in
 callbacks in registration order, so runs are exactly repeatable.  The
 ready queue keeps that order without the heap: a heap entry due now was
 pushed before the clock reached now, so it runs first, and the queue's
-calls, all pushed at this instant, follow in push order.  Every call is
-one event either way (``events_processed``), and ``heap_peak`` counts
-the pending calls of both.
-"""
+calls, all pushed at this instant, follow in push order.  Each queued
+call is one event either way (``events_processed``); a grant, and a
+``schedule_soon`` push, run no callback of their own and are not events.
+``heap_peak`` counts the pending entries of heap and ready queue.
 
+Why a grant needs no event of its own: a queued call that does some
+bookkeeping and then schedules its continuation is equivalent to doing
+the bookkeeping at once and handing the push to
+:meth:`Simulator.schedule_soon`.  The push keeps the call's place in the
+ready queue, so it gets the same ``seq``, and the bookkeeping only moves
+earlier, which nothing can tell as long as nothing that runs in between
+reads it.  The DMA engines' and pipelines' bookkeeping (queue waits,
+issue indices, busy time) is read only by their own later grants, which
+keep their order, and by reports after the run.
+"""
 from __future__ import annotations
 
 import math
@@ -119,6 +131,22 @@ class Simulator:
         if pending > self._heap_peak:
             self._heap_peak = pending
 
+    def schedule_soon(self, delay: float, fn: Callback, arg: Any = None) -> None:
+        """:meth:`schedule` ``fn(arg)``, but only once every call already
+        pending for the current instant has run.
+
+        The push waits in the ready queue, so it takes the ``seq`` that a
+        queued call making it would have; unlike such a call it is not an
+        event.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative timeout {delay}")
+        ready = self._ready
+        ready.append((None, (self.now + delay, fn, arg)))
+        pending = len(self._heap) + len(ready)
+        if pending > self._heap_peak:
+            self._heap_peak = pending
+
     def run(self, until: float | None = None, max_events: int = 50_000_000) -> float:
         """Run until nothing is pending (or simulated time passes ``until``).
 
@@ -142,6 +170,14 @@ class Simulator:
                         _when, _seq, fn, arg = heappop(heap)
                     else:
                         fn, arg = popleft()
+                        if fn is None:  # a schedule_soon push: no event
+                            when, fn, arg = arg
+                            if when == now:
+                                ready.append((fn, arg))
+                            else:
+                                self._seq = seq = self._seq + 1
+                                heappush(heap, (when, seq, fn, arg))
+                            continue
                 elif heap:
                     when = heap[0][0]
                     if when > limit:
@@ -174,10 +210,13 @@ class Simulator:
 class Resource:
     """FIFO resource with integer capacity.
 
-    ``request(fn, arg)`` queues ``fn(arg)`` at the current time once a
-    slot is free (at once, or at the ``release()`` that frees one for
-    it).  Used for DMA channels (capacity = channels_per_core) and the
-    compute pipeline (capacity = 1).
+    ``request(fn, arg)`` calls ``fn(arg)`` once a slot is free: at once,
+    or inside the ``release()`` that frees one for it, oldest request
+    first.  A grantee that continues in time pushes through
+    :meth:`Simulator.schedule_soon`, which keeps the push where a queued
+    grant call would have made it (see the module docstring).  Used for
+    DMA channels (capacity = channels_per_core) and the compute pipeline
+    (capacity = 1).
     """
 
     __slots__ = ("sim", "capacity", "name", "_in_use", "_queue")
@@ -194,7 +233,7 @@ class Resource:
     def request(self, fn: Callback, arg: Any = None) -> None:
         if self._in_use < self.capacity:
             self._in_use += 1
-            self.sim.call_soon(fn, arg)
+            fn(arg)
         else:
             self._queue.append((fn, arg))
 
@@ -203,7 +242,7 @@ class Resource:
             raise SimulationError(f"release of idle resource {self.name!r}")
         if self._queue:
             fn, arg = self._queue.popleft()
-            self.sim.call_soon(fn, arg)
+            fn(arg)
         else:
             self._in_use -= 1
 

@@ -69,7 +69,6 @@ class ReplicaSet:
     seq: int                       # creation order (deterministic LRU ties)
     clusters: list[int] = field(default_factory=list)
     batches: int = 0               # batches closed on this digest (traffic)
-    hits: int = 0                  # batches that skipped B staging
     last_used_s: float = 0.0
     #: traffic count at which (re-)promotion may fire; bumped after a
     #: full demotion so a just-evicted digest cannot thrash straight back
@@ -308,7 +307,6 @@ class PlacementManager:
             return False
         if cluster in st.clusters:
             st.last_used_s = now
-            st.hits += 1
             self.hits += 1
             return True
         self.restages += 1

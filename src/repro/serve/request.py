@@ -132,7 +132,6 @@ class BatchRecord:
     stage_s: float = 0.0
     gemm_s: float = 0.0
     lost_s: float = 0.0            # failed fault attempts, honestly charged
-    redispatches: int = 0
     request_ids: list[int] = field(default_factory=list)
     #: ran on a cluster already holding a B replica (skipped B staging)
     b_resident: bool = False
@@ -142,3 +141,8 @@ class BatchRecord:
     attempt_errors: list[str] = field(default_factory=list)
     #: the cluster each failed attempt ran on (and was attributed to)
     fault_clusters: list[int] = field(default_factory=list)
+
+    @property
+    def redispatches(self) -> int:
+        """Failed dispatch attempts: one per entry of ``attempt_errors``."""
+        return len(self.attempt_errors)

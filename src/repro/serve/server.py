@@ -288,7 +288,6 @@ class _Execution:
     #: did the batch run on a cluster already holding its B replica?
     b_resident: bool = False
     lost_s: float = 0.0
-    redispatches: int = 0
     error: str | None = None
     attempt_errors: list[str] = field(default_factory=list)
     #: the backend the final attempt ran on (health-aware re-routing may
@@ -710,7 +709,6 @@ class ServeEngine:
             stage_s=stage_s,
             stage_nob_s=stage_nob_s,
             lost_s=lost_s,
-            redispatches=len(attempt_errors),
             error=None if served is not None else attempt_errors[-1],
             attempt_errors=attempt_errors,
             backend=route,
@@ -744,7 +742,6 @@ class ServeEngine:
             stage_s=execution.stage_s,
             gemm_s=execution.gemm_s,
             lost_s=execution.lost_s,
-            redispatches=execution.redispatches,
             request_ids=[r.req_id for r in batch.requests],
             b_resident=execution.b_resident,
             close_reason=batch.reason,

@@ -390,6 +390,14 @@ class TestTraceCommand:
         ]) == 0
         return runlog
 
+    def test_batch_rows_keep_redispatches(self, tmp_path):
+        runlog = self._runlog(tmp_path, "a.jsonl", "2e-3")
+        records = [json.loads(line) for line in runlog.read_text().splitlines()]
+        rows = [r for r in records if r.get("serve")][-1]["serve"]["batches"]
+        assert rows
+        for row in rows:
+            assert row["redispatches"] == len(row["attempt_errors"])
+
     def test_single_input_renders_critical_path(self, capsys, tmp_path):
         runlog = self._runlog(tmp_path, "a.jsonl", "2e-3")
         capsys.readouterr()

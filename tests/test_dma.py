@@ -130,6 +130,19 @@ class TestEngine:
         # GSM is a shared channel: two concurrent flows at 500 B/s each
         assert sim.now == pytest.approx(2.0)
 
+    def test_queue_wait_and_depth_three_transfers_two_channels(self):
+        sim, eng = make_engine(channels=2)
+        d = DmaDescriptor(MemKind.GSM, MemKind.AM, rows=10, row_bytes=100)
+        for _ in range(3):
+            eng.issue(d, noop)
+        sim.run()
+        # two share GSM at 500 B/s each until t=2 while the third waits
+        # for a channel; it then runs alone for 1 s
+        assert eng.queue_wait_s == 2.0
+        assert eng.queue_depth_peak == 1
+        assert sim.now == 3.0
+        assert eng.transfers == 3
+
     def test_startup_cost_applied(self):
         sim, eng = make_engine(startup=1800)  # 1 us at 1.8 GHz
         d = DmaDescriptor(MemKind.GSM, MemKind.AM, rows=1, row_bytes=1000)

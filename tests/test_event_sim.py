@@ -105,14 +105,34 @@ class TestResource:
         sim.run()
         assert sim.now == 2.0
 
-    def test_grant_is_scheduled_not_immediate(self):
+    def test_free_slot_is_granted_inline(self):
         sim = Simulator()
         res = Resource(sim, 1)
         granted = []
         res.request(granted.append, "x")
-        assert granted == [] and res.in_use == 1
+        assert granted == ["x"] and res.in_use == 1
+        assert sim.run() == 0.0 and sim.events_processed == 0
+
+    def test_release_grants_oldest_queued_at_once(self):
+        sim = Simulator()
+        res = Resource(sim, 2)
+        granted = []
+        for name in "abcde":
+            res.request(granted.append, name)
+        assert granted == ["a", "b"] and res.queued == 3
+
+        def free(_arg):
+            res.release()
+            granted.append(f"released at {sim.now}")
+
+        sim.schedule(1.0, free)
+        sim.schedule(1.0, free)
         sim.run()
-        assert granted == ["x"]
+        # each release hands its slot on inside the call, FIFO, and the
+        # slot stays taken
+        assert granted == ["a", "b", "c", "released at 1.0",
+                           "d", "released at 1.0"]
+        assert res.in_use == 2 and res.queued == 1
 
     def test_release_idle_raises(self):
         sim = Simulator()
@@ -131,6 +151,45 @@ class TestResource:
         res.request(noop)
         assert res.in_use == 1
         assert res.queued == 1
+
+
+class TestScheduleSoon:
+    def test_push_takes_the_seq_of_a_queued_call(self):
+        """``schedule_soon`` orders a tie as a queued call that schedules
+        would, and is not an event itself."""
+
+        def tie_order(soon):
+            sim, log = Simulator(), []
+
+            def at_one(_arg):
+                sim.call_soon(
+                    lambda _a: sim.schedule(1.0, log.append, "queued call"))
+                if soon:
+                    sim.schedule_soon(1.0, log.append, "deferred")
+                else:
+                    sim.call_soon(
+                        lambda _a: sim.schedule(1.0, log.append, "deferred"))
+                sim.schedule(1.0, log.append, "pushed now")
+
+            sim.schedule(1.0, at_one)
+            sim.run()
+            return log, sim.events_processed
+
+        log, events = tie_order(soon=True)
+        assert (log, events + 1) == tie_order(soon=False)
+        assert log == ["pushed now", "queued call", "deferred"]
+
+    def test_zero_delay_lands_behind_the_queue(self):
+        sim, log = Simulator(), []
+        sim.schedule_soon(0.0, log.append, "soon push")
+        sim.call_soon(log.append, "queued after")
+        sim.run()
+        assert log == ["queued after", "soon push"]
+        assert sim.events_processed == 2
+
+    def test_negative_delay_rejected(self):
+        with pytest.raises(SimulationError):
+            Simulator().schedule_soon(-1.0, noop)
 
 
 class TestSimulator:
