@@ -42,6 +42,7 @@ reads it.  The DMA engines' and pipelines' bookkeeping (queue waits,
 issue indices, busy time) is read only by their own later grants, which
 keep their order, and by reports after the run.
 """
+
 from __future__ import annotations
 
 import math

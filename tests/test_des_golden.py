@@ -37,10 +37,9 @@ from pathlib import Path
 import pytest
 
 from repro.core.ftimm import ftimm_gemm, lowered_program, tgemm_gemm
-from repro.core.shapes import GemmShape
-from repro.errors import FaultError
 from repro.core.plans import OpStreamBuilder
-from repro.errors import CoreFailureError
+from repro.core.shapes import GemmShape
+from repro.errors import CoreFailureError, FaultError
 from repro.executor.timed import run_timed
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import CoreFault, DegradationWindow, FaultPlan

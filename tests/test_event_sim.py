@@ -267,16 +267,27 @@ class _HeapOnly:
 _DELAYS = (0.0, 0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 1e-300)
 
 
-def _drive(sim, seed):
+def _drive(sim, seed, deferred=None):
     """Run a seeded random tree of calls on ``sim`` in three ``run``
     segments; return every call with its time, and what ``run`` returned.
 
     What each call does depends only on its name, so both schedulers see
     the same program.  On a :class:`Simulator` half of the zero-delay
-    calls go through ``call_soon``.
+    calls go through ``call_soon``.  With a ``deferred`` list, half of
+    the other calls are pushed from a queued call at the current instant
+    (on a :class:`Simulator`, through ``schedule_soon``), each counted
+    in the list.
     """
     log, returns = [], []
     soon = getattr(sim, "call_soon", None)
+    schedule_soon = getattr(sim, "schedule_soon", None)
+
+    def push_later(delay, name):
+        if schedule_soon is not None:
+            schedule_soon(delay, call, name)
+        else:
+            sim.schedule(0.0, lambda _a: sim.schedule(delay, call, name))
+        deferred.append(name)
 
     def call(name):
         log.append((name, sim.now))
@@ -288,6 +299,8 @@ def _drive(sim, seed):
             via_soon = rng.random() < 0.5
             if soon is not None and delay == 0.0 and via_soon:
                 soon(call, f"{name}.{k}")
+            elif deferred is not None and delay > 0.0 and via_soon:
+                push_later(delay, f"{name}.{k}")
             else:
                 sim.schedule(delay, call, f"{name}.{k}")
 
@@ -308,6 +321,19 @@ def test_ready_queue_keeps_heap_order(seed):
     assert _drive(sim, seed) == expected
     assert expected[0]
     assert sim.events_processed == ref.events_processed
+    assert sim.heap_peak == ref.heap_peak
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_schedule_soon_keeps_a_queued_push_order(seed):
+    """A ``schedule_soon`` push orders every tie as a queued call making
+    the push would, and is the one event fewer."""
+    ref_deferred, deferred = [], []
+    ref, sim = _HeapOnly(), Simulator()
+    expected = _drive(ref, seed, ref_deferred)
+    assert _drive(sim, seed, deferred) == expected
+    assert deferred == ref_deferred
+    assert sim.events_processed == ref.events_processed - len(deferred)
     assert sim.heap_peak == ref.heap_peak
 
 
