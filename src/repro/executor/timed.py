@@ -36,10 +36,11 @@ push (through :meth:`~repro.hw.event_sim.Simulator.schedule_soon`) gets
 the ``seq`` a queued grant call would: the grants of freed slots first,
 then those of ready ops, then those of spawned ops.  A core fault is
 checked as an op's last dep completes, or as a spawned op with no dep
-pending starts: where those calls would check it.  The argument needs
-every duration to be positive (kernel cycles, DMA payloads and startups,
-barriers), which the validated plans and the machine configs give; a
-zero duration would chain same-instant work deeper than one dispatch.
+pending starts: where those calls would check it.  The argument assumes
+positive durations: plan validation keeps kernel cycles positive, and
+lowered plans on the configured machines have positive DMA payloads,
+DMA startups and barriers.  A zero duration chains same-instant work
+past one dispatch, which the argument does not cover.
 
 Observability: when a metrics registry is active (``repro.obs.collecting``)
 or ``profile=True``, the run additionally fills a per-epoch
