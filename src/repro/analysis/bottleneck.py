@@ -208,8 +208,7 @@ def attribute(
     """Build the bottleneck report for a profiled DES run."""
     if result.profile is None:
         raise ReproError(
-            "run was not profiled: call run_timed(..., profile=True) or run "
-            "inside repro.obs.collecting()"
+            "run was not profiled: run it inside repro.obs.collecting()"
         )
     return BottleneckReport(
         shape=shape,

@@ -138,10 +138,11 @@ def _cmd_gemm(args: argparse.Namespace) -> int:
                 from contextlib import nullcontext
 
                 from .executor.timed import run_timed
-                from .obs import ascii_timeline, tracing
+                from .obs import ascii_timeline, collecting, tracing
 
-                with tracing() if args.trace else nullcontext() as tracer:
-                    timed = run_timed(lowered, profile=args.perf)
+                with (tracing() if args.trace else nullcontext()) as tracer, \
+                        (collecting() if args.perf else nullcontext()):
+                    timed = run_timed(lowered)
                 if tracer is not None:
                     path = tracer.save(args.trace)
                     print(f"trace: {tracer.n_spans} spans -> {path}")
@@ -246,7 +247,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         )
     with collecting() as reg:
         lowered = lowered_program(shape, cluster, decision)
-        result = run_timed(lowered, profile=True)
+        result = run_timed(lowered)
     report = attribute(result, shape, cluster, impl=args.impl)
     record = make_record(
         **report.to_record_fields(),
@@ -583,8 +584,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         )
         print(diff.render())
         return 0
-    if args.compare:
-        raise ReproError("--compare needs two inputs: repro trace A B")
 
     path = Path(args.path_a)
     cp, desc, extra = _load_critical_path(path, args.quantile)
@@ -837,9 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("path_b", metavar="B", nargs="?", default=None,
                          help="second run to diff against (same formats); "
                               "prints per-segment p50/p99 tail deltas")
-    p_trace.add_argument("--compare", action="store_true",
-                         help="explicit alias for the two-input diff mode "
-                              "(errors without a second input)")
     p_trace.add_argument("--quantile", type=float, default=0.99,
                          help="tail quantile to attribute (default 0.99)")
     p_trace.set_defaults(fn=_cmd_trace)

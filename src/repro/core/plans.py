@@ -42,6 +42,7 @@ import enum
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable
 
 from ..errors import PlanError
@@ -159,8 +160,9 @@ class GemmExecution:
 
     # -- aggregate statistics (used by reports and tests) -----------------
 
-    @property
+    @cached_property
     def total_flops(self) -> int:
+        """Kernel flops; summed once, as a lowered program is read-only."""
         return sum(
             op.flops for ops in self.core_ops for op in ops if op.kind is OpKind.KERNEL
         )

@@ -99,7 +99,7 @@ class CoreFailureError(FaultError):
 
 
 class WorkerError(ReproError):
-    """A process-pool worker crashed or hung beyond the retry budget."""
+    """A process-pool worker crashed, and again after one resubmit."""
 
 
 class OverloadError(ReproError):

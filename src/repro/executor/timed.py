@@ -43,7 +43,7 @@ DMA startups and barriers.  A zero duration chains same-instant work
 past one dispatch, which the argument does not cover.
 
 Observability: when a metrics registry is active (``repro.obs.collecting``)
-or ``profile=True``, the run additionally fills a per-epoch
+or a tracer (``repro.obs.tracing``), the run additionally fills a per-epoch
 :class:`~repro.obs.profile.RunProfile` (compute/DMA busy, barrier waits,
 window stalls, bytes per medium) and publishes simulator/channel/DMA
 counters.  All hooks are observation-only: the simulated timeline is
@@ -102,8 +102,6 @@ def run_timed(
     execution: GemmExecution,
     *,
     record_bandwidth: bool = False,
-    metrics: MetricsRegistry | None = None,
-    profile: bool = False,
     faults=None,
 ) -> TimedResult:
     """Simulate the plan and return elapsed time + utilization stats.
@@ -115,11 +113,10 @@ def run_timed(
     aggregate draw and reports its time-average against the theoretical
     port.
 
-    ``metrics`` (default: the ambient registry from
-    :func:`repro.obs.collecting`, if any) receives simulator, channel and
-    DMA-engine counters; ``profile=True`` — implied by an active registry —
-    attaches a per-epoch :class:`~repro.obs.profile.RunProfile` to the
-    result for bottleneck attribution.
+    Under an ambient registry (:func:`repro.obs.collecting`) the run
+    publishes simulator, channel and DMA-engine counters and attaches a
+    per-epoch :class:`~repro.obs.profile.RunProfile` to the result for
+    bottleneck attribution.
 
     ``faults`` (a :class:`~repro.faults.inject.FaultInjector`) arms the
     fault model: DMA transfers may fail and retry with backoff (costed in
@@ -131,8 +128,7 @@ def run_timed(
     op stream on a survivor's DMA engine and compute pipeline
     (:meth:`~repro.faults.inject.FaultInjector.host`).
     """
-    if metrics is None:
-        metrics = _obs_current()
+    metrics = _obs_current()
     cluster = ClusterSim(
         execution.cluster, record_bandwidth=record_bandwidth, faults=faults
     )
@@ -141,7 +137,7 @@ def run_timed(
     tracer = current_tracer()
     # an ambient tracer needs the epoch boundaries too (epoch spans)
     prof = (RunProfile(n_cores=n_cores)
-            if (profile or metrics is not None or tracer is not None)
+            if metrics is not None or tracer is not None
             else None)
 
     run = _Run(execution, cluster, faults, prof, tracer)

@@ -7,20 +7,23 @@ Usage::
 Writes the paper-vs-measured record for Tables I-III and Figures 3-7
 (plus the ext_* extensions); ``--json`` additionally dumps every series
 and claim as machine-readable data for external plotting.  ``--jobs``
-(default ``$REPRO_JOBS``, then the CPU count) fans the experiment modules
-out across worker processes; results are collected in module order, so
-the generated markdown is identical for every job count.
+(default: the CPU count) fans the experiment modules out across worker
+processes; results are collected in module order, so the generated
+markdown is identical for every job count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from ..analysis.tables import ExperimentResult
-from ..parallel import parallel_map, resolve_jobs
+from ..errors import WorkerError
 from . import (
     ext_autotune,
     ext_bandwidth,
@@ -67,14 +70,42 @@ def _run_module(name: str) -> list[ExperimentResult]:
     return module.run()
 
 
+def _map_modules(names: list[str], jobs: int) -> list[list[ExperimentResult]]:
+    """``[_run_module(n) for n in names]`` on ``jobs`` worker processes.
+
+    ``Executor.map`` returns in input order, so every job count gives the
+    same results.  One job runs in-process, and so does a host that
+    refuses to create a pool (``OSError``).  A crashed worker
+    breaks the pool: the map is resubmitted once to a fresh one, and a
+    second crash raises :class:`~repro.errors.WorkerError`.  An exception
+    raised by a module propagates unchanged.
+    """
+    if jobs > 1:
+        for _attempt in range(2):
+            try:
+                with ProcessPoolExecutor(max_workers=jobs) as pool:
+                    return list(pool.map(_run_module, names))
+            except OSError:
+                break
+            except BrokenProcessPool:
+                continue
+        else:
+            raise WorkerError(
+                f"a pool worker crashed running {len(names)} experiment "
+                f"modules, and again after one resubmit"
+            )
+    return [_run_module(name) for name in names]
+
+
 def run_everything(jobs: int | None = None) -> list[ExperimentResult]:
-    jobs = resolve_jobs(jobs, len(MODULES))
+    if jobs is None:
+        jobs = os.cpu_count() or 1
+    jobs = max(1, min(jobs, len(MODULES)))
     results: list[ExperimentResult] = []
     t0 = time.perf_counter()
-    # module *names* are the work items: modules themselves pickle by
-    # reference anyway, and names keep the journal human-readable;
-    # jobs=1 runs them in-process
-    per_module = parallel_map(_run_module, [m.__name__ for m in MODULES], jobs)
+    # module *names* are the work items: they pickle cheaply and read
+    # well in a traceback
+    per_module = _map_modules([m.__name__ for m in MODULES], jobs)
     dt = time.perf_counter() - t0
     for module, module_results in zip(MODULES, per_module):
         print(f"[{module.__name__}] {len(module_results)} experiments")
@@ -113,8 +144,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser.add_argument("--json", type=Path, metavar="PATH",
                         help="also dump every series and claim as JSON")
     parser.add_argument("--jobs", type=int, metavar="N",
-                        help="worker processes (default $REPRO_JOBS, then "
-                             "the CPU count; 1 = in-process)")
+                        help="worker processes (default: the CPU count; "
+                             "1 = in-process)")
     return parser.parse_args(argv)
 
 

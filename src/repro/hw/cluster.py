@@ -82,18 +82,6 @@ class ClusterSpaces:
             raise ConfigError(f"core id {core_id} outside cluster")
         return self.am[core_id] if kind is MemKind.AM else self.sm[core_id]
 
-    def reset(self) -> None:
-        for space in [self.ddr, self.gsm, *self.am, *self.sm]:
-            space.reset()
-
-    def peak_report(self) -> dict[str, int]:
-        """Peak bytes used per space — handy for blocking-plan diagnostics."""
-        report = {"gsm": self.gsm.peak_used}
-        for i, (a, s) in enumerate(zip(self.am, self.sm)):
-            report[f"am{i}"] = a.peak_used
-            report[f"sm{i}"] = s.peak_used
-        return report
-
 
 def _arena_regions(cfg: ClusterConfig, arena: np.ndarray | None):
     """Yield the arena slices of GSM, then AM and SM per core (all

@@ -7,9 +7,10 @@ are chosen precisely to fit these capacities (Section IV-C), so enforcing
 them is load-bearing for the reproduction: a plan whose tiles don't fit must
 fail loudly.
 
-:class:`MemorySpace` is a first-fit allocator with coalescing free list.
-Buffers optionally carry a NumPy array (functional execution); timing-only
-runs allocate unbacked buffers so multi-gigabyte DDR operands cost nothing.
+:class:`MemorySpace` is a bump allocator: a lowering sizes its tiles once
+and never frees them.  Buffers optionally carry a NumPy array (functional
+execution); timing-only runs allocate unbacked buffers so multi-gigabyte
+DDR operands cost nothing.
 A space given a byte ``arena`` backs its buffers with views into it at
 their allocated offsets instead of fresh zeroed arrays: the contents are
 then whatever the last user left, so a program must write a tile before
@@ -41,7 +42,7 @@ class MemKind(enum.Enum):
 
 @dataclass
 class Buffer:
-    """A live allocation inside a :class:`MemorySpace`.
+    """An allocation inside a :class:`MemorySpace`.
 
     ``shape``/``dtype`` describe the logical tile.  ``data`` is present only
     for functionally-backed buffers.  ``offset`` is the byte offset within
@@ -55,7 +56,6 @@ class Buffer:
     dtype: np.dtype
     data: np.ndarray | None = None
     label: str = ""
-    freed: bool = False
 
     @property
     def end(self) -> int:
@@ -70,9 +70,6 @@ class Buffer:
             )
         return self.data
 
-    def free(self) -> None:
-        self.space.free(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         backed = "backed" if self.data is not None else "unbacked"
         return (
@@ -85,20 +82,18 @@ class Buffer:
 class MemorySpace:
     """One addressable memory with capacity enforcement.
 
-    Allocation is first-fit over a sorted free list with coalescing on free.
-    This is deliberately simple — kernels allocate a handful of long-lived
-    tiles — but it catches the two bugs that matter: exceeding capacity and
-    double-free/leak of ping-pong buffers.
+    Allocation is a bump pointer: each tile starts, aligned, where the
+    last one ended.  A lowering sizes its tiles once per blocking plan
+    and keeps them for the whole kernel (Sec. IV-C), so nothing is ever
+    freed and the running end is also the peak.
     """
 
     name: str
     kind: MemKind
     capacity: int
     alignment: int = 64
-    _free: list[tuple[int, int]] = field(default_factory=list)  # (offset, size)
-    _used: int = 0
-    _live: int = 0
-    peak_used: int = 0
+    #: bytes allocated so far: the offset the next tile starts at
+    used: int = field(default=0, init=False)
     #: optional ``capacity``-byte scratch that backed buffers view into
     arena: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -107,23 +102,15 @@ class MemorySpace:
             raise CapacityError(f"{self.name}: capacity must be positive")
         if self.alignment < 1 or self.alignment & (self.alignment - 1):
             raise CapacityError(f"{self.name}: alignment must be a power of 2")
-        self._free = [(0, self.capacity)]
-
-    # -- queries ---------------------------------------------------------
 
     @property
-    def used(self) -> int:
-        return self._used
+    def peak_used(self) -> int:
+        """High-water mark; with no frees, the bytes allocated so far."""
+        return self.used
 
     @property
     def free_bytes(self) -> int:
-        return self.capacity - self._used
-
-    @property
-    def live_buffers(self) -> int:
-        return self._live
-
-    # -- allocation ------------------------------------------------------
+        return self.capacity - self.used
 
     def alloc(
         self,
@@ -135,9 +122,10 @@ class MemorySpace:
     ) -> Buffer:
         """Allocate a tile of ``shape`` x ``dtype``.
 
-        Raises :class:`CapacityError` when the space cannot hold it — this is
-        how an over-sized blocking plan is rejected, mirroring what a real
-        FT-m7032 build would catch at link time.
+        Raises :class:`CapacityError`, leaving the space as it was, when
+        the space cannot hold it — this is how an over-sized blocking plan
+        is rejected, mirroring what a real FT-m7032 build would catch at
+        link time.
         """
         dt = np.dtype(dtype)
         nelems = 1
@@ -146,17 +134,16 @@ class MemorySpace:
                 raise AllocationError(f"negative extent in shape {shape}")
             nelems *= extent
         nbytes = nelems * dt.itemsize
-        rounded = max(self._round(nbytes), self.alignment)
-        offset = self._take(rounded)
-        if offset is None:
+        a = self.alignment
+        rounded = max((nbytes + a - 1) // a * a, a)
+        offset = self.used
+        if rounded > self.capacity - offset:
             raise CapacityError(
                 f"{self.name} ({self.kind.value}): cannot allocate "
                 f"{nbytes} B for {label or shape}; "
                 f"{self.free_bytes} B free of {self.capacity}"
             )
-        self._used += rounded
-        self._live += 1
-        self.peak_used = max(self.peak_used, self._used)
+        self.used = offset + rounded
         data = None
         if backed and self.arena is not None:
             data = (
@@ -174,69 +161,8 @@ class MemorySpace:
             label=label,
         )
 
-    def free(self, buf: Buffer) -> None:
-        if buf.space is not self:
-            raise AllocationError(
-                f"buffer {buf.label!r} belongs to {buf.space.name}, "
-                f"not {self.name}"
-            )
-        if buf.freed:
-            raise AllocationError(f"double free of buffer {buf.label!r}")
-        buf.freed = True
-        self._used -= buf.nbytes
-        self._live -= 1
-        self._insert_free(buf.offset, buf.nbytes)
-
-    def reset(self) -> None:
-        """Drop all allocations (used between independent plan executions)."""
-        self._free = [(0, self.capacity)]
-        self._used = 0
-        self._live = 0
-
-    # -- internals -------------------------------------------------------
-
-    def _round(self, nbytes: int) -> int:
-        a = self.alignment
-        return (nbytes + a - 1) // a * a
-
-    def _take(self, nbytes: int) -> int | None:
-        for i, (off, size) in enumerate(self._free):
-            if size >= nbytes:
-                if size == nbytes:
-                    del self._free[i]
-                else:
-                    self._free[i] = (off + nbytes, size - nbytes)
-                return off
-        return None
-
-    def _insert_free(self, offset: int, size: int) -> None:
-        # insert keeping the list sorted by offset, then coalesce neighbours
-        lo, hi = 0, len(self._free)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._free[mid][0] < offset:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._free.insert(lo, (offset, size))
-        merged: list[tuple[int, int]] = []
-        for off, sz in self._free:
-            if merged and merged[-1][0] + merged[-1][1] == off:
-                merged[-1] = (merged[-1][0], merged[-1][1] + sz)
-            else:
-                merged.append((off, sz))
-        self._free = merged
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"MemorySpace({self.name}, {self.kind.value}, "
-            f"{self._used}/{self.capacity} B used)"
+            f"{self.used}/{self.capacity} B used)"
         )
-
-
-def make_core_spaces(core_id: int, am_bytes: int, sm_bytes: int) -> dict[MemKind, MemorySpace]:
-    """Create the per-core private spaces (SM + AM)."""
-    return {
-        MemKind.AM: MemorySpace(f"am{core_id}", MemKind.AM, am_bytes),
-        MemKind.SM: MemorySpace(f"sm{core_id}", MemKind.SM, sm_bytes),
-    }

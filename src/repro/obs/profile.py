@@ -6,9 +6,8 @@ completion).  Because a SYNC waits for every prior op of every core, no
 kernel or DMA op ever crosses an epoch boundary — each op is attributed
 wholly to the epoch it runs in.
 
-The timed executor fills a :class:`RunProfile` when profiling is enabled
-(``run_timed(..., profile=True)`` or an ambient metrics registry); the
-bottleneck report (:mod:`repro.analysis.bottleneck`) consumes it.  All
+The timed executor fills a :class:`RunProfile` under an ambient metrics
+registry (``repro.obs.collecting()``) or tracer; the bottleneck report (:mod:`repro.analysis.bottleneck`) consumes it.  All
 times are simulated seconds, not wall clock.
 """
 

@@ -20,9 +20,8 @@ either way (verified by a test).  Collection is opted into with::
         result = ftimm_gemm(...)
     print(reg.to_json())
 
-Snapshots round-trip through JSON (:meth:`MetricsRegistry.to_json` /
-:meth:`MetricsRegistry.from_json`), which is what the JSONL run-log
-stores.
+:meth:`MetricsRegistry.snapshot` is plain, JSON-able data; ``repro perf``
+stores it in its JSONL run-log record.
 """
 
 from __future__ import annotations
@@ -110,11 +109,10 @@ class Histogram:
 
     Bin edges are fixed at construction: ``per_decade`` bins per decade
     from ``10**lo_exp`` to ``10**hi_exp``, plus an underflow and an
-    overflow bucket, so two histograms with the same parameters are
-    mergeable and snapshots are deterministic.  Quantiles are read from
-    the bin boundaries (upper edge of the covering bin, clamped to the
-    observed min/max), which bounds the error at one bin width — ~6% per
-    sample with the default 4 bins/decade.
+    overflow bucket, so snapshots are deterministic.  Quantiles are read
+    from the bin boundaries (upper edge of the covering bin, clamped to
+    the observed min/max), which bounds the error at one bin width — ~6%
+    per sample with the default 4 bins/decade.
     """
 
     __slots__ = (
@@ -203,14 +201,6 @@ class Histogram:
         }
 
 
-_KINDS = {
-    "counter": Counter,
-    "gauge": Gauge,
-    "distribution": Distribution,
-    "histogram": Histogram,
-}
-
-
 class MetricsRegistry:
     """Name -> instrument map; instruments are created on first use.
 
@@ -283,71 +273,6 @@ class MetricsRegistry:
     def names(self, prefix: str = "") -> list[str]:
         return sorted(n for n in self._metrics if n.startswith(prefix))
 
-    # -- merging -----------------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other``'s instruments into this registry, in place.
-
-        Kind-aware: counters add; gauges keep the *other* registry's
-        last-set value (last-write-wins, the merge being "other happened
-        after/elsewhere") and the max of the high-water marks;
-        distributions combine count/total and take the
-        min/max extremes; histograms require identical bin parameters
-        and add bin counts elementwise.  A name bound to different
-        instrument kinds in the two registries raises
-        :class:`~repro.errors.ReproError`.  Returns ``self`` so worker
-        snapshots fold in a loop.
-        """
-        for name in other.names():
-            theirs = other._metrics[name]
-            mine = self._metrics.get(name)
-            if mine is None:
-                if type(theirs) is Histogram:
-                    mine = self.histogram(
-                        name,
-                        lo_exp=theirs.lo_exp,
-                        hi_exp=theirs.hi_exp,
-                        per_decade=theirs.per_decade,
-                    )
-                else:
-                    mine = self._get(name, type(theirs))
-            elif type(mine) is not type(theirs):
-                raise ReproError(
-                    f"cannot merge metric {name!r}: "
-                    f"{type(mine).__name__} vs {type(theirs).__name__}"
-                )
-            if type(mine) is Counter:
-                mine.value += theirs.value
-            elif type(mine) is Gauge:
-                mine.high = max(mine.high, theirs.high)
-                mine.value = theirs.value
-            elif type(mine) is Histogram:
-                if (
-                    mine.lo_exp != theirs.lo_exp
-                    or mine.hi_exp != theirs.hi_exp
-                    or mine.per_decade != theirs.per_decade
-                ):
-                    raise ReproError(
-                        f"cannot merge histogram {name!r}: bin spec "
-                        f"[1e{mine.lo_exp}, 1e{mine.hi_exp}] x "
-                        f"{mine.per_decade}/decade vs "
-                        f"[1e{theirs.lo_exp}, 1e{theirs.hi_exp}] x "
-                        f"{theirs.per_decade}/decade"
-                    )
-                mine.counts = [
-                    a + b for a, b in zip(mine.counts, theirs.counts)
-                ]
-                mine.count += theirs.count
-                mine.total += theirs.total
-                mine.min = min(mine.min, theirs.min)
-                mine.max = max(mine.max, theirs.max)
-            else:  # Distribution
-                mine.count += theirs.count
-                mine.total += theirs.total
-                mine.min = min(mine.min, theirs.min)
-                mine.max = max(mine.max, theirs.max)
-        return self
-
     # -- serialization -----------------------------------------------------
 
     def snapshot(self) -> dict[str, dict[str, Any]]:
@@ -356,49 +281,6 @@ class MetricsRegistry:
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_snapshot(cls, snap: dict[str, dict[str, Any]]) -> "MetricsRegistry":
-        reg = cls()
-        for name, payload in snap.items():
-            kind = payload.get("type")
-            if kind not in _KINDS:
-                raise ReproError(f"unknown metric type {kind!r} for {name!r}")
-            if kind == "histogram":
-                inst = reg.histogram(
-                    name,
-                    lo_exp=int(payload["lo_exp"]),
-                    hi_exp=int(payload["hi_exp"]),
-                    per_decade=int(payload["per_decade"]),
-                )
-                counts = [int(c) for c in payload["counts"]]
-                if len(counts) != len(inst.counts):
-                    raise ReproError(
-                        f"histogram {name!r}: {len(counts)} bin counts for "
-                        f"{len(inst.counts)} bins"
-                    )
-                inst.counts = counts
-                inst.count = int(payload["count"])
-                inst.total = float(payload["total"])
-                inst.min = payload["min"] if payload["min"] is not None else math.inf
-                inst.max = payload["max"] if payload["max"] is not None else -math.inf
-                continue
-            inst = reg._get(name, _KINDS[kind])
-            if kind == "counter":
-                inst.inc(payload["value"])
-            elif kind == "gauge":
-                inst.set(payload["high"])
-                inst.set(payload["value"])
-            else:
-                inst.count = int(payload["count"])
-                inst.total = float(payload["total"])
-                inst.min = payload["min"] if payload["min"] is not None else math.inf
-                inst.max = payload["max"] if payload["max"] is not None else -math.inf
-        return reg
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsRegistry":
-        return cls.from_snapshot(json.loads(text))
 
 
 #: the ambient registry; ``None`` means observability is disabled.

@@ -410,18 +410,20 @@ class TestTraceCommand:
         a = self._runlog(tmp_path, "a.jsonl", "2e-3")
         b = self._runlog(tmp_path, "b.jsonl", "1e-4")
         capsys.readouterr()
-        assert main(["trace", str(a), str(b), "--compare"]) == 0
+        assert main(["trace", str(a), str(b)]) == 0
         out = capsys.readouterr().out
         assert "A: " in out and "B: " in out
         assert "critical-path diff" in out
         assert "dp50 (ms)" in out
         assert "verdict:" in out
 
-    def test_compare_without_second_input_errors(self, capsys, tmp_path):
+    def test_compare_flag_removed(self, capsys, tmp_path):
+        # two inputs already diff; the flag is a usage error now
         a = self._runlog(tmp_path, "a.jsonl", "2e-3")
-        capsys.readouterr()
-        assert main(["trace", str(a), "--compare"]) == 1
-        assert "two inputs" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", str(a), str(a), "--compare"])
+        assert exc.value.code == 2
+        assert "--compare" in capsys.readouterr().err
 
     def test_missing_input_reported_cleanly(self, capsys, tmp_path):
         assert main(["trace", str(tmp_path / "nope.jsonl")]) == 1

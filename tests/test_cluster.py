@@ -32,20 +32,6 @@ class TestClusterSpaces:
         with pytest.raises(CapacityError):
             spaces.am[0].alloc((1024, 1024))  # 4 MiB > 768 KiB
 
-    def test_reset_restores_all(self, cluster):
-        spaces = ClusterSpaces(cluster)
-        spaces.gsm.alloc((128, 128))
-        spaces.am[0].alloc((16, 16))
-        spaces.reset()
-        assert spaces.gsm.used == 0
-        assert spaces.am[0].used == 0
-
-    def test_peak_report_keys(self, cluster):
-        spaces = ClusterSpaces(cluster)
-        report = spaces.peak_report()
-        assert "gsm" in report
-        assert f"am{cluster.n_cores - 1}" in report
-
 
 class TestClusterSim:
     def test_ddr_channel_derated(self, cluster):

@@ -46,7 +46,7 @@ from repro.faults.plan import CoreFault, DegradationWindow, FaultPlan
 from repro.hw.config import default_machine
 from repro.hw.dma import DmaDescriptor
 from repro.hw.memory import MemKind
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, collecting
 from repro.obs.trace import Tracer, tracing
 from test_des_stress import build_random_plan
 
@@ -212,8 +212,8 @@ def observe(case: dict) -> dict:
             })
         return {**_timed_pins(res), "counters": _pin(inj.counters)}
     if kind == "profile":
-        metrics = MetricsRegistry()
-        res = run_timed(program, metrics=metrics)
+        with collecting(MetricsRegistry()) as metrics:
+            res = run_timed(program)
         snap = {
             name: value for name, value in metrics.snapshot().items()
             if name != "sim/process_wakeups"

@@ -2,8 +2,8 @@
 
 Docs rot silently; these tests tie the prose artifacts to the code so CI
 catches drift: every experiment appears in EXPERIMENTS.md, the README's
-example table matches the examples directory, and the claims banner
-parses and holds.
+example table matches the examples directory, the claims banner parses
+and holds, and every documented environment variable is read.
 """
 
 import importlib
@@ -129,6 +129,35 @@ class TestDesign:
                    and p.name != "conftest.py"}
         assert "serve_claims" in scripts
         assert scripts <= run, f"not run by CI: {sorted(scripts - run)}"
+
+
+_ENV_NAME = re.compile(r"\bREPRO_[A-Z0-9_]+")
+_ENV_READ = re.compile(
+    r"""(?:environ\.get\(|environ\[|getenv\()\s*["'](REPRO_[A-Z0-9_]+)["']"""
+)
+
+
+class TestEnvironment:
+    def test_helpers_find_names_and_readers(self):
+        assert _ENV_NAME.findall("`REPRO_A=4 python`, REPRO_B") == [
+            "REPRO_A", "REPRO_B",
+        ]
+        code = 'os.environ.get("REPRO_A")\nos.environ[\'REPRO_B\']\n' \
+               'os.getenv( "REPRO_C", "1")\nprint("REPRO_D")'
+        assert _ENV_READ.findall(code) == ["REPRO_A", "REPRO_B", "REPRO_C"]
+
+    def test_documented_variables_have_a_reader(self):
+        """Every ``REPRO_*`` variable README.md, DESIGN.md or docs/*.md
+        names is read somewhere under src/.  perfbench/ documents its
+        own variables and is not scanned."""
+        docs = [ROOT / "README.md", ROOT / "DESIGN.md",
+                *sorted((ROOT / "docs").glob("*.md"))]
+        named = {(doc.name, var) for doc in docs
+                 for var in _ENV_NAME.findall(doc.read_text())}
+        read = {var for path in (ROOT / "src").rglob("*.py")
+                for var in _ENV_READ.findall(path.read_text())}
+        unread = sorted((doc, var) for doc, var in named if var not in read)
+        assert not unread, f"docs name variables nothing reads: {unread}"
 
 
 def _code_spans(text):

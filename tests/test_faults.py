@@ -270,8 +270,7 @@ class TestCoreFailure:
         program = lowered_program(shape, cluster, tune(shape, cluster))
         with tracing() as tr:
             timed = run_timed(
-                program, profile=True,
-                faults=FaultInjector(FaultPlan(seed=1), 1, {0: 1}),
+                program, faults=FaultInjector(FaultPlan(seed=1), 1, {0: 1}),
             )
         epochs = timed.profile.epochs
         compute = [sum(e.compute_busy[c] for e in epochs)

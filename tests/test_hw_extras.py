@@ -4,7 +4,6 @@ statistics, memory corner cases."""
 import numpy as np
 import pytest
 
-from repro.errors import CapacityError
 from repro.hw.bandwidth import SharedChannel
 from repro.hw.event_sim import Resource, Simulator
 from repro.hw.memory import MemKind, MemorySpace
@@ -61,30 +60,4 @@ class TestMemoryCorners:
         space = MemorySpace("t", MemKind.AM, 128)
         buf = space.alloc((0, 16), np.float32)
         assert buf.nbytes == space.alignment  # minimum footprint
-        space.free(buf)
-        assert space.used == 0
-
-    def test_interleaved_free_reuse(self):
-        space = MemorySpace("t", MemKind.AM, 256, alignment=64)
-        a = space.alloc((1, 16))
-        b = space.alloc((1, 16))
-        c = space.alloc((1, 16))
-        space.free(b)
-        d = space.alloc((1, 16))  # should reuse b's hole (first fit)
-        assert d.offset == b.offset
-        for buf in (a, c, d):
-            space.free(buf)
-
-    def test_fragmentation_can_block_large_alloc(self):
-        space = MemorySpace("t", MemKind.AM, 256, alignment=64)
-        bufs = [space.alloc((1, 16)) for _ in range(4)]
-        space.free(bufs[0])
-        space.free(bufs[2])  # 128 B free but split into two 64 B holes
-        with pytest.raises(CapacityError):
-            space.alloc((1, 32))  # needs 128 contiguous
-
-    def test_buffer_repr_and_free_helper(self):
-        space = MemorySpace("t", MemKind.AM, 128)
-        buf = space.alloc((1, 4), label="x")
-        buf.free()
-        assert buf.freed
+        assert space.used == space.alignment

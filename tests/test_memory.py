@@ -1,4 +1,4 @@
-"""Memory spaces: allocation, capacity enforcement, free-list invariants."""
+"""Memory spaces: bump allocation, capacity enforcement, invariants."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AllocationError, CapacityError
-from repro.hw.memory import Buffer, MemKind, MemorySpace, make_core_spaces
+from repro.hw.memory import MemKind, MemorySpace
 
 
 def space(capacity=4096, alignment=64):
@@ -64,50 +64,25 @@ class TestAlloc:
 
     def test_peak_used_tracks_high_water(self):
         sp = space()
-        a = sp.alloc((8, 8))
-        b = sp.alloc((8, 8))
-        peak = sp.used
-        sp.free(a)
-        sp.free(b)
-        assert sp.peak_used == peak
-        assert sp.used == 0
-
-
-class TestFree:
-    def test_free_returns_bytes(self):
-        sp = space()
-        buf = sp.alloc((8, 8))
-        sp.free(buf)
-        assert sp.used == 0
-        assert sp.live_buffers == 0
-
-    def test_double_free_raises(self):
-        sp = space()
-        buf = sp.alloc((8, 8))
-        sp.free(buf)
-        with pytest.raises(AllocationError):
-            sp.free(buf)
-
-    def test_free_foreign_buffer_raises(self):
-        sp1, sp2 = space(), space()
-        buf = sp1.alloc((4, 4))
-        with pytest.raises(AllocationError):
-            sp2.free(buf)
-
-    def test_coalescing_allows_full_realloc(self):
-        sp = space(capacity=1024)
-        bufs = [sp.alloc((4, 16)) for _ in range(4)]  # 4 x 256
-        for buf in bufs:
-            sp.free(buf)
-        big = sp.alloc((16, 16))  # 1024 B only fits if coalesced
-        assert big.nbytes == 1024
-
-    def test_reset_clears_everything(self):
-        sp = space()
         sp.alloc((8, 8))
-        sp.reset()
-        assert sp.used == 0
-        assert sp.alloc((8, 8)).offset == 0
+        sp.alloc((8, 8))
+        assert sp.peak_used == sp.used == 2 * 256
+
+    def test_offsets_bump_past_the_last_tile(self):
+        sp = space()
+        a = sp.alloc((1, 3))      # 12 B -> 64
+        b = sp.alloc((8, 8))      # 256 B
+        c = sp.alloc((0, 4))      # empty -> 64
+        assert (a.offset, b.offset, c.offset) == (0, 64, 320)
+        assert sp.used == 384
+
+    def test_failed_alloc_leaves_space_unchanged(self):
+        sp = space(capacity=512)
+        sp.alloc((8, 8))
+        with pytest.raises(CapacityError):
+            sp.alloc((9, 8))      # 288 B > 256 B left
+        assert sp.used == 256
+        assert sp.alloc((8, 8)).offset == 256
 
 
 class TestValidation:
@@ -123,43 +98,30 @@ class TestValidation:
         assert MemKind.AM.on_chip and MemKind.GSM.on_chip and MemKind.SM.on_chip
         assert not MemKind.DDR.on_chip
 
-    def test_make_core_spaces(self):
-        spaces = make_core_spaces(3, 1024, 512)
-        assert spaces[MemKind.AM].capacity == 1024
-        assert spaces[MemKind.SM].capacity == 512
-        assert spaces[MemKind.AM].name == "am3"
-
 
 @settings(max_examples=60, deadline=None)
 @given(
-    ops=st.lists(
-        st.one_of(
-            st.tuples(st.just("alloc"), st.integers(1, 40), st.integers(1, 40)),
-            st.tuples(st.just("free"), st.integers(0, 30), st.integers(0, 0)),
-        ),
-        max_size=40,
-    )
+    shapes=st.lists(
+        st.tuples(st.integers(0, 90), st.integers(0, 90)), max_size=40
+    ),
+    alignment=st.sampled_from([1, 4, 64, 256]),
 )
-def test_allocator_invariants(ops):
-    """Random alloc/free sequences never corrupt the free list.
+def test_allocator_invariants(shapes, alignment):
+    """Random alloc sequences, some past capacity.
 
-    Invariants: live allocations are disjoint and in bounds; used bytes
-    equal the sum of live buffer sizes; free + used == capacity.
+    Invariants: each offset is the running aligned sum of the tiles
+    before it; ``peak_used == used``; a failed alloc changes nothing.
     """
-    sp = MemorySpace("prop", MemKind.AM, 64 * 1024)
-    live: list[Buffer] = []
-    for op, a, b in ops:
-        if op == "alloc":
-            try:
-                live.append(sp.alloc((a, b), np.float32))
-            except CapacityError:
-                pass
-        elif live:
-            sp.free(live.pop(a % len(live)))
-    spans = sorted((buf.offset, buf.end) for buf in live)
-    for (o1, e1), (o2, _e2) in zip(spans, spans[1:]):
-        assert e1 <= o2, "live buffers overlap"
-    for o, e in spans:
-        assert 0 <= o and e <= sp.capacity
-    assert sp.used == sum(buf.nbytes for buf in live)
-    assert sp.live_buffers == len(live)
+    sp = MemorySpace("prop", MemKind.AM, 16 * 1024, alignment)
+    end = 0
+    for rows, cols in shapes:
+        rounded = max(-(-rows * cols * 4 // alignment) * alignment, alignment)
+        if end + rounded > sp.capacity:
+            with pytest.raises(CapacityError):
+                sp.alloc((rows, cols), np.float32)
+        else:
+            buf = sp.alloc((rows, cols), np.float32)
+            assert (buf.offset, buf.nbytes) == (end, rounded)
+            end += rounded
+        assert sp.used == sp.peak_used == end
+        assert sp.free_bytes == sp.capacity - end

@@ -38,11 +38,17 @@ from repro.obs import (
 from repro.obs.profile import merge_intervals
 
 
-def timed_run(shape=GemmShape(512, 32, 256), **kw):
+def timed_run(shape=GemmShape(512, 32, 256)):
     machine = default_machine()
     decision = tune(shape, machine.cluster)
     lowered = lowered_program(shape, machine.cluster, decision)
-    return run_timed(lowered, **kw), shape, machine.cluster
+    return run_timed(lowered), shape, machine.cluster
+
+
+def profiled_run(shape=GemmShape(512, 32, 256)):
+    """A run under an ambient registry, which attaches the profile."""
+    with collecting():
+        return timed_run(shape)
 
 
 class TestRegistry:
@@ -79,10 +85,8 @@ class TestRegistry:
         reg.counter("c").inc(3)
         reg.gauge("g").set(1.5)
         reg.distribution("d").add(9.0)
-        restored = MetricsRegistry.from_json(reg.to_json())
-        assert restored.snapshot() == reg.snapshot()
-        # and the JSON itself is plain data
-        json.loads(reg.to_json())
+        # the snapshot is plain data: JSON returns it unchanged
+        assert json.loads(reg.to_json()) == reg.snapshot()
 
     def test_ambient_default_is_none(self):
         assert current() is None
@@ -158,9 +162,9 @@ class TestHistogram:
         h = reg.histogram("lat", lo_exp=-5, hi_exp=1, per_decade=3)
         for v in (1e-4, 3e-4, 2e-2, 0.5, 100.0):
             h.add(v)
-        restored = MetricsRegistry.from_json(reg.to_json())
-        assert restored.snapshot() == reg.snapshot()
-        assert restored.histogram("lat").quantile(0.5) == h.quantile(0.5)
+        restored = json.loads(reg.to_json())
+        assert restored == reg.snapshot()
+        assert restored["lat"]["p50"] == h.quantile(0.5)
 
     def test_histograms_prefix_listing(self):
         reg = MetricsRegistry()
@@ -197,8 +201,7 @@ class TestMergeIntervals:
 class TestNoOpDefault:
     def test_bit_identical_with_and_without_collecting(self):
         plain, _, _ = timed_run()
-        with collecting():
-            observed, _, _ = timed_run(profile=True)
+        observed, _, _ = profiled_run()
         assert observed.seconds == plain.seconds
         assert observed.events_processed == plain.events_processed
         assert observed.dma_bytes == plain.dma_bytes
@@ -212,7 +215,7 @@ class TestNoOpDefault:
 class TestRunProfileInvariants:
     @pytest.fixture(scope="class")
     def profiled(self):
-        return timed_run(profile=True)
+        return profiled_run()
 
     def test_profile_attached(self, profiled):
         result, _, _ = profiled
@@ -361,9 +364,7 @@ class TestRunLog:
 class TestBottleneck:
     @pytest.fixture(scope="class")
     def report(self):
-        result, shape, cluster = timed_run(
-            GemmShape(64, 4096, 4096), profile=True
-        )
+        result, shape, cluster = profiled_run(GemmShape(64, 4096, 4096))
         return attribute(result, GemmShape(64, 4096, 4096), cluster)
 
     def test_requires_profile(self):

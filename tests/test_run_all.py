@@ -1,10 +1,20 @@
-"""The run_all orchestrator: markdown + JSON generation."""
+"""The run_all orchestrator: markdown + JSON generation, and its pool.
+
+The pool's contract is that parallelism is invisible in the results:
+modules come back in module order for every job count.  A crashed
+worker costs one resubmit of the map, a second crash raises
+:class:`~repro.errors.WorkerError`, and a module's own exception
+propagates unchanged.
+"""
 
 import json
+import os
+from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis.tables import Claim, ExperimentResult, Series
+from repro.errors import WorkerError
 from repro.experiments import run_all
 
 
@@ -105,3 +115,98 @@ class TestMainPlumbing:
             module = getattr(exp, name)
             if hasattr(module, "run"):
                 assert module.__name__ in registered, name
+
+
+def _result(exp_id: str) -> list[ExperimentResult]:
+    return [ExperimentResult(exp_id=exp_id, title=exp_id, x_label="x",
+                             y_label="y")]
+
+
+def _stub(name: str, run=None) -> SimpleNamespace:
+    """A stand-in experiment module; pool workers are forked, so they see
+    the stubs a test installs in ``run_all.MODULES``."""
+    return SimpleNamespace(__name__=name, run=run or (lambda: _result(name)))
+
+
+def _boom():
+    raise ValueError("boom in stub")
+
+
+def _die():
+    os._exit(1)
+
+
+def _die_once(marker: str):
+    """Kill the worker the first time any worker runs this module."""
+    def run():
+        try:
+            fd = os.open(marker, os.O_CREAT | os.O_EXCL)
+        except FileExistsError:
+            return _result("survivor")
+        os.close(fd)
+        os._exit(1)
+    return run
+
+
+def _ids(results) -> list[str]:
+    return [r.exp_id for r in results]
+
+
+class TestPool:
+    @pytest.fixture
+    def stubs(self, monkeypatch):
+        def install(*modules):
+            monkeypatch.setattr(run_all, "MODULES", list(modules))
+        return install
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_results_in_module_order(self, stubs, jobs, capsys):
+        names = [f"m{i}" for i in range(6, -1, -1)]
+        stubs(*map(_stub, names))
+        assert _ids(run_all.run_everything(jobs)) == names
+        assert f"on {jobs} workers" in capsys.readouterr().out
+
+    def test_jobs_clamped_to_module_count(self, stubs, capsys):
+        stubs(_stub("only"))
+        assert _ids(run_all.run_everything(8)) == ["only"]
+        assert "on 1 workers" in capsys.readouterr().out
+
+    def test_default_jobs_is_cpu_count(self, stubs, monkeypatch, capsys):
+        monkeypatch.setattr(run_all.os, "cpu_count", lambda: 1)
+        stubs(_stub("a"), _stub("b"))
+        run_all.run_everything()
+        assert "on 1 workers" in capsys.readouterr().out
+
+    def test_one_job_runs_in_process(self, stubs, monkeypatch):
+        def no_pool(**_kw):
+            raise AssertionError("a pool was created")
+
+        monkeypatch.setattr(run_all, "ProcessPoolExecutor", no_pool)
+        stubs(_stub("a"), _stub("b"))
+        assert _ids(run_all.run_everything(1)) == ["a", "b"]
+
+    def test_pool_refused_runs_serially(self, stubs, monkeypatch):
+        def refuse(**_kw):
+            raise OSError("no semaphores here")
+
+        monkeypatch.setattr(run_all, "ProcessPoolExecutor", refuse)
+        stubs(_stub("a"), _stub("b"))
+        assert _ids(run_all.run_everything(2)) == ["a", "b"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_module_exception_propagates(self, stubs, jobs):
+        # unchanged, and not mistaken for a crashed worker
+        stubs(_stub("a"), _stub("bad", _boom))
+        with pytest.raises(ValueError, match="^boom in stub$"):
+            run_all.run_everything(jobs)
+
+    def test_one_crash_is_survived_by_the_resubmit(self, stubs, tmp_path):
+        marker = str(tmp_path / "crashed")
+        stubs(_stub("a"), _stub("survivor", _die_once(marker)), _stub("c"))
+        assert _ids(run_all.run_everything(2)) == ["a", "survivor", "c"]
+        assert os.path.exists(marker)
+
+    def test_second_crash_raises_worker_error(self, stubs):
+        stubs(_stub("a"), _stub("dies", _die))
+        with pytest.raises(WorkerError, match="after one resubmit"):
+            run_all.run_everything(2)

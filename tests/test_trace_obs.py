@@ -17,9 +17,7 @@ The guarantees under test:
   mix at saturation fires, the light mix never does, and replaying the
   same records yields the same alerts;
 * ``monitor`` equals a plain :class:`OnlineBurn` replay, window edge
-  ``(t - window_s, t]`` included;
-* ``MetricsRegistry.merge`` folds worker snapshots in without losing
-  counts, and ``parallel_map`` uses it so pool workers' metrics survive.
+  ``(t - window_s, t]`` included.
 """
 
 import json
@@ -38,9 +36,7 @@ from repro.executor.timed import run_timed
 from repro.faults import FaultPlan
 from repro.hw.config import default_machine
 from repro.obs import (
-    MetricsRegistry,
     Tracer,
-    collecting,
     current_tracer,
     load_spans,
     maybe_scope,
@@ -49,7 +45,6 @@ from repro.obs import (
     tracing,
     validate_chrome_trace,
 )
-from repro.parallel import parallel_map
 from repro.serve import (
     SLO_SCHEMA,
     BurnWindow,
@@ -564,71 +559,3 @@ class TestSloWindowRule:
         assert slo.peak_burn == {"w": 0.0}
         assert _replay([(0.5, True), (1.0, False), (1.5, False)],
                        policy) == ({"w": 0.0}, [])
-
-
-# ---------------------------------------------------------- registry merge
-
-
-def _worker_fn(x):
-    from repro.obs import current
-
-    reg = current()
-    if reg is not None:
-        reg.counter("worker/calls").inc()
-        reg.distribution("worker/x").add(float(x))
-    return x * 2
-
-
-class TestRegistryMerge:
-    def test_counters_add(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c").inc(3)
-        b.counter("c").inc(4)
-        b.counter("only_b").inc()
-        a.merge(b)
-        assert a.snapshot()["c"]["value"] == 7
-        assert a.snapshot()["only_b"]["value"] == 1
-
-    def test_histograms_merge_counts(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        for v in (1e-3, 2e-3):
-            a.histogram("h").add(v)
-        for v in (4e-3, 8e-3, 16e-3):
-            b.histogram("h").add(v)
-        a.merge(b)
-        snap = a.snapshot()["h"]
-        assert snap["count"] == 5
-        assert snap["max"] == pytest.approx(16e-3)
-        assert snap["min"] == pytest.approx(1e-3)
-
-    def test_distribution_merge(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.distribution("d").add(1.0)
-        b.distribution("d").add(3.0)
-        a.merge(b)
-        assert a.snapshot()["d"]["count"] == 2
-        assert a.snapshot()["d"]["max"] == pytest.approx(3.0)
-
-    def test_kind_mismatch_raises(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("x").inc()
-        b.gauge("x").set(1.0)
-        with pytest.raises(ReproError):
-            a.merge(b)
-
-    def test_merge_returns_self(self):
-        a = MetricsRegistry()
-        assert a.merge(MetricsRegistry()) is a
-
-    def test_parallel_map_merges_worker_metrics(self):
-        with collecting() as reg:
-            out = parallel_map(_worker_fn, list(range(6)), jobs=2)
-        assert out == [x * 2 for x in range(6)]
-        snap = reg.snapshot()
-        assert snap["worker/calls"]["value"] == 6
-        assert snap["worker/x"]["count"] == 6
-
-    def test_parallel_map_serial_still_records(self):
-        with collecting() as reg:
-            parallel_map(_worker_fn, [1, 2, 3], jobs=1)
-        assert reg.snapshot()["worker/calls"]["value"] == 3
