@@ -171,6 +171,26 @@ class TestPool:
         assert _ids(run_all.run_everything(8)) == ["only"]
         assert "on 1 workers" in capsys.readouterr().out
 
+    def test_nonpositive_jobs_clamped_to_one(self, stubs, capsys):
+        stubs(_stub("a"), _stub("b"))
+        for jobs in (0, -3):
+            assert _ids(run_all.run_everything(jobs)) == ["a", "b"]
+            assert "on 1 workers" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "knob", ["timeout", "retries", "min_units", "chunksize"]
+    )
+    def test_removed_knobs_rejected(self, stubs, knob, capsys):
+        """The pool has no timeout, retry count, minimum work size or chunk
+        size, neither as a keyword nor as a command-line flag."""
+        stubs(_stub("a"))
+        with pytest.raises(TypeError, match=knob):
+            run_all.run_everything(2, **{knob: 1})
+        with pytest.raises(SystemExit) as exc:
+            run_all.parse_args(["--" + knob.replace("_", "-"), "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_default_jobs_is_cpu_count(self, stubs, monkeypatch, capsys):
         monkeypatch.setattr(run_all.os, "cpu_count", lambda: 1)
         stubs(_stub("a"), _stub("b"))
