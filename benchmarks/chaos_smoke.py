@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.faults import chaos_sweep
+from repro.faults.chaos import chaos_sweep
 
 
 def main(argv: list[str]) -> int:

@@ -29,7 +29,7 @@ from pathlib import Path
 
 from repro.analysis import from_spans
 from repro.core.ftimm import ftimm_gemm
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.hw.config import default_machine
 from repro.obs import load_spans, tracing, validate_chrome_trace
 from repro.serve import (

@@ -55,14 +55,9 @@ from .errors import (
     ShapeError,
     SimulationError,
 )
-from .faults import (
-    ChaosSummary,
-    CoreFault,
-    DegradationWindow,
-    FaultPlan,
-    FaultReport,
-    chaos_sweep,
-)
+from .faults.chaos import ChaosSummary, chaos_sweep
+from .faults.inject import FaultReport
+from .faults.plan import CoreFault, DegradationWindow, FaultPlan
 from .hw.config import MachineConfig, default_machine
 from .kernels.generator import MicroKernel
 from .kernels.registry import registry_for

@@ -158,8 +158,7 @@ def critical_path(
     ``records`` / ``batches`` are request and batch records — objects or
     dicts carrying the serve schema's fields.
     """
-    if not 0.0 < quantile <= 1.0:
-        raise InputError(f"quantile {quantile} outside (0, 1]")
+    _check_quantile(quantile)
     by_batch = {_get(b, "batch_id"): b for b in batches}
     paths = []
     for rec in records:
@@ -202,6 +201,11 @@ def critical_path(
     return CriticalPathReport(
         paths=paths, quantile=quantile, tail=_tail(paths, quantile)
     )
+
+
+def _check_quantile(quantile: float) -> None:
+    if not 0.0 < quantile <= 1.0:
+        raise InputError(f"quantile {quantile} outside (0, 1]")
 
 
 def _tail(paths: list[RequestPath], quantile: float) -> list[RequestPath]:
@@ -331,8 +335,7 @@ def diff_critical_paths(
     if not quantiles:
         raise InputError("need at least one quantile to diff at")
     for q in quantiles:
-        if not 0.0 < q <= 1.0:
-            raise InputError(f"quantile {q} outside (0, 1]")
+        _check_quantile(q)
     quantiles = tuple(sorted(quantiles))
     tails_a: dict[float, dict[str, float]] = {}
     tails_b: dict[float, dict[str, float]] = {}
@@ -362,6 +365,7 @@ def from_spans(spans: list[Any], *, quantile: float = 0.99) -> CriticalPathRepor
     provide tune/stage/retry/gemm via their children, joined on the
     ``batch_id`` arg.
     """
+    _check_quantile(quantile)
     batch_segs: dict[int, dict[str, float]] = {}
     for s in spans:
         if _get(s, "category") == "batch":

@@ -1,15 +1,2 @@
-"""Comparators: the roofline ceiling (Fig. 5) and the OpenBLAS-on-CPU
-model (Fig. 7)."""
-
-from .cpu_openblas import CpuGemmEstimate, kernel_efficiency, openblas_sgemm, threads_used
-from .roofline import RooflinePoint, ridge_intensity, roofline
-
-__all__ = [
-    "CpuGemmEstimate",
-    "RooflinePoint",
-    "kernel_efficiency",
-    "openblas_sgemm",
-    "ridge_intensity",
-    "roofline",
-    "threads_used",
-]
+"""Comparators: the roofline ceiling (Fig. 5, :mod:`repro.baselines.roofline`)
+and the OpenBLAS-on-CPU model (Fig. 7, :mod:`repro.baselines.cpu_openblas`)."""

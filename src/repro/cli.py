@@ -17,7 +17,7 @@
                           [--compare-naive] [--latency-table]
                           [--trace out.json]
     python -m repro trace runs.jsonl|trace.json [--quantile Q]
-    python -m repro experiment fig3|fig4|fig5|fig6|fig7|tables|all
+    python -m repro experiment tables|fig3|...|fig7|fp64|...|bandwidth|all
     python -m repro machine
 
 Everything the CLI prints comes from the same public API the examples
@@ -342,7 +342,7 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .faults import chaos_sweep
+    from .faults.chaos import chaos_sweep
     from .obs import collecting
 
     impls = ("ftimm", "tgemm") if args.impl == "both" else (args.impl,)
@@ -618,20 +618,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from .experiments import run_all
 
-    from . import experiments as _exp
-
-    modules = {
-        "fig3": _exp.fig3, "fig4": _exp.fig4, "fig5": _exp.fig5,
-        "fig6": _exp.fig6, "fig7": _exp.fig7, "tables": _exp.tables123,
-        "fp64": _exp.ext_fp64, "multicluster": _exp.ext_multicluster,
-        "autotune": _exp.ext_autotune, "workloads": _exp.ext_workloads,
-        "sensitivity": _exp.ext_sensitivity, "hetero": _exp.ext_hetero,
-        "bandwidth": _exp.ext_bandwidth,
-    }
     if args.name == "all":
         run_all.main([])
         return 0
-    for result in modules[args.name].run():
+    module = next(
+        m for m in run_all.MODULES if run_all.cli_name(m) == args.name
+    )
+    for result in module.run():
         print(result.render(chart=True))
         print()
     return 0
@@ -659,6 +652,8 @@ def _cmd_machine(_args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .experiments.run_all import MODULES, cli_name
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="ftIMM on a simulated FT-m7032 (CLUSTER 2022 reproduction)",
@@ -842,12 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run a paper experiment")
     p_exp.add_argument(
-        "name",
-        choices=[
-            "fig3", "fig4", "fig5", "fig6", "fig7", "tables",
-            "fp64", "multicluster", "autotune", "workloads", "sensitivity",
-            "hetero", "bandwidth", "all",
-        ],
+        "name", choices=[cli_name(m) for m in MODULES] + ["all"]
     )
     p_exp.set_defaults(fn=_cmd_experiment)
 

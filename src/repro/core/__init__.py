@@ -3,61 +3,12 @@
 Shape taxonomy (:mod:`~repro.core.shapes`), CMR-driven blocking
 (:mod:`~repro.core.blocking`), dynamic adjusting (:mod:`~repro.core.tuner`),
 the three algorithm drivers (:mod:`~repro.core.tgemm`,
-:mod:`~repro.core.parallel_m`, :mod:`~repro.core.parallel_k`) lowering to
-the op-stream IR (:mod:`~repro.core.plans`), and the public entry points
-(:mod:`~repro.core.ftimm`).
+:mod:`~repro.core.parallel_m`, :mod:`~repro.core.parallel_k`) lowering
+through :mod:`~repro.core.lowering` to the op-stream IR
+(:mod:`~repro.core.plans`), and the public entry points
+(:mod:`~repro.core.ftimm`).  Extensions: grouped GEMM
+(:mod:`~repro.core.batched`), model-driven tuning
+(:mod:`~repro.core.autotune`, :mod:`~repro.core.plan_search`),
+multi-cluster (:mod:`~repro.core.multi_cluster`) and CPU + DSP
+co-execution (:mod:`~repro.core.hetero`).
 """
-
-from .blocking import (
-    KPlan,
-    MPlan,
-    TgemmPlan,
-    adjust_k_plan,
-    adjust_m_plan,
-    cmr_f1,
-    cmr_f2,
-    cmr_f3,
-    cmr_f4,
-    solve_k_plan,
-    solve_m_plan,
-)
-from .ftimm import GemmResult, ftimm_gemm, gemm, tgemm_gemm
-from .lowering import GemmOperands
-from .parallel_k import build_parallel_k
-from .parallel_m import build_parallel_m
-from .plans import GemmExecution, Op, OpKind, OpStreamBuilder
-from .shapes import GemmShape, GemmType, IRREGULAR_N_MAX
-from .tgemm import build_tgemm
-from .tuner import TuningDecision, choose_strategy, tune
-
-__all__ = [
-    "GemmExecution",
-    "GemmOperands",
-    "GemmResult",
-    "GemmShape",
-    "GemmType",
-    "IRREGULAR_N_MAX",
-    "KPlan",
-    "MPlan",
-    "Op",
-    "OpKind",
-    "OpStreamBuilder",
-    "TgemmPlan",
-    "TuningDecision",
-    "adjust_k_plan",
-    "adjust_m_plan",
-    "build_parallel_k",
-    "build_parallel_m",
-    "build_tgemm",
-    "choose_strategy",
-    "cmr_f1",
-    "cmr_f2",
-    "cmr_f3",
-    "cmr_f4",
-    "ftimm_gemm",
-    "gemm",
-    "solve_k_plan",
-    "solve_m_plan",
-    "tgemm_gemm",
-    "tune",
-]

@@ -104,36 +104,26 @@ class GemmOperands:
         return cls(a, b, c)
 
 
-def _check_kernel_exec(kernel_exec: str) -> None:
-    if kernel_exec not in ("numpy", "compiled", "interp"):
-        raise PlanError(
-            f"unknown kernel execution mode {kernel_exec!r}; "
-            "expected 'numpy', 'compiled' or 'interp'"
-        )
-
-
 class LoweringContext:
     """Per-lowering state: spaces, kernel registry, functional binding.
 
-    ``kernel_exec`` selects how emitted KERNEL closures compute:
-    ``"numpy"`` (default, ``c += a @ b``), or ``"compiled"``/``"interp"``
-    to run the generated instruction stream on the ISA machine model —
-    ISA-fidelity functional runs at trace-compiled or interpreter speed.
+    The binding's ``kernel_exec`` selects how emitted KERNEL closures
+    compute: ``"numpy"`` (default, ``c += a @ b``), or
+    ``"compiled"``/``"interp"`` to run the generated instruction stream on
+    the ISA machine model — ISA-fidelity functional runs at trace-compiled
+    or interpreter speed.
 
     The context is *backed* — it emits closures and arena-backed tiles —
-    when built with ``data`` or with ``bindable=True``; the latter lowers
-    a program with nothing bound yet, for :meth:`binding` to fill per call.
+    when built with ``bindable=True``: it lowers a program with nothing
+    bound yet, for :meth:`binding` to fill per call.
     """
 
     def __init__(
         self,
         cluster: ClusterConfig,
         shape: GemmShape,
-        data: GemmOperands | None,
         registry: KernelRegistry | None = None,
         dtype: str = "f32",
-        kernel_exec: str = "numpy",
-        faults=None,
         *,
         bindable: bool = False,
     ) -> None:
@@ -141,21 +131,21 @@ class LoweringContext:
         self.shape = shape
         self.dtype = dtype
         self.esize = DTYPE_SIZES[dtype]
-        self.backed = data is not None or bindable
+        self.backed = bindable
         self.spaces = ClusterSpaces(
-            cluster, arena=scratch_arena(cluster) if self.backed else None
+            cluster, arena=scratch_arena(cluster) if bindable else None
         )
         self.registry = registry or registry_for(cluster.core)
-        _check_kernel_exec(kernel_exec)
-        # the binding: read by the closures when they run
-        self.data = data
-        self.kernel_exec = kernel_exec
+        # the binding, set by :meth:`binding` and read by the closures when
+        # they run
+        self.data: GemmOperands | None = None
+        self.kernel_exec = "numpy"
         #: optional :class:`~repro.faults.inject.FaultInjector`; when set,
         #: tile stores and kernel applications route through its guards
         #: (read-back verified copies, ABFT-checked GEMMs).  When ``None``
         #: the fast paths below are plain assignment / ``apply_exec`` —
-        #: guaranteeing bit-identical results to a build without faults.
-        self.faults = faults
+        #: guaranteeing bit-identical results to a run without faults.
+        self.faults = None
         self._views: dict[tuple, np.ndarray] = {}
         self._descs: dict[tuple, DmaDescriptor] = {}
         #: ``id(view) -> (buffer id, row0, row1, col0, col1)`` of every tile
@@ -173,7 +163,11 @@ class LoweringContext:
             raise PlanError(
                 f"{self.shape} program was lowered without functional closures"
             )
-        _check_kernel_exec(kernel_exec)
+        if kernel_exec not in ("numpy", "compiled", "interp"):
+            raise PlanError(
+                f"unknown kernel execution mode {kernel_exec!r}; "
+                "expected 'numpy', 'compiled' or 'interp'"
+            )
         if data.c.shape != (self.shape.m, self.shape.n):
             raise PlanError(
                 f"operands for {data.c.shape[0]}x{data.c.shape[1]} C bound "
@@ -251,7 +245,6 @@ class LoweringContext:
             space.alloc(
                 (rows, cols),
                 DTYPE_NUMPY[self.dtype],
-                backed=self.backed,
                 label=f"{label}[{s}]" if slots > 1 else label,
             )
             for s in range(slots)

@@ -27,7 +27,7 @@ from ..hw.config import ClusterConfig
 from ..hw.memory import MemKind
 from ..kernels.registry import KernelRegistry
 from .blocking import FP32, KPlan, adjust_k_plan
-from .lowering import GemmOperands, LoweringContext, block_ranges
+from .lowering import LoweringContext, block_ranges
 from .plans import GemmExecution, OpStreamBuilder
 from .shapes import GemmShape
 
@@ -36,22 +36,17 @@ def build_parallel_k(
     shape: GemmShape,
     cluster: ClusterConfig,
     plan: KPlan | None = None,
-    data: GemmOperands | None = None,
     registry: KernelRegistry | None = None,
     *,
     adjust: bool = True,
     pingpong: bool = True,
-    kernel_exec: str = "numpy",
-    faults=None,
     bindable: bool = False,
 ) -> GemmExecution:
     """Lower a GEMM to the K-parallel strategy's op streams.
 
     ``pingpong=False`` single-buffers B_a and A_s (double-buffering
-    ablation).  ``kernel_exec`` selects how KERNEL closures compute (see
-    :class:`~repro.core.lowering.LoweringContext`).  ``faults`` routes
-    tile stores and kernel applications through the injector's guards.
-    Binding arguments as in :func:`~repro.core.parallel_m.build_parallel_m`.
+    ablation).  ``bindable`` as in
+    :func:`~repro.core.parallel_m.build_parallel_m`.
     """
     if plan is None:
         plan = KPlan()
@@ -60,8 +55,7 @@ def build_parallel_k(
     else:
         plan = plan.validate(cluster)
     ctx = LoweringContext(
-        cluster, shape, data, registry, dtype=plan.dtype,
-        kernel_exec=kernel_exec, faults=faults, bindable=bindable,
+        cluster, shape, registry, dtype=plan.dtype, bindable=bindable
     )
     n_cores = cluster.n_cores
     builder = OpStreamBuilder(n_cores)

@@ -17,7 +17,7 @@ from ..hw.config import ClusterConfig
 from ..hw.memory import MemKind
 from ..kernels.registry import KernelRegistry
 from .blocking import MPlan, adjust_m_plan
-from .lowering import GemmOperands, LoweringContext, block_ranges
+from .lowering import LoweringContext, block_ranges
 from .plans import GemmExecution, OpStreamBuilder
 from .shapes import GemmShape
 
@@ -26,27 +26,20 @@ def build_parallel_m(
     shape: GemmShape,
     cluster: ClusterConfig,
     plan: MPlan | None = None,
-    data: GemmOperands | None = None,
     registry: KernelRegistry | None = None,
     *,
     adjust: bool = True,
     pingpong: bool = True,
-    kernel_exec: str = "numpy",
-    faults=None,
     bindable: bool = False,
 ) -> GemmExecution:
     """Lower a GEMM to the M-parallel strategy's op streams.
 
     ``pingpong=False`` single-buffers every tile (the ablation of the
     paper's double-buffering scheme): each DMA then serializes against the
-    compute consuming its buffer.  ``kernel_exec`` selects how KERNEL
-    closures compute (see :class:`~repro.core.lowering.LoweringContext`).
-    ``faults`` routes tile stores and kernel applications through the
-    injector's recovery guards.  ``data``/``faults``/``kernel_exec`` are
-    the plan's initial binding; ``bindable=True`` emits the functional
-    closures without ``data``, for ``program.ctx.binding`` (the
+    compute consuming its buffer.  ``bindable=True`` emits the functional
+    closures; ``program.ctx.binding`` (the
     :meth:`~repro.core.lowering.LoweringContext.binding` context manager)
-    to bind.
+    binds each call's operands, fault injector and kernel mode.
     """
     if plan is None:
         plan = MPlan()
@@ -55,8 +48,7 @@ def build_parallel_m(
     else:
         plan = plan.validate(cluster)
     ctx = LoweringContext(
-        cluster, shape, data, registry, dtype=plan.dtype,
-        kernel_exec=kernel_exec, faults=faults, bindable=bindable,
+        cluster, shape, registry, dtype=plan.dtype, bindable=bindable
     )
     n_cores = cluster.n_cores
     builder = OpStreamBuilder(n_cores)

@@ -24,7 +24,7 @@ from ..hw.config import ClusterConfig
 from ..hw.memory import MemKind
 from ..kernels.registry import KernelRegistry
 from .blocking import TgemmPlan
-from .lowering import GemmOperands, LoweringContext, block_ranges, chunks_for_core
+from .lowering import LoweringContext, block_ranges, chunks_for_core
 from .plans import GemmExecution, OpStreamBuilder
 from .shapes import GemmShape
 
@@ -33,20 +33,14 @@ def build_tgemm(
     shape: GemmShape,
     cluster: ClusterConfig,
     plan: TgemmPlan | None = None,
-    data: GemmOperands | None = None,
     registry: KernelRegistry | None = None,
     *,
-    kernel_exec: str = "numpy",
-    faults=None,
     bindable: bool = False,
 ) -> GemmExecution:
-    """Lower a GEMM to TGEMM's op streams (binding arguments as in
+    """Lower a GEMM to TGEMM's op streams (``bindable`` as in
     :func:`~repro.core.parallel_m.build_parallel_m`)."""
     plan = (plan or TgemmPlan()).validate(cluster)
-    ctx = LoweringContext(
-        cluster, shape, data, registry, kernel_exec=kernel_exec, faults=faults,
-        bindable=bindable,
-    )
+    ctx = LoweringContext(cluster, shape, registry, bindable=bindable)
     n_cores = cluster.n_cores
     builder = OpStreamBuilder(n_cores)
     m, n, k = shape.m, shape.n, shape.k

@@ -1,38 +1,7 @@
 """Experiment drivers, one per table/figure of the paper's evaluation.
 
 Each module exposes ``run(machine=None) -> list[ExperimentResult]`` and a
-``main()`` CLI; :mod:`~repro.experiments.run_all` regenerates
-``EXPERIMENTS.md`` from all of them.
+``main()`` CLI; :data:`~repro.experiments.run_all.MODULES` lists them, and
+:mod:`~repro.experiments.run_all` regenerates ``EXPERIMENTS.md`` from all
+of them.
 """
-
-from . import (
-    ext_autotune,
-    ext_bandwidth,
-    ext_fp64,
-    ext_hetero,
-    ext_multicluster,
-    ext_sensitivity,
-    ext_workloads,
-    fig3,
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    tables123,
-)
-
-__all__ = [
-    "ext_autotune",
-    "ext_bandwidth",
-    "ext_fp64",
-    "ext_hetero",
-    "ext_multicluster",
-    "ext_sensitivity",
-    "ext_workloads",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "tables123",
-]

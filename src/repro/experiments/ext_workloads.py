@@ -22,7 +22,7 @@ from ..hw.config import MachineConfig, default_machine
 from ..workloads.convnets import RESNET18_LAYERS, VGG16_LAYERS
 from ..workloads.fem import STANDARD_OPERATORS
 from ..workloads.kmeans import kmeans_gemm_shape
-from ..workloads.transformer import STANDARD_CONFIGS as ATTENTION_CONFIGS
+from ..workloads.transformer import STANDARD_CONFIGS
 
 #: (dataset-ish label, samples, features, clusters)
 KMEANS_CONFIGS = [
@@ -108,7 +108,7 @@ def run(machine: MachineConfig | None = None) -> list[ExperimentResult]:
 
     # --- transformer attention (post-2022 workload, same taxonomy) --------
     names, speeds, kinds = [], [], []
-    for cfg in ATTENTION_CONFIGS:
+    for cfg in STANDARD_CONFIGS:
         shape = cfg.gemm_shapes()["head_projection"]
         names.append(f"{cfg.name}/proj")
         kinds.append(shape.classify().value)

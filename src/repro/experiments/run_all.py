@@ -46,6 +46,14 @@ MODULES = [
     ext_sensitivity, ext_hetero, ext_bandwidth,
 ]
 
+
+def cli_name(module) -> str:
+    """A module's ``repro experiment`` name: no ``ext_``, ``tables123`` as
+    ``tables``."""
+    name = module.__name__.rsplit(".", 1)[-1].removeprefix("ext_")
+    return "tables" if name == "tables123" else name
+
+
 HEADER = """\
 # EXPERIMENTS — paper vs. measured
 

@@ -10,43 +10,3 @@ Submodules:
 * :mod:`repro.hw.dma` — DMA descriptors and the engine that times them.
 * :mod:`repro.hw.cluster` — cluster assemblies for functional and timed runs.
 """
-
-from .bandwidth import LocalChannel, SharedChannel
-from .cluster import ClusterSim, ClusterSpaces, CoreSim
-from .config import (
-    ClusterConfig,
-    CpuConfig,
-    DmaConfig,
-    DspCoreConfig,
-    FT_M7032,
-    LatencyConfig,
-    MachineConfig,
-    default_machine,
-)
-from .dma import DmaDescriptor, DmaEngine
-from .event_sim import Event, Resource, Simulator
-from .memory import Buffer, MemKind, MemorySpace
-
-__all__ = [
-    "Buffer",
-    "ClusterConfig",
-    "ClusterSim",
-    "ClusterSpaces",
-    "CoreSim",
-    "CpuConfig",
-    "DmaConfig",
-    "DmaDescriptor",
-    "DmaEngine",
-    "DspCoreConfig",
-    "Event",
-    "FT_M7032",
-    "LatencyConfig",
-    "LocalChannel",
-    "MachineConfig",
-    "MemKind",
-    "MemorySpace",
-    "Resource",
-    "SharedChannel",
-    "Simulator",
-    "default_machine",
-]

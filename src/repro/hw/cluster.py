@@ -2,7 +2,8 @@
 
 Two views of a cluster exist, matching the two execution modes:
 
-* :class:`ClusterSpaces` — just the memory spaces (DDR, GSM, per-core SM/AM),
+* :class:`ClusterSpaces` — just the on-chip memory spaces (GSM, per-core
+  SM/AM),
   used by the functional executor to enforce capacities while computing real
   results with NumPy.
 * :class:`ClusterSim` — the discrete-event world: shared DDR/GSM bandwidth
@@ -22,10 +23,6 @@ from .config import ClusterConfig
 from .dma import Channel, DmaEngine
 from .event_sim import Callback, Resource, Simulator
 from .memory import MemKind, MemorySpace
-
-#: DDR is modeled as effectively unbounded for allocation purposes; the
-#: operands of the largest experiment (M = 2^22) would occupy ~4 GB.
-_DDR_CAPACITY = 1 << 40
 
 #: on-chip scratch per memory geometry (GSM, AM, SM bytes), see
 #: :func:`scratch_arena`
@@ -59,7 +56,6 @@ class ClusterSpaces:
 
     def __init__(self, cfg: ClusterConfig, arena: np.ndarray | None = None) -> None:
         self.cfg = cfg
-        self.ddr = MemorySpace("ddr", MemKind.DDR, _DDR_CAPACITY)
         regions = _arena_regions(cfg, arena)
         self.gsm = MemorySpace(
             "gsm", MemKind.GSM, cfg.gsm_bytes, arena=next(regions)
@@ -74,8 +70,6 @@ class ClusterSpaces:
             ))
 
     def space(self, kind: MemKind, core_id: int = 0) -> MemorySpace:
-        if kind is MemKind.DDR:
-            return self.ddr
         if kind is MemKind.GSM:
             return self.gsm
         if not 0 <= core_id < self.cfg.n_cores:

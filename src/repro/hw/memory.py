@@ -8,13 +8,11 @@ them is load-bearing for the reproduction: a plan whose tiles don't fit must
 fail loudly.
 
 :class:`MemorySpace` is a bump allocator: a lowering sizes its tiles once
-and never frees them.  Buffers optionally carry a NumPy array (functional
-execution); timing-only runs allocate unbacked buffers so multi-gigabyte
-DDR operands cost nothing.
-A space given a byte ``arena`` backs its buffers with views into it at
-their allocated offsets instead of fresh zeroed arrays: the contents are
-then whatever the last user left, so a program must write a tile before
-it reads it.
+and never frees them.  A space given a byte ``arena`` (functional
+execution) backs its buffers with views into it at their allocated
+offsets: the contents are whatever the last user left, so a program must
+write a tile before it reads it.  Without an arena (timing-only runs)
+buffers are unbacked and cost no memory.
 """
 
 from __future__ import annotations
@@ -117,10 +115,10 @@ class MemorySpace:
         shape: tuple[int, ...],
         dtype: np.dtype | str = np.float32,
         *,
-        backed: bool = False,
         label: str = "",
     ) -> Buffer:
-        """Allocate a tile of ``shape`` x ``dtype``.
+        """Allocate a tile of ``shape`` x ``dtype``, backed by the arena
+        when the space has one.
 
         Raises :class:`CapacityError`, leaving the space as it was, when
         the space cannot hold it — this is how an over-sized blocking plan
@@ -145,12 +143,10 @@ class MemorySpace:
             )
         self.used = offset + rounded
         data = None
-        if backed and self.arena is not None:
+        if self.arena is not None:
             data = (
                 self.arena[offset : offset + nbytes].view(dt).reshape(shape)
             )
-        elif backed:
-            data = np.zeros(shape, dtype=dt)
         return Buffer(
             space=self,
             offset=offset,

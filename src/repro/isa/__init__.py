@@ -1,91 +1,14 @@
 """Symbolic ISA, VLIW scheduling, interpretation and rendering.
 
 The pipeline: the kernel generator (:mod:`repro.kernels`) emits
-:class:`~repro.isa.instructions.Instr` sequences; the modulo scheduler
+:class:`~repro.isa.instructions.Instr` sequences over the core's units
+(:mod:`repro.isa.units`), grouped into loop programs
+(:mod:`repro.isa.program`) and checked statically
+(:mod:`repro.isa.validator`); the modulo scheduler
 (:mod:`repro.isa.scheduler`) packs loop bodies into the core's issue slots
 yielding the initiation interval that drives the cycle model; the
-interpreter (:mod:`repro.isa.interp`) executes programs functionally; the
+interpreter (:mod:`repro.isa.interp`) executes programs functionally, and
+:mod:`repro.isa.compile` trace-compiles them to NumPy for speed; the
 emitter (:mod:`repro.isa.emitter`) renders assembly and the paper-style
 pipeline tables.
 """
-
-from .compile import (
-    CompiledBlock,
-    CompiledProgram,
-    compile_block,
-    compile_program,
-    compiled_for,
-)
-from .emitter import (
-    fmac_occupancy,
-    pipeline_grid,
-    render_assembly,
-    render_pipeline_table,
-    render_schedule_listing,
-)
-from .instructions import Affine, Instr, MemRef, OP_TABLE, Opcode, OpSpec, fma
-from .interp import LANES, MachineState, run_block, run_program
-from .program import (
-    DepEdge,
-    KernelProgram,
-    LoopProgram,
-    build_dependences,
-    opcode_histogram,
-    recurrence_mii,
-)
-from .scheduler import (
-    Schedule,
-    resource_mii,
-    schedule_loop,
-    schedule_straightline,
-    verify_schedule,
-)
-from .units import (
-    DEFAULT_UNITS,
-    DEFAULT_UNIT_COUNTS,
-    TABLE_ROW_ORDER,
-    UNIT_DISPLAY_NAMES,
-    UnitClass,
-    UnitFile,
-)
-
-__all__ = [
-    "Affine",
-    "CompiledBlock",
-    "CompiledProgram",
-    "DEFAULT_UNITS",
-    "DEFAULT_UNIT_COUNTS",
-    "DepEdge",
-    "Instr",
-    "KernelProgram",
-    "LANES",
-    "LoopProgram",
-    "MachineState",
-    "MemRef",
-    "OP_TABLE",
-    "OpSpec",
-    "Opcode",
-    "Schedule",
-    "TABLE_ROW_ORDER",
-    "UNIT_DISPLAY_NAMES",
-    "UnitClass",
-    "UnitFile",
-    "build_dependences",
-    "compile_block",
-    "compile_program",
-    "compiled_for",
-    "fma",
-    "fmac_occupancy",
-    "opcode_histogram",
-    "pipeline_grid",
-    "recurrence_mii",
-    "render_assembly",
-    "render_pipeline_table",
-    "render_schedule_listing",
-    "resource_mii",
-    "run_block",
-    "run_program",
-    "schedule_loop",
-    "schedule_straightline",
-    "verify_schedule",
-]

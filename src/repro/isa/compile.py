@@ -40,15 +40,6 @@ from ..obs.registry import current as _obs_current
 from .instructions import Affine, Instr, MemRef, Opcode
 from .program import KernelProgram, LoopProgram
 
-__all__ = [
-    "CompiledBlock",
-    "CompiledProgram",
-    "compile_block",
-    "compile_program",
-    "compiled_for",
-]
-
-
 # ---------------------------------------------------------------------------
 # symbolic values (compile-time placeholders for per-iteration data)
 # ---------------------------------------------------------------------------

@@ -202,13 +202,6 @@ class MicroKernel:
         run_program(self.program, {"A": a_p, "B": b_p, "C": c_p}, mode=mode)
         c[:, :] = c_p[:, :n]
 
-    def apply_interpreted(
-        self, a: np.ndarray, b: np.ndarray, c: np.ndarray,
-        mode: str = "compiled",
-    ) -> None:
-        """ISA-model execution (compiled by default; see :meth:`apply_isa`)."""
-        self.apply_isa(a, b, c, mode=mode)
-
     def apply_exec(
         self, a: np.ndarray, b: np.ndarray, c: np.ndarray, mode: str = "numpy"
     ) -> None:

@@ -82,21 +82,6 @@ class EpochProfile:
             "sync_tag": self.sync_tag,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "EpochProfile":
-        return cls(
-            index=int(d["index"]),
-            n_cores=len(d["compute_busy"]),
-            start=float(d["start"]),
-            end=float(d["end"]),
-            compute_busy=[float(x) for x in d["compute_busy"]],
-            dma_busy=[float(x) for x in d["dma_busy"]],
-            sync_wait=[float(x) for x in d["sync_wait"]],
-            window_stall=[float(x) for x in d["window_stall"]],
-            bytes_by_medium={k: int(v) for k, v in d["bytes_by_medium"].items()},
-            sync_tag=d.get("sync_tag", ""),
-        )
-
 
 def merge_intervals(intervals: list[tuple[float, float]]) -> float:
     """Total covered length of possibly-overlapping ``(start, end)`` pairs."""
@@ -187,11 +172,3 @@ class RunProfile:
             "seconds": self.seconds,
             "epochs": [ep.to_dict() for ep in self.epochs],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "RunProfile":
-        return cls(
-            n_cores=int(d["n_cores"]),
-            seconds=float(d["seconds"]),
-            epochs=[EpochProfile.from_dict(e) for e in d["epochs"]],
-        )

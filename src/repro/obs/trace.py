@@ -124,25 +124,22 @@ class _Scope:
         self.span_id = span_id
         self.args: dict[str, Any] = {}
         #: optional simulated-time extent; scopes without one are placed
-        #: as zero-width marks at the tracer's current sim offset
+        #: as zero-width marks at sim time zero
         self.sim_start_s: float | None = None
         self.sim_end_s: float | None = None
 
 
 class Tracer:
-    """Span collector with an ambient parent stack and a sim-time offset.
+    """Span collector with an ambient parent stack.
 
-    ``sim_offset`` shifts the simulated times of recorded spans — a
-    nested DES run (whose local clock starts at zero) placed at an outer
-    timeline position records spans at absolute positions.  ``pid``
-    is the default Chrome process id (= cluster index) for new spans.
+    ``pid`` is the default Chrome process id (= cluster index) for new
+    spans.
     """
 
     def __init__(self) -> None:
         self.spans: list[TraceSpan] = []
         self._next_id = 1
         self._stack: list[int] = []
-        self.sim_offset = 0.0
         self.pid = 0
 
     # -- id / parent plumbing ----------------------------------------------
@@ -183,8 +180,8 @@ class Tracer:
             parent_id=self._resolve_parent(parent),
             name=name,
             category=category,
-            start_s=self.sim_offset + start_s,
-            end_s=self.sim_offset + end_s,
+            start_s=start_s,
+            end_s=end_s,
             track=track,
             pid=self.pid if pid is None else pid,
             wall_start=wall,
@@ -205,7 +202,7 @@ class Tracer:
         args: dict[str, Any] | None = None,
     ) -> int:
         """A zero-width mark (Chrome ``ph: "i"``); ``at_s=None`` places it
-        at the tracer's current sim offset."""
+        at sim time zero."""
         at = 0.0 if at_s is None else at_s
         return self.record(
             name, category=category, start_s=at, end_s=at,
@@ -237,10 +234,9 @@ class Tracer:
             self._stack.pop()
             w1 = time.perf_counter()
             if handle.sim_start_s is not None and handle.sim_end_s is not None:
-                s0 = self.sim_offset + handle.sim_start_s
-                s1 = self.sim_offset + handle.sim_end_s
+                s0, s1 = handle.sim_start_s, handle.sim_end_s
             else:
-                s0 = s1 = self.sim_offset
+                s0 = s1 = 0.0
             merged = dict(args or {})
             merged.update(handle.args)
             self.spans.append(TraceSpan(
@@ -256,16 +252,6 @@ class Tracer:
                 wall_end=w1,
                 args=merged,
             ))
-
-    @contextmanager
-    def at_offset(self, offset_s: float) -> Iterator[None]:
-        """Shift nested sim-time recordings by ``offset_s`` (absolute)."""
-        prev = self.sim_offset
-        self.sim_offset = offset_s
-        try:
-            yield
-        finally:
-            self.sim_offset = prev
 
     # -- queries -----------------------------------------------------------
 

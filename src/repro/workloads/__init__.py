@@ -1,43 +1,12 @@
-"""Workloads from the paper's motivation: K-means, CNN im2col, FEM."""
+"""Workloads from the paper's motivation: K-means, CNN im2col, FEM.
 
-from .convnets import (
-    ConvLayer,
-    RESNET18_LAYERS,
-    VGG16_LAYERS,
-    conv2d_direct,
-    conv2d_im2col,
-    im2col,
-)
-from .fem import FemOperator, STANDARD_OPERATORS, batched_interpolate, lagrange_basis_1d
-from .generators import random_operands, reference_result
-from .transformer import AttentionConfig, STANDARD_CONFIGS as ATTENTION_CONFIGS, attention_forward
-from .kmeans import (
-    KMeansResult,
-    blob_dataset,
-    kmeans_gemm_shape,
-    lloyd_kmeans,
-    numpy_gemm,
-)
-
-__all__ = [
-    "ATTENTION_CONFIGS",
-    "AttentionConfig",
-    "attention_forward",
-    "ConvLayer",
-    "FemOperator",
-    "KMeansResult",
-    "RESNET18_LAYERS",
-    "STANDARD_OPERATORS",
-    "VGG16_LAYERS",
-    "batched_interpolate",
-    "blob_dataset",
-    "conv2d_direct",
-    "conv2d_im2col",
-    "im2col",
-    "kmeans_gemm_shape",
-    "lagrange_basis_1d",
-    "lloyd_kmeans",
-    "numpy_gemm",
-    "random_operands",
-    "reference_result",
-]
+* :mod:`repro.workloads.kmeans` — Lloyd K-means whose distance step is a
+  type-1 GEMM.
+* :mod:`repro.workloads.convnets` — convolution layers lowered to im2col
+  GEMMs (VGG16, ResNet-18).
+* :mod:`repro.workloads.fem` — batched finite-element operator
+  applications.
+* :mod:`repro.workloads.transformer` — per-head attention GEMMs.
+* :mod:`repro.workloads.generators` — random operands and the reference
+  result.
+"""

@@ -2,8 +2,9 @@
 
 import importlib
 import importlib.util
-import pkgutil
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,12 +23,13 @@ from repro.errors import (
     SimulationError,
 )
 
-#: ``repro`` and every package below it
-SUBPACKAGES = ["repro"] + [
-    f"repro.{info.name}"
-    for info in pkgutil.iter_modules(repro.__path__)
-    if info.ispkg
-]
+#: the packages with an export list: the GEMM library, then serving,
+#: observability and analysis; every other module is imported by its path
+EXPORTING = ("repro", "repro.serve", "repro.obs", "repro.analysis")
+
+
+def _defines_all(path: Path) -> bool:
+    return re.search(r"^__all__\b", path.read_text(), re.M) is not None
 
 
 class TestErrorHierarchy:
@@ -50,14 +52,26 @@ class TestErrorHierarchy:
 
 
 class TestFacade:
-    def test_all_exports_resolve(self):
-        # every package's export list: no name twice, every name resolves
-        for name in SUBPACKAGES:
+    def test_each_name_exported_once(self):
+        # only the four exporting packages have an ``__all__``; each list
+        # resolves, names nothing twice and shares no name with another
+        root = Path(repro.__file__).parent
+        defining = {
+            ".".join(("repro",) + path.relative_to(root).with_suffix("")
+                     .parts).removesuffix(".__init__")
+            for path in root.rglob("*.py")
+            if _defines_all(path)
+        }
+        assert defining == set(EXPORTING)
+        seen: dict[str, str] = {}
+        for name in EXPORTING:
             module = importlib.import_module(name)
             exports = module.__all__
             assert len(set(exports)) == len(exports), name
             for attr in exports:
                 assert getattr(module, attr) is not None, f"{name}.{attr}"
+                assert attr not in seen, (attr, seen.get(attr), name)
+                seen[attr] = name
 
     def test_top_level_lists_only_the_gemm_library(self):
         # serving, observability and analysis are exported by their own

@@ -428,3 +428,19 @@ class TestTraceCommand:
     def test_missing_input_reported_cleanly(self, capsys, tmp_path):
         assert main(["trace", str(tmp_path / "nope.jsonl")]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quantile", ["1.5", "0", "-3"])
+    def test_quantile_range_enforced_for_chrome_traces(
+        self, capsys, tmp_path, quantile
+    ):
+        # a .json trace takes the same (0, 1] check as a run-log
+        runlog = tmp_path / "r.jsonl"
+        trace = tmp_path / "s.json"
+        assert main([
+            "serve", "--mix", "fem", "--loads", "40000", "--n", "16",
+            "--seed", "2", "--trace", str(trace), "--runlog", str(runlog),
+        ]) == 0
+        capsys.readouterr()
+        for path in (runlog, trace):
+            assert main(["trace", str(path), "--quantile", quantile]) == 1
+            assert "outside (0, 1]" in capsys.readouterr().err

@@ -17,7 +17,6 @@ class TestClusterSpaces:
 
     def test_space_lookup(self, cluster):
         spaces = ClusterSpaces(cluster)
-        assert spaces.space(MemKind.DDR) is spaces.ddr
         assert spaces.space(MemKind.GSM) is spaces.gsm
         assert spaces.space(MemKind.AM, 3) is spaces.am[3]
         assert spaces.space(MemKind.SM, 7) is spaces.sm[7]

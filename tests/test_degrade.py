@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.errors import OverloadError, PlanError
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.hw.config import default_machine
 from repro.obs import Tracer
 from repro.obs.trace import head_sample

@@ -24,8 +24,9 @@ BUILDERS = {
 
 def run_check(builder, shape, cluster, registry, seed=0):
     data, ref = make_operands(shape, seed)
-    ex = builder(shape, cluster, data=data, registry=registry)
-    report = run_functional(ex)
+    ex = builder(shape, cluster, registry=registry, bindable=True)
+    with ex.ctx.binding(data):
+        report = run_functional(ex)
     assert_gemm_close(data.c, ref, shape.k)
     return ex, report
 
@@ -223,19 +224,19 @@ class TestPingPongAblation:
     def test_single_buffer_correct_m(self, cluster, registry):
         shape = GemmShape(300, 32, 200)
         data, ref = make_operands(shape, seed=21)
-        run_functional(
-            build_parallel_m(shape, cluster, data=data, registry=registry,
-                             pingpong=False)
-        )
+        ex = build_parallel_m(shape, cluster, registry=registry,
+                              pingpong=False, bindable=True)
+        with ex.ctx.binding(data):
+            run_functional(ex)
         assert_gemm_close(data.c, ref, shape.k)
 
     def test_single_buffer_correct_k(self, cluster, registry):
         shape = GemmShape(32, 32, 3000)
         data, ref = make_operands(shape, seed=22)
-        run_functional(
-            build_parallel_k(shape, cluster, data=data, registry=registry,
-                             pingpong=False)
-        )
+        ex = build_parallel_k(shape, cluster, registry=registry,
+                              pingpong=False, bindable=True)
+        with ex.ctx.binding(data):
+            run_functional(ex)
         assert_gemm_close(data.c, ref, shape.k)
 
     def test_single_buffer_uses_less_memory(self, cluster, registry):

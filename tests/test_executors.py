@@ -26,8 +26,9 @@ class TestFunctionalReport:
     def test_counts(self, cluster, registry):
         shape = GemmShape(100, 32, 70)
         data, _ref = make_operands(shape)
-        ex = build_parallel_m(shape, cluster, data=data, registry=registry)
-        rep = run_functional(ex)
+        ex = build_parallel_m(shape, cluster, registry=registry, bindable=True)
+        with ex.ctx.binding(data):
+            rep = run_functional(ex)
         assert rep.ops_executed == ex.n_ops
         assert rep.kernel_ops > 0 and rep.dma_ops > 0
         assert rep.flops == shape.flops

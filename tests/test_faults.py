@@ -29,17 +29,14 @@ from repro.errors import (
 )
 from repro.executor.functional import run_functional
 from repro.executor.timed import run_timed
-from repro.faults import (
-    NO_FAULTS,
-    CoreFault,
-    DegradationWindow,
+from repro.faults.chaos import DEFAULT_SHAPES, chaos_sweep
+from repro.faults.inject import (
     FaultInjector,
-    FaultPlan,
     FaultReport,
-    chaos_sweep,
+    _abft_expect,
+    _abft_ok,
 )
-from repro.faults.chaos import DEFAULT_SHAPES
-from repro.faults.inject import _abft_expect, _abft_ok
+from repro.faults.plan import NO_FAULTS, CoreFault, DegradationWindow, FaultPlan
 from repro.hw.config import default_machine
 from repro.obs import collecting, tracing
 from repro.serve.loadgen import MIXES

@@ -88,7 +88,7 @@ class TestCorrectness:
         c_np = c0.copy()
         kern.apply(a, b, c_np)
         c_isa = c0.copy()
-        kern.apply_interpreted(a, b, c_isa)
+        kern.apply_isa(a, b, c_isa)
         np.testing.assert_allclose(c_isa, c_np, rtol=1e-12)
 
     @settings(max_examples=15, deadline=None)
@@ -110,7 +110,7 @@ class TestCorrectness:
         b = rng.standard_normal((k, n))
         c = rng.standard_normal((m, n))
         expected = c + a @ b
-        kern.apply_interpreted(a, b, c)
+        kern.apply_isa(a, b, c)
         np.testing.assert_allclose(c, expected, rtol=1e-11, atol=1e-11)
 
 

@@ -21,7 +21,7 @@ import pytest
 from repro.analysis import critical_path, diff_critical_paths
 from repro.core.ftimm import ftimm_gemm
 from repro.errors import FaultError, OverloadError, PlanError
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.obs import MetricsRegistry, collecting, tracing
 from repro.serve import (
     DegradePolicy,

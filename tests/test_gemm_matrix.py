@@ -47,8 +47,8 @@ def test_driver_matrix(cluster, registry, builder_name, pingpong, dtype):
     if builder_name == "m":
         plan = MPlan(n_g=48, n_a=48, dtype=dtype) if dtype == "f64" else MPlan()
         ex = build_parallel_m(
-            shape, cluster, plan=plan, data=data, registry=registry,
-            pingpong=pingpong,
+            shape, cluster, plan=plan, registry=registry,
+            pingpong=pingpong, bindable=True,
         )
     else:
         plan = (
@@ -56,10 +56,11 @@ def test_driver_matrix(cluster, registry, builder_name, pingpong, dtype):
             if dtype == "f64" else KPlan()
         )
         ex = build_parallel_k(
-            shape, cluster, plan=plan, data=data, registry=registry,
-            pingpong=pingpong,
+            shape, cluster, plan=plan, registry=registry,
+            pingpong=pingpong, bindable=True,
         )
-    run_functional(ex)
+    with ex.ctx.binding(data):
+        run_functional(ex)
     check(c, ref, dtype, shape.k)
 
 

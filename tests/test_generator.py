@@ -130,7 +130,7 @@ def check_kernel_correct(kern, seed=0):
     c_np = c0.copy()
     kern.apply(a, b, c_np)
     c_isa = c0.copy()
-    kern.apply_interpreted(a, b, c_isa)
+    kern.apply_isa(a, b, c_isa)
     np.testing.assert_allclose(c_isa, c_np, rtol=1e-4, atol=1e-4)
 
 

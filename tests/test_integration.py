@@ -29,7 +29,9 @@ class TestStrategyEquivalence:
         results = []
         for builder in (build_tgemm, build_parallel_m, build_parallel_k):
             data, ref = make_operands(shape, seed=9)
-            run_functional(builder(shape, cluster, data=data, registry=registry))
+            ex = builder(shape, cluster, registry=registry, bindable=True)
+            with ex.ctx.binding(data):
+                run_functional(ex)
             assert_gemm_close(data.c, ref, k)
             results.append(data.c.copy())
         np.testing.assert_allclose(results[0], results[1], rtol=1e-4, atol=1e-4)

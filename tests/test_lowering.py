@@ -89,8 +89,8 @@ class TestGemmOperands:
 
 
 class TestLoweringContext:
-    def make(self, cluster, shape=GemmShape(64, 32, 64), data=None):
-        return LoweringContext(cluster, shape, data)
+    def make(self, cluster, shape=GemmShape(64, 32, 64)):
+        return LoweringContext(cluster, shape)
 
     def test_unbacked_by_default(self, cluster):
         ctx = self.make(cluster)
@@ -103,10 +103,13 @@ class TestLoweringContext:
         shape = GemmShape(4, 4, 4)
         z = np.zeros((4, 4), np.float32)
         data = GemmOperands.check(shape, z, z.copy(), z.copy())
-        ctx = LoweringContext(cluster, shape, data)
+        ctx = LoweringContext(cluster, shape, bindable=True)
         assert ctx.backed
         buf = ctx.alloc(MemKind.AM, 0, 8, 8, "t")[0]
         assert buf.data is not None
+        with ctx.binding(data):
+            assert ctx.data is data
+        assert ctx.data is None
 
     def test_ping_pong_slots(self, cluster):
         ctx = self.make(cluster)
@@ -130,11 +133,12 @@ class TestLoweringContext:
         a = np.arange(16, dtype=np.float32).reshape(4, 4)
         z = np.zeros((4, 4), np.float32)
         data = GemmOperands.check(shape, a, z.copy(), z.copy())
-        ctx = LoweringContext(cluster, shape, data)
+        ctx = LoweringContext(cluster, shape, bindable=True)
         buf = ctx.alloc(MemKind.AM, 0, 4, 4, "t")[0]
-        ctx.load(buf, "a", 1, 2, 2, 2, 0)()
-        np.testing.assert_array_equal(buf.array()[:2, :2], a[1:3, 2:4])
-        ctx.unload(buf, 2, 0, 2, 2, 0)()
+        with ctx.binding(data):
+            ctx.load(buf, "a", 1, 2, 2, 2, 0)()
+            np.testing.assert_array_equal(buf.array()[:2, :2], a[1:3, 2:4])
+            ctx.unload(buf, 2, 0, 2, 2, 0)()
         np.testing.assert_array_equal(data.c[2:4, 0:2], a[1:3, 2:4])
 
     def test_split_rows_even(self, cluster):

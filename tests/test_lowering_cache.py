@@ -62,21 +62,21 @@ def cached_run(m, n, k, strategy, a, b, c0, **kw):
 
 
 def fresh_run(m, n, k, strategy, a, b, c0, kernel_exec="numpy"):
-    """C and the report of a one-shot lowering bound at build time."""
+    """C and the report of a one-shot lowering outside the program cache."""
     shape = GemmShape(m, n, k)
     c = c0.copy()
     data = GemmOperands.check(shape, a, b, c)
     cluster = default_machine().cluster
     if strategy == "tgemm":
-        ex = build_tgemm(shape, cluster, data=data, kernel_exec=kernel_exec)
+        ex = build_tgemm(shape, cluster, bindable=True)
     else:
         decision = tune(shape, cluster, force_strategy=strategy)
         build = build_parallel_m if strategy == "m" else build_parallel_k
         ex = build(
-            shape, cluster, decision.plan, data=data, adjust=False,
-            kernel_exec=kernel_exec,
+            shape, cluster, decision.plan, adjust=False, bindable=True
         )
-    return c, run_functional(ex)
+    with ex.ctx.binding(data, kernel_exec=kernel_exec):
+        return c, run_functional(ex)
 
 
 def counters(reg) -> dict[str, float]:

@@ -95,7 +95,7 @@ class TestLatencyChanges:
         c1 = np.zeros((6, 64), np.float32)
         c2 = np.zeros((6, 64), np.float32)
         kern.apply(a, b, c1)
-        kern.apply_interpreted(a, b, c2)
+        kern.apply_isa(a, b, c2)
         np.testing.assert_allclose(c1, c2, rtol=1e-4, atol=1e-4)
 
 
@@ -173,5 +173,5 @@ class TestRegisterFileChanges:
         c1 = np.zeros((10, 96), np.float32)
         c2 = np.zeros((10, 96), np.float32)
         kern.apply(a, b, c1)
-        kern.apply_interpreted(a, b, c2)
+        kern.apply_isa(a, b, c2)
         np.testing.assert_allclose(c1, c2, rtol=1e-4, atol=1e-4)

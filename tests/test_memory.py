@@ -22,9 +22,13 @@ class TestAlloc:
         assert sp.used == buf.nbytes
 
     def test_alloc_backed_gives_zeroed_array(self):
-        buf = space().alloc((4, 4), backed=True)
+        arena = np.zeros(4096, np.uint8)
+        sp = MemorySpace("test", MemKind.AM, 4096, arena=arena)
+        sp.alloc((2, 2))
+        buf = sp.alloc((4, 4))
         assert buf.array().shape == (4, 4)
         assert np.all(buf.array() == 0)
+        assert np.shares_memory(buf.array(), arena[buf.offset:buf.end])
 
     def test_alloc_unbacked_array_raises(self):
         buf = space().alloc((4, 4))

@@ -27,7 +27,6 @@ from repro.executor.timed import run_timed
 from repro.hw.config import default_machine
 from repro.obs import (
     MetricsRegistry,
-    RunProfile,
     collecting,
     current,
     make_record,
@@ -254,14 +253,6 @@ class TestRunProfileInvariants:
                     assert busy <= ep.duration * (1 + 1e-9)
             assert 0.0 <= ep.compute_frac <= 1.0
             assert 0.0 <= ep.dma_frac <= 1.0
-
-    def test_profile_dict_round_trip(self, profiled):
-        result, _, _ = profiled
-        prof = result.profile
-        restored = RunProfile.from_dict(
-            json.loads(json.dumps(prof.to_dict()))
-        )
-        assert restored.to_dict() == prof.to_dict()
 
 
 class TestPublishedMetrics:

@@ -7,8 +7,10 @@ worker costs one resubmit of the map, a second crash raises
 propagates unchanged.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 from types import SimpleNamespace
 
 import pytest
@@ -106,15 +108,28 @@ class TestMainPlumbing:
         assert default.jobs is None and default.json is None
 
     def test_module_list_covers_every_experiment(self):
-        """Everything importable under repro.experiments with run() must be
+        """Every module under repro.experiments with run() must be
         registered in run_all (so EXPERIMENTS.md can't silently go stale)."""
         import repro.experiments as exp
 
         registered = {m.__name__ for m in run_all.MODULES}
-        for name in exp.__all__:
-            module = getattr(exp, name)
+        for info in pkgutil.iter_modules(exp.__path__):
+            module = importlib.import_module(f"{exp.__name__}.{info.name}")
             if hasattr(module, "run"):
-                assert module.__name__ in registered, name
+                assert module.__name__ in registered, info.name
+
+    def test_cli_names(self):
+        from repro.cli import build_parser
+
+        names = [run_all.cli_name(m) for m in run_all.MODULES]
+        assert names == [
+            "tables", "fig3", "fig4", "fig5", "fig6", "fig7", "fp64",
+            "multicluster", "autotune", "workloads", "sensitivity",
+            "hetero", "bandwidth",
+        ]
+        parser = build_parser()
+        for name in names + ["all"]:
+            assert parser.parse_args(["experiment", name]).name == name
 
 
 def _result(exp_id: str) -> list[ExperimentResult]:

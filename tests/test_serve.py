@@ -21,7 +21,7 @@ import pytest
 from repro.core.ftimm import ftimm_gemm
 from repro.core.shapes import GemmShape
 from repro.errors import PlanError, ShapeError
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.obs import collecting
 from repro.serve import (
     GemmRequest,

@@ -32,7 +32,7 @@ from dataclasses import replace as dc_replace
 
 import pytest
 
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.obs import collecting
 from repro.serve import DegradePolicy, ServeConfig, make_requests, serve
 from repro.serve import placement as placement_mod

@@ -73,5 +73,5 @@ class TestCorrectness:
         c_np = c0.copy()
         kern.apply(a, b, c_np)
         c_isa = c0.copy()
-        kern.apply_interpreted(a, b, c_isa)
+        kern.apply_isa(a, b, c_isa)
         np.testing.assert_allclose(c_isa, c_np, rtol=1e-4, atol=1e-4)

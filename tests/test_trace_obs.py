@@ -33,7 +33,7 @@ from repro.core.shapes import GemmShape
 from repro.core.tuner import tune
 from repro.errors import InputError, PlanError, ReproError
 from repro.executor.timed import run_timed
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.hw.config import default_machine
 from repro.obs import (
     Tracer,
@@ -114,14 +114,6 @@ class TestTracer:
         tr = Tracer()
         with pytest.raises(ReproError):
             tr.record("bad", start_s=2.0, end_s=1.0)
-
-    def test_at_offset_shifts_sim_times(self):
-        tr = Tracer()
-        with tr.at_offset(10.0):
-            tr.record("shifted", start_s=1.0, end_s=2.0)
-        (span,) = tr.spans
-        assert span.start_s == pytest.approx(11.0)
-        assert span.end_s == pytest.approx(12.0)
 
     def test_maybe_scope_is_none_without_tracer(self):
         with maybe_scope("nothing") as scope:
