@@ -28,6 +28,7 @@ Python.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
 from .analysis.tables import format_table
@@ -621,10 +622,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.name == "all":
         run_all.main([])
         return 0
-    module = next(
+    path = next(
         m for m in run_all.MODULES if run_all.cli_name(m) == args.name
     )
-    for result in module.run():
+    for result in importlib.import_module(path).run():
         print(result.render(chart=True))
         print()
     return 0

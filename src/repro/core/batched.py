@@ -16,7 +16,9 @@ that are equal but distinct objects — the normal case for requests
 deserialized from a stream — still coalesce.  The digest is interned:
 blake2b runs once per distinct B content, and every later B with
 bitwise-equal content gets the stored digest back after one element-wise
-compare, from a process-wide table bounded by :data:`_INTERN_BYTES`.
+compare, from a process-wide table bounded by :data:`_INTERN_BYTES`.  The
+entry also carries whether its B is all finite (:func:`b_finite`), so the
+serve engine's admission check reads each distinct B content once.
 """
 
 from __future__ import annotations
@@ -42,8 +44,23 @@ _INTERN_BYTES = 16 << 20
 #: samples per axis in an intern fingerprint
 _FINGERPRINT_STEPS = 8
 
-#: (dtype, shape, fingerprint) -> [(private copy, digest), ...], oldest first
-_interned: OrderedDict[tuple, list[tuple[np.ndarray, str]]] = OrderedDict()
+
+class _Entry:
+    """One interned B: its private read-only copy, its digest, and whether
+    every element is finite (``None`` until :func:`b_finite` asks)."""
+
+    __slots__ = ("copy", "digest", "finite")
+
+    def __init__(self, copy: np.ndarray, digest: str) -> None:
+        self.copy = copy
+        self.digest = digest
+        self.finite: bool | None = None
+
+
+#: (dtype, shape, fingerprint) -> [entry, ...], oldest first
+_interned: OrderedDict[tuple, list[_Entry]] = OrderedDict()
+#: digest -> its entry in :data:`_interned`
+_by_digest: dict[str, _Entry] = {}
 _interned_bytes = 0
 
 
@@ -97,12 +114,12 @@ def b_digest(b: np.ndarray) -> str:
     entries = _interned.get(key)
     if entries is not None:
         bits = _bits(b)
-        for copy, digest in entries:
-            if np.array_equal(bits, _bits(copy)):
+        for entry in entries:
+            if np.array_equal(bits, _bits(entry.copy)):
                 _interned.move_to_end(key)
                 if metrics is not None:
                     metrics.counter("core/batched/b_intern/hits").inc()
-                return digest
+                return entry.digest
     if metrics is not None:
         metrics.counter("core/batched/b_intern/misses").inc()
     copy = b.copy(order="C")
@@ -110,21 +127,49 @@ def b_digest(b: np.ndarray) -> str:
     if copy.nbytes > _INTERN_BYTES:
         return digest
     copy.flags.writeable = False
-    _interned.setdefault(key, []).append((copy, digest))
+    entry = _Entry(copy, digest)
+    _interned.setdefault(key, []).append(entry)
     _interned.move_to_end(key)
+    _by_digest[digest] = entry
     _interned_bytes += copy.nbytes
     while _interned_bytes > _INTERN_BYTES:
         _key, evicted = _interned.popitem(last=False)
-        _interned_bytes -= sum(c.nbytes for c, _d in evicted)
+        for old in evicted:
+            _interned_bytes -= old.copy.nbytes
+            del _by_digest[old.digest]
         if metrics is not None:
             metrics.counter("core/batched/b_intern/evictions").inc(len(evicted))
     return digest
+
+
+def b_finite(b: np.ndarray, digest: str) -> bool:
+    """Whether every element of ``b`` is finite; ``digest`` is
+    ``b_digest(b)``.
+
+    Finiteness depends only on the bits, and the intern has just proved
+    ``b``'s bits equal to its entry's private copy, so the answer is kept
+    on that entry: computed once per distinct content, on the copy, and
+    inherited by every later bit-equal B without reading it again.  A B
+    too large to intern is read.  Each read counts
+    ``core/batched/b_intern/finite_reads``.
+    """
+    entry = _by_digest.get(digest)
+    if entry is not None and entry.finite is not None:
+        return entry.finite
+    metrics = _obs_current()
+    if metrics is not None:
+        metrics.counter("core/batched/b_intern/finite_reads").inc()
+    if entry is None:
+        return bool(np.isfinite(b).all())
+    entry.finite = bool(np.isfinite(entry.copy).all())
+    return entry.finite
 
 
 def clear_interned() -> None:
     """Drop every interned B (tests and cold-start measurements)."""
     global _interned_bytes
     _interned.clear()
+    _by_digest.clear()
     _interned_bytes = 0
 
 

@@ -21,6 +21,8 @@ Lowering is compile-once: :func:`lowered_program` keeps each
 call binds its operands, fault injector and kernel mode to the cached
 program for the duration of its functional run (see
 :mod:`repro.core.lowering`).  The DES reads the same program unbound.
+The analytic model is a pure function of the same key, so its results
+are kept in a small LRU too.
 """
 
 from __future__ import annotations
@@ -70,6 +72,13 @@ _PROGRAM_CACHE_OPS = 64_000
 #: (shape, cluster, strategy, plan) -> lowered program, oldest first
 _programs: OrderedDict[tuple, GemmExecution] = OrderedDict()
 _cached_ops = 0
+
+#: bound on the analytic results kept; a serve run charges a few hundred
+#: distinct stacked shapes
+_ANALYTIC_CACHE = 1024
+
+#: (shape, cluster, strategy, plan) -> analytic result, oldest first
+_analytic_results: OrderedDict[tuple, TimedResult] = OrderedDict()
 
 
 @dataclass
@@ -181,11 +190,24 @@ def lowered_program(
     return program
 
 
+def tuned_program(
+    shape: GemmShape, cluster: ClusterConfig
+) -> tuple[TuningDecision, GemmExecution]:
+    """:func:`ftimm_gemm`'s tuning decision for ``shape`` and its
+    functional program, for a caller that runs many operand sets of one
+    shape through :func:`_run` (the serve engine's batch members)."""
+    decision = tune(shape, cluster)
+    return decision, lowered_program(shape, cluster, decision,
+                                     functional=True)
+
+
 def clear_programs() -> None:
-    """Drop every cached program (tests and cold-start measurements)."""
+    """Drop every cached program and analytic result (tests and cold-start
+    measurements)."""
     global _cached_ops
     _programs.clear()
     _cached_ops = 0
+    _analytic_results.clear()
 
 
 def _analytic(
@@ -193,12 +215,25 @@ def _analytic(
     cluster: ClusterConfig,
     decision: TuningDecision,
 ) -> TimedResult:
+    """The analytic timing of ``decision``, from an LRU keyed like
+    :func:`lowered_program`; a hit returns a copy, since ``core_busy`` is
+    a list the caller may change."""
+    key = (shape, cluster, decision.strategy, decision.plan)
+    kept = _analytic_results.get(key)
+    if kept is not None:
+        _analytic_results.move_to_end(key)
+        return replace(kept, core_busy=list(kept.core_busy))
     registry = registry_for(cluster.core)
     if decision.strategy == "m":
-        return analytic_parallel_m(shape, cluster, decision.m_plan, registry)
-    if decision.strategy == "k":
-        return analytic_parallel_k(shape, cluster, decision.k_plan, registry)
-    return analytic_tgemm(shape, cluster, decision.tgemm_plan, registry)
+        result = analytic_parallel_m(shape, cluster, decision.m_plan, registry)
+    elif decision.strategy == "k":
+        result = analytic_parallel_k(shape, cluster, decision.k_plan, registry)
+    else:
+        result = analytic_tgemm(shape, cluster, decision.tgemm_plan, registry)
+    _analytic_results[key] = replace(result, core_busy=list(result.core_busy))
+    if len(_analytic_results) > _ANALYTIC_CACHE:
+        _analytic_results.popitem(last=False)
+    return result
 
 
 def _redispatch(
@@ -256,20 +291,39 @@ def _redispatch(
             return out, len(live), lost_s
 
 
+def _operands(
+    shape: GemmShape,
+    a: np.ndarray | None,
+    b: np.ndarray | None,
+    c: np.ndarray | None,
+    dtype: str,
+) -> GemmOperands | None:
+    """The checked operands of a public call (``None`` for timing only)."""
+    if a is None and b is None and c is None:
+        return None
+    if a is None or b is None or c is None:
+        raise PlanError("provide all of a, b, c or none of them")
+    return GemmOperands.check(shape, a, b, c, dtype=dtype)
+
+
 def _run(
     shape: GemmShape,
     cluster: ClusterConfig,
     decision: TuningDecision,
+    data: GemmOperands | None,
     *,
-    a: np.ndarray | None,
-    b: np.ndarray | None,
-    c: np.ndarray | None,
     timing: TimingMode,
     dtype: str = "f32",
     kernel_exec: str = "numpy",
     faults: FaultPlan | None = None,
+    program: GemmExecution | None = None,
 ) -> GemmResult:
     """Run a tuned GEMM: the functional phase, then the timing phase.
+
+    ``data`` holds operands already checked (:meth:`GemmOperands.check`
+    at the public calls, the serve engine's admission check for batch
+    members), or is ``None`` for a timing-only call.  ``program`` is the
+    functional program of ``decision`` when the caller holds it already.
 
     ``faults=None`` is the clean path: one attempt per phase, no C
     snapshot, no :class:`~repro.faults.inject.FaultReport`.  A fault plan
@@ -293,12 +347,6 @@ def _run(
     attempts stay guarded: the float64 checksums of a finite float64 tile
     can overflow.
     """
-    data = None
-    if a is not None or b is not None or c is not None:
-        if a is None or b is None or c is None:
-            raise PlanError("provide all of a, b, c or none of them")
-        data = GemmOperands.check(shape, a, b, c, dtype=dtype)
-
     mode = timing
     if mode == "auto":
         mode = ("des" if faults is not None
@@ -340,8 +388,9 @@ def _run(
             if data is not None:
                 with maybe_scope("functional", category="phase",
                                  track="gemm"):
-                    program = lowered_program(shape, cluster, decision,
-                                              functional=True)
+                    if program is None:
+                        program = lowered_program(shape, cluster, decision,
+                                                  functional=True)
                     func_report, n_cores, _ = _redispatch(
                         lambda inj: functional(program, inj), "functional",
                         cluster, plan=faults, report=report,
@@ -433,8 +482,8 @@ def ftimm_gemm(
         dtype=dtype,
     )
     return _run(
-        shape, cluster, decision, a=a, b=b, c=c, timing=timing, dtype=dtype,
-        kernel_exec=kernel_exec, faults=faults,
+        shape, cluster, decision, _operands(shape, a, b, c, dtype),
+        timing=timing, dtype=dtype, kernel_exec=kernel_exec, faults=faults,
     )
 
 
@@ -463,8 +512,8 @@ def tgemm_gemm(
         reason="baseline",
     )
     return _run(
-        shape, cluster, decision, a=a, b=b, c=c, timing=timing,
-        kernel_exec=kernel_exec, faults=faults,
+        shape, cluster, decision, _operands(shape, a, b, c, "f32"),
+        timing=timing, kernel_exec=kernel_exec, faults=faults,
     )
 
 

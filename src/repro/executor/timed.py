@@ -457,7 +457,7 @@ class _OpRun(Event):
             desc = self.op.desc
             run.prof.add_dma(
                 self.epoch, self.walk.host, self.t_start, run.sim.now,
-                desc.medium.value, desc.nbytes,
+                desc.medium_value, desc.nbytes,
             )
         self.succeed()
 

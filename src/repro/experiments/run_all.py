@@ -15,6 +15,7 @@ markdown is identical for every job count.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import time
@@ -24,33 +25,22 @@ from pathlib import Path
 
 from ..analysis.tables import ExperimentResult
 from ..errors import WorkerError
-from . import (
-    ext_autotune,
-    ext_bandwidth,
-    ext_fp64,
-    ext_hetero,
-    ext_multicluster,
-    ext_sensitivity,
-    ext_workloads,
-    fig3,
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    tables123,
-)
 
+#: every experiment module in EXPERIMENTS.md order, by import path; a
+#: module is imported only when it runs, so the CLI starts without them
 MODULES = [
-    tables123, fig3, fig4, fig5, fig6, fig7,
-    ext_fp64, ext_multicluster, ext_autotune, ext_workloads,
-    ext_sensitivity, ext_hetero, ext_bandwidth,
+    f"{__package__}.{name}" for name in (
+        "tables123", "fig3", "fig4", "fig5", "fig6", "fig7",
+        "ext_fp64", "ext_multicluster", "ext_autotune", "ext_workloads",
+        "ext_sensitivity", "ext_hetero", "ext_bandwidth",
+    )
 ]
 
 
-def cli_name(module) -> str:
+def cli_name(module: str) -> str:
     """A module's ``repro experiment`` name: no ``ext_``, ``tables123`` as
     ``tables``."""
-    name = module.__name__.rsplit(".", 1)[-1].removeprefix("ext_")
+    name = module.rsplit(".", 1)[-1].removeprefix("ext_")
     return "tables" if name == "tables123" else name
 
 
@@ -73,9 +63,8 @@ Regenerate with `python -m repro.experiments.run_all`.
 
 
 def _run_module(name: str) -> list[ExperimentResult]:
-    """Picklable work unit: run one experiment module by name."""
-    module = next(m for m in MODULES if m.__name__ == name)
-    return module.run()
+    """Picklable work unit: import one experiment module and run it."""
+    return importlib.import_module(name).run()
 
 
 def _map_modules(names: list[str], jobs: int) -> list[list[ExperimentResult]]:
@@ -113,10 +102,10 @@ def run_everything(jobs: int | None = None) -> list[ExperimentResult]:
     t0 = time.perf_counter()
     # module *names* are the work items: they pickle cheaply and read
     # well in a traceback
-    per_module = _map_modules([m.__name__ for m in MODULES], jobs)
+    per_module = _map_modules(list(MODULES), jobs)
     dt = time.perf_counter() - t0
     for module, module_results in zip(MODULES, per_module):
-        print(f"[{module.__name__}] {len(module_results)} experiments")
+        print(f"[{module}] {len(module_results)} experiments")
         results.extend(module_results)
     print(f"ran {len(MODULES)} experiment modules on {jobs} workers in {dt:.1f}s")
     return results

@@ -48,6 +48,8 @@ class DmaDescriptor:
     tag: str = ""
     #: the slowest memory level this transfer touches (derived)
     medium: MemKind = field(init=False, repr=False, compare=False)
+    #: ``medium.value``, read once here rather than on every transfer
+    medium_value: str = field(init=False, repr=False, compare=False)
     #: ``(cfg, effective_bytes(cfg))`` for the last config asked about
     _effective: tuple[DmaConfig, int] | None = field(
         init=False, repr=False, compare=False, default=None
@@ -63,6 +65,7 @@ class DmaDescriptor:
         else:
             medium = MemKind.AM
         object.__setattr__(self, "medium", medium)
+        object.__setattr__(self, "medium_value", medium.value)
 
     @property
     def nbytes(self) -> int:
@@ -103,6 +106,9 @@ class DmaEngine:
         self.cfg = dma_cfg
         self.core_cfg = core_cfg
         self.channels = channels
+        #: ``channels`` keyed by medium value: a str key hashes in C,
+        #: where a ``MemKind`` key goes through ``Enum.__hash__``
+        self._channel_of = {kind.value: ch for kind, ch in channels.items()}
         self.slots = Resource(sim, dma_cfg.channels_per_core, name=f"dma{core_id}")
         self.startup_s = dma_cfg.startup_cycles / core_cfg.clock_hz
         self.bytes_moved = 0
@@ -153,7 +159,7 @@ class DmaEngine:
 
     def _started(self, x: "_Transfer") -> None:
         desc = x.desc
-        self.channels[desc.medium].transfer(
+        self._channel_of[desc.medium_value].transfer(
             desc.effective_bytes(self.cfg), self._transferred, x
         )
 
@@ -196,7 +202,7 @@ class DmaEngine:
             return
         nbytes = x.nbytes
         self.bytes_moved += nbytes
-        medium = desc.medium.value
+        medium = desc.medium_value
         self.bytes_by_medium[medium] = (
             self.bytes_by_medium.get(medium, 0) + nbytes
         )

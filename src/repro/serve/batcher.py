@@ -19,24 +19,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.batched import b_digest
 from ..core.blocking import DTYPE_SIZES
-from ..errors import PlanError
+from ..errors import InputError, PlanError
 from .request import GemmRequest
 
 #: bucket key: (N, K, dtype-str, B-content-digest)
 BucketKey = tuple[int, int, str, str]
 
-#: numpy dtype name -> the repo's dtype tags (core.blocking.DTYPE_SIZES)
-_DTYPE_TAGS = {"float32": "f32", "float64": "f64"}
+#: numpy dtype -> the repo's dtype tags (core.blocking.DTYPE_SIZES)
+_DTYPE_TAGS = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 
-def dtype_tag(dtype) -> str:
-    name = str(dtype)
+def dtype_tag(dtype: np.dtype) -> str:
+    """The tag of an operand's ``dtype``; :class:`~repro.errors.InputError`
+    (a :class:`PlanError`) for any other dtype."""
     try:
-        return _DTYPE_TAGS[name]
+        return _DTYPE_TAGS[dtype]
     except KeyError:
-        raise PlanError(f"unsupported operand dtype {name!r}") from None
+        raise InputError(f"unsupported operand dtype {str(dtype)!r}") from None
 
 
 def bucket_key(req: GemmRequest) -> BucketKey:
@@ -132,16 +135,17 @@ class ShapeBucketBatcher:
         return sum(len(reqs) for reqs in self._buckets.values())
 
     def add(
-        self, req: GemmRequest, now: float
+        self, req: GemmRequest, key: BucketKey, now: float
     ) -> tuple[Batch | None, BucketKey | None]:
-        """Admit one request; returns ``(batch, opened)``.
+        """Admit one request under its :func:`bucket_key`; returns
+        ``(batch, opened)``.
 
-        ``batch`` is the closed batch if the request filled its bucket.
-        ``opened`` is the bucket key if the request opened a bucket that
-        is still waiting, so the caller can arm its :meth:`due_at` timer
-        without computing the key (and hashing B) a second time.
+        The caller computes ``key`` (the engine's admission check does,
+        once per request).  ``batch`` is the closed batch if the request
+        filled its bucket.  ``opened`` is the bucket key if the request
+        opened a bucket that is still waiting, so the caller can arm its
+        :meth:`due_at` timer.
         """
-        key = bucket_key(req)
         bucket = self._buckets.setdefault(key, [])
         bucket.append(req)
         if len(bucket) >= self.max_batch:

@@ -6,7 +6,8 @@ batcher/scheduler/backends the replay path uses — streaming admission,
 not a pre-drawn list — and resolves when the simulated backend finishes
 it, with the same typed outcomes (:class:`~repro.serve.request
 .RequestRecord` on completion, :class:`~repro.errors.OverloadError` on
-shed, :class:`~repro.errors.FaultError` past the re-dispatch budget).
+shed, :class:`~repro.errors.InputError` for operands admission refused,
+:class:`~repro.errors.FaultError` past the re-dispatch budget).
 
 **Virtual-clock bridge.** The engine runs in simulated seconds; asyncio
 runs in wall time.  The bridge never free-runs the simulation: a pump
@@ -41,7 +42,7 @@ from typing import AsyncIterator, Iterable
 import numpy as np
 
 from ..core.shapes import GemmShape
-from ..errors import FaultError, OverloadError, PlanError
+from ..errors import FaultError, InputError, OverloadError, PlanError
 from ..hw.config import MachineConfig, default_machine
 from ..obs import current
 from ..obs.trace import current_tracer
@@ -121,7 +122,8 @@ class Gateway:
 
         Returns the completed :class:`RequestRecord`; raises
         :class:`OverloadError` when the request was shed (admission
-        queue, priority class, burn protection or gateway shutdown) and
+        queue, priority class, burn protection or gateway shutdown),
+        :class:`InputError` when admission refused its operands and
         :class:`FaultError` when every re-dispatch attempt faulted.  The
         record always exists in :meth:`report` either way.
         """
@@ -298,7 +300,10 @@ class Gateway:
                 reason=record.shed_reason or "queue_full",
             ) from None
         if record.status == FAILED:
-            raise FaultError(
+            # a record that never reached a batch failed admission's
+            # operand check; one that did ran out of re-dispatches
+            error = InputError if record.batch_id is None else FaultError
+            raise error(
                 f"request {record.req_id} failed: {record.error}"
             ) from None
         return record
@@ -407,7 +412,7 @@ def gateway_replay(
         outcomes = await asyncio.gather(*tasks, return_exceptions=True)
         for out in outcomes:
             if isinstance(out, BaseException) and not isinstance(
-                out, (OverloadError, FaultError)
+                out, (OverloadError, InputError, FaultError)
             ):
                 raise out  # anything untyped is a contract violation
         await gw.close()

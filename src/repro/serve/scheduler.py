@@ -319,7 +319,7 @@ class Scheduler:
         distinct (N, K, dtype) at the M of its first shape, which
         generates and caches the micro-kernels that class's plan uses.
         It caches no tuning decision and lowers no program: the kernels
-        are all it leaves behind.
+        and the call's analytic result are all it leaves behind.
         """
         report = WarmupReport()
         t0 = time.perf_counter()

@@ -23,13 +23,20 @@ Contracts, enforced rather than hoped for:
 
 * **No silent drops.** Every request ends ``completed``, ``shed`` (typed
   :class:`~repro.errors.OverloadError`, counted) or ``failed`` (typed
-  ``FaultError`` after the re-dispatch budget, counted).
+  ``FaultError`` after the re-dispatch budget, or ``InputError`` at
+  admission, counted).
+* **Checked once.** Admission validates each request's operands once:
+  float32 dtypes, a finite A, and a finite B, whose finiteness the B
+  intern keeps per distinct content (:func:`~repro.core.batched.b_finite`).
+  A bad request becomes a ``failed`` record at its arrival instant and
+  never reaches a batch.
 * **Bit-exact responses.** Each batch member runs on its own standalone
-  :func:`~repro.core.ftimm.ftimm_gemm` program, so served bits are
-  standalone bits by construction, also under a fault plan: ABFT and
-  read-back copies give exact bits or a typed error, and a core failure
-  re-runs the same program with a survivor taking over the dead core's
-  op stream, so no served member is ever recomputed.
+  program, tuned and lowered once per distinct member shape per batch,
+  so served bits are standalone :func:`~repro.core.ftimm.ftimm_gemm`
+  bits by construction, also under a fault plan: ABFT and read-back
+  copies give exact bits or a typed error, and a core failure re-runs
+  the same program with a survivor taking over the dead core's op
+  stream, so no served member is ever recomputed.
 * **Honest accounting.** Failed fault-injection attempts charge their
   modeled time to the cluster (``lost_s``), cold tunes are charged to
   the batch that hit them, and shed requests stay in the tables.
@@ -52,17 +59,22 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from ..analysis.tables import format_table
-from ..core.batched import grouped_gemm
-from ..core.ftimm import ftimm_gemm
+from ..core.batched import b_finite, grouped_gemm
+# ``ftimm_gemm`` is not called here: it stays importable under this name
+# because perfbench's ``serve.verify`` layer wraps ``server.ftimm_gemm``
+from ..core.ftimm import _run, ftimm_gemm, tuned_program
+from ..core.lowering import GemmOperands
 from ..core.shapes import GemmShape
-from ..errors import FaultError, OverloadError, PlanError
+from ..errors import FaultError, InputError, OverloadError, PlanError
 from ..faults.plan import FaultPlan
 from ..hw.config import MachineConfig, default_machine
 from ..obs import current
 from . import placement
 from .batcher import (
     Batch,
+    BucketKey,
     ShapeBucketBatcher,
+    bucket_key,
     bucket_label,
     dtype_tag,
 )
@@ -181,6 +193,12 @@ class ServeReport:
     @property
     def failed(self) -> int:
         return self._count(FAILED)
+
+    @property
+    def rejected(self) -> int:
+        """Failed at admission (typed ``InputError``): never batched."""
+        return sum(1 for r in self.records
+                   if r.status == FAILED and r.batch_id is None)
 
     @property
     def redispatches(self) -> int:
@@ -507,9 +525,14 @@ class ServeEngine:
         if reason is not None:
             self._shed(req, now, reason, pcls)
             return
+        try:
+            key = _admission_key(req)
+        except InputError as exc:
+            self._refuse(req, FAILED, f"{type(exc).__name__}: {exc}", pcls)
+            return
         self.pending += 1
         self._gauge_queue()
-        batch, opened = self.batcher.add(req, now)
+        batch, opened = self.batcher.add(req, key, now)
         if batch is not None:
             self._on_close(batch, now)
         elif opened is not None:
@@ -525,22 +548,35 @@ class ServeEngine:
         pcls,
     ) -> None:
         err = OverloadError(req.req_id, self.config.queue_cap, reason=reason)
+        self._refuse(req, SHED, str(err), pcls, shed_reason=reason)
+        if self.burn is not None and reason == "queue_full":
+            # a reactive drop is genuine badness; deliberate class/burn
+            # sheds are excluded or the monitor would latch itself on
+            self.burn.add(now, True)
+
+    def _refuse(
+        self,
+        req: GemmRequest,
+        status: str,
+        error: str,
+        pcls,
+        *,
+        shed_reason: str | None = None,
+    ) -> None:
+        """Record a request that never reaches a batch: shed, or failed
+        at admission."""
         self.records[req.req_id] = RequestRecord(
             req_id=req.req_id,
             klass=req.klass,
             shape=str(req.shape),
             arrival_s=req.arrival_s,
-            status=SHED,
+            status=status,
             deadline_s=req.deadline_s,
             deadline_met=False if req.deadline_s is not None else None,
-            error=str(err),
+            error=error,
             priority=pcls.name if pcls is not None else None,
-            shed_reason=reason,
+            shed_reason=shed_reason,
         )
-        if self.burn is not None and reason == "queue_full":
-            # a reactive drop is genuine badness; deliberate class/burn
-            # sheds are excluded or the monitor would latch itself on
-            self.burn.add(now, True)
 
     def _on_close(self, batch: Batch, now: float) -> None:
         if self.placement is not None:
@@ -619,18 +655,27 @@ class ServeEngine:
         """Run the batch on ``backend`` functionally + under the cost model.
 
         Each member runs on its own standalone program, so its bits are
-        the standalone bits by construction; the batch is charged the
-        stacked program the grouped call models (stacking changes only
-        the M blocking, never a member's strategy or K blocking).  Fault
+        the standalone bits by construction; each distinct member shape
+        is tuned and lowered once per batch, and every member runs with
+        the operands admission checked.  The batch is charged the stacked
+        program the grouped call models (stacking changes only the M
+        blocking, never a member's strategy or K blocking).  Fault
         attempts are attributed to the cluster they run on, and with a
         health policy a faulted attempt re-routes to another eligible
-        cluster.  A failed attempt leaves every ``C_i`` untouched.
+        cluster.  A failed attempt leaves every ``C_i`` untouched: under
+        a fault plan members compute into copies, written back once the
+        whole attempt succeeded.
         """
         cfg = self.config
         route = backend
         n, k, dtype, _b = batch.key
         tune_s = self.sched.tune_penalty((n, k, dtype))
         m_blocks = [r.shape.m for r in batch.requests]
+        cluster = self.machine.cluster
+        programs = {}
+        for req in batch.requests:
+            if req.shape not in programs:
+                programs[req.shape] = tuned_program(req.shape, cluster)
 
         # staging through the host into the cluster's memory partition:
         # A blocks + one shared B in, C in and out
@@ -675,16 +720,17 @@ class ServeEngine:
             try:
                 served = []
                 for i, req in enumerate(batch.requests):
-                    c = req.c.copy()
-                    ftimm_gemm(
-                        req.shape.m, req.shape.n, req.shape.k,
-                        a=req.a, b=req.b, c=c, machine=self.machine,
-                        timing="none",
+                    c = req.c if faults is None else req.c.copy()
+                    decision, program = programs[req.shape]
+                    _run(
+                        req.shape, cluster, decision,
+                        GemmOperands(req.a, req.b, c), timing="none",
                         # each member draws its own fault sites, so
                         # members of one shape do not share them
                         faults=None if faults is None else dc_replace(
                             faults, seed=faults.seed + 101 * i
                         ),
+                        program=program,
                     )
                     served.append((req, c))
                 break
@@ -701,7 +747,8 @@ class ServeEngine:
                     break
 
         for req, c in served or ():
-            req.c[...] = c
+            if c is not req.c:
+                req.c[...] = c
         return _Execution(
             ok=served is not None,
             gemm_s=gemm_s if served is not None else 0.0,
@@ -788,6 +835,27 @@ class ServeEngine:
             m.gauge("serve/queue/depth").set(self.pending)
 
 
+def _admission_key(req: GemmRequest) -> BucketKey:
+    """Check ``req``'s operands once and return its bucket key.
+
+    Raises :class:`~repro.errors.InputError` for operands the engine
+    cannot serve: a dtype other than float32 (members and the batch
+    charge run the float32 kernels), or a NaN/Inf in A or B, which would
+    poison the result and defeat the ABFT checksums.  A is read once.
+    B's finiteness comes from the intern entry its digest found, so each
+    distinct B content is read for it once.
+    """
+    for name, arr in (("A", req.a), ("B", req.b), ("C", req.c)):
+        if dtype_tag(arr.dtype) != "f32":
+            raise InputError(f"{name} must be float32, got {arr.dtype}")
+    if not np.isfinite(req.a).all():
+        raise InputError("A contains NaN or Inf entries")
+    key = bucket_key(req)
+    if not b_finite(req.b, key[3]):
+        raise InputError("B contains NaN or Inf entries")
+    return key
+
+
 def warm_engine(
     engine: ServeEngine, requests: list[GemmRequest]
 ) -> WarmupReport:
@@ -795,8 +863,9 @@ def warm_engine(
 
     Shared by the replay client (:func:`serve`) and the asyncio
     :class:`~repro.serve.gateway.Gateway`, so both paths generate the
-    same micro-kernels up front (the only state warmup leaves: the tuner
-    caches nothing and an analytic call lowers nothing) and charge
+    same micro-kernels up front (the state warmup leaves: the kernels and
+    the analytic results of its calls; the tuner caches nothing and an
+    analytic call lowers nothing) and charge
     identical cold-tune penalties — part of the gateway-vs-replay
     bit-identity contract.  Each class is rule-tuned at its first
     request's M; warmup only steers which kernels get pre-generated,
@@ -807,8 +876,9 @@ def warm_engine(
         return WarmupReport()
     seen: dict[WarmKey, GemmShape] = {}
     for req in requests:
-        key = (req.shape.n, req.shape.k, dtype_tag(req.b.dtype))
-        seen.setdefault(key, req.shape)
+        if req.b.dtype != np.float32:
+            continue  # admission refuses it, so no batch has its class
+        seen.setdefault((req.shape.n, req.shape.k, "f32"), req.shape)
     return engine.sched.warm([(s, key[2]) for key, s in seen.items()])
 
 

@@ -68,6 +68,10 @@ def serve_spans(report, tracer: Tracer | None = None, *,
                 args["priority"] = rec.priority
             mark(f"shed req {rec.req_id}", rec.arrival_s, "admission",
                  "admission", args)
+        elif rec.batch_id is None:
+            mark(f"reject req {rec.req_id}", rec.arrival_s, "admission",
+                 "admission", {"req_id": rec.req_id, "klass": rec.klass,
+                               "error": rec.error})
     status = {r.req_id: r.status for r in report.records}
     for b in report.batches:
         pid, bid = b.cluster + 1, b.batch_id
@@ -125,7 +129,7 @@ def _request_spans(tracer: Tracer, report, sample: float) -> None:
     """Request span trees, first-fit onto ``req-laneN`` display tracks."""
     by_id = {b.batch_id: b for b in report.batches}
     lanes: list[float] = []        # lane index -> last span end
-    placed = [r for r in report.records if r.status != SHED]
+    placed = [r for r in report.records if r.batch_id is not None]
     for rec in sorted(placed, key=lambda r: (r.arrival_s, r.req_id)):
         if (rec.status == COMPLETED and rec.deadline_met is not False
                 and not head_sample(rec.req_id, sample)):
@@ -161,7 +165,9 @@ def serve_metrics(report) -> None:
     A counter is written only when it counts something, so a run
     without faults has no fault counters.  The ledger identities hold by
     construction: ``offered = completed + failed + shed`` and
-    ``admitted = offered - (queue_full + class_shed + burn_shed sheds)``.
+    ``admitted = offered - (queue_full + class_shed + burn_shed sheds)
+    - rejected``, a rejected request being one that failed admission's
+    operand check.
     """
     m = current()
     if m is None:
@@ -175,7 +181,7 @@ def serve_metrics(report) -> None:
                       if r.status == SHED)
     count("serve/requests/offered", report.n_requests)
     count("serve/requests/admitted", report.n_requests
-          - sum(reasons[r] for r in ADMISSION_SHEDS))
+          - sum(reasons[r] for r in ADMISSION_SHEDS) - report.rejected)
     count("serve/requests/shed", report.shed)
     count("serve/requests/completed", report.completed)
     count("serve/requests/failed", report.failed)

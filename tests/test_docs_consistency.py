@@ -21,7 +21,7 @@ class TestExperimentsMd:
         from repro.experiments.run_all import MODULES
 
         for module in MODULES:
-            name = module.__name__.rsplit(".", 1)[-1]
+            name = module.rsplit(".", 1)[-1]
             # every module contributes at least one "### <exp_id>" header;
             # exp ids start with the module's short name
             short = "table" if name == "tables123" else name

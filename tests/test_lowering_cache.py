@@ -308,3 +308,35 @@ class TestBinding:
         with pytest.raises(PlanError, match="kernel execution mode"):
             ftimm_gemm(64, 16, 64, a=a, b=b, c=c, timing="none",
                        kernel_exec="bogus")
+
+
+class TestAnalyticCache:
+    """The analytic model is kept per (shape, cluster, strategy, plan)."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_hit_is_an_equal_private_copy(self, strategy):
+        m, k = (64, 4096) if strategy == "k" else (2048, 512)
+        call = (
+            (lambda: tgemm_gemm(m, 32, k, timing="analytic"))
+            if strategy == "tgemm" else
+            (lambda: ftimm_gemm(m, 32, k, timing="analytic",
+                                force_strategy=strategy))
+        )
+        first = call().timing
+        assert len(ftimm._analytic_results) == 1
+        first.core_busy.append(-1.0)
+        second = call().timing
+        assert second is not first
+        assert -1.0 not in second.core_busy
+        first.core_busy.pop()
+        assert dataclasses.asdict(second) == dataclasses.asdict(first)
+        clear_programs()
+        assert not ftimm._analytic_results
+        assert dataclasses.asdict(call().timing) == dataclasses.asdict(first)
+
+    def test_bounded(self, monkeypatch):
+        monkeypatch.setattr(ftimm, "_ANALYTIC_CACHE", 2)
+        for m in (256, 512, 1024):
+            ftimm_gemm(m, 32, 256, timing="analytic")
+        kept = [key[0].m for key in ftimm._analytic_results]
+        assert kept == [512, 1024]

@@ -7,16 +7,16 @@ seed 42) this checks:
 
 * every completed C equals a fresh standalone ``ftimm_gemm``, bit for bit;
 * nothing is repaired (``verify_repaired == 0``);
-* ``repro.serve.server.ftimm_gemm`` runs exactly once per completed
-  member — a clean run does no second computation;
+* the member path, ``repro.serve.server._run``, runs exactly once per
+  completed member, untimed — a clean run does no second computation;
 * stacking never changes a member's strategy, ``k_a`` or ``k_g`` — the
   premise for charging the stacked program (stacking moves only the M
   blocking, which sets no member's per-row summation order).
 
 Under a fault plan that flips bits and kills core 0 in every member, each
 completed C still equals the fault-free standalone run, and every
-``ftimm_gemm`` call the engine makes carries the plan: no member is
-recomputed fault-free.
+member run the engine makes carries the plan: no member is recomputed
+fault-free.
 """
 
 import copy
@@ -49,18 +49,19 @@ def test_served_bits_are_standalone_bits(mix, policy, monkeypatch):
     requests = make_requests(mix, rate_rps=200_000, n_requests=150, seed=42)
     pristine = copy.deepcopy(requests)
     calls = []
+    run = server._run
 
     def counting(*args, **kwargs):
-        calls.append(args[:3])
-        return ftimm_gemm(*args, **kwargs)
+        calls.append(kwargs["timing"])
+        return run(*args, **kwargs)
 
-    monkeypatch.setattr(server, "ftimm_gemm", counting)
+    monkeypatch.setattr(server, "_run", counting)
     report = serve(requests, ServeConfig(policy=policy))
     monkeypatch.undo()
 
     assert report.completed > 0
     assert report.verify_repaired == 0
-    assert len(calls) == report.completed
+    assert calls == ["none"] * report.completed
     by_id = _assert_standalone_bits(report, requests, pristine)
 
     stacked_batches = 0
@@ -96,12 +97,13 @@ def test_faulted_members_keep_standalone_bits(mix, monkeypatch):
     requests = make_requests(mix, rate_rps=100_000, n_requests=150, seed=42)
     pristine = copy.deepcopy(requests)
     plans = []
+    run = server._run
 
     def recording(*args, **kwargs):
         plans.append(kwargs.get("faults"))
-        return ftimm_gemm(*args, **kwargs)
+        return run(*args, **kwargs)
 
-    monkeypatch.setattr(server, "ftimm_gemm", recording)
+    monkeypatch.setattr(server, "_run", recording)
     report = serve(requests, ServeConfig(
         policy="edf",
         faults=FaultPlan(seed=3, bitflip_rate=1e-3,
@@ -111,5 +113,6 @@ def test_faulted_members_keep_standalone_bits(mix, monkeypatch):
 
     assert report.completed > 0
     assert report.verify_repaired == 0
+    assert len(plans) >= report.completed
     assert None not in plans  # no fault-free recompute
     _assert_standalone_bits(report, requests, pristine)

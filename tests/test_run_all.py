@@ -11,6 +11,9 @@ import importlib
 import json
 import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -70,7 +73,8 @@ class TestWriteMarkdown:
 
 class TestMainPlumbing:
     def test_main_with_stubbed_modules(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(run_all, "MODULES", [_StubModule])
+        monkeypatch.setitem(sys.modules, "stub", _StubModule)
+        monkeypatch.setattr(run_all, "MODULES", ["stub"])
         md = tmp_path / "EXP.md"
         js = tmp_path / "data.json"
         run_all.main([str(md), "--json", str(js)])
@@ -112,7 +116,7 @@ class TestMainPlumbing:
         registered in run_all (so EXPERIMENTS.md can't silently go stale)."""
         import repro.experiments as exp
 
-        registered = {m.__name__ for m in run_all.MODULES}
+        registered = set(run_all.MODULES)
         for info in pkgutil.iter_modules(exp.__path__):
             module = importlib.import_module(f"{exp.__name__}.{info.name}")
             if hasattr(module, "run"):
@@ -131,6 +135,25 @@ class TestMainPlumbing:
         for name in names + ["all"]:
             assert parser.parse_args(["experiment", name]).name == name
 
+    def test_cli_start_imports_no_experiment(self):
+        """``repro gemm`` builds the whole parser, experiment names
+        included, without importing one experiment module."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "main(['gemm', '64x16x64', '--timing', 'analytic'])\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('repro.experiments.')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        last = proc.stdout.strip().splitlines()[-1]
+        assert last == "['repro.experiments.run_all']"
+
 
 def _result(exp_id: str) -> list[ExperimentResult]:
     return [ExperimentResult(exp_id=exp_id, title=exp_id, x_label="x",
@@ -139,7 +162,7 @@ def _result(exp_id: str) -> list[ExperimentResult]:
 
 def _stub(name: str, run=None) -> SimpleNamespace:
     """A stand-in experiment module; pool workers are forked, so they see
-    the stubs a test installs in ``run_all.MODULES``."""
+    the stubs a test installs in ``sys.modules``."""
     return SimpleNamespace(__name__=name, run=run or (lambda: _result(name)))
 
 
@@ -171,7 +194,10 @@ class TestPool:
     @pytest.fixture
     def stubs(self, monkeypatch):
         def install(*modules):
-            monkeypatch.setattr(run_all, "MODULES", list(modules))
+            for module in modules:
+                monkeypatch.setitem(sys.modules, module.__name__, module)
+            monkeypatch.setattr(run_all, "MODULES",
+                                [m.__name__ for m in modules])
         return install
 
     @pytest.mark.parametrize("jobs", [1, 2])

@@ -99,7 +99,7 @@ class TestBatcher:
     def test_coalesces_equal_content_bs(self):
         reqs = [r for r in fast_requests(n=30) if r.klass == "tiny"][:4]
         batcher = ShapeBucketBatcher(max_batch=4)
-        out = [batcher.add(r, r.arrival_s) for r in reqs]
+        out = [batcher.add(r, bucket_key(r), r.arrival_s) for r in reqs]
         assert [batch for batch, _opened in out[:3]] == [None, None, None]
         # only the first request opens the bucket (and arms its timer)
         assert [opened for _batch, opened in out] == [
@@ -117,7 +117,7 @@ class TestBatcher:
     def test_max_wait_closes_stale_bucket(self):
         req = fast_requests(n=1)[0]
         batcher = ShapeBucketBatcher(max_batch=16, max_wait_s=1e-4)
-        batch, key = batcher.add(req, req.arrival_s)
+        batch, key = batcher.add(req, bucket_key(req), req.arrival_s)
         assert batch is None and key == bucket_key(req)
         assert batcher.close_due(key, req.arrival_s + 5e-5) is None
         batch = batcher.close_due(key, req.arrival_s + 2e-4)
@@ -133,7 +133,9 @@ class TestBatcher:
     def test_batch_deadline_is_earliest_member(self):
         reqs = [r for r in fast_requests(n=30) if r.klass == "tiny"][:3]
         batcher = ShapeBucketBatcher(max_batch=3)
-        batch, _opened = [batcher.add(r, r.arrival_s) for r in reqs][-1]
+        batch, _opened = [
+            batcher.add(r, bucket_key(r), r.arrival_s) for r in reqs
+        ][-1]
         assert batch.deadline_s == min(r.deadline_s for r in reqs)
 
 
