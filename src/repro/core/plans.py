@@ -177,13 +177,6 @@ class GemmExecution:
         )
 
     @property
-    def kernel_cycles_by_core(self) -> list[int]:
-        return [
-            sum(op.cycles for op in ops if op.kind is OpKind.KERNEL)
-            for ops in self.core_ops
-        ]
-
-    @property
     def n_ops(self) -> int:
         return sum(len(ops) for ops in self.core_ops)
 

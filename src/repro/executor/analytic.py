@@ -34,13 +34,6 @@ from ..kernels.registry import KernelRegistry, registry_for
 from .timed import TimedResult
 
 
-def pingpong_uniform(n: int, load_s: float, compute_s: float) -> float:
-    """Finish time of ``n`` double-buffered (load -> compute) iterations."""
-    if n <= 0:
-        return 0.0
-    return load_s + compute_s + (n - 1) * max(load_s, compute_s)
-
-
 def pingpong_seq(pairs: list[tuple[float, float]]) -> float:
     """Exact two-slot recurrence for heterogeneous iterations.
 

@@ -22,9 +22,9 @@ A sliding window caps in-flight ops per core so multi-hundred-
 thousand-op plans simulate in bounded memory.
 
 Same-instant order.  Ops reach their DMA engine or pipeline in one
-:meth:`_Run.dispatch` call per instant: first every op whose deps
-completed at this instant, in completion order, then every op spawned at
-it, in spawn order, each spawned op first registering on the deps still
+:meth:`_Run.dispatch` per instant: first every op whose deps completed
+at this instant, in completion order, then every op spawned at it, in
+spawn order, each spawned op first registering on the deps still
 pending.  It is the order the ops would have if each hop (start,
 request, grant) were a queued call of its own: an op whose deps
 completed would queue its request behind every completion of the
@@ -42,6 +42,32 @@ lowered plans on the configured machines have positive DMA payloads,
 DMA startups and barriers.  A zero duration chains same-instant work
 past one dispatch, which the argument does not cover.
 
+The dispatch is an end-of-instant hook, not a queued call.  With
+positive durations every completion, and so every op that gets ready or
+spawned, happens in a heap entry due at the instant, and every heap
+entry due now runs before the ready queue.  What the ready queue holds
+then is only ``schedule_soon`` pushes: it holds no call.  A queued
+dispatch call would have run after every completion of the instant,
+with only pushes behind it, and its own requests push through
+``schedule_soon`` too; so running it once the instant has nothing left
+gives every request, grant and push the same order (see
+:mod:`repro.hw.event_sim`).  The walks start before the clock runs, as
+their queued start calls would have, at time zero.
+
+What waits on an op is counted, not called.  When an op completes it
+takes one off each dependent's pending deps, readying the dependent
+that reaches zero, then one off its walk's outstanding ops, and then
+lets the walk go on if it waits for this op (a window stall) or for no
+op left (a drain).  Registration order put the walk's wait between the
+dependents that registered before it and those after, and this order
+puts it after them all.  Nothing can tell: a readied dependent only
+joins the dispatch's ready list, which no walk reads, and a walk only
+spawns, arrives and pushes barrier releases, which no dependent reads.
+The one effect a dependent has beyond that list is the core-fault
+check, and a raise ends the run, so what the walk would have done
+before it is never seen.  A completed op leaves ``_COMPLETED`` in its
+walk's slot, so it is freed by reference counting at once.
+
 Observability: when a metrics registry is active (``repro.obs.collecting``)
 or a tracer (``repro.obs.tracing``), the run additionally fills a per-epoch
 :class:`~repro.obs.profile.RunProfile` (compute/DMA busy, barrier waits,
@@ -58,6 +84,7 @@ from typing import Callable
 from ..core.plans import GemmExecution, OpKind
 from ..errors import SimulationError
 from ..hw.cluster import ClusterSim
+from ..hw.dma import Transfer
 from ..hw.event_sim import Event, Simulator
 from ..obs import MetricsRegistry, RunProfile
 from ..obs.registry import current as _obs_current
@@ -143,7 +170,7 @@ def run_timed(
     run = _Run(execution, cluster, faults, prof, tracer)
     walks = [_Walk(run, core, ops) for core, ops in enumerate(execution.core_ops)]
     for walk in walks:
-        sim.call_soon(walk.start)
+        walk._walk(check_window=True)
     sim.run()
     if not all(walk.finished for walk in walks):
         raise SimulationError(
@@ -247,21 +274,41 @@ class _Run:
 
     def queue_dispatch(self) -> None:
         self.dispatch_queued = True
-        self.sim.call_soon(self.dispatch)
+        self.sim.end_of_instant.append(self.dispatch)
 
-    def dispatch(self, _arg=None) -> None:
+    def dispatch(self) -> None:
         """Request resources for this instant's ready ops, then start its
         spawned ops, each group in the order it was queued (the module
         docstring says why this keeps the order of a queued call per
         hop)."""
         self.dispatch_queued = False
         ready, spawned = self.ready, self.spawned
-        for op_run in ready:
-            op_run.request()
-        ready.clear()
-        for op_run in spawned:
-            op_run.start()
-        spawned.clear()
+        if ready:
+            for op_run in ready:
+                op_run.request()
+            ready.clear()
+        if spawned:
+            faults = self.faults
+            for op_run in spawned:
+                # wait for the deps that have not completed, or request
+                events = op_run.walk.events
+                pending = 0
+                for d in op_run.op.deps:
+                    ev = events[d]
+                    if not ev.triggered:  # so an op: a passed sync released
+                        pending += 1
+                        if ev.dependents is None:
+                            ev.dependents = [op_run]
+                        else:
+                            ev.dependents.append(op_run)
+                op_run.pending = pending
+                if not pending:
+                    if faults is not None:
+                        faults.check_core_alive_timed(
+                            op_run.walk.host, self.sim.now
+                        )
+                    op_run.request()
+            spawned.clear()
 
     def arrive(self, sid: int, core: int) -> None:
         arrived = self.arrived[sid]
@@ -285,7 +332,8 @@ class _Walk:
     """
 
     __slots__ = ("run", "core", "host", "dma", "cpu", "ops", "events", "idx",
-                 "epoch", "t_mark", "done", "pending", "then", "finished")
+                 "epoch", "t_mark", "stalled_on", "outstanding", "then",
+                 "finished")
 
     def __init__(self, run: _Run, core: int, ops) -> None:
         self.run = run
@@ -295,68 +343,71 @@ class _Walk:
         self.cpu = run.cores[self.host]
         self.dma = self.cpu.dma
         self.ops = ops
-        #: per op: its completion event (a SYNC's is the release)
-        self.events: list[Event | None] = [None] * len(ops)
+        #: per op: its :class:`_OpRun`, or ``_COMPLETED`` once it has
+        #: (a SYNC's slot holds the release)
+        self.events: list[_OpRun | Event | None] = [None] * len(ops)
         self.idx = 0
         self.epoch = 0
-        #: when the current window stall or barrier wait began
+        #: when the current window stall or barrier wait began, and the
+        #: op a window stall waits for
         self.t_mark = 0.0
-        #: ops before this index have all completed
-        self.done = 0
-        #: completions still awaited by :meth:`_drain`, and what follows
-        self.pending = 0
+        self.stalled_on: _OpRun | None = None
+        #: spawned ops not yet completed, and what follows once none is
+        #: left (set while the walk drains)
+        self.outstanding = 0
         self.then: Callable[[], None] | None = None
         self.finished = False
-
-    def start(self, _arg=None) -> None:
-        self._walk(check_window=True)
 
     def _walk(self, check_window: bool) -> None:
         """Spawn ops from ``idx`` on, until the walk must wait."""
         ops, events, run = self.ops, self.events, self.run
-        spawned = run.spawned
+        spawn = run.spawned.append
+        sync, dma, window = OpKind.SYNC, OpKind.DMA, _WINDOW
         idx, n_ops = self.idx, len(ops)
         while idx < n_ops:
-            if check_window and idx >= _WINDOW:
-                old = events[idx - _WINDOW]
-                if old is not None and not old.triggered:
-                    self.idx = idx
+            if check_window and idx >= window:
+                old = events[idx - window]
+                if not old.triggered:  # so an op: a passed sync released
+                    self._spawned(idx)
                     self.t_mark = run.sim.now
-                    old.callbacks.append(self._unstall)
+                    self.stalled_on = old
                     return
             check_window = True
             op = ops[idx]
-            if op.kind is OpKind.SYNC:
-                self.idx = idx
+            kind = op.kind
+            if kind is sync:
+                self._spawned(idx)
                 self._drain(self._arrive)
                 return
-            events[idx] = op_run = _OpRun(self, op)
-            spawned.append(op_run)
+            events[idx] = op_run = (
+                _DmaRun(self, op, idx) if kind is dma
+                else _KernelRun(self, op, idx)
+            )
+            spawn(op_run)
+            idx += 1
+        self._spawned(idx)
+        self._drain(self._finish)
+
+    def _spawned(self, idx: int) -> None:
+        """Count the ops spawned up to ``idx`` as outstanding, and have
+        the instant's dispatch start them."""
+        n = idx - self.idx
+        self.idx = idx
+        if n:
+            self.outstanding += n
+            run = self.run
             if not run.dispatch_queued:
                 run.queue_dispatch()
-            idx += 1
-        self.idx = idx
-        self._drain(self._finish)
 
     def _drain(self, then: Callable[[], None]) -> None:
         """Call ``then()`` once every op before ``idx`` has completed."""
-        events, done = self.events, self.done
-        while done < self.idx and events[done].triggered:
-            done += 1
-        self.done = done
-        pending = [e for e in events[done:self.idx] if not e.triggered]
-        self.pending, self.then = len(pending), then
-        for e in pending:
-            e.callbacks.append(self._drained)
-        if not pending:
+        if self.outstanding:
+            self.then = then
+        else:
             then()
 
-    def _drained(self, _ev: Event) -> None:
-        self.pending -= 1
-        if not self.pending:
-            self.then()
-
-    def _unstall(self, _ev: Event) -> None:
+    def _unstall(self) -> None:
+        self.stalled_on = None
         prof = self.run.prof
         if prof is not None:
             prof.add_window_stall(
@@ -395,80 +446,105 @@ class _Walk:
         self.finished = True
 
 
-class _OpRun(Event):
-    """One DMA or KERNEL op in flight; fires when it completed.
+#: what a walk keeps of an op that completed
+_COMPLETED = Event("completed").succeed()
+
+
+class _OpRun:
+    """One DMA or KERNEL op in flight (:class:`_DmaRun`, :class:`_KernelRun`).
 
     Spawned at the current time (so a walk spawns several ops "at once"),
     it starts at the instant's :meth:`_Run.dispatch`: it waits for its
-    deps to fire, then requests the DMA engine or compute pipeline of its
-    walk's ``host`` (at the dispatch of the instant the last dep fired);
-    its spans and profile time go to that core.
+    deps to complete, then requests the DMA engine or compute pipeline of
+    its walk's ``host`` (at the dispatch of the instant the last dep
+    completed); its spans and profile time go to that core.  What waits
+    on it is counted, not called: its ``dependents`` (each one dep fewer
+    pending), its walk's outstanding ops, and the walk's window stall
+    when the walk is ``stalled_on`` it.
     """
 
-    __slots__ = ("walk", "op", "epoch", "pending", "t_start")
+    __slots__ = ()
+    #: an op in its walk's slot has not completed (``_complete`` puts
+    #: ``_COMPLETED`` there)
+    triggered = False
 
-    def __init__(self, walk: _Walk, op) -> None:
-        # Event.__init__, inline: one of these per op
-        self.callbacks = []
-        self.triggered = False
-        self.name = ""
+    def __init__(self, walk: _Walk, op, idx: int) -> None:
         self.walk = walk
         self.op = op
-        self.epoch = walk.epoch
+        self.idx = idx
+        self.dependents = None
 
-    def start(self) -> None:
-        """Wait for the deps that have not completed, or request now."""
-        events = self.walk.events
-        pending = 0
-        for d in self.op.deps:
-            ev = events[d]
-            if not ev.triggered:
-                pending += 1
-                ev.callbacks.append(self._dep_done)
-        self.pending = pending
-        if not pending:
-            run = self.walk.run
-            if run.faults is not None:
-                run.faults.check_core_alive_timed(self.walk.host, run.sim.now)
-            self.request()
+    def _complete(self) -> None:
+        """Count this op out of what waits on it: dependents first, in
+        the order they registered, then the walk (the module docstring
+        says why that order is as good as registration order)."""
+        walk = self.walk
+        # the walk keeps only that the op completed, so the op is freed
+        # now rather than by the cycle collector
+        walk.events[self.idx] = _COMPLETED
+        dependents = self.dependents
+        if dependents:
+            run = walk.run
+            for op_run in dependents:
+                op_run.pending -= 1
+                if not op_run.pending:
+                    if run.faults is not None:
+                        run.faults.check_core_alive_timed(
+                            walk.host, run.sim.now
+                        )
+                    run.ready.append(op_run)
+                    if not run.dispatch_queued:
+                        run.queue_dispatch()
+        walk.outstanding -= 1
+        if walk.stalled_on is self:
+            walk._unstall()
+        elif not walk.outstanding and walk.then is not None:
+            then, walk.then = walk.then, None
+            then()
 
-    def _dep_done(self, _ev: Event) -> None:
-        self.pending -= 1
-        if not self.pending:
-            run = self.walk.run
-            if run.faults is not None:
-                run.faults.check_core_alive_timed(self.walk.host, run.sim.now)
-            run.ready.append(self)
-            if not run.dispatch_queued:
-                run.queue_dispatch()
+
+#: what every op in flight holds: its walk, op and index in the walk,
+#: the ops waiting for it, and how many of its own deps are pending
+_OP_SLOTS = ("walk", "op", "idx", "dependents", "pending")
+
+
+class _DmaRun(_OpRun, Transfer):
+    """A DMA op in flight: the transfer its DMA engine carries."""
+
+    __slots__ = _OP_SLOTS
 
     def request(self) -> None:
-        walk = self.walk
-        op = self.op
-        if op.kind is OpKind.DMA:
-            self.t_start = walk.run.sim.now
-            walk.dma.issue(op.desc, self._dma_done)
-        else:
-            walk.cpu.run_kernel(op.cycles, self._kernel_done)
+        self.walk.dma.submit(self, self.op.desc)
 
-    def _dma_done(self, _arg) -> None:
-        run = self.walk.run
+    def done(self) -> None:
+        walk = self.walk
+        run = walk.run
         if run.prof is not None:
-            desc = self.op.desc
+            desc = self.desc
             run.prof.add_dma(
-                self.epoch, self.walk.host, self.t_start, run.sim.now,
+                walk.epoch, walk.host, self.t_request, run.sim.now,
                 desc.medium_value, desc.nbytes,
             )
-        self.succeed()
+        self._complete()
 
-    def _kernel_done(self, _arg) -> None:
-        run = self.walk.run
+
+class _KernelRun(_OpRun):
+    """A KERNEL op in flight on its host's compute pipeline."""
+
+    __slots__ = _OP_SLOTS
+
+    def request(self) -> None:
+        self.walk.cpu.submit(self, self.op.cycles)
+
+    def done(self) -> None:
+        walk = self.walk
+        run = walk.run
         if run.prof is not None or run.tracer is not None:
             op = self.op
-            core = self.walk.host
+            core = walk.host
             duration = op.cycles / run.clock
             if run.prof is not None:
-                run.prof.add_compute(self.epoch, core, duration)
+                run.prof.add_compute(walk.epoch, core, duration)
             if run.tracer is not None:
                 now = run.sim.now
                 run.tracer.record(
@@ -478,9 +554,9 @@ class _OpRun(Event):
                     end_s=now,
                     track=f"core{core}/compute",
                     args={"core": core, "cycles": op.cycles,
-                          "epoch": self.epoch},
+                          "epoch": walk.epoch},
                 )
-        self.succeed()
+        self._complete()
 
 
 def _publish_metrics(

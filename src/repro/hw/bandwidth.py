@@ -8,9 +8,25 @@ and the poor scaling of memory-bound shapes in Fig. 6.
 
 :class:`SharedChannel` models the port as a fluid processor-sharing server:
 ``n`` concurrent transfers each progress at ``bandwidth / n``.  The DES
-implementation is exact (no time-stepping): on every arrival/departure the
-channel advances all flows by the elapsed time at the old rate and
-reschedules the next completion.
+implementation is exact (no time-stepping): the first arrival or wake-up
+of an instant advances all flows by the elapsed time at the old rate, and
+the instant's end re-projects the next completion.
+
+One wake-up per instant.  Every arrival, and every live wake-up, changes
+the projection, and a wake-up pushed for each would leave all but the
+instant's last one stale: popped later as an event that does nothing.
+Instead each of them reserves the ``seq`` its push would take
+(:meth:`~repro.hw.event_sim.Simulator.reserve_seq`) and bumps the
+channel's epoch, and one end-of-instant hook pushes the wake-up with the
+last reservation.  The pushed entry is the one the instant's last push
+would have been: the flows and the clock at the hook are those after the
+last arrival (a later arrival or wake-up at the instant would have
+reserved again), so its time is the same float, and its ``seq`` is that
+push's.  Only the stale entries are gone: they ran no code and took no
+place any other entry is ordered by.  The advance that opens an instant
+also finds the least remaining bytes of the flows it keeps, and an
+arrival lowers it, so the hook reads the projection's minimum without a
+pass of its own.
 """
 
 from __future__ import annotations
@@ -31,8 +47,7 @@ class _Flow:
 
     __slots__ = ("remaining", "fn", "arg")
 
-    def __init__(self, remaining: float, fn: Callback, arg: Any) -> None:
-        self.remaining = remaining
+    def __init__(self, fn: Callback, arg: Any) -> None:
         self.fn = fn
         self.arg = arg
 
@@ -85,6 +100,14 @@ class SharedChannel:
         self._flows: list[_Flow] = []
         self._last_t = sim.now
         self._epoch = 0
+        #: least remaining bytes among ``_flows`` (inf when idle), and
+        #: the per-flow rate the last re-projection drew
+        self._min_remaining = math.inf
+        self._rate = 0.0
+        #: the ``seq`` reserved for this instant's wake-up push, and
+        #: whether its end-of-instant re-projection is registered
+        self._wake_seq = 0
+        self._reproject_queued = False
         #: fault-injection degradation windows: sorted, non-overlapping
         #: ``(start_s, end_s, factor)`` triples scaling the port bandwidth
         #: during ``[start_s, end_s)``.  The fluid model stays exact: the
@@ -141,27 +164,32 @@ class SharedChannel:
         """Start a transfer of ``nbytes``; ``fn(arg)`` runs at completion."""
         if nbytes < 0:
             raise SimulationError(f"negative transfer size {nbytes}")
+        self.carry(_Flow(fn, arg), nbytes)
+
+    def carry(self, flow, nbytes: float) -> None:
+        """Start serving ``nbytes`` (not negative) for ``flow``, an object
+        with ``remaining``, ``fn`` and ``arg`` slots; ``flow.fn(flow.arg)``
+        runs at completion.  The DMA engine's transfers are their own
+        flows."""
+        sim = self.sim
         if nbytes == 0:
-            self.sim.call_soon(fn, arg)
+            sim.call_soon(flow.fn, flow.arg)
             return
-        self._advance()
-        self._flows.append(_Flow(float(nbytes), fn, arg))
+        if sim.now != self._last_t:
+            self._advance()
+        flow.remaining = remaining = float(nbytes)
+        self._flows.append(flow)
+        if remaining < self._min_remaining:
+            self._min_remaining = remaining
         if self.timeline is not None:
             self._record()
-        self._reschedule()
-
-    @property
-    def active_flows(self) -> int:
-        return len(self._flows)
-
-    def current_rate(self) -> float:
-        """Per-flow bandwidth right now (full bandwidth when idle)."""
-        return self._flow_rate(self.sim.now, max(1, len(self._flows)))
+        self._rearm()
 
     # -- internals ---------------------------------------------------------
 
     def _advance(self) -> None:
-        """Apply progress accumulated since the last state change."""
+        """Apply progress accumulated since the last state change, and
+        find the least remaining bytes of the flows left."""
         now = self.sim.now
         dt = now - self._last_t
         self._last_t = now
@@ -171,7 +199,13 @@ class SharedChannel:
         n = len(flows)
         # rate is constant over [last_t, now]: wake-ups are capped at
         # window boundaries, so no interval straddles a factor change
-        served = dt * self._flow_rate(now - dt, n)
+        if self._windows:
+            served = dt * self._flow_rate(now - dt, n)
+        else:
+            # the rate the last re-projection drew: without windows it
+            # depends on the flow count alone, and every change to the
+            # flows is re-projected at the end of its instant
+            served = dt * self._rate
         stats = self.stats
         stats.busy_time += dt
         stats.weighted_concurrency += n * dt
@@ -183,51 +217,69 @@ class SharedChannel:
         # transfer starts only from its own DmaEngine._started event), so
         # this equals serving every flow first and calling after.
         kept = 0
+        min_remaining = math.inf
+        bytes_served = stats.bytes_served
         for flow in flows:
             remaining = flow.remaining - served
             flow.remaining = remaining
-            stats.bytes_served += min(served, served + remaining)
+            # the bytes this flow drew: ``served``, less any overshoot
+            bytes_served += served if remaining >= 0 else served + remaining
             if remaining <= _EPS_BYTES:
+                stats.bytes_served = bytes_served
                 stats.flows_completed += 1
                 flow.fn(flow.arg)
             else:
                 flows[kept] = flow
                 kept += 1
+                if remaining < min_remaining:
+                    min_remaining = remaining
+        stats.bytes_served = bytes_served
+        self._min_remaining = min_remaining
         if kept < n:
             del flows[kept:]
             if self.timeline is not None:
                 self._record()
 
-    def _reschedule(self) -> None:
-        """Schedule a wake-up at the earliest projected completion.
+    def _rearm(self) -> None:
+        """Mark the projection changed: stale any wake-up pushed before,
+        take the place of this one's push, and re-project at the end of
+        the instant (see the module docstring)."""
+        self._epoch += 1
+        if not self._flows:
+            return
+        sim = self.sim
+        self._wake_seq = sim.reserve_seq()
+        if not self._reproject_queued:
+            self._reproject_queued = True
+            sim.end_of_instant.append(self._reproject)
+
+    def _reproject(self) -> None:
+        """Push the wake-up at the earliest projected completion.
 
         With degradation windows the projection is capped at the next
         window boundary: the wake-up there re-integrates at the old rate
         and re-projects at the new one, keeping the fluid model exact
         under a piecewise-constant port bandwidth.
         """
-        self._epoch += 1
-        if not self._flows:
+        self._reproject_queued = False
+        flows = self._flows
+        if not flows:
             return
-        epoch = self._epoch
-        now = self.sim.now
-        rate = self._flow_rate(now, len(self._flows))
-        min_remaining = math.inf
-        for flow in self._flows:
-            if flow.remaining < min_remaining:
-                min_remaining = flow.remaining
-        delay = min_remaining / rate
+        sim = self.sim
+        now = sim.now
+        self._rate = rate = self._flow_rate(now, len(flows))
+        delay = self._min_remaining / rate
         if self._windows:
             boundary = self._next_boundary(now)
             if boundary is not None:
                 delay = min(delay, boundary - now)
-        self.sim.schedule(delay, self._on_wake, epoch)
+        sim.push_reserved(delay, self._wake_seq, self._on_wake, self._epoch)
 
     def _on_wake(self, epoch: int) -> None:
         if epoch != self._epoch:
             return  # stale wake-up: membership changed since it was armed
         self._advance()
-        self._reschedule()
+        self._rearm()
 
 
 class LocalChannel:
@@ -235,7 +287,7 @@ class LocalChannel:
 
     Transfers each take ``nbytes / bandwidth`` independent of concurrency;
     serialization, when it matters, is enforced by the DMA engine's channel
-    Resource, not by the link.
+    slots, not by the link.
     """
 
     def __init__(self, sim: Simulator, bandwidth: float, name: str = "") -> None:
@@ -250,19 +302,17 @@ class LocalChannel:
         """Start a transfer of ``nbytes``; ``fn(arg)`` runs at completion."""
         if nbytes < 0:
             raise SimulationError(f"negative transfer size {nbytes}")
-        self.stats.bytes_served += nbytes
-        self.stats.flows_completed += 1
+        stats = self.stats
+        stats.bytes_served += nbytes
+        stats.flows_completed += 1
         delay = nbytes / self.bandwidth
-        self.stats.busy_time += delay
-        self.stats.weighted_concurrency += delay
+        stats.busy_time += delay
+        stats.weighted_concurrency += delay
         self.sim.schedule(delay, fn, arg)
 
-    @property
-    def active_flows(self) -> int:  # parity with SharedChannel
-        return 0
-
-    def current_rate(self) -> float:
-        return self.bandwidth
+    def carry(self, flow, nbytes: float) -> None:
+        """:meth:`transfer` for ``flow`` (see :meth:`SharedChannel.carry`)."""
+        self.transfer(nbytes, flow.fn, flow.arg)
 
 
 def mean_utilization(

@@ -13,6 +13,7 @@ Two views of a cluster exist, matching the two execution modes:
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any
 
 import numpy as np
@@ -21,7 +22,7 @@ from ..errors import ConfigError
 from .bandwidth import LocalChannel, SharedChannel
 from .config import ClusterConfig
 from .dma import Channel, DmaEngine
-from .event_sim import Callback, Resource, Simulator
+from .event_sim import Callback, Simulator
 from .memory import MemKind, MemorySpace
 
 #: on-chip scratch per memory geometry (GSM, AM, SM bytes), see
@@ -90,7 +91,14 @@ def _arena_regions(cfg: ClusterConfig, arena: np.ndarray | None):
 
 
 class CoreSim:
-    """DES resources of one DSP core: a DMA engine and a compute pipeline."""
+    """DES resources of one DSP core: a DMA engine and a compute pipeline.
+
+    The vector pipeline runs one micro-kernel at a time, FIFO.  Like the
+    DMA engine's channels it is granted inline: at once in the
+    :meth:`run_kernel` that finds it free, else inside the completion
+    that frees it, whose next kernel's timed push goes through
+    :meth:`~repro.hw.event_sim.Simulator.schedule_soon`.
+    """
 
     def __init__(
         self,
@@ -107,27 +115,52 @@ class CoreSim:
             sim, core_id, cluster_cfg.core, cluster_cfg.dma, channels,
             faults=faults,
         )
-        #: the vector pipeline runs one micro-kernel at a time.
-        self.compute = Resource(sim, 1, name=f"vpu{core_id}")
+        #: whether the pipeline runs a kernel, and the kernels queued
+        #: behind it as ``(cycles, kernel)``, oldest first
+        self.busy = False
+        self.waiting: deque[tuple[int, Any]] = deque()
         self.compute_cycles = 0
         self.busy_time = 0.0
 
     def run_kernel(self, cycles: int, fn: Callback, arg: Any = None) -> None:
         """Occupy the compute pipeline for ``cycles`` cycles, starting now
         or when the pipeline frees; ``fn(arg)`` runs when they are done."""
-        self.compute.request(self._granted, (cycles, fn, arg))
+        self.submit(_Call(fn, arg), cycles)
 
-    def _granted(self, kernel: tuple[int, Callback, Any]) -> None:
-        cycles = kernel[0]
+    def submit(self, kernel, cycles: int) -> None:
+        """:meth:`run_kernel` for ``kernel``, an object whose ``done()``
+        runs when the cycles are done (the timed executor's ops are)."""
+        if self.busy:
+            self.waiting.append((cycles, kernel))
+        else:
+            self.busy = True
+            self._grant(cycles, kernel)
+
+    def _grant(self, cycles: int, kernel) -> None:
         duration = cycles / self.cfg.clock_hz
         self.compute_cycles += cycles
         self.busy_time += duration
         self.sim.schedule_soon(duration, self._done, kernel)
 
-    def _done(self, kernel: tuple[int, Callback, Any]) -> None:
-        self.compute.release()
-        _cycles, fn, arg = kernel
-        fn(arg)
+    def _done(self, kernel) -> None:
+        if self.waiting:
+            self._grant(*self.waiting.popleft())
+        else:
+            self.busy = False
+        kernel.done()
+
+
+class _Call:
+    """A kernel that calls ``fn(arg)`` when done."""
+
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: Callback, arg: Any) -> None:
+        self.fn = fn
+        self.arg = arg
+
+    def done(self) -> None:
+        self.fn(self.arg)
 
 
 class ClusterSim:

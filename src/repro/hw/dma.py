@@ -24,6 +24,7 @@ explain ftIMM reaching only ~67% of its roofline (Section V-C1).
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Union
 
@@ -31,7 +32,7 @@ from ..errors import DmaTransferError, PlanError
 from ..obs.trace import current_tracer
 from .bandwidth import LocalChannel, SharedChannel
 from .config import DmaConfig, DspCoreConfig
-from .event_sim import Callback, Resource, Simulator
+from .event_sim import Callback, Simulator
 from .memory import MemKind
 
 Channel = Union[SharedChannel, LocalChannel]
@@ -50,6 +51,8 @@ class DmaDescriptor:
     medium: MemKind = field(init=False, repr=False, compare=False)
     #: ``medium.value``, read once here rather than on every transfer
     medium_value: str = field(init=False, repr=False, compare=False)
+    #: payload bytes, ``rows * row_bytes``
+    nbytes: int = field(init=False, repr=False, compare=False)
     #: ``(cfg, effective_bytes(cfg))`` for the last config asked about
     _effective: tuple[DmaConfig, int] | None = field(
         init=False, repr=False, compare=False, default=None
@@ -66,10 +69,7 @@ class DmaDescriptor:
             medium = MemKind.AM
         object.__setattr__(self, "medium", medium)
         object.__setattr__(self, "medium_value", medium.value)
-
-    @property
-    def nbytes(self) -> int:
-        return self.rows * self.row_bytes
+        object.__setattr__(self, "nbytes", self.rows * self.row_bytes)
 
     def effective_bytes(self, cfg: DmaConfig) -> int:
         """Bytes the medium carries; computed once per config."""
@@ -90,6 +90,14 @@ class DmaEngine:
     ``channels_per_core`` descriptors may be in flight concurrently; further
     requests queue FIFO at the engine.  The data movement itself is charged
     to the medium's bandwidth channel (shared for DDR/GSM).
+
+    The engine keeps its channel slots itself: a free slot is granted
+    inside the :meth:`submit` that asks for it, and a freed one inside
+    the completion that frees it, to the oldest queued transfer.  A grant
+    pushes the transfer's startup through
+    :meth:`~repro.hw.event_sim.Simulator.schedule_soon`, which keeps the
+    push where a queued grant call would have made it (see
+    :mod:`repro.hw.event_sim`).
     """
 
     def __init__(
@@ -109,7 +117,11 @@ class DmaEngine:
         #: ``channels`` keyed by medium value: a str key hashes in C,
         #: where a ``MemKind`` key goes through ``Enum.__hash__``
         self._channel_of = {kind.value: ch for kind, ch in channels.items()}
-        self.slots = Resource(sim, dma_cfg.channels_per_core, name=f"dma{core_id}")
+        #: engine channels: how many, how many are busy, and the
+        #: transfers queued for one, oldest first
+        self.capacity = dma_cfg.channels_per_core
+        self.in_use = 0
+        self.waiting: deque[Transfer] = deque()
         self.startup_s = dma_cfg.startup_cycles / core_cfg.clock_hz
         self.bytes_moved = 0
         self.transfers = 0
@@ -128,42 +140,57 @@ class DmaEngine:
         #: high-water mark of descriptors queued behind the channels
         self.queue_depth_peak = 0
         #: payload bytes moved, keyed by medium value ("ddr", "gsm", "am")
-        self.bytes_by_medium: dict[str, int] = {}
+        self.bytes_by_medium: defaultdict[str, int] = defaultdict(int)
         #: the ambient tracer of the run this engine serves, looked up once
         self.tracer = current_tracer()
 
     def issue(self, desc: DmaDescriptor, fn: Callback, arg: Any = None) -> None:
-        """Start a transfer now; ``fn(arg)`` runs at its completion.
+        """Start a transfer now; ``fn(arg)`` runs at its completion."""
+        self.submit(_Call(fn, arg), desc)
+
+    def submit(self, x: "Transfer", desc: DmaDescriptor) -> None:
+        """Start transfer ``x`` of ``desc`` now; ``x.done()`` runs at its
+        completion.
 
         A transfer is a small state machine: wait for an engine channel,
-        pay the startup, move the bytes over the medium's channel, and on
-        an injected failure back off and start again.
+        pay the startup, move the bytes over the medium's channel (``x``
+        is the channel's flow), and on an injected failure back off and
+        start again.
         """
-        slots = self.slots
-        if slots.in_use >= slots.capacity:
-            queued = slots.queued
-            if queued + 1 > self.queue_depth_peak:
-                self.queue_depth_peak = queued + 1
-        slots.request(self._granted, _Transfer(desc, fn, arg, self.sim.now))
+        x.desc = desc
+        x.t_request = self.sim.now
+        x.attempt = 0
+        x.fn = self._transferred
+        x.arg = x
+        if self.in_use < self.capacity:
+            self.in_use += 1
+            self._grant(x)
+        else:
+            waiting = self.waiting
+            waiting.append(x)
+            if len(waiting) > self.queue_depth_peak:
+                self.queue_depth_peak = len(waiting)
 
-    def _granted(self, x: "_Transfer") -> None:
+    def _grant(self, x: "Transfer") -> None:
         now = self.sim.now
-        self.queue_wait_s += now - x.t_request
-        if x.nbytes > 0:
-            x.issue_idx = self._issued
-            self._issued += 1
-            x.t0 = now
+        if now != x.t_request:  # adding a zero wait changes no float
+            self.queue_wait_s += now - x.t_request
+        if x.desc.nbytes > 0:
+            if self.faults is not None:  # what a retry reads
+                x.issue_idx = self._issued
+                self._issued += 1
+                x.t0 = now
             self.sim.schedule_soon(self.startup_s, self._started, x)
         else:
             self.sim.call_soon(self._finish, x)
 
-    def _started(self, x: "_Transfer") -> None:
+    def _started(self, x: "Transfer") -> None:
         desc = x.desc
-        self._channel_of[desc.medium_value].transfer(
-            desc.effective_bytes(self.cfg), self._transferred, x
+        self._channel_of[desc.medium_value].carry(
+            x, desc.effective_bytes(self.cfg)
         )
 
-    def _transferred(self, x: "_Transfer") -> None:
+    def _transferred(self, x: "Transfer") -> None:
         desc = x.desc
         inj = self.faults
         if inj is not None and inj.dma_transfer_fails(
@@ -184,7 +211,7 @@ class DmaEngine:
                     f"t={self.sim.now:.3e}s)",
                     at_s=self.sim.now,
                 )
-                self.slots.release()
+                self._release()
                 raise err
             backoff = inj.backoff_s(x.attempt, self.core_cfg.clock_hz)
             tracer = self.tracer
@@ -200,12 +227,10 @@ class DmaEngine:
             x.wasted, x.backoff = wasted, backoff
             self.sim.schedule(backoff, self._backed_off, x)
             return
-        nbytes = x.nbytes
+        nbytes = desc.nbytes
         self.bytes_moved += nbytes
         medium = desc.medium_value
-        self.bytes_by_medium[medium] = (
-            self.bytes_by_medium.get(medium, 0) + nbytes
-        )
+        self.bytes_by_medium[medium] += nbytes
         tracer = self.tracer
         if tracer is not None:
             # queue wait + startup + transfer (+ retries), end to end
@@ -220,7 +245,7 @@ class DmaEngine:
             )
         self._finish(x)
 
-    def _backed_off(self, x: "_Transfer") -> None:
+    def _backed_off(self, x: "Transfer") -> None:
         self.retries += 1
         self.retry_s += x.wasted + x.backoff
         inj = self.faults
@@ -229,24 +254,45 @@ class DmaEngine:
         x.t0 = self.sim.now
         self.sim.schedule(self.startup_s, self._started, x)
 
-    def _finish(self, x: "_Transfer") -> None:
+    def _finish(self, x: "Transfer") -> None:
+        x.arg = None  # the flow's reference to itself: free it by count
         self.transfers += 1
-        self.slots.release()
-        x.fn(x.arg)
+        self._release()
+        x.done()
+
+    def _release(self) -> None:
+        """Hand a freed channel to the oldest queued transfer, at once."""
+        if self.waiting:
+            self._grant(self.waiting.popleft())
+        else:
+            self.in_use -= 1
 
 
-class _Transfer:
-    """One descriptor in flight on a :class:`DmaEngine`."""
+class Transfer:
+    """One descriptor in flight on a :class:`DmaEngine`, and its flow on
+    the medium's channel: a subclass says what :meth:`done` does.
 
-    __slots__ = ("desc", "nbytes", "fn", "arg", "t_request", "issue_idx",
-                 "attempt", "t0", "wasted", "backoff")
+    The engine fills every field: ``fn(arg)`` is the channel's call when
+    the bytes are served (the engine's), ``remaining`` the bytes a shared
+    channel has still to serve.
+    """
 
-    def __init__(self, desc: DmaDescriptor, fn: Callback, arg: Any,
-                 t_request: float) -> None:
-        self.desc = desc
-        #: payload bytes, computed once
-        self.nbytes = desc.nbytes
-        self.fn = fn
-        self.arg = arg
-        self.t_request = t_request
-        self.attempt = 0
+    __slots__ = ("desc", "t_request", "issue_idx", "attempt", "t0",
+                 "wasted", "backoff", "remaining", "fn", "arg")
+
+    def done(self) -> None:
+        """Called once the transfer has completed."""
+        raise NotImplementedError
+
+
+class _Call(Transfer):
+    """A transfer that calls ``then(then_arg)`` when done."""
+
+    __slots__ = ("then", "then_arg")
+
+    def __init__(self, then: Callback, then_arg: Any) -> None:
+        self.then = then
+        self.then_arg = then_arg
+
+    def done(self) -> None:
+        self.then(self.then_arg)

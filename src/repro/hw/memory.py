@@ -33,10 +33,6 @@ class MemKind(enum.Enum):
     SM = "sm"     # 64 KB per-core scalar memory
     AM = "am"     # 768 KB per-core array memory
 
-    @property
-    def on_chip(self) -> bool:
-        return self is not MemKind.DDR
-
 
 @dataclass
 class Buffer:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.shapes import GemmShape
-from ..errors import ShapeError
+from ..errors import InputError, ShapeError
 
 #: the three terminal request states.
 COMPLETED = "completed"
@@ -52,6 +52,13 @@ class GemmRequest:
     priority: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "c"):
+            operand = getattr(self, name)
+            if not isinstance(operand, np.ndarray):
+                raise InputError(
+                    f"{name.upper()} must be a numpy array, "
+                    f"got {type(operand).__name__}"
+                )
         if self.a.shape != (self.shape.m, self.shape.k):
             raise ShapeError(f"A {self.a.shape} != {self.shape}")
         if self.b.shape != (self.shape.k, self.shape.n):

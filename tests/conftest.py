@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.lowering import GemmOperands
+from repro.core.plans import OpKind
 from repro.core.shapes import GemmShape
 from repro.hw.config import default_machine
 from repro.kernels.registry import registry_for
@@ -48,3 +49,19 @@ def assert_gemm_close(c, ref, k):
     """float32 accumulation tolerance scaled with the reduction depth."""
     tol = 1e-5 * max(8.0, float(k))
     np.testing.assert_allclose(c, ref, rtol=tol, atol=tol)
+
+
+def kernel_cycles_by_core(execution) -> list[int]:
+    """Oracle: the kernel cycles each core's op stream issues."""
+    return [
+        sum(op.cycles for op in ops if op.kind is OpKind.KERNEL)
+        for ops in execution.core_ops
+    ]
+
+
+def pingpong_uniform(n: int, load_s: float, compute_s: float) -> float:
+    """Oracle: finish time of ``n`` double-buffered (load -> compute)
+    iterations of equal length."""
+    if n <= 0:
+        return 0.0
+    return load_s + compute_s + (n - 1) * max(load_s, compute_s)

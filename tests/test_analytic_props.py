@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.executor.analytic import busiest_core_chunks, pingpong_seq, pingpong_uniform
+from repro.executor.analytic import busiest_core_chunks, pingpong_seq
+
+from conftest import pingpong_uniform
 
 
 def brute_force_two_slot(pairs):

@@ -91,11 +91,6 @@ class TestPerFlowCap:
         with pytest.raises(SimulationError):
             SharedChannel(Simulator(), 10.0, per_flow_cap=0.0)
 
-    def test_current_rate_reflects_cap(self):
-        sim = Simulator()
-        ch = SharedChannel(sim, 100.0, per_flow_cap=30.0)
-        assert ch.current_rate() == pytest.approx(30.0)
-
 
 class TestLocalChannel:
     def test_fixed_rate_no_contention(self):

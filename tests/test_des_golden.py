@@ -24,6 +24,15 @@ Re-record only on purpose, when a change is meant to move simulated
 results::
 
     PYTHONPATH=src python tests/test_des_golden.py --record
+
+A change that moves only how the simulator counts its work re-pins the
+counts alone::
+
+    PYTHONPATH=src python tests/test_des_golden.py --record-counts
+
+This rewrites the ``events_processed``, ``sim/events_processed`` and
+``sim/heap_peak`` pins and nothing else.  If any other pin differs it
+writes nothing, names each case and key that differ, and exits non-zero.
 """
 
 from __future__ import annotations
@@ -315,12 +324,110 @@ def test_des_golden(case):
     assert observe(case) == case["pins"]
 
 
+def test_record_counts_rewrites_only_work_counts():
+    """``--record-counts`` takes new event counts and heap peaks, and
+    names every other pin that moved instead of taking it."""
+    recorded = {
+        "events_processed": 10, "seconds": "0x1.0p-10",
+        "metrics": {"sim/heap_peak": {"type": "gauge", "value": 3},
+                    "bw/ddr/busy_s": {"type": "counter", "value": "0x1.0p-11"}},
+        "attempts": [{"events_processed": 4, "raised": 2}],
+    }
+    counts_moved = {
+        "events_processed": 7, "seconds": "0x1.0p-10",
+        "metrics": {"sim/heap_peak": {"type": "gauge", "value": 2},
+                    "bw/ddr/busy_s": {"type": "counter", "value": "0x1.0p-11"}},
+        "attempts": [{"events_processed": 3, "raised": 2}],
+    }
+    assert recount(recorded, counts_moved) == (counts_moved, [])
+    float_moved = {**counts_moved, "seconds": "0x1.0000000000001p-10",
+                   "attempts": [{"events_processed": 3, "raised": 5}]}
+    _merged, differ = recount(recorded, float_moved)
+    assert differ == ["/seconds", "/attempts[0]/raised"]
+
+
 def test_case_list_is_recorded():
     """Every case the module defines has recorded pins, and no others."""
     assert [c["id"] for c in _load()] == [c["id"] for c in _cases()]
 
 
+#: the pins ``--record-counts`` may rewrite: how much work the simulator
+#: counted, not what it computed
+COUNT_KEYS = frozenset({"events_processed", "sim/events_processed",
+                        "sim/heap_peak"})
+
+
+def recount(recorded, observed, path: str = ""):
+    """``recorded`` with every :data:`COUNT_KEYS` pin taken from
+    ``observed``, and the paths of any other pins that differ."""
+    if isinstance(recorded, dict) and isinstance(observed, dict):
+        if recorded.keys() != observed.keys():
+            return recorded, [path or "."]
+        merged, differ = {}, []
+        for key, value in recorded.items():
+            if key in COUNT_KEYS:
+                merged[key] = observed[key]
+                continue
+            merged[key], sub = recount(value, observed[key], f"{path}/{key}")
+            differ += sub
+        return merged, differ
+    if (isinstance(recorded, list) and isinstance(observed, list)
+            and len(recorded) == len(observed)):
+        merged, differ = [], []
+        for i, (old, new) in enumerate(zip(recorded, observed)):
+            value, sub = recount(old, new, f"{path}[{i}]")
+            merged.append(value)
+            differ += sub
+        return merged, differ
+    return recorded, ([] if recorded == observed else [path or "."])
+
+
+def _count_totals(pins) -> dict[str, int]:
+    """The sum of each :data:`COUNT_KEYS` pin's numbers over ``pins``."""
+    totals: dict[str, int] = {}
+
+    def add(key, value):
+        if isinstance(value, dict):  # a metric: count its value
+            value = value["value"]
+        totals[key] = totals.get(key, 0) + value
+
+    def walk(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                if key in COUNT_KEYS:
+                    add(key, value)
+                else:
+                    walk(value)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value)
+
+    walk(pins)
+    return totals
+
+
+def record_counts() -> int:
+    """Re-pin the work counts only; see the module docstring."""
+    cases, differ = [], []
+    for case in _load():
+        pins, sub = recount(case["pins"], observe(case))
+        differ += [f"{case['id']}: {key}" for key in sub]
+        cases.append({**case, "pins": pins})
+    if differ:
+        print("pins other than work counts differ; nothing written:",
+              *differ, sep="\n  ", file=sys.stderr)
+        return 1
+    before = _count_totals([c["pins"] for c in _load()])
+    after = _count_totals([c["pins"] for c in cases])
+    for key in sorted(before):
+        print(f"{key}: {before[key]} -> {after[key]}", file=sys.stderr)
+    DATA.write_text(json.dumps({"cases": cases}, indent=1) + "\n")
+    return 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--record-counts"]:
+        sys.exit(record_counts())
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
     recorded = []

@@ -6,12 +6,31 @@ import random
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.hw.event_sim import Event, Resource, Simulator
+from repro.errors import ConfigError, SimulationError
+from repro.hw.bandwidth import LocalChannel, SharedChannel
+from repro.hw.cluster import ClusterSim
+from repro.hw.config import DmaConfig, DspCoreConfig
+from repro.hw.dma import DmaDescriptor, DmaEngine
+from repro.hw.event_sim import Event, Simulator
+from repro.hw.memory import MemKind
 
 
 def noop(_arg):
     pass
+
+
+#: 100 bytes on the 100 B/s core-local link: one second
+LOCAL_1S = DmaDescriptor(MemKind.SM, MemKind.AM, rows=1, row_bytes=100)
+
+
+def make_engine(channels: int):
+    """A DMA engine without startup cost over a 100 B/s local link."""
+    sim = Simulator()
+    local = LocalChannel(sim, 100.0)
+    chans = {MemKind.DDR: SharedChannel(sim, 100.0), MemKind.GSM: local,
+             MemKind.AM: local, MemKind.SM: local}
+    dma = DmaConfig(channels_per_core=channels, startup_cycles=0)
+    return sim, DmaEngine(sim, 0, DspCoreConfig(), dma, chans)
 
 
 class TestEvents:
@@ -79,78 +98,68 @@ class TestEvents:
 
 
 class TestResource:
-    def test_capacity_one_serializes(self):
-        sim = Simulator()
-        res = Resource(sim, 1, "r")
-        finish = []
+    """The DES's FIFO resources: a DMA engine's channels and a core's
+    compute pipeline, each granted inline by the component itself."""
 
-        def hold(job):
-            name, duration = job
-            sim.schedule(duration, done, name)
-
-        def done(name):
-            res.release()
-            finish.append((name, sim.now))
-
-        res.request(hold, ("a", 2.0))
-        res.request(hold, ("b", 1.0))
+    def test_capacity_one_serializes(self, cluster):
+        core = ClusterSim(cluster).cores[0]
+        sim, finish = core.sim, []
+        # a: 2 us, b: 1 us on the one pipeline
+        core.run_kernel(3600, lambda name: finish.append((name, sim.now)), "a")
+        core.run_kernel(1800, lambda name: finish.append((name, sim.now)), "b")
         sim.run()
-        assert finish == [("a", 2.0), ("b", 3.0)]  # FIFO
+        assert finish == [("a", pytest.approx(2e-6)),
+                          ("b", pytest.approx(3e-6))]  # FIFO
 
     def test_capacity_two_overlaps(self):
-        sim = Simulator()
-        res = Resource(sim, 2, "r")
+        sim, eng = make_engine(channels=2)
         for _ in range(2):
-            res.request(lambda _arg: sim.schedule(2.0, lambda _a: res.release()))
+            eng.issue(LOCAL_1S, noop)
+        assert eng.in_use == 2 and not eng.waiting
         sim.run()
-        assert sim.now == 2.0
+        assert sim.now == 1.0  # both on the uncontended local link at once
 
     def test_free_slot_is_granted_inline(self):
-        sim = Simulator()
-        res = Resource(sim, 1)
-        granted = []
-        res.request(granted.append, "x")
-        assert granted == ["x"] and res.in_use == 1
-        assert sim.run() == 0.0 and sim.events_processed == 0
+        sim, eng = make_engine(channels=1)
+        eng.issue(LOCAL_1S, noop)
+        # granted inside issue: the channel is taken and no event ran
+        assert eng.in_use == 1 and not eng.waiting
+        assert sim.events_processed == 0
 
     def test_release_grants_oldest_queued_at_once(self):
-        sim = Simulator()
-        res = Resource(sim, 2)
-        granted = []
+        sim, eng = make_engine(channels=2)
+        seen = []
+
+        def done(name):
+            # the freed channel went to the oldest waiting transfer inside
+            # the completion that freed it
+            seen.append((name, eng.in_use, len(eng.waiting)))
+
         for name in "abcde":
-            res.request(granted.append, name)
-        assert granted == ["a", "b"] and res.queued == 3
-
-        def free(_arg):
-            res.release()
-            granted.append(f"released at {sim.now}")
-
-        sim.schedule(1.0, free)
-        sim.schedule(1.0, free)
+            eng.issue(LOCAL_1S, done, name)
+        assert eng.in_use == 2 and len(eng.waiting) == 3
         sim.run()
-        # each release hands its slot on inside the call, FIFO, and the
-        # slot stays taken
-        assert granted == ["a", "b", "c", "released at 1.0",
-                           "d", "released at 1.0"]
-        assert res.in_use == 2 and res.queued == 1
+        assert seen == [("a", 2, 2), ("b", 2, 1), ("c", 2, 0), ("d", 1, 0),
+                        ("e", 0, 0)]
 
-    def test_release_idle_raises(self):
-        sim = Simulator()
-        res = Resource(sim, 1)
-        with pytest.raises(SimulationError):
-            res.release()
+    def test_release_with_nothing_queued_idles_the_slot(self, cluster):
+        core = ClusterSim(cluster).cores[0]
+        core.run_kernel(1800, noop)
+        core.sim.run()
+        assert not core.busy and not core.waiting
+        core.run_kernel(1800, noop)  # granted again at once
+        assert core.busy and not core.waiting
 
     def test_zero_capacity_rejected(self):
-        with pytest.raises(SimulationError):
-            Resource(Simulator(), 0)
+        with pytest.raises(ConfigError):
+            DmaConfig(channels_per_core=0).validate()
 
     def test_queue_depth_visible(self):
-        sim = Simulator()
-        res = Resource(sim, 1)
-        res.request(noop)
-        res.request(noop)
-        assert res.in_use == 1
-        assert res.queued == 1
+        _sim, eng = make_engine(channels=1)
+        eng.issue(LOCAL_1S, noop)
+        eng.issue(LOCAL_1S, noop)
+        assert eng.in_use == 1
+        assert len(eng.waiting) == 1 and eng.queue_depth_peak == 1
 
 
 class TestScheduleSoon:
@@ -190,6 +199,73 @@ class TestScheduleSoon:
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().schedule_soon(-1.0, noop)
+
+
+class TestEndOfInstant:
+    def test_hook_runs_once_per_instant_after_the_queue_and_due_entries(self):
+        sim, log = Simulator(), []
+
+        def hook():
+            log.append(("hook", sim.now))
+
+        def at(name):
+            log.append((name, sim.now))
+            if not sim.end_of_instant:
+                sim.end_of_instant.append(hook)
+            if name == "first due at 1":
+                sim.call_soon(at, "queued at 1")
+
+        sim.schedule(1.0, at, "first due at 1")
+        sim.schedule(1.0, at, "second due at 1")
+        sim.schedule(2.0, at, "due at 2")
+        sim.run()
+        assert log == [("first due at 1", 1.0), ("second due at 1", 1.0),
+                       ("queued at 1", 1.0), ("hook", 1.0),
+                       ("due at 2", 2.0), ("hook", 2.0)]
+
+    def test_work_a_hook_queues_runs_at_its_instant(self):
+        sim, log = Simulator(), []
+
+        def hook():
+            log.append(("hook", sim.now))
+            sim.call_soon(lambda _a: log.append(("queued", sim.now)))
+            sim.schedule_soon(1.0, lambda _a: log.append(("pushed", sim.now)))
+            sim.end_of_instant.append(lambda: log.append(("next hook", sim.now)))
+
+        sim.schedule(1.0, lambda _a: sim.end_of_instant.append(hook))
+        sim.schedule(1.5, lambda _a: log.append(("due at 1.5", sim.now)))
+        sim.run()
+        # the hook's call runs at its instant, then the hook it registered
+        assert log == [("hook", 1.0), ("queued", 1.0), ("next hook", 1.0),
+                       ("due at 1.5", 1.5), ("pushed", 2.0)]
+
+    def test_hook_before_run_runs_at_the_current_instant(self):
+        sim, log = Simulator(), []
+        sim.schedule(1.0, lambda _a: log.append(("due", sim.now)))
+        sim.end_of_instant.append(lambda: log.append(("hook", sim.now)))
+        sim.run()
+        assert log == [("hook", 0.0), ("due", 1.0)]
+
+    def test_hook_is_not_an_event(self):
+        sim, log = Simulator(), []
+        sim.schedule(1.0, lambda _a: sim.end_of_instant.append(
+            lambda: log.append(sim.now)))
+        sim.run()
+        assert log == [1.0]
+        assert sim.events_processed == 1 and sim.heap_peak == 1
+
+    def test_reserved_seq_keeps_the_place_of_an_earlier_push(self):
+        sim, log = Simulator(), []
+
+        def at_one(_arg):
+            seq = sim.reserve_seq()
+            sim.schedule(1.0, log.append, "pushed after the reservation")
+            sim.end_of_instant.append(lambda: sim.push_reserved(
+                1.0, seq, log.append, "pushed by the hook"))
+
+        sim.schedule(1.0, at_one)
+        sim.run()
+        assert log == ["pushed by the hook", "pushed after the reservation"]
 
 
 class TestSimulator:

@@ -14,12 +14,11 @@ from repro.executor.analytic import (
     analytic_tgemm,
     busiest_core_chunks,
     pingpong_seq,
-    pingpong_uniform,
 )
 from repro.executor.functional import run_functional
 from repro.executor.timed import run_timed
 
-from conftest import make_operands
+from conftest import kernel_cycles_by_core, make_operands, pingpong_uniform
 
 
 class TestFunctionalReport:
@@ -51,7 +50,7 @@ class TestTimedExecutor:
         compute durations — proof the DES actually overlaps phases."""
         ex = build_parallel_m(GemmShape(2000, 96, 864), cluster, registry=registry)
         r = run_timed(ex)
-        serial_compute = max(ex.kernel_cycles_by_core) / cluster.core.clock_hz
+        serial_compute = max(kernel_cycles_by_core(ex)) / cluster.core.clock_hz
         # per-core serial estimate: its compute plus its DMA at full port
         serial = serial_compute + ex.total_dma_bytes / cluster.ddr_bandwidth
         assert r.seconds < serial
@@ -81,9 +80,9 @@ class TestTimedExecutor:
 
 class TestPingPongHelpers:
     def test_uniform_closed_form(self):
-        assert pingpong_uniform(1, 2.0, 3.0) == 5.0
-        assert pingpong_uniform(3, 2.0, 3.0) == 2.0 + 3.0 + 2 * 3.0
-        assert pingpong_uniform(0, 2.0, 3.0) == 0.0
+        assert pingpong_seq([(2.0, 3.0)]) == 5.0
+        assert pingpong_seq([(2.0, 3.0)] * 3) == 2.0 + 3.0 + 2 * 3.0
+        assert pingpong_seq([]) == 0.0
 
     def test_seq_matches_uniform(self):
         pairs = [(2.0, 3.0)] * 5

@@ -5,25 +5,22 @@ import numpy as np
 import pytest
 
 from repro.hw.bandwidth import SharedChannel
-from repro.hw.event_sim import Resource, Simulator
+from repro.hw.cluster import ClusterSim
+from repro.hw.event_sim import Simulator
 from repro.hw.memory import MemKind, MemorySpace
 
 
 class TestNestedComposition:
-    def test_resource_fifo_order_strict(self):
-        sim = Simulator()
-        res = Resource(sim, 1)
-        order = []
-
-        def user(i):
-            order.append(i)
-            sim.schedule(0.5, lambda _arg: res.release())
-
+    def test_resource_fifo_order_strict(self, cluster):
+        """The compute pipeline runs kernels in request order, one at a
+        time, whatever their lengths."""
+        core = ClusterSim(cluster).cores[0]
+        sim, order = core.sim, []
         for i in range(6):
-            res.request(user, i)
+            core.run_kernel(900 * (6 - i), order.append, i)
         sim.run()
         assert order == list(range(6))
-        assert sim.now == 3.0
+        assert sim.now == pytest.approx(900 * 21 / cluster.core.clock_hz)
 
 
 class TestChannelStats:

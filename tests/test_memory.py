@@ -98,10 +98,6 @@ class TestValidation:
         with pytest.raises(CapacityError):
             MemorySpace("x", MemKind.AM, 128, alignment=48)
 
-    def test_kind_on_chip(self):
-        assert MemKind.AM.on_chip and MemKind.GSM.on_chip and MemKind.SM.on_chip
-        assert not MemKind.DDR.on_chip
-
 
 @settings(max_examples=60, deadline=None)
 @given(

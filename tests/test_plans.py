@@ -8,6 +8,8 @@ from repro.errors import PlanError
 from repro.hw.dma import DmaDescriptor
 from repro.hw.memory import MemKind
 
+from conftest import kernel_cycles_by_core
+
 
 def desc(tag="x"):
     return DmaDescriptor(MemKind.DDR, MemKind.AM, rows=4, row_bytes=64, tag=tag)
@@ -141,7 +143,7 @@ class TestAggregates:
         ex = b.finish(GemmShape(4, 4, 4), "t", cluster)
         assert ex.total_flops == 3000
         assert ex.total_dma_bytes == 2 * 4 * 64
-        cycles = ex.kernel_cycles_by_core
+        cycles = kernel_cycles_by_core(ex)
         assert cycles[0] == 50 and cycles[2] == 70
 
 

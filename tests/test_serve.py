@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.ftimm import ftimm_gemm
 from repro.core.shapes import GemmShape
-from repro.errors import PlanError, ShapeError
+from repro.errors import InputError, PlanError, ShapeError
 from repro.faults.plan import FaultPlan
 from repro.obs import collecting
 from repro.serve import (
@@ -300,6 +300,14 @@ class TestRequestValidation:
         with pytest.raises(ShapeError):
             GemmRequest(req_id=0, arrival_s=0.0, shape=shape,
                         a=a, b=b, c=np.zeros((8, 5), np.float32))
+
+    @pytest.mark.parametrize("operand", ["a", "b", "c"])
+    def test_operand_that_is_not_an_array_is_an_input_error(self, operand):
+        shape = GemmShape(2, 2, 2)
+        operands = {name: np.zeros((2, 2), np.float32) for name in "abc"}
+        operands[operand] = [[1.0, 2.0], [3.0, 4.0]]
+        with pytest.raises(InputError, match=f"{operand.upper()} must be a numpy array, got list"):
+            GemmRequest(req_id=0, arrival_s=0.0, shape=shape, **operands)
 
     def test_mix_classes_validate(self):
         with pytest.raises(PlanError):
