@@ -72,12 +72,6 @@ class ExperimentResult:
     claims: list[Claim] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def series_by_label(self, label: str) -> Series:
-        for s in self.series:
-            if s.label == label:
-                return s
-        raise KeyError(label)
-
     def render(self, *, chart: bool = False) -> str:
         lines = [f"== {self.exp_id}: {self.title} =="]
         if chart and self.series and len(self.series[0].x) >= 2:

@@ -46,8 +46,3 @@ def roofline(shape: GemmShape, cluster: ClusterConfig, n_cores: int | None = Non
         memory_bound_gflops=mem,
     )
 
-
-def ridge_intensity(cluster: ClusterConfig, n_cores: int | None = None) -> float:
-    """AI at which the cluster turns compute-bound (FLOPs per byte)."""
-    cores = n_cores if n_cores is not None else cluster.n_cores
-    return cores * cluster.core.peak_flops / cluster.ddr_bandwidth

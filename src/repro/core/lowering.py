@@ -1,10 +1,12 @@
-"""Shared machinery for lowering GEMM drivers to op streams.
+"""Lowering GEMM drivers to op streams.
 
-The three drivers (TGEMM, M-parallel, K-parallel) differ in loop structure
-but share everything else: tile buffer allocation against the capacity-
-checked :class:`~repro.hw.cluster.ClusterSpaces`, DMA descriptor creation,
-functional copy-in/copy-out closures, cooperative (split-across-cores)
-loads of shared GSM tiles, and round-robin chunk assignment.
+:func:`expand` turns a driver's :class:`~repro.core.schedule.Schedule`
+(TGEMM, M-parallel or K-parallel: its loop nest, written once) into op
+streams.  :class:`LoweringContext` holds what it shares across them:
+tile buffers allocated against the capacity-checked
+:class:`~repro.hw.cluster.ClusterSpaces`, DMA descriptors, functional
+copy-in/copy-out closures and cooperative (split-across-cores) loads of
+shared GSM tiles.
 
 In *timing-only* mode (``data=None``) buffers are unbacked and closures are
 omitted — the emitted plan carries only geometry and cycle counts, so
@@ -30,12 +32,14 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ..errors import InputError, PlanError
-from ..hw.cluster import ClusterSpaces, scratch_arena
+from ..hw.cluster import ClusterSpaces, reduction_seconds, scratch_arena
 from ..hw.config import ClusterConfig
 from ..hw.dma import DmaDescriptor
 from ..hw.memory import Buffer, MemKind
 from ..kernels.registry import KernelRegistry, registry_for
 from .blocking import DTYPE_SIZES
+from .plans import OpStreamBuilder
+from .schedule import Dma, Floor, Kernel, Loop, Schedule, Sync, Zero, zero_cycles
 from .shapes import GemmShape
 
 FP32 = 4
@@ -52,13 +56,6 @@ def block_ranges(total: int, block: int) -> Iterator[tuple[int, int, int]]:
         yield index, start, min(block, total - start)
         index += 1
         start += block
-
-
-def chunks_for_core(total: int, block: int, core: int, n_cores: int):
-    """Round-robin assignment of blocked chunks to one core."""
-    for index, start, extent in block_ranges(total, block):
-        if index % n_cores == core:
-            yield index, start, extent
 
 
 @dataclass
@@ -316,6 +313,27 @@ class LoweringContext:
             self.tile(c, m, n, c_row0), core,
         )
 
+    def reduction(
+        self, bufs: list[Buffer], row0: int, col0: int, rows: int, cols: int
+    ) -> Callable[[], None] | None:
+        """``c[row0:+rows, col0:+cols] += sum`` of the ``[:rows, :cols]``
+        windows of ``bufs`` (Alg. 5's reduction of the per-core partials)."""
+        if not self.backed:
+            return None
+        partials = [self.tile(buf, rows, cols) for buf in bufs]
+
+        def reduce_run(
+            rows=slice(row0, row0 + rows), cols=slice(col0, col0 + cols),
+            partials=partials,
+        ) -> None:
+            c_view = self.data.c[rows, cols]
+            total = np.zeros(c_view.shape, dtype=c_view.dtype)
+            for p in partials:
+                total += p
+            self.accumulate(c_view, total)
+
+        return reduce_run
+
     def _load(self, dst, operand: str, rows: slice, cols: slice, core: int) -> None:
         src = getattr(self.data, operand)[rows, cols]
         if self.faults is None:
@@ -561,3 +579,170 @@ class LoweringContext:
                 out.append((core, start, extent))
             start += extent
         return out
+
+
+# -- schedules to op streams ---------------------------------------------------
+
+
+def expand(
+    schedule: Schedule,
+    cluster: ClusterConfig,
+    registry: KernelRegistry | None = None,
+    *,
+    pingpong: bool = True,
+    bindable: bool = False,
+    **meta,
+):
+    """Lower ``schedule`` to a :class:`~repro.core.plans.GemmExecution`
+    with ``meta`` added; ``pingpong=False`` single-buffers every tile
+    (the double-buffering ablation), ``bindable`` as in
+    :class:`LoweringContext`.
+
+    Steps emit in program order.  ``at`` holds each loop variable's
+    block index and start, ``extent`` its extent (and the GEMM's ``m``,
+    ``n``, ``k``); ``current`` maps ``(tile, core)`` (core 0 in GSM) to
+    the buffer and slot its latest fill wrote, which moves, kernels and
+    stores read.
+    """
+    ctx = LoweringContext(
+        cluster, schedule.shape, registry, dtype=schedule.dtype,
+        bindable=bindable,
+    )
+    n_cores = cluster.n_cores
+    builder = OpStreamBuilder(n_cores)
+    buffers = {
+        tile.name: [
+            ctx.alloc(tile.kind, c, tile.rows, tile.cols, tile.name,
+                      slots=tile.slots if pingpong else 1)
+            for c in range(1 if tile.kind is MemKind.GSM else n_cores)
+        ]
+        for tile in schedule.tiles
+    }
+    shape, sizes = schedule.shape, vars(schedule.plan)
+    at: dict[str, tuple[int, int]] = {}
+    extent = {"m": shape.m, "n": shape.n, "k": shape.k}
+    current: dict[tuple[str, int], tuple[Buffer, int]] = {}
+    last_kernel = [-1] * n_cores
+
+    def offset(names: tuple[str, ...]) -> int:
+        total = 0
+        for name in names:
+            total += at[name][1]
+        return total
+
+    def emit(steps: tuple, core: int) -> None:
+        for step in steps:
+            kind = type(step)
+            if kind is Dma:
+                dma(step, core)
+            elif kind is Kernel:
+                kernel(step, core)
+            elif kind is Loop:
+                loop(step, 0, core)
+            elif kind is Floor:
+                emit(step.body, core)
+            elif kind is Sync:
+                sync(step)
+            else:
+                zero(step)
+
+    def loop(step: Loop, axis: int, core: int) -> None:
+        var, total, block = step.axes[axis]
+        inner = axis + 1 < len(step.axes)
+        for index, start, extent[var] in block_ranges(extent[total], sizes[block]):
+            at[var] = index, start
+            if step.deal:
+                core = index % n_cores
+            if inner:
+                loop(step, axis + 1, core)
+            else:
+                emit(step.body, core)
+
+    def dma(step: Dma, core: int) -> None:
+        rows, cols = extent[step.rows], extent[step.cols]
+        row0, col0 = offset(step.row0), offset(step.col0)
+        src, dst = step.tag.split("->")
+        if step.dst is MemKind.DDR:
+            # store a C tile once its last kernel is done
+            buf, slot = current[src, core]
+            last = last_kernel[core]
+            idx = builder.dma(
+                core, ctx.desc(step.src, step.dst, rows, cols, step.tag),
+                extra_deps=(last,) if last >= 0 else (),
+                run=ctx.unload(buf, row0, col0, rows, cols, core), tag=step.tag,
+            )
+            builder.consume(core, src, slot, idx)
+            return
+        shared = step.dst is MemKind.GSM
+        slots = buffers[dst][0 if shared else core]
+        slot = 0
+        if step.slot is not None:
+            slot = at[step.slot][0]
+            if step.per_core:
+                slot //= n_cores
+            slot %= len(slots)
+        buf = slots[slot]
+        current[dst, 0 if shared else core] = buf, slot
+        if shared:
+            # a cooperative fill of a shared panel by every core's engine
+            for core, rs, ext in ctx.split_rows(rows):
+                builder.dma(
+                    core, ctx.desc(step.src, step.dst, ext, cols, step.tag),
+                    run=ctx.load(buf, src.lower(), row0 + rs, col0, ext, cols,
+                                 core, tile_row0=rs),
+                    tag=step.tag,
+                )
+            return
+        if step.src is MemKind.DDR:
+            run = ctx.load(buf, src.lower(), row0, col0, rows, cols, core)
+        else:  # out of a GSM panel
+            run = ctx.move(buf, current[src, 0][0], rows, cols, core,
+                           src_row0=row0, src_col0=col0)
+        builder.dma(core, ctx.desc(step.src, step.dst, rows, cols, step.tag),
+                    buffer=dst, slot=slot, run=run, tag=step.tag)
+
+    def kernel(step: Kernel, core: int) -> None:
+        ms, nc, kc = extent[step.rows], extent[step.cols], extent[step.depth]
+        kern = schedule.kernel(ctx.registry, ms, nc, kc)
+        a_buf, a_slot = current["A_s", core]
+        b_buf, b_slot = current["B_a", core]
+        c_buf, c_slot = current["C_a", core]
+        last_kernel[core] = builder.kernel(
+            core, kern.cycles, kern.flops,
+            reads=(("A_s", a_slot), ("B_a", b_slot), ("C_a", c_slot)),
+            run=ctx.kernel_run(kern, a_buf, b_buf, c_buf, ms, nc, kc, core,
+                               c_row0=at[step.rows][1]),
+            tag=f"mk{ms}x{nc}x{kc}",
+        )
+
+    def zero(step: Zero) -> None:
+        cycles = zero_cycles(extent[step.rows], extent[step.cols], ctx.esize,
+                             cluster.core)
+        for core in range(n_cores):
+            buf = buffers["C_a"][core][0]
+            current["C_a", core] = buf, 0
+            builder.kernel(
+                core, cycles, 0,
+                run=partial(buf.array().fill, 0) if ctx.backed else None,
+                tag="C_a=0",
+            )
+
+    def sync(step: Sync) -> None:
+        tag = step.tag.format_map({var: s for var, (_i, s) in at.items()})
+        if step.rows is None:
+            builder.sync(tag=tag)
+            return
+        rows, cols = extent[step.rows], extent[step.cols]
+        run = ctx.reduction(
+            [current["C_a", core][0] for core in range(n_cores)],
+            offset(step.row0), offset(step.col0), rows, cols,
+        )
+        builder.sync(
+            seconds=reduction_seconds(
+                cluster, rows * cols * ctx.esize, schedule.n_active
+            ),
+            runs=None if run is None else {0: run}, tag=tag,
+        )
+
+    emit(schedule.steps, 0)
+    return ctx.finish(builder, schedule.strategy, plan=schedule.plan, **meta)

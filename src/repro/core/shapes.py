@@ -91,9 +91,5 @@ class GemmShape:
             return GemmType.SKINNY_TALL_TIMES_TALL
         return GemmType.REGULAR
 
-    @property
-    def is_irregular(self) -> bool:
-        return self.classify() is not GemmType.REGULAR
-
     def __str__(self) -> str:
         return f"{self.m}x{self.n}x{self.k}"

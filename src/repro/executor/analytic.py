@@ -1,8 +1,10 @@
 """Closed-form timing of the three GEMM algorithms.
 
 The DES executor is exact but walks every op; the paper's largest sweeps
-(M up to 2^22 in Fig. 5 d/e) lower to millions of ops.  This module
-composes the same quantities analytically:
+(M up to 2^22 in Fig. 5 d/e) lower to millions of ops.  This module times
+the same :class:`~repro.core.schedule.Schedule` the lowering expands
+(:func:`evaluate`), once per distinct block extent instead of once per
+op, and restates no loop nest of its own:
 
 * micro-kernel times come from the same generated-kernel cycle models;
 * DMA times use the DES engine's formula, startup plus the bytes the
@@ -11,7 +13,10 @@ composes the same quantities analytically:
 * double-buffered loops use the exact two-slot recurrence
   ``finish = load + compute + (n-1) * max(load, compute)``;
 * DDR contention is approximated by an even split across the cores active
-  in the phase (``bw / n_active``) — the processor-sharing steady state.
+  in the phase (``bw / n_active``) — the processor-sharing steady state;
+* the dealt loop is timed for its busiest core, and the schedule's
+  :class:`~repro.core.schedule.Floor` regions by at least their DDR bytes
+  over that core's share.
 
 The approximations (steady contention, serialized phase boundaries) are
 validated against the DES executor on medium shapes by
@@ -23,10 +28,14 @@ and event-driven paths are guaranteed to time the same plan.
 
 from __future__ import annotations
 
-import math
+import itertools
 
 from ..core.blocking import DTYPE_SIZES, FP32, KPlan, MPlan, TgemmPlan
+from ..core.parallel_k import schedule_k
+from ..core.parallel_m import schedule_m
+from ..core.schedule import Dma, Floor, Kernel, Loop, Schedule, Zero, zero_cycles
 from ..core.shapes import GemmShape
+from ..core.tgemm import schedule_tgemm
 from ..hw.cluster import reduction_seconds
 from ..hw.config import ClusterConfig
 from ..hw.memory import MemKind
@@ -154,8 +163,132 @@ class _Costs:
 
 
 # ---------------------------------------------------------------------------
-# M-parallel (Alg. 4)
+# the schedule evaluator
 # ---------------------------------------------------------------------------
+
+
+def evaluate(
+    schedule: Schedule,
+    cluster: ClusterConfig,
+    registry: KernelRegistry | None = None,
+) -> TimedResult:
+    """Time ``schedule`` on ``cluster`` for its busiest core.
+
+    A loop adds ``count * body`` per distinct block extent, a dealt loop
+    its busiest core's chunks, and a double-buffered loop runs
+    :func:`pingpong_seq` over ``(leading DMA, rest of body)`` pairs.
+    Steps add in program order: DMAs at their route's bandwidth share,
+    kernels at their cycle model, barriers and the reduction.  A
+    :class:`Floor` region takes at least its DDR bytes over the core's
+    share.
+    """
+    cs = _Costs(cluster, registry)
+    cs.esize = esize = DTYPE_SIZES[schedule.dtype]
+    p, p_active = cluster.n_cores, schedule.n_active
+    ddr_share = cs.ddr_share(p_active)
+    gsm_share = cluster.gsm_bandwidth / max(1, p_active)
+    #: a cooperative fill of GSM draws on every core's engine
+    fill_bw = min(cs.ddr_bw, p * cs.core_cap)
+    floor_bw = cs.core_ddr_bw(p_active)
+    clock, kernel, registry = cs.clock, schedule.kernel, cs.registry
+    shape, sizes = schedule.shape, vars(schedule.plan)
+    extent = {"m": shape.m, "n": shape.n, "k": shape.k}
+
+    def blocks(loop: Loop):
+        """Set the loop's extents per distinct block; yield its count."""
+        if loop.deal:
+            (var, total, block), = loop.axes
+            for extent[var] in busiest_core_chunks(extent[total], sizes[block], p):
+                yield 1
+            return
+        for combo in itertools.product(*[
+            [(var, ext, n) for ext, n in _blocks(extent[total], sizes[block])]
+            for var, total, block in loop.axes
+        ]):
+            count = 1
+            for var, ext, n in combo:
+                extent[var] = ext
+                count *= n
+            yield count
+
+    def dma_s(dma: Dma) -> float:
+        if dma.dst is MemKind.GSM:
+            bw = fill_bw
+        elif dma.src is MemKind.GSM:
+            bw = gsm_share
+        else:
+            bw = ddr_share
+        return cs.dma_s(dma.src, dma.dst, extent[dma.rows], extent[dma.cols], bw)
+
+    def seconds(steps: tuple) -> float:
+        total = 0.0
+        for step in steps:
+            kind = type(step)
+            if kind is Loop:
+                total += loop_s(step)
+            elif kind is Dma:
+                total += dma_s(step)
+            elif kind is Kernel:
+                total += kernel(
+                    registry, extent[step.rows], extent[step.cols],
+                    extent[step.depth],
+                ).cycles / clock
+            elif kind is Floor:
+                total += max(seconds(step.body), ddr_bytes(step.body) / floor_bw)
+            elif kind is Zero:
+                total += zero_cycles(
+                    extent[step.rows], extent[step.cols], esize, cs.core
+                ) / clock
+            else:
+                total += cs.barrier_s
+                if step.rows is not None:
+                    total += reduction_seconds(
+                        cluster, extent[step.rows] * extent[step.cols] * esize,
+                        p_active,
+                    )
+        return total
+
+    def loop_s(loop: Loop) -> float:
+        body = loop.body
+        if not loop.overlap:
+            total = 0.0
+            for count in blocks(loop):
+                total += count * seconds(body)
+            return total
+        pairs: list[tuple[float, float]] = []
+        if type(body[0]) is Dma:
+            lead, rest = body[0], body[1:]
+            for count in blocks(loop):
+                pairs.extend([(dma_s(lead), seconds(rest))] * count)
+        else:
+            for count in blocks(loop):
+                pairs.extend([(0.0, seconds(body))] * count)
+        return pingpong_seq(pairs)
+
+    def ddr_bytes(steps: tuple) -> int:
+        total = 0
+        for step in steps:
+            kind = type(step)
+            if kind is Dma:
+                if step.src is MemKind.DDR or step.dst is MemKind.DDR:
+                    total += cs.ddr_eff_bytes(extent[step.rows], extent[step.cols])
+            elif kind is Loop:
+                body = step.body
+                if step.overlap and type(body[0]) is Dma:
+                    # the rest of a double-buffered body counts once per
+                    # distinct extent, as the byte floor always has: an
+                    # undercount when a panel holds several blocks of one
+                    # extent (ROADMAP item 5)
+                    for count in blocks(step):
+                        total += count * ddr_bytes(body[:1]) + ddr_bytes(body[1:])
+                else:
+                    for count in blocks(step):
+                        total += count * ddr_bytes(body)
+            elif kind is Floor:
+                total += ddr_bytes(step.body)
+        return total
+
+    return cs.result(shape, seconds(schedule.steps), schedule.strategy)
 
 
 def analytic_parallel_m(
@@ -167,7 +300,7 @@ def analytic_parallel_m(
     use_gsm: bool = True,
     kernel_style: str = "ftimm",
 ) -> TimedResult:
-    """Two ablation knobs:
+    """Alg. 4's timing, with two ablation knobs:
 
     * ``use_gsm=False`` — Alg. 4 without the B-in-GSM cache: every B_a
       tile streams from DDR, so the shared operand is re-read once per
@@ -177,84 +310,10 @@ def analytic_parallel_m(
       kernel auto-generation itself contributes (requires ``plan.m_s <=
       6``).
     """
-    cs = _Costs(cluster, registry)
-    cs.esize = plan.esize
-    if kernel_style == "tgemm":
-        kernel_cycles = lambda ms, nc, kc: cs.registry.tgemm(ms, nc, kc).cycles
-    elif kernel_style == "ftimm":
-        kernel_cycles = (
-            lambda ms, nc, kc: cs.registry.ftimm(ms, nc, kc, plan.dtype).cycles
-        )
-    else:
+    if kernel_style not in ("ftimm", "tgemm"):
         raise ValueError(f"unknown kernel_style {kernel_style!r}")
-    m, n, k = shape.m, shape.n, shape.k
-    p = cluster.n_cores
-    n_chunks = math.ceil(m / plan.m_a)
-    p_active = min(p, n_chunks)
-    ddr_share = cs.ddr_share(p_active)
-    gsm_share = cluster.gsm_bandwidth / max(1, p_active)
-
-    def chunk_time(mr: int, ncg: int, kcg: int) -> float:
-        """One m_a chunk; overlapped DMA streams cannot exceed the core's
-        DDR share, so the composed estimate is floored by the byte count."""
-        total = 0.0
-        for nc, nc_count in _blocks(ncg, plan.n_a):
-            c_load = cs.dma_s(MemKind.DDR, MemKind.AM, mr, nc, ddr_share)
-            c_store = c_load
-            ddr_bytes = 2 * cs.ddr_eff_bytes(mr, nc)
-            jj_pairs: list[tuple[float, float]] = []
-            for kc, kc_count in _blocks(kcg, plan.k_a):
-                if use_gsm:
-                    b_load = cs.dma_s(MemKind.GSM, MemKind.AM, kc, nc, gsm_share)
-                else:
-                    b_load = cs.dma_s(MemKind.DDR, MemKind.AM, kc, nc, ddr_share)
-                    ddr_bytes += kc_count * cs.ddr_eff_bytes(kc, nc)
-                tt_pairs: list[tuple[float, float]] = []
-                for ms, ms_count in _blocks(mr, plan.m_s):
-                    a_load = cs.dma_s(MemKind.DDR, MemKind.SM, ms, kc, ddr_share)
-                    kern_s = kernel_cycles(ms, nc, kc) / cs.clock
-                    tt_pairs.extend([(a_load, kern_s)] * ms_count)
-                    ddr_bytes += ms_count * cs.ddr_eff_bytes(ms, kc)
-                tt_time = pingpong_seq(tt_pairs)
-                jj_pairs.extend([(b_load, tt_time)] * kc_count)
-            composed = c_load + pingpong_seq(jj_pairs) + c_store
-            total += nc_count * max(
-                composed, ddr_bytes / cs.core_ddr_bw(p_active)
-            )
-        return total
-
-    seconds = 0.0
-    for ncg, ncg_count in _blocks(n, plan.n_g):
-        j_pairs: list[tuple[float, float]] = []
-        for kcg, kcg_count in _blocks(k, plan.k_g):
-            # cooperative B_g fill at the full DDR port (skipped entirely
-            # in the no-GSM ablation)
-            if not use_gsm:
-                per_core = sum(
-                    chunk_time(mr, ncg, kcg)
-                    for mr in busiest_core_chunks(m, plan.m_a, p)
-                )
-                j_pairs.extend([(0.0, per_core + cs.barrier_s)] * kcg_count)
-                continue
-            bg_fill = cs.dma_s(
-                MemKind.DDR, MemKind.GSM, kcg, ncg,
-                min(cs.ddr_bw, p * cs.core_cap),
-            )
-            # busiest core's chunk list for this panel (C_a is single-
-            # buffered, so a core's chunks serialize)
-            per_core = sum(
-                chunk_time(mr, ncg, kcg)
-                for mr in busiest_core_chunks(m, plan.m_a, p)
-            )
-            compute = per_core + cs.barrier_s
-            j_pairs.extend([(bg_fill, compute)] * kcg_count)
-        seconds += ncg_count * pingpong_seq(j_pairs)
-    return cs.result(shape, seconds, "ftimm-m")
-
-
-# ---------------------------------------------------------------------------
-# K-parallel (Alg. 5)
-# ---------------------------------------------------------------------------
+    schedule = schedule_m(shape, cluster, plan, use_gsm=use_gsm)
+    return evaluate(schedule._replace(kernels=kernel_style), cluster, registry)
 
 
 def analytic_parallel_k(
@@ -263,56 +322,8 @@ def analytic_parallel_k(
     plan: KPlan,
     registry: KernelRegistry | None = None,
 ) -> TimedResult:
-    cs = _Costs(cluster, registry)
-    cs.esize = plan.esize
-    m, n, k = shape.m, shape.n, shape.k
-    p = cluster.n_cores
-    n_chunks = math.ceil(k / plan.k_a)
-    p_active = min(p, n_chunks)
-    ddr_share = cs.ddr_share(p_active)
-
-    def tile_time(mar: int, nar: int) -> float:
-        init_s = (
-            max(1, mar * nar * plan.esize // cs.core.am_bytes_per_cycle)
-            / cs.clock
-        )
-
-        def chunk_pair(kc: int) -> tuple[float, float]:
-            b_load = cs.dma_s(MemKind.DDR, MemKind.AM, kc, nar, ddr_share)
-            u_pairs: list[tuple[float, float]] = []
-            for ms, ms_count in _blocks(mar, plan.m_s):
-                a_load = cs.dma_s(MemKind.DDR, MemKind.SM, ms, kc, ddr_share)
-                kern_s = cs.registry.ftimm(ms, nar, kc, plan.dtype).cycles / cs.clock
-                u_pairs.extend([(a_load, kern_s)] * ms_count)
-            return (b_load, pingpong_seq(u_pairs))
-
-        # busiest core's chunks; B_a double-buffers across them, but all
-        # of the core's DDR streams (A and B) share its bandwidth slice
-        chunks = busiest_core_chunks(k, plan.k_a, p)
-        pairs = [chunk_pair(kc) for kc in chunks]
-        ddr_bytes = 0
-        for kc in chunks:
-            ddr_bytes += cs.ddr_eff_bytes(kc, nar)
-            for ms, ms_count in _blocks(mar, plan.m_s):
-                ddr_bytes += ms_count * cs.ddr_eff_bytes(ms, kc)
-        loop_time = max(pingpong_seq(pairs), ddr_bytes / cs.core_ddr_bw(p_active))
-        red_s = reduction_seconds(cluster, mar * nar * plan.esize, p_active)
-        return init_s + loop_time + cs.barrier_s + red_s
-
-    seconds = 0.0
-    for mgr, mgr_count in _blocks(m, plan.m_g):
-        for ngr, ngr_count in _blocks(n, plan.n_g):
-            tile_total = 0.0
-            for mar, mar_count in _blocks(mgr, plan.m_a):
-                for nar, nar_count in _blocks(ngr, plan.n_a):
-                    tile_total += mar_count * nar_count * tile_time(mar, nar)
-            seconds += mgr_count * ngr_count * tile_total
-    return cs.result(shape, seconds, "ftimm-k")
-
-
-# ---------------------------------------------------------------------------
-# TGEMM (Alg. 1)
-# ---------------------------------------------------------------------------
+    """Alg. 5's timing."""
+    return evaluate(schedule_k(shape, cluster, plan), cluster, registry)
 
 
 def analytic_tgemm(
@@ -321,41 +332,5 @@ def analytic_tgemm(
     plan: TgemmPlan,
     registry: KernelRegistry | None = None,
 ) -> TimedResult:
-    cs = _Costs(cluster, registry)
-    m, n, k = shape.m, shape.n, shape.k
-    p = cluster.n_cores
-    n_strips = math.ceil(n / plan.n_a)
-    p_active = min(p, n_strips)
-    ddr_share = cs.ddr_share(p_active)
-    gsm_share = cluster.gsm_bandwidth / max(1, p_active)
-
-    def strip_time(mr: int, nc: int, kc: int) -> float:
-        b_load = cs.dma_s(MemKind.DDR, MemKind.AM, kc, nc, ddr_share)
-        c_load = cs.dma_s(MemKind.DDR, MemKind.AM, mr, nc, ddr_share)
-        tt_pairs: list[tuple[float, float]] = []
-        for ms, ms_count in _blocks(mr, plan.m_s):
-            a_load = cs.dma_s(MemKind.GSM, MemKind.SM, ms, kc, gsm_share)
-            kern_s = cs.registry.tgemm(ms, nc, kc).cycles / cs.clock
-            tt_pairs.extend([(a_load, kern_s)] * ms_count)
-        composed = b_load + c_load + pingpong_seq(tt_pairs) + c_load
-        ddr_bytes = cs.ddr_eff_bytes(kc, nc) + 2 * cs.ddr_eff_bytes(mr, nc)
-        return max(composed, ddr_bytes / cs.core_ddr_bw(p_active))
-
-    seconds = 0.0
-    for mr, mr_count in _blocks(m, plan.m_g):
-        j_pairs: list[tuple[float, float]] = []
-        for kc, kc_count in _blocks(k, plan.k_g):
-            ag_fill = cs.dma_s(
-                MemKind.DDR, MemKind.GSM, mr, kc,
-                min(cs.ddr_bw, p * cs.core_cap),
-            )
-            # busiest core's N-strips for this panel (strips serialize on
-            # a core: B_a/C_a ping-pong gives partial overlap we ignore)
-            strips = sum(
-                strip_time(mr, nc, kc)
-                for nc in busiest_core_chunks(n, plan.n_a, p)
-            )
-            compute = strips + cs.barrier_s
-            j_pairs.extend([(ag_fill, compute)] * kc_count)
-        seconds += mr_count * pingpong_seq(j_pairs)
-    return cs.result(shape, seconds, "tgemm")
+    """Alg. 1's timing."""
+    return evaluate(schedule_tgemm(shape, cluster, plan), cluster, registry)

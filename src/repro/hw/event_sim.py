@@ -198,16 +198,16 @@ class Simulator:
     def run(self, until: float | None = None, max_events: int = 50_000_000) -> float:
         """Run until nothing is pending (or simulated time passes ``until``).
 
-        Returns the final simulation time.  ``max_events`` is a runaway
-        guard; real experiments stay far below it.
+        Returns the final simulation time; an ``until`` before ``now``
+        runs nothing and leaves the clock where it is.  ``max_events`` is
+        a runaway guard; real experiments stay far below it.
         """
         heap, ready, soon = self._heap, self._ready, self._soon
         popleft = ready.popleft
         limit = math.inf if until is None else until
         now = self.now
-        if now > limit and (heap or ready or soon):  # all pending is late
-            self.now = until
-            return until
+        if now > limit:  # that instant is past: the clock stays
+            return now
         processed, peak = self._processed, self._heap_peak
         try:
             while True:

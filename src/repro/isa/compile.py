@@ -486,10 +486,6 @@ class CompiledProgram:
         self.program = program
         self.blocks = blocks
 
-    @property
-    def n_compiled(self) -> int:
-        return sum(1 for b in self.blocks if b is not None)
-
     def run(self, state) -> None:
         from .interp import run_block  # local: avoid import cycle at load
 

@@ -17,19 +17,6 @@ def render_assembly(instrs: list[Instr], indent: str = "  ") -> str:
     return "\n".join(f"{indent}{instr.render()}" for instr in instrs)
 
 
-def render_schedule_listing(sched: Schedule) -> str:
-    """Cycle-annotated listing, sorted by issue time."""
-    rows = sorted(
-        zip(sched.times, sched.assignments, sched.instrs),
-        key=lambda r: (r[0], r[1][0].value, r[1][1]),
-    )
-    lines = []
-    for t, (cls, inst), instr in rows:
-        unit = UNIT_DISPLAY_NAMES.get((cls, inst), f"{cls.value}#{inst}")
-        lines.append(f"  c{t:03d}  {unit:<20} {instr.render()}")
-    return "\n".join(lines)
-
-
 def pipeline_grid(sched: Schedule) -> dict[tuple[UnitClass, int], list[str]]:
     """Steady-state reservation grid: unit instance -> II cell labels."""
     ii = sched.ii if sched.is_loop else sched.span

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import IsaError
-from .instructions import Instr, Opcode
+from .instructions import Instr
 
 
 @dataclass(frozen=True)
@@ -190,9 +190,3 @@ def recurrence_mii(edges: list[DepEdge]) -> int:
                     mii = max(mii, -(-(e1.latency + e2.latency) // dist))
     return mii
 
-
-def opcode_histogram(instrs: list[Instr]) -> dict[Opcode, int]:
-    hist: dict[Opcode, int] = {}
-    for instr in instrs:
-        hist[instr.op] = hist.get(instr.op, 0) + 1
-    return hist

@@ -44,16 +44,6 @@ class UnitClass(enum.Enum):
     VFMAC = "vector_fmac"
     VSHF = "vector_shuffle"
 
-    @property
-    def is_scalar(self) -> bool:
-        return self in (
-            UnitClass.SLS,
-            UnitClass.SFMAC1,
-            UnitClass.SFMAC2,
-            UnitClass.SIEU,
-            UnitClass.CTRL,
-        )
-
 
 #: number of unit instances per class on one DSP core.
 DEFAULT_UNIT_COUNTS: dict[UnitClass, int] = {
@@ -111,13 +101,6 @@ class UnitFile:
             if unit is cls:
                 return n
         raise ConfigError(f"unknown unit class {cls}")
-
-    @property
-    def issue_width(self) -> int:
-        return sum(n for _cls, n in self.counts)
-
-    def as_dict(self) -> dict[UnitClass, int]:
-        return dict(self.counts)
 
 
 DEFAULT_UNITS = UnitFile()

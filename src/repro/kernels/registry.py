@@ -57,10 +57,6 @@ class KernelRegistry:
             _count("mem_hit")
         return kernel
 
-    @property
-    def generated_count(self) -> int:
-        return len(self._ftimm) + len(self._tgemm)
-
     def clear(self) -> None:
         self._ftimm.clear()
         self._tgemm.clear()

@@ -258,9 +258,6 @@ class Tracer:
     def children(self, span_id: int) -> list[TraceSpan]:
         return [s for s in self.spans if s.parent_id == span_id]
 
-    def by_category(self, category: str) -> list[TraceSpan]:
-        return [s for s in self.spans if s.category == category]
-
     # -- export ------------------------------------------------------------
 
     def to_chrome(self, clock: str = "sim") -> dict[str, Any]:

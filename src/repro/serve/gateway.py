@@ -89,8 +89,9 @@ class Gateway:
         self._pump_scheduled = False
         self._closed = False
         self._next_req_id = 0
-        #: most awaits ever outstanding at once — the backpressure the
-        #: live callers actually exerted (1 = strict closed loop)
+        #: most awaits ever outstanding at once, which the
+        #: ``serve/gateway/outstanding`` gauge reports (1 = strict closed
+        #: loop; a submit counts during its own admission)
         self._outstanding_high = 0
         #: live clock: auto-stamped arrivals never precede the last
         #: resolved response (a live caller reacts to what it has seen)
@@ -314,18 +315,6 @@ class Gateway:
     def outstanding(self) -> int:
         """Submitted awaits not yet resolved."""
         return len(self._waiters)
-
-    @property
-    def outstanding_high_water(self) -> int:
-        """Most submits ever in flight at once (backpressure stat).
-
-        A strict closed loop holds this at 1; a windowed driver at its
-        window size.  A submit counts during its own admission even when
-        a full bucket resolves it synchronously.  Also exported as the
-        ``serve/gateway/outstanding`` gauge (whose high-water mark this
-        mirrors) when metrics are on.
-        """
-        return self._outstanding_high
 
     @property
     def now_s(self) -> float:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.shapes import GemmShape
-from .kmeans import GemmFn, numpy_gemm
 
 
 @dataclass(frozen=True)
@@ -39,25 +38,6 @@ STANDARD_OPERATORS: list[FemOperator] = [
     FemOperator("q1_hex_grad", 250_000, 8, 24),
     FemOperator("q2_hex_interp", 100_000, 27, 64),
 ]
-
-
-def batched_interpolate(
-    element_dofs: np.ndarray, basis: np.ndarray, *, gemm: GemmFn = numpy_gemm
-) -> np.ndarray:
-    """Interpolate element DoFs to quadrature points for all elements.
-
-    ``element_dofs``: (n_elements, n_dofs); ``basis``: (n_dofs, n_quad);
-    returns (n_elements, n_quad) — one irregular GEMM.
-    """
-    out = np.zeros(
-        (element_dofs.shape[0], basis.shape[1]), dtype=np.float32
-    )
-    gemm(
-        np.ascontiguousarray(element_dofs, dtype=np.float32),
-        np.ascontiguousarray(basis, dtype=np.float32),
-        out,
-    )
-    return out
 
 
 def lagrange_basis_1d(order: int, points: np.ndarray) -> np.ndarray:

@@ -13,20 +13,14 @@ taxonomy: in multi-head attention with head dimension ``d_h`` (typically
   tall-and-skinny product (type 3) for long sequences.
 
 This module enumerates the GEMMs of one attention layer for a given model
-configuration, classifies each, and provides a reference implementation
-whose matmuls route through an injectable GEMM (so the simulated ftIMM
-can run a real attention forward pass in the tests).
+configuration, to classify each.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.shapes import GemmShape
-from .kmeans import GemmFn, numpy_gemm
 
 
 @dataclass(frozen=True)
@@ -70,39 +64,3 @@ STANDARD_CONFIGS = [
     AttentionConfig("long-context", d_model=1024, n_heads=16, seq_len=8192),
 ]
 
-
-def attention_forward(
-    x: np.ndarray,
-    w_q: np.ndarray,
-    w_k: np.ndarray,
-    w_v: np.ndarray,
-    n_heads: int,
-    *,
-    gemm: GemmFn = numpy_gemm,
-) -> np.ndarray:
-    """Single-batch multi-head attention with injectable GEMM.
-
-    ``x``: (L, d_model); ``w_*``: (d_model, d_model).  Returns the merged
-    head contexts (L, d_model); the output projection is left to the
-    caller (it is a regular GEMM).
-    """
-    seq_len, d_model = x.shape
-    d_head = d_model // n_heads
-
-    def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float32)
-        gemm(np.ascontiguousarray(a), np.ascontiguousarray(b), out)
-        return out
-
-    out = np.empty((seq_len, d_model), dtype=np.float32)
-    for h in range(n_heads):
-        cols = slice(h * d_head, (h + 1) * d_head)
-        q = mm(x, w_q[:, cols])                     # (L, d_h): type 1
-        k = mm(x, w_k[:, cols])
-        v = mm(x, w_v[:, cols])
-        scores = mm(q, k.T) / math.sqrt(d_head)     # (L, L)
-        scores -= scores.max(axis=1, keepdims=True)
-        weights = np.exp(scores)
-        weights /= weights.sum(axis=1, keepdims=True)
-        out[:, cols] = mm(weights, v)               # (L, d_h): type 3
-    return out

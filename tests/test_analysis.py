@@ -83,9 +83,3 @@ class TestExperimentResult:
         result.claims.append(Claim("fails", "x", "y", False))
         assert "**no**" in result.to_markdown()
         assert "NO" in result.render()
-
-    def test_series_by_label(self):
-        result = self.make()
-        assert result.series_by_label("ftIMM").peak == 20.0
-        with pytest.raises(KeyError):
-            result.series_by_label("nope")

@@ -7,7 +7,7 @@ from repro.baselines.cpu_openblas import (
     openblas_sgemm,
     threads_used,
 )
-from repro.baselines.roofline import ridge_intensity, roofline
+from repro.baselines.roofline import roofline
 from repro.core.shapes import GemmShape
 
 
@@ -29,7 +29,7 @@ class TestRoofline:
         )
 
     def test_ridge_point(self, cluster):
-        ridge = ridge_intensity(cluster)
+        ridge = cluster.n_cores * cluster.core.peak_flops / cluster.ddr_bandwidth
         assert ridge == pytest.approx(cluster.peak_flops / cluster.ddr_bandwidth)
 
     def test_uses_theoretical_bandwidth(self, cluster):

@@ -119,7 +119,7 @@ class TestCompilerStructure:
         for dtype, m_s, n_a, k_a in SPEC_GRID:
             kern = registry_for(CORE).ftimm(m_s, n_a, k_a, dtype)
             compiled = compiled_for(kern.program)
-            assert compiled.n_compiled == len(kern.program.blocks)
+            assert None not in compiled.blocks
 
     def test_compiled_for_memoizes(self):
         kern = registry_for(CORE).ftimm(6, 96, 32)

@@ -5,7 +5,6 @@ from repro.isa.emitter import (
     pipeline_grid,
     render_assembly,
     render_pipeline_table,
-    render_schedule_listing,
 )
 from repro.isa.units import UnitClass
 
@@ -64,14 +63,6 @@ class TestRendering:
         text = render_assembly(kern.program.blocks[0].body)
         assert "VFMULAS32" in text
         assert text.count("\n") == len(kern.program.blocks[0].body) - 1
-
-    def test_schedule_listing_sorted_by_cycle(self, registry):
-        kern = registry.ftimm(6, 64, 512)
-        listing = render_schedule_listing(kern.body_schedules[0])
-        cycles = [
-            int(line.split()[0][1:]) for line in listing.splitlines()
-        ]
-        assert cycles == sorted(cycles)
 
     def test_straightline_table_renders(self, registry):
         kern = registry.ftimm(6, 64, 512)

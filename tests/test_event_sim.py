@@ -275,6 +275,20 @@ class TestSimulator:
         assert sim.run(until=4.0) == 4.0
         assert sim.now == 4.0
 
+    def test_run_until_in_the_past_keeps_clock(self):
+        """An ``until`` before ``now`` must not rewind the clock: a call
+        scheduled next would otherwise fire before instants already run."""
+        sim = Simulator()
+        log = []
+        sim.schedule(5.0, log.append, 5.0)
+        sim.schedule(10.0, log.append, 10.0)
+        assert sim.run(until=6.0) == 6.0
+        assert sim.run(until=3.0) == 6.0
+        assert sim.now == 6.0
+        sim.schedule(1.0, lambda _arg: log.append(sim.now))
+        sim.run()
+        assert log == [5.0, 7.0, 10.0]
+
     def test_deterministic_tie_break(self):
         order1, order2 = [], []
         for order in (order1, order2):
@@ -331,8 +345,8 @@ class _HeapOnly:
         limit = math.inf if until is None else until
         while self.heap:
             if self.heap[0][0] > limit:
-                self.now = until
-                return until
+                self.now = max(self.now, until)
+                return self.now
             self.now, _seq, fn, arg = heapq.heappop(self.heap)
             self.events_processed += 1
             fn(arg)

@@ -283,7 +283,7 @@ class TestCoreFailure:
             [0.0, 0.00216587318243222], rel=1e-12)
         assert [sum(e.sync_wait) for e in epochs] == pytest.approx(
             [1.7777777777777773e-06, 0.0], rel=1e-12)
-        kernels = tr.by_category("kernel")
+        kernels = [s for s in tr.spans if s.category == "kernel"]
         assert kernels
         assert not [s for s in kernels if s.track == "core0/compute"]
         assert not [s for s in kernels if s.args["core"] == 0]
@@ -610,16 +610,16 @@ class TestTracedFaultedCall:
         with tracing() as tr:
             c, result = self.run(operands)
         assert result.faults.redispatches == 2  # functional and DES
-        (gemm,) = tr.by_category("gemm")
+        (gemm,) = [s for s in tr.spans if s.category == "gemm"]
         subtree, frontier = set(), [gemm.span_id]
         while frontier:
             kids = [s.span_id for s in tr.children(frontier.pop())]
             subtree.update(kids)
             frontier.extend(kids)
-        phases = {s.name for s in tr.by_category("phase")
-                  if s.span_id in subtree}
+        phases = {s.name for s in tr.spans
+                  if s.category == "phase" and s.span_id in subtree}
         assert phases == {"functional", "timed/des"}
-        marks = tr.by_category("redispatch")
+        marks = [s for s in tr.spans if s.category == "redispatch"]
         assert len(marks) == 2
         assert all(s.span_id in subtree for s in marks)
 

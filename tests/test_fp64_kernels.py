@@ -1,5 +1,7 @@
 """FP64 micro-kernel extension: lanes, ceilings, correctness."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.errors import KernelError
 from repro.isa.instructions import Opcode
-from repro.isa.program import opcode_histogram
 from repro.kernels.generator import generate_kernel
 from repro.kernels.spec import KernelSpec
 
@@ -43,7 +44,7 @@ class TestSpec:
 class TestGeneration:
     def test_f64_uses_sldd_not_pairs(self, core):
         kern = generate_kernel(KernelSpec(6, 32, 512, "f64"), core)
-        hist = opcode_histogram(kern.program.blocks[0].body)
+        hist = Counter(instr.op for instr in kern.program.blocks[0].body)
         assert hist.get(Opcode.SLDD, 0) > 0
         assert Opcode.SLDW not in hist
         assert Opcode.SVBCAST2 not in hist

@@ -442,8 +442,8 @@ class TestClosedLoop:
     workload the gateway exists for.  Contracts: the run is bit-identical
     per seed (the arrivals-first heap rule does not care that arrivals
     are reactive), throughput is monotone in the window size until
-    saturation, and ``outstanding_high_water`` reports exactly the
-    backpressure the driver exerted.
+    saturation, and the ``serve/gateway/outstanding`` gauge's high-water
+    mark reports exactly the backpressure the driver exerted.
     """
 
     N_REQUESTS = 32
@@ -502,8 +502,9 @@ class TestClosedLoop:
 
     @pytest.mark.parametrize("window", [1, 4, 16])
     def test_outstanding_high_water_reports_backpressure(self, window):
-        _, _, gw = self._drive(window)
-        assert gw.outstanding_high_water == window
+        with collecting() as reg:
+            _, _, gw = self._drive(window)
+        assert reg.snapshot()["serve/gateway/outstanding"]["high"] == window
         assert gw.outstanding == 0  # drained at close
 
     def test_outstanding_gauge_exported(self):

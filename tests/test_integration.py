@@ -156,4 +156,4 @@ class TestKernelReuse:
         for m, n, k in cluster_shapes:
             build(GemmShape(m, n, k), cluster, registry=registry)
         # same adjusted blocks across the sweep -> a handful of kernels
-        assert registry.generated_count <= 6
+        assert len(registry._ftimm) + len(registry._tgemm) <= 6

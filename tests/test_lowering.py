@@ -9,7 +9,6 @@ from repro.core.lowering import (
     GemmOperands,
     LoweringContext,
     block_ranges,
-    chunks_for_core,
 )
 from repro.core.shapes import GemmShape
 from repro.errors import CapacityError, PlanError
@@ -44,19 +43,6 @@ class TestBlockRanges:
             assert start == cursor
             assert 1 <= extent <= block
             cursor += extent
-
-
-class TestChunksForCore:
-    def test_round_robin(self):
-        mine = list(chunks_for_core(40, 10, core=1, n_cores=2))
-        assert [i for i, _s, _e in mine] == [1, 3]
-
-    def test_all_cores_cover_everything(self):
-        total, block, p = 105, 10, 4
-        seen = []
-        for core in range(p):
-            seen.extend(chunks_for_core(total, block, core, p))
-        assert sum(e for _i, _s, e in seen) == total
 
 
 class TestGemmOperands:

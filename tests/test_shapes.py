@@ -35,8 +35,8 @@ class TestClassification:
         assert GemmShape(m, n, k).classify() is GemmType.REGULAR
 
     def test_is_irregular(self):
-        assert GemmShape(65536, 32, 32).is_irregular
-        assert not GemmShape(512, 512, 512).is_irregular
+        assert GemmShape(65536, 32, 32).classify() is not GemmType.REGULAR
+        assert GemmShape(512, 512, 512).classify() is GemmType.REGULAR
 
 
 class TestProperties:

@@ -39,6 +39,7 @@ DIGESTS = {
     },
     "overload": {
         0: "a12329cf9cfd53cc23aaf9809c4fc25923c8bae4ed281b9980c669f1e278fa4f",
+        1: "fd91a3a24680b8a4695b1f90b5185bca7741dafd4f46e7500816028636d2b247",
     },
 }
 

@@ -1,33 +1,9 @@
 """Transformer attention workload."""
 
-import numpy as np
 import pytest
 
-from repro.core.ftimm import ftimm_gemm
 from repro.core.shapes import GemmType
-from repro.workloads.transformer import (
-    AttentionConfig,
-    STANDARD_CONFIGS,
-    attention_forward,
-)
-
-
-def reference_attention(x, w_q, w_k, w_v, n_heads):
-    """Plain-NumPy multi-head attention (merged-head context)."""
-    seq_len, d_model = x.shape
-    d_head = d_model // n_heads
-    out = np.empty((seq_len, d_model), dtype=np.float32)
-    for h in range(n_heads):
-        cols = slice(h * d_head, (h + 1) * d_head)
-        q = x @ w_q[:, cols]
-        k = x @ w_k[:, cols]
-        v = x @ w_v[:, cols]
-        scores = (q @ k.T) / np.sqrt(d_head)
-        scores -= scores.max(axis=1, keepdims=True)
-        weights = np.exp(scores)
-        weights /= weights.sum(axis=1, keepdims=True)
-        out[:, cols] = weights @ v
-    return out
+from repro.workloads.transformer import AttentionConfig, STANDARD_CONFIGS
 
 
 class TestShapes:
@@ -54,42 +30,3 @@ class TestShapes:
     def test_standard_configs_have_head_dim_64(self):
         assert all(cfg.d_head == 64 for cfg in STANDARD_CONFIGS)
 
-
-class TestForward:
-    @pytest.fixture()
-    def operands(self):
-        rng = np.random.default_rng(4)
-        d_model, n_heads, seq_len = 128, 2, 48
-        x = rng.standard_normal((seq_len, d_model)).astype(np.float32) * 0.1
-        ws = [
-            rng.standard_normal((d_model, d_model)).astype(np.float32) * 0.1
-            for _ in range(3)
-        ]
-        return x, ws, n_heads
-
-    def test_numpy_gemm_matches_reference(self, operands):
-        x, (w_q, w_k, w_v), n_heads = operands
-        out = attention_forward(x, w_q, w_k, w_v, n_heads)
-        ref = reference_attention(x, w_q, w_k, w_v, n_heads)
-        np.testing.assert_allclose(out, ref, rtol=1e-4, atol=1e-5)
-
-    def test_simulated_ftimm_runs_real_attention(self, operands):
-        x, (w_q, w_k, w_v), n_heads = operands
-
-        def ftimm_fn(a, b, c):
-            ftimm_gemm(a.shape[0], b.shape[1], a.shape[1],
-                       a=a, b=b, c=c, timing="none")
-
-        out = attention_forward(x, w_q, w_k, w_v, n_heads, gemm=ftimm_fn)
-        ref = reference_attention(x, w_q, w_k, w_v, n_heads)
-        np.testing.assert_allclose(out, ref, rtol=1e-3, atol=1e-4)
-
-    def test_attention_rows_sum_to_one_effect(self, operands):
-        """Context rows are convex combinations of V rows: bounded by the
-        per-column min/max of V (a structural sanity property)."""
-        x, (w_q, w_k, w_v), n_heads = operands
-        d_head = x.shape[1] // n_heads
-        out = attention_forward(x, w_q, w_k, w_v, n_heads)
-        v0 = x @ w_v[:, :d_head]
-        assert np.all(out[:, :d_head] <= v0.max(axis=0) + 1e-4)
-        assert np.all(out[:, :d_head] >= v0.min(axis=0) - 1e-4)

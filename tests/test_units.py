@@ -17,16 +17,19 @@ from repro.isa.units import (
 )
 
 
+#: the scalar processing unit's slots
+SCALAR = {UnitClass.SLS, UnitClass.SFMAC1, UnitClass.SFMAC2, UnitClass.SIEU,
+          UnitClass.CTRL}
+
+
 class TestDefaultUnits:
     def test_issue_width_is_eleven(self):
         """5 scalar + 6 vector slots, the paper's IFU."""
-        assert DEFAULT_UNITS.issue_width == 11
+        assert sum(n for _cls, n in DEFAULT_UNITS.counts) == 11
 
     def test_scalar_vector_split(self):
-        scalar = sum(
-            n for cls, n in DEFAULT_UNITS.counts if cls.is_scalar
-        )
-        vector = DEFAULT_UNITS.issue_width - scalar
+        scalar = sum(n for cls, n in DEFAULT_UNITS.counts if cls in SCALAR)
+        vector = sum(n for _cls, n in DEFAULT_UNITS.counts) - scalar
         assert scalar == 5
         assert vector == 6
 
@@ -39,7 +42,7 @@ class TestDefaultUnits:
         assert DEFAULT_UNITS.count(UnitClass.SFMAC2) == 1
 
     def test_as_dict_matches_counts(self):
-        assert DEFAULT_UNITS.as_dict() == DEFAULT_UNIT_COUNTS
+        assert dict(DEFAULT_UNITS.counts) == DEFAULT_UNIT_COUNTS
 
     def test_unknown_class_rejected(self):
         partial = UnitFile(((UnitClass.VFMAC, 3),))
@@ -50,7 +53,7 @@ class TestDefaultUnits:
 class TestUnitsFor:
     def test_default_config_matches_default_units(self):
         derived = units_for(DspCoreConfig())
-        assert derived.as_dict() == DEFAULT_UNITS.as_dict()
+        assert derived.counts == DEFAULT_UNITS.counts
 
     def test_fmac_count_follows_config(self):
         core = dataclasses.replace(DspCoreConfig(), n_vector_fmac=1)
@@ -80,9 +83,9 @@ class TestDisplayTables:
         classes = [cls for cls, _i in TABLE_ROW_ORDER]
         assert classes[-1] is UnitClass.CTRL
         first_vector = next(
-            i for i, cls in enumerate(classes) if not cls.is_scalar
+            i for i, cls in enumerate(classes) if cls not in SCALAR
         )
-        assert all(cls.is_scalar for cls in classes[:first_vector])
+        assert all(cls in SCALAR for cls in classes[:first_vector])
 
 
 class TestReducedVlsEffect:
