@@ -623,6 +623,7 @@ def expand(
     extent = {"m": shape.m, "n": shape.n, "k": shape.k}
     current: dict[tuple[str, int], tuple[Buffer, int]] = {}
     last_kernel = [-1] * n_cores
+    kernel_of = schedule.kernel(ctx.registry)
 
     def offset(names: tuple[str, ...]) -> int:
         total = 0
@@ -703,7 +704,7 @@ def expand(
 
     def kernel(step: Kernel, core: int) -> None:
         ms, nc, kc = extent[step.rows], extent[step.cols], extent[step.depth]
-        kern = schedule.kernel(ctx.registry, ms, nc, kc)
+        kern = kernel_of(ms, nc, kc)
         a_buf, a_slot = current["A_s", core]
         b_buf, b_slot = current["B_a", core]
         c_buf, c_slot = current["C_a", core]

@@ -17,6 +17,7 @@ compute ``C_a += A_s @ B_a`` on the tiles of those names.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, NamedTuple
 
 from ..hw.memory import MemKind
@@ -119,10 +120,11 @@ class Schedule(NamedTuple):
     kernels: str = "ftimm"
     dtype: str = "f32"
 
-    def kernel(self, registry, ms: int, nc: int, kc: int):
+    def kernel(self, registry):
+        """``(rows, cols, depth) -> MicroKernel`` of this schedule's kind."""
         if self.kernels == "tgemm":
-            return registry.tgemm(ms, nc, kc)
-        return registry.ftimm(ms, nc, kc, self.dtype)
+            return registry.tgemm
+        return partial(registry.ftimm, dtype=self.dtype)
 
 
 def zero_cycles(rows: int, cols: int, esize: int, core) -> int:

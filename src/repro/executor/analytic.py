@@ -28,8 +28,6 @@ and event-driven paths are guaranteed to time the same plan.
 
 from __future__ import annotations
 
-import itertools
-
 from ..core.blocking import DTYPE_SIZES, FP32, KPlan, MPlan, TgemmPlan
 from ..core.parallel_k import schedule_k
 from ..core.parallel_m import schedule_m
@@ -190,26 +188,24 @@ def evaluate(
     #: a cooperative fill of GSM draws on every core's engine
     fill_bw = min(cs.ddr_bw, p * cs.core_cap)
     floor_bw = cs.core_ddr_bw(p_active)
-    clock, kernel, registry = cs.clock, schedule.kernel, cs.registry
+    clock, cost, eff_bytes = cs.clock, cs.dma_s, cs.ddr_eff_bytes
+    kernel = schedule.kernel(cs.registry)
     shape, sizes = schedule.shape, vars(schedule.plan)
     extent = {"m": shape.m, "n": shape.n, "k": shape.k}
 
-    def blocks(loop: Loop):
-        """Set the loop's extents per distinct block; yield its count."""
+    def blocks(loop: Loop) -> list[tuple[tuple, int]]:
+        """``(extents, count)`` per distinct block of ``loop``: a dealt
+        loop's busiest-core chunks, else every combination of its axes'
+        blocks (counts multiplied); ``extents`` updates ``extent``."""
         if loop.deal:
             (var, total, block), = loop.axes
-            for extent[var] in busiest_core_chunks(extent[total], sizes[block], p):
-                yield 1
-            return
-        for combo in itertools.product(*[
-            [(var, ext, n) for ext, n in _blocks(extent[total], sizes[block])]
-            for var, total, block in loop.axes
-        ]):
-            count = 1
-            for var, ext, n in combo:
-                extent[var] = ext
-                count *= n
-            yield count
+            return [(((var, ext),), 1) for ext in busiest_core_chunks(
+                extent[total], sizes[block], p)]
+        out = [((), 1)]
+        for var, total, block in loop.axes:
+            out = [(exts + ((var, ext),), count * n) for exts, count in out
+                   for ext, n in _blocks(extent[total], sizes[block])]
+        return out
 
     def dma_s(dma: Dma) -> float:
         if dma.dst is MemKind.GSM:
@@ -218,21 +214,20 @@ def evaluate(
             bw = gsm_share
         else:
             bw = ddr_share
-        return cs.dma_s(dma.src, dma.dst, extent[dma.rows], extent[dma.cols], bw)
+        return cost(dma.src, dma.dst, extent[dma.rows], extent[dma.cols], bw)
 
     def seconds(steps: tuple) -> float:
         total = 0.0
         for step in steps:
             kind = type(step)
-            if kind is Loop:
-                total += loop_s(step)
-            elif kind is Dma:
+            if kind is Dma:
                 total += dma_s(step)
             elif kind is Kernel:
                 total += kernel(
-                    registry, extent[step.rows], extent[step.cols],
-                    extent[step.depth],
+                    extent[step.rows], extent[step.cols], extent[step.depth]
                 ).cycles / clock
+            elif kind is Loop:
+                total += loop_s(step)
             elif kind is Floor:
                 total += max(seconds(step.body), ddr_bytes(step.body) / floor_bw)
             elif kind is Zero:
@@ -252,17 +247,16 @@ def evaluate(
         body = loop.body
         if not loop.overlap:
             total = 0.0
-            for count in blocks(loop):
+            for exts, count in blocks(loop):
+                extent.update(exts)
                 total += count * seconds(body)
             return total
+        lead = body[0] if type(body[0]) is Dma else None
+        rest = body[1:] if lead else body
         pairs: list[tuple[float, float]] = []
-        if type(body[0]) is Dma:
-            lead, rest = body[0], body[1:]
-            for count in blocks(loop):
-                pairs.extend([(dma_s(lead), seconds(rest))] * count)
-        else:
-            for count in blocks(loop):
-                pairs.extend([(0.0, seconds(body))] * count)
+        for exts, count in blocks(loop):
+            extent.update(exts)
+            pairs += [(dma_s(lead) if lead else 0.0, seconds(rest))] * count
         return pingpong_seq(pairs)
 
     def ddr_bytes(steps: tuple) -> int:
@@ -271,18 +265,19 @@ def evaluate(
             kind = type(step)
             if kind is Dma:
                 if step.src is MemKind.DDR or step.dst is MemKind.DDR:
-                    total += cs.ddr_eff_bytes(extent[step.rows], extent[step.cols])
+                    total += eff_bytes(extent[step.rows], extent[step.cols])
             elif kind is Loop:
                 body = step.body
-                if step.overlap and type(body[0]) is Dma:
-                    # the rest of a double-buffered body counts once per
-                    # distinct extent, as the byte floor always has: an
-                    # undercount when a panel holds several blocks of one
-                    # extent (ROADMAP item 5)
-                    for count in blocks(step):
+                lead = step.overlap and type(body[0]) is Dma
+                for exts, count in blocks(step):
+                    extent.update(exts)
+                    if lead:
+                        # the rest of a double-buffered body counts once
+                        # per distinct extent, as the byte floor always
+                        # has: an undercount when a panel holds several
+                        # blocks of one extent (ROADMAP item 5)
                         total += count * ddr_bytes(body[:1]) + ddr_bytes(body[1:])
-                else:
-                    for count in blocks(step):
+                    else:
                         total += count * ddr_bytes(body)
             elif kind is Floor:
                 total += ddr_bytes(step.body)
