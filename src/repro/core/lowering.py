@@ -39,7 +39,9 @@ from ..hw.memory import Buffer, MemKind
 from ..kernels.registry import KernelRegistry, registry_for
 from .blocking import DTYPE_SIZES
 from .plans import OpStreamBuilder
-from .schedule import Dma, Floor, Kernel, Loop, Schedule, Sync, Zero, zero_cycles
+from .schedule import (
+    DDR, GSM, Dma, Floor, Kernel, Loop, Schedule, Sync, Zero, zero_cycles,
+)
 from .shapes import GemmShape
 
 FP32 = 4
@@ -598,11 +600,13 @@ def expand(
     (the double-buffering ablation), ``bindable`` as in
     :class:`LoweringContext`.
 
-    Steps emit in program order.  ``at`` holds each loop variable's
-    block index and start, ``extent`` its extent (and the GEMM's ``m``,
-    ``n``, ``k``); ``current`` maps ``(tile, core)`` (core 0 in GSM) to
-    the buffer and slot its latest fill wrote, which moves, kernels and
-    stores read.
+    Steps emit in program order.  ``index``, ``start``, ``origin`` and
+    ``extent`` hold each loop variable's current block (its index, its
+    start in the enclosing block and in the GEMM, its extent; ``origin``
+    and ``extent`` also the GEMM's ``m``, ``n``, ``k``).  ``current``
+    holds, per tile, each core's (core 0's in GSM) buffer, slot and
+    window origin its latest fill wrote, which moves, kernels and stores
+    read.
     """
     ctx = LoweringContext(
         cluster, schedule.shape, registry, dtype=schedule.dtype,
@@ -614,114 +618,113 @@ def expand(
         tile.name: [
             ctx.alloc(tile.kind, c, tile.rows, tile.cols, tile.name,
                       slots=tile.slots if pingpong else 1)
-            for c in range(1 if tile.kind is MemKind.GSM else n_cores)
+            for c in range(1 if tile.kind is GSM else n_cores)
         ]
         for tile in schedule.tiles
     }
+    current = {name: [None] * n_cores for name in buffers}
     shape, sizes = schedule.shape, vars(schedule.plan)
-    at: dict[str, tuple[int, int]] = {}
+    index: dict[str, int] = {}
+    start: dict[str, int] = {}
+    origin = {"m": 0, "n": 0, "k": 0}
     extent = {"m": shape.m, "n": shape.n, "k": shape.k}
-    current: dict[tuple[str, int], tuple[Buffer, int]] = {}
     last_kernel = [-1] * n_cores
     kernel_of = schedule.kernel(ctx.registry)
-
-    def offset(names: tuple[str, ...]) -> int:
-        total = 0
-        for name in names:
-            total += at[name][1]
-        return total
+    desc, load = ctx.desc, ctx.load
 
     def emit(steps: tuple, core: int) -> None:
+        """Emit ``steps`` on ``core`` (a DMA or kernel inline: one each
+        per op)."""
         for step in steps:
             kind = type(step)
-            if kind is Dma:
-                dma(step, core)
-            elif kind is Kernel:
-                kernel(step, core)
-            elif kind is Loop:
-                loop(step, 0, core)
-            elif kind is Floor:
-                emit(step.body, core)
-            elif kind is Sync:
-                sync(step)
+            if kind is Kernel:
+                rows, cols, depth = step
+                ms, nc, kc = extent[rows], extent[cols], extent[depth]
+                kern = kernel_of(ms, nc, kc)
+                a_buf, a_slot, _r, _c = current["A_s"][core]
+                b_buf, b_slot, _r, _c = current["B_a"][core]
+                c_buf, c_slot, _r, _c = current["C_a"][core]
+                last_kernel[core] = builder.kernel(
+                    core, kern.cycles, kern.flops,
+                    reads=(("A_s", a_slot), ("B_a", b_slot), ("C_a", c_slot)),
+                    run=ctx.kernel_run(kern, a_buf, b_buf, c_buf, ms, nc, kc,
+                                       core, c_row0=start[rows]),
+                    tag=f"mk{ms}x{nc}x{kc}",
+                )
+                continue
+            if kind is not Dma:
+                if kind is Loop:
+                    loop(step, 0, core)
+                elif kind is Floor:
+                    emit(step.body, core)
+                elif kind is Sync:
+                    sync(step)
+                else:
+                    zero(step)
+                continue
+            tag, src_kind, dst_kind, rows, cols, slot, per_core = step
+            row0, col0 = origin[rows], origin[cols]
+            rows, cols = extent[rows], extent[cols]
+            src, _, dst = tag.partition("->")
+            if dst_kind is DDR:  # store a C tile once its last kernel is done
+                buf, slot, _r, _c = current[src][core]
+                last = last_kernel[core]
+                idx = builder.dma(
+                    core, desc(src_kind, DDR, rows, cols, tag),
+                    extra_deps=(last,) if last >= 0 else (),
+                    run=ctx.unload(buf, row0, col0, rows, cols, core), tag=tag,
+                )
+                builder.consume(core, src, slot, idx)
+                continue
+            # a fill of a tile slot
+            owner = 0 if dst_kind is GSM else core
+            slots = buffers[dst][owner]
+            if slot is None:
+                slot = 0
             else:
-                zero(step)
+                slot = index[slot] // n_cores if per_core else index[slot]
+                slot %= len(slots)
+            buf = slots[slot]
+            current[dst][owner] = buf, slot, row0, col0
+            if dst_kind is GSM:
+                # cooperative: every core's engine loads a share of rows
+                for c, rs, ext in ctx.split_rows(rows):
+                    builder.dma(
+                        c, desc(src_kind, GSM, ext, cols, tag),
+                        run=load(buf, src.lower(), row0 + rs, col0, ext, cols,
+                                 c, tile_row0=rs),
+                        tag=tag,
+                    )
+            else:
+                if src_kind is DDR:
+                    run = load(buf, src.lower(), row0, col0, rows, cols, core)
+                else:  # out of a GSM panel, relative to its window
+                    panel, _s, p_row0, p_col0 = current[src][0]
+                    run = ctx.move(buf, panel, rows, cols, core,
+                                   src_row0=row0 - p_row0,
+                                   src_col0=col0 - p_col0)
+                builder.dma(core, desc(src_kind, dst_kind, rows, cols, tag),
+                            buffer=dst, slot=slot, run=run, tag=tag)
 
     def loop(step: Loop, axis: int, core: int) -> None:
         var, total, block = step.axes[axis]
         inner = axis + 1 < len(step.axes)
-        for index, start, extent[var] in block_ranges(extent[total], sizes[block]):
-            at[var] = index, start
+        base = origin[total]
+        for i, s, extent[var] in block_ranges(extent[total], sizes[block]):
+            index[var], start[var], origin[var] = i, s, base + s
             if step.deal:
-                core = index % n_cores
+                core = i % n_cores
             if inner:
                 loop(step, axis + 1, core)
             else:
                 emit(step.body, core)
-
-    def dma(step: Dma, core: int) -> None:
-        rows, cols = extent[step.rows], extent[step.cols]
-        row0, col0 = offset(step.row0), offset(step.col0)
-        src, dst = step.tag.split("->")
-        if step.dst is MemKind.DDR:
-            # store a C tile once its last kernel is done
-            buf, slot = current[src, core]
-            last = last_kernel[core]
-            idx = builder.dma(
-                core, ctx.desc(step.src, step.dst, rows, cols, step.tag),
-                extra_deps=(last,) if last >= 0 else (),
-                run=ctx.unload(buf, row0, col0, rows, cols, core), tag=step.tag,
-            )
-            builder.consume(core, src, slot, idx)
-            return
-        shared = step.dst is MemKind.GSM
-        slots = buffers[dst][0 if shared else core]
-        slot = 0
-        if step.slot is not None:
-            slot = at[step.slot][0]
-            if step.per_core:
-                slot //= n_cores
-            slot %= len(slots)
-        buf = slots[slot]
-        current[dst, 0 if shared else core] = buf, slot
-        if shared:
-            # a cooperative fill of a shared panel by every core's engine
-            for core, rs, ext in ctx.split_rows(rows):
-                builder.dma(
-                    core, ctx.desc(step.src, step.dst, ext, cols, step.tag),
-                    run=ctx.load(buf, src.lower(), row0 + rs, col0, ext, cols,
-                                 core, tile_row0=rs),
-                    tag=step.tag,
-                )
-            return
-        if step.src is MemKind.DDR:
-            run = ctx.load(buf, src.lower(), row0, col0, rows, cols, core)
-        else:  # out of a GSM panel
-            run = ctx.move(buf, current[src, 0][0], rows, cols, core,
-                           src_row0=row0, src_col0=col0)
-        builder.dma(core, ctx.desc(step.src, step.dst, rows, cols, step.tag),
-                    buffer=dst, slot=slot, run=run, tag=step.tag)
-
-    def kernel(step: Kernel, core: int) -> None:
-        ms, nc, kc = extent[step.rows], extent[step.cols], extent[step.depth]
-        kern = kernel_of(ms, nc, kc)
-        a_buf, a_slot = current["A_s", core]
-        b_buf, b_slot = current["B_a", core]
-        c_buf, c_slot = current["C_a", core]
-        last_kernel[core] = builder.kernel(
-            core, kern.cycles, kern.flops,
-            reads=(("A_s", a_slot), ("B_a", b_slot), ("C_a", c_slot)),
-            run=ctx.kernel_run(kern, a_buf, b_buf, c_buf, ms, nc, kc, core,
-                               c_row0=at[step.rows][1]),
-            tag=f"mk{ms}x{nc}x{kc}",
-        )
 
     def zero(step: Zero) -> None:
         cycles = zero_cycles(extent[step.rows], extent[step.cols], ctx.esize,
                              cluster.core)
         for core in range(n_cores):
             buf = buffers["C_a"][core][0]
-            current["C_a", core] = buf, 0
+            current["C_a"][core] = buf, 0, origin[step.rows], origin[step.cols]
             builder.kernel(
                 core, cycles, 0,
                 run=partial(buf.array().fill, 0) if ctx.backed else None,
@@ -729,14 +732,14 @@ def expand(
             )
 
     def sync(step: Sync) -> None:
-        tag = step.tag.format_map({var: s for var, (_i, s) in at.items()})
+        tag = step.tag.format_map(start)
         if step.rows is None:
             builder.sync(tag=tag)
             return
         rows, cols = extent[step.rows], extent[step.cols]
         run = ctx.reduction(
-            [current["C_a", core][0] for core in range(n_cores)],
-            offset(step.row0), offset(step.col0), rows, cols,
+            [current["C_a"][core][0] for core in range(n_cores)],
+            origin[step.rows], origin[step.cols], rows, cols,
         )
         builder.sync(
             seconds=reduction_seconds(

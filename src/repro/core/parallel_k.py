@@ -36,15 +36,13 @@ _STEPS = (Loop((("i", "m", "m_g"), ("j", "n", "n_g")), (
     Loop((("ii", "i", "m_a"), ("jj", "j", "n_a")), (
         Zero("ii", "jj"),
         Floor((Loop((("t", "k", "k_a"),), (
-            Dma("B->B_a", DDR, AM, "t", "jj", ("t",), ("j", "jj"), slot="t",
-                per_core=True),
+            Dma("B->B_a", DDR, AM, "t", "jj", "t", per_core=True),
             Loop((("u", "ii", "m_s"),), (
-                Dma("A->A_s", DDR, SM, "u", "t", ("i", "ii", "u"), ("t",),
-                    slot="u"),
+                Dma("A->A_s", DDR, SM, "u", "t", "u"),
                 Kernel("u", "jj", "t"),
             ), overlap=True),
         ), deal=True, overlap=True),)),
-        Sync("reduce[{ii},{jj}]", "ii", "jj", ("i", "ii"), ("j", "jj")),
+        Sync("reduce[{ii},{jj}]", "ii", "jj"),
     )),
 )),)
 

@@ -27,24 +27,22 @@ from .shapes import GemmShape
 
 def _steps(use_gsm: bool) -> tuple:
     if use_gsm:
-        panel = (Dma("B->B_g", DDR, GSM, "j", "i", ("j",), ("i",), slot="j"),)
-        b_a = Dma("B_g->B_a", GSM, AM, "jj", "ii", ("jj",), ("ii",), slot="jj")
+        panel = (Dma("B->B_g", DDR, GSM, "j", "i", "j"),)
+        b_a = Dma("B_g->B_a", GSM, AM, "jj", "ii", "jj")
     else:
         panel = ()
-        b_a = Dma("B->B_a", DDR, AM, "jj", "ii", ("j", "jj"), ("i", "ii"),
-                  slot="jj")
+        b_a = Dma("B->B_a", DDR, AM, "jj", "ii", "jj")
     # one C_a tile of a core's m_a chunk: C stays resident across K
     c_tile = Floor((
-        Dma("C->C_a", DDR, AM, "t", "ii", ("t",), ("i", "ii")),
+        Dma("C->C_a", DDR, AM, "t", "ii"),
         Loop((("jj", "j", "k_a"),), (
             b_a,
             Loop((("tt", "t", "m_s"),), (
-                Dma("A->A_s", DDR, SM, "tt", "jj", ("t", "tt"), ("j", "jj"),
-                    slot="tt"),
+                Dma("A->A_s", DDR, SM, "tt", "jj", "tt"),
                 Kernel("tt", "ii", "jj"),
             ), overlap=True),
         ), overlap=True),
-        Dma("C_a->C", AM, DDR, "t", "ii", ("t",), ("i", "ii")),
+        Dma("C_a->C", AM, DDR, "t", "ii"),
     ))
     return (Loop((("i", "n", "n_g"),), (
         Loop((("j", "k", "k_g"),), panel + (

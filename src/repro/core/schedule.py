@@ -11,8 +11,9 @@ form.  Both therefore see the same chunking, the same fill/compute/store
 order and the same reduction.
 
 Steps name loop variables: ``rows``/``cols`` are those loops' current
-block extents, and an offset tuple sums their block starts.  Kernels
-compute ``C_a += A_s @ B_a`` on the tiles of those names.
+blocks, whose origin in the GEMM is the sum of the enclosing blocks'
+starts.  Kernels compute ``C_a += A_s @ B_a`` on the tiles of those
+names.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ class Dma(NamedTuple):
     """A ``rows x cols`` transfer ``tag`` = ``"<from>-><to>"``, each side
     an operand (``A``, ``B``, ``C`` in DDR) or a :class:`Tile`.
 
-    ``row0``/``col0`` place the window in the operand (or the source
-    tile of a move).  A GSM fill is split over every core's engine.  The
+    Its window in an operand sits at the ``rows`` and ``cols`` blocks'
+    origins; in a tile it is filled from, at those origins less the
+    tile's.  A GSM fill is split over every core's engine.  The
     destination slot is loop ``slot``'s block index (counted per core
     with ``per_core``) modulo the tile's slots.
     """
@@ -65,8 +67,6 @@ class Dma(NamedTuple):
     dst: MemKind
     rows: str
     cols: str
-    row0: tuple[str, ...] = ()
-    col0: tuple[str, ...] = ()
     slot: str | None = None
     per_core: bool = False
 
@@ -90,13 +90,11 @@ class Zero(NamedTuple):
 class Sync(NamedTuple):
     """A cluster barrier; ``tag`` formats with the block starts.  With
     ``rows``/``cols`` it is Alg. 5's reduction of every core's ``C_a``
-    partial through GSM into C at ``row0``/``col0``."""
+    partial through GSM into C at those blocks' origins."""
 
     tag: str
     rows: str | None = None
     cols: str | None = None
-    row0: tuple[str, ...] = ()
-    col0: tuple[str, ...] = ()
 
 
 class Floor(NamedTuple):

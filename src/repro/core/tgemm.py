@@ -34,17 +34,17 @@ from .shapes import GemmShape
 #: Alg. 1's loop nest
 _STEPS = (Loop((("i", "m", "m_g"),), (
     Loop((("j", "k", "k_g"),), (
-        Dma("A->A_g", DDR, GSM, "i", "j", ("i",), ("j",), slot="j"),
+        Dma("A->A_g", DDR, GSM, "i", "j", "j"),
         Sync("A_g[{i},{j}] ready"),
         # the parallel loop: N-strips round-robin across cores
         Loop((("t", "n", "n_a"),), (Floor((
-            Dma("B->B_a", DDR, AM, "j", "t", ("j",), ("t",), slot="t"),
-            Dma("C->C_a", DDR, AM, "i", "t", ("i",), ("t",), slot="t"),
+            Dma("B->B_a", DDR, AM, "j", "t", "t"),
+            Dma("C->C_a", DDR, AM, "i", "t", "t"),
             Loop((("ii", "i", "m_s"),), (
-                Dma("A_g->A_s", GSM, SM, "ii", "j", ("ii",), (), slot="ii"),
+                Dma("A_g->A_s", GSM, SM, "ii", "j", "ii"),
                 Kernel("ii", "t", "j"),
             ), overlap=True),
-            Dma("C_a->C", AM, DDR, "i", "t", ("i",), ("t",)),
+            Dma("C_a->C", AM, DDR, "i", "t"),
         )),), deal=True),
     ), overlap=True),
 )),)
