@@ -31,7 +31,9 @@ from __future__ import annotations
 from ..core.blocking import DTYPE_SIZES, FP32, KPlan, MPlan, TgemmPlan
 from ..core.parallel_k import schedule_k
 from ..core.parallel_m import schedule_m
-from ..core.schedule import Dma, Floor, Kernel, Loop, Schedule, Zero, zero_cycles
+from ..core.schedule import (
+    DDR, GSM, Dma, Floor, Kernel, Loop, Schedule, Zero, zero_cycles,
+)
 from ..core.shapes import GemmShape
 from ..core.tgemm import schedule_tgemm
 from ..hw.cluster import reduction_seconds
@@ -193,97 +195,86 @@ def evaluate(
     shape, sizes = schedule.shape, vars(schedule.plan)
     extent = {"m": shape.m, "n": shape.n, "k": shape.k}
 
-    def blocks(loop: Loop) -> list[tuple[tuple, int]]:
-        """``(extents, count)`` per distinct block of ``loop``: a dealt
-        loop's busiest-core chunks, else every combination of its axes'
-        blocks (counts multiplied); ``extents`` updates ``extent``."""
-        if loop.deal:
-            (var, total, block), = loop.axes
-            return [(((var, ext),), 1) for ext in busiest_core_chunks(
-                extent[total], sizes[block], p)]
-        out = [((), 1)]
-        for var, total, block in loop.axes:
-            out = [(exts + ((var, ext),), count * n) for exts, count in out
-                   for ext, n in _blocks(extent[total], sizes[block])]
-        return out
-
-    def dma_s(dma: Dma) -> float:
-        if dma.dst is MemKind.GSM:
-            bw = fill_bw
-        elif dma.src is MemKind.GSM:
-            bw = gsm_share
-        else:
-            bw = ddr_share
-        return cost(dma.src, dma.dst, extent[dma.rows], extent[dma.cols], bw)
-
-    def seconds(steps: tuple) -> float:
-        total = 0.0
+    def walk(steps: tuple) -> tuple[float, int]:
+        """Seconds of ``steps``, and the DDR bytes a :class:`Floor`
+        around them counts."""
+        seconds, nbytes = 0.0, 0
         for step in steps:
             kind = type(step)
             if kind is Dma:
-                total += dma_s(step)
-            elif kind is Kernel:
-                total += kernel(
-                    extent[step.rows], extent[step.cols], extent[step.depth]
-                ).cycles / clock
+                s, b = dma(step)
             elif kind is Loop:
-                total += loop_s(step)
+                s, b = loop(step)
             elif kind is Floor:
-                total += max(seconds(step.body), ddr_bytes(step.body) / floor_bw)
-            elif kind is Zero:
-                total += zero_cycles(
-                    extent[step.rows], extent[step.cols], esize, cs.core
-                ) / clock
+                s, b = walk(step.body)
+                s = max(s, b / floor_bw)
             else:
-                total += cs.barrier_s
-                if step.rows is not None:
-                    total += reduction_seconds(
+                b = 0
+                if kind is Kernel:
+                    rows, cols, depth = step
+                    s = kernel(extent[rows], extent[cols], extent[depth]).cycles / clock
+                elif kind is Zero:
+                    s = zero_cycles(
+                        extent[step.rows], extent[step.cols], esize, cs.core
+                    ) / clock
+                else:
+                    seconds += cs.barrier_s
+                    s = 0.0 if step.rows is None else reduction_seconds(
                         cluster, extent[step.rows] * extent[step.cols] * esize,
                         p_active,
                     )
-        return total
+            seconds += s
+            nbytes += b
+        return seconds, nbytes
 
-    def loop_s(loop: Loop) -> float:
-        body = loop.body
-        if not loop.overlap:
-            total = 0.0
-            for exts, count in blocks(loop):
-                extent.update(exts)
-                total += count * seconds(body)
-            return total
-        lead = body[0] if type(body[0]) is Dma else None
-        rest = body[1:] if lead else body
-        pairs: list[tuple[float, float]] = []
-        for exts, count in blocks(loop):
+    def dma(step: Dma) -> tuple[float, int]:
+        _tag, src, dst, rows, cols, _slot, _per_core = step
+        rows, cols = extent[rows], extent[cols]
+        if dst is GSM:
+            bw = fill_bw
+        elif src is GSM:
+            bw = gsm_share
+        else:
+            bw = ddr_share
+        nbytes = eff_bytes(rows, cols) if src is DDR or dst is DDR else 0
+        return cost(src, dst, rows, cols, bw), nbytes
+
+    def loop(step: Loop) -> tuple[float, int]:
+        axes, body, deal, overlap = step
+        # (extents, count) per distinct block: a dealt loop's busiest-core
+        # chunks, else every combination of its axes' blocks
+        if deal:
+            (var, total, block), = axes
+            runs = [(((var, ext),), 1) for ext in busiest_core_chunks(
+                extent[total], sizes[block], p)]
+        else:
+            runs = [((), 1)]
+            for var, total, block in axes:
+                runs = [(exts + ((var, ext),), count * n) for exts, count in runs
+                        for ext, n in _blocks(extent[total], sizes[block])]
+        lead = overlap and type(body[0]) is Dma
+        seconds, nbytes, pairs = 0.0, 0, []
+        for exts, count in runs:
             extent.update(exts)
-            pairs += [(dma_s(lead) if lead else 0.0, seconds(rest))] * count
-        return pingpong_seq(pairs)
+            if lead:
+                # the rest of a double-buffered body counts its bytes once
+                # per distinct extent, as the byte floor always has: an
+                # undercount when a panel holds several blocks of one
+                # extent (ROADMAP item 5)
+                lead_s, lead_b = dma(body[0])
+                s, b = walk(body[1:])
+                pairs += [(lead_s, s)] * count
+                nbytes += count * lead_b + b
+                continue
+            s, b = walk(body)
+            if overlap:
+                pairs += [(0.0, s)] * count
+            else:
+                seconds += count * s
+            nbytes += count * b
+        return (pingpong_seq(pairs) if overlap else seconds), nbytes
 
-    def ddr_bytes(steps: tuple) -> int:
-        total = 0
-        for step in steps:
-            kind = type(step)
-            if kind is Dma:
-                if step.src is MemKind.DDR or step.dst is MemKind.DDR:
-                    total += eff_bytes(extent[step.rows], extent[step.cols])
-            elif kind is Loop:
-                body = step.body
-                lead = step.overlap and type(body[0]) is Dma
-                for exts, count in blocks(step):
-                    extent.update(exts)
-                    if lead:
-                        # the rest of a double-buffered body counts once
-                        # per distinct extent, as the byte floor always
-                        # has: an undercount when a panel holds several
-                        # blocks of one extent (ROADMAP item 5)
-                        total += count * ddr_bytes(body[:1]) + ddr_bytes(body[1:])
-                    else:
-                        total += count * ddr_bytes(body)
-            elif kind is Floor:
-                total += ddr_bytes(step.body)
-        return total
-
-    return cs.result(shape, seconds(schedule.steps), schedule.strategy)
+    return cs.result(shape, walk(schedule.steps)[0], schedule.strategy)
 
 
 def analytic_parallel_m(
