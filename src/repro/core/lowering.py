@@ -707,17 +707,18 @@ def expand(
                             buffer=dst, slot=slot, run=run, tag=tag)
 
     def loop(step: Loop, axis: int, core: int) -> None:
-        var, total, block = step.axes[axis]
-        inner = axis + 1 < len(step.axes)
+        axes, body, deal, _overlap = step
+        var, total, block = axes[axis]
+        inner = axis + 1 < len(axes)
         base = origin[total]
         for i, s, extent[var] in block_ranges(extent[total], sizes[block]):
             index[var], start[var], origin[var] = i, s, base + s
-            if step.deal:
+            if deal:
                 core = i % n_cores
             if inner:
                 loop(step, axis + 1, core)
             else:
-                emit(step.body, core)
+                emit(body, core)
 
     def zero(step: Zero) -> None:
         cycles = zero_cycles(extent[step.rows], extent[step.cols], ctx.esize,
