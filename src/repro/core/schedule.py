@@ -41,7 +41,7 @@ class Loop(NamedTuple):
     """``body`` once per block of ``axes``, each ``(variable, total,
     plan field)``: ``total`` is ``"m"``, ``"n"``, ``"k"`` or an enclosing
     variable (its current extent).  Several axes nest, first outermost,
-    as one loop.  ``deal`` deals the blocks round-robin over the cores;
+    as one loop, and none blocks another of the same loop.  ``deal`` deals the blocks round-robin over the cores;
     ``overlap`` double-buffers: block ``i + 1``'s leading DMA overlaps
     the rest of block ``i``."""
 
